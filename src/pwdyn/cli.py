@@ -18,14 +18,16 @@ from .codes import (Certifier, CertificationError, CodeUndefinedError, YES,
                     attractor_regular_source, codes, is_regular,
                     regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
-from .maps import (MapSyntaxError, MINUS, PLUS, PiecewiseMap, PwdynError,
-                   compose, parse_map, parse_rational)
-from .orbits import (HALF_POINT, INTERVAL_FAMILY, VariantSelector, orbit,
-                     periodic_points, structure)
+from .maps import (MapSyntaxError, MINUS, PLUS, PieceLimitError, PiecewiseMap,
+                   PowerLimitError, PwdynError, compose, parse_map,
+                   parse_rational)
+from .orbits import (HALF_POINT, INTERVAL_FAMILY, VariantLimitError,
+                     VariantSelector, orbit, periodic_points, structure)
 from .plotting import emit_plot
-from .stability import classify_point, classify_side, find_connection
-from .taxonomy import (PreconditionError, basin_adjacent_special, count_bound,
-                       taxonomy)
+from .stability import (CycleBudgetError, classify_point, classify_side,
+                        find_connection)
+from .taxonomy import (DegenerateWindowError, PreconditionError,
+                       basin_adjacent_special, count_bound, taxonomy)
 
 
 def _fmt_set(values) -> str:
@@ -361,6 +363,12 @@ def _cmd_regular(f, args) -> int:
     return 0
 
 
+# Errors that only mean the reverse construction does not apply to an orbit,
+# or that a search budget ran out; anything else is a bug and propagates.
+_NOT_APPLICABLE = (PreconditionError, DegenerateWindowError, PieceLimitError,
+                   PowerLimitError, VariantLimitError, CycleBudgetError)
+
+
 def _cmd_theorem5(f, args) -> int:
     certifier = Certifier(f)
     negatives = 0
@@ -386,11 +394,12 @@ def _cmd_theorem5(f, args) -> int:
                                                   certifier=certifier)
             print(f"reverse {_fmt_points(orb.points)}: w={w} "
                   f"regular={verdict.value}")
-        except (PreconditionError, PwdynError) as exc:
-            if isinstance(exc, CertificationError):
-                print(f"reverse {_fmt_points(orb.points)}: "
-                      f"CERTIFICATION FAILURE: {exc}")
-                negatives += 1
+        except _NOT_APPLICABLE:
+            continue
+        except CertificationError as exc:
+            print(f"reverse {_fmt_points(orb.points)}: "
+                  f"CERTIFICATION FAILURE: {exc}")
+            negatives += 1
     return 1 if negatives else 0
 
 

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
-                   as_fraction)
+from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
+                   RationalLike, Side, _push_through, as_fraction)
 from .orbits import PeriodicOrbit, periodic_points
 from .stability import SEMI_STABLE, STABLE, classify_point
-from .taxonomy import (PreconditionError, _forward_images, _pull_back,
-                       attraction_atlas, attracted, basin_adjacent_special,
-                       restrict_power, taxonomy)
+from .taxonomy import (PreconditionError, _image, _narrow, attraction_atlas,
+                       attracted, basin_adjacent_special, restrict_power,
+                       taxonomy)
 
 YES = "yes"
 NO = "no"
@@ -402,55 +402,53 @@ class RegularAttractorResult:
     attracted_verdict: str
 
 
-def _lateral_image(f, lo, hi) -> tuple[Fraction, Fraction]:
-    v1, v2 = f.lateral(lo, PLUS), f.lateral(hi, MINUS)
-    return (v1, v2) if v1 <= v2 else (v2, v1)
-
-
-def _constraint_interval(f: PiecewiseMap, code: Code, periods: int = 2
-                         ) -> tuple[Fraction, Fraction]:
-    """Closed interval of points satisfying the code constraints over the
-    given number of periods (two keeps the doubled power inside monotone
-    territory)."""
+def _constraint_interval(f: PiecewiseMap, code: Code
+                         ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
+    """Closed interval of points satisfying the code constraints over two
+    periods (which keeps the doubled power inside monotone territory), and
+    the doubled power's segments on it, built in one forward segment sweep."""
     part = PartitionIntervals.of(f)
     sigma = code.cycle
-    images = [part.interval(sigma[0])]
-    for m in range(1, periods * len(sigma)):
-        img = _lateral_image(f, *images[-1])
+    lo, hi = part.interval(sigma[0])
+    segs = restrict_power(f, lo, hi, 1)
+    for m in range(1, 2 * len(sigma)):
+        img = _image(segs)
         c_lo, c_hi = part.interval(sigma[m % len(sigma)])
         t = (max(img[0], c_lo), min(img[1], c_hi))
         if t[0] > t[1]:
             raise CertificationError(f"code constraints empty at position {m}")
-        if t == img:
-            images.append(img)
-        else:
-            lo, hi = _pull_back(f, images, m, t)
-            images = _forward_images(f, lo, hi, m - 1)
-            images.append(t)
-    return images[0]
+        if t[0] == t[1]:
+            raise CertificationError(
+                f"code constraints pin a single point at position {m}")
+        if t != img:
+            lo, hi, segs = _narrow(segs, *t)
+        segs = _push_through(f, segs)
+    return lo, hi, segs
 
 
 def _power_image(f, lo, hi, n) -> tuple[Fraction, Fraction]:
     for _ in range(n):
-        lo, hi = _lateral_image(f, lo, hi)
+        v1, v2 = f.lateral(lo, PLUS), f.lateral(hi, MINUS)
+        lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
     return lo, hi
 
 
 def _stabilized_interval(f: PiecewiseMap, base: tuple[Fraction, Fraction],
                          n: int) -> Optional[tuple[Fraction, Fraction]]:
     """Refine the one-period constraint interval until the n-th power maps
-    it into itself; geometric endpoint tails are closed out exactly."""
+    it into itself, narrowing the n-th power's segments on it; geometric
+    endpoint tails are closed out exactly."""
     lo, hi = base
+    segs = restrict_power(f, lo, hi, n)
     los, his = [lo], [hi]
     for _ in range(64):
-        p, q = _power_image(f, lo, hi, n)
+        p, q = _image(segs)
         if lo <= p and q <= hi:
             return lo, hi
         t = (max(p, lo), min(q, hi))
-        if t[0] > t[1]:
+        if t[0] >= t[1]:
             return None
-        imgs = _forward_images(f, lo, hi, n - 1)
-        lo, hi = _pull_back(f, imgs, n, t)
+        lo, hi, segs = _narrow(segs, *t)
         los.append(lo)
         his.append(hi)
         guess = _geometric_limit(f, los, his, n)
@@ -500,11 +498,11 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike,
             f"{w} is not certified regular (verdict {cert.value})")
     code = cert.code
     n = code.period
-    base = _constraint_interval(f, code)
+    lo, hi, segs = _constraint_interval(f, code)
+    base = (lo, hi)
     if not base[0] <= w <= base[1]:
         raise CertificationError("regular point left its own code interval")
     part = PartitionIntervals.of(f)
-    segs = restrict_power(f, base[0], base[1], 2 * n)
     fixed = [t for t in _fixed_points_of_segments(segs)
              if _conforms(f, t, code, part)]
     if w == base[1]:

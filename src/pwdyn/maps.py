@@ -252,7 +252,9 @@ class PiecewiseMap:
 
     def power(self, n: int, *, max_power: int = MAX_POWER,
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
-        """Exact n-th iterate, built by repeated composition (cached)."""
+        """Exact n-th iterate, built by repeated composition (cached).  A
+        power cached by a check=False call is validated on the first
+        check=True request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
         if n > max_power:
@@ -261,18 +263,19 @@ class PiecewiseMap:
             return self
         current = self
         for k in range(2, n + 1):
-            if k in self._powers:
-                current = self._powers[k]
-                continue
-            current = compose(self, current, guard=guard, check=check)
-            if check:
+            nxt, validated = self._powers.get(k) or (
+                compose(self, current, guard=guard, check=False), False)
+            if check and not validated:
+                _check_sandwich(self, current, nxt)
                 allowed = set(self.special_preimage_set(k))
-                got = set(current.special_points().points)
+                got = set(nxt.special_points().points)
                 if not got <= allowed:
                     raise MapInvariantError(
                         "special points of a power escaped the iterated "
                         f"preimage set at n={k}")
-            self._powers[k] = current
+                validated = True
+            self._powers[k] = (nxt, validated)
+            current = nxt
         return current
 
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
@@ -345,25 +348,28 @@ def parse_map(text: str) -> PiecewiseMap:
         if not line.strip():
             continue
         tokens = line.split()
-        col = lambda tok: raw.index(tok) + 1  # noqa: E731 - local helper
+        col, end = [], 0  # 1-based token columns, each searched past the last
+        for tok in tokens:
+            end = line.index(tok, end) + len(tok)
+            col.append(end - len(tok) + 1)
         if header is None:
             if tokens[0] != "interval":
                 raise MapSyntaxError("expected 'interval' header", lineno,
-                                     col(tokens[0]))
+                                     col[0])
             if len(tokens) != 3:
                 raise MapSyntaxError("header needs two rationals", lineno, 1)
-            header = (parse_rational(tokens[1], line=lineno, column=col(tokens[1])),
-                      parse_rational(tokens[2], line=lineno, column=col(tokens[2])))
+            header = (parse_rational(tokens[1], line=lineno, column=col[1]),
+                      parse_rational(tokens[2], line=lineno, column=col[2]))
             continue
         if tokens[0] != "piece":
             raise MapSyntaxError(f"expected 'piece', got {tokens[0]!r}",
-                                 lineno, col(tokens[0]))
+                                 lineno, col[0])
         if len(tokens) != 8 or tokens[3] != ":" or tokens[4] != "slope" \
                 or tokens[6] != "intercept":
             raise MapSyntaxError(
                 "expected 'piece <rat> <rat> : slope <rat> intercept <rat>'",
                 lineno, 1)
-        vals = [parse_rational(tokens[i], line=lineno, column=col(tokens[i]))
+        vals = [parse_rational(tokens[i], line=lineno, column=col[i])
                 for i in (1, 2, 5, 7)]
         pieces.append(AffinePiece(vals[0], vals[1], vals[2], vals[3]))
     if header is None:
@@ -415,30 +421,42 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     """
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
-    cuts = [p.left for p in outer.pieces[1:]]
-    new_pieces: list[AffinePiece] = []
-    for piece in inner.pieces:
-        lo, hi = piece.image()
-        i0 = bisect_right(cuts, lo)
-        i1 = bisect_left(cuts, hi)
-        xs = sorted(piece.solve(c) for c in cuts[i0:i1])
-        bounds = [piece.left] + [x for x in xs
-                                 if piece.left < x < piece.right] + [piece.right]
-        for p, q in zip(bounds, bounds[1:]):
-            if p >= q:
-                continue
-            mid = (p + q) / 2
-            y = piece.value_at(mid)
-            target = outer.pieces[bisect_right(outer._lefts, y) - 1]
-            new_pieces.append(AffinePiece(
-                p, q, target.slope * piece.slope,
-                target.slope * piece.intercept + target.intercept))
-            if len(new_pieces) > guard:
-                raise PieceLimitError(f"composition exceeds {guard} pieces")
-    result = PiecewiseMap(outer.a, outer.b, new_pieces)
+    result = PiecewiseMap(outer.a, outer.b,
+                          _push_through(outer, inner.pieces, guard=guard))
     if check:
         _check_sandwich(outer, inner, result)
     return result
+
+
+def _push_through(f: PiecewiseMap, pieces: Iterable[AffinePiece], *,
+                  guard: int = MAX_PIECES) -> list[AffinePiece]:
+    """The ordered affine pieces of f after the given ordered pieces: each
+    is split at the preimages of f's cuts inside its image, and each part is
+    composed with the piece of f covering it.  Empty pieces vanish.  Shared
+    by compositions, restricted powers and monotone windows."""
+    lefts, fpieces = f._lefts, f.pieces
+    out: list[AffinePiece] = []
+    for piece in pieces:
+        left, right = piece.left, piece.right
+        s, c = piece.slope, piece.intercept
+        if left >= right:
+            continue
+        y1, y2 = s * left + c, s * right + c
+        # f's pieces k0..k1 cover the image, in the order the piece meets
+        # them; adjacent ones j, k meet at the cut lefts[max(j, k)], which
+        # is strictly inside the image, so every part is nonempty.
+        k0 = bisect_right(lefts, min(y1, y2)) - 1
+        k1 = bisect_left(lefts, max(y1, y2)) - 1
+        ks = range(k0, k1 + 1) if s > 0 else range(k1, k0 - 1, -1)
+        bounds = [left, *((lefts[max(j, k)] - c) / s
+                          for j, k in zip(ks, ks[1:])), right]
+        for p, q, k in zip(bounds, bounds[1:], ks):
+            t = fpieces[k]
+            out.append(AffinePiece(p, q, t.slope * s,
+                                   t.slope * c + t.intercept))
+        if len(out) > guard:
+            raise PieceLimitError(f"composition exceeds {guard} pieces")
+    return out
 
 
 def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,

@@ -3,12 +3,12 @@ exceptional; basins near special points; and the orbit-count bound.
 
 The workhorse is the monotone window of a point: the largest interval around
 it on which every iterate up to a given depth stays continuous and monotone.
-It is computed locally, by pushing the interval forward one step at a time
-and pulling clips at special points back through the monotone steps, so no
-global high power is ever materialized.  The restriction of a power to such
-a window is a short list of affine segments, and trapped / free / basin
-questions reduce to exact sign analysis of those segments against the
-diagonal.
+It is computed locally, in one forward sweep that carries the affine
+segments of the current iterate on the current window and pulls each clip at
+a special point back by one affine solve on them, so no global high power is
+ever materialized.  The sweep ends with the power restricted to the window, a
+short list of affine segments, and trapped / free / basin questions reduce
+to exact sign analysis of those segments against the diagonal.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike,
-                   as_fraction)
+from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
+                   RationalLike, _push_through, as_fraction)
 from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
                      germ_step, periodic_points)
 from .stability import SEMI_STABLE, STABLE, classify_point
@@ -49,118 +49,90 @@ def monotone_window(f: PiecewiseMap, x: RationalLike, depth: int
 
     The endpoints are special points of some iterate (equivalently, points
     whose orbit reaches the special set within `depth` steps) or the domain
-    endpoints.
+    endpoints.  This is the window of `window_sweep`, without its segments.
+    """
+    return window_sweep(f, x, depth)[:2]
+
+
+def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
+                 ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
+    """The monotone window [u, v] of x together with the affine segments of
+    the `depth`-th iterate on it, equal to `restrict_power(f, u, v, depth)`.
+
+    Step j reads the image of the window off the end segments of the j-th
+    iterate, clips it at the special points nearest the j-th iterate of x,
+    narrows the window and its segments to the pulled-back clip, and pushes
+    the segments once through f.
     """
     x = as_fraction(x)
     special = f.special_points().points
     sset = set(special)
     u, v = f.a, f.b
-    images = [(u, v)]
-    orbit_vals = [x]
+    segs = [AffinePiece(u, v, Fraction(1), Fraction(0))]
+    xj = x
     for j in range(depth):
-        if orbit_vals[j] in sset:
+        if xj in sset:
             raise DegenerateWindowError(
                 f"iterate {j} of {x} lands on a special point")
-        lo, hi = images[j]
-        xj = orbit_vals[j]
-        inner = [s for s in special if lo < s < hi]
-        left_clips = [s for s in inner if s < xj]
-        right_clips = [s for s in inner if s > xj]
-        if left_clips or right_clips:
-            t_lo = max(left_clips) if left_clips else lo
-            t_hi = min(right_clips) if right_clips else hi
-            u, v = _pull_back(f, images, j, (t_lo, t_hi))
-            images = _forward_images(f, u, v, j)
-        lo, hi = images[j]
-        nxt_lo, nxt_hi = f.lateral(lo, PLUS), f.lateral(hi, MINUS)
-        images.append((nxt_lo, nxt_hi) if nxt_lo <= nxt_hi else (nxt_hi, nxt_lo))
-        orbit_vals.append(f.value(xj))
-    return u, v
-
-
-def _forward_images(f, u, v, steps) -> list[tuple[Fraction, Fraction]]:
-    out = [(u, v)]
-    for _ in range(steps):
-        lo, hi = out[-1]
-        a, b = f.lateral(lo, PLUS), f.lateral(hi, MINUS)
-        out.append((a, b) if a <= b else (b, a))
-    return out
-
-
-def _pull_back(f, images, j, target) -> tuple[Fraction, Fraction]:
-    """Pull a sub-interval of the j-th image back to the base interval
-    through the monotone continuous steps."""
-    t_lo, t_hi = target
-    for k in range(j - 1, -1, -1):
-        lo, hi = images[k]
-        a = _solve_in(f, lo, hi, t_lo)
-        b = _solve_in(f, lo, hi, t_hi)
-        t_lo, t_hi = (a, b) if a <= b else (b, a)
-    return t_lo, t_hi
-
-
-def _solve_in(f: PiecewiseMap, lo: Fraction, hi: Fraction,
-              target: Fraction) -> Fraction:
-    """The unique x in [lo, hi] with f(x) = target, where f is continuous
-    and monotone there."""
-    i0 = max(bisect_right(f._lefts, lo) - 1, 0)
-    for piece in f.pieces[i0:]:
-        if piece.left >= hi:
-            break
-        p, q = max(piece.left, lo), min(piece.right, hi)
-        v1, v2 = piece.value_at(p), piece.value_at(q)
-        if min(v1, v2) <= target <= max(v1, v2):
-            return piece.solve(target)
-    raise PwdynError(f"{target} not attained on [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class Segment:
-    left: Fraction
-    right: Fraction
-    slope: Fraction
-    intercept: Fraction
-
-    def value_at(self, t: Fraction) -> Fraction:
-        return self.slope * t + self.intercept
+        lo, hi = _image(segs)
+        i0, i1 = bisect_right(special, lo), bisect_left(special, hi)
+        k = bisect_left(special, xj, i0, i1)
+        t_lo = special[k - 1] if k > i0 else lo
+        t_hi = special[k] if k < i1 else hi
+        if (t_lo, t_hi) != (lo, hi):
+            u, v, segs = _narrow(segs, t_lo, t_hi)
+        segs = _push_through(f, segs)
+        xj = f.value(xj)
+    return u, v, segs
 
 
 def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
-                   ) -> list[Segment]:
-    """Affine segments of the m-th iterate on (lo, hi).
+                   ) -> list[AffinePiece]:
+    """Affine segments of the m-th iterate on (lo, hi), in order.
 
-    Requires every iterate up to m to be continuous and monotone there (a
-    monotone window), so images only ever cross removable breakpoints.
+    Pushes the identity on (lo, hi) through f m times with the kernel that
+    also builds compositions.  On a monotone window the images only ever
+    cross removable breakpoints, so the segments stay few.
     """
-    segs = [Segment(lo, hi, Fraction(1), Fraction(0))]
-    cuts = [p.left for p in f.pieces[1:]]
+    segs = [AffinePiece(lo, hi, Fraction(1), Fraction(0))]
     for _ in range(m):
-        out = []
-        for seg in segs:
-            v1, v2 = seg.value_at(seg.left), seg.value_at(seg.right)
-            ylo, yhi = (v1, v2) if v1 <= v2 else (v2, v1)
-            inner = cuts[bisect_right(cuts, ylo):bisect_left(cuts, yhi)]
-            xs = sorted((c - seg.intercept) / seg.slope for c in inner)
-            bounds = [seg.left] + [x for x in xs
-                                   if seg.left < x < seg.right] + [seg.right]
-            for p, q in zip(bounds, bounds[1:]):
-                if p >= q:
-                    continue
-                y = seg.value_at((p + q) / 2)
-                piece = f.pieces[bisect_right(f._lefts, y) - 1]
-                out.append(Segment(p, q, piece.slope * seg.slope,
-                                   piece.slope * seg.intercept + piece.intercept))
-        segs = sorted(out, key=lambda s: s.left)
+        segs = _push_through(f, segs)
     return segs
 
 
-def _diagonal_gap(seg: Segment) -> tuple[Fraction, Fraction]:
+def _image(segs: list[AffinePiece]) -> tuple[Fraction, Fraction]:
+    """Closure of the image of ordered segments of a continuous monotone
+    function, read off the two end segments."""
+    y1 = segs[0].value_at(segs[0].left)
+    y2 = segs[-1].value_at(segs[-1].right)
+    return (y1, y2) if y1 <= y2 else (y2, y1)
+
+
+def _narrow(segs: list[AffinePiece], t_lo: Fraction, t_hi: Fraction
+            ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
+    """Cut ordered segments of a continuous strictly monotone function down
+    to the [lo, hi] they map onto [t_lo, t_hi], a part of their image; each
+    end is one affine solve on the segment whose range holds its target."""
+    first = segs[0].value_at(segs[0].left)
+    sign = 1 if first < segs[-1].value_at(segs[-1].right) else -1
+    if sign < 0:
+        t_lo, t_hi = t_hi, t_lo  # the targets of the left and right ends
+    ends = [sign * s.value_at(s.right) for s in segs]
+    i, j = bisect_right(ends, sign * t_lo), bisect_left(ends, sign * t_hi)
+    lo, hi = segs[i].solve(t_lo), segs[j].solve(t_hi)
+    out = segs[i:j + 1]
+    out[0] = AffinePiece(lo, out[0].right, out[0].slope, out[0].intercept)
+    out[-1] = AffinePiece(out[-1].left, hi, out[-1].slope, out[-1].intercept)
+    return lo, hi, out
+
+
+def _diagonal_gap(seg: AffinePiece) -> tuple[Fraction, Fraction]:
     """Coefficients (s, c) of value(t) - t = s*t + c on the segment."""
     return seg.slope - 1, seg.intercept
 
 
-def _segment_solution(seg: Segment, lo: Fraction, hi: Fraction, want_le: bool
-                      ) -> Optional[tuple[Fraction, Fraction]]:
+def _segment_solution(seg: AffinePiece, lo: Fraction, hi: Fraction,
+                      want_le: bool) -> Optional[tuple[Fraction, Fraction]]:
     """Closure of {t in (lo, hi) : gap(t) <= 0} (or >= 0), clipped to the
     segment, or None when empty."""
     p, q = max(seg.left, lo), min(seg.right, hi)
@@ -182,7 +154,7 @@ def _segment_solution(seg: Segment, lo: Fraction, hi: Fraction, want_le: bool
     return (lo2, hi2)
 
 
-def _gap_at(segs: list[Segment], t: Fraction) -> Fraction:
+def _gap_at(segs: list[AffinePiece], t: Fraction) -> Fraction:
     for seg in segs:
         if seg.left <= t <= seg.right:
             return seg.value_at(t) - t
@@ -243,8 +215,7 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
         raise PreconditionError("trapped needs an interior orbit")
     x = as_fraction(at_point) if at_point is not None else orb.representative
     n = orb.period
-    u, v = monotone_window(f, x, 2 * n)
-    segs = restrict_power(f, u, v, 2 * n)
+    u, v, segs = window_sweep(f, x, 2 * n)
     y = _pick_witness(segs, u, x, True, [(u + 3 * x) / 4])
     if y is None:
         return TrapResult(False)
@@ -322,7 +293,7 @@ def _monotone_on(f: PiecewiseMap, lo: Fraction, hi: Fraction,
     return True
 
 
-def _strict_gap_on(segs: list[Segment], lo: Fraction, hi: Fraction,
+def _strict_gap_on(segs: list[AffinePiece], lo: Fraction, hi: Fraction,
                    negative: bool) -> bool:
     """gap(t) < 0 (or > 0) for every t in the open interval (lo, hi)."""
     nodes = sorted({s.left for s in segs} | {s.right for s in segs})
@@ -355,16 +326,12 @@ def exceptional_types(f: PiecewiseMap, orb: PeriodicOrbit) -> frozenset[str]:
     if orb.period == 1:
         x = orb.points[0]
         if f.a < x < f.b:
-            if _monotone_on(f, x, f.b, True):
-                segs = [Segment(p.left, p.right, p.slope, p.intercept)
-                        for p in f.pieces]
-                if _strict_gap_on(segs, x, f.b, True):
-                    out.add("a")
-            if _monotone_on(f, f.a, x, True):
-                segs = [Segment(p.left, p.right, p.slope, p.intercept)
-                        for p in f.pieces]
-                if _strict_gap_on(segs, f.a, x, False):
-                    out.add("b")
+            if (_monotone_on(f, x, f.b, True)
+                    and _strict_gap_on(f.pieces, x, f.b, True)):
+                out.add("a")
+            if (_monotone_on(f, f.a, x, True)
+                    and _strict_gap_on(f.pieces, f.a, x, False)):
+                out.add("b")
     if orb.period == 2:
         x = min(orb.points)
         fx = max(orb.points)
@@ -440,10 +407,9 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
         balls = []
         for p in orb.points:
             try:
-                u, v = monotone_window(f, p, 2 * orb.period)
+                u, v, segs = window_sweep(f, p, 2 * orb.period)
             except DegenerateWindowError:
                 continue
-            segs = restrict_power(f, u, v, 2 * orb.period)
             home = [s for s in segs if s.left < p < s.right]
             if home:
                 seg = home[0]
@@ -535,8 +501,7 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
     turns = set(f.special_points().turning)
     witnesses = []
     for xk in orb.points:
-        u, v = monotone_window(f, xk, 2 * n)
-        segs = restrict_power(f, u, v, 2 * n)
+        u, v, segs = window_sweep(f, xk, 2 * n)
         if u != f.a and _strict_gap_on(segs, u, xk, False):
             wit = _push_edge(f, orb, xk, u, side_right=False, turns=turns, n=n)
             if wit:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from pwdyn import cli
 from pwdyn.cli import dispatch
 from pwdyn.maps import parse_map
 from pwdyn.pinned import pinned_text
+from pwdyn.taxonomy import TaxonomyViolation
 
 
 @pytest.fixture
@@ -91,6 +93,16 @@ def test_theorem5_and_regular(capsys, hat_path):
     assert code == 0
     assert "forward 1/2: orbit (7/12) stable" in out
     assert "reverse (7/12): w=1/2 regular=yes" in out
+
+
+def test_theorem5_surfaces_bug_class_errors(capsys, hat_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TaxonomyViolation("planted violation")
+
+    monkeypatch.setattr(cli, "attractor_regular_source", broken)
+    code, _, err = run(capsys, "theorem5", hat_path)
+    assert code != 0
+    assert "planted violation" in err
 
 
 def test_plot_csv_and_svg(capsys, shift_path, hat_path):

@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwdyn import maps as maps_module
 from pwdyn.maps import (MapInvariantError, MapSyntaxError,
                         PieceLimitError, PowerLimitError, compose, parse_map,
                         parse_rational)
+from pwdyn.pinned import pinned_map
 
 
 def test_parse_rational():
@@ -36,6 +38,15 @@ def test_parse_errors():
         parse_map("interval 0 1\npiece 0 1 : slope 2 intercept 0\n")
     with pytest.raises(MapInvariantError, match="empty interval"):
         parse_map("interval 1 0\npiece 1 0 : slope 1 intercept 0\n")
+
+
+def test_parse_error_column_is_the_token_offset():
+    # "1/" is a substring of the earlier "1/2"; the column must still point
+    # at the bad token itself
+    with pytest.raises(MapSyntaxError) as err:
+        parse_map("interval 0 1\npiece 0 1/2 : slope 1/ intercept 0\n")
+    assert (err.value.line, err.value.column) == (2, 21)
+    assert str(err.value).startswith("line 2, column 21:")
 
 
 def test_collinear_merge():
@@ -155,6 +166,21 @@ def test_iterate(maps):
         f.power(13)
     with pytest.raises(ValueError):
         f.power(0)
+
+
+def test_power_validated_on_first_checked_request(monkeypatch):
+    # a fresh map, so no earlier test has cached its powers
+    t = pinned_map("tent")
+    calls = []
+    real = maps_module._check_sandwich
+    monkeypatch.setattr(maps_module, "_check_sandwich",
+                        lambda *a: calls.append(a) or real(*a))
+    unchecked = t.power(3, check=False)
+    assert calls == []
+    assert t.power(3) is unchecked
+    assert len(calls) == 2  # powers 2 and 3, each validated once
+    t.power(3)
+    assert len(calls) == 2
 
 
 def test_special_preimage_set(maps):

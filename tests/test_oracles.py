@@ -7,11 +7,15 @@ production path on a seeded corpus.
 
 from fractions import Fraction as F
 
+import pytest
+
 from pwdyn.harness import GeneratorConfig, GenerationError, random_map
-from pwdyn.maps import PwdynError
-from pwdyn.orbits import HALF_POINT, INTERVAL_FAMILY, periodic_points
+from pwdyn.maps import MINUS, PLUS, PwdynError, compose
+from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, germ_step,
+                          periodic_points)
+from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import (DegenerateWindowError, monotone_window,
-                            restrict_power)
+                            restrict_power, window_sweep)
 from pwdyn.codes import Certifier, CodeUndefinedError, PartitionIntervals, codes
 
 
@@ -179,3 +183,73 @@ def test_strict_codes_replay_from_position_zero():
                     word = code.cycle
                     assert code.prefix == ()
                     assert code.head(3 * len(word)) == word * 3
+
+
+def sweep_corpus():
+    return corpus("sweep", 30, max_pieces=3, denominator_bound=8) \
+        + list(pinned_maps().values())
+
+
+def sweep_points(f):
+    try:
+        orbits = periodic_points(f, 3, max_power=6, guard=20000)
+    except PwdynError:
+        orbits = []
+    pts = {p for o in orbits if o.continuous for p in o.points}
+    return sorted(pts | {F(2, 7), F(1, 2), F(5, 8)})
+
+
+def test_window_sweep_segments_equal_fresh_restricted_power():
+    checked = 0
+    for f in sweep_corpus():
+        for x in sweep_points(f):
+            for depth in (1, 2, 4, 6):
+                try:
+                    u, v, segs = window_sweep(f, x, depth)
+                except DegenerateWindowError:
+                    continue
+                assert (u, v) == monotone_window(f, x, depth)
+                assert segs == restrict_power(f, u, v, depth), \
+                    (f.to_text(), x, depth)
+                checked += 1
+    assert checked > 500
+    for name, x, depth in (("tent", F(1, 2), 1), ("shift", F(3, 8), 2)):
+        with pytest.raises(DegenerateWindowError):
+            window_sweep(pinned_maps()[name], x, depth)
+
+
+def test_window_endpoints_reach_special_points():
+    # each endpoint is a domain endpoint, or its inward germ lands on a
+    # special point within `depth` steps (that is what clipped it)
+    for f in sweep_corpus():
+        special = set(f.special_points().points)
+        for x in sweep_points(f):
+            depth = 4
+            try:
+                u, v = monotone_window(f, x, depth)
+            except DegenerateWindowError:
+                continue
+            for end, side, domain_end in ((u, PLUS, f.a), (v, MINUS, f.b)):
+                if end == domain_end:
+                    continue
+                g, hits = Germ(end, side), []
+                for _ in range(depth):
+                    hits.append(g.point in special)
+                    g = germ_step(f, g).next
+                assert any(hits), (f.to_text(), x, end)
+
+
+def test_compose_agrees_with_nested_values():
+    fs = sweep_corpus()
+    grid = [F(i, 60) for i in range(61)]
+    for outer, inner in zip(fs, fs[1:] + fs[:1]):
+        try:
+            h = compose(outer, inner, guard=20000)
+        except PwdynError:
+            continue
+        for t in grid + [p.left + (p.right - p.left) / 3 for p in h.pieces]:
+            mid = inner.value(t)
+            if mid is None or outer.value(mid) is None:
+                continue
+            assert h.value(t) == outer.value(mid), (outer.to_text(),
+                                                    inner.to_text(), t)
