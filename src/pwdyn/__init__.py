@@ -2,10 +2,8 @@
 
 from .maps import (AffinePiece, MapInvariantError, MapSyntaxError, MINUS,
                    PLUS, PieceLimitError, PiecewiseMap, PowerLimitError,
-                   PwdynError, SpecialPoints, compose, evaluate,
-                   format_rational, iterate, lateral_limit, map_to_text,
-                   parse_map, parse_rational, preimage, special_points,
-                   special_preimage_set)
+                   PwdynError, SpecialPoints, compose, format_rational,
+                   parse_map, parse_rational)
 from .orbits import (Germ, GermOrbit, GermStepResult, OrbitResult,
                      PeriodicOrbit, StructureGraph, VariantSelector,
                      germ_orbit, germ_step, orbit, periodic_points, structure,

@@ -14,19 +14,17 @@ import json
 import sys
 from typing import Optional
 
-from .codes import (Certifier, CertificationError, CodeUndefinedError, YES,
+from .codes import (CertificationError, CodeUndefinedError, YES,
                     attractor_regular_source, codes, is_regular,
                     regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
-from .maps import (MapSyntaxError, MINUS, PLUS, PieceLimitError, PiecewiseMap,
-                   PowerLimitError, PwdynError, compose, parse_map,
-                   parse_rational)
-from .orbits import (HALF_POINT, INTERVAL_FAMILY, VariantLimitError,
-                     VariantSelector, orbit, periodic_points, structure)
+from .maps import (MapSyntaxError, MINUS, PLUS, PiecewiseMap, PwdynError,
+                   compose, parse_map, parse_rational)
+from .orbits import (HALF_POINT, INTERVAL_FAMILY, VariantSelector, orbit,
+                     periodic_points, structure)
 from .plotting import emit_plot
-from .stability import (CycleBudgetError, classify_point, classify_side,
-                        find_connection)
-from .taxonomy import (DegenerateWindowError, PreconditionError,
+from .stability import classify_point, classify_side, find_connection
+from .taxonomy import (NOT_APPLICABLE, PreconditionError,
                        basin_adjacent_special, count_bound, taxonomy)
 
 
@@ -349,36 +347,28 @@ def _cmd_code(f, args) -> int:
 
 
 def _cmd_regular(f, args) -> int:
-    certifier = Certifier(f)
     jumps = set(f.special_points().discontinuities)
     for w in f.special_points().points:
         if w in jumps:
             sides = (args.side,) if args.side else (MINUS, PLUS)
             for side in sides:
-                v = is_regular(f, w, args.cap, side=side, certifier=certifier)
+                v = is_regular(f, w, args.cap, side=side)
                 print(f"{w} ({side}): {v.value}")
         else:
-            v = is_regular(f, w, args.cap, certifier=certifier)
+            v = is_regular(f, w, args.cap)
             print(f"{w}: {v.value}")
     return 0
 
 
-# Errors that only mean the reverse construction does not apply to an orbit,
-# or that a search budget ran out; anything else is a bug and propagates.
-_NOT_APPLICABLE = (PreconditionError, DegenerateWindowError, PieceLimitError,
-                   PowerLimitError, VariantLimitError, CycleBudgetError)
-
-
 def _cmd_theorem5(f, args) -> int:
-    certifier = Certifier(f)
     negatives = 0
     for w in f.special_points().points:
-        verdict = is_regular(f, w, certifier=certifier)
+        verdict = is_regular(f, w)
         if verdict.value != YES:
             print(f"forward {w}: not regular ({verdict.value})")
             continue
         try:
-            res = regular_attractor(f, w, certifier=certifier)
+            res = regular_attractor(f, w)
             print(f"forward {w}: orbit {_fmt_points(res.orbit.points)} "
                   f"{res.stability}, not trapped, attracted={res.attracted_verdict}, "
                   f"J=[{res.interval[0]}, {res.interval[1]}]")
@@ -390,11 +380,10 @@ def _cmd_theorem5(f, args) -> int:
             continue
         try:
             w, verdict = attractor_regular_source(f, orb,
-                                                  horizon=args.horizon,
-                                                  certifier=certifier)
+                                                  horizon=args.horizon)
             print(f"reverse {_fmt_points(orb.points)}: w={w} "
                   f"regular={verdict.value}")
-        except _NOT_APPLICABLE:
+        except NOT_APPLICABLE:
             continue
         except CertificationError as exc:
             print(f"reverse {_fmt_points(orb.points)}: "

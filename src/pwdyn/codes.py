@@ -7,11 +7,12 @@ cut) admits both neighbouring indices, and each such orbit position is
 expanded into a separate code.  Exactness matters twice: eventual periodicity
 is detected by literal point repetition, and convergent but never-repeating
 orbits are closed out through certified contraction balls whose images
-provably keep a fixed itinerary.  A special point is regular when its image
-orbit avoids the special set forever and one of its codes repeats from
-position zero; such points sit on the boundary of the basin of a stable or
-semi-stable non-trapped orbit, and both directions of that correspondence
-are constructed and certified here.
+provably keep a fixed itinerary; each map has one such `Certifier`, built on
+first use and memoized on the map, so no function here takes one.  A special
+point is regular when its image orbit avoids the special set forever and one
+of its codes repeats from position zero; such points sit on the boundary of
+the basin of a stable or semi-stable non-trapped orbit, and both directions
+of that correspondence are constructed and certified here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                    RationalLike, Side, _push_through, as_fraction)
 from .orbits import PeriodicOrbit, periodic_points
 from .stability import SEMI_STABLE, STABLE, classify_point
-from .taxonomy import (PreconditionError, _image, _narrow, attraction_atlas,
+from .taxonomy import (PreconditionError, _image, _map_atlas, _narrow,
                        attracted, basin_adjacent_special, restrict_power,
                        taxonomy)
 
@@ -144,13 +145,14 @@ class Certifier:
     A point inside a contraction ball of an enumerated orbit, and closer to
     its centre than the orbit's clearance from every cut and branch boundary
     divided by the worst intermediate stretch, keeps the exact cut interval
-    of the matching orbit point at every future step.
+    of the matching orbit point at every future step.  The balls are those
+    of the map's horizon-8 attraction atlas, shared with `attracted`.  A
+    certifier holds no reference to its map, so memoizing it on the map
+    makes no reference cycle.
     """
 
-    def __init__(self, f: PiecewiseMap, horizon: int = 8):
-        self.f = f
-        enumerated = periodic_points(f, horizon, max_power=2 * horizon)
-        self.atlas = attraction_atlas(f, enumerated)
+    def __init__(self, f: PiecewiseMap):
+        self.atlas = _map_atlas(f)
         sset = set(f.special_points().points)
         boundaries = sorted({f.a, f.b, *(p.left for p in f.pieces),
                              *(p.right for p in f.pieces), *sset})
@@ -172,6 +174,11 @@ class Certifier:
             threshold = clearance / worst
             self._entries.append((orb, [(b, threshold) for b in balls]))
 
+    @classmethod
+    def of(cls, f: PiecewiseMap) -> "Certifier":
+        """The certifier of f, built on first use and memoized on f."""
+        return f._memo(("certifier",), lambda: cls(f))
+
     def locked_orbit(self, y: Fraction
                      ) -> Optional[tuple[PeriodicOrbit, Fraction]]:
         for orb, balls in self._entries:
@@ -181,12 +188,13 @@ class Certifier:
         return None
 
 
-def _skeleton(f: PiecewiseMap, x: Fraction, cap: int, bit_cap: int,
-              certifier: Optional[Certifier]) -> _Skeleton:
+def _skeleton(f: PiecewiseMap, x: Fraction, cap: int, bit_cap: int
+              ) -> _Skeleton:
     """Orbit of x as prefix plus cycle: an exact repetition, or a certified
     limit cycle whose itinerary the tail provably shares.  Raises at jumps."""
     jumps = set(f.special_points().discontinuities)
     special = set(f.special_points().points)
+    certifier = Certifier.of(f)
     seen: dict[Fraction, int] = {}
     trail: list[Fraction] = []
     current = x
@@ -199,7 +207,7 @@ def _skeleton(f: PiecewiseMap, x: Fraction, cap: int, bit_cap: int,
         if current in jumps:
             raise CodeUndefinedError(
                 f"iterate {len(trail)} of {x} is a jump point")
-        if certifier is not None and current not in special:
+        if current not in special:
             locked = certifier.locked_orbit(current)
             if locked is not None:
                 orb, center = locked
@@ -217,19 +225,16 @@ MAX_CODES = 16
 
 
 def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP, *,
-          bit_cap: int = DEFAULT_BIT_CAP,
-          certifier: Optional[Certifier] = None) -> tuple[Code, ...]:
+          bit_cap: int = DEFAULT_BIT_CAP) -> tuple[Code, ...]:
     """All codes of x, expanded per orbit position with a two-sided index.
 
     Raises CodeUndefinedError when the orbit hits a jump; returns truncated
-    codes when neither an exact repetition nor a certified limit cycle
-    appears within the caps.
+    codes when neither an exact repetition nor a certified limit cycle of
+    the map's `Certifier.of(f)` appears within the caps.
     """
     x = as_fraction(x)
     part = PartitionIntervals.of(f)
-    if certifier is None:
-        certifier = Certifier(f)
-    sk = _skeleton(f, x, cap, bit_cap, certifier)
+    sk = _skeleton(f, x, cap, bit_cap)
     prefix_choices = [part.indices_of(p) for p in sk.prefix_points]
     if sk.cycle_points is None:
         out = {Code(head, None, True) for head in
@@ -255,18 +260,16 @@ def _expand(choices: list[tuple[int, ...]], limit: int
 
 def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
                            cap: int = DEFAULT_CAP, *,
-                           bit_cap: int = DEFAULT_BIT_CAP,
-                           certifier: Optional[Certifier] = None) -> Trivalent:
+                           bit_cap: int = DEFAULT_BIT_CAP) -> Trivalent:
     """Whether the whole forward orbit of x provably misses the special set.
 
     Yes through an exact cycle off the special set or through entry into a
-    certified ball of a clear orbit; no as soon as an iterate is special;
-    unknown when a cap gives out first.
+    certified ball of a clear orbit (from the map's `Certifier.of(f)`); no
+    as soon as an iterate is special; unknown when a cap gives out first.
     """
     x = as_fraction(x)
     special = set(f.special_points().points)
-    if certifier is None:
-        certifier = Certifier(f)
+    certifier = Certifier.of(f)
     seen: set[Fraction] = set()
     current = x
     for step in range(cap):
@@ -295,8 +298,7 @@ class RegularityCertificate:
 
 
 def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side],
-               cap: int = DEFAULT_CAP, *,
-               certifier: Optional[Certifier] = None) -> tuple[Code, ...]:
+               cap: int = DEFAULT_CAP) -> tuple[Code, ...]:
     """Codes of a special point.
 
     A turning point has a defined orbit and admits both neighbouring first
@@ -309,8 +311,6 @@ def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side],
     if w not in set(f.special_points().points):
         raise PreconditionError(f"{w} is not a special point")
     jumps = set(f.special_points().discontinuities)
-    if certifier is None:
-        certifier = Certifier(f)
     if w in jumps:
         if side is None:
             raise PreconditionError("jump points need a side")
@@ -320,7 +320,7 @@ def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side],
     else:
         start = f.value(w)
         firsts = part.indices_of(w)
-    tail = codes(f, start, cap, certifier=certifier)
+    tail = codes(f, start, cap)
     out = set()
     for first in firsts:
         for t in tail:
@@ -332,22 +332,20 @@ def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side],
 
 
 def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,
-               side: Optional[Side] = None,
-               certifier: Optional[Certifier] = None) -> Trivalent:
+               side: Optional[Side] = None) -> Trivalent:
     """Regularity of a special point: its image orbit stays off the special
     set forever and some code of it repeats from position zero.  For a jump
     the verdict is per side; with no side given, the best side answers."""
     w = as_fraction(w)
     jumps = set(f.special_points().discontinuities)
     if w in jumps and side is None:
-        verdicts = [is_regular(f, w, cap, side=s, certifier=certifier)
-                    for s in (MINUS, PLUS)]
+        verdicts = [is_regular(f, w, cap, side=s) for s in (MINUS, PLUS)]
         if any(v.value == YES for v in verdicts):
             return Trivalent(YES)
         if any(v.value == UNKNOWN for v in verdicts):
             return Trivalent(UNKNOWN, cap)
         return Trivalent(NO)
-    cert = regularity_certificate(f, w, cap, side=side, certifier=certifier)
+    cert = regularity_certificate(f, w, cap, side=side)
     if isinstance(cert, Trivalent):
         return cert
     return Trivalent(YES)
@@ -355,30 +353,26 @@ def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,
 
 def regularity_certificate(f: PiecewiseMap, w: RationalLike,
                            cap: int = DEFAULT_CAP, *,
-                           side: Optional[Side] = None,
-                           certifier: Optional[Certifier] = None):
+                           side: Optional[Side] = None):
     """The strictly periodic code behind a yes verdict, or the Trivalent
     no / unknown explaining its absence."""
     w = as_fraction(w)
-    if certifier is None:
-        certifier = Certifier(f)
     jumps = set(f.special_points().discontinuities)
     if w in jumps:
         if side is None:
             for s in (MINUS, PLUS):
-                got = regularity_certificate(f, w, cap, side=s,
-                                             certifier=certifier)
+                got = regularity_certificate(f, w, cap, side=s)
                 if isinstance(got, RegularityCertificate):
                     return got
             return Trivalent(NO)
         start = f.lateral(w, side)
     else:
         start = f.value(w)
-    good = avoids_special_forever(f, start, cap, certifier=certifier)
+    good = avoids_special_forever(f, start, cap)
     if good.value != YES:
         return good
     try:
-        all_codes = side_codes(f, w, side, cap, certifier=certifier)
+        all_codes = side_codes(f, w, side, cap)
     except CodeUndefinedError:
         return Trivalent(NO)
     periodic = [c for c in all_codes if c.strictly_periodic]
@@ -481,8 +475,7 @@ def _geometric_limit(f, los, his, n) -> Optional[tuple[Fraction, Fraction]]:
 
 def regular_attractor(f: PiecewiseMap, w: RationalLike,
                       cap: int = DEFAULT_CAP, *,
-                      side: Optional[Side] = None,
-                      certifier: Optional[Certifier] = None
+                      side: Optional[Side] = None
                       ) -> RegularAttractorResult:
     """From a regular special point to the orbit attracting it.
 
@@ -492,7 +485,7 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike,
     attracting w.  Certification failures raise CertificationError.
     """
     w = as_fraction(w)
-    cert = regularity_certificate(f, w, cap, side=side, certifier=certifier)
+    cert = regularity_certificate(f, w, cap, side=side)
     if not isinstance(cert, RegularityCertificate):
         raise PreconditionError(
             f"{w} is not certified regular (verdict {cert.value})")
@@ -582,8 +575,7 @@ def _fixed_points_of_segments(segs) -> list[Fraction]:
 
 
 def attractor_regular_source(f: PiecewiseMap, orb: PeriodicOrbit, *,
-                             horizon: int = 8, cap: int = DEFAULT_CAP,
-                             certifier: Optional[Certifier] = None
+                             horizon: int = 8, cap: int = DEFAULT_CAP
                              ) -> tuple[Fraction, Trivalent]:
     """From a free non-exceptional stable-or-semi-stable orbit back to a
     regular special point inside its basin.
@@ -606,7 +598,7 @@ def attractor_regular_source(f: PiecewiseMap, orb: PeriodicOrbit, *,
             raise PreconditionError("a critical orbit is not stable")
     witnesses = basin_adjacent_special(f, orb)
     w = witnesses[0].w
-    verdict = is_regular(f, w, cap, certifier=certifier)
+    verdict = is_regular(f, w, cap)
     if verdict.value == NO:
         raise CertificationError(
             f"basin edge landed on a non-regular special point {w}")

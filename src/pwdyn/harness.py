@@ -23,15 +23,17 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
                     avoids_special_forever, is_regular, regular_attractor,
                     regularity_certificate, RegularityCertificate)
 from .maps import (MapInvariantError, PieceLimitError, PiecewiseMap,
-                   PwdynError, AffinePiece, compose, parse_map)
+                   PwdynError, AffinePiece, _sandwich_bounds, compose,
+                   parse_map)
 from .orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, germ_orbit, orbit,
-                     periodic_points, structure, variants)
+                     periodic_points, structure, variant_step, variants)
 from .pinned import pinned_maps
 from .stability import (UNSTABLE, classify_point, cycle_stability_report,
-                        oracle_classify, stability_propagation_report,
+                        germs_of, oracle_classify,
+                        stability_propagation_report,
                         subsampled_stability_report)
-from .taxonomy import (DegenerateWindowError, PreconditionError,
-                       TaxonomyViolation, attracted, attraction_atlas,
+from .taxonomy import (NOT_APPLICABLE, DegenerateWindowError,
+                       PreconditionError, TaxonomyViolation, attracted,
                        basin_adjacent_special, count_bound, taxonomy)
 
 
@@ -332,7 +334,7 @@ def closed_structures(f: PiecewiseMap, *, cap: int = 72, bit_cap: int = 512):
     try:
         for orb in periodic_points(f, 3, max_power=6, guard=20000):
             roots.append(orb.representative)
-    except PwdynError:
+    except NOT_APPLICABLE:
         pass
     seen = set()
     out = []
@@ -370,12 +372,8 @@ def _sandwich_fails(f: PiecewiseMap, context: dict) -> bool:
         h = compose(f, g, check=False)
     except PwdynError:
         return False
-    pulled = {x for w in f.special_points().points for x in g.preimage(w)}
-    lower = {x for x in set(g.special_points().turning) | pulled
-             if g.a < x < g.b}
-    upper = set(g.special_points().points) | pulled
-    got = set(h.special_points().points)
-    return not (lower <= got <= upper)
+    lower, upper = _sandwich_bounds(f, g)
+    return not lower <= set(h.special_points().points) <= upper
 
 
 @suite_property("composition_sandwich", 1000)
@@ -391,11 +389,7 @@ def _prop_sandwich(cfg, count, result):
         except PieceLimitError:
             result.skips += 1
             continue
-        pulled = {x for w in f.special_points().points
-                  for x in g.preimage(w)}
-        lower = {x for x in set(g.special_points().turning) | pulled
-                 if g.a < x < g.b}
-        upper = set(g.special_points().points) | pulled
+        lower, upper = _sandwich_bounds(f, g)
         got = set(h.special_points().points)
         if lower <= got <= upper:
             result.passes += 1
@@ -483,7 +477,7 @@ def _prop_orbits(cfg, count, result):
                      discontinuity_bias=0.8, denominator_bound=12):
         try:
             orbits = periodic_points(f, 4, max_power=8, guard=20000)
-        except PwdynError:
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         ok = True
@@ -498,7 +492,7 @@ def _prop_orbits(cfg, count, result):
                 sel = orb.selector
                 pts = list(orb.points)
                 closes = all(
-                    _variant_value(f, pts[i], sel) == pts[(i + 1) % len(pts)]
+                    variant_step(f, pts[i], sel) == pts[(i + 1) % len(pts)]
                     for i in range(len(pts)))
             else:
                 pts = list(orb.points)
@@ -525,7 +519,7 @@ def _prop_orbits(cfg, count, result):
                                 root=st.root)
                     ok = False
             for p in st.nodes:
-                for g in _germs_at(f, p):
+                for g in germs_of(f, p):
                     go = germ_orbit(f, g, cap=2 * len(node_set) + 2)
                     if go.truncated:
                         result.fail(f, "germ cycle exceeded twice the node "
@@ -534,22 +528,6 @@ def _prop_orbits(cfg, count, result):
         if ok:
             result.passes += 1
     result.extra["intersecting_distinct_orbits"] = intersecting
-
-
-def _variant_value(f, x, sel):
-    v = f.value(x)
-    if v is not None:
-        return v
-    return f.lateral(x, sel.side_at(x))
-
-
-def _germs_at(f, p):
-    out = []
-    if p > f.a:
-        out.append(Germ(p, "minus"))
-    if p < f.b:
-        out.append(Germ(p, "plus"))
-    return out
 
 
 @suite_property("stability_oracle_agreement", 200)
@@ -564,7 +542,7 @@ def _prop_oracle(cfg, count, result):
             try:
                 germ_view = classify_point(f, x, require_confined=False)
                 oracle_view = oracle_classify(f, x)
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
                 continue
             if germ_view != oracle_view:
@@ -584,7 +562,7 @@ def _prop_table(cfg, count, result):
             structures += 1
             try:
                 rep = stability_propagation_report(f, st)
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
                 continue
             for v in rep.violations:
@@ -603,7 +581,7 @@ def _prop_cycles(cfg, count, result):
         for st in closed_structures(f):
             try:
                 rep = cycle_stability_report(f, st)
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
                 continue
             for v in rep.violations:
@@ -622,14 +600,14 @@ def _prop_subsample(cfg, count, result):
             orbits = [o for o in periodic_points(f, 3, max_power=6,
                                                  guard=20000)
                       if o.continuous and o.kind != INTERVAL_FAMILY]
-        except PwdynError:
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         ok = True
         for orb in orbits[:4]:
             try:
                 rep = subsampled_stability_report(f, orb)
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
                 continue
             if not rep.consistent:
@@ -646,7 +624,7 @@ def _prop_taxonomy(cfg, count, result):
     for f in _corpus(cfg, "taxonomy", count, max_pieces=3):
         try:
             orbits = periodic_points(f, 8, max_power=16, guard=30000)
-        except PwdynError:
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         ok = True
@@ -683,7 +661,7 @@ def _prop_exceptional(cfg, count, result):
         except TaxonomyViolation as exc:
             result.fail(f, f"exclusivity violation: {exc}")
             continue
-        except PwdynError:
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         result.passes += 1
@@ -699,8 +677,7 @@ def _prop_basins(cfg, count, result):
             continue
         try:
             orbits = periodic_points(f, 4, max_power=8, guard=20000)
-            atlas = attraction_atlas(f, orbits)
-        except PwdynError:
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         found = False
@@ -715,7 +692,7 @@ def _prop_basins(cfg, count, result):
                 continue
             try:
                 witnesses = basin_adjacent_special(f, orb)
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
                 continue
             for wit in witnesses[:2]:
@@ -725,7 +702,7 @@ def _prop_basins(cfg, count, result):
                     for i in range(1, 33):
                         offset = wit.delta * Fraction(i, 33)
                         y = wit.w - offset if side == "minus" else wit.w + offset
-                        verdict = attracted(f, y, orb, atlas=atlas)
+                        verdict = attracted(f, y, orb)
                         if verdict != YES:
                             result.fail(f, "sampled basin point not attracted",
                                         w=wit.w, side=side, y=y,
@@ -760,7 +737,7 @@ def _prop_bound(cfg, count, result):
             continue
         try:
             report = count_bound(f, 8)
-        except (PieceLimitError, PwdynError):
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         if report.holds:
@@ -783,35 +760,34 @@ def _prop_duality(cfg, count, result):
             result.skips += 1
             continue
         try:
-            certifier = Certifier(f)
-        except PwdynError:
+            Certifier.of(f)  # the map's certifier must build within budget
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         ok = True
         for w in special.points:
-            verdict = is_regular(f, w, certifier=certifier)
+            verdict = is_regular(f, w)
             if verdict.value == UNKNOWN:
                 result.skips += 1
                 continue
             if verdict.value == NO:
                 continue
             try:
-                regular_attractor(f, w, certifier=certifier)
+                regular_attractor(f, w)
             except CertificationError as exc:
                 result.fail(f, f"forward construction failed: {exc}", w=w)
                 ok = False
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
         try:
             orbits = periodic_points(f, 4, max_power=8, guard=20000)
-        except PwdynError:
+        except NOT_APPLICABLE:
             orbits = []
         for orb in orbits:
             if not orb.continuous or orb.kind != "point":
                 continue
             try:
-                w, verdict = attractor_regular_source(f, orb, horizon=4,
-                                                      certifier=certifier)
+                w, verdict = attractor_regular_source(f, orb, horizon=4)
             except (PreconditionError, DegenerateWindowError):
                 continue
             except CertificationError as exc:
@@ -819,7 +795,7 @@ def _prop_duality(cfg, count, result):
                             points=orb.points)
                 ok = False
                 continue
-            except PwdynError:
+            except NOT_APPLICABLE:
                 result.skips += 1
                 continue
             if verdict.value == UNKNOWN:
@@ -856,17 +832,17 @@ def _prop_codes(cfg, count, result):
         + [pinned_maps()[k] for k in ("hat", "shift")]
     for f in corpus:
         try:
-            certifier = Certifier(f, horizon=4)
-        except PwdynError:
+            Certifier.of(f)  # the map's certifier must build within budget
+        except NOT_APPLICABLE:
             result.skips += 1
             continue
         ok = True
         samples = [_rational(rng, cfg.denominator_bound) for _ in range(6)]
         for x in samples:
-            good = avoids_special_forever(f, x, 2000, certifier=certifier)
+            good = avoids_special_forever(f, x, 2000)
             if good.value == YES:
                 try:
-                    cs = codes(f, x, 2000, certifier=certifier)
+                    cs = codes(f, x, 2000)
                 except CodeUndefinedError:
                     result.fail(f, "good point had no code", x=x)
                     ok = False
@@ -896,10 +872,10 @@ def _prop_codes(cfg, count, result):
                     ok = False
         jumps = set(f.special_points().discontinuities)
         for w in f.special_points().points:
-            cert = regularity_certificate(f, w, 2000, certifier=certifier)
+            cert = regularity_certificate(f, w, 2000)
             if isinstance(cert, RegularityCertificate):
                 witnesses = [Germ(w, cert.side)] if w in jumps \
-                    else _germs_at(f, w)
+                    else germs_of(f, w)
                 for g in witnesses:
                     go = germ_orbit(f, g, cap=500)
                     if not go.truncated and go.preperiod == 0:

@@ -252,9 +252,12 @@ class PiecewiseMap:
 
     def power(self, n: int, *, max_power: int = MAX_POWER,
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
-        """Exact n-th iterate, built by repeated composition (cached).  A
-        power cached by a check=False call is validated on the first
-        check=True request."""
+        """Exact n-th iterate, built by repeated composition (cached).
+
+        Each cached step keeps its piece count before merging, so a cached
+        power raises the same PieceLimitError for a smaller `guard` as a
+        fresh build does.  A power cached by a check=False call is validated
+        on the first check=True request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
         if n > max_power:
@@ -263,8 +266,13 @@ class PiecewiseMap:
             return self
         current = self
         for k in range(2, n + 1):
-            nxt, validated = self._powers.get(k) or (
-                compose(self, current, guard=guard, check=False), False)
+            step = self._powers.get(k)
+            if step is None:
+                raw = _push_through(self, current.pieces, guard=guard)
+                step = (PiecewiseMap(self.a, self.b, raw), len(raw), False)
+            nxt, raw_count, validated = step
+            if raw_count > guard:
+                raise PieceLimitError(f"composition exceeds {guard} pieces")
             if check and not validated:
                 _check_sandwich(self, current, nxt)
                 allowed = set(self.special_preimage_set(k))
@@ -274,7 +282,7 @@ class PiecewiseMap:
                         "special points of a power escaped the iterated "
                         f"preimage set at n={k}")
                 validated = True
-            self._powers[k] = (nxt, validated)
+            self._powers[k] = (nxt, raw_count, validated)
             current = nxt
         return current
 
@@ -283,14 +291,24 @@ class PiecewiseMap:
         special point: the union of iterated preimages of the special set."""
         if n < 1:
             raise ValueError("requires n >= 1")
-        key = ("msets", n)
-        if key not in self._cache:
+
+        def build():
             level = set(self.special_points().points)
             acc = set(level)
             for _ in range(n - 1):
                 level = {x for y in level for x in self.preimage(y)}
                 acc |= level
-            self._cache[key] = tuple(sorted(acc))
+            return tuple(sorted(acc))
+
+        return self._memo(("msets", n), build)
+
+    def _memo(self, key, build):
+        """Derived data of this map, built by `build()` on first use and
+        shared by every later caller.  The key names the kind of data and
+        every argument, caps and guards included, that can change it, so no
+        answer depends on call order; a build that raises caches nothing."""
+        if key not in self._cache:
+            self._cache[key] = build()
         return self._cache[key]
 
     def to_text(self) -> str:
@@ -379,37 +397,6 @@ def parse_map(text: str) -> PiecewiseMap:
     return PiecewiseMap(header[0], header[1], pieces)
 
 
-def map_to_text(f: PiecewiseMap) -> str:
-    return f.to_text()
-
-
-# -- module-level operation aliases -----------------------------------------
-
-def evaluate(f: PiecewiseMap, x: RationalLike) -> Optional[Fraction]:
-    return f.value(x)
-
-
-def lateral_limit(f: PiecewiseMap, p: RationalLike, side: Side) -> Fraction:
-    return f.lateral(p, side)
-
-
-def special_points(f: PiecewiseMap) -> SpecialPoints:
-    return f.special_points()
-
-
-def preimage(f: PiecewiseMap, y: RationalLike) -> tuple[Fraction, ...]:
-    return f.preimage(y)
-
-
-def special_preimage_set(f: PiecewiseMap, n: int) -> tuple[Fraction, ...]:
-    return f.special_preimage_set(n)
-
-
-def iterate(f: PiecewiseMap, n: int, *, max_power: int = MAX_POWER,
-            guard: int = MAX_PIECES, check: bool = True) -> PiecewiseMap:
-    return f.power(n, max_power=max_power, guard=guard, check=check)
-
-
 def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
             guard: int = MAX_PIECES, check: bool = True) -> PiecewiseMap:
     """Exact composition outer(inner(x)) as a normalized piecewise map.
@@ -459,11 +446,11 @@ def _push_through(f: PiecewiseMap, pieces: Iterable[AffinePiece], *,
     return out
 
 
-def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,
-                    result: PiecewiseMap) -> None:
-    """Internal consistency: special points of the composition sit between
-    the turns of the inner map plus pullbacks of the outer special set
-    (lower bound) and the full inner special set plus pullbacks (upper).
+def _sandwich_bounds(outer: PiecewiseMap, inner: PiecewiseMap
+                     ) -> tuple[set[Fraction], set[Fraction]]:
+    """Exact bounds (lower, upper) on the special points of the composition
+    outer(inner(x)): the turns of the inner map plus pullbacks of the outer
+    special set below, the full inner special set plus pullbacks above.
 
     The lower bound is clipped to the open interval: a pulled-back domain
     endpoint marks a one-sided extremum at the boundary, which is not a
@@ -475,7 +462,14 @@ def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,
     upper = set(inner_special.points) | pulled
     lower = {x for x in set(inner_special.turning) | pulled
              if inner.a < x < inner.b}
-    got = set(result.special_points().points)
-    if not (lower <= got <= upper):
+    return lower, upper
+
+
+def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,
+                    result: PiecewiseMap) -> None:
+    """Internal consistency: the special points of a composition lie
+    between their exact `_sandwich_bounds`."""
+    lower, upper = _sandwich_bounds(outer, inner)
+    if not lower <= set(result.special_points().points) <= upper:
         raise MapInvariantError(
             "special points of the composition escaped their exact bounds")

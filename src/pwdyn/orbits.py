@@ -236,29 +236,35 @@ class GermOrbit:
 
 def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4, *,
                bit_cap: int = DENOM_BIT_CAP) -> GermOrbit:
-    """Iterate germ_step with exact (point, side) cycle detection."""
+    """Iterate germ_step with exact (point, side) cycle detection.
+
+    Memoized on f per germ and caps."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     g = Germ(as_fraction(g.point), g.side)
     g.validate(f)
-    seen: dict[Germ, int] = {}
-    germs: list[Germ] = []
-    slopes: list[Fraction] = []
-    current = g
-    for _ in range(cap):
-        if current in seen:
-            i = seen[current]
+
+    def build() -> GermOrbit:
+        seen: dict[Germ, int] = {}
+        germs: list[Germ] = []
+        slopes: list[Fraction] = []
+        current = g
+        for _ in range(cap):
+            if current in seen:
+                i = seen[current]
+                germs.append(current)
+                return GermOrbit(tuple(germs), tuple(slopes), i,
+                                 len(germs) - 1 - i, False)
+            if _bits(current.point) > bit_cap:
+                break
+            seen[current] = len(germs)
             germs.append(current)
-            return GermOrbit(tuple(germs), tuple(slopes), i,
-                             len(germs) - 1 - i, False)
-        if _bits(current.point) > bit_cap:
-            break
-        seen[current] = len(germs)
-        germs.append(current)
-        step = germ_step(f, current)
-        slopes.append(step.slope_magnitude)
-        current = step.next
-    return GermOrbit(tuple(germs), tuple(slopes), len(germs), 0, True)
+            step = germ_step(f, current)
+            slopes.append(step.slope_magnitude)
+            current = step.next
+        return GermOrbit(tuple(germs), tuple(slopes), len(germs), 0, True)
+
+    return f._memo(("germ_orbit", g, cap, bit_cap), build)
 
 
 # -- periodic orbits ---------------------------------------------------------
@@ -349,14 +355,23 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
     where a piece of the power is the identity (split at points whose
     stepwise orbits hit a jump), plus breakpoint and endpoint fixed points.
     Half-point cycles at jumps are found through germ orbits.  Each orbit is
-    reported once, at its minimal period, with its continuity flag.
+    reported once, at its minimal period, with its continuity flag.  The
+    orbits are memoized on f per argument set; each call gets a new list.
     """
     limit = max_power if max_power is not None else 12
     if not 1 <= max_period <= limit // 2:
         raise ValueError(
             f"max_period must lie in [1, {limit // 2}] (configured power limit)")
+    key = ("periodic_points", max_period, limit, guard, include_half_points)
+    return list(f._memo(key, lambda: _periodic_orbits(
+        f, max_period, limit, guard, include_half_points)))
+
+
+def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
+                     guard: int, include_half_points: bool
+                     ) -> tuple[PeriodicOrbit, ...]:
+    """The sorted orbits behind `periodic_points`."""
     jumps = set(f.special_points().discontinuities)
-    turns = set(f.special_points().turning)
     found: dict = {}
 
     def add(orb: PeriodicOrbit) -> None:
@@ -395,8 +410,9 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
                 if orb is not None:
                     add(orb)
 
-    return sorted(found.values(),
-                  key=lambda o: (o.period, o.kind, o.points[0], o.points))
+    return tuple(sorted(found.values(),
+                        key=lambda o: (o.period, o.kind, o.points[0],
+                                       o.points)))
 
 
 def _inside_family(x: Fraction, families: list[PeriodicOrbit],

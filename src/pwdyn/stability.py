@@ -23,8 +23,8 @@ from typing import Optional
 
 from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
                    as_fraction)
-from .orbits import (Germ, GermOrbit, PeriodicOrbit, StructureGraph,
-                     germ_orbit, structure)
+from .orbits import (Germ, PeriodicOrbit, StructureGraph, germ_orbit,
+                     structure)
 
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
@@ -56,13 +56,13 @@ def germs_of(f: PiecewiseMap, x: Fraction) -> list[Germ]:
 
 
 def classify_side(f: PiecewiseMap, x: RationalLike, side: Side, *,
-                  require_confined: bool = True,
-                  cap: int = 10**4) -> SideClass:
-    """Verdict for one lateral neighbourhood from its germ cycle product."""
+                  require_confined: bool = True) -> SideClass:
+    """Verdict for one lateral neighbourhood from its germ cycle product,
+    read off the germ orbit at its default caps."""
     x = as_fraction(x)
     if require_confined and not structure(f, x).closed:
         raise NotConfinedError(f"structure of {x} is not closed")
-    go = germ_orbit(f, Germ(x, side), cap=cap)
+    go = germ_orbit(f, Germ(x, side))
     if go.truncated:
         raise NotConfinedError(f"germ orbit of ({x}, {side}) found no cycle")
     product = go.cycle_product
@@ -222,49 +222,37 @@ class Connection:
     germs: tuple[Germ, ...]
 
 
-class _GermTable:
-    """Cached germ orbits and landing indices for one map."""
+def _landings(f: PiecewiseMap, g: Germ, z: Fraction) -> dict[Side, int]:
+    """Earliest iterate count at which the germ orbit of g sits at z, per
+    arrival side, within one full cycle.  The landing index of each germ
+    is memoized on f."""
+    def build() -> dict[Fraction, dict[Side, int]]:
+        idx: dict[Fraction, dict[Side, int]] = {}
+        for k, gk in enumerate(germ_orbit(f, g).germs):
+            idx.setdefault(gk.point, {}).setdefault(gk.side, k)
+        return idx
 
-    def __init__(self, f: PiecewiseMap):
-        self.f = f
-        self._orbits: dict[Germ, GermOrbit] = {}
-        self._index: dict[Germ, dict[Fraction, dict[Side, int]]] = {}
-
-    def orbit(self, g: Germ) -> GermOrbit:
-        if g not in self._orbits:
-            self._orbits[g] = germ_orbit(self.f, g)
-        return self._orbits[g]
-
-    def landings(self, g: Germ, z: Fraction) -> dict[Side, int]:
-        """Earliest iterate count at which the germ orbit of g sits at z,
-        per arrival side, within one full cycle."""
-        if g not in self._index:
-            idx: dict[Fraction, dict[Side, int]] = {}
-            for k, gk in enumerate(self.orbit(g).germs):
-                idx.setdefault(gk.point, {}).setdefault(gk.side, k)
-            self._index[g] = idx
-        return self._index[g].get(z, {})
+    return f._memo(("landings", g), build).get(z, {})
 
 
 def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
-                    z: RationalLike, level: int,
-                    table: Optional[_GermTable] = None) -> Optional[Connection]:
+                    z: RationalLike, level: int) -> Optional[Connection]:
     """Search germ orbits for a level 1..4 connection from y to z.
 
     Level 1: some germ of y reaches some germ of z.  Level 2: one germ of y
     reaches both germs of z.  Level 3: both germs of y reach the same germ
-    of z.  Level 4: both germs of y reach opposite germs of z.
+    of z.  Level 4: both germs of y reach opposite germs of z.  Germ orbits
+    and their landing indices come from the map's memo.
     """
     y, z = as_fraction(y), as_fraction(z)
     if y not in struct or z not in struct:
         raise ValueError("both points must be nodes of the structure")
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    table = table or _GermTable(f)
     ygerms = germs_of(f, y)
     if level == 1:
         for g in ygerms:
-            lands = table.landings(g, z)
+            lands = _landings(f, g, z)
             if lands:
                 side = min(lands, key=lambda s: lands[s])
                 return Connection(y, z, 1, (lands[side],), (g,))
@@ -273,14 +261,14 @@ def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
         if not f.a < z < f.b:
             return None
         for g in ygerms:
-            lands = table.landings(g, z)
+            lands = _landings(f, g, z)
             if MINUS in lands and PLUS in lands:
                 return Connection(y, z, 2, (lands[MINUS], lands[PLUS]), (g,))
         return None
     if len(ygerms) < 2:
         return None
-    lminus = table.landings(ygerms[0], z)
-    lplus = table.landings(ygerms[1], z)
+    lminus = _landings(f, ygerms[0], z)
+    lplus = _landings(f, ygerms[1], z)
     if level == 3:
         for side in (MINUS, PLUS):
             if side in lminus and side in lplus:
@@ -355,7 +343,6 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
     structure: fourteen clauses over all ordered node pairs."""
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    table = _GermTable(f)
     side_classes: dict[tuple[Fraction, Side], SideClass] = {}
     for p in struct.nodes:
         for g in germs_of(f, p):
@@ -370,7 +357,7 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
     def has(y, z, level):
         key = (y, z, level)
         if key not in conn:
-            conn[key] = find_connection(f, struct, y, z, level, table)
+            conn[key] = find_connection(f, struct, y, z, level)
         return conn[key] is not None
 
     report = PropagationReport(struct.root, verdicts, 0)
@@ -404,17 +391,17 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
             else:
                 sides = {s: side_classes[(x, s)] for s in (MINUS, PLUS)
                          if (x, s) in side_classes}
-                _check_semi_clauses(f, table, x, y, cy, sides, has, flag)
+                _check_semi_clauses(f, x, y, cy, sides, has, flag)
     for (y, z, level), c in conn.items():
         if level == 4 and c is not None:
             # a full-neighbourhood witness implies a lateral one per germ
-            if any(not table.landings(g, z) for g in germs_of(f, y)):
+            if any(not _landings(f, g, z) for g in germs_of(f, y)):
                 flag("level_monotonicity", y, z,
                      "level 4 connection without level 1 from each germ")
     return report
 
 
-def _check_semi_clauses(f, table, x, y, cy, sides, has, flag) -> None:
+def _check_semi_clauses(f, x, y, cy, sides, has, flag) -> None:
     if has(x, y, 4) and cy != SEMI_STABLE:
         flag("semi_x4y", x, y, f"expected semi_stable, got {cy}")
     if has(y, x, 4) and cy != SEMI_STABLE:
@@ -430,15 +417,15 @@ def _check_semi_clauses(f, table, x, y, cy, sides, has, flag) -> None:
     stable_sides = [s for s, c in sides.items() if c.verdict == CONTRACTING]
     unstable_sides = [s for s, c in sides.items() if c.verdict != CONTRACTING]
     for s in stable_sides:
-        if table.landings(Germ(x, s), y) and cy == UNSTABLE:
+        if _landings(f, Germ(x, s), y) and cy == UNSTABLE:
             flag("semi_stable_side_forward", x, y,
                  "stable lateral neighbourhood reaches an unstable point")
     for s in unstable_sides:
-        if table.landings(Germ(x, s), y) and cy == STABLE:
+        if _landings(f, Germ(x, s), y) and cy == STABLE:
             flag("semi_unstable_side_forward", x, y,
                  "unstable lateral neighbourhood reaches a stable point")
     for g in germs_of(f, y):
-        lands = table.landings(g, x)
+        lands = _landings(f, g, x)
         for s, cls in sides.items():
             if s in lands:
                 if cls.verdict == CONTRACTING and cy == UNSTABLE:

@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                   RationalLike, _push_through, as_fraction)
+from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
+                   PowerLimitError, PwdynError, RationalLike, _push_through,
+                   as_fraction)
 from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
-                     germ_step, periodic_points)
-from .stability import SEMI_STABLE, STABLE, classify_point
+                     VariantLimitError, germ_step, periodic_points)
+from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
+
+# Period horizon of the attraction atlas that certifies convergence.
+ATLAS_HORIZON = 8
 
 BOUNDARY_NONE = "none"
 BOUNDARY_FIXED = "fixed_endpoint"
@@ -40,6 +44,13 @@ class PreconditionError(PwdynError):
 class TaxonomyViolation(PwdynError):
     """A structural fact that should hold for every map failed; this always
     indicates an implementation bug and is surfaced loudly."""
+
+
+# Errors meaning only that a query does not apply to its input, or that a
+# search budget ran out; callers that sweep a corpus skip on these, and any
+# other error, a bug class above all, propagates.
+NOT_APPLICABLE = (PreconditionError, DegenerateWindowError, PieceLimitError,
+                  PowerLimitError, VariantLimitError, CycleBudgetError)
 
 
 def monotone_window(f: PiecewiseMap, x: RationalLike, depth: int
@@ -430,21 +441,26 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
     return atlas
 
 
+def _map_atlas(f: PiecewiseMap) -> dict[PeriodicOrbit, list[AttractionBall]]:
+    """The attraction atlas of f's periodic orbits up to ATLAS_HORIZON,
+    memoized on f: the one atlas behind `attracted` and code certification.
+    """
+    return f._memo(("atlas", ATLAS_HORIZON), lambda: attraction_atlas(
+        f, periodic_points(f, ATLAS_HORIZON, max_power=2 * ATLAS_HORIZON)))
+
+
 def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
-              cap: int = 10**4, *, bit_cap: int = 4096,
-              atlas: Optional[dict] = None,
-              horizon: int = 8) -> str:
+              cap: int = 10**4, *, bit_cap: int = 4096) -> str:
     """Whether the orbit of y converges to the given periodic orbit.
 
     Yes once the orbit enters a certified contraction ball of the target (or
-    lands exactly on it); no when it hits a jump, lands exactly on a
-    different cycle, or enters a certified ball of a different orbit;
-    unknown when the step or denominator budget runs out first.
+    lands exactly on it) in the map's horizon-8 atlas; no when it hits a
+    jump, lands exactly on a different cycle, or enters a certified ball of
+    a different orbit; unknown when the step or denominator budget runs out
+    first.
     """
     y = as_fraction(y)
-    if atlas is None:
-        enumerated = periodic_points(f, horizon, max_power=2 * horizon)
-        atlas = attraction_atlas(f, enumerated)
+    atlas = _map_atlas(f)
     target_points = set(orb.points)
     seen: dict[Fraction, int] = {}
     trail: list[Fraction] = []
@@ -584,19 +600,19 @@ class BoundReport:
                 "orbits": [[str(p) for p in o.points] for o in self.orbits]}
 
 
-def count_bound(f: PiecewiseMap, horizon: int = 8, *,
-                orbits: Optional[list[PeriodicOrbit]] = None) -> BoundReport:
+def count_bound(f: PiecewiseMap, horizon: int = 8) -> BoundReport:
     """Count continuous periodic orbits that are stable or semi-stable and
     not trapped, up to the period horizon, against N_T + 2 N_D + 2.
 
-    The search horizon can only under-count, so a violated bound is a
-    genuine counterexample.
+    The orbits are `periodic_points(f, horizon, max_power=2 * horizon)`,
+    shared with every other caller through the map's memo.  The search
+    horizon can only under-count, so a violated bound is a genuine
+    counterexample.
     """
     special = f.special_points()
     if not special.points:
         raise PreconditionError("bound needs a nonempty special set")
-    if orbits is None:
-        orbits = periodic_points(f, horizon, max_power=2 * horizon)
+    orbits = periodic_points(f, horizon, max_power=2 * horizon)
     turns = set(special.turning)
     counted = []
     for orb in orbits:

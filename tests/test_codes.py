@@ -8,6 +8,7 @@ from pwdyn.codes import (Certifier, CodeUndefinedError, PartitionIntervals,
                          regular_attractor, regularity_certificate,
                          side_codes)
 from pwdyn.orbits import Germ, germ_orbit, periodic_points
+from pwdyn.pinned import pinned_map
 from pwdyn.stability import STABLE
 from pwdyn.taxonomy import PreconditionError, is_trapped
 
@@ -129,12 +130,40 @@ def test_reverse_guard_trapped(maps):
 
 def test_nongood_points_in_skeleton(maps):
     f = maps["shift"]
-    certifier = Certifier(f)
     for x in (F(1, 4), F(3, 8), F(1, 2)):
-        verdict = avoids_special_forever(f, x, certifier=certifier)
+        verdict = avoids_special_forever(f, x)
         assert verdict.value == "no"
         probe, depth = x, 0
         while probe not in set(f.special_points().points):
             probe = f.value(probe)
             depth += 1
         assert x in set(f.special_preimage_set(depth + 1))
+
+
+def _duality_calls(f):
+    w, x = F(1, 2), F(1, 3)
+    return [("is_regular", lambda: is_regular(f, w)),
+            ("regular_attractor", lambda: regular_attractor(f, w)),
+            ("avoids", lambda: avoids_special_forever(f, x)),
+            ("codes", lambda: codes(f, x))]
+
+
+def test_certifier_built_once_per_map(monkeypatch):
+    builds = []
+    real = Certifier.__init__
+    monkeypatch.setattr(Certifier, "__init__",
+                        lambda self, f: builds.append(f) or real(self, f))
+    h = pinned_map("hat")
+    for _, call in _duality_calls(h):
+        call()
+    assert builds == [h]
+
+
+def test_memoized_answers_do_not_depend_on_call_order():
+    fresh = {name: call() for name, call in _duality_calls(pinned_map("hat"))}
+    warm_map = pinned_map("hat")
+    periodic_points(warm_map, 2)
+    for _, call in reversed(_duality_calls(warm_map)):
+        call()
+    warm = {name: call() for name, call in _duality_calls(warm_map)}
+    assert warm == fresh

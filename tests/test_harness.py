@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
+from pwdyn import harness
 from pwdyn.harness import (Bundle, GeneratorConfig, PREDICATES, random_map,
                            run_suite, shrink)
 from pwdyn.maps import parse_map
+from pwdyn.taxonomy import TaxonomyViolation
 
 
 def test_generation_deterministic():
@@ -92,3 +96,24 @@ def test_orbit_invariants_exhibit_intersection():
     result = rep.results["orbit_invariants"]
     assert result.fails == 0
     assert result.extra["intersecting_distinct_orbits"] >= 1
+
+
+def test_bug_class_errors_fail_the_suite(monkeypatch):
+    # a TaxonomyViolation means an implementation bug, never a skip
+    def broken(*args, **kwargs):
+        raise TaxonomyViolation("planted violation")
+
+    monkeypatch.setattr(harness, "count_bound", broken)
+    with pytest.raises(TaxonomyViolation, match="planted violation"):
+        run_suite(GeneratorConfig(seed=7), {"orbit_count_bound"},
+                  counts={"orbit_count_bound": 3})
+
+
+def test_memo_properties_keep_their_canonical_report():
+    # the properties that read per-map memos, at a fixed seed and size
+    counts = {"attractor_duality": 30, "code_invariants": 30,
+              "basin_witnesses": 30, "propagation_table": 60,
+              "orbit_count_bound": 60}
+    report = run_suite(GeneratorConfig(seed=7), set(counts), counts=counts)
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest[:16] == "0a28b0e9acb9e8af"

@@ -214,3 +214,15 @@ def test_eval_at_plain_breakpoint():
     # 1/2 joins two rising pieces with matching limits: defined, not special
     assert f.value(F(1, 2)) == F(1, 2)
     assert f.lateral(F(1, 2), "minus") == f.lateral(F(1, 2), "plus") == F(1, 2)
+
+
+@pytest.mark.parametrize("name", ["tent", "shift"])
+def test_cached_power_honours_a_smaller_guard(name):
+    fresh = pinned_map(name)
+    with pytest.raises(PieceLimitError) as cold:
+        fresh.power(6, guard=4, check=False)
+    warm = pinned_map(name)
+    warm.power(6, check=False)
+    with pytest.raises(PieceLimitError) as cached:
+        warm.power(6, guard=4, check=False)
+    assert str(cached.value) == str(cold.value)

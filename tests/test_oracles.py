@@ -120,12 +120,12 @@ def test_code_head_matches_stepwise_membership():
     for f in corpus("codehead", 25, max_pieces=3, denominator_bound=8):
         part = PartitionIntervals.of(f)
         try:
-            certifier = Certifier(f, horizon=4)
+            Certifier.of(f)
         except PwdynError:
             continue
         for x in (F(1, 3), F(2, 5), F(7, 9)):
             try:
-                out = codes(f, x, 600, certifier=certifier)
+                out = codes(f, x, 600)
             except CodeUndefinedError:
                 continue
             chain = stepwise(f, x, 12)
@@ -149,7 +149,7 @@ def test_count_bound_membership_oracle():
             continue
         try:
             orbits = periodic_points(f, 4, max_power=8, guard=20000)
-            report = count_bound(f, 4, orbits=orbits)
+            report = count_bound(f, 4)
         except PwdynError:
             continue
         counted = {frozenset(o.points) for o in report.orbits}
@@ -170,12 +170,12 @@ def test_count_bound_membership_oracle():
 def test_strict_codes_replay_from_position_zero():
     for f in corpus("strict", 25, max_pieces=3, denominator_bound=8):
         try:
-            certifier = Certifier(f, horizon=4)
+            Certifier.of(f)
         except PwdynError:
             continue
         for x in (F(1, 6), F(3, 8), F(5, 7)):
             try:
-                out = codes(f, x, 600, certifier=certifier)
+                out = codes(f, x, 600)
             except CodeUndefinedError:
                 continue
             for code in out:

@@ -4,6 +4,7 @@ import pytest
 
 from pwdyn.maps import parse_map
 from pwdyn.orbits import periodic_points, structure
+from pwdyn.pinned import pinned_map
 from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL, NotConfinedError,
                              SEMI_STABLE, STABLE, UNSTABLE, classify_point,
                              classify_side, cycle_stability_report,
@@ -175,3 +176,14 @@ def test_semi_stable_twin_half_cycles():
     rep = cycle_stability_report(f, st)
     assert rep.consistent and "twin_half_cycles" in rep.applied
     assert stability_propagation_report(f, st).consistent
+
+
+def test_connections_after_a_report_match_a_fresh_map():
+    def connections(f):
+        st = structure(f, F(1, 2))
+        return [find_connection(f, st, y, z, level) for y in st.nodes
+                for z in st.nodes for level in (1, 2, 3, 4)]
+
+    warm = pinned_map("shift")
+    stability_propagation_report(warm, structure(warm, F(1, 2)))
+    assert connections(warm) == connections(pinned_map("shift"))
