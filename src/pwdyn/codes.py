@@ -24,7 +24,7 @@ from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                    RationalLike, Side, _push_through, as_fraction)
-from .orbits import PeriodicOrbit, periodic_points
+from .orbits import DENOM_BIT_CAP, PeriodicOrbit, image_chain, periodic_points
 from .stability import SEMI_STABLE, STABLE, classify_point
 from .taxonomy import (PreconditionError, _image, _map_atlas, _narrow,
                        attracted, basin_adjacent_special, restrict_power,
@@ -35,7 +35,6 @@ NO = "no"
 UNKNOWN = "unknown"
 
 DEFAULT_CAP = 10**4
-DEFAULT_BIT_CAP = 4096
 
 
 class CodeUndefinedError(PwdynError):
@@ -188,8 +187,7 @@ class Certifier:
         return None
 
 
-def _skeleton(f: PiecewiseMap, x: Fraction, cap: int, bit_cap: int
-              ) -> _Skeleton:
+def _skeleton(f: PiecewiseMap, x: Fraction, cap: int) -> _Skeleton:
     """Orbit of x as prefix plus cycle: an exact repetition, or a certified
     limit cycle whose itinerary the tail provably shares.  Raises at jumps."""
     jumps = set(f.special_points().discontinuities)
@@ -202,7 +200,7 @@ def _skeleton(f: PiecewiseMap, x: Fraction, cap: int, bit_cap: int
         if current in seen:
             i = seen[current]
             return _Skeleton(tuple(trail[:i]), tuple(trail[i:]), False, step)
-        if current.denominator.bit_length() > bit_cap:
+        if current.denominator.bit_length() > DENOM_BIT_CAP:
             return _Skeleton(tuple(trail), None, True, step)
         if current in jumps:
             raise CodeUndefinedError(
@@ -224,17 +222,18 @@ def _skeleton(f: PiecewiseMap, x: Fraction, cap: int, bit_cap: int
 MAX_CODES = 16
 
 
-def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP, *,
-          bit_cap: int = DEFAULT_BIT_CAP) -> tuple[Code, ...]:
+def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
+          ) -> tuple[Code, ...]:
     """All codes of x, expanded per orbit position with a two-sided index.
 
     Raises CodeUndefinedError when the orbit hits a jump; returns truncated
     codes when neither an exact repetition nor a certified limit cycle of
-    the map's `Certifier.of(f)` appears within the caps.
+    the map's `Certifier.of(f)` appears within `cap` steps and the
+    DENOM_BIT_CAP denominator budget.
     """
     x = as_fraction(x)
     part = PartitionIntervals.of(f)
-    sk = _skeleton(f, x, cap, bit_cap)
+    sk = _skeleton(f, x, cap)
     prefix_choices = [part.indices_of(p) for p in sk.prefix_points]
     if sk.cycle_points is None:
         out = {Code(head, None, True) for head in
@@ -259,13 +258,13 @@ def _expand(choices: list[tuple[int, ...]], limit: int
 
 
 def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
-                           cap: int = DEFAULT_CAP, *,
-                           bit_cap: int = DEFAULT_BIT_CAP) -> Trivalent:
+                           cap: int = DEFAULT_CAP) -> Trivalent:
     """Whether the whole forward orbit of x provably misses the special set.
 
     Yes through an exact cycle off the special set or through entry into a
     certified ball of a clear orbit (from the map's `Certifier.of(f)`); no
-    as soon as an iterate is special; unknown when a cap gives out first.
+    as soon as an iterate is special; unknown when `cap` or the
+    DENOM_BIT_CAP denominator budget gives out first.
     """
     x = as_fraction(x)
     special = set(f.special_points().points)
@@ -277,8 +276,8 @@ def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
             return Trivalent(NO)
         if current in seen:
             return Trivalent(YES)
-        if current.denominator.bit_length() > bit_cap:
-            return Trivalent(UNKNOWN, bit_cap)
+        if current.denominator.bit_length() > DENOM_BIT_CAP:
+            return Trivalent(UNKNOWN, DENOM_BIT_CAP)
         locked = certifier.locked_orbit(current)
         if locked is not None:
             return Trivalent(YES)
@@ -336,15 +335,6 @@ def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,
     """Regularity of a special point: its image orbit stays off the special
     set forever and some code of it repeats from position zero.  For a jump
     the verdict is per side; with no side given, the best side answers."""
-    w = as_fraction(w)
-    jumps = set(f.special_points().discontinuities)
-    if w in jumps and side is None:
-        verdicts = [is_regular(f, w, cap, side=s) for s in (MINUS, PLUS)]
-        if any(v.value == YES for v in verdicts):
-            return Trivalent(YES)
-        if any(v.value == UNKNOWN for v in verdicts):
-            return Trivalent(UNKNOWN, cap)
-        return Trivalent(NO)
     cert = regularity_certificate(f, w, cap, side=side)
     if isinstance(cert, Trivalent):
         return cert
@@ -355,15 +345,21 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
                            cap: int = DEFAULT_CAP, *,
                            side: Optional[Side] = None):
     """The strictly periodic code behind a yes verdict, or the Trivalent
-    no / unknown explaining its absence."""
+    no / unknown explaining its absence.  At a jump with no side given the
+    first certified side answers; failing that, unknown on either side
+    makes the verdict unknown."""
     w = as_fraction(w)
     jumps = set(f.special_points().discontinuities)
     if w in jumps:
         if side is None:
+            verdicts = []
             for s in (MINUS, PLUS):
                 got = regularity_certificate(f, w, cap, side=s)
                 if isinstance(got, RegularityCertificate):
                     return got
+                verdicts.append(got.value)
+            if UNKNOWN in verdicts:
+                return Trivalent(UNKNOWN, cap)
             return Trivalent(NO)
         start = f.lateral(w, side)
     else:
@@ -420,13 +416,6 @@ def _constraint_interval(f: PiecewiseMap, code: Code
     return lo, hi, segs
 
 
-def _power_image(f, lo, hi, n) -> tuple[Fraction, Fraction]:
-    for _ in range(n):
-        v1, v2 = f.lateral(lo, PLUS), f.lateral(hi, MINUS)
-        lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
-    return lo, hi
-
-
 def _stabilized_interval(f: PiecewiseMap, base: tuple[Fraction, Fraction],
                          n: int) -> Optional[tuple[Fraction, Fraction]]:
     """Refine the one-period constraint interval until the n-th power maps
@@ -467,25 +456,24 @@ def _geometric_limit(f, los, his, n) -> Optional[tuple[Fraction, Fraction]]:
     lo, hi = limit(los), limit(his)
     if lo is None or hi is None or lo > hi:
         return None
-    p, q = _power_image(f, lo, hi, n)
+    p, q = image_chain(f, lo, hi, n)[-1]
     if lo <= p and q <= hi:
         return lo, hi
     return None
 
 
-def regular_attractor(f: PiecewiseMap, w: RationalLike,
-                      cap: int = DEFAULT_CAP, *,
-                      side: Optional[Side] = None
+def regular_attractor(f: PiecewiseMap, w: RationalLike
                       ) -> RegularAttractorResult:
     """From a regular special point to the orbit attracting it.
 
     Builds the closed interval of points sharing the periodic code, finds
     the extreme fixed point of the doubled power next to w inside it, and
     certifies the resulting orbit: stable or semi-stable, not trapped, and
-    attracting w.  Certification failures raise CertificationError.
+    attracting w.  At a jump the certified side is used.  Certification
+    failures raise CertificationError.
     """
     w = as_fraction(w)
-    cert = regularity_certificate(f, w, cap, side=side)
+    cert = regularity_certificate(f, w)
     if not isinstance(cert, RegularityCertificate):
         raise PreconditionError(
             f"{w} is not certified regular (verdict {cert.value})")
@@ -526,7 +514,7 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike,
         partner = chain[n]
         interval = (min(x_star, partner), w) if w == base[1] \
             else (w, max(x_star, partner))
-    p, q = _power_image(f, *interval, n)
+    p, q = image_chain(f, *interval, n)[-1]
     if not interval[0] <= p and q <= interval[1]:
         raise CertificationError("code interval is not forward invariant")
     stability = classify_point(f, x_star)
@@ -537,8 +525,8 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike,
         raise CertificationError("attracting orbit is trapped")
     start = f.value(w)
     if start is None:
-        start = f.lateral(w, side if side is not None else cert.side)
-    verdict = attracted(f, start, orb, cap)
+        start = f.lateral(w, cert.side)
+    verdict = attracted(f, start, orb)
     if verdict == NO:
         raise CertificationError("regular point not attracted to the orbit")
     return RegularAttractorResult(w, cert.side, code, interval, orb,
@@ -575,8 +563,7 @@ def _fixed_points_of_segments(segs) -> list[Fraction]:
 
 
 def attractor_regular_source(f: PiecewiseMap, orb: PeriodicOrbit, *,
-                             horizon: int = 8, cap: int = DEFAULT_CAP
-                             ) -> tuple[Fraction, Trivalent]:
+                             horizon: int = 8) -> tuple[Fraction, Trivalent]:
     """From a free non-exceptional stable-or-semi-stable orbit back to a
     regular special point inside its basin.
 
@@ -598,7 +585,7 @@ def attractor_regular_source(f: PiecewiseMap, orb: PeriodicOrbit, *,
             raise PreconditionError("a critical orbit is not stable")
     witnesses = basin_adjacent_special(f, orb)
     w = witnesses[0].w
-    verdict = is_regular(f, w, cap)
+    verdict = is_regular(f, w)
     if verdict.value == NO:
         raise CertificationError(
             f"basin edge landed on a non-regular special point {w}")

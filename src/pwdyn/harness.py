@@ -37,6 +37,12 @@ from .taxonomy import (NOT_APPLICABLE, DegenerateWindowError,
                        basin_adjacent_special, count_bound, taxonomy)
 
 
+GENERATION_ATTEMPTS = 400  # rejection-sampling draws per generated map
+# Structure caps of the corpus sweeps: nodes, and denominator bits.
+SWEEP_NODE_CAP = 72
+SWEEP_BIT_CAP = 512
+
+
 class GenerationError(PwdynError):
     """Rejection sampling ran out of budget for a pathological config."""
 
@@ -70,15 +76,16 @@ class GeneratorConfig:
         return replace(self, seed=self.seed * 1_000_003 + index * 7919 + salt)
 
 
-def random_map(cfg: GeneratorConfig, *, budget: int = 400) -> PiecewiseMap:
+def random_map(cfg: GeneratorConfig) -> PiecewiseMap:
     """Deterministic rejection-sampled well-behaved map on [0, 1]."""
     rng = random.Random(cfg.seed)
     palette = PALETTES[cfg.slope_palette]
-    for _ in range(budget):
+    for _ in range(GENERATION_ATTEMPTS):
         f = _try_build(rng, cfg, palette)
         if f is not None:
             return f
-    raise GenerationError(f"no valid map within {budget} attempts")
+    raise GenerationError(
+        f"no valid map within {GENERATION_ATTEMPTS} attempts")
 
 
 def _try_build(rng, cfg, palette) -> Optional[PiecewiseMap]:
@@ -324,11 +331,13 @@ def _rational(rng: random.Random, qb: int) -> Fraction:
     return Fraction(rng.randint(0, 4 * qb), 4 * qb)
 
 
-def closed_structures(f: PiecewiseMap, *, cap: int = 72, bit_cap: int = 512):
+def closed_structures(f: PiecewiseMap):
     """Closed structures rooted at jump points and small periodic orbits.
 
-    The node cap bounds the quadratic pair analysis downstream; structures
-    past it report as not closed and are skipped by the corpus sweeps.
+    Each structure is expanded to at most 72 nodes (SWEEP_NODE_CAP) with
+    denominators of at most 512 bits (SWEEP_BIT_CAP).  The node cap bounds
+    the quadratic pair analysis downstream; structures past either cap
+    report as not closed and are skipped by the corpus sweeps.
     """
     roots = list(f.special_points().discontinuities)
     try:
@@ -342,7 +351,7 @@ def closed_structures(f: PiecewiseMap, *, cap: int = 72, bit_cap: int = 512):
         if root in seen:
             continue
         seen.add(root)
-        st = structure(f, root, cap=cap, bit_cap=bit_cap)
+        st = structure(f, root, cap=SWEEP_NODE_CAP, bit_cap=SWEEP_BIT_CAP)
         if st.closed:
             out.append(st)
     return out

@@ -132,7 +132,7 @@ class PiecewiseMap:
     __slots__ = ("a", "b", "pieces", "_lefts", "_special", "_powers", "_cache")
 
     def __init__(self, a: RationalLike, b: RationalLike,
-                 pieces: Iterable[AffinePiece], *, merge: bool = True):
+                 pieces: Iterable[AffinePiece]):
         a = as_fraction(a)
         b = as_fraction(b)
         plist = [AffinePiece(as_fraction(p.left), as_fraction(p.right),
@@ -142,8 +142,7 @@ class PiecewiseMap:
             raise MapInvariantError(f"empty interval: {a} >= {b}")
         if not plist:
             raise MapInvariantError("map needs at least one piece")
-        if merge:
-            plist = _merge_collinear(plist)
+        plist = _merge_collinear(plist)
         _validate(a, b, plist)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -234,11 +234,11 @@ class GermOrbit:
         return prod
 
 
-def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4, *,
-               bit_cap: int = DENOM_BIT_CAP) -> GermOrbit:
-    """Iterate germ_step with exact (point, side) cycle detection.
+def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4) -> GermOrbit:
+    """Iterate germ_step with exact (point, side) cycle detection, until
+    the cap or the DENOM_BIT_CAP denominator budget runs out.
 
-    Memoized on f per germ and caps."""
+    Memoized on f per germ and cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     g = Germ(as_fraction(g.point), g.side)
@@ -255,7 +255,7 @@ def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4, *,
                 germs.append(current)
                 return GermOrbit(tuple(germs), tuple(slopes), i,
                                  len(germs) - 1 - i, False)
-            if _bits(current.point) > bit_cap:
+            if _bits(current.point) > DENOM_BIT_CAP:
                 break
             seen[current] = len(germs)
             germs.append(current)
@@ -264,7 +264,7 @@ def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4, *,
             current = step.next
         return GermOrbit(tuple(germs), tuple(slopes), len(germs), 0, True)
 
-    return f._memo(("germ_orbit", g, cap, bit_cap), build)
+    return f._memo(("germ_orbit", g, cap), build)
 
 
 # -- periodic orbits ---------------------------------------------------------
@@ -320,23 +320,13 @@ def _minimal_period(f: PiecewiseMap, x: Fraction, n: int) -> Optional[int]:
     return n
 
 
-def _jump_hits(f: PiecewiseMap, lo: Fraction, hi: Fraction, n: int
-               ) -> list[Fraction]:
-    """Points of (lo, hi) whose first n-1 iterates (or themselves) land on
-    a jump, i.e. where stepwise orbits of length n are undefined."""
-    level = set(f.special_points().discontinuities)
-    acc = {x for x in level if lo < x < hi}
-    for _ in range(n - 1):
-        level = {x for y in level for x in f.preimage(y)}
-        acc |= {x for x in level if lo < x < hi}
-    return sorted(acc)
-
-
-def _family_intervals(f: PiecewiseMap, lo: Fraction, hi: Fraction, n: int
-                      ) -> list[tuple[Fraction, Fraction]]:
-    """Image chain of a fixed-interval family under single steps."""
+def image_chain(f: PiecewiseMap, lo: Fraction, hi: Fraction, steps: int
+                ) -> list[tuple[Fraction, Fraction]]:
+    """[lo, hi] and its images under the next `steps` single steps, each
+    read off the inward lateral limits at the ends; exact while every step
+    stays monotone and continuous inside the interval."""
     out = [(lo, hi)]
-    for _ in range(n - 1):
+    for _ in range(steps):
         p, q = out[-1]
         v1 = f.lateral(p, PLUS)
         v2 = f.lateral(q, MINUS)
@@ -346,8 +336,7 @@ def _family_intervals(f: PiecewiseMap, lo: Fraction, hi: Fraction, n: int
 
 def periodic_points(f: PiecewiseMap, max_period: int, *,
                     max_power: Optional[int] = None,
-                    guard: int = 10**6,
-                    include_half_points: bool = True) -> list[PeriodicOrbit]:
+                    guard: int = 10**6) -> list[PeriodicOrbit]:
     """All periodic orbits of period <= max_period.
 
     Solves slope*x + intercept = x on each piece of each exact power:
@@ -362,14 +351,13 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
     if not 1 <= max_period <= limit // 2:
         raise ValueError(
             f"max_period must lie in [1, {limit // 2}] (configured power limit)")
-    key = ("periodic_points", max_period, limit, guard, include_half_points)
+    key = ("periodic_points", max_period, limit, guard)
     return list(f._memo(key, lambda: _periodic_orbits(
-        f, max_period, limit, guard, include_half_points)))
+        f, max_period, limit, guard)))
 
 
 def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
-                     guard: int, include_half_points: bool
-                     ) -> tuple[PeriodicOrbit, ...]:
+                     guard: int) -> tuple[PeriodicOrbit, ...]:
     """The sorted orbits behind `periodic_points`."""
     jumps = set(f.special_points().discontinuities)
     found: dict = {}
@@ -403,12 +391,11 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
             continuous = not any(p in jumps for p in cycle)
             add(PeriodicOrbit(cycle, n, None, continuous, POINT))
 
-    if include_half_points:
-        for w in sorted(jumps):
-            for side in (MINUS, PLUS):
-                orb = _half_point_cycle(f, w, side, max_period, jumps)
-                if orb is not None:
-                    add(orb)
+    for w in sorted(jumps):
+        for side in (MINUS, PLUS):
+            orb = _half_point_cycle(f, w, side, max_period, jumps)
+            if orb is not None:
+                add(orb)
 
     return tuple(sorted(found.values(),
                         key=lambda o: (o.period, o.kind, o.points[0],
@@ -438,12 +425,14 @@ def _endpoint_fixed(f: PiecewiseMap, e: Fraction, n: int) -> bool:
 def _collect_families(f, n, left, right, add) -> None:
     """Split an identity piece of the n-th power into interval families.
 
-    The piece is cut at points whose stepwise orbits hit a jump and at every
-    fixed point of a proper divisor power (isolated ones become cut points,
-    identity pieces of the divisor become blocked sub-intervals), so every
-    reported family has uniform minimal period n.
+    The piece is cut at points whose stepwise orbits hit a special point
+    (inside an identity piece that is always a jump: an orbit meeting a turn
+    first makes the power two-to-one there) and at every fixed point of a
+    proper divisor power (isolated ones become cut points, identity pieces
+    of the divisor become blocked sub-intervals), so every reported family
+    has uniform minimal period n.
     """
-    cuts = set(_jump_hits(f, left, right, n))
+    cuts = {x for x in f.special_preimage_set(n) if left < x < right}
     blocked: list[tuple[Fraction, Fraction]] = []
     for d in range(1, n):
         if n % d != 0:
@@ -471,7 +460,7 @@ def _collect_families(f, n, left, right, add) -> None:
             continue
         if _minimal_period(f, mid, n) != n:
             continue
-        intervals = _family_intervals(f, lo, hi, n)
+        intervals = image_chain(f, lo, hi, n - 1)
         canon = min(intervals)
         rep = (canon[0] + canon[1]) / 2
         chain = _stepwise_orbit(f, rep, n)

@@ -13,6 +13,7 @@ from .maps import MINUS, PLUS, PiecewiseMap
 from .orbits import VariantSelector, variant_step, variants
 
 PRECISION = 12
+SVG_SIZE = 480  # width and height, in pixels
 
 
 def _dec(x: Fraction) -> str:
@@ -57,8 +58,8 @@ def to_csv(rows, mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_svg(f: PiecewiseMap, rows, mode: str, size: int = 480) -> str:
-    pad = 40
+def to_svg(f: PiecewiseMap, rows, mode: str) -> str:
+    size, pad = SVG_SIZE, 40
     span = f.b - f.a
 
     def sx(v: Fraction) -> float:

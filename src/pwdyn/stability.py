@@ -34,6 +34,11 @@ CONTRACTING = "contracting"
 NEUTRAL = "neutral"
 EXPANDING = "expanding"
 
+ORACLE_WIDTH = Fraction(1, 2**20)  # of the domain length
+ORACLE_MAX_STEPS = 10**4
+CYCLE_NODE_BUDGET = 64
+CYCLE_LIMIT = 4000
+
 
 class NotConfinedError(PwdynError):
     """The point's structure is not closed, so germ cycles need not exist."""
@@ -142,30 +147,29 @@ def _gap_to_specials(f: PiecewiseMap, x: Fraction) -> Fraction:
 
 
 def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,
-                   delta: Optional[Fraction] = None, max_steps: int = 10**4,
                    stride: int = 1) -> str:
     """Brute-force verdict for one lateral neighbourhood.
 
-    Iterates the actual closed interval of width delta (default
-    2^-20 * (b - a), clipped to a quarter of the distance to the nearest
-    other special point so the witness interval starts inside a single
-    branch).  Contracting once the total fragment length falls below
-    2^-20 * delta, expanding once it exceeds 2^10 * delta, neutral on exact
-    state repetition.  With stride > 1 the thresholds are only consulted
-    every stride steps, which is the subsampled stability criterion.
+    Iterates the actual closed interval of width delta = 2^-20 * (b - a),
+    clipped to a quarter of the distance to the nearest other special point
+    so the witness interval starts inside a single branch, for at most
+    ORACLE_MAX_STEPS steps.  Contracting once the total fragment length
+    falls below 2^-20 * delta, expanding once it exceeds 2^10 * delta,
+    neutral on exact state repetition.  With stride > 1 the thresholds are
+    only consulted every stride steps, which is the subsampled stability
+    criterion.
     """
     x = as_fraction(x)
-    base = delta if delta is not None else (f.b - f.a) * Fraction(1, 2**20)
-    eff = min(base, _gap_to_specials(f, x) / 4)
+    eff = min((f.b - f.a) * ORACLE_WIDTH, _gap_to_specials(f, x) / 4)
     for _ in range(8):
-        verdict = _run_oracle(f, x, side, eff, max_steps, stride, final=False)
+        verdict = _run_oracle(f, x, side, eff, stride, final=False)
         if verdict != "restart":
             return verdict
         eff = eff / 32
-    return _run_oracle(f, x, side, eff, max_steps, stride, final=True)
+    return _run_oracle(f, x, side, eff, stride, final=True)
 
 
-def _run_oracle(f, x, side, delta, max_steps, stride, final) -> str:
+def _run_oracle(f, x, side, delta, stride, final) -> str:
     thresh = delta * Fraction(1, 2**20)
     floor = delta * 2**10
     if side == PLUS:
@@ -174,7 +178,7 @@ def _run_oracle(f, x, side, delta, max_steps, stride, final) -> str:
         state = [(max(x - delta, f.a), x)]
     start = _total_length(state)
     seen = {}
-    for step in range(1, max_steps + 1):
+    for step in range(1, ORACLE_MAX_STEPS + 1):
         state = _step_intervals(f, state)
         if len(state) > 256:
             return EXPANDING
@@ -195,19 +199,16 @@ def _run_oracle(f, x, side, delta, max_steps, stride, final) -> str:
 
 
 def oracle_classify(f: PiecewiseMap, x: RationalLike, *,
-                    delta: Optional[Fraction] = None,
-                    max_steps: int = 10**4, stride: int = 1) -> str:
+                    stride: int = 1) -> str:
     """Two-sided class from the interval oracle alone."""
     x = as_fraction(x)
     left = right = None
     if x > f.a:
-        left = SideClass(MINUS, lateral_oracle(
-            f, x, MINUS, delta=delta, max_steps=max_steps, stride=stride),
-            Fraction(0))
+        left = SideClass(MINUS, lateral_oracle(f, x, MINUS, stride=stride),
+                         Fraction(0))
     if x < f.b:
-        right = SideClass(PLUS, lateral_oracle(
-            f, x, PLUS, delta=delta, max_steps=max_steps, stride=stride),
-            Fraction(0))
+        right = SideClass(PLUS, lateral_oracle(f, x, PLUS, stride=stride),
+                          Fraction(0))
     return combine_sides(left, right)
 
 
@@ -458,24 +459,22 @@ class CycleBudgetError(PwdynError):
     """Cycle enumeration on a structure exceeded its budget."""
 
 
-def _graph_cycles(struct: StructureGraph, limit: int = 4000
-                  ) -> list[tuple[Fraction, ...]]:
+def _graph_cycles(struct: StructureGraph) -> list[tuple[Fraction, ...]]:
     """All simple directed cycles, each rotated to start at its least point.
 
     Simple cycles can be exponentially many on branching structures, so the
-    enumeration aborts past the limit instead of hanging.
+    enumeration aborts past CYCLE_LIMIT cycles or 8 * CYCLE_LIMIT search
+    steps instead of hanging.
     """
-    succ: dict[Fraction, list[Fraction]] = {}
-    for src, _, dst in struct.edges:
-        succ.setdefault(src, []).append(dst)
+    succ = _successors(struct)
     cycles = set()
     steps = [0]
 
     def dfs(path: list[Fraction], seen: set[Fraction]):
         steps[0] += 1
-        if steps[0] > limit * 8 or len(cycles) > limit:
-            raise CycleBudgetError(
-                f"more than {limit} simple cycles or {limit * 8} steps")
+        if steps[0] > CYCLE_LIMIT * 8 or len(cycles) > CYCLE_LIMIT:
+            raise CycleBudgetError(f"more than {CYCLE_LIMIT} simple cycles "
+                                   f"or {CYCLE_LIMIT * 8} steps")
         for q in succ.get(path[-1], []):
             if q == path[0]:
                 i = path.index(min(path))
@@ -488,17 +487,18 @@ def _graph_cycles(struct: StructureGraph, limit: int = 4000
     return sorted(cycles)
 
 
-def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph, *,
-                           max_nodes: int = 64) -> CycleRuleReport:
+def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
+                           ) -> CycleRuleReport:
     """Verify the cycle-level propagation rules on a closed structure:
     single-jump cycles, twin half-point cycles at one jump, completely
-    periodic structures with a nonempty core, and continuous cycles."""
+    periodic structures with a nonempty core, and continuous cycles.
+    Structures over CYCLE_NODE_BUDGET nodes raise CycleBudgetError."""
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    if len(struct.nodes) > max_nodes:
+    if len(struct.nodes) > CYCLE_NODE_BUDGET:
         raise CycleBudgetError(
             f"structure has {len(struct.nodes)} nodes, over the "
-            f"{max_nodes}-node cycle analysis budget")
+            f"{CYCLE_NODE_BUDGET}-node cycle analysis budget")
     verdicts = {p: classify_point(f, p, require_confined=False)
                 for p in struct.nodes}
     cycles = _graph_cycles(struct)
@@ -640,8 +640,8 @@ class SubsampleReport:
         return self.germ_class == self.full_class == self.subsampled_class
 
 
-def subsampled_stability_report(f: PiecewiseMap, orbit: PeriodicOrbit, *,
-                                max_steps: int = 10**4) -> SubsampleReport:
+def subsampled_stability_report(f: PiecewiseMap, orbit: PeriodicOrbit
+                                ) -> SubsampleReport:
     """Check that watching lengths only every period-many steps gives the
     same class as watching every step, and that both match the germ verdict."""
     if not orbit.continuous:
@@ -650,6 +650,6 @@ def subsampled_stability_report(f: PiecewiseMap, orbit: PeriodicOrbit, *,
     return SubsampleReport(
         orbit,
         classify_point(f, x),
-        oracle_classify(f, x, max_steps=max_steps, stride=1),
-        oracle_classify(f, x, max_steps=max_steps, stride=orbit.period),
+        oracle_classify(f, x, stride=1),
+        oracle_classify(f, x, stride=orbit.period),
     )

@@ -21,8 +21,9 @@ from typing import Optional
 from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, _push_through,
                    as_fraction)
-from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, germ_step, periodic_points)
+from .orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
+                     PeriodicOrbit, VariantLimitError, germ_step,
+                     periodic_points)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
@@ -450,14 +451,14 @@ def _map_atlas(f: PiecewiseMap) -> dict[PeriodicOrbit, list[AttractionBall]]:
 
 
 def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
-              cap: int = 10**4, *, bit_cap: int = 4096) -> str:
+              cap: int = 10**4) -> str:
     """Whether the orbit of y converges to the given periodic orbit.
 
     Yes once the orbit enters a certified contraction ball of the target (or
     lands exactly on it) in the map's horizon-8 atlas; no when it hits a
     jump, lands exactly on a different cycle, or enters a certified ball of
-    a different orbit; unknown when the step or denominator budget runs out
-    first.
+    a different orbit; unknown when `cap` steps or the DENOM_BIT_CAP
+    denominator budget run out first.
     """
     y = as_fraction(y)
     atlas = _map_atlas(f)
@@ -469,7 +470,7 @@ def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
         if current in seen:
             cycle = set(trail[seen[current]:])
             return "yes" if cycle == target_points else "no"
-        if current.denominator.bit_length() > bit_cap:
+        if current.denominator.bit_length() > DENOM_BIT_CAP:
             return "unknown"
         for other, balls in atlas.items():
             for ball in balls:

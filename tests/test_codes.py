@@ -3,10 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from pwdyn.codes import (Certifier, CodeUndefinedError, PartitionIntervals,
-                         RegularityCertificate, attractor_regular_source,
-                         avoids_special_forever, codes, is_regular,
-                         regular_attractor, regularity_certificate,
-                         side_codes)
+                         RegularityCertificate, Trivalent,
+                         attractor_regular_source, avoids_special_forever,
+                         codes, is_regular, regular_attractor,
+                         regularity_certificate, side_codes)
+from pwdyn.maps import parse_map
 from pwdyn.orbits import Germ, germ_orbit, periodic_points
 from pwdyn.pinned import pinned_map
 from pwdyn.stability import STABLE
@@ -72,6 +73,20 @@ def test_is_regular(maps):
     assert is_regular(maps["tent"], F(1, 2)).value == "unknown"
     with pytest.raises(PreconditionError):
         is_regular(maps["hat"], F(1, 3))
+
+
+def test_jump_with_two_unknown_sides_is_unknown():
+    # neither side of the jump at 1/8 settles within 20 steps
+    f = parse_map("interval 0 1\n"
+                  "piece 0 1/8 : slope -1/2 intercept 2311/4096\n"
+                  "piece 1/8 1 : slope 1 intercept -55/1024\n")
+    w = F(1, 8)
+    for side in ("minus", "plus"):
+        assert regularity_certificate(f, w, 20, side=side).value == "unknown"
+    assert regularity_certificate(f, w, 20) == Trivalent("unknown", 20)
+    assert is_regular(f, w, 20) == Trivalent("unknown", 20)
+    with pytest.raises(PreconditionError, match="verdict unknown"):
+        regular_attractor(f, w)
 
 
 def test_regular_not_periodic(maps):

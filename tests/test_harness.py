@@ -117,3 +117,14 @@ def test_memo_properties_keep_their_canonical_report():
     report = run_suite(GeneratorConfig(seed=7), set(counts), counts=counts)
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest[:16] == "0a28b0e9acb9e8af"
+
+
+def test_fixed_setting_properties_keep_their_canonical_report():
+    # the properties behind the oracle, cycle budget, sweep caps and
+    # generator, at a fixed seed and size
+    counts = {"orbit_invariants": 150, "stability_oracle_agreement": 30,
+              "cycle_rules": 60, "subsample_stability": 30,
+              "exceptional_exclusivity": 60}
+    report = run_suite(GeneratorConfig(seed=7), set(counts), counts=counts)
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest[:16] == "825e0a7a8a7bb0e4"

@@ -1,0 +1,90 @@
+"""Every parameter with a default is set by some caller.
+
+A default that no call ever overrides is a constant in disguise: it adds a
+configuration that nothing exercises.  This check collects each parameter
+with a default from every `def` under `src/pwdyn` and looks for a call in
+`src/`, `tests/` or `perfbench/` that sets it, by keyword or by position.
+Calls are matched by callee name only; a call of a class name counts as a
+call of its `__init__`, and a method's positional slots start after `self`.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pwdyn"
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+
+def _sources(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _defaulted(tree):
+    """(function name, parameter name, positional slot or None, is method)
+    for every parameter with a default; a class's `__init__` is listed
+    under the class name."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods[item] = node.name
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if methods.get(node) and name == "__init__":
+            name = methods[node]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, i, node in methods
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, node in methods
+
+
+def _callee(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _settings(trees):
+    """Callee name -> (keywords set, largest positional count)."""
+    seen = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node)
+            if name is None:
+                continue
+            keywords, count = seen.get(name, (set(), 0))
+            keywords |= {k.arg for k in node.keywords if k.arg}
+            seen[name] = (keywords, max(count, len(node.args)))
+    return seen
+
+
+def unset_defaults() -> list[str]:
+    calls = _settings(tree for _, tree in _sources(*CALLER_DIRS))
+    out = []
+    for path, tree in _sources("src/pwdyn"):
+        for func, param, slot, method in _defaulted(tree):
+            keywords, count = calls.get(func, (set(), 0))
+            if param in keywords:
+                continue
+            if slot is not None and count > slot - method:
+                continue
+            out.append(f"{path.name}:{func}({param}=)")
+    return sorted(set(out))
+
+
+def test_every_default_has_a_caller():
+    assert unset_defaults() == []
