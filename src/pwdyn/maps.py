@@ -103,12 +103,6 @@ class AffinePiece:
     def value_at(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
 
-    def image(self) -> tuple[Fraction, Fraction]:
-        """Closure of the image, as an ordered pair."""
-        v1 = self.value_at(self.left)
-        v2 = self.value_at(self.right)
-        return (v1, v2) if v1 <= v2 else (v2, v1)
-
     def solve(self, y: Fraction) -> Fraction:
         return (y - self.intercept) / self.slope
 
@@ -126,10 +120,13 @@ class PiecewiseMap:
     """An exact piecewise-affine self-map of [a, b].
 
     Instances are immutable after construction and safe to share; the private
-    attributes only cache derived data.
+    attributes only cache derived data.  `_ends[i]` holds the inward limits
+    (f(left+), f(right-)) of `pieces[i]`, the one table that values at
+    breakpoints, jumps and preimages are read from.
     """
 
-    __slots__ = ("a", "b", "pieces", "_lefts", "_special", "_powers", "_cache")
+    __slots__ = ("a", "b", "pieces", "_lefts", "_ends", "_special", "_powers",
+                 "_cache")
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  pieces: Iterable[AffinePiece]):
@@ -143,11 +140,12 @@ class PiecewiseMap:
         if not plist:
             raise MapInvariantError("map needs at least one piece")
         plist = _merge_collinear(plist)
-        _validate(a, b, plist)
+        ends = _validate(a, b, plist)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "pieces", tuple(plist))
         object.__setattr__(self, "_lefts", [p.left for p in plist])
+        object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_special", None)
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_cache", {})
@@ -205,16 +203,15 @@ class PiecewiseMap:
         if x < self.a or x > self.b:
             raise ValueError(f"{x} outside [{self.a}, {self.b}]")
         if x == self.a:
-            return self.pieces[0].value_at(x)
+            return self._ends[0][0]
         if x == self.b:
-            return self.pieces[-1].value_at(x)
+            return self._ends[-1][1]
         i = bisect_right(self._lefts, x) - 1
         piece = self.pieces[i]
         if x > piece.left:
             return piece.value_at(x)
         # x is an interior breakpoint shared by pieces[i-1] and pieces[i].
-        v_left = self.pieces[i - 1].value_at(x)
-        v_right = piece.value_at(x)
+        v_left, v_right = self._ends[i - 1][1], self._ends[i][0]
         return v_left if v_left == v_right else None
 
     def special_points(self) -> SpecialPoints:
@@ -222,9 +219,10 @@ class PiecewiseMap:
         if self._special is None:
             turning = []
             jumps = []
-            for prev, nxt in zip(self.pieces, self.pieces[1:]):
+            for prev, nxt, (_, v_left), (v_right, _) in zip(
+                    self.pieces, self.pieces[1:], self._ends, self._ends[1:]):
                 w = prev.right
-                if prev.value_at(w) != nxt.value_at(w):
+                if v_left != v_right:
                     jumps.append(w)
                 elif (prev.slope > 0) != (nxt.slope > 0):
                     turning.append(w)
@@ -239,15 +237,18 @@ class PiecewiseMap:
         Points where the map is undefined (jumps) are never included.
         """
         y = as_fraction(y)
-        found = set()
-        for piece in self.pieces:
-            x = piece.solve(y)
-            if piece.left < x < piece.right:
-                found.add(x)
-        for w in (self.a, self.b, *self.breakpoints):
-            if self.value(w) == y:
-                found.add(w)
-        return tuple(sorted(found))
+        found = []
+        last = self._ends[0][0]  # f(w-) at each left end w; f(a+) at a
+        for piece, (v0, v1) in zip(self.pieces, self._ends):
+            if v0 == y == last:
+                found.append(piece.left)
+            # a monotone piece hits y inside iff its open image contains y
+            if v0 < y < v1 or v1 < y < v0:
+                found.append(piece.solve(y))
+            last = v1
+        if last == y:
+            found.append(self.b)
+        return tuple(found)
 
     def power(self, n: int, *, max_power: int = MAX_POWER,
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
@@ -290,16 +291,18 @@ class PiecewiseMap:
         special point: the union of iterated preimages of the special set."""
         if n < 1:
             raise ValueError("requires n >= 1")
+        # step k keeps level k, the points whose (k-1)-th iterate is
+        # special, and the union of levels 1..k; `step` builds it from the
+        # level and union of step k-1
+        level = union = self.special_points().points
 
-        def build():
-            level = set(self.special_points().points)
-            acc = set(level)
-            for _ in range(n - 1):
-                level = {x for y in level for x in self.preimage(y)}
-                acc |= level
-            return tuple(sorted(acc))
+        def step():
+            pulled = frozenset(x for y in level for x in self.preimage(y))
+            return pulled, tuple(sorted(pulled.union(union)))
 
-        return self._memo(("msets", n), build)
+        for k in range(2, n + 1):
+            level, union = self._memo(("msets", k), step)
+        return union
 
     def _memo(self, key, build):
         """Derived data of this map, built by `build()` on first use and
@@ -331,22 +334,27 @@ def _merge_collinear(pieces: list[AffinePiece]) -> list[AffinePiece]:
     return merged
 
 
-def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece]) -> None:
+def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece]
+              ) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Check the map invariants; return the endpoint-value table."""
     if pieces[0].left != a or pieces[-1].right != b:
         raise MapInvariantError("pieces do not cover the interval")
+    ends = []
     for piece in pieces:
         if piece.left >= piece.right:
             raise MapInvariantError(f"empty piece ({piece.left}, {piece.right})")
         if piece.slope == 0:
             raise MapInvariantError(f"zero slope on ({piece.left}, {piece.right})")
-        lo, hi = piece.image()
-        if lo < a or hi > b:
+        v0, v1 = piece.value_at(piece.left), piece.value_at(piece.right)
+        if not (a <= v0 <= b and a <= v1 <= b):
             raise MapInvariantError(
                 f"image of ({piece.left}, {piece.right}) escapes [{a}, {b}]")
+        ends.append((v0, v1))
     for prev, nxt in zip(pieces, pieces[1:]):
         if prev.right != nxt.left:
             raise MapInvariantError(
                 f"pieces do not abut at {prev.right} vs {nxt.left}")
+    return tuple(ends)
 
 
 # -- map file format --------------------------------------------------------

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from pwdyn import maps as maps_module
-from pwdyn.maps import (MapInvariantError, MapSyntaxError,
+from pwdyn.harness import GeneratorConfig, random_map
+from pwdyn.maps import (MINUS, PLUS, MapInvariantError, MapSyntaxError,
                         PieceLimitError, PowerLimitError, compose, parse_map,
                         parse_rational)
-from pwdyn.pinned import pinned_map
+from pwdyn.pinned import PINNED_NAMES, pinned_map, pinned_text
 
 
 def test_parse_rational():
@@ -226,3 +228,123 @@ def test_cached_power_honours_a_smaller_guard(name):
     with pytest.raises(PieceLimitError) as cached:
         warm.power(6, guard=4, check=False)
     assert str(cached.value) == str(cold.value)
+
+
+def _generated_maps(count):
+    cfg = GeneratorConfig(seed=5)
+    return [random_map(cfg.sub("preimage", i)) for i in range(count)]
+
+
+def _oracle_preimage(f, y):
+    """Brute force: solve in every piece, then test the value at a, b and
+    every breakpoint, evaluated from the pieces' lateral limits."""
+    found = {x for p in f.pieces for x in [p.solve(y)] if p.left < x < p.right}
+    found |= {w for w in (f.a, f.b, *f.breakpoints)
+              if (w == f.b or f.lateral(w, PLUS) == y)
+              and (w == f.a or f.lateral(w, MINUS) == y)}
+    return tuple(sorted(found))
+
+
+def test_preimage_is_complete(maps):
+    rng = random.Random(17)
+    checked = 0
+    for f0 in [*maps.values(), *_generated_maps(100)]:
+        for n in (1, 2, 3):
+            f = f0.power(n)
+            # every piece endpoint value, both sides of every jump, the
+            # common value at turns and removable breakpoints, random
+            # rationals and targets outside [a, b]
+            targets = {p.value_at(x) for p in f.pieces
+                       for x in (p.left, p.right)}
+            targets |= {f.lateral(w, side) for w in f.breakpoints
+                        for side in (MINUS, PLUS)}
+            targets |= {F(rng.randint(-8, 24), rng.randint(1, 16))
+                        for _ in range(6)}
+            targets |= {f.a - F(1, 7), f.b + F(1, 3)}
+            for y in targets:
+                assert f.preimage(y) == _oracle_preimage(f, y), \
+                    (f.to_text(), y)
+                checked += 1
+    assert checked > 3000
+
+
+def _special_union_from_scratch(f, n):
+    level = set(f.special_points().points)
+    union = set(level)
+    for _ in range(n - 1):
+        level = {x for y in level for x in _oracle_preimage(f, y)}
+        union |= level
+    return tuple(sorted(union))
+
+
+def test_special_preimage_set_does_not_depend_on_call_order():
+    texts = [pinned_text(name) for name in PINNED_NAMES]
+    texts += [f.to_text() for f in _generated_maps(12)]
+    for text in texts:
+        f = parse_map(text)
+        increasing = [f.special_preimage_set(n) for n in range(1, 9)]
+        f = parse_map(text)
+        f.special_preimage_set(8)
+        top_first = [f.special_preimage_set(n) for n in range(1, 9)]
+        alone = [parse_map(text).special_preimage_set(n) for n in range(1, 9)]
+        expected = [_special_union_from_scratch(f, n) for n in range(1, 9)]
+        assert increasing == top_first == alone == expected, text
+    with pytest.raises(ValueError):
+        parse_map(texts[0]).special_preimage_set(0)
+
+
+def _mutate(text, rng):
+    """Drop, duplicate or swap a token, perturb a rational, or delete a
+    line (never the last one left)."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    op = rng.choice(["drop", "duplicate", "swap", "perturb", "delete"])
+    if op == "delete" and len(lines) > 1:
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    j = rng.randrange(len(tokens))
+    if op == "drop":
+        del tokens[j]
+    elif op == "duplicate":
+        tokens.insert(j, tokens[j])
+    elif op == "swap":
+        k = rng.randrange(len(tokens))
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    else:
+        spots = [k for k, t in enumerate(tokens)
+                 if maps_module._RATIONAL_RE.fullmatch(t)
+                 and not t.endswith("/0")]
+        if spots:
+            k = rng.choice(spots)
+            tokens[k] = rng.choice([
+                str(F(tokens[k]) + F(rng.randint(-3, 3), rng.randint(1, 8))),
+                str(-F(tokens[k])),
+                f"{rng.randint(-2, 9)}/{rng.randint(0, 9)}",
+                tokens[k] + "/", "1.5"])
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_fuzz_round_trips_or_points_inside_the_input():
+    rng = random.Random(2024)
+    outcomes = {"accepted": 0, "syntax": 0, "invariant": 0}
+    for name in PINNED_NAMES:
+        for _ in range(120):
+            text = pinned_text(name)
+            for _ in range(rng.randint(1, 2)):
+                text = _mutate(text, rng)
+            try:
+                f = parse_map(text)
+            except MapInvariantError:
+                outcomes["invariant"] += 1
+            except MapSyntaxError as err:
+                lines = text.splitlines()
+                assert 1 <= err.line <= len(lines), (text, str(err))
+                assert 1 <= err.column <= len(lines[err.line - 1]), \
+                    (text, str(err))
+                outcomes["syntax"] += 1
+            else:
+                assert parse_map(f.to_text()) == f, text
+                outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 20, outcomes
