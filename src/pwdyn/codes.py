@@ -24,7 +24,8 @@ from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                    RationalLike, Side, _push_through, as_fraction)
-from .orbits import DENOM_BIT_CAP, PeriodicOrbit, image_chain, periodic_points
+from .orbits import (DENOM_BIT_CAP, PeriodicOrbit, _stepwise_orbit, image_chain,
+                     periodic_points, walk)
 from .stability import SEMI_STABLE, STABLE, classify_point
 from .taxonomy import (PreconditionError, _image, _map_atlas, _narrow,
                        attracted, basin_adjacent_special, restrict_power,
@@ -127,16 +128,7 @@ def _finish_code(prefix: tuple[int, ...], cycle: tuple[int, ...]) -> Code:
     return Code(prefix, cycle, False, False, None)
 
 
-# -- orbit skeletons with certified tails -------------------------------------
-
-@dataclass(frozen=True)
-class _Skeleton:
-    prefix_points: tuple[Fraction, ...]
-    cycle_points: Optional[tuple[Fraction, ...]]
-    truncated: bool
-    steps: int
-    certified_tail: bool = False
-
+# -- certified tails: the lock test that ends the codes walks early ------------
 
 class Certifier:
     """Entry test for certified convergence with a locked itinerary.
@@ -187,38 +179,6 @@ class Certifier:
         return None
 
 
-def _skeleton(f: PiecewiseMap, x: Fraction, cap: int) -> _Skeleton:
-    """Orbit of x as prefix plus cycle: an exact repetition, or a certified
-    limit cycle whose itinerary the tail provably shares.  Raises at jumps."""
-    jumps = set(f.special_points().discontinuities)
-    special = set(f.special_points().points)
-    certifier = Certifier.of(f)
-    seen: dict[Fraction, int] = {}
-    trail: list[Fraction] = []
-    current = x
-    for step in range(cap):
-        if current in seen:
-            i = seen[current]
-            return _Skeleton(tuple(trail[:i]), tuple(trail[i:]), False, step)
-        if current.denominator.bit_length() > DENOM_BIT_CAP:
-            return _Skeleton(tuple(trail), None, True, step)
-        if current in jumps:
-            raise CodeUndefinedError(
-                f"iterate {len(trail)} of {x} is a jump point")
-        if current not in special:
-            locked = certifier.locked_orbit(current)
-            if locked is not None:
-                orb, center = locked
-                k = orb.points.index(center)
-                cycle = orb.points[k:] + orb.points[:k]
-                return _Skeleton(tuple(trail), tuple(cycle), False, step,
-                                 certified_tail=True)
-        seen[current] = len(trail)
-        trail.append(current)
-        current = f.value(current)
-    return _Skeleton(tuple(trail), None, True, cap)
-
-
 MAX_CODES = 16
 
 
@@ -233,13 +193,26 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
     """
     x = as_fraction(x)
     part = PartitionIntervals.of(f)
-    sk = _skeleton(f, x, cap)
-    prefix_choices = [part.indices_of(p) for p in sk.prefix_points]
-    if sk.cycle_points is None:
+    special = set(f.special_points().points)
+    certifier = Certifier.of(f)
+    w = walk(x, f.value, cap,
+             stop=lambda p: p not in special and certifier.locked_orbit(p))
+    if w.reason == "jump":
+        raise CodeUndefinedError(
+            f"iterate {len(w.trail) - 1} of {x} is a jump point")
+    prefix, cycle = w.trail, None
+    if w.reason == "repeat":
+        prefix, cycle = w.trail[:w.start], w.trail[w.start:]
+    elif w.reason == "stop":
+        orb, center = w.found
+        k = orb.points.index(center)
+        cycle = orb.points[k:] + orb.points[:k]
+    prefix_choices = [part.indices_of(p) for p in prefix]
+    if cycle is None:
         out = {Code(head, None, True) for head in
                _expand(prefix_choices, limit=MAX_CODES)}
         return tuple(sorted(out, key=lambda c: c.prefix))
-    cycle_choices = [part.indices_of(p) for p in sk.cycle_points]
+    cycle_choices = [part.indices_of(p) for p in cycle]
     out = set()
     for pre in _expand(prefix_choices, limit=MAX_CODES):
         for cyc in _expand(cycle_choices, limit=MAX_CODES):
@@ -269,21 +242,13 @@ def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
     x = as_fraction(x)
     special = set(f.special_points().points)
     certifier = Certifier.of(f)
-    seen: set[Fraction] = set()
-    current = x
-    for step in range(cap):
-        if current in special:
-            return Trivalent(NO)
-        if current in seen:
-            return Trivalent(YES)
-        if current.denominator.bit_length() > DENOM_BIT_CAP:
-            return Trivalent(UNKNOWN, DENOM_BIT_CAP)
-        locked = certifier.locked_orbit(current)
-        if locked is not None:
-            return Trivalent(YES)
-        seen.add(current)
-        current = f.value(current)
-    return Trivalent(UNKNOWN, cap)
+    w = walk(x, f.value, cap, stop=lambda p: NO if p in special
+             else certifier.locked_orbit(p) and YES)
+    if w.reason == "stop":
+        return Trivalent(w.found)
+    if w.reason == "repeat":
+        return Trivalent(YES)
+    return Trivalent(UNKNOWN, DENOM_BIT_CAP if w.reason == "bit_cap" else cap)
 
 
 # -- regular special points -----------------------------------------------------
@@ -501,11 +466,9 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
     else:
         raise CertificationError("regular point is not an endpoint of its "
                                  "code interval")
-    chain = [x_star]
-    for _ in range(2 * n):
-        chain.append(f.value(chain[-1]))
-        if chain[-1] is None:
-            raise CertificationError("attracting orbit hit a jump")
+    chain = _stepwise_orbit(f, x_star, 2 * n)
+    if chain is None:
+        raise CertificationError("attracting orbit hit a jump")
     period = next(d for d in range(1, 2 * n + 1)
                   if chain[d] == x_star and (2 * n) % d == 0)
     orb = PeriodicOrbit(tuple(chain[:period]), period, None, True)
@@ -537,13 +500,12 @@ def _conforms(f: PiecewiseMap, t: Fraction, code: Code,
               part: PartitionIntervals) -> bool:
     """The periodic orbit of t follows the code's cycle of cut intervals."""
     sigma = code.cycle
-    current = t
-    for m in range(2 * len(sigma)):
+    chain = _stepwise_orbit(f, t, 2 * len(sigma))
+    if chain is None:
+        return False
+    for m, current in enumerate(chain[:-1]):
         lo, hi = part.interval(sigma[m % len(sigma)])
         if not lo <= current <= hi:
-            return False
-        current = f.value(current)
-        if current is None:
             return False
     return True
 

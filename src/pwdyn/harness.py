@@ -26,7 +26,8 @@ from .maps import (MapInvariantError, PieceLimitError, PiecewiseMap,
                    PwdynError, AffinePiece, _sandwich_bounds, compose,
                    parse_map)
 from .orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, germ_orbit, orbit,
-                     periodic_points, structure, variant_step, variants)
+                     periodic_points, structure, variant_step, variants,
+                     walk)
 from .pinned import pinned_maps
 from .stability import (UNSTABLE, classify_point, cycle_stability_report,
                         germs_of, oracle_classify,
@@ -861,20 +862,12 @@ def _prop_codes(cfg, count, result):
                                 count=len(cs))
                     ok = False
             elif good.value == NO:
-                depth = 0
-                probe = x
-                hit = False
-                for m in range(200):
-                    if probe in set(f.special_points().points):
-                        depth = m
-                        hit = True
-                        break
-                    probe = f.value(probe)
-                    if probe is None:
-                        break
+                probe = walk(x, f.value, 200,
+                             stop=set(f.special_points().points).__contains__)
+                depth = len(probe.trail)
                 # materializing the skeleton is exponential in depth, so the
                 # independent cross-check only runs for shallow hits
-                if hit and depth <= 8 and \
+                if probe.reason == "stop" and depth <= 8 and \
                         x not in set(f.special_preimage_set(depth + 1)):
                     result.fail(f, "special-hitting point outside the "
                                 "preimage skeleton", x=x, depth=depth)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
                    as_fraction, opposite)
@@ -73,6 +73,54 @@ def variant_step(f: PiecewiseMap, x: Fraction, sel: VariantSelector) -> Fraction
     return f.lateral(x, sel.side_at(x))
 
 
+class Walk(NamedTuple):
+    """How a point walk ended: `trail` holds the points visited before the
+    stop, `start` the index where the cycle starts on a repeat, and `found`
+    the value the caller's stop test returned."""
+
+    trail: list[Fraction]
+    start: Optional[int]
+    reason: str
+    found: object = None
+
+
+def walk(x: Fraction, step: Callable[[Fraction], Optional[Fraction]],
+         cap: int, stop: Optional[Callable[[Fraction], object]] = None
+         ) -> Walk:
+    """Step x until the first literal repetition: the one point-orbit walk.
+
+    Each point is checked in a fixed order: a repeat of an earlier point
+    (reason "repeat"), a denominator over DENOM_BIT_CAP bits ("bit_cap"),
+    then `stop(point)`, whose truthy result ends the walk ("stop"); a falsy
+    one continues.  A point that passes joins the trail; a step that returns
+    None ends the walk there ("jump"), and `cap` points end it ("cap").
+    Points are keyed by (numerator, denominator), which equals keying by
+    the always-reduced Fraction without hashing it.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    seen: dict[tuple[int, int], int] = {}
+    trail: list[Fraction] = []
+    current = x
+    for _ in range(cap):
+        key = (current.numerator, current.denominator)
+        start = seen.get(key)
+        if start is not None:
+            return Walk(trail, start, "repeat")
+        if key[1].bit_length() > DENOM_BIT_CAP:
+            return Walk(trail, None, "bit_cap")
+        if stop is not None:
+            found = stop(current)
+            if found:
+                return Walk(trail, None, "stop", found)
+        seen[key] = len(trail)
+        trail.append(current)
+        current = step(current)
+        if current is None:
+            return Walk(trail, None, "jump")
+    return Walk(trail, None, "cap")
+
+
 @dataclass(frozen=True)
 class OrbitResult:
     prefix: tuple[Fraction, ...]
@@ -81,31 +129,16 @@ class OrbitResult:
     truncated: bool
     cap: Optional[int] = None
 
-    @property
-    def eventually_periodic(self) -> bool:
-        return self.cycle is not None
-
 
 def orbit(f: PiecewiseMap, x: RationalLike, sel: VariantSelector,
-          cap: int = 10**4, *, bit_cap: int = DENOM_BIT_CAP) -> OrbitResult:
+          cap: int = 10**4) -> OrbitResult:
     """Exact forward orbit of one variant, with repetition detection."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    x = as_fraction(x)
-    seen: dict[Fraction, int] = {}
-    points: list[Fraction] = []
-    current = x
-    for step in range(cap):
-        if current in seen:
-            i = seen[current]
-            return OrbitResult(tuple(points[:i]), tuple(points[i:]),
-                               step, False)
-        if _bits(current) > bit_cap:
-            return OrbitResult(tuple(points), None, step, True, bit_cap)
-        seen[current] = len(points)
-        points.append(current)
-        current = variant_step(f, current, sel)
-    return OrbitResult(tuple(points), None, cap, True, cap)
+    w = walk(as_fraction(x), lambda p: variant_step(f, p, sel), cap)
+    trail = tuple(w.trail)
+    if w.reason == "repeat":
+        return OrbitResult(trail[:w.start], trail[w.start:], len(trail), False)
+    return OrbitResult(trail, None, len(trail), True,
+                       DENOM_BIT_CAP if w.reason == "bit_cap" else cap)
 
 
 @dataclass(frozen=True)
@@ -117,9 +150,6 @@ class StructureGraph:
     edges: tuple[tuple[Fraction, Optional[Side], Fraction], ...]
     closed: bool
     truncated: bool
-
-    def successors(self, x: Fraction) -> list[tuple[Optional[Side], Fraction]]:
-        return [(side, dst) for src, side, dst in self.edges if src == x]
 
     def node_set(self) -> frozenset:
         cached = getattr(self, "_node_set", None)

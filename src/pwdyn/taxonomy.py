@@ -21,9 +21,8 @@ from typing import Optional
 from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, _push_through,
                    as_fraction)
-from .orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
-                     PeriodicOrbit, VariantLimitError, germ_step,
-                     periodic_points)
+from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
+                     VariantLimitError, germ_step, periodic_points, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
@@ -463,27 +462,20 @@ def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
     y = as_fraction(y)
     atlas = _map_atlas(f)
     target_points = set(orb.points)
-    seen: dict[Fraction, int] = {}
-    trail: list[Fraction] = []
-    current = y
-    for _ in range(cap):
-        if current in seen:
-            cycle = set(trail[seen[current]:])
-            return "yes" if cycle == target_points else "no"
-        if current.denominator.bit_length() > DENOM_BIT_CAP:
-            return "unknown"
+
+    def ball_verdict(p: Fraction) -> Optional[str]:
         for other, balls in atlas.items():
             for ball in balls:
-                if ball.contains(current):
-                    same = set(other.points) == target_points
-                    return "yes" if same else "no"
-        seen[current] = len(trail)
-        trail.append(current)
-        nxt = f.value(current)
-        if nxt is None:
-            return "no"
-        current = nxt
-    return "unknown"
+                if ball.contains(p):
+                    return "yes" if set(other.points) == target_points else "no"
+        return None
+
+    w = walk(y, f.value, cap, stop=ball_verdict)
+    if w.reason == "repeat":
+        return "yes" if set(w.trail[w.start:]) == target_points else "no"
+    if w.reason == "stop":
+        return w.found
+    return "no" if w.reason == "jump" else "unknown"
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,12 @@ def test_theorem5_and_regular(capsys, hat_path):
     assert "reverse (7/12): w=1/2 regular=yes" in out
 
 
+def test_cap_below_one_is_a_usage_error(capsys, hat_path):
+    for command in (("code", hat_path, "--x", "1/3"), ("regular", hat_path)):
+        code, out, err = run(capsys, *command, "--cap", "0")
+        assert (code, out, err) == (2, "", "error: cap must be >= 1\n")
+
+
 def test_theorem5_surfaces_bug_class_errors(capsys, hat_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TaxonomyViolation("planted violation")

@@ -182,3 +182,12 @@ def test_memoized_answers_do_not_depend_on_call_order():
         call()
     warm = {name: call() for name, call in _duality_calls(warm_map)}
     assert warm == fresh
+
+
+def test_walkers_reject_cap_below_one(maps):
+    h = maps["hat"]
+    for call in (lambda: avoids_special_forever(h, F(1, 3), 0),
+                 lambda: codes(h, F(1, 3), 0),
+                 lambda: is_regular(h, F(1, 2), 0)):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            call()

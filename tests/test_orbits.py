@@ -1,11 +1,16 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from pwdyn.maps import parse_map
-from pwdyn.orbits import (Germ, HALF_POINT, INTERVAL_FAMILY,
+from pwdyn.codes import avoids_special_forever, codes
+from pwdyn.harness import GeneratorConfig, _corpus
+from pwdyn.maps import PwdynError, parse_map
+from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
                           VariantLimitError, germ_orbit, germ_step, orbit,
-                          periodic_points, structure, variants)
+                          periodic_points, structure, variants, walk)
+from pwdyn.pinned import pinned_maps
+from pwdyn.taxonomy import attracted
 
 
 def plus_selector(f):
@@ -180,5 +185,68 @@ def test_structure_cap_truncation(maps):
 
 def test_orbit_bit_cap():
     f = parse_map("interval 0 1\npiece 0 1 : slope 2/3 intercept 1/4\n")
-    res = orbit(f, F(1, 7), variants(f)[0], cap=500, bit_cap=16)
-    assert res.truncated and res.cap == 16
+    res = orbit(f, F(1, 7), variants(f)[0], cap=5000)
+    assert res.truncated and res.cap == DENOM_BIT_CAP
+    assert res.steps_used == 2582
+
+
+
+def test_walk_stop_reasons():
+    flip = parse_map("interval 0 1\npiece 0 1 : slope -1 intercept 1\n")
+    shift = parse_map("interval 0 1\npiece 0 1/2 : slope 2 intercept 0\n"
+                      "piece 1/2 1 : slope 2 intercept -1\n")
+    w = walk(F(1, 3), flip.value, 10)
+    assert (w.trail, w.start, w.reason) == ([F(1, 3), F(2, 3)], 0, "repeat")
+    w = walk(F(1, 3), flip.value, 1)
+    assert (w.trail, w.reason) == ([F(1, 3)], "cap")
+    w = walk(F(1, 4), shift.value, 10)
+    assert (w.trail, w.reason) == ([F(1, 4), F(1, 2)], "jump")
+    w = walk(F(1, 3), flip.value, 10, stop=lambda p: p == F(2, 3) and "hit")
+    assert (w.trail, w.reason, w.found) == ([F(1, 3)], "stop", "hit")
+    huge = F(1, 2**(DENOM_BIT_CAP + 1))
+    w = walk(huge, flip.value, 10)
+    assert (w.trail, w.reason) == ([], "bit_cap")
+    # the checks run in order: repeat, bit cap, then the stop test
+    visits = []
+    w = walk(F(1, 3), flip.value, 10,
+             stop=lambda p: visits.append(p) or len(visits) > 2)
+    assert w.reason == "repeat" and visits == [F(1, 3), F(2, 3)]
+    assert walk(huge, flip.value, 10, stop=lambda p: True).reason == "bit_cap"
+    # only a truthy stop result ends the walk
+    for stop in (set().__contains__, lambda p: None):
+        w = walk(F(1, 3), flip.value, 10, stop=stop)
+        assert (w.trail, w.reason) == ([F(1, 3), F(2, 3)], "repeat")
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        walk(F(1, 3), flip.value, 0)
+
+
+def _walker_answers():
+    """One line per answer of the four public point walkers, on the pinned
+    maps and a few generated ones, at a long and a short cap."""
+    corpus = list(pinned_maps().items()) + [
+        (f"codes/{i}", f) for i, f in enumerate(
+            _corpus(GeneratorConfig(seed=7), "codes", 4, max_pieces=3))]
+    for name, f in corpus:
+        sel = variants(f)[0]
+        targets = periodic_points(f, 2)[:2]
+        points = [F(0), F(1, 3), F(5, 11), *f.special_points().points]
+        for x in points:
+            for cap in (2000, 7):
+                calls = [lambda: orbit(f, x, sel, cap),
+                         lambda: avoids_special_forever(f, x, cap),
+                         lambda: codes(f, x, cap)]
+                calls += [lambda orb=orb: attracted(f, x, orb, cap)
+                          for orb in targets]
+                for call in calls:
+                    try:
+                        answer = repr(call())
+                    except PwdynError as exc:
+                        answer = f"{type(exc).__name__}: {exc}"
+                    yield f"{name} {x} {cap} {answer}\n"
+
+
+def test_walker_answers_keep_their_digest():
+    digest = hashlib.sha256()
+    for line in _walker_answers():
+        digest.update(line.encode())
+    assert digest.hexdigest()[:16] == "303fef4bc5a7fc19"

@@ -88,3 +88,13 @@ def unset_defaults() -> list[str]:
 
 def test_every_default_has_a_caller():
     assert unset_defaults() == []
+
+
+def test_only_orbits_measures_denominators():
+    """The denominator budget is tested in `orbits` alone, so every point
+    walk elsewhere has to go through `orbits.walk`."""
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _sources("src/pwdyn") if path.name != "orbits.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _callee(node) == "bit_length"]
+    assert found == []

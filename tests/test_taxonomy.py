@@ -130,6 +130,12 @@ def test_attracted_unknown_budget(maps):
     assert attracted(t, F(1, 7), orb, cap=3) == "unknown"
 
 
+def test_attracted_rejects_cap_below_one(maps):
+    t = maps["tent"]
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        attracted(t, F(1, 7), orbit_at(t, F(3, 5), 1), cap=0)
+
+
 def test_count_bound_pinned(maps):
     rep = count_bound(maps["hat"])
     assert (rep.count_found, rep.n_t, rep.n_d, rep.bound, rep.holds) == \
