@@ -24,8 +24,8 @@ from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                    RationalLike, Side, _push_through, as_fraction)
-from .orbits import (DENOM_BIT_CAP, PeriodicOrbit, _stepwise_orbit, image_chain,
-                     periodic_points, walk)
+from .orbits import (DENOM_BIT_CAP, PeriodicOrbit, _stepwise_orbit,
+                     ball_stops, image_chain, periodic_points, walk)
 from .stability import SEMI_STABLE, STABLE, classify_point
 from .taxonomy import (PreconditionError, _image, _map_atlas, _narrow,
                        attracted, basin_adjacent_special, restrict_power,
@@ -137,18 +137,18 @@ class Certifier:
     its centre than the orbit's clearance from every cut and branch boundary
     divided by the worst intermediate stretch, keeps the exact cut interval
     of the matching orbit point at every future step.  The balls are those
-    of the map's horizon-8 attraction atlas, shared with `attracted`.  A
-    certifier holds no reference to its map, so memoizing it on the map
-    makes no reference cycle.
+    of the map's horizon-8 attraction atlas, shared with `attracted`, cut
+    to that distance once, here: `balls` is the walk's stop-test data,
+    each ball labelled (orbit, centre).  A certifier holds no reference to
+    its map, so memoizing it on the map makes no reference cycle.
     """
 
     def __init__(self, f: PiecewiseMap):
-        self.atlas = _map_atlas(f)
         sset = set(f.special_points().points)
         boundaries = sorted({f.a, f.b, *(p.left for p in f.pieces),
                              *(p.right for p in f.pieces), *sset})
-        self._entries = []
-        for orb, balls in self.atlas.items():
+        locks = []
+        for orb, balls in _map_atlas(f).items():
             if any(p in sset for p in orb.points):
                 continue
             clearance = min(min(abs(c - p) for c in boundaries if c != p)
@@ -163,20 +163,14 @@ class Certifier:
                 stretch *= max(sides)
                 worst = max(worst, stretch)
             threshold = clearance / worst
-            self._entries.append((orb, [(b, threshold) for b in balls]))
+            locks += [(*b.span(min(b.radius, threshold)), b.center,
+                       (orb, b.center)) for b in balls]
+        self.balls = ball_stops(locks)
 
     @classmethod
     def of(cls, f: PiecewiseMap) -> "Certifier":
         """The certifier of f, built on first use and memoized on f."""
         return f._memo(("certifier",), lambda: cls(f))
-
-    def locked_orbit(self, y: Fraction
-                     ) -> Optional[tuple[PeriodicOrbit, Fraction]]:
-        for orb, balls in self._entries:
-            for ball, threshold in balls:
-                if ball.contains(y, threshold):
-                    return orb, ball.center
-        return None
 
 
 MAX_CODES = 16
@@ -193,16 +187,15 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
     """
     x = as_fraction(x)
     part = PartitionIntervals.of(f)
-    special = set(f.special_points().points)
-    certifier = Certifier.of(f)
-    w = walk(x, f.value, cap,
-             stop=lambda p: p not in special and certifier.locked_orbit(p))
+    # a special point is never locked: its None label walks on past it
+    w = walk(f, x, cap, points=dict.fromkeys(f.special_points().points),
+             balls=Certifier.of(f).balls)
     if w.reason == "jump":
         raise CodeUndefinedError(
-            f"iterate {len(w.trail) - 1} of {x} is a jump point")
+            f"iterate {len(w.pairs) - 1} of {x} is a jump point")
     prefix, cycle = w.trail, None
     if w.reason == "repeat":
-        prefix, cycle = w.trail[:w.start], w.trail[w.start:]
+        prefix, cycle = prefix[:w.start], prefix[w.start:]
     elif w.reason == "stop":
         orb, center = w.found
         k = orb.points.index(center)
@@ -240,12 +233,10 @@ def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
     DENOM_BIT_CAP denominator budget gives out first.
     """
     x = as_fraction(x)
-    special = set(f.special_points().points)
-    certifier = Certifier.of(f)
-    w = walk(x, f.value, cap, stop=lambda p: NO if p in special
-             else certifier.locked_orbit(p) and YES)
+    w = walk(f, x, cap, points=dict.fromkeys(f.special_points().points, NO),
+             balls=Certifier.of(f).balls)
     if w.reason == "stop":
-        return Trivalent(w.found)
+        return Trivalent(NO if w.found == NO else YES)
     if w.reason == "repeat":
         return Trivalent(YES)
     return Trivalent(UNKNOWN, DENOM_BIT_CAP if w.reason == "bit_cap" else cap)

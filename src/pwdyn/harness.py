@@ -862,9 +862,9 @@ def _prop_codes(cfg, count, result):
                                 count=len(cs))
                     ok = False
             elif good.value == NO:
-                probe = walk(x, f.value, 200,
-                             stop=set(f.special_points().points).__contains__)
-                depth = len(probe.trail)
+                probe = walk(f, x, 200, points=dict.fromkeys(
+                    f.special_points().points, True))
+                depth = len(probe.pairs)
                 # materializing the skeleton is exponential in depth, so the
                 # independent cross-check only runs for shallow hits
                 if probe.reason == "stop" and depth <= 8 and \

@@ -8,6 +8,16 @@ splits into three kinds, all enumerated here: isolated cycles of points,
 whole intervals of fixed points of a power (slope-1 pieces), and half-point
 cycles anchored at a jump, detected through germ orbits because the map
 itself has no value there.
+
+Every point-orbit walk goes through `walk`, which runs on (numerator,
+denominator) int pairs from start to stop.  Its step is one integer table
+per map, memoized on the map: the cuts as pairs, each piece as integer
+coefficients, so that an image costs a few multiplications and two gcds
+of small numbers, and the values at the ends and breakpoints.  Its stop
+tests are data checked in the same arithmetic: labelled points, such as
+the special points, and labelled balls, open intervals that also hold
+their centre.  Fractions appear only at the API boundary: callers pass
+them in and read them back from `Walk.trail`.
 """
 
 from __future__ import annotations
@@ -15,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from math import gcd
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
                    as_fraction, opposite)
@@ -27,10 +38,6 @@ VARIANT_BIT_LIMIT = 20
 
 class VariantLimitError(PwdynError):
     """Too many jump points to enumerate all variants."""
-
-
-def _bits(x: Fraction) -> int:
-    return x.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -73,52 +80,151 @@ def variant_step(f: PiecewiseMap, x: Fraction, sel: VariantSelector) -> Fraction
     return f.lateral(x, sel.side_at(x))
 
 
-class Walk(NamedTuple):
-    """How a point walk ended: `trail` holds the points visited before the
-    stop, `start` the index where the cycle starts on a repeat, and `found`
-    the value the caller's stop test returned."""
+Pair = tuple[int, int]
 
-    trail: list[Fraction]
+
+class _Table(NamedTuple):
+    """A map's integer step: f(p/q) = (alpha*p + beta*q) / (delta*q) on
+    each open piece, and the map's values at the bounds between them."""
+
+    cuts: tuple[Pair, ...]             # a, the breakpoints, b
+    values: tuple[Optional[Pair], ...]  # f at each bound, None at a jump
+    sides: dict[int, tuple[Pair, Pair]]  # (f(w-), f(w+)) at each jump w
+    pieces: tuple[tuple[int, int, int], ...]  # (alpha, beta, delta)
+
+
+def _pair(x: Fraction) -> Pair:
+    return x.numerator, x.denominator
+
+
+def _table(f: PiecewiseMap) -> _Table:
+    """The integer step of f, built on first use and memoized on f."""
+
+    def build() -> _Table:
+        bounds = (f.a, *f.breakpoints, f.b)
+        values = [f.value(w) for w in bounds]
+        sides = {i: (_pair(f.lateral(w, MINUS)), _pair(f.lateral(w, PLUS)))
+                 for i, (w, v) in enumerate(zip(bounds, values)) if v is None}
+        pieces = tuple((s.numerator * c.denominator,
+                        c.numerator * s.denominator,
+                        s.denominator * c.denominator)
+                       for s, c in ((p.slope, p.intercept) for p in f.pieces))
+        return _Table(tuple(map(_pair, bounds)),
+                      tuple(v if v is None else _pair(v) for v in values),
+                      sides, pieces)
+
+    return f._memo(("int_step",), build)
+
+
+def _image(t: _Table, p: int, q: int, sel: Optional[VariantSelector]
+           ) -> Optional[Pair]:
+    """f(p/q) as a reduced pair: `f.value` by cross-multiplication, with a
+    jump resolved by `sel` as in `variant_step`, or None without one."""
+    cuts = t.cuts
+    lo, hi = 0, len(cuts)
+    while lo < hi:  # lo = the number of bounds at or below p/q
+        mid = (lo + hi) // 2
+        n, d = cuts[mid]
+        if p * d < n * q:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo and cuts[lo - 1] == (p, q):
+        v = t.values[lo - 1]
+        if v is None and sel is not None:
+            v = t.sides[lo - 1][sel.side_at(Fraction(p, q)) == PLUS]
+        return v
+    if lo == 0 or lo == len(cuts):
+        raise ValueError(f"{Fraction(p, q)} outside "
+                         f"[{Fraction(*cuts[0])}, {Fraction(*cuts[-1])}]")
+    alpha, beta, delta = t.pieces[lo - 1]
+    num, den = alpha * p + beta * q, delta * q
+    # gcd(num, q) = gcd(alpha*p, q) = gcd(alpha, q) since p/q is reduced,
+    # so gcd(num, den) divides the small m, and two divisions find it
+    m = delta * gcd(alpha, q % alpha)
+    g = gcd(m, num % m)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+Ball = tuple[int, int, int, int, int, int, object]
+
+
+def ball_stops(balls: Iterable[tuple[Fraction, Fraction, Fraction, object]]
+               ) -> tuple[Ball, ...]:
+    """Stop-test data for `walk`: each (lo, hi, centre, label) holds the
+    points strictly between lo and hi and the centre itself."""
+    return tuple((*_pair(lo), *_pair(hi), *_pair(c), label)
+                 for lo, hi, c, label in balls)
+
+
+class Walk(NamedTuple):
+    """How a point walk ended: `pairs` holds the points visited before the
+    stop as (numerator, denominator), `start` the index where the cycle
+    starts on a repeat, and `found` the label of the stop test that ended
+    it."""
+
+    pairs: list[Pair]
     start: Optional[int]
     reason: str
     found: object = None
 
+    @property
+    def trail(self) -> list[Fraction]:
+        """The visited points as Fractions."""
+        return [Fraction(p, q) for p, q in self.pairs]
 
-def walk(x: Fraction, step: Callable[[Fraction], Optional[Fraction]],
-         cap: int, stop: Optional[Callable[[Fraction], object]] = None
-         ) -> Walk:
-    """Step x until the first literal repetition: the one point-orbit walk.
+
+def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
+         points: Optional[Mapping[Fraction, object]] = None,
+         balls: tuple[Ball, ...] = (),
+         sel: Optional[VariantSelector] = None) -> Walk:
+    """Step x under f until the first literal repetition: the one
+    point-orbit walk.
 
     Each point is checked in a fixed order: a repeat of an earlier point
     (reason "repeat"), a denominator over DENOM_BIT_CAP bits ("bit_cap"),
-    then `stop(point)`, whose truthy result ends the walk ("stop"); a falsy
-    one continues.  A point that passes joins the trail; a step that returns
-    None ends the walk there ("jump"), and `cap` points end it ("cap").
-    Points are keyed by (numerator, denominator), which equals keying by
-    the always-reduced Fraction without hashing it.
+    then the stop tests, which are data.  A point listed in `points` ends
+    the walk with its label ("stop") if the label is truthy and goes on if
+    it is falsy; any other point is tested against `balls` (from
+    `ball_stops`), and the first ball that holds it decides in the same
+    way.  A point that passes joins the trail; a jump of f that `sel` does
+    not resolve ends the walk there ("jump"), and `cap` points end it
+    ("cap").  A start outside the domain raises ValueError when stepped.
+
+    The walk runs on (numerator, denominator) pairs throughout, through
+    the integer step memoized on f; Fractions appear only in `Walk.trail`.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    seen: dict[tuple[int, int], int] = {}
-    trail: list[Fraction] = []
-    current = x
+    t = _table(f)
+    marks = {} if points is None else {
+        _pair(p): label for p, label in points.items()}
+    seen: dict[Pair, int] = {}
+    pairs: list[Pair] = []
+    key = _pair(x)
     for _ in range(cap):
-        key = (current.numerator, current.denominator)
         start = seen.get(key)
         if start is not None:
-            return Walk(trail, start, "repeat")
-        if key[1].bit_length() > DENOM_BIT_CAP:
-            return Walk(trail, None, "bit_cap")
-        if stop is not None:
-            found = stop(current)
-            if found:
-                return Walk(trail, None, "stop", found)
-        seen[key] = len(trail)
-        trail.append(current)
-        current = step(current)
-        if current is None:
-            return Walk(trail, None, "jump")
-    return Walk(trail, None, "cap")
+            return Walk(pairs, start, "repeat")
+        p, q = key
+        if q.bit_length() > DENOM_BIT_CAP:
+            return Walk(pairs, None, "bit_cap")
+        if key in marks:
+            label = marks[key]
+        else:
+            for ln, ld, hn, hd, cn, cd, label in balls:
+                if ln * q < p * ld and p * hd < hn * q or p == cn and q == cd:
+                    break
+            else:
+                label = None
+        if label:
+            return Walk(pairs, None, "stop", label)
+        seen[key] = len(pairs)
+        pairs.append(key)
+        key = _image(t, p, q, sel)
+        if key is None:
+            return Walk(pairs, None, "jump")
+    return Walk(pairs, None, "cap")
 
 
 @dataclass(frozen=True)
@@ -133,7 +239,7 @@ class OrbitResult:
 def orbit(f: PiecewiseMap, x: RationalLike, sel: VariantSelector,
           cap: int = 10**4) -> OrbitResult:
     """Exact forward orbit of one variant, with repetition detection."""
-    w = walk(as_fraction(x), lambda p: variant_step(f, p, sel), cap)
+    w = walk(f, as_fraction(x), cap, sel=sel)
     trail = tuple(w.trail)
     if w.reason == "repeat":
         return OrbitResult(trail[:w.start], trail[w.start:], len(trail), False)
@@ -170,6 +276,8 @@ def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
     the node cap or the denominator bit cap reports closed=False with the
     truncated flag set.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     x = as_fraction(x)
     jumps = set(f.special_points().discontinuities)
     nodes = {x}
@@ -187,7 +295,7 @@ def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
                 edges.append((p, side, q))
                 if q in nodes:
                     continue
-                if len(nodes) >= cap or _bits(q) > bit_cap:
+                if len(nodes) >= cap or q.denominator.bit_length() > bit_cap:
                     truncated = True
                     continue
                 nodes.add(q)
@@ -285,7 +393,7 @@ def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4) -> GermOrbit:
                 germs.append(current)
                 return GermOrbit(tuple(germs), tuple(slopes), i,
                                  len(germs) - 1 - i, False)
-            if _bits(current.point) > DENOM_BIT_CAP:
+            if current.point.denominator.bit_length() > DENOM_BIT_CAP:
                 break
             seen[current] = len(germs)
             germs.append(current)

@@ -22,7 +22,8 @@ from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, _push_through,
                    as_fraction)
 from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, germ_step, periodic_points, walk)
+                     VariantLimitError, ball_stops, germ_step,
+                     periodic_points, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
@@ -394,15 +395,15 @@ class AttractionBall:
     slope: Fraction
     side: Optional[str] = None
 
-    def contains(self, y: Fraction, radius: Optional[Fraction] = None) -> bool:
-        if y == self.center:
-            return True
-        r = self.radius if radius is None else min(self.radius, radius)
+    def span(self, r: Fraction) -> tuple[Fraction, Fraction]:
+        """The open interval of the ball cut to radius r; the ball is that
+        interval and its centre."""
+        c = self.center
         if self.side == MINUS:
-            return self.center - r < y < self.center
+            return c - r, c
         if self.side == PLUS:
-            return self.center < y < self.center + r
-        return abs(y - self.center) < r
+            return c, c + r
+        return c - r, c + r
 
 
 def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
@@ -460,21 +461,15 @@ def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
     denominator budget run out first.
     """
     y = as_fraction(y)
-    atlas = _map_atlas(f)
     target_points = set(orb.points)
-
-    def ball_verdict(p: Fraction) -> Optional[str]:
-        for other, balls in atlas.items():
-            for ball in balls:
-                if ball.contains(p):
-                    return "yes" if set(other.points) == target_points else "no"
-        return None
-
-    w = walk(y, f.value, cap, stop=ball_verdict)
+    balls = f._memo(("atlas_balls", ATLAS_HORIZON), lambda: ball_stops(
+        (*ball.span(ball.radius), ball.center, other)
+        for other, ring in _map_atlas(f).items() for ball in ring))
+    w = walk(f, y, cap, balls=balls)
     if w.reason == "repeat":
         return "yes" if set(w.trail[w.start:]) == target_points else "no"
     if w.reason == "stop":
-        return w.found
+        return "yes" if set(w.found.points) == target_points else "no"
     return "no" if w.reason == "jump" else "unknown"
 
 

@@ -96,7 +96,8 @@ def test_theorem5_and_regular(capsys, hat_path):
 
 
 def test_cap_below_one_is_a_usage_error(capsys, hat_path):
-    for command in (("code", hat_path, "--x", "1/3"), ("regular", hat_path)):
+    for command in (("code", hat_path, "--x", "1/3"), ("regular", hat_path),
+                    ("structure", hat_path, "--x", "1/3")):
         code, out, err = run(capsys, *command, "--cap", "0")
         assert (code, out, err) == (2, "", "error: cap must be >= 1\n")
 

@@ -1,14 +1,19 @@
 import hashlib
+import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from pwdyn.codes import avoids_special_forever, codes
-from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import PwdynError, parse_map
+from pwdyn import orbits
+from pwdyn.codes import UNKNOWN, Code, Trivalent, avoids_special_forever, codes
+from pwdyn.harness import GeneratorConfig, _corpus, random_map
+from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
+                        parse_map)
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
-                          VariantLimitError, germ_orbit, germ_step, orbit,
-                          periodic_points, structure, variants, walk)
+                          VariantLimitError, VariantSelector, ball_stops,
+                          germ_orbit, germ_step, orbit, periodic_points,
+                          structure, variant_step, variants, walk)
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import attracted
 
@@ -181,6 +186,8 @@ def test_variant_bit_limit(maps):
 def test_structure_cap_truncation(maps):
     st = structure(maps["shift"], F(1, 2), cap=2)
     assert not st.closed and st.truncated
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        structure(maps["shift"], F(1, 2), cap=0)
 
 
 def test_orbit_bit_cap():
@@ -195,34 +202,146 @@ def test_walk_stop_reasons():
     flip = parse_map("interval 0 1\npiece 0 1 : slope -1 intercept 1\n")
     shift = parse_map("interval 0 1\npiece 0 1/2 : slope 2 intercept 0\n"
                       "piece 1/2 1 : slope 2 intercept -1\n")
-    w = walk(F(1, 3), flip.value, 10)
+    w = walk(flip, F(1, 3), 10)
     assert (w.trail, w.start, w.reason) == ([F(1, 3), F(2, 3)], 0, "repeat")
-    w = walk(F(1, 3), flip.value, 1)
+    w = walk(flip, F(1, 3), 1)
     assert (w.trail, w.reason) == ([F(1, 3)], "cap")
-    w = walk(F(1, 4), shift.value, 10)
+    w = walk(shift, F(1, 4), 10)
     assert (w.trail, w.reason) == ([F(1, 4), F(1, 2)], "jump")
-    w = walk(F(1, 3), flip.value, 10, stop=lambda p: p == F(2, 3) and "hit")
+    w = walk(flip, F(1, 3), 10, points={F(2, 3): "hit"})
     assert (w.trail, w.reason, w.found) == ([F(1, 3)], "stop", "hit")
     huge = F(1, 2**(DENOM_BIT_CAP + 1))
-    w = walk(huge, flip.value, 10)
+    w = walk(flip, huge, 10)
     assert (w.trail, w.reason) == ([], "bit_cap")
-    # the checks run in order: repeat, bit cap, then the stop test
+    # the checks run in order: repeat, bit cap, then the stop test, whose
+    # labels here record each test and turn truthy on the third
     visits = []
-    w = walk(F(1, 3), flip.value, 10,
-             stop=lambda p: visits.append(p) or len(visits) > 2)
+
+    class Visit:
+        def __init__(self, p):
+            self.p = p
+
+        def __bool__(self):
+            visits.append(self.p)
+            return len(visits) > 2
+
+    w = walk(flip, F(1, 3), 10,
+             points={p: Visit(p) for p in (F(1, 3), F(2, 3))})
     assert w.reason == "repeat" and visits == [F(1, 3), F(2, 3)]
-    assert walk(huge, flip.value, 10, stop=lambda p: True).reason == "bit_cap"
+    assert walk(flip, huge, 10, points={huge: True}).reason == "bit_cap"
     # only a truthy stop result ends the walk
-    for stop in (set().__contains__, lambda p: None):
-        w = walk(F(1, 3), flip.value, 10, stop=stop)
+    for label in (False, None):
+        w = walk(flip, F(1, 3), 10,
+                 points=dict.fromkeys((F(1, 3), F(2, 3)), label))
         assert (w.trail, w.reason) == ([F(1, 3), F(2, 3)], "repeat")
     with pytest.raises(ValueError, match="cap must be >= 1"):
-        walk(F(1, 3), flip.value, 0)
+        walk(flip, F(1, 3), 0)
 
 
-def _walker_answers():
-    """One line per answer of the four public point walkers, on the pinned
-    maps and a few generated ones, at a long and a short cap."""
+def test_walk_ball_stops():
+    """A ball holds its open interval and its centre; the first ball that
+    holds a point decides, and a listed point is never tested on balls."""
+    flip = parse_map("interval 0 1\npiece 0 1 : slope -1 intercept 1\n")
+    right = ball_stops([(F(1, 2), F(3, 4), F(3, 4), "right")])
+    for balls, found in ((right, "right"),
+                         (ball_stops([(F(1, 2), F(1), F(3, 4), None)]) + right,
+                          None),
+                         (ball_stops([(F(1, 3), F(2, 3), F(1, 2), "x")]),
+                          None),
+                         (ball_stops([(F(0), F(1, 3), F(1, 3), "c")]), "c")):
+        w = walk(flip, F(1, 3), 10, balls=balls)
+        assert w.found == found
+        assert w.reason == ("stop" if found else "repeat")
+    w = walk(flip, F(1, 3), 10, points={F(2, 3): None}, balls=right)
+    assert w.reason == "repeat"
+
+
+def _mirror(f):
+    """The conjugate x -> a + b - f(a + b - x)."""
+    m = f.a + f.b
+    return PiecewiseMap(f.a, f.b, [
+        AffinePiece(m - p.right, m - p.left, p.slope,
+                    m * (1 - p.slope) - p.intercept)
+        for p in reversed(f.pieces)])
+
+
+def _pair(x):
+    return None if x is None else (x.numerator, x.denominator)
+
+
+def test_integer_step_matches_value(maps):
+    """The walk's integer step against `f.value` and `variant_step`, the
+    reference: at a, b and every breakpoint, on both sides of each cut, at
+    random rationals and at denominators over 1000 bits, on the pinned and
+    generated maps, their mirrors and their 2nd powers."""
+    rng = random.Random(29)
+    cfg = GeneratorConfig(seed=5)
+    bases = [*maps.values(), *(random_map(cfg.sub("step", i))
+                               for i in range(100))]
+    checked = jumps_checked = 0
+    for base in bases:
+        for f in (base, _mirror(base), base.power(2), _mirror(base).power(2)):
+            table = orbits._table(f)
+            bounds = (f.a, *f.breakpoints, f.b)
+            points = set(bounds)
+            for lo, hi in zip(bounds, bounds[1:]):
+                eps = (hi - lo) / 10**9
+                points |= {lo + eps, hi - eps, (lo + hi) / 2}
+            for _ in range(8):
+                d = rng.getrandbits(1100) | 1 << 1099 | 1
+                points.add(f.a + (f.b - f.a) * F(rng.randrange(1, d), d))
+                points.add(f.a + (f.b - f.a) * F(rng.randrange(0, 10**4),
+                                                 10**4))
+            assert sum(x.denominator.bit_length() > 1000 for x in points) >= 8
+            jumps = f.special_points().discontinuities
+            sel = VariantSelector(tuple((w, rng.choice((MINUS, PLUS)))
+                                        for w in jumps))
+            for x in sorted(points):
+                p, q = _pair(x)
+                assert orbits._image(table, p, q, None) == _pair(f.value(x))
+                assert orbits._image(table, p, q, sel) == \
+                    _pair(variant_step(f, x, sel))
+                checked += 1
+            for w in jumps:
+                assert orbits._image(table, *_pair(w), None) is None
+                jumps_checked += 1
+            for x in (f.a - 1, f.b + F(1, 3)):
+                with pytest.raises(ValueError) as want:
+                    f.value(x)
+                with pytest.raises(ValueError) as got:
+                    orbits._image(table, *_pair(x), None)
+                assert str(got.value) == str(want.value)
+    assert checked > 10000 and jumps_checked > 100
+
+
+def test_walkers_reject_points_outside_the_domain(maps):
+    h = maps["hat"]
+    sel = variants(h)[0]
+    orb = periodic_points(h, 2)[0]
+    calls = (lambda x: orbit(h, x, sel), lambda x: avoids_special_forever(h, x),
+             lambda x: codes(h, x), lambda x: attracted(h, x, orb))
+    for x in (F(2), F(-1, 3)):
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(x)
+            assert str(err.value) == f"{x} outside [0, 1]"
+    # the denominator budget is checked before the first step
+    huge = 2 + F(1, 2**(DENOM_BIT_CAP + 1))
+    res = orbit(h, huge, sel)
+    assert res.truncated and res.cap == DENOM_BIT_CAP and res.prefix == ()
+    assert avoids_special_forever(h, huge) == \
+        Trivalent(UNKNOWN, DENOM_BIT_CAP)
+    assert codes(h, huge) == (Code((), None, True),)
+    assert attracted(h, huge, orb) == UNKNOWN
+
+
+WALKER_DIGEST = "303fef4bc5a7fc19"
+
+
+def _walker_calls():
+    """(line head, call) for each answer of the four public point walkers,
+    on new (cold) pinned maps and a few generated ones, at a long and a
+    short cap."""
     corpus = list(pinned_maps().items()) + [
         (f"codes/{i}", f) for i, f in enumerate(
             _corpus(GeneratorConfig(seed=7), "codes", 4, max_pieces=3))]
@@ -232,21 +351,42 @@ def _walker_answers():
         points = [F(0), F(1, 3), F(5, 11), *f.special_points().points]
         for x in points:
             for cap in (2000, 7):
-                calls = [lambda: orbit(f, x, sel, cap),
-                         lambda: avoids_special_forever(f, x, cap),
-                         lambda: codes(f, x, cap)]
-                calls += [lambda orb=orb: attracted(f, x, orb, cap)
+                calls = [partial(orbit, f, x, sel, cap),
+                         partial(avoids_special_forever, f, x, cap),
+                         partial(codes, f, x, cap)]
+                calls += [partial(attracted, f, x, orb, cap)
                           for orb in targets]
                 for call in calls:
-                    try:
-                        answer = repr(call())
-                    except PwdynError as exc:
-                        answer = f"{type(exc).__name__}: {exc}"
-                    yield f"{name} {x} {cap} {answer}\n"
+                    yield f"{name} {x} {cap}", call
+
+
+def _answer_line(head, call):
+    try:
+        answer = repr(call())
+    except PwdynError as exc:
+        answer = f"{type(exc).__name__}: {exc}"
+    return f"{head} {answer}\n"
+
+
+def _digest(lines):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+    return digest.hexdigest()[:16]
 
 
 def test_walker_answers_keep_their_digest():
-    digest = hashlib.sha256()
-    for line in _walker_answers():
-        digest.update(line.encode())
-    assert digest.hexdigest()[:16] == "303fef4bc5a7fc19"
+    assert _digest(_answer_line(*c) for c in _walker_calls()) == WALKER_DIGEST
+
+
+def test_walker_answers_do_not_depend_on_call_order():
+    """The same calls on cold maps in a seeded shuffled order, so each
+    memoized table (integer step, atlas, certifier, ball data) is first
+    built by a different walker, give the same lines."""
+    calls = list(_walker_calls())
+    order = list(range(len(calls)))
+    random.Random(11).shuffle(order)
+    lines = [None] * len(calls)
+    for i in order:
+        lines[i] = _answer_line(*calls[i])
+    assert _digest(lines) == WALKER_DIGEST

@@ -98,3 +98,14 @@ def test_only_orbits_measures_denominators():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _callee(node) == "bit_length"]
     assert found == []
+
+
+def test_only_orbits_takes_rationals_apart():
+    """The walk's (numerator, denominator) pairs, its integer step and its
+    stop-test data stay behind `orbits`: no other module reads a
+    numerator, so callers pass and get back Fractions only."""
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _sources("src/pwdyn") if path.name != "orbits.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "numerator"]
+    assert found == []
