@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -66,8 +67,18 @@ def _orbit_label(orb) -> str:
     return " ".join(bits)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a word that starts like a negative number, such as -1/3, for a
+    value, not an option, as argparse does from Python 3.13 on; before that
+    only plain negative integers and decimals read as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pwdyn",
         description="exact analysis of piecewise-affine interval maps")
     sub = parser.add_subparsers(dest="command", required=True)

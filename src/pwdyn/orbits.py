@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -89,7 +90,7 @@ class _Table(NamedTuple):
 
     cuts: tuple[Pair, ...]             # a, the breakpoints, b
     values: tuple[Optional[Pair], ...]  # f at each bound, None at a jump
-    sides: dict[int, tuple[Pair, Pair]]  # (f(w-), f(w+)) at each jump w
+    sides: dict[Pair, tuple[Pair, Pair]]  # (f(w-), f(w+)) at each jump w
     pieces: tuple[tuple[int, int, int], ...]  # (alpha, beta, delta)
 
 
@@ -103,8 +104,9 @@ def _table(f: PiecewiseMap) -> _Table:
     def build() -> _Table:
         bounds = (f.a, *f.breakpoints, f.b)
         values = [f.value(w) for w in bounds]
-        sides = {i: (_pair(f.lateral(w, MINUS)), _pair(f.lateral(w, PLUS)))
-                 for i, (w, v) in enumerate(zip(bounds, values)) if v is None}
+        sides = {_pair(w): (_pair(f.lateral(w, MINUS)),
+                            _pair(f.lateral(w, PLUS)))
+                 for w, v in zip(bounds, values) if v is None}
         pieces = tuple((s.numerator * c.denominator,
                         c.numerator * s.denominator,
                         s.denominator * c.denominator)
@@ -116,34 +118,45 @@ def _table(f: PiecewiseMap) -> _Table:
     return f._memo(("int_step",), build)
 
 
-def _image(t: _Table, p: int, q: int, sel: Optional[VariantSelector]
-           ) -> Optional[Pair]:
-    """f(p/q) as a reduced pair: `f.value` by cross-multiplication, with a
-    jump resolved by `sel` as in `variant_step`, or None without one."""
-    cuts = t.cuts
+def _locate(cuts: tuple[Pair, ...], p: int, q: int) -> int:
+    """The number of bounds at or below p/q, by cross-multiplication."""
     lo, hi = 0, len(cuts)
-    while lo < hi:  # lo = the number of bounds at or below p/q
+    while lo < hi:
         mid = (lo + hi) // 2
         n, d = cuts[mid]
         if p * d < n * q:
             hi = mid
         else:
             lo = mid + 1
-    if lo and cuts[lo - 1] == (p, q):
-        v = t.values[lo - 1]
-        if v is None and sel is not None:
-            v = t.sides[lo - 1][sel.side_at(Fraction(p, q)) == PLUS]
-        return v
-    if lo == 0 or lo == len(cuts):
-        raise ValueError(f"{Fraction(p, q)} outside "
-                         f"[{Fraction(*cuts[0])}, {Fraction(*cuts[-1])}]")
-    alpha, beta, delta = t.pieces[lo - 1]
+    return lo
+
+
+def _apply(piece: tuple[int, int, int], p: int, q: int) -> Pair:
+    """The piece's affine value at the reduced p/q, as a reduced pair."""
+    alpha, beta, delta = piece
     num, den = alpha * p + beta * q, delta * q
     # gcd(num, q) = gcd(alpha*p, q) = gcd(alpha, q) since p/q is reduced,
     # so gcd(num, den) divides the small m, and two divisions find it
     m = delta * gcd(alpha, q % alpha)
     g = gcd(m, num % m)
     return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _image(t: _Table, p: int, q: int, sel: Optional[VariantSelector]
+           ) -> Optional[Pair]:
+    """f(p/q) as a reduced pair: `f.value` by cross-multiplication, with a
+    jump resolved by `sel` as in `variant_step`, or None without one."""
+    cuts = t.cuts
+    lo = _locate(cuts, p, q)
+    if lo and cuts[lo - 1] == (p, q):
+        v = t.values[lo - 1]
+        if v is None and sel is not None:
+            v = t.sides[p, q][sel.side_at(Fraction(p, q)) == PLUS]
+        return v
+    if lo == 0 or lo == len(cuts):
+        raise ValueError(f"{Fraction(p, q)} outside "
+                         f"[{Fraction(*cuts[0])}, {Fraction(*cuts[-1])}]")
+    return _apply(t.pieces[lo - 1], p, q)
 
 
 Ball = tuple[int, int, int, int, int, int, object]
@@ -227,6 +240,96 @@ def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
     return Walk(pairs, None, "cap")
 
 
+Quad = tuple[int, int, int, int]
+
+
+def _interval_step(t: _Table, state: tuple[Quad, ...]) -> tuple[Quad, ...]:
+    """The image of a union of closed intervals, each (ln, ld, hn, hd) for
+    [ln/ld, hn/hd], as sorted disjoint intervals: each is split at the
+    cuts inside it, each part goes through its piece, and the images are
+    ordered and merged where they overlap or touch."""
+    cuts, pieces = t.cuts, t.pieces
+    parts = []
+    for ln, ld, hn, hd in state:
+        # pieces i-1 .. j-1 meet the interval: i bounds lie at or below
+        # its low end and j strictly below its high end
+        i = _locate(cuts, ln, ld)
+        j = _locate(cuts, hn, hd)
+        if cuts[j - 1] == (hn, hd):
+            j -= 1
+        ends = ((ln, ld), *cuts[i:j], (hn, hd))
+        for piece, (p0, q0), (p1, q1) in zip(pieces[i - 1:j], ends, ends[1:]):
+            v0, v1 = _apply(piece, p0, q0), _apply(piece, p1, q1)
+            parts.append((*v0, *v1) if piece[0] > 0 else (*v1, *v0))
+    if len(parts) == 1:
+        return (parts[0],)
+    parts.sort(key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+    out = [parts[0]]
+    for part in parts[1:]:
+        ln, ld, hn, hd = part
+        mln, mld, mhn, mhd = out[-1]
+        if ln * mhd <= mhn * ld:
+            if hn * mhd > mhn * hd:
+                out[-1] = (mln, mld, hn, hd)
+        else:
+            out.append(part)
+    return tuple(out)
+
+
+def _length(state: tuple[Quad, ...]) -> Pair:
+    """The total length of the intervals, as a pair with a positive (not
+    reduced) denominator."""
+    num, den = 0, 1
+    for ln, ld, hn, hd in state:
+        num, den = num * ld * hd + (hn * ld - ln * hd) * den, den * ld * hd
+    return num, den
+
+
+def interval_walk(f: PiecewiseMap, lo: Fraction, hi: Fraction, *,
+                  steps: int, stride: int, thresh: Fraction, floor: Fraction,
+                  restart: bool) -> str:
+    """Step the closed interval [lo, hi] under f as a union of intervals,
+    split exactly at the cuts, and name why the walk stopped.
+
+    After each step the state is checked in a fixed order: more than 256
+    intervals ("parts"); with `restart`, more than one interval of total
+    length at most `floor` ("restart"); then, on every `stride`-th step
+    only, total length below `thresh` ("short"), above `floor` ("long"),
+    and an exact repeat of an earlier checked state ("repeat").  After
+    `steps` steps it ends "halved" if the length fell below half of
+    hi - lo, else "held".
+
+    The intervals are held as int quadruples and stepped through the
+    integer table memoized on f, so no Fraction is made while walking.
+    """
+    if not f.a <= lo < hi <= f.b:
+        raise ValueError(f"[{lo}, {hi}] is not an interval in [{f.a}, {f.b}]")
+    t = _table(f)
+    state = ((*_pair(lo), *_pair(hi)),)
+    sn, sd = _length(state)
+    tn, td = _pair(thresh)
+    fn, fd = _pair(floor)
+    seen = set()
+    for step in range(1, steps + 1):
+        state = _interval_step(t, state)
+        if len(state) > 256:
+            return "parts"
+        n, d = _length(state)
+        if restart and len(state) > 1 and n * fd <= fn * d:
+            return "restart"
+        if step % stride:
+            continue
+        if n * td < tn * d:
+            return "short"
+        if n * fd > fn * d:
+            return "long"
+        if state in seen:
+            return "repeat"
+        seen.add(state)
+    n, d = _length(state)
+    return "halved" if 2 * n * sd < sn * d else "held"
+
+
 @dataclass(frozen=True)
 class OrbitResult:
     prefix: tuple[Fraction, ...]
@@ -274,34 +377,40 @@ def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
 
     Closed means the expansion terminated with a finite node set; hitting
     the node cap or the denominator bit cap reports closed=False with the
-    truncated flag set.
+    truncated flag set.  The expansion runs on (numerator, denominator)
+    pairs through the integer table memoized on f, a jump's two successors
+    read off its one-sided limits there; nodes and edges become Fractions
+    once, at the end.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     x = as_fraction(x)
-    jumps = set(f.special_points().discontinuities)
-    nodes = {x}
+    t = _table(f)
+    root = _pair(x)
+    nodes = {root}
     edges = []
-    frontier = [x]
+    frontier = [root]
     truncated = False
     while frontier:
         nxt = []
         for p in frontier:
-            if p in jumps:
-                succ = [(MINUS, f.lateral(p, MINUS)), (PLUS, f.lateral(p, PLUS))]
-            else:
-                succ = [(None, f.value(p))]
+            v = _image(t, *p, None)
+            succ = ((None, v),) if v is not None else zip((MINUS, PLUS),
+                                                         t.sides[p])
             for side, q in succ:
                 edges.append((p, side, q))
                 if q in nodes:
                     continue
-                if len(nodes) >= cap or q.denominator.bit_length() > bit_cap:
+                if len(nodes) >= cap or q[1].bit_length() > bit_cap:
                     truncated = True
                     continue
                 nodes.add(q)
                 nxt.append(q)
         frontier = nxt
-    return StructureGraph(x, tuple(sorted(nodes)), tuple(edges),
+    fracs = {p: Fraction(*p) for p in nodes.union(q for _, _, q in edges)}
+    return StructureGraph(x, tuple(sorted(fracs[p] for p in nodes)),
+                          tuple((fracs[p], side, fracs[q])
+                                for p, side, q in edges),
                           closed=not truncated, truncated=truncated)
 
 

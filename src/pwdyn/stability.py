@@ -16,7 +16,6 @@ the four levels support and report violations as replayable bundles.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +23,7 @@ from typing import Optional
 from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
                    as_fraction)
 from .orbits import (Germ, PeriodicOrbit, StructureGraph, germ_orbit,
-                     structure)
+                     interval_walk, structure)
 
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
@@ -108,37 +107,6 @@ def classify_point(f: PiecewiseMap, x: RationalLike, *,
 
 # -- interval-iteration oracle ------------------------------------------------
 
-def _merge_intervals(parts: list[tuple[Fraction, Fraction]]
-                     ) -> list[tuple[Fraction, Fraction]]:
-    parts = sorted(p for p in parts if p[0] < p[1])
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in parts:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _step_intervals(f: PiecewiseMap, parts: list[tuple[Fraction, Fraction]]
-                    ) -> list[tuple[Fraction, Fraction]]:
-    cuts = [p.left for p in f.pieces[1:]]
-    out = []
-    for lo, hi in parts:
-        inner = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
-        bounds = [lo] + inner + [hi]
-        for p, q in zip(bounds, bounds[1:]):
-            piece = f.pieces[bisect_right(f._lefts, (p + q) / 2) - 1]
-            v1, v2 = piece.value_at(p), piece.value_at(q)
-            out.append((v1, v2) if v1 <= v2 else (v2, v1))
-    return _merge_intervals(out)
-
-
-def _total_length(parts) -> Fraction:
-    return sum((hi - lo for lo, hi in parts), Fraction(0))
-
-
 def _gap_to_specials(f: PiecewiseMap, x: Fraction) -> Fraction:
     others = [p for p in (*f.special_points().points, f.a, f.b) if p != x]
     if not others:
@@ -157,9 +125,11 @@ def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,
     falls below 2^-20 * delta, expanding once it exceeds 2^10 * delta,
     neutral on exact state repetition.  With stride > 1 the thresholds are
     only consulted every stride steps, which is the subsampled stability
-    criterion.
+    criterion.  A side that does not exist at x, or an x outside the
+    domain, raises ValueError as `Germ.validate` does.
     """
     x = as_fraction(x)
+    Germ(x, side).validate(f)
     eff = min((f.b - f.a) * ORACLE_WIDTH, _gap_to_specials(f, x) / 4)
     for _ in range(8):
         verdict = _run_oracle(f, x, side, eff, stride, final=False)
@@ -169,33 +139,21 @@ def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,
     return _run_oracle(f, x, side, eff, stride, final=True)
 
 
+# the verdict behind each way `interval_walk` stops
+_VERDICTS = {"parts": EXPANDING, "restart": "restart", "short": CONTRACTING,
+             "long": EXPANDING, "repeat": NEUTRAL, "halved": CONTRACTING,
+             "held": NEUTRAL}
+
+
 def _run_oracle(f, x, side, delta, stride, final) -> str:
-    thresh = delta * Fraction(1, 2**20)
-    floor = delta * 2**10
     if side == PLUS:
-        state = [(x, min(x + delta, f.b))]
+        lo, hi = x, min(x + delta, f.b)
     else:
-        state = [(max(x - delta, f.a), x)]
-    start = _total_length(state)
-    seen = {}
-    for step in range(1, ORACLE_MAX_STEPS + 1):
-        state = _step_intervals(f, state)
-        if len(state) > 256:
-            return EXPANDING
-        length = _total_length(state)
-        if not final and len(state) > 1 and length <= floor:
-            return "restart"
-        if step % stride:
-            continue
-        if length < thresh:
-            return CONTRACTING
-        if length > floor:
-            return EXPANDING
-        key = tuple(state)
-        if key in seen:
-            return NEUTRAL
-        seen[key] = step
-    return CONTRACTING if _total_length(state) < start / 2 else NEUTRAL
+        lo, hi = max(x - delta, f.a), x
+    return _VERDICTS[interval_walk(
+        f, lo, hi, steps=ORACLE_MAX_STEPS, stride=stride,
+        thresh=delta * Fraction(1, 2**20), floor=delta * 2**10,
+        restart=not final)]
 
 
 def oracle_classify(f: PiecewiseMap, x: RationalLike, *,

@@ -145,3 +145,19 @@ def test_compose_command(capsys, shift_path):
     composed = parse_map(out)
     assert len(composed.pieces) == 3
     assert [str(b) for b in composed.breakpoints] == ["3/8", "5/8"]
+
+
+def test_negative_point_after_an_option(capsys, hat_path, tmp_path):
+    """`--x -1/3` reaches the map as `--x=-1/3` does; `-n` still works."""
+    code, out, err = run(capsys, "code", hat_path, "--x", "-1/3")
+    assert (code, out, err) == (2, "", "error: -1/3 outside [0, 1]\n")
+    wide = tmp_path / "wide.map"
+    wide.write_text("interval -1 1\npiece -1 0 : slope 1/2 intercept 0\n"
+                    "piece 0 1 : slope -1 intercept 1/2\n")
+    for argv in (("eval", str(wide), "--x{}-1/3"),
+                 ("plot", str(wide), "--mode", "cobweb", "--x0{}-1/3",
+                  "-n", "3")):
+        joined = run(capsys, *(a.format("=") for a in argv))
+        split = run(capsys, *(w for a in argv for w in a.format(" ").split()))
+        assert joined == split and joined[0] == 0
+    assert run(capsys, "eval", str(wide), "--x", "-1/3")[1] == "-1/6\n"

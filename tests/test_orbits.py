@@ -7,13 +7,15 @@ import pytest
 
 from pwdyn import orbits
 from pwdyn.codes import UNKNOWN, Code, Trivalent, avoids_special_forever, codes
-from pwdyn.harness import GeneratorConfig, _corpus, random_map
+from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
+                           _corpus, random_map)
 from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                         parse_map)
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
-                          VariantLimitError, VariantSelector, ball_stops,
-                          germ_orbit, germ_step, orbit, periodic_points,
-                          structure, variant_step, variants, walk)
+                          StructureGraph, VariantLimitError, VariantSelector,
+                          ball_stops, germ_orbit, germ_step, orbit,
+                          periodic_points, structure, variant_step, variants,
+                          walk)
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import attracted
 
@@ -188,6 +190,74 @@ def test_structure_cap_truncation(maps):
     assert not st.closed and st.truncated
     with pytest.raises(ValueError, match="cap must be >= 1"):
         structure(maps["shift"], F(1, 2), cap=0)
+
+
+def _ref_structure(f, x, cap, bit_cap):
+    """The breadth-first expansion on Fractions that `structure` replaced,
+    the reference for its pair arithmetic."""
+    jumps = set(f.special_points().discontinuities)
+    nodes = {x}
+    edges = []
+    frontier = [x]
+    truncated = False
+    while frontier:
+        nxt = []
+        for p in frontier:
+            if p in jumps:
+                succ = [(MINUS, f.lateral(p, MINUS)), (PLUS, f.lateral(p, PLUS))]
+            else:
+                succ = [(None, f.value(p))]
+            for side, q in succ:
+                edges.append((p, side, q))
+                if q in nodes:
+                    continue
+                if len(nodes) >= cap or q.denominator.bit_length() > bit_cap:
+                    truncated = True
+                    continue
+                nodes.add(q)
+                nxt.append(q)
+        frontier = nxt
+    return StructureGraph(x, tuple(sorted(nodes)), tuple(edges),
+                          closed=not truncated, truncated=truncated)
+
+
+def test_structure_matches_the_fraction_reference(maps):
+    """`structure` against the Fraction expansion it replaced, from a, b,
+    every breakpoint and special point, periodic points and random
+    rationals, on the pinned and 100 generated maps: at the sweep caps,
+    at caps small enough to truncate, and at the default caps where the
+    sweep closes, plus one default-cap expansion stopped by the bit cap."""
+    rng = random.Random(13)
+    cfg = GeneratorConfig(seed=5)
+    corpus = [*maps.values(), *(random_map(cfg.sub("structure", i))
+                                for i in range(100))]
+    caps = ((SWEEP_NODE_CAP, SWEEP_BIT_CAP), (1, DENOM_BIT_CAP),
+            (2, DENOM_BIT_CAP), (5, DENOM_BIT_CAP), (40, 64))
+    seen = set()
+    for f in corpus:
+        roots = {f.a, f.b, *f.breakpoints, *f.special_points().points,
+                 *(o.representative for o in periodic_points(f, 2))}
+        roots |= {f.a + (f.b - f.a) * F(rng.randrange(1, 89), 89)
+                  for _ in range(3)}
+        for x in sorted(roots):
+            for cap, bit_cap in caps:
+                got = structure(f, x, cap, bit_cap=bit_cap)
+                assert got == _ref_structure(f, x, cap, bit_cap), \
+                    (f.to_text(), x, cap, bit_cap)
+                seen.add("closed" if got.closed else
+                         "node cap" if len(got.nodes) == cap else "bit cap")
+                if (cap, bit_cap) == caps[0] and got.closed:
+                    assert structure(f, x) == got
+        for x in (f.a - 1, f.b + F(1, 3)):
+            with pytest.raises(ValueError) as want:
+                _ref_structure(f, x, 10, DENOM_BIT_CAP)
+            with pytest.raises(ValueError) as err:
+                structure(f, x)
+            assert str(err.value) == str(want.value)
+    assert seen == {"closed", "node cap", "bit cap"}
+    tent = maps["tent"]
+    assert structure(tent, F(1, 3)) == \
+        _ref_structure(tent, F(1, 3), 10**4, DENOM_BIT_CAP)
 
 
 def test_orbit_bit_cap():

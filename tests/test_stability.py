@@ -1,14 +1,25 @@
+import hashlib
+import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from pwdyn.maps import parse_map
-from pwdyn.orbits import periodic_points, structure
-from pwdyn.pinned import pinned_map
-from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL, NotConfinedError,
-                             SEMI_STABLE, STABLE, UNSTABLE, classify_point,
-                             classify_side, cycle_stability_report,
-                             find_connection, lateral_oracle, oracle_classify,
+from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
+                           closed_structures, random_map)
+from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
+                        parse_map)
+from pwdyn.orbits import (Germ, germ_orbit, interval_walk, orbit,
+                          periodic_points, structure, variants)
+from pwdyn.pinned import PINNED_NAMES, pinned_map, pinned_text
+from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL, ORACLE_MAX_STEPS,
+                             ORACLE_WIDTH, NotConfinedError, SEMI_STABLE,
+                             STABLE, UNSTABLE, _gap_to_specials,
+                             classify_point, classify_side,
+                             cycle_stability_report, find_connection,
+                             lateral_oracle, oracle_classify,
                              stability_propagation_report,
                              subsampled_stability_report)
 
@@ -187,3 +198,239 @@ def test_connections_after_a_report_match_a_fresh_map():
     warm = pinned_map("shift")
     stability_propagation_report(warm, structure(warm, F(1, 2)))
     assert connections(warm) == connections(pinned_map("shift"))
+
+
+def test_lateral_oracle_rejects_sides_that_do_not_exist(maps):
+    for f in maps.values():
+        with pytest.raises(ValueError,
+                           match="no right-hand germ at the right endpoint"):
+            lateral_oracle(f, f.b, PLUS)
+        with pytest.raises(ValueError,
+                           match="no left-hand germ at the left endpoint"):
+            lateral_oracle(f, f.a, MINUS)
+    for x in (F(2), F(-1, 3)):
+        with pytest.raises(ValueError) as err:
+            oracle_classify(maps["hat"], x)
+        assert str(err.value) == f"{x} outside [0, 1]"
+
+
+# -- the interval oracle on Fractions, the reference for `interval_walk` --
+
+def _ref_merge(parts):
+    parts = sorted(p for p in parts if p[0] < p[1])
+    out = []
+    for lo, hi in parts:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _ref_step(f, parts):
+    cuts = list(f.breakpoints)
+    out = []
+    for lo, hi in parts:
+        inner = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
+        bounds = [lo] + inner + [hi]
+        for p, q in zip(bounds, bounds[1:]):
+            piece = f.pieces[bisect_right(f._lefts, (p + q) / 2) - 1]
+            v1, v2 = piece.value_at(p), piece.value_at(q)
+            out.append((v1, v2) if v1 <= v2 else (v2, v1))
+    return _ref_merge(out)
+
+
+def _ref_length(parts):
+    return sum((hi - lo for lo, hi in parts), F(0))
+
+
+def _ref_walk(f, lo, hi, steps, stride, thresh, floor, restart, paths):
+    """The stepping loop `interval_walk` replaced, with its stop reasons;
+    `paths` counts the multi-part states it meets and how it stops."""
+    state = [(lo, hi)]
+    start = _ref_length(state)
+    seen = {}
+    for step in range(1, steps + 1):
+        state = _ref_step(f, state)
+        paths["multi_part"] += len(state) > 1
+        if len(state) > 256:
+            return "parts"
+        length = _ref_length(state)
+        if restart and len(state) > 1 and length <= floor:
+            return "restart"
+        if step % stride:
+            continue
+        if length < thresh:
+            return "short"
+        if length > floor:
+            return "long"
+        key = tuple(state)
+        if key in seen:
+            return "repeat"
+        seen[key] = step
+    return "halved" if _ref_length(state) < start / 2 else "held"
+
+
+def _ref_lateral_oracle(f, x, side, stride, paths):
+    verdicts = {"parts": EXPANDING, "short": CONTRACTING, "long": EXPANDING,
+                "repeat": NEUTRAL, "halved": CONTRACTING, "held": NEUTRAL}
+    eff = min((f.b - f.a) * ORACLE_WIDTH, _gap_to_specials(f, x) / 4)
+    for k in range(9):
+        lo, hi = (x, min(x + eff, f.b)) if side == PLUS else \
+            (max(x - eff, f.a), x)
+        reason = _ref_walk(f, lo, hi, ORACLE_MAX_STEPS, stride,
+                           eff * F(1, 2**20), eff * 2**10, k < 8, paths)
+        paths[reason] += 1
+        if reason != "restart":
+            return verdicts[reason]
+        eff = eff / 32
+
+
+# generated maps on which some closed-structure node restarts the oracle
+RESTART_MAPS = (
+    "interval 0 1\n"
+    "piece 0 1/16 : slope 3 intercept 377/8192\n"
+    "piece 1/16 5/16 : slope 2 intercept 889/8192\n"
+    "piece 5/16 11/16 : slope 3/4 intercept 3853/8192\n"
+    "piece 11/16 1 : slope 5/2 intercept -25619/16384\n",
+    "interval 0 1\n"
+    "piece 0 1/16 : slope 1/3 intercept 16591/24576\n"
+    "piece 1/16 3/8 : slope -1 intercept 6009/8192\n"
+    "piece 3/8 7/8 : slope 3/2 intercept -107/256\n"
+    "piece 7/8 1 : slope -3 intercept 1771/512\n",
+)
+
+
+def _oracle_inputs(f, rng, nodes):
+    """a, b, every breakpoint and special point, random rationals, and
+    with `nodes` the nodes of the map's closed structures."""
+    points = {f.a, f.b, *f.breakpoints, *f.special_points().points}
+    points |= {f.a + (f.b - f.a) * F(rng.randrange(1, 97), 97)
+               for _ in range(2)}
+    for st in closed_structures(f) if nodes else ():
+        points |= set(st.nodes)
+    return sorted(points)
+
+
+def test_oracle_matches_the_fraction_reference(maps):
+    """`lateral_oracle` against the Fraction loop it replaced, at stride 1
+    and 3 on both sides, on the pinned maps, 100 generated maps and two
+    maps whose oracle restarts."""
+    rng = random.Random(41)
+    cfg = GeneratorConfig(seed=5)
+    corpus = [*((f, True) for f in maps.values()),
+              *((random_map(cfg.sub("oracle", i)), False) for i in range(100)),
+              *((parse_map(text), True) for text in RESTART_MAPS)]
+    paths = Counter()
+    checked = 0
+    for f, nodes in corpus:
+        for x in _oracle_inputs(f, rng, nodes):
+            for side in (MINUS, PLUS):
+                if (x, side) in ((f.a, MINUS), (f.b, PLUS)):
+                    continue
+                for stride in (1, 3):
+                    assert lateral_oracle(f, x, side, stride=stride) == \
+                        _ref_lateral_oracle(f, x, side, stride, paths), \
+                        (f.to_text(), x, side, stride)
+                    checked += 1
+    assert checked > 2500
+    assert paths["multi_part"] > 0 and paths["restart"] > 0
+    assert {"short", "long", "repeat"} <= set(paths)
+
+
+def _comb(n):
+    """n pieces, each halved towards its left end: every breakpoint is a
+    jump and the images of the pieces are disjoint."""
+    return PiecewiseMap(0, 1, [AffinePiece(F(k, n), F(k + 1, n), F(1, 2),
+                                           F(k, 2 * n)) for k in range(n)])
+
+
+def test_interval_walk_stop_reasons():
+    """Each stop reason of `interval_walk` against the reference loop: more
+    than 256 parts, a split state restarting, the stride, the length
+    thresholds, a repeat and both ends of the half-length rule."""
+    flip = parse_map("interval 0 1\npiece 0 1 : slope -1 intercept 1\n")
+    two = parse_map("interval 0 1\npiece 0 1/2 : slope 1/3 intercept 0\n"
+                    "piece 1/2 1 : slope 1/3 intercept 2/3\n")
+    half = parse_map("interval 0 1\npiece 0 1 : slope 1/2 intercept 0\n")
+    cases = [
+        (_comb(300), F(0), F(1), 5, 1, F(1, 10**6), F(2), False, "parts"),
+        (_comb(300), F(0), F(1), 5, 1, F(1, 10**6), F(2), True, "parts"),
+        (_comb(200), F(0), F(1), 5, 1, F(1, 10**6), F(2), True, "restart"),
+        (_comb(200), F(0), F(1), 5, 1, F(1, 10**6), F(2), False, "halved"),
+        (two, F(1, 4), F(3, 4), 50, 1, F(1, 10**9), F(2), False, "short"),
+        (two, F(1, 4), F(3, 4), 2, 1, F(1, 10**9), F(2), False, "halved"),
+        (flip, F(1, 4), F(1, 2), 3, 1, F(1, 8), F(1, 5), False, "long"),
+        (flip, F(1, 4), F(1, 2), 5, 1, F(1, 8), F(1, 2), False, "repeat"),
+        (flip, F(1, 4), F(1, 2), 1, 1, F(1, 8), F(1, 2), False, "held"),
+        (half, F(0), F(1), 3, 4, F(1, 5), F(1), False, "halved"),
+        (half, F(0), F(1), 3, 1, F(1, 5), F(1), False, "short"),
+        (half, F(0), F(1), 8, 4, F(1, 5), F(1), False, "short"),
+    ]
+    for f, lo, hi, steps, stride, thresh, floor, restart, want in cases:
+        got = interval_walk(f, lo, hi, steps=steps, stride=stride,
+                            thresh=thresh, floor=floor, restart=restart)
+        ref = _ref_walk(f, lo, hi, steps, stride, thresh, floor, restart,
+                        Counter())
+        assert got == ref == want, (f, lo, hi, steps, stride, got, ref)
+    with pytest.raises(ValueError, match="is not an interval in"):
+        interval_walk(flip, F(1, 2), F(1, 2), steps=1, stride=1,
+                      thresh=F(1), floor=F(1), restart=False)
+
+
+def _memo_calls():
+    """(line head, call) on new (cold) maps: structures and oracle verdicts,
+    and the point walks and germ orbits that fill the same map memos,
+    among them the integer table."""
+    cfg = GeneratorConfig(seed=9)
+    texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
+    texts += [(f"gen/{i}", random_map(cfg.sub("order", i)).to_text())
+              for i in range(6)]
+    for name, text in texts:
+        f = parse_map(text)
+        sel = variants(f)[0]
+        for x in sorted({F(1, 3), F(1, 2), f.a, f.b,
+                         *f.special_points().points}):
+            head = f"{name} {x}"
+            yield f"{head} structure", partial(structure, f, x, 200)
+            yield f"{head} sweep", partial(structure, f, x, SWEEP_NODE_CAP,
+                                           bit_cap=SWEEP_BIT_CAP)
+            yield f"{head} oracle", partial(oracle_classify, f, x)
+            yield f"{head} oracle/3", partial(oracle_classify, f, x, stride=3)
+            yield f"{head} orbit", partial(orbit, f, x, sel, 60)
+            for side in (MINUS, PLUS):
+                if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
+                    yield (f"{head} germ {side}",
+                           partial(germ_orbit, f, Germ(x, side), 60))
+
+
+def _memo_line(head, call):
+    try:
+        answer = repr(call())
+    except PwdynError as exc:
+        answer = f"{type(exc).__name__}: {exc}"
+    return f"{head} {answer}\n"
+
+
+def _memo_digest(lines):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_oracle_and_structures_do_not_depend_on_call_order():
+    """The same calls on cold maps, once in order and once in a seeded
+    shuffled order, so that walks and germ orbits sometimes fill the map
+    memos before a structure or an oracle verdict is asked for: the lines,
+    put back in order, are the same."""
+    canonical = [_memo_line(*c) for c in _memo_calls()]
+    calls = list(_memo_calls())
+    order = list(range(len(calls)))
+    random.Random(23).shuffle(order)
+    lines = [None] * len(calls)
+    for i in order:
+        lines[i] = _memo_line(*calls[i])
+    assert len(lines) > 300
+    assert _memo_digest(lines) == _memo_digest(canonical)
