@@ -68,9 +68,9 @@ def _orbit_label(orb) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes a word that starts like a negative number, such as -1/3, for a
-    value, not an option, as argparse does from Python 3.13 on; before that
-    only plain negative integers and decimals read as values."""
+    """Takes a word that starts like a negative number, such as -1/3, for
+    a value, not an option.  argparse's own test here accepts only plain
+    negative integers and decimals, so `--x -1/3` was a usage error."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -18,6 +18,11 @@ tests are data checked in the same arithmetic: labelled points, such as
 the special points, and labelled balls, open intervals that also hold
 their centre.  Fractions appear only at the API boundary: callers pass
 them in and read them back from `Walk.trail`.
+
+The same table steps the two other exact iterations: `structure` expands
+all variant orbits breadth-first on pairs, and `interval_walk` steps a
+union of closed intervals held as int quadruples for the stability
+oracle, checking its stop rules by cross-multiplication.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ neighbourhood it stands for shrinks to nothing (product below one), keeps a
 fixed length (exactly one), or grows until it escapes its branches (above
 one).  An independent oracle cross-checks this by iterating an actual
 one-sided interval, split exactly at breakpoints, and watching the total
-length of the fragments.
+length of the fragments; `orbits.interval_walk` does the iteration on
+integer pairs and names why it stopped, and this module turns that
+reason into a verdict.
 
 Connections transport classification between points of a closed structure:
 four levels, depending on whether one or both germs of the source reach one

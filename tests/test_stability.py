@@ -272,15 +272,19 @@ def _ref_walk(f, lo, hi, steps, stride, thresh, floor, restart, paths):
     return "halved" if _ref_length(state) < start / 2 else "held"
 
 
-def _ref_lateral_oracle(f, x, side, stride, paths):
+def _ref_lateral_oracle(f, x, side, stride, paths, runs):
+    """The oracle's restart loop over `_ref_walk`; `runs` collects each
+    walk's arguments and stop reason."""
     verdicts = {"parts": EXPANDING, "short": CONTRACTING, "long": EXPANDING,
                 "repeat": NEUTRAL, "halved": CONTRACTING, "held": NEUTRAL}
     eff = min((f.b - f.a) * ORACLE_WIDTH, _gap_to_specials(f, x) / 4)
     for k in range(9):
         lo, hi = (x, min(x + eff, f.b)) if side == PLUS else \
             (max(x - eff, f.a), x)
-        reason = _ref_walk(f, lo, hi, ORACLE_MAX_STEPS, stride,
-                           eff * F(1, 2**20), eff * 2**10, k < 8, paths)
+        args = (lo, hi, ORACLE_MAX_STEPS, stride, eff * F(1, 2**20),
+                eff * 2**10, k < 8)
+        reason = _ref_walk(f, *args, paths)
+        runs.append((f, args, reason))
         paths[reason] += 1
         if reason != "restart":
             return verdicts[reason]
@@ -316,13 +320,15 @@ def _oracle_inputs(f, rng, nodes):
 def test_oracle_matches_the_fraction_reference(maps):
     """`lateral_oracle` against the Fraction loop it replaced, at stride 1
     and 3 on both sides, on the pinned maps, 100 generated maps and two
-    maps whose oracle restarts."""
+    maps whose oracle restarts; and each walk's stop reason, which a
+    verdict can hide, against `interval_walk`'s."""
     rng = random.Random(41)
     cfg = GeneratorConfig(seed=5)
     corpus = [*((f, True) for f in maps.values()),
               *((random_map(cfg.sub("oracle", i)), False) for i in range(100)),
               *((parse_map(text), True) for text in RESTART_MAPS)]
     paths = Counter()
+    runs = []
     checked = 0
     for f, nodes in corpus:
         for x in _oracle_inputs(f, rng, nodes):
@@ -331,9 +337,14 @@ def test_oracle_matches_the_fraction_reference(maps):
                     continue
                 for stride in (1, 3):
                     assert lateral_oracle(f, x, side, stride=stride) == \
-                        _ref_lateral_oracle(f, x, side, stride, paths), \
+                        _ref_lateral_oracle(f, x, side, stride, paths,
+                                            runs), \
                         (f.to_text(), x, side, stride)
                     checked += 1
+    for f, (lo, hi, steps, stride, thresh, floor, restart), reason in runs:
+        assert interval_walk(f, lo, hi, steps=steps, stride=stride,
+                             thresh=thresh, floor=floor,
+                             restart=restart) == reason, (f.to_text(), lo, hi)
     assert checked > 2500
     assert paths["multi_part"] > 0 and paths["restart"] > 0
     assert {"short", "long", "repeat"} <= set(paths)
@@ -349,21 +360,27 @@ def _comb(n):
 def test_interval_walk_stop_reasons():
     """Each stop reason of `interval_walk` against the reference loop: more
     than 256 parts, a split state restarting, the stride, the length
-    thresholds, a repeat and both ends of the half-length rule."""
+    thresholds, a repeat and both sides of the half-length rule, a length
+    of exactly half included."""
     flip = parse_map("interval 0 1\npiece 0 1 : slope -1 intercept 1\n")
     two = parse_map("interval 0 1\npiece 0 1/2 : slope 1/3 intercept 0\n"
                     "piece 1/2 1 : slope 1/3 intercept 2/3\n")
     half = parse_map("interval 0 1\npiece 0 1 : slope 1/2 intercept 0\n")
+    # continuous and increasing at 1/2, so the images of the two sides touch
+    bend = parse_map("interval 0 1\npiece 0 1/2 : slope 1/2 intercept 0\n"
+                     "piece 1/2 1 : slope 3/2 intercept -1/2\n")
     cases = [
         (_comb(300), F(0), F(1), 5, 1, F(1, 10**6), F(2), False, "parts"),
         (_comb(300), F(0), F(1), 5, 1, F(1, 10**6), F(2), True, "parts"),
         (_comb(200), F(0), F(1), 5, 1, F(1, 10**6), F(2), True, "restart"),
         (_comb(200), F(0), F(1), 5, 1, F(1, 10**6), F(2), False, "halved"),
+        (bend, F(1, 4), F(3, 4), 3, 1, F(1, 10**6), F(2), True, "halved"),
         (two, F(1, 4), F(3, 4), 50, 1, F(1, 10**9), F(2), False, "short"),
         (two, F(1, 4), F(3, 4), 2, 1, F(1, 10**9), F(2), False, "halved"),
         (flip, F(1, 4), F(1, 2), 3, 1, F(1, 8), F(1, 5), False, "long"),
         (flip, F(1, 4), F(1, 2), 5, 1, F(1, 8), F(1, 2), False, "repeat"),
         (flip, F(1, 4), F(1, 2), 1, 1, F(1, 8), F(1, 2), False, "held"),
+        (half, F(0), F(1), 1, 1, F(1, 5), F(1), False, "held"),
         (half, F(0), F(1), 3, 4, F(1, 5), F(1), False, "halved"),
         (half, F(0), F(1), 3, 1, F(1, 5), F(1), False, "short"),
         (half, F(0), F(1), 8, 4, F(1, 5), F(1), False, "short"),
