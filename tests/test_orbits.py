@@ -16,7 +16,8 @@ from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
                           ball_stops, germ_orbit, germ_step, orbit,
                           periodic_points, structure, variant_step, variants,
                           walk)
-from pwdyn.pinned import pinned_maps
+from pwdyn.pinned import PINNED_NAMES, pinned_maps, pinned_text
+from pwdyn.stability import oracle_classify
 from pwdyn.taxonomy import attracted
 
 
@@ -460,3 +461,45 @@ def test_walker_answers_do_not_depend_on_call_order():
     for i in order:
         lines[i] = _answer_line(*calls[i])
     assert _digest(lines) == WALKER_DIGEST
+
+
+def _memo_calls():
+    """(line head, call) on new (cold) maps: structures and oracle verdicts,
+    and the point walks and germ orbits that fill the same map memos,
+    among them the integer table."""
+    cfg = GeneratorConfig(seed=9)
+    texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
+    texts += [(f"gen/{i}", random_map(cfg.sub("order", i)).to_text())
+              for i in range(6)]
+    for name, text in texts:
+        f = parse_map(text)
+        sel = variants(f)[0]
+        for x in sorted({F(1, 3), F(1, 2), f.a, f.b,
+                         *f.special_points().points}):
+            head = f"{name} {x}"
+            yield f"{head} structure", partial(structure, f, x, 200)
+            yield f"{head} sweep", partial(structure, f, x, SWEEP_NODE_CAP,
+                                           bit_cap=SWEEP_BIT_CAP)
+            yield f"{head} oracle", partial(oracle_classify, f, x)
+            yield f"{head} oracle/3", partial(oracle_classify, f, x, stride=3)
+            yield f"{head} orbit", partial(orbit, f, x, sel, 60)
+            for side in (MINUS, PLUS):
+                if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
+                    yield (f"{head} germ {side}",
+                           partial(germ_orbit, f, Germ(x, side), 60))
+
+
+def test_oracle_and_structures_do_not_depend_on_call_order():
+    """The same calls on cold maps, once in order and once in a seeded
+    shuffled order, so that walks and germ orbits sometimes fill the map
+    memos before a structure or an oracle verdict is asked for: the lines,
+    put back in order, are the same."""
+    canonical = [_answer_line(*c) for c in _memo_calls()]
+    calls = list(_memo_calls())
+    order = list(range(len(calls)))
+    random.Random(23).shuffle(order)
+    lines = [None] * len(calls)
+    for i in order:
+        lines[i] = _answer_line(*calls[i])
+    assert len(lines) > 300
+    assert _digest(lines) == _digest(canonical)

@@ -1,19 +1,14 @@
-import hashlib
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 
-from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
-                           closed_structures, random_map)
-from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                        parse_map)
-from pwdyn.orbits import (Germ, germ_orbit, interval_walk, orbit,
-                          periodic_points, structure, variants)
-from pwdyn.pinned import PINNED_NAMES, pinned_map, pinned_text
+from pwdyn.harness import GeneratorConfig, closed_structures, random_map
+from pwdyn.maps import MINUS, PLUS, AffinePiece, PiecewiseMap, parse_map
+from pwdyn.orbits import interval_walk, periodic_points, structure
+from pwdyn.pinned import pinned_map
 from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL, ORACLE_MAX_STEPS,
                              ORACLE_WIDTH, NotConfinedError, SEMI_STABLE,
                              STABLE, UNSTABLE, _gap_to_specials,
@@ -394,60 +389,3 @@ def test_interval_walk_stop_reasons():
     with pytest.raises(ValueError, match="is not an interval in"):
         interval_walk(flip, F(1, 2), F(1, 2), steps=1, stride=1,
                       thresh=F(1), floor=F(1), restart=False)
-
-
-def _memo_calls():
-    """(line head, call) on new (cold) maps: structures and oracle verdicts,
-    and the point walks and germ orbits that fill the same map memos,
-    among them the integer table."""
-    cfg = GeneratorConfig(seed=9)
-    texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
-    texts += [(f"gen/{i}", random_map(cfg.sub("order", i)).to_text())
-              for i in range(6)]
-    for name, text in texts:
-        f = parse_map(text)
-        sel = variants(f)[0]
-        for x in sorted({F(1, 3), F(1, 2), f.a, f.b,
-                         *f.special_points().points}):
-            head = f"{name} {x}"
-            yield f"{head} structure", partial(structure, f, x, 200)
-            yield f"{head} sweep", partial(structure, f, x, SWEEP_NODE_CAP,
-                                           bit_cap=SWEEP_BIT_CAP)
-            yield f"{head} oracle", partial(oracle_classify, f, x)
-            yield f"{head} oracle/3", partial(oracle_classify, f, x, stride=3)
-            yield f"{head} orbit", partial(orbit, f, x, sel, 60)
-            for side in (MINUS, PLUS):
-                if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
-                    yield (f"{head} germ {side}",
-                           partial(germ_orbit, f, Germ(x, side), 60))
-
-
-def _memo_line(head, call):
-    try:
-        answer = repr(call())
-    except PwdynError as exc:
-        answer = f"{type(exc).__name__}: {exc}"
-    return f"{head} {answer}\n"
-
-
-def _memo_digest(lines):
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode())
-    return digest.hexdigest()
-
-
-def test_oracle_and_structures_do_not_depend_on_call_order():
-    """The same calls on cold maps, once in order and once in a seeded
-    shuffled order, so that walks and germ orbits sometimes fill the map
-    memos before a structure or an oracle verdict is asked for: the lines,
-    put back in order, are the same."""
-    canonical = [_memo_line(*c) for c in _memo_calls()]
-    calls = list(_memo_calls())
-    order = list(range(len(calls)))
-    random.Random(23).shuffle(order)
-    lines = [None] * len(calls)
-    for i in order:
-        lines[i] = _memo_line(*calls[i])
-    assert len(lines) > 300
-    assert _memo_digest(lines) == _memo_digest(canonical)
