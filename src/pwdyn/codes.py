@@ -23,13 +23,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                   RationalLike, Side, _push_through, as_fraction)
-from .orbits import (DENOM_BIT_CAP, PeriodicOrbit, _stepwise_orbit,
-                     ball_stops, image_chain, periodic_points, walk)
+                   RationalLike, Side, as_fraction)
+from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit,
+                     _stepwise_orbit, ball_stops, image_chain,
+                     periodic_points, segment_sweep, walk)
 from .stability import SEMI_STABLE, STABLE, classify_point
-from .taxonomy import (PreconditionError, _image, _map_atlas, _narrow,
-                       attracted, basin_adjacent_special, restrict_power,
-                       taxonomy)
+from .taxonomy import (PreconditionError, _map_atlas, attracted,
+                       basin_adjacent_special, taxonomy)
 
 YES = "yes"
 NO = "no"
@@ -355,39 +355,33 @@ def _constraint_interval(f: PiecewiseMap, code: Code
     the doubled power's segments on it, built in one forward segment sweep."""
     part = PartitionIntervals.of(f)
     sigma = code.cycle
-    lo, hi = part.interval(sigma[0])
-    segs = restrict_power(f, lo, hi, 1)
-    for m in range(1, 2 * len(sigma)):
-        img = _image(segs)
-        c_lo, c_hi = part.interval(sigma[m % len(sigma)])
-        t = (max(img[0], c_lo), min(img[1], c_hi))
-        if t[0] > t[1]:
-            raise CertificationError(f"code constraints empty at position {m}")
-        if t[0] == t[1]:
-            raise CertificationError(
-                f"code constraints pin a single point at position {m}")
-        if t != img:
-            lo, hi, segs = _narrow(segs, *t)
-        segs = _push_through(f, segs)
-    return lo, hi, segs
+    n = len(sigma)
+    clips = [None, *(part.interval(sigma[m % n]) for m in range(1, 2 * n)),
+             None]
+    try:
+        return segment_sweep(f, *part.interval(sigma[0]), clips)
+    except ClipError as e:
+        raise CertificationError(
+            "code constraints "
+            + ("pin a single point" if e.point else "empty")
+            + f" at position {e.step}") from None
 
 
 def _stabilized_interval(f: PiecewiseMap, base: tuple[Fraction, Fraction],
                          n: int) -> Optional[tuple[Fraction, Fraction]]:
     """Refine the one-period constraint interval until the n-th power maps
-    it into itself, narrowing the n-th power's segments on it; geometric
-    endpoint tails are closed out exactly."""
+    it into itself, each round cutting it to the points the n-th power
+    maps into it; geometric endpoint tails are closed out exactly."""
     lo, hi = base
-    segs = restrict_power(f, lo, hi, n)
     los, his = [lo], [hi]
     for _ in range(64):
-        p, q = _image(segs)
-        if lo <= p and q <= hi:
-            return lo, hi
-        t = (max(p, lo), min(q, hi))
-        if t[0] >= t[1]:
+        try:
+            u, v, _ = segment_sweep(f, lo, hi, [None] * n + [(lo, hi)])
+        except ClipError:
             return None
-        lo, hi, segs = _narrow(segs, *t)
+        if (u, v) == (lo, hi):
+            return lo, hi
+        lo, hi = u, v
         los.append(lo)
         his.append(hi)
         guess = _geometric_limit(f, los, his, n)

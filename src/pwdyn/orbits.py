@@ -19,10 +19,13 @@ the special points, and labelled balls, open intervals that also hold
 their centre.  Fractions appear only at the API boundary: callers pass
 them in and read them back from `Walk.trail`.
 
-The same table steps the two other exact iterations: `structure` expands
-all variant orbits breadth-first on pairs, and `interval_walk` steps a
-union of closed intervals held as int quadruples for the stability
-oracle, checking its stop rules by cross-multiplication.
+The same table steps the other exact iterations: `structure` expands all
+variant orbits breadth-first on pairs; `interval_walk` steps a union of
+closed intervals held as int quadruples for the stability oracle,
+checking its stop rules by cross-multiplication; and `segment_sweep`
+clips and pushes the affine segments of an iterate on a shrinking
+interval, held as int tuples, for the monotone window and the code
+intervals.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
-                   as_fraction, opposite)
+from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
+                   RationalLike, Side, as_fraction, opposite)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -333,6 +336,153 @@ def interval_walk(f: PiecewiseMap, lo: Fraction, hi: Fraction, *,
         seen.add(state)
     n, d = _length(state)
     return "halved" if 2 * n * sd < sn * d else "held"
+
+
+class ClipError(PwdynError):
+    """A clip of `segment_sweep` left at most one point of the image."""
+
+    def __init__(self, step: int, point: bool):
+        super().__init__(f"clip {step} leaves "
+                         + ("a single point" if point else "nothing"))
+        self.step = step
+        self.point = point
+
+
+Coef = tuple[int, int, int]
+
+
+def _solve(c: Coef, p: int, q: int) -> Pair:
+    """The x where the segment (A, B, D) takes the value p/q, as a pair
+    neither reduced nor with a positive denominator: the segment ends are
+    never compared, and become Fractions only in the result."""
+    a, b, d = c
+    return d * p - b * q, a * q
+
+
+def _narrow(xs: list[Pair], ys: list[Pair], cs: list[Coef], rising: bool,
+            t_lo: Pair, t_hi: Pair) -> tuple[list[Pair], list[Pair],
+                                             list[Coef]]:
+    """Cut a continuous strictly monotone segment list down to the points
+    it maps onto [t_lo, t_hi], a part of its image: the segments whose
+    ranges hold the two targets each get one solve."""
+    if not rising:
+        t_lo, t_hi = t_hi, t_lo  # the targets of the left and right ends
+    sign = 1 if rising else -1
+    (ln, ld), (hn, hd) = t_lo, t_hi
+    # segment k ends at boundary k + 1; i is the first to end strictly
+    # past t_lo and j the first to end at or past t_hi
+    i = j = None
+    for k, (yn, yd) in enumerate(ys[1:]):
+        if i is None and sign * (yn * ld - ln * yd) > 0:
+            i = k
+        if sign * (yn * hd - hn * yd) >= 0:
+            j = k
+            break
+    return ([_solve(cs[i], *t_lo), *xs[i + 1:j + 1], _solve(cs[j], *t_hi)],
+            [t_lo, *ys[i + 1:j + 1], t_hi], cs[i:j + 1])
+
+
+def _push(t: _Table, xs: list[Pair], ys: list[Pair], cs: list[Coef]
+          ) -> tuple[list[Pair], list[Pair], list[Coef]]:
+    """The segments of f after a continuous strictly monotone segment list:
+    each is split at the preimages of the cuts strictly inside its image,
+    and each part is composed with the piece covering it."""
+    cuts, pieces = t.cuts, t.pieces
+    nxs, nys, ncs = [xs[0]], [], []
+    for k, (a, b, d) in enumerate(cs):
+        y0, y1 = ys[k], ys[k + 1]
+        low, high = (y0, y1) if a > 0 else (y1, y0)
+        # pieces i-1 .. j-1 cover the image: i bounds lie at or below its
+        # low end and j strictly below its high end
+        i = _locate(cuts, *low)
+        j = _locate(cuts, *high)
+        if cuts[j - 1] == high:
+            j -= 1
+        ks = range(i - 1, j) if a > 0 else range(j - 1, i - 2, -1)
+        if k == 0:
+            nys.append(_apply(pieces[ks[0]], *y0))
+        for left, right in zip(ks, ks[1:]):
+            w = cuts[max(left, right)]
+            nxs.append(_solve((a, b, d), *w))
+            nys.append(_apply(pieces[left], *w))
+        for alpha, beta, delta in (pieces[n] for n in ks):
+            c = (alpha * a, alpha * b + beta * d, delta * d)
+            g = gcd(*c)
+            ncs.append((c[0] // g, c[1] // g, c[2] // g) if g != 1 else c)
+        nxs.append(xs[k + 1])
+        nys.append(_apply(pieces[ks[-1]], *y1))
+    return nxs, nys, ncs
+
+
+def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
+                  clips: Sequence[Optional[tuple[Fraction, Fraction]]]
+                  ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
+    """Clip and push the identity on [lo, hi] through f: the iterate m =
+    len(clips) - 1 on the points whose iterates keep inside the clips,
+    as (u, v, segments) with u, v the ends of that interval.
+
+    `clips[j]` is a closed interval or None.  The image of the j-th
+    iterate is read off its two end segments and cut to `clips[j]`, its
+    ends pulled back by one solve each on the segments; then, for j < m,
+    the segments are pushed once through f.  A clip that leaves one point
+    or nothing raises ClipError.  Each iterate must be continuous and
+    strictly monotone where it is clipped and pushed, as it is when the
+    clips stay between special points.
+
+    The segments are held as int tuples, the ends as (numerator,
+    denominator) pairs and the value on each as (A, B, D) for
+    (A*p + B*q) / (D*q) at p/q, and stepped through the integer table
+    memoized on f, so Fractions appear only in the result.  The segments
+    equal `taxonomy.restrict_power(f, u, v, m)`.
+    """
+    t = _table(f)
+    xs = [_pair(lo), _pair(hi)]
+    ys = list(xs)
+    cs: list[Coef] = [(1, 0, 1)]
+    last = len(clips) - 1
+    for step, clip in enumerate(clips):
+        if clip is not None:
+            (yn, yd), (zn, zd) = ys[0], ys[-1]
+            rising = yn * zd < zn * yd
+            low, high = (ys[0], ys[-1]) if rising else (ys[-1], ys[0])
+            c_lo, c_hi = _pair(clip[0]), _pair(clip[1])
+            cut_lo = c_lo[0] * low[1] > low[0] * c_lo[1]
+            cut_hi = c_hi[0] * high[1] < high[0] * c_hi[1]
+            if cut_lo or cut_hi:
+                t_lo = c_lo if cut_lo else low
+                t_hi = c_hi if cut_hi else high
+                gap = t_hi[0] * t_lo[1] - t_lo[0] * t_hi[1]
+                if gap <= 0:
+                    raise ClipError(step, gap == 0)
+                xs, ys, cs = _narrow(xs, ys, cs, rising, t_lo, t_hi)
+        if step < last:
+            xs, ys, cs = _push(t, xs, ys, cs)
+    ends = [Fraction(*x) for x in xs]
+    return ends[0], ends[-1], [
+        AffinePiece(l, r, Fraction(a, d), Fraction(b, d))
+        for l, r, (a, b, d) in zip(ends, ends[1:], cs)]
+
+
+def special_gaps(f: PiecewiseMap, x: Fraction, n: int
+                 ) -> list[tuple[Fraction, Fraction]]:
+    """The closed gap between the special points, or the domain ends,
+    around each of the first n iterates of x; the list stops before the
+    first iterate that is a special point.  The iterates are stepped as
+    pairs through the integer table memoized on f."""
+    t = _table(f)
+    special = f.special_points().points
+    bounds = (f.a, *special, f.b)
+    keys = tuple(map(_pair, special))
+    p, q = _pair(x)
+    out = []
+    for j in range(n):
+        if j:
+            p, q = _image(t, p, q, None)
+        k = _locate(keys, p, q)
+        if k and keys[k - 1] == (p, q):
+            break
+        out.append((bounds[k], bounds[k + 1]))
+    return out
 
 
 @dataclass(frozen=True)

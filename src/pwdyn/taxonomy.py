@@ -3,17 +3,21 @@ exceptional; basins near special points; and the orbit-count bound.
 
 The workhorse is the monotone window of a point: the largest interval around
 it on which every iterate up to a given depth stays continuous and monotone.
-It is computed locally, in one forward sweep that carries the affine
-segments of the current iterate on the current window and pulls each clip at
-a special point back by one affine solve on them, so no global high power is
-ever materialized.  The sweep ends with the power restricted to the window, a
-short list of affine segments, and trapped / free / basin questions reduce
-to exact sign analysis of those segments against the diagonal.
+It is computed locally, in one forward sweep (`orbits.segment_sweep`) that
+carries the affine segments of the current iterate on the current window:
+each step reads the iterate's image off its two end segments, clips it to
+the gap between the special points around the point's own iterate, pulls
+each clip back by one affine solve, and pushes the segments once through
+the map, so no global high power is ever materialized.  The segments are
+int tuples stepped through the per-map integer table, and become Fractions
+only in the result: the power restricted to the window, a short list of
+affine segments.  Trapped / free / basin questions then reduce to exact
+sign analysis of those segments against the diagonal.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,7 +27,7 @@ from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
                    as_fraction)
 from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, ball_stops, germ_step,
-                     periodic_points, walk)
+                     periodic_points, segment_sweep, special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
@@ -71,31 +75,22 @@ def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
     """The monotone window [u, v] of x together with the affine segments of
     the `depth`-th iterate on it, equal to `restrict_power(f, u, v, depth)`.
 
-    Step j reads the image of the window off the end segments of the j-th
-    iterate, clips it at the special points nearest the j-th iterate of x,
-    narrows the window and its segments to the pulled-back clip, and pushes
-    the segments once through f.
+    One `orbits.segment_sweep` from [a, b]: the image of the j-th iterate
+    is clipped to the gap between the special points around the j-th
+    iterate of x.  Raises ValueError for a depth below 1 or an x outside
+    [a, b], and DegenerateWindowError when an iterate before the
+    `depth`-th lands on a special point.
     """
     x = as_fraction(x)
-    special = f.special_points().points
-    sset = set(special)
-    u, v = f.a, f.b
-    segs = [AffinePiece(u, v, Fraction(1), Fraction(0))]
-    xj = x
-    for j in range(depth):
-        if xj in sset:
-            raise DegenerateWindowError(
-                f"iterate {j} of {x} lands on a special point")
-        lo, hi = _image(segs)
-        i0, i1 = bisect_right(special, lo), bisect_left(special, hi)
-        k = bisect_left(special, xj, i0, i1)
-        t_lo = special[k - 1] if k > i0 else lo
-        t_hi = special[k] if k < i1 else hi
-        if (t_lo, t_hi) != (lo, hi):
-            u, v, segs = _narrow(segs, t_lo, t_hi)
-        segs = _push_through(f, segs)
-        xj = f.value(xj)
-    return u, v, segs
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if not f.a <= x <= f.b:
+        raise ValueError(f"{x} outside [{f.a}, {f.b}]")
+    gaps = special_gaps(f, x, depth)
+    if len(gaps) < depth:
+        raise DegenerateWindowError(
+            f"iterate {len(gaps)} of {x} lands on a special point")
+    return segment_sweep(f, f.a, f.b, [*gaps, None])
 
 
 def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
@@ -110,32 +105,6 @@ def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
     for _ in range(m):
         segs = _push_through(f, segs)
     return segs
-
-
-def _image(segs: list[AffinePiece]) -> tuple[Fraction, Fraction]:
-    """Closure of the image of ordered segments of a continuous monotone
-    function, read off the two end segments."""
-    y1 = segs[0].value_at(segs[0].left)
-    y2 = segs[-1].value_at(segs[-1].right)
-    return (y1, y2) if y1 <= y2 else (y2, y1)
-
-
-def _narrow(segs: list[AffinePiece], t_lo: Fraction, t_hi: Fraction
-            ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
-    """Cut ordered segments of a continuous strictly monotone function down
-    to the [lo, hi] they map onto [t_lo, t_hi], a part of their image; each
-    end is one affine solve on the segment whose range holds its target."""
-    first = segs[0].value_at(segs[0].left)
-    sign = 1 if first < segs[-1].value_at(segs[-1].right) else -1
-    if sign < 0:
-        t_lo, t_hi = t_hi, t_lo  # the targets of the left and right ends
-    ends = [sign * s.value_at(s.right) for s in segs]
-    i, j = bisect_right(ends, sign * t_lo), bisect_left(ends, sign * t_hi)
-    lo, hi = segs[i].solve(t_lo), segs[j].solve(t_hi)
-    out = segs[i:j + 1]
-    out[0] = AffinePiece(lo, out[0].right, out[0].slope, out[0].intercept)
-    out[-1] = AffinePiece(out[-1].left, hi, out[-1].slope, out[-1].intercept)
-    return lo, hi, out
 
 
 def _diagonal_gap(seg: AffinePiece) -> tuple[Fraction, Fraction]:

@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from pwdyn.orbits import INTERVAL_FAMILY, periodic_points
+from pwdyn.harness import GeneratorConfig, random_map
+from pwdyn.maps import parse_map
+from pwdyn.orbits import HALF_POINT, INTERVAL_FAMILY, periodic_points
+from pwdyn.pinned import PINNED_NAMES, pinned_text
 from pwdyn.taxonomy import (BOUNDARY_FIXED, DegenerateWindowError,
-                            PreconditionError, attraction_atlas, attracted,
-                            basin_adjacent_special, count_bound,
+                            PreconditionError, _map_atlas, attraction_atlas,
+                            attracted, basin_adjacent_special, count_bound,
                             exceptional_census, is_trapped, monotone_window,
-                            restrict_power, taxonomy)
+                            restrict_power, taxonomy, window_sweep)
+from test_orbits import _answer_line, _digest
 
 
 def orbit_at(f, point, horizon=2):
@@ -28,6 +34,21 @@ def test_monotone_window_degenerate(maps):
         monotone_window(maps["tent"], F(1, 2), 1)
     with pytest.raises(DegenerateWindowError):
         monotone_window(maps["shift"], F(3, 8), 2)  # orbit hits the jump
+
+
+def test_window_rejects_bad_inputs(maps):
+    """A depth below 1 or a point outside [a, b] is refused before any
+    step, even where the first step would land on a special point."""
+    hat = maps["hat"]
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            monotone_window(hat, F(2), depth)
+    for x in (F(-1, 3), F(3, 2)):
+        with pytest.raises(ValueError, match=f"{x} outside \\[0, 1\\]"):
+            window_sweep(hat, x, 2)
+    with pytest.raises(ValueError, match="2 outside"):
+        monotone_window(maps["tent"], 2, 1)
+    assert monotone_window(hat, F(0), 1) == (F(0), F(1, 2))
 
 
 def test_restrict_power(maps):
@@ -156,3 +177,45 @@ def test_ball_atlas(maps):
     assert balls[0].center == F(7, 12)
     assert balls[0].radius == F(1, 12)
     assert abs(balls[0].slope) < 1
+
+
+def _taxonomy_calls():
+    """(line head, call) on new (cold) maps: taxonomy and trapping at every
+    orbit point, the count bound, the atlas and the basin witnesses.  The
+    orbits are listed on a separate copy, so no map memo is warm."""
+    cfg = GeneratorConfig(seed=13)
+    texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
+    texts += [(f"gen/{i}", random_map(cfg.sub("taxonomy", i)).to_text())
+              for i in range(6)]
+    for name, text in texts:
+        f = parse_map(text)
+        found = [o for o in periodic_points(parse_map(text), 4, max_power=8)
+                 if o.continuous and o.kind != HALF_POINT]
+        yield f"{name} bound", partial(count_bound, f)
+        yield f"{name} atlas", partial(_map_atlas, f)
+        for orb in found:
+            head = f"{name} {orb.points}"
+            yield f"{head} taxonomy", partial(taxonomy, f, orb)
+            yield f"{head} basin", partial(basin_adjacent_special, f, orb)
+            for p in orb.points:
+                yield f"{head} trapped {p}", partial(is_trapped, f, orb,
+                                                     at_point=p)
+
+
+def test_taxonomy_answers_do_not_depend_on_call_order():
+    """The same calls on cold maps, once in order and once in a seeded
+    shuffled order, so that the periodic orbits, the atlas and the integer
+    table are first built by different callers: the lines, put back in
+    order, are the same."""
+    canonical = [_answer_line(*c) for c in _taxonomy_calls()]
+    calls = list(_taxonomy_calls())
+    order = list(range(len(calls)))
+    random.Random(29).shuffle(order)
+    lines = [None] * len(calls)
+    for i in order:
+        lines[i] = _answer_line(*calls[i])
+    assert len(lines) > 150
+    assert sum("Error" in line for line in lines) > 10
+    assert sum("TrapResult(trapped=True" in line for line in lines) > 5
+    assert sum("BasinWitness" in line for line in lines) > 2
+    assert _digest(lines) == _digest(canonical)
