@@ -2,15 +2,17 @@
 
 Exit codes: 0 on success, 1 when the analysis itself finds a genuine
 negative (a violated bound, a failed certification, suite failures), 2 for
-usage or parse errors.  Results go to stdout, diagnostics to stderr.  All
-set-valued output is sorted and rationals print exactly, so reports diff
-cleanly.
+usage or parse errors, and 141 (a shell's status for SIGPIPE), with no
+traceback, when stdout closes before the output is written.  Results go
+to stdout, diagnostics to stderr.  All set-valued output is sorted and
+rationals print exactly, so reports diff cleanly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -431,7 +433,14 @@ def _cmd_plot(f, args) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        status = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is left goes to devnull, so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                    RationalLike, Side, as_fraction)
-from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit,
-                     _stepwise_orbit, ball_stops, image_chain,
-                     periodic_points, segment_sweep, walk)
+from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, ball_stops,
+                     fixed_cycle, fixed_points, image_chain, periodic_points,
+                     segment_sweep, walk)
 from .stability import SEMI_STABLE, STABLE, classify_point
 from .taxonomy import (PreconditionError, _map_atlas, attracted,
                        basin_adjacent_special, taxonomy)
@@ -404,7 +404,7 @@ def _geometric_limit(f, los, his, n) -> Optional[tuple[Fraction, Fraction]]:
         return seq[-1] + d2 * s / (1 - s)
 
     lo, hi = limit(los), limit(his)
-    if lo is None or hi is None or lo > hi:
+    if lo is None or hi is None or lo >= hi:
         return None
     p, q = image_chain(f, lo, hi, n)[-1]
     if lo <= p and q <= hi:
@@ -434,8 +434,8 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
     if not base[0] <= w <= base[1]:
         raise CertificationError("regular point left its own code interval")
     part = PartitionIntervals.of(f)
-    fixed = [t for t in _fixed_points_of_segments(segs)
-             if _conforms(f, t, code, part)]
+    cycles = {t: fixed_cycle(f, t, 2 * n) for t in fixed_points(segs)[0]}
+    fixed = [t for t, cycle in cycles.items() if _conforms(cycle, code, part)]
     if w == base[1]:
         below = [t for t in fixed if t < w]
         if not below:
@@ -451,15 +451,10 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
     else:
         raise CertificationError("regular point is not an endpoint of its "
                                  "code interval")
-    chain = _stepwise_orbit(f, x_star, 2 * n)
-    if chain is None:
-        raise CertificationError("attracting orbit hit a jump")
-    period = next(d for d in range(1, 2 * n + 1)
-                  if chain[d] == x_star and (2 * n) % d == 0)
-    orb = PeriodicOrbit(tuple(chain[:period]), period, None, True)
+    orb = PeriodicOrbit(cycles[x_star], len(cycles[x_star]), None, True)
     interval = _stabilized_interval(f, base, n)
     if interval is None:
-        partner = chain[n]
+        partner = orb.points[n % orb.period]
         interval = (min(x_star, partner), w) if w == base[1] \
             else (w, max(x_star, partner))
     p, q = image_chain(f, *interval, n)[-1]
@@ -481,32 +476,13 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
                                   stability, verdict)
 
 
-def _conforms(f: PiecewiseMap, t: Fraction, code: Code,
+def _conforms(cycle: Optional[tuple[Fraction, ...]], code: Code,
               part: PartitionIntervals) -> bool:
-    """The periodic orbit of t follows the code's cycle of cut intervals."""
-    sigma = code.cycle
-    chain = _stepwise_orbit(f, t, 2 * len(sigma))
-    if chain is None:
-        return False
-    for m, current in enumerate(chain[:-1]):
-        lo, hi = part.interval(sigma[m % len(sigma)])
-        if not lo <= current <= hi:
-            return False
-    return True
-
-
-def _fixed_points_of_segments(segs) -> list[Fraction]:
-    out = set()
-    for seg in segs:
-        if seg.slope == 1:
-            if seg.intercept == 0:
-                out.add(seg.left)
-                out.add(seg.right)
-            continue
-        t = seg.intercept / (1 - seg.slope)
-        if seg.left <= t <= seg.right:
-            out.add(t)
-    return sorted(out)
+    """The cycle (None when the point is not periodic) follows the code's
+    cycle of cut intervals over two periods."""
+    return cycle is not None and all(
+        part.cuts[k] <= cycle[m % len(cycle)] <= part.cuts[k + 1]
+        for m, k in enumerate(code.cycle * 2))
 
 
 def attractor_regular_source(f: PiecewiseMap, orb: PeriodicOrbit, *,

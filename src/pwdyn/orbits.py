@@ -17,7 +17,10 @@ of small numbers, and the values at the ends and breakpoints.  Its stop
 tests are data checked in the same arithmetic: labelled points, such as
 the special points, and labelled balls, open intervals that also hold
 their centre.  Fractions appear only at the API boundary: callers pass
-them in and read them back from `Walk.trail`.
+them in and read them back from `Walk.trail`.  The periodic-orbit
+enumeration and the code-conformance test of `codes` check a candidate
+with one such walk, `fixed_cycle`, and take their candidates from one
+solver, `fixed_points`, which reads the fixed points off a piece list.
 
 The same table steps the other exact iterations: `structure` expands all
 variant orbits breadth-first on pairs; `interval_walk` steps a union of
@@ -35,10 +38,11 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence)
 
-from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                   RationalLike, Side, as_fraction, opposite)
+from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PowerLimitError,
+                   PwdynError, RationalLike, Side, as_fraction, opposite)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -699,27 +703,45 @@ class PeriodicOrbit:
         return (self.kind, frozenset(self.points), frozenset(self.intervals))
 
 
-def _stepwise_orbit(f: PiecewiseMap, x: Fraction, n: int
-                    ) -> Optional[list[Fraction]]:
-    """n forward values of x, or None if the chain hits a jump."""
-    out = [x]
-    for _ in range(n):
-        v = f.value(out[-1])
-        if v is None:
-            return None
-        out.append(v)
-    return out
-
-
-def _minimal_period(f: PiecewiseMap, x: Fraction, n: int) -> Optional[int]:
-    """Minimal period of x if it is a genuine period-n point, else None."""
-    chain = _stepwise_orbit(f, x, n)
-    if chain is None or chain[-1] != x:
+def fixed_cycle(f: PiecewiseMap, x: Fraction, n: int
+                ) -> Optional[tuple[Fraction, ...]]:
+    """x's cycle when the n-th power fixes x, else None: one `walk` of
+    n + 1 points that repeats at x after a number of steps dividing n, the
+    minimal period.  A walk past DENOM_BIT_CAP raises PowerLimitError."""
+    w = walk(f, x, n + 1)
+    if w.reason == "bit_cap":
+        raise PowerLimitError(f"the orbit of {x} under the {n}-th power "
+                              f"needs over {DENOM_BIT_CAP} denominator bits")
+    if w.reason != "repeat" or w.start != 0 or n % len(w.pairs):
         return None
-    for d in range(1, n):
-        if n % d == 0 and chain[d] == x:
-            return d
-    return n
+    return tuple(w.trail)
+
+
+def fixed_points(pieces: Sequence[AffinePiece]
+                 ) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
+    """The fixed points of an ordered run of abutting affine pieces: the
+    roots strictly inside pieces of slope other than 1 and each piece end
+    that every piece meeting it fixes, sorted, and the identity pieces as
+    (left, right)."""
+    points = set()
+    identities = []
+    fixes_end = True  # the pieces before this one fix its left end
+    for piece in pieces:
+        if piece.slope != 1:
+            x = piece.intercept / (1 - piece.slope)
+            if piece.left < x < piece.right:
+                points.add(x)
+            fixed = (x,)
+        else:
+            fixed = (piece.left, piece.right) if piece.intercept == 0 else ()
+            if fixed:
+                identities.append(fixed)
+        if fixes_end and piece.left in fixed:
+            points.add(piece.left)
+        fixes_end = piece.right in fixed
+    if fixes_end:
+        points.add(pieces[-1].right)
+    return sorted(points), identities
 
 
 def image_chain(f: PiecewiseMap, lo: Fraction, hi: Fraction, steps: int
@@ -741,13 +763,13 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
                     guard: int = 10**6) -> list[PeriodicOrbit]:
     """All periodic orbits of period <= max_period.
 
-    Solves slope*x + intercept = x on each piece of each exact power:
-    isolated points where the slope differs from 1, whole fixed intervals
-    where a piece of the power is the identity (split at points whose
-    stepwise orbits hit a jump), plus breakpoint and endpoint fixed points.
-    Half-point cycles at jumps are found through germ orbits.  Each orbit is
-    reported once, at its minimal period, with its continuity flag.  The
-    orbits are memoized on f per argument set; each call gets a new list.
+    Reads the fixed points of each exact power off its pieces with
+    `fixed_points`: isolated points, kept when `fixed_cycle` finds them at
+    minimal period n, and whole fixed intervals where a piece of the power
+    is the identity (split at points whose orbits hit a jump).  Half-point
+    cycles at jumps are found through germ orbits.  Each orbit is reported
+    once, at its minimal period, with its continuity flag.  The orbits are
+    memoized on f per argument set; each call gets a new list.
     """
     limit = max_power if max_power is not None else 12
     if not 1 <= max_period <= limit // 2:
@@ -769,29 +791,17 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
 
     for n in range(1, max_period + 1):
         fn = f.power(n, max_power=limit, guard=guard, check=False)
-        n_families: list[PeriodicOrbit] = []
-        collect = lambda orb: (n_families.append(orb), add(orb))  # noqa: E731
-        candidates = set()
-        for piece in fn.pieces:
-            if piece.slope == 1:
-                if piece.intercept == 0:
-                    _collect_families(f, n, piece.left, piece.right, collect)
+        points, identities = fixed_points(fn.pieces)
+        families = [orb for piece in identities
+                    for orb in _collect_families(f, n, *piece)]
+        for orb in families:
+            add(orb)
+        for x in points:
+            cycle = fixed_cycle(f, x, n)
+            if cycle is None or len(cycle) != n \
+                    or _inside_family(x, families, f):
                 continue
-            x = piece.intercept / (1 - piece.slope)
-            if piece.left < x < piece.right:
-                candidates.add(x)
-        for w in (fn.a, fn.b, *fn.breakpoints):
-            if fn.value(w) == w:
-                candidates.add(w)
-        for x in sorted(candidates):
-            if _minimal_period(f, x, n) != n:
-                continue
-            if _inside_family(x, n_families, f):
-                continue
-            chain = _stepwise_orbit(f, x, n)
-            cycle = tuple(chain[:n])
-            continuous = not any(p in jumps for p in cycle)
-            add(PeriodicOrbit(cycle, n, None, continuous, POINT))
+            add(PeriodicOrbit(cycle, n, None, True, POINT))
 
     for w in sorted(jumps):
         for side in (MINUS, PLUS):
@@ -819,12 +829,7 @@ def _inside_family(x: Fraction, families: list[PeriodicOrbit],
     return False
 
 
-def _endpoint_fixed(f: PiecewiseMap, e: Fraction, n: int) -> bool:
-    chain = _stepwise_orbit(f, e, n)
-    return chain is not None and chain[-1] == e
-
-
-def _collect_families(f, n, left, right, add) -> None:
+def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
     """Split an identity piece of the n-th power into interval families.
 
     The piece is cut at points whose stepwise orbits hit a special point
@@ -839,36 +844,25 @@ def _collect_families(f, n, left, right, add) -> None:
     for d in range(1, n):
         if n % d != 0:
             continue
-        fd = f.power(d, check=False)
-        for piece in fd.pieces:
-            if piece.right <= left or piece.left >= right:
-                continue
-            if piece.slope == 1 and piece.intercept == 0:
-                blocked.append((max(left, piece.left), min(right, piece.right)))
-            elif piece.slope != 1:
-                x = piece.intercept / (1 - piece.slope)
-                if piece.left < x < piece.right and left < x < right:
-                    cuts.add(x)
-        for w in (fd.a, fd.b, *fd.breakpoints):
-            if left < w < right and fd.value(w) == w:
-                cuts.add(w)
-    bounds = sorted({left, right} | cuts
-                    | {e for pair in blocked for e in pair if left < e < right})
+        points, identities = fixed_points(f.power(d, check=False).pieces)
+        cuts.update(x for x in points if left < x < right)
+        blocked += [(max(left, lo), min(right, hi)) for lo, hi in identities
+                    if lo < right and hi > left]
+    bounds = sorted({left, right, *cuts, *itertools.chain(*blocked)})
     for lo, hi in zip(bounds, bounds[1:]):
-        if lo >= hi:
-            continue
         mid = (lo + hi) / 2
         if any(blo <= mid <= bhi for blo, bhi in blocked):
             continue
-        if _minimal_period(f, mid, n) != n:
+        cycle = fixed_cycle(f, mid, n)
+        if cycle is None or len(cycle) != n:
             continue
         intervals = image_chain(f, lo, hi, n - 1)
         canon = min(intervals)
         rep = (canon[0] + canon[1]) / 2
-        chain = _stepwise_orbit(f, rep, n)
-        closed = (_endpoint_fixed(f, canon[0], n), _endpoint_fixed(f, canon[1], n))
-        add(PeriodicOrbit(tuple(chain[:n]), n, None, True, INTERVAL_FAMILY,
-                          tuple(sorted(set(intervals))), closed))
+        closed = tuple(fixed_cycle(f, e, n) is not None for e in canon)
+        yield PeriodicOrbit(fixed_cycle(f, rep, n), n, None, True,
+                            INTERVAL_FAMILY, tuple(sorted(set(intervals))),
+                            closed)
 
 
 def _half_point_cycle(f, w, side, max_period, jumps) -> Optional[PeriodicOrbit]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from pwdyn.cli import dispatch
 from pwdyn.maps import parse_map
 from pwdyn.pinned import pinned_text
 from pwdyn.taxonomy import TaxonomyViolation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -161,3 +167,21 @@ def test_negative_point_after_an_option(capsys, hat_path, tmp_path):
         split = run(capsys, *(w for a in argv for w in a.format(" ").split()))
         assert joined == split and joined[0] == 0
     assert run(capsys, "eval", str(wide), "--x", "-1/3")[1] == "-1/6\n"
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader gone before the output is written, as with `| head -0`,
+    ends the command with the SIGPIPE status 141 and nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pwdyn.cli", "suite", "--seed", "7",
+             "--which", "pinned_double_shift"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -4,7 +4,7 @@ import pytest
 
 from pwdyn.codes import (Certifier, CodeUndefinedError, PartitionIntervals,
                          RegularityCertificate, Trivalent,
-                         attractor_regular_source, avoids_special_forever,
+                         _stabilized_interval, attractor_regular_source, avoids_special_forever,
                          codes, is_regular, regular_attractor,
                          regularity_certificate, side_codes)
 from pwdyn.maps import parse_map
@@ -191,3 +191,14 @@ def test_walkers_reject_cap_below_one(maps):
                  lambda: is_regular(h, F(1, 2), 0)):
         with pytest.raises(ValueError, match="cap must be >= 1"):
             call()
+
+
+def test_stabilized_interval_passes_over_a_one_point_guess():
+    """On the slope-3/2 tent the rounds from [0, 1/3] shrink to
+    [0, (2/3)^k / 3], so the geometric guess closes to the single point
+    0, which is no interval: the refinement finds none instead of failing
+    to step that point's left end."""
+    f = parse_map("interval 0 1\n"
+                  "piece 0 1/2 : slope 3/2 intercept 0\n"
+                  "piece 1/2 1 : slope -3/2 intercept 3/2\n")
+    assert _stabilized_interval(f, (F(0), F(1, 3)), 1) is None

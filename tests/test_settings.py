@@ -100,6 +100,38 @@ def test_only_orbits_measures_denominators():
     assert found == []
 
 
+def _word(node):
+    """The name a Name or an attribute access ends in, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_one_fixed_point_solver():
+    """The fixed-point root intercept / (1 - slope) is solved in
+    `orbits.fixed_points` alone, so every enumeration of fixed points,
+    of a map's powers or of a segment list, reads it from that solver."""
+    found = []
+    for path, tree in _sources("src/pwdyn"):
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.right, ast.BinOp)
+                    and isinstance(node.right.op, ast.Sub)
+                    and isinstance(node.right.left, ast.Constant)
+                    and node.right.left.value == 1
+                    and _word(node.right.right) == "slope"):
+                continue
+            inner = max((f for f in funcs
+                         if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.lineno, default=None)
+            found.append(f"{path.name}:{inner.name if inner else None}")
+    assert found == ["orbits.py:fixed_points"]
+
+
 def test_only_orbits_takes_rationals_apart():
     """The walk's (numerator, denominator) pairs, its integer step and its
     stop-test data stay behind `orbits`: no other module reads a

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from pwdyn.codes import regular_attractor
 from pwdyn.harness import GeneratorConfig, random_map
 from pwdyn.maps import parse_map
 from pwdyn.orbits import HALF_POINT, INTERVAL_FAMILY, periodic_points
@@ -180,9 +181,11 @@ def test_ball_atlas(maps):
 
 
 def _taxonomy_calls():
-    """(line head, call) on new (cold) maps: taxonomy and trapping at every
-    orbit point, the count bound, the atlas and the basin witnesses.  The
-    orbits are listed on a separate copy, so no map memo is warm."""
+    """(line head, call) on new (cold) maps: the periodic orbits at two
+    argument sets, the attractor of every special point, taxonomy and
+    trapping at every orbit point, the count bound, the atlas and the
+    basin witnesses.  The orbits are listed on a separate copy, so no map
+    memo is warm."""
     cfg = GeneratorConfig(seed=13)
     texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
     texts += [(f"gen/{i}", random_map(cfg.sub("taxonomy", i)).to_text())
@@ -191,6 +194,12 @@ def _taxonomy_calls():
         f = parse_map(text)
         found = [o for o in periodic_points(parse_map(text), 4, max_power=8)
                  if o.continuous and o.kind != HALF_POINT]
+        yield f"{name} periodic 4", partial(periodic_points, f, 4,
+                                            max_power=8)
+        yield f"{name} periodic 8", partial(periodic_points, f, 8,
+                                            max_power=16)
+        for w in f.special_points().points:
+            yield f"{name} attractor {w}", partial(regular_attractor, f, w)
         yield f"{name} bound", partial(count_bound, f)
         yield f"{name} atlas", partial(_map_atlas, f)
         for orb in found:
@@ -206,7 +215,8 @@ def test_taxonomy_answers_do_not_depend_on_call_order():
     """The same calls on cold maps, once in order and once in a seeded
     shuffled order, so that the periodic orbits, the atlas and the integer
     table are first built by different callers: the lines, put back in
-    order, are the same."""
+    order, are the same.  In order, each attractor is asked for before the
+    atlas call, so it builds the atlas; shuffled, some come after it."""
     canonical = [_answer_line(*c) for c in _taxonomy_calls()]
     calls = list(_taxonomy_calls())
     order = list(range(len(calls)))
@@ -214,6 +224,11 @@ def test_taxonomy_answers_do_not_depend_on_call_order():
     lines = [None] * len(calls)
     for i in order:
         lines[i] = _answer_line(*calls[i])
+    rank = {calls[i][0]: k for k, i in enumerate(order)}
+    late = [head for (head, _), line in zip(calls, canonical)
+            if "RegularAttractorResult" in line
+            and rank[head] > rank[head.split(" attractor ")[0] + " atlas"]]
+    assert late, "no attractor asked for after its atlas"
     assert len(lines) > 150
     assert sum("Error" in line for line in lines) > 10
     assert sum("TrapResult(trapped=True" in line for line in lines) > 5
