@@ -11,7 +11,6 @@ rationals print exactly, so reports diff cleanly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -213,9 +212,8 @@ def _cmd_special(f, args) -> int:
     return 0
 
 
-def _cmd_compose(f, args) -> int:
-    inner = _load(args.inner)
-    h = compose(f, inner)
+def _print_map(h: PiecewiseMap, args) -> int:
+    """The map's text with --emit-map, else its size and special set."""
     if args.emit_map:
         sys.stdout.write(h.to_text())
     else:
@@ -223,14 +221,12 @@ def _cmd_compose(f, args) -> int:
     return 0
 
 
+def _cmd_compose(f, args) -> int:
+    return _print_map(compose(f, _load(args.inner)), args)
+
+
 def _cmd_iterate(f, args) -> int:
-    fn = f.power(args.n)
-    if args.emit_map:
-        sys.stdout.write(fn.to_text())
-    else:
-        print(f"{len(fn.pieces)} pieces, "
-              f"S = {_fmt_set(fn.special_points().points)}")
-    return 0
+    return _print_map(f.power(args.n), args)
 
 
 def _cmd_orbit(f, args) -> int:

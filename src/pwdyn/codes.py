@@ -458,7 +458,7 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
         interval = (min(x_star, partner), w) if w == base[1] \
             else (w, max(x_star, partner))
     p, q = image_chain(f, *interval, n)[-1]
-    if not interval[0] <= p and q <= interval[1]:
+    if not (interval[0] <= p and q <= interval[1]):
         raise CertificationError("code interval is not forward invariant")
     stability = classify_point(f, x_star)
     if stability not in (STABLE, SEMI_STABLE):

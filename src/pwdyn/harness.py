@@ -415,7 +415,6 @@ def _prop_sandwich(cfg, count, result):
 def _prop_power(cfg, count, result):
     for f in _corpus(cfg, "power", count, max_pieces=4):
         try:
-            ok = True
             prev_special: list[set] = []
             continuous = not f.special_points().discontinuities
             for n in range(1, 7):
@@ -425,20 +424,17 @@ def _prop_power(cfg, count, result):
                 if not sn <= mn:
                     result.fail(f, "power special points escape preimage set",
                                 n=n)
-                    ok = False
                     break
                 if continuous:
                     if sn != {y for y in mn if f.a < y < f.b}:
                         result.fail(f, "continuous power equality failed", n=n)
-                        ok = False
                         break
                     if any(not prev <= sn for prev in prev_special):
                         result.fail(f, "continuous monotone inclusion failed",
                                     n=n)
-                        ok = False
                         break
                     prev_special.append(sn)
-            if ok:
+            else:
                 result.passes += 1
         except PieceLimitError:
             result.skips += 1

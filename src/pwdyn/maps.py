@@ -12,6 +12,10 @@ agree as functions have identical piece lists.
 The map value at a jump is left undefined (`value` returns None there); at a
 turn or a removable breakpoint it is the common lateral limit, and the
 endpoint values are the inward limits.
+
+A map carries its integer step, memoized on it, and this module owns the
+one piece kernel, `_push_segments`, which pushes segments held as int
+tuples through that step for compositions, powers and `orbits` sweeps.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence, Union
+from math import gcd
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
 Side = Literal["minus", "plus"]
 MINUS: Side = "minus"
@@ -268,7 +273,8 @@ class PiecewiseMap:
         for k in range(2, n + 1):
             step = self._powers.get(k)
             if step is None:
-                raw = _push_through(self, current.pieces, guard=guard)
+                raw = _affine(_push_segments(_table(self), _segments(current),
+                                             guard))
                 step = (PiecewiseMap(self.a, self.b, raw), len(raw), False)
             nxt, raw_count, validated = step
             if raw_count > guard:
@@ -415,42 +421,11 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     """
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
-    result = PiecewiseMap(outer.a, outer.b,
-                          _push_through(outer, inner.pieces, guard=guard))
+    result = PiecewiseMap(outer.a, outer.b, _affine(
+        _push_segments(_table(outer), _segments(inner), guard)))
     if check:
         _check_sandwich(outer, inner, result)
     return result
-
-
-def _push_through(f: PiecewiseMap, pieces: Iterable[AffinePiece], *,
-                  guard: int = MAX_PIECES) -> list[AffinePiece]:
-    """The ordered affine pieces of f after the given ordered pieces: each
-    is split at the preimages of f's cuts inside its image, and each part is
-    composed with the piece of f covering it.  Empty pieces vanish.  Shared
-    by compositions, restricted powers and monotone windows."""
-    lefts, fpieces = f._lefts, f.pieces
-    out: list[AffinePiece] = []
-    for piece in pieces:
-        left, right = piece.left, piece.right
-        s, c = piece.slope, piece.intercept
-        if left >= right:
-            continue
-        y1, y2 = s * left + c, s * right + c
-        # f's pieces k0..k1 cover the image, in the order the piece meets
-        # them; adjacent ones j, k meet at the cut lefts[max(j, k)], which
-        # is strictly inside the image, so every part is nonempty.
-        k0 = bisect_right(lefts, min(y1, y2)) - 1
-        k1 = bisect_left(lefts, max(y1, y2)) - 1
-        ks = range(k0, k1 + 1) if s > 0 else range(k1, k0 - 1, -1)
-        bounds = [left, *((lefts[max(j, k)] - c) / s
-                          for j, k in zip(ks, ks[1:])), right]
-        for p, q, k in zip(bounds, bounds[1:], ks):
-            t = fpieces[k]
-            out.append(AffinePiece(p, q, t.slope * s,
-                                   t.slope * c + t.intercept))
-        if len(out) > guard:
-            raise PieceLimitError(f"composition exceeds {guard} pieces")
-    return out
 
 
 def _sandwich_bounds(outer: PiecewiseMap, inner: PiecewiseMap
@@ -480,3 +455,141 @@ def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,
     if not lower <= set(result.special_points().points) <= upper:
         raise MapInvariantError(
             "special points of the composition escaped their exact bounds")
+
+
+# -- the integer step and the one piece kernel --------------------------------
+
+Pair = tuple[int, int]
+Coef = tuple[int, int, int]
+# (x0, x1, y0, y1, (A, B, D)): the value (A*p + B*q) / (D*q) at p/q on the
+# open interval (x0, x1), with its inward limits y0, y1 at the two ends
+Segment = tuple[Pair, Pair, Pair, Pair, Coef]
+
+
+def _pair(x: Fraction) -> Pair:
+    return x.numerator, x.denominator
+
+
+def _coef(piece: AffinePiece) -> Coef:
+    s, c = piece.slope, piece.intercept
+    return (s.numerator * c.denominator, c.numerator * s.denominator,
+            s.denominator * c.denominator)
+
+
+class _Table(NamedTuple):
+    """A map's integer step: f(p/q) = (alpha*p + beta*q) / (delta*q) on
+    each open piece, and the map's values at the bounds between them."""
+
+    cuts: tuple[Pair, ...]             # a, the breakpoints, b
+    values: tuple[Optional[Pair], ...]  # f at each bound, None at a jump
+    sides: dict[Pair, tuple[Pair, Pair]]  # (f(w-), f(w+)) at each jump w
+    pieces: tuple[Coef, ...]           # (alpha, beta, delta)
+
+
+def _table(f: PiecewiseMap) -> _Table:
+    """The integer step of f, read off its endpoint-value table on first
+    use and memoized on f."""
+
+    def build() -> _Table:
+        ends = f._ends
+        cuts = tuple(map(_pair, (f.a, *f.breakpoints, f.b)))
+        # the limits from the left and from the right at each bound, the
+        # inward ones at a and b
+        lefts = (ends[0][0], *(v1 for _, v1 in ends))
+        rights = (*(v0 for v0, _ in ends), ends[-1][1])
+        return _Table(cuts, tuple(_pair(v) if v == w else None
+                                  for v, w in zip(lefts, rights)),
+                      {x: (_pair(v), _pair(w))
+                       for x, v, w in zip(cuts, lefts, rights) if v != w},
+                      tuple(map(_coef, f.pieces)))
+
+    return f._memo(("int_step",), build)
+
+
+def _locate(cuts: tuple[Pair, ...], p: int, q: int) -> int:
+    """The number of bounds at or below p/q, by cross-multiplication."""
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n, d = cuts[mid]
+        if p * d < n * q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _apply(piece: Coef, p: int, q: int) -> Pair:
+    """The piece's affine value at the reduced p/q, as a reduced pair."""
+    alpha, beta, delta = piece
+    num, den = alpha * p + beta * q, delta * q
+    # gcd(num, q) = gcd(alpha*p, q) = gcd(alpha, q) since p/q is reduced,
+    # so gcd(num, den) divides the small m, and two divisions find it
+    m = delta * gcd(alpha, q % alpha)
+    g = gcd(m, num % m)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _solve(c: Coef, p: int, q: int) -> Pair:
+    """The x where the segment (A, B, D) takes the value p/q, as a pair
+    neither reduced nor with a positive denominator: segment ends are
+    never compared, and become Fractions only in the result."""
+    a, b, d = c
+    return d * p - b * q, a * q
+
+
+def _segments(f: PiecewiseMap) -> list[Segment]:
+    """The pieces of f as segments, their end values read off `_ends`."""
+    return [(_pair(p.left), _pair(p.right), _pair(v0), _pair(v1), _coef(p))
+            for p, (v0, v1) in zip(f.pieces, f._ends)]
+
+
+def _push_segments(t: _Table, segments: Iterable[Segment], guard: int
+                   ) -> list[Segment]:
+    """The one piece kernel: the segments of f, given by its integer step
+    t, after the ordered segments given.  Each is split at the preimages of
+    the cuts strictly inside its image, f's limits there read off t, and
+    each part is composed with the piece of f covering it.  Each segment
+    keeps its own end values, so the list may jump.  Raises PieceLimitError
+    right after the segment whose parts pass `guard` segments."""
+    cuts, values, sides, pieces = t
+    out: list[Segment] = []
+    for x0, x1, y0, y1, c in segments:
+        a, b, d = c
+        low, high = (y0, y1) if a > 0 else (y1, y0)
+        # pieces i-1 .. j-1 cover the image: i bounds lie at or below its
+        # low end and j strictly below its high end
+        i = _locate(cuts, *low)
+        j = _locate(cuts, *high)
+        if cuts[j - 1] == high:
+            j -= 1
+        ks = range(i - 1, j) if a > 0 else range(j - 1, i - 2, -1)
+        x, y = x0, _apply(pieces[ks[0]], *y0)
+        for k, n in zip(ks, [*ks[1:], None]):
+            if n is None:
+                xn, end, start = x1, _apply(pieces[k], *y1), None
+            else:
+                # pieces k and n meet at cut w, where f's two limits are
+                # met in the order of the segment's direction
+                w = cuts[max(k, n)]
+                xn, end = _solve(c, *w), values[max(k, n)]
+                start = end
+                if end is None:
+                    end, start = sides[w] if a > 0 else sides[w][::-1]
+            alpha, beta, delta = pieces[k]
+            e = (alpha * a, alpha * b + beta * d, delta * d)
+            g = gcd(*e)
+            out.append((x, xn, y, end,
+                        (e[0] // g, e[1] // g, e[2] // g) if g != 1 else e))
+            x, y = xn, start
+        if len(out) > guard:
+            raise PieceLimitError(f"composition exceeds {guard} pieces")
+    return out
+
+
+def _affine(segments: Sequence[Segment]) -> list[AffinePiece]:
+    """Abutting segments as AffinePieces, one Fraction made per end."""
+    ends = [Fraction(*s[0]) for s in segments]
+    ends.append(Fraction(*segments[-1][1]))
+    return [AffinePiece(left, right, Fraction(a, d), Fraction(b, d))
+            for left, right, (*_, (a, b, d)) in zip(ends, ends[1:], segments)]

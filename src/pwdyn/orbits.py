@@ -10,25 +10,23 @@ cycles anchored at a jump, detected through germ orbits because the map
 itself has no value there.
 
 Every point-orbit walk goes through `walk`, which runs on (numerator,
-denominator) int pairs from start to stop.  Its step is one integer table
-per map, memoized on the map: the cuts as pairs, each piece as integer
-coefficients, so that an image costs a few multiplications and two gcds
-of small numbers, and the values at the ends and breakpoints.  Its stop
-tests are data checked in the same arithmetic: labelled points, such as
-the special points, and labelled balls, open intervals that also hold
-their centre.  Fractions appear only at the API boundary: callers pass
-them in and read them back from `Walk.trail`.  The periodic-orbit
-enumeration and the code-conformance test of `codes` check a candidate
-with one such walk, `fixed_cycle`, and take their candidates from one
-solver, `fixed_points`, which reads the fixed points off a piece list.
+denominator) int pairs from start to stop, stepped by the integer step
+that `maps` memoizes on each map.  Its stop tests are data checked in the
+same arithmetic: labelled points, such as the special points, and
+labelled balls, open intervals that also hold their centre.  Fractions
+appear only at the API boundary: callers pass them in and read them back
+from `Walk.trail`.  The periodic-orbit enumeration and the
+code-conformance test of `codes` check a candidate with one such walk,
+`fixed_cycle`, and take their candidates from one solver, `fixed_points`,
+which reads the fixed points off a piece list.
 
-The same table steps the other exact iterations: `structure` expands all
+The same step drives the other exact iterations: `structure` expands all
 variant orbits breadth-first on pairs; `interval_walk` steps a union of
 closed intervals held as int quadruples for the stability oracle,
 checking its stop rules by cross-multiplication; and `segment_sweep`
-clips and pushes the affine segments of an iterate on a shrinking
-interval, held as int tuples, for the monotone window and the code
-intervals.
+clips the affine segments of an iterate on a shrinking interval and
+pushes them through the one piece kernel of `maps`, for the monotone
+window, the code intervals and the restricted powers.
 """
 
 from __future__ import annotations
@@ -37,12 +35,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
-from math import gcd
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PowerLimitError,
-                   PwdynError, RationalLike, Side, as_fraction, opposite)
+from .maps import (MAX_PIECES, MINUS, PLUS, AffinePiece, Pair, PiecewiseMap,
+                   PowerLimitError, PwdynError, RationalLike, Segment, Side,
+                   _affine, _apply, _locate, _pair, _push_segments, _solve,
+                   _Table, _table, as_fraction, opposite)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -91,67 +90,6 @@ def variant_step(f: PiecewiseMap, x: Fraction, sel: VariantSelector) -> Fraction
     if v is not None:
         return v
     return f.lateral(x, sel.side_at(x))
-
-
-Pair = tuple[int, int]
-
-
-class _Table(NamedTuple):
-    """A map's integer step: f(p/q) = (alpha*p + beta*q) / (delta*q) on
-    each open piece, and the map's values at the bounds between them."""
-
-    cuts: tuple[Pair, ...]             # a, the breakpoints, b
-    values: tuple[Optional[Pair], ...]  # f at each bound, None at a jump
-    sides: dict[Pair, tuple[Pair, Pair]]  # (f(w-), f(w+)) at each jump w
-    pieces: tuple[tuple[int, int, int], ...]  # (alpha, beta, delta)
-
-
-def _pair(x: Fraction) -> Pair:
-    return x.numerator, x.denominator
-
-
-def _table(f: PiecewiseMap) -> _Table:
-    """The integer step of f, built on first use and memoized on f."""
-
-    def build() -> _Table:
-        bounds = (f.a, *f.breakpoints, f.b)
-        values = [f.value(w) for w in bounds]
-        sides = {_pair(w): (_pair(f.lateral(w, MINUS)),
-                            _pair(f.lateral(w, PLUS)))
-                 for w, v in zip(bounds, values) if v is None}
-        pieces = tuple((s.numerator * c.denominator,
-                        c.numerator * s.denominator,
-                        s.denominator * c.denominator)
-                       for s, c in ((p.slope, p.intercept) for p in f.pieces))
-        return _Table(tuple(map(_pair, bounds)),
-                      tuple(v if v is None else _pair(v) for v in values),
-                      sides, pieces)
-
-    return f._memo(("int_step",), build)
-
-
-def _locate(cuts: tuple[Pair, ...], p: int, q: int) -> int:
-    """The number of bounds at or below p/q, by cross-multiplication."""
-    lo, hi = 0, len(cuts)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        n, d = cuts[mid]
-        if p * d < n * q:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _apply(piece: tuple[int, int, int], p: int, q: int) -> Pair:
-    """The piece's affine value at the reduced p/q, as a reduced pair."""
-    alpha, beta, delta = piece
-    num, den = alpha * p + beta * q, delta * q
-    # gcd(num, q) = gcd(alpha*p, q) = gcd(alpha, q) since p/q is reduced,
-    # so gcd(num, den) divides the small m, and two divisions find it
-    m = delta * gcd(alpha, q % alpha)
-    g = gcd(m, num % m)
-    return (num // g, den // g) if g != 1 else (num, den)
 
 
 def _image(t: _Table, p: int, q: int, sel: Optional[VariantSelector]
@@ -352,20 +290,8 @@ class ClipError(PwdynError):
         self.point = point
 
 
-Coef = tuple[int, int, int]
-
-
-def _solve(c: Coef, p: int, q: int) -> Pair:
-    """The x where the segment (A, B, D) takes the value p/q, as a pair
-    neither reduced nor with a positive denominator: the segment ends are
-    never compared, and become Fractions only in the result."""
-    a, b, d = c
-    return d * p - b * q, a * q
-
-
-def _narrow(xs: list[Pair], ys: list[Pair], cs: list[Coef], rising: bool,
-            t_lo: Pair, t_hi: Pair) -> tuple[list[Pair], list[Pair],
-                                             list[Coef]]:
+def _narrow(segs: list[Segment], rising: bool, t_lo: Pair, t_hi: Pair
+            ) -> list[Segment]:
     """Cut a continuous strictly monotone segment list down to the points
     it maps onto [t_lo, t_hi], a part of its image: the segments whose
     ranges hold the two targets each get one solve."""
@@ -373,49 +299,18 @@ def _narrow(xs: list[Pair], ys: list[Pair], cs: list[Coef], rising: bool,
         t_lo, t_hi = t_hi, t_lo  # the targets of the left and right ends
     sign = 1 if rising else -1
     (ln, ld), (hn, hd) = t_lo, t_hi
-    # segment k ends at boundary k + 1; i is the first to end strictly
-    # past t_lo and j the first to end at or past t_hi
-    i = j = None
-    for k, (yn, yd) in enumerate(ys[1:]):
-        if i is None and sign * (yn * ld - ln * yd) > 0:
-            i = k
-        if sign * (yn * hd - hn * yd) >= 0:
-            j = k
-            break
-    return ([_solve(cs[i], *t_lo), *xs[i + 1:j + 1], _solve(cs[j], *t_hi)],
-            [t_lo, *ys[i + 1:j + 1], t_hi], cs[i:j + 1])
-
-
-def _push(t: _Table, xs: list[Pair], ys: list[Pair], cs: list[Coef]
-          ) -> tuple[list[Pair], list[Pair], list[Coef]]:
-    """The segments of f after a continuous strictly monotone segment list:
-    each is split at the preimages of the cuts strictly inside its image,
-    and each part is composed with the piece covering it."""
-    cuts, pieces = t.cuts, t.pieces
-    nxs, nys, ncs = [xs[0]], [], []
-    for k, (a, b, d) in enumerate(cs):
-        y0, y1 = ys[k], ys[k + 1]
-        low, high = (y0, y1) if a > 0 else (y1, y0)
-        # pieces i-1 .. j-1 cover the image: i bounds lie at or below its
-        # low end and j strictly below its high end
-        i = _locate(cuts, *low)
-        j = _locate(cuts, *high)
-        if cuts[j - 1] == high:
-            j -= 1
-        ks = range(i - 1, j) if a > 0 else range(j - 1, i - 2, -1)
-        if k == 0:
-            nys.append(_apply(pieces[ks[0]], *y0))
-        for left, right in zip(ks, ks[1:]):
-            w = cuts[max(left, right)]
-            nxs.append(_solve((a, b, d), *w))
-            nys.append(_apply(pieces[left], *w))
-        for alpha, beta, delta in (pieces[n] for n in ks):
-            c = (alpha * a, alpha * b + beta * d, delta * d)
-            g = gcd(*c)
-            ncs.append((c[0] // g, c[1] // g, c[2] // g) if g != 1 else c)
-        nxs.append(xs[k + 1])
-        nys.append(_apply(pieces[ks[-1]], *y1))
-    return nxs, nys, ncs
+    # segment i is the first to end strictly past t_lo, j the first to end
+    # at or past t_hi
+    i = next(k for k, (*_, (yn, yd), _) in enumerate(segs)
+             if sign * (yn * ld - ln * yd) > 0)
+    j = next(k for k, (*_, (yn, yd), _) in enumerate(segs)
+             if sign * (yn * hd - hn * yd) >= 0)
+    out = segs[i:j + 1]
+    _, x1, _, y1, c = out[0]
+    out[0] = (_solve(c, *t_lo), x1, t_lo, y1, c)
+    x0, _, y0, _, c = out[-1]
+    out[-1] = (x0, _solve(c, *t_hi), y0, t_hi, c)
+    return out
 
 
 def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
@@ -433,22 +328,22 @@ def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
     strictly monotone where it is clipped and pushed, as it is when the
     clips stay between special points.
 
-    The segments are held as int tuples, the ends as (numerator,
-    denominator) pairs and the value on each as (A, B, D) for
-    (A*p + B*q) / (D*q) at p/q, and stepped through the integer table
-    memoized on f, so Fractions appear only in the result.  The segments
-    equal `taxonomy.restrict_power(f, u, v, m)`.
+    The segments are held as int tuples, each (x0, x1, y0, y1, (A, B, D))
+    with its ends and end values as (numerator, denominator) pairs and its
+    value (A*p + B*q) / (D*q) at p/q, and pushed by the one piece kernel,
+    `maps._push_segments`, through the integer table memoized on f, so
+    Fractions appear only in the result.  Without clips this is the m-th
+    iterate on [lo, hi], `taxonomy.restrict_power`, on any piece list.
     """
     t = _table(f)
-    xs = [_pair(lo), _pair(hi)]
-    ys = list(xs)
-    cs: list[Coef] = [(1, 0, 1)]
+    lo, hi = _pair(lo), _pair(hi)
+    segs = [(lo, hi, lo, hi, (1, 0, 1))]
     last = len(clips) - 1
     for step, clip in enumerate(clips):
         if clip is not None:
-            (yn, yd), (zn, zd) = ys[0], ys[-1]
-            rising = yn * zd < zn * yd
-            low, high = (ys[0], ys[-1]) if rising else (ys[-1], ys[0])
+            first, end = segs[0][2], segs[-1][3]
+            rising = first[0] * end[1] < end[0] * first[1]
+            low, high = (first, end) if rising else (end, first)
             c_lo, c_hi = _pair(clip[0]), _pair(clip[1])
             cut_lo = c_lo[0] * low[1] > low[0] * c_lo[1]
             cut_hi = c_hi[0] * high[1] < high[0] * c_hi[1]
@@ -458,13 +353,11 @@ def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
                 gap = t_hi[0] * t_lo[1] - t_lo[0] * t_hi[1]
                 if gap <= 0:
                     raise ClipError(step, gap == 0)
-                xs, ys, cs = _narrow(xs, ys, cs, rising, t_lo, t_hi)
+                segs = _narrow(segs, rising, t_lo, t_hi)
         if step < last:
-            xs, ys, cs = _push(t, xs, ys, cs)
-    ends = [Fraction(*x) for x in xs]
-    return ends[0], ends[-1], [
-        AffinePiece(l, r, Fraction(a, d), Fraction(b, d))
-        for l, r, (a, b, d) in zip(ends, ends[1:], cs)]
+            segs = _push_segments(t, segs, MAX_PIECES)
+    pieces = _affine(segs)
+    return pieces[0].left, pieces[-1].right, pieces
 
 
 def special_gaps(f: PiecewiseMap, x: Fraction, n: int

@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
-                   PowerLimitError, PwdynError, RationalLike, _push_through,
-                   as_fraction)
+                   PowerLimitError, PwdynError, RationalLike, as_fraction)
 from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, ball_stops, germ_step,
                      periodic_points, segment_sweep, special_gaps, walk)
@@ -98,13 +97,13 @@ def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
     """Affine segments of the m-th iterate on (lo, hi), in order.
 
     Pushes the identity on (lo, hi) through f m times with the kernel that
-    also builds compositions.  On a monotone window the images only ever
-    cross removable breakpoints, so the segments stay few.
+    also builds compositions: a `segment_sweep` without clips.  Raises
+    ValueError unless a <= lo < hi <= b.  On a monotone window the images
+    only ever cross removable breakpoints, so the segments stay few.
     """
-    segs = [AffinePiece(lo, hi, Fraction(1), Fraction(0))]
-    for _ in range(m):
-        segs = _push_through(f, segs)
-    return segs
+    if not f.a <= lo < hi <= f.b:
+        raise ValueError(f"[{lo}, {hi}] is not an interval in [{f.a}, {f.b}]")
+    return segment_sweep(f, lo, hi, [None] * (m + 1))[2]
 
 
 def _diagonal_gap(seg: AffinePiece) -> tuple[Fraction, Fraction]:

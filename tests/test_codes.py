@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from pwdyn.codes import (Certifier, CodeUndefinedError, PartitionIntervals,
+import pwdyn.codes as codes_module
+from pwdyn.codes import (CertificationError, Certifier, CodeUndefinedError,
+                         PartitionIntervals,
                          RegularityCertificate, Trivalent,
                          _stabilized_interval, attractor_regular_source, avoids_special_forever,
                          codes, is_regular, regular_attractor,
@@ -202,3 +204,16 @@ def test_stabilized_interval_passes_over_a_one_point_guess():
                   "piece 0 1/2 : slope 3/2 intercept 0\n"
                   "piece 1/2 1 : slope -3/2 intercept 3/2\n")
     assert _stabilized_interval(f, (F(0), F(1, 3)), 1) is None
+
+
+def test_regular_attractor_rejects_an_image_past_the_upper_end(monkeypatch):
+    """On `hat` the stabilized interval of the regular point 1/2 is
+    [1/2, 3/4].  Handed [1/2, 7/12] instead, whose image [7/12, 5/8]
+    starts inside it but ends past 7/12, the certificate must fail."""
+    h = pinned_map("hat")
+    assert regular_attractor(h, F(1, 2)).interval == (F(1, 2), F(3, 4))
+    monkeypatch.setattr(codes_module, "_stabilized_interval",
+                        lambda f, base, n: (F(1, 2), F(7, 12)))
+    with pytest.raises(CertificationError,
+                       match="code interval is not forward invariant"):
+        regular_attractor(pinned_map("hat"), F(1, 2))

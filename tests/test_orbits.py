@@ -10,7 +10,7 @@ from pwdyn.codes import UNKNOWN, Code, Trivalent, avoids_special_forever, codes
 from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
                            _corpus, random_map)
 from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                        parse_map)
+                        compose, parse_map)
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
                           StructureGraph, VariantLimitError, VariantSelector,
                           ball_stops, germ_orbit, germ_step, orbit,
@@ -18,7 +18,7 @@ from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
                           walk)
 from pwdyn.pinned import PINNED_NAMES, pinned_maps, pinned_text
 from pwdyn.stability import oracle_classify
-from pwdyn.taxonomy import attracted
+from pwdyn.taxonomy import attracted, window_sweep
 
 
 def plus_selector(f):
@@ -465,8 +465,9 @@ def test_walker_answers_do_not_depend_on_call_order():
 
 def _memo_calls():
     """(line head, call) on new (cold) maps: structures and oracle verdicts,
-    and the point walks and germ orbits that fill the same map memos,
-    among them the integer table."""
+    and the point walks, window sweeps, germ orbits, powers and
+    compositions that fill the same map memos, among them the integer
+    table."""
     cfg = GeneratorConfig(seed=9)
     texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
     texts += [(f"gen/{i}", random_map(cfg.sub("order", i)).to_text())
@@ -483,17 +484,25 @@ def _memo_calls():
             yield f"{head} oracle", partial(oracle_classify, f, x)
             yield f"{head} oracle/3", partial(oracle_classify, f, x, stride=3)
             yield f"{head} orbit", partial(orbit, f, x, sel, 60)
+            yield f"{head} window", partial(window_sweep, f, x, 3)
             for side in (MINUS, PLUS):
                 if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
                     yield (f"{head} germ {side}",
                            partial(germ_orbit, f, Germ(x, side), 60))
+        for n, check in ((2, False), (3, False), (3, True)):
+            yield (f"{name} power {n} {check}",
+                   lambda f=f, n=n, check=check: f.power(n, check=check)
+                   .to_text())
+        yield f"{name} compose", lambda f=f: compose(f, f).to_text()
 
 
 def test_oracle_and_structures_do_not_depend_on_call_order():
     """The same calls on cold maps, once in order and once in a seeded
-    shuffled order, so that walks and germ orbits sometimes fill the map
-    memos before a structure or an oracle verdict is asked for: the lines,
-    put back in order, are the same."""
+    shuffled order, so that walks, window sweeps and germ orbits sometimes
+    fill the map memos before a structure, an oracle verdict, a power or
+    a composition is asked for: the lines, put back in order, are the
+    same.  In order, every power and composition comes after the map's
+    walks; shuffled, some come before the first of them."""
     canonical = [_answer_line(*c) for c in _memo_calls()]
     calls = list(_memo_calls())
     order = list(range(len(calls)))
@@ -501,5 +510,14 @@ def test_oracle_and_structures_do_not_depend_on_call_order():
     lines = [None] * len(calls)
     for i in order:
         lines[i] = _answer_line(*calls[i])
+    rank = {calls[i][0]: k for k, i in enumerate(order)}
+    walked = {}
+    for head, _ in calls:
+        if head.endswith((" orbit", " window")):
+            name = head.split()[0]
+            walked[name] = min(walked.get(name, len(calls)), rank[head])
+    early = [rank[head] < walked[head.split()[0]] for head, _ in calls
+             if " power " in head or head.endswith(" compose")]
+    assert any(early) and not all(early)
     assert len(lines) > 300
     assert _digest(lines) == _digest(canonical)

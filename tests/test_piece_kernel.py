@@ -1,0 +1,221 @@
+"""The one integer piece kernel against the Fraction kernel it replaced.
+
+`maps._push_segments` builds compositions, powers, restricted powers and
+segment sweeps.  `_push_through` below is the Fraction kernel that built
+the first three, kept as the reference: every piece list, and every
+PieceLimitError with its message, must be the same.
+"""
+
+import random
+from bisect import bisect_left, bisect_right
+from fractions import Fraction as F
+
+import pytest
+
+from pwdyn.harness import GeneratorConfig, _corpus
+from pwdyn.maps import (MAX_PIECES, AffinePiece, PieceLimitError,
+                        PiecewiseMap, PwdynError, _affine, _push_segments,
+                        _segments, _table, compose)
+from pwdyn.orbits import segment_sweep
+from pwdyn.pinned import pinned_maps
+from pwdyn.taxonomy import restrict_power
+from test_orbits import _mirror
+
+# -- the Fraction kernel, the reference ---------------------------------------
+
+
+def _push_through(f, pieces, *, guard=MAX_PIECES):
+    """The ordered affine pieces of f after the given ordered pieces: each
+    is split at the preimages of f's cuts inside its image, and each part is
+    composed with the piece of f covering it.  Empty pieces vanish."""
+    lefts, fpieces = f._lefts, f.pieces
+    out = []
+    for piece in pieces:
+        left, right = piece.left, piece.right
+        s, c = piece.slope, piece.intercept
+        if left >= right:
+            continue
+        y1, y2 = s * left + c, s * right + c
+        # f's pieces k0..k1 cover the image, in the order the piece meets
+        # them; adjacent ones j, k meet at the cut lefts[max(j, k)], which
+        # is strictly inside the image, so every part is nonempty.
+        k0 = bisect_right(lefts, min(y1, y2)) - 1
+        k1 = bisect_left(lefts, max(y1, y2)) - 1
+        ks = range(k0, k1 + 1) if s > 0 else range(k1, k0 - 1, -1)
+        bounds = [left, *((lefts[max(j, k)] - c) / s
+                          for j, k in zip(ks, ks[1:])), right]
+        for p, q, k in zip(bounds, bounds[1:], ks):
+            t = fpieces[k]
+            out.append(AffinePiece(p, q, t.slope * s,
+                                   t.slope * c + t.intercept))
+        if len(out) > guard:
+            raise PieceLimitError(f"composition exceeds {guard} pieces")
+    return out
+
+
+def _ref_restrict_power(f, lo, hi, m):
+    """The m-th iterate on (lo, hi): the identity pushed m times."""
+    segs = [AffinePiece(lo, hi, F(1), F(0))]
+    for _ in range(m):
+        segs = _push_through(f, segs)
+    return segs
+
+
+def _ref_powers(f, n, guard=MAX_PIECES):
+    """Powers 2..n of f, each built from the one before."""
+    current = f
+    for _ in range(2, n + 1):
+        current = PiecewiseMap(f.a, f.b, _push_through(f, current.pieces,
+                                                       guard=guard))
+        yield current
+
+
+# -----------------------------------------------------------------------------
+
+
+def _cold(f):
+    """A new map equal to f, with empty memos."""
+    return PiecewiseMap(f.a, f.b, f.pieces)
+
+
+def _corpus_maps(count):
+    """The pinned maps and `count` seeded generated maps (continuous and
+    discontinuous), with their mirrors."""
+    maps = list(pinned_maps().values())
+    maps += list(_corpus(GeneratorConfig(seed=7, max_pieces=3), "kernel",
+                         count))
+    return maps + [_mirror(f) for f in maps]
+
+
+def _outcome(call, *args, **kwargs):
+    """The call's result, or its error as "Type: message"."""
+    try:
+        return call(*args, **kwargs)
+    except (PwdynError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_compose_matches_the_fraction_kernel():
+    """Every ordered pair of pinned maps and 1500 seeded pairs: the raw
+    pushed pieces equal the reference's, and so does the composition."""
+    maps = _corpus_maps(60)
+    pinned = list(pinned_maps().values())
+    rng = random.Random(3)
+    pairs = [(f, g) for f in pinned for g in pinned]
+    pairs += [(rng.choice(maps), rng.choice(maps)) for _ in range(1500)]
+    jumps = 0
+    for f, g in pairs:
+        ref = _push_through(f, g.pieces)
+        assert _affine(_push_segments(_table(f), _segments(g),
+                                      MAX_PIECES)) == ref
+        got = compose(f, g)
+        assert got.pieces == PiecewiseMap(f.a, f.b, ref).pieces
+        assert compose(f, g, check=False) == got
+        jumps += bool(got.special_points().discontinuities)
+    assert jumps > 300
+
+
+def test_power_matches_the_fraction_kernel():
+    """Powers 2..8 of the pinned maps and 40 seeded maps with their
+    mirrors, asked for with and without the checks, and with the checks
+    after a build without them."""
+    jumps = 0
+    for f in _corpus_maps(40):
+        refs = list(_ref_powers(f, 8))
+        for n, ref in enumerate(refs, start=2):
+            for first, then in ((True, True), (False, False),
+                                (False, True)):
+                g = _cold(f)
+                g.power(n, check=first)
+                assert g.power(n, check=then).pieces == ref.pieces, \
+                    (f.to_text(), n)
+            jumps += bool(ref.special_points().discontinuities)
+    assert jumps > 200
+
+
+def test_restrict_power_matches_the_fraction_kernel():
+    """The iterates 0..4 on intervals between bounds, special points and
+    random rationals, across jumps as well: the segments of the
+    reference, piece for piece."""
+    rng = random.Random(5)
+    split = across = 0
+    for f in _corpus_maps(40):
+        marks = sorted({f.a, f.b, *f.breakpoints, *f.special_points().points,
+                        *(F(rng.randrange(1, 64), 64) for _ in range(4))})
+        for _ in range(6):
+            lo, hi = sorted(rng.sample(marks, 2))
+            for m in range(5):
+                want = _ref_restrict_power(f, lo, hi, m)
+                assert restrict_power(f, lo, hi, m) == want, \
+                    (f.to_text(), lo, hi, m)
+                split += len(want) > 1
+                across += any(p.right == q.left and p.value_at(p.right)
+                              != q.value_at(q.left)
+                              for p, q in zip(want, want[1:]))
+    assert split > 500 and across > 100
+
+
+def test_a_jump_inside_a_restricted_power():
+    """f^2 of `shift` on [1/4, 3/4] is the identity on (3/8, 5/8): the
+    segment pushed past the jump at 1/2 starts from its own end value."""
+    shift = pinned_maps()["shift"]
+    want = [AffinePiece(F(1, 4), F(3, 8), F(1), F(1, 4)),
+            AffinePiece(F(3, 8), F(1, 2), F(1), F(0)),
+            AffinePiece(F(1, 2), F(5, 8), F(1), F(0)),
+            AffinePiece(F(5, 8), F(3, 4), F(1), F(-1, 4))]
+    assert _ref_restrict_power(shift, F(1, 4), F(3, 4), 2) == want
+    assert restrict_power(shift, F(1, 4), F(3, 4), 2) == want
+    assert segment_sweep(shift, F(1, 4), F(3, 4), [None] * 3) \
+        == (F(1, 4), F(3, 4), want)
+
+
+def test_restrict_power_rejects_a_bad_interval(maps):
+    tent = maps["tent"]
+    for lo, hi in ((F(1, 2), F(3, 2)), (F(-1), F(1, 4)),
+                   (F(3, 4), F(1, 4))):
+        with pytest.raises(ValueError) as err:
+            restrict_power(tent, lo, hi, 1)
+        assert str(err.value) == f"[{lo}, {hi}] is not an interval in [0, 1]"
+
+
+class _Counted:
+    """An iterable of pieces that counts how many were taken."""
+
+    def __init__(self, items):
+        self.items, self.taken = items, 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.taken += 1
+            yield item
+
+
+def test_piece_limit_errors_at_the_same_guard():
+    """At every guard up to the raw piece count, power (built fresh or
+    cached) and compose raise the reference's PieceLimitError, and the
+    kernel stops after the same input piece as the reference: right after
+    the one that crosses the guard."""
+    maps = [f for f in _corpus_maps(12) if len(f.pieces) > 1]
+    raised = 0
+    for f in maps:
+        cached = _cold(f)
+        for n in (2, 3, 4):
+            inner = f.power(n - 1, check=False)
+            raw = len(_push_through(f, inner.pieces))
+            cached.power(n)
+            for guard in range(1, raw + 2):
+                want = _outcome(_push_through, f, inner.pieces, guard=guard)
+                refs = _Counted(inner.pieces)
+                _outcome(_push_through, f, refs, guard=guard)
+                segs = _Counted(_segments(inner))
+                _outcome(_push_segments, _table(f), segs, guard)
+                assert segs.taken == refs.taken
+                if isinstance(want, list):
+                    want = PiecewiseMap(f.a, f.b, want)
+                else:
+                    raised += 1
+                assert _outcome(compose, f, inner, guard=guard) == want
+                power = _outcome(lambda: list(_ref_powers(f, n, guard))[-1])
+                assert _outcome(_cold(f).power, n, guard=guard) == power
+                assert _outcome(cached.power, n, guard=guard) == power
+    assert raised > 200

@@ -17,11 +17,12 @@ from pwdyn.codes import (CertificationError, Code, PartitionIntervals,
                          _geometric_limit, _stabilized_interval,
                          regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import AffinePiece, PwdynError, _push_through
+from pwdyn.maps import AffinePiece
 from pwdyn.orbits import ClipError, periodic_points, segment_sweep
 from pwdyn.pinned import pinned_maps
-from pwdyn.taxonomy import DegenerateWindowError, restrict_power, window_sweep
+from pwdyn.taxonomy import DegenerateWindowError, window_sweep
 from test_orbits import _mirror
+from test_piece_kernel import _outcome, _push_through, _ref_restrict_power
 
 # -- the Fraction sweeps, the reference ---------------------------------------
 
@@ -75,7 +76,7 @@ def _ref_constraint_interval(f, code):
     part = PartitionIntervals.of(f)
     sigma = code.cycle
     lo, hi = part.interval(sigma[0])
-    segs = restrict_power(f, lo, hi, 1)
+    segs = _ref_restrict_power(f, lo, hi, 1)
     for m in range(1, 2 * len(sigma)):
         img = _ref_image(segs)
         c_lo, c_hi = part.interval(sigma[m % len(sigma)])
@@ -93,7 +94,7 @@ def _ref_constraint_interval(f, code):
 
 def _ref_stabilized_interval(f, base, n):
     lo, hi = base
-    segs = restrict_power(f, lo, hi, n)
+    segs = _ref_restrict_power(f, lo, hi, n)
     los, his = [lo], [hi]
     for _ in range(64):
         p, q = _ref_image(segs)
@@ -109,13 +110,6 @@ def _ref_stabilized_interval(f, base, n):
         if guess is not None:
             return guess
     return None
-
-
-def _outcome(call, *args):
-    try:
-        return call(*args)
-    except (PwdynError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 # -- the monotone window -------------------------------------------------------

@@ -132,12 +132,32 @@ def test_one_fixed_point_solver():
     assert found == ["orbits.py:fixed_points"]
 
 
-def test_only_orbits_takes_rationals_apart():
-    """The walk's (numerator, denominator) pairs, its integer step and its
-    stop-test data stay behind `orbits`: no other module reads a
-    numerator, so callers pass and get back Fractions only."""
+def test_one_piece_kernel():
+    """Segments are pushed through a map in `maps._push_segments` alone,
+    so compositions, powers, restricted powers and segment sweeps share
+    one kernel.  It matches a function that indexes a map's cuts by
+    max(j, k): the cut where adjacent pieces j and k meet, in either
+    direction, which a kernel reads to split a segment at its preimage."""
+    found = []
+    for path, tree in _sources("src/pwdyn"):
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Call)
+                    and _word(node.slice.func) == "max"
+                    and len(node.slice.args) == 2
+                    for node in ast.walk(func)):
+                found.append(f"{path.name}:{func.name}")
+    assert found == ["maps.py:_push_segments"]
+
+
+def test_only_maps_takes_rationals_apart():
+    """The (numerator, denominator) pairs of the integer step, the piece
+    kernel and the walk's stop-test data are all made in `maps`: no other
+    module reads a numerator, so callers pass and get back Fractions
+    only."""
     found = [f"{path.name}:{node.lineno}"
-             for path, tree in _sources("src/pwdyn") if path.name != "orbits.py"
+             for path, tree in _sources("src/pwdyn") if path.name != "maps.py"
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "numerator"]
     assert found == []
