@@ -410,6 +410,8 @@ def _cmd_suite(args) -> int:
             print(f"error: unknown properties {sorted(unknown)}",
                   file=sys.stderr)
             return 2
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     counts = {name: args.count for name in (which or PROPERTIES)} \
         if args.count else None
     report = run_suite(cfg, which, counts=counts)

@@ -6,6 +6,16 @@ a rational grid, deterministic for a fixed seed down to the emitted map text.
 Failures carry replayable bundles (map text plus a JSON context block) and a
 greedy deterministic shrinker.  The slope palettes deliberately overweight
 magnitude-one branches: the neutral regime is where the edge cases live.
+
+Each property counts its cases on one `PropertyResult`.  A case passes
+exactly when it records no failure (`case()`).  A NOT_APPLICABLE error
+becomes a skip in one place, `skipping()`, around a whole case or, through
+`call()`, around one call.  A case skipped that way neither passes nor
+fails; when only one part of it (a structure, orbit or point) is skipped,
+the case still passes or fails on the rest.  Every other error propagates:
+a bug-class `TaxonomyViolation` is a failure where a property checks for it
+and stops the suite elsewhere.  `basin_witnesses` alone passes a map only
+when some witness holds, and skips it otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import json
 import random
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -22,9 +33,8 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
                     CodeUndefinedError, attractor_regular_source, codes,
                     avoids_special_forever, is_regular, regular_attractor,
                     regularity_certificate, RegularityCertificate)
-from .maps import (MapInvariantError, PieceLimitError, PiecewiseMap,
-                   PwdynError, AffinePiece, _sandwich_bounds, compose,
-                   parse_map)
+from .maps import (MapInvariantError, PiecewiseMap, PwdynError,
+                   AffinePiece, _sandwich_bounds, compose, parse_map)
 from .orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, germ_orbit, orbit,
                      periodic_points, structure, variant_step, variants,
                      walk)
@@ -35,7 +45,8 @@ from .stability import (UNSTABLE, classify_point, cycle_stability_report,
                         subsampled_stability_report)
 from .taxonomy import (NOT_APPLICABLE, DegenerateWindowError,
                        PreconditionError, TaxonomyViolation, attracted,
-                       basin_adjacent_special, count_bound, taxonomy)
+                       basin_adjacent_special, count_bound,
+                       exceptional_census, taxonomy)
 
 
 GENERATION_ATTEMPTS = 400  # rejection-sampling draws per generated map
@@ -256,6 +267,35 @@ class PropertyResult:
                                    {k: str(v) for k, v in context.items()},
                                    message))
 
+    def skip(self) -> None:
+        self.skips += 1
+
+    @contextmanager
+    def skipping(self):
+        """A NOT_APPLICABLE error raised in the block ends it as one skip;
+        any other error propagates."""
+        try:
+            yield
+        except NOT_APPLICABLE:
+            self.skip()
+
+    def call(self, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None after one skip when it raises a
+        NOT_APPLICABLE error."""
+        with self.skipping():
+            return fn(*args, **kwargs)
+        return None
+
+    @contextmanager
+    def case(self):
+        """One case: it passes when it records no failure.  An error ends
+        it with no pass; inside `skipping()` a NOT_APPLICABLE one counts
+        the case as one skip."""
+        fails = self.fails
+        yield
+        if self.fails == fails:
+            self.passes += 1
+
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {"name": self.name, "passes": self.passes, "fails": self.fails,
                "skips": self.skips,
@@ -338,7 +378,9 @@ def closed_structures(f: PiecewiseMap):
     Each structure is expanded to at most 72 nodes (SWEEP_NODE_CAP) with
     denominators of at most 512 bits (SWEEP_BIT_CAP).  The node cap bounds
     the quadratic pair analysis downstream; structures past either cap
-    report as not closed and are skipped by the corpus sweeps.
+    report as not closed and are left out of the corpus sweeps without a
+    skip count, as are the periodic roots when `periodic_points` is not
+    applicable.
     """
     roots = list(f.special_points().discontinuities)
     try:
@@ -367,12 +409,9 @@ def _prop_preimage(cfg, count, result):
     for i in range(count):
         f = maps[i % len(maps)]
         y = _rational(rng, cfg.denominator_bound)
-        roots = f.preimage(y)
-        ok = all(f.value(x) == y for x in roots)
-        if ok:
-            result.passes += 1
-        else:
-            result.fail(f, "preimage root does not evaluate back", y=y)
+        with result.case():
+            if not all(f.value(x) == y for x in f.preimage(y)):
+                result.fail(f, "preimage root does not evaluate back", y=y)
 
 
 @predicate("composition_sandwich")
@@ -394,27 +433,24 @@ def _prop_sandwich(cfg, count, result):
     for i in range(count):
         f = outers[i % len(outers)]
         g = inners[(i * 7 + 3) % len(inners)]
-        try:
-            h = compose(f, g, check=False)
-        except PieceLimitError:
-            result.skips += 1
+        h = result.call(compose, f, g, check=False)
+        if h is None:
             continue
         lower, upper = _sandwich_bounds(f, g)
         got = set(h.special_points().points)
-        if lower <= got <= upper:
-            result.passes += 1
-            if lower != got or got != upper:
+        with result.case():
+            if not lower <= got <= upper:
+                result.fail(f, "sandwich inclusion failed",
+                            second_map=g.to_text())
+            elif lower != got or got != upper:
                 strict += 1
-        else:
-            result.fail(f, "sandwich inclusion failed",
-                        second_map=g.to_text())
     result.extra["strict_gap_instances"] = strict
 
 
 @suite_property("power_special_inclusion", 300)
 def _prop_power(cfg, count, result):
     for f in _corpus(cfg, "power", count, max_pieces=4):
-        try:
+        with result.skipping(), result.case():
             prev_special: list[set] = []
             continuous = not f.special_points().discontinuities
             for n in range(1, 7):
@@ -434,10 +470,6 @@ def _prop_power(cfg, count, result):
                                     n=n)
                         break
                     prev_special.append(sn)
-            else:
-                result.passes += 1
-        except PieceLimitError:
-            result.skips += 1
 
 
 @suite_property("compose_associativity", 150)
@@ -447,33 +479,25 @@ def _prop_assoc(cfg, count, result):
         f = maps[i % len(maps)]
         g = maps[(i * 5 + 1) % len(maps)]
         h = maps[(i * 11 + 2) % len(maps)]
-        try:
+        with result.skipping(), result.case():
             left = compose(compose(f, g, check=False), h, check=False)
             right = compose(f, compose(g, h, check=False), check=False)
-        except PieceLimitError:
-            result.skips += 1
-            continue
-        if left == right:
-            result.passes += 1
-        else:
-            result.fail(f, "composition not associative",
-                        second_map=g.to_text(), third_map=h.to_text())
+            if left != right:
+                result.fail(f, "composition not associative",
+                            second_map=g.to_text(), third_map=h.to_text())
 
 
 @suite_property("eval_lateral_coherence", 200)
 def _prop_coherence(cfg, count, result):
     for f in _corpus(cfg, "coherence", count):
         special = set(f.special_points().points)
-        ok = True
-        for w in f.breakpoints:
-            if w in special:
-                continue
-            if not (f.lateral(w, "minus") == f.lateral(w, "plus")
-                    == f.value(w)):
-                result.fail(f, "laterals disagree at a plain breakpoint", w=w)
-                ok = False
-        if ok:
-            result.passes += 1
+        with result.case():
+            for w in f.breakpoints:
+                if w not in special and not (
+                        f.lateral(w, "minus") == f.lateral(w, "plus")
+                        == f.value(w)):
+                    result.fail(f, "laterals disagree at a plain breakpoint",
+                                w=w)
 
 
 @suite_property("orbit_invariants", 150)
@@ -481,58 +505,46 @@ def _prop_orbits(cfg, count, result):
     intersecting = 0
     for f in _corpus(cfg, "orbits", count, slope_palette="neutral-rich",
                      discontinuity_bias=0.8, denominator_bound=12):
-        try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
-        except NOT_APPLICABLE:
-            result.skips += 1
+        orbits = result.call(periodic_points, f, 4, max_power=8, guard=20000)
+        if orbits is None:
             continue
-        ok = True
-        if not f.special_points().discontinuities:
-            point_sets = [frozenset(o.points) for o in orbits
-                          if o.kind != HALF_POINT]
-            if any(a != b and a & b for a in point_sets for b in point_sets):
-                result.fail(f, "distinct orbits of a continuous map intersect")
-                ok = False
-        for orb in orbits:
-            if orb.kind == HALF_POINT:
-                sel = orb.selector
+        with result.case():
+            if not f.special_points().discontinuities:
+                point_sets = [frozenset(o.points) for o in orbits
+                              if o.kind != HALF_POINT]
+                if any(a != b and a & b
+                       for a in point_sets for b in point_sets):
+                    result.fail(f, "distinct orbits of a continuous map "
+                                "intersect")
+            for orb in orbits:
                 pts = list(orb.points)
-                closes = all(
-                    variant_step(f, pts[i], sel) == pts[(i + 1) % len(pts)]
-                    for i in range(len(pts)))
-            else:
-                pts = list(orb.points)
-                closes = all(f.value(pts[i]) == pts[(i + 1) % len(pts)]
-                             for i in range(len(pts)))
-            if not closes:
-                result.fail(f, "periodic orbit does not close",
-                            points=orb.points)
-                ok = False
-        sets = [frozenset(o.points) for o in orbits if o.kind == HALF_POINT]
-        if any(a != b and a & b for a in sets for b in sets):
-            intersecting += 1
-        for st in closed_structures(f):
-            node_set = set(st.nodes)
-            for sel in variants(f)[:4]:
-                res = orbit(f, st.root, sel, cap=4 * len(node_set) + 8)
-                pts = set(res.prefix) | set(res.cycle or ())
-                if not pts <= node_set:
-                    result.fail(f, "variant orbit escapes its structure",
-                                root=st.root)
-                    ok = False
-                if res.cycle is None:
-                    result.fail(f, "confined orbit not eventually periodic",
-                                root=st.root)
-                    ok = False
-            for p in st.nodes:
-                for g in germs_of(f, p):
-                    go = germ_orbit(f, g, cap=2 * len(node_set) + 2)
-                    if go.truncated:
-                        result.fail(f, "germ cycle exceeded twice the node "
-                                    "count", point=p)
-                        ok = False
-        if ok:
-            result.passes += 1
+                images = (variant_step(f, x, orb.selector)
+                          if orb.kind == HALF_POINT else f.value(x)
+                          for x in pts)
+                if not all(y == z for y, z in zip(images, pts[1:] + pts[:1])):
+                    result.fail(f, "periodic orbit does not close",
+                                points=orb.points)
+            sets = [frozenset(o.points) for o in orbits
+                    if o.kind == HALF_POINT]
+            if any(a != b and a & b for a in sets for b in sets):
+                intersecting += 1
+            for st in closed_structures(f):
+                node_set = set(st.nodes)
+                for sel in variants(f)[:4]:
+                    res = orbit(f, st.root, sel, cap=4 * len(node_set) + 8)
+                    pts = set(res.prefix) | set(res.cycle or ())
+                    if not pts <= node_set:
+                        result.fail(f, "variant orbit escapes its structure",
+                                    root=st.root)
+                    if res.cycle is None:
+                        result.fail(f, "confined orbit not eventually "
+                                    "periodic", root=st.root)
+                for p in st.nodes:
+                    for g in germs_of(f, p):
+                        go = germ_orbit(f, g, cap=2 * len(node_set) + 2)
+                        if go.truncated:
+                            result.fail(f, "germ cycle exceeded twice the "
+                                        "node count", point=p)
     result.extra["intersecting_distinct_orbits"] = intersecting
 
 
@@ -543,58 +555,39 @@ def _prop_oracle(cfg, count, result):
         points = set()
         for st in closed_structures(f):
             points |= set(st.nodes)
-        checked = True
-        for x in sorted(points):
-            try:
-                germ_view = classify_point(f, x, require_confined=False)
-                oracle_view = oracle_classify(f, x)
-            except NOT_APPLICABLE:
-                result.skips += 1
-                continue
-            if germ_view != oracle_view:
-                result.fail(f, "germ and oracle verdicts disagree", x=x,
-                            germ=germ_view, oracle=oracle_view)
-                checked = False
-        if checked:
-            result.passes += 1
+        with result.case():
+            for x in sorted(points):
+                with result.skipping():
+                    germ_view = classify_point(f, x, require_confined=False)
+                    oracle_view = oracle_classify(f, x)
+                    if germ_view != oracle_view:
+                        result.fail(f, "germ and oracle verdicts disagree",
+                                    x=x, germ=germ_view, oracle=oracle_view)
 
 
 @suite_property("propagation_table", 500)
 def _prop_table(cfg, count, result):
     structures = 0
     for f in _corpus(cfg, "table", count):
-        ok = True
-        for st in closed_structures(f):
-            structures += 1
-            try:
-                rep = stability_propagation_report(f, st)
-            except NOT_APPLICABLE:
-                result.skips += 1
-                continue
-            for v in rep.violations:
-                result.fail(f, f"propagation violation {v.rule}",
-                            **v.to_dict())
-                ok = False
-        if ok:
-            result.passes += 1
+        with result.case():
+            for st in closed_structures(f):
+                structures += 1
+                with result.skipping():
+                    for v in stability_propagation_report(f, st).violations:
+                        result.fail(f, f"propagation violation {v.rule}",
+                                    **v.to_dict())
     result.extra["structures_checked"] = structures
 
 
 @suite_property("cycle_rules", 300)
 def _prop_cycles(cfg, count, result):
     for f in _corpus(cfg, "cycles", count):
-        ok = True
-        for st in closed_structures(f):
-            try:
-                rep = cycle_stability_report(f, st)
-            except NOT_APPLICABLE:
-                result.skips += 1
-                continue
-            for v in rep.violations:
-                result.fail(f, f"cycle rule violation {v.rule}", **v.to_dict())
-                ok = False
-        if ok:
-            result.passes += 1
+        with result.case():
+            for st in closed_structures(f):
+                with result.skipping():
+                    for v in cycle_stability_report(f, st).violations:
+                        result.fail(f, f"cycle rule violation {v.rule}",
+                                    **v.to_dict())
 
 
 @suite_property("subsample_stability", 100)
@@ -602,75 +595,55 @@ def _prop_subsample(cfg, count, result):
     corpus = list(_corpus(cfg, "subsample", count)) + \
         [pinned_maps()[k] for k in ("contraction", "tent", "twocycle")]
     for f in corpus:
-        try:
-            orbits = [o for o in periodic_points(f, 3, max_power=6,
-                                                 guard=20000)
-                      if o.continuous and o.kind != INTERVAL_FAMILY]
-        except NOT_APPLICABLE:
-            result.skips += 1
+        orbits = result.call(periodic_points, f, 3, max_power=6, guard=20000)
+        if orbits is None:
             continue
-        ok = True
-        for orb in orbits[:4]:
-            try:
-                rep = subsampled_stability_report(f, orb)
-            except NOT_APPLICABLE:
-                result.skips += 1
-                continue
-            if not rep.consistent:
-                result.fail(f, "subsampled class disagrees",
-                            points=orb.points, germ=rep.germ_class,
-                            full=rep.full_class, sub=rep.subsampled_class)
-                ok = False
-        if ok:
-            result.passes += 1
+        with result.case():
+            for orb in [o for o in orbits
+                        if o.continuous and o.kind != INTERVAL_FAMILY][:4]:
+                rep = result.call(subsampled_stability_report, f, orb)
+                if rep is not None and not rep.consistent:
+                    result.fail(f, "subsampled class disagrees",
+                                points=orb.points, germ=rep.germ_class,
+                                full=rep.full_class, sub=rep.subsampled_class)
 
 
 @suite_property("taxonomy_rules", 300)
 def _prop_taxonomy(cfg, count, result):
     for f in _corpus(cfg, "taxonomy", count, max_pieces=3):
-        try:
-            orbits = periodic_points(f, 8, max_power=16, guard=30000)
-        except NOT_APPLICABLE:
-            result.skips += 1
+        orbits = result.call(periodic_points, f, 8, max_power=16, guard=30000)
+        if orbits is None:
             continue
-        ok = True
-        for orb in orbits:
-            if not orb.continuous or orb.kind == HALF_POINT:
-                continue
-            try:
-                tax = taxonomy(f, orb)
-            except PreconditionError:
-                continue
-            except TaxonomyViolation as exc:
-                result.fail(f, f"taxonomy violation: {exc}", points=orb.points)
-                ok = False
-                continue
-            interior = not any(p in (f.a, f.b) for p in orb.points)
-            if interior and not tax.critical:
-                cls = classify_point(f, orb.representative,
-                                     require_confined=False)
-                if cls == UNSTABLE and not tax.trapped:
-                    result.fail(f, "unstable interior non-critical orbit "
-                                "is not trapped", points=orb.points)
-                    ok = False
-        if ok:
-            result.passes += 1
+        with result.case():
+            for orb in orbits:
+                if not orb.continuous or orb.kind == HALF_POINT:
+                    continue
+                try:
+                    tax = taxonomy(f, orb)
+                except PreconditionError:
+                    continue
+                except TaxonomyViolation as exc:
+                    result.fail(f, f"taxonomy violation: {exc}",
+                                points=orb.points)
+                    continue
+                interior = not any(p in (f.a, f.b) for p in orb.points)
+                if interior and not tax.critical:
+                    cls = classify_point(f, orb.representative,
+                                         require_confined=False)
+                    if cls == UNSTABLE and not tax.trapped:
+                        result.fail(f, "unstable interior non-critical "
+                                    "orbit is not trapped", points=orb.points)
 
 
 @suite_property("exceptional_exclusivity", 300)
 def _prop_exceptional(cfg, count, result):
-    from .taxonomy import exceptional_census
     for f in _corpus(cfg, "exceptional", count, max_pieces=3):
-        try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
-            exceptional_census(f, orbits)
-        except TaxonomyViolation as exc:
-            result.fail(f, f"exclusivity violation: {exc}")
-            continue
-        except NOT_APPLICABLE:
-            result.skips += 1
-            continue
-        result.passes += 1
+        with result.skipping(), result.case():
+            try:
+                exceptional_census(f, periodic_points(f, 4, max_power=8,
+                                                      guard=20000))
+            except TaxonomyViolation as exc:
+                result.fail(f, f"exclusivity violation: {exc}")
 
 
 @suite_property("basin_witnesses", 120)
@@ -679,12 +652,10 @@ def _prop_basins(cfg, count, result):
                           max_pieces=3)) + [pinned_maps()["hat"]]
     for f in corpus:
         if not f.special_points().points:
-            result.skips += 1
+            result.skip()
             continue
-        try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
-        except NOT_APPLICABLE:
-            result.skips += 1
+        orbits = result.call(periodic_points, f, 4, max_power=8, guard=20000)
+        if orbits is None:
             continue
         found = False
         for orb in orbits:
@@ -696,33 +667,26 @@ def _prop_basins(cfg, count, result):
                 continue
             if not tax.free or tax.exceptional:
                 continue
-            try:
-                witnesses = basin_adjacent_special(f, orb)
-            except NOT_APPLICABLE:
-                result.skips += 1
-                continue
-            for wit in witnesses[:2]:
+            witnesses = result.call(basin_adjacent_special, f, orb)
+            for wit in (witnesses or [])[:2]:
                 sides = ["minus", "plus"] if wit.side == "both" else [wit.side]
-                good = True
-                for side in sides:
-                    for i in range(1, 33):
-                        offset = wit.delta * Fraction(i, 33)
-                        y = wit.w - offset if side == "minus" else wit.w + offset
-                        verdict = attracted(f, y, orb)
-                        if verdict != YES:
-                            result.fail(f, "sampled basin point not attracted",
-                                        w=wit.w, side=side, y=y,
-                                        verdict=verdict)
-                            good = False
-                            break
-                    if not good:
+                samples = ((side, wit.w - offset if side == "minus"
+                            else wit.w + offset)
+                           for side in sides for offset in (
+                               wit.delta * Fraction(i, 33)
+                               for i in range(1, 33)))
+                for side, y in samples:
+                    verdict = attracted(f, y, orb)
+                    if verdict != YES:
+                        result.fail(f, "sampled basin point not attracted",
+                                    w=wit.w, side=side, y=y, verdict=verdict)
                         break
-                if good:
+                else:
                     found = True
         if found:
             result.passes += 1
         else:
-            result.skips += 1
+            result.skip()
 
 
 @predicate("orbit_count_bound")
@@ -739,20 +703,14 @@ def _bound_fails(f: PiecewiseMap, context: dict) -> bool:
 def _prop_bound(cfg, count, result):
     for f in _corpus(cfg, "bound", count, max_pieces=3):
         if not f.special_points().points:
-            result.skips += 1
+            result.skip()
             continue
-        try:
-            report = count_bound(f, 8)
-        except NOT_APPLICABLE:
-            result.skips += 1
-            continue
-        if report.holds:
-            result.passes += 1
-        else:
-            bundle = Bundle("orbit_count_bound", f.to_text(),
-                            {"horizon": "8"}, "orbit count bound violated")
-            result.fails += 1
-            result.bundles.append(shrink(bundle))
+        with result.skipping(), result.case():
+            if not count_bound(f, 8).holds:
+                bundle = Bundle("orbit_count_bound", f.to_text(),
+                                {"horizon": "8"}, "orbit count bound violated")
+                result.fails += 1
+                result.bundles.append(shrink(bundle))
 
 
 @suite_property("attractor_duality", 100)
@@ -763,51 +721,41 @@ def _prop_duality(cfg, count, result):
     for f in corpus:
         special = f.special_points()
         if not special.points:
-            result.skips += 1
+            result.skip()
             continue
-        try:
-            Certifier.of(f)  # the map's certifier must build within budget
-        except NOT_APPLICABLE:
-            result.skips += 1
+        # the map's certifier must build within budget
+        if result.call(Certifier.of, f) is None:
             continue
-        ok = True
-        for w in special.points:
-            verdict = is_regular(f, w)
-            if verdict.value == UNKNOWN:
-                result.skips += 1
-                continue
-            if verdict.value == NO:
-                continue
+        with result.case():
+            for w in special.points:
+                verdict = is_regular(f, w)
+                if verdict.value == UNKNOWN:
+                    result.skip()
+                elif verdict.value != NO:
+                    try:
+                        result.call(regular_attractor, f, w)
+                    except CertificationError as exc:
+                        result.fail(f, f"forward construction failed: {exc}",
+                                    w=w)
             try:
-                regular_attractor(f, w)
-            except CertificationError as exc:
-                result.fail(f, f"forward construction failed: {exc}", w=w)
-                ok = False
+                orbits = periodic_points(f, 4, max_power=8, guard=20000)
             except NOT_APPLICABLE:
-                result.skips += 1
-        try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
-        except NOT_APPLICABLE:
-            orbits = []
-        for orb in orbits:
-            if not orb.continuous or orb.kind != "point":
-                continue
-            try:
-                w, verdict = attractor_regular_source(f, orb, horizon=4)
-            except (PreconditionError, DegenerateWindowError):
-                continue
-            except CertificationError as exc:
-                result.fail(f, f"reverse construction failed: {exc}",
-                            points=orb.points)
-                ok = False
-                continue
-            except NOT_APPLICABLE:
-                result.skips += 1
-                continue
-            if verdict.value == UNKNOWN:
-                result.skips += 1
-        if ok:
-            result.passes += 1
+                orbits = []
+            for orb in orbits:
+                if not orb.continuous or orb.kind != "point":
+                    continue
+                with result.skipping():
+                    try:
+                        w, verdict = attractor_regular_source(f, orb,
+                                                              horizon=4)
+                    except (PreconditionError, DegenerateWindowError):
+                        continue
+                    except CertificationError as exc:
+                        result.fail(f, f"reverse construction failed: {exc}",
+                                    points=orb.points)
+                        continue
+                    if verdict.value == UNKNOWN:
+                        result.skip()
 
 
 @suite_property("pinned_double_shift", 1)
@@ -825,10 +773,10 @@ def _prop_pinned_shift(cfg, count, result):
                                       Fraction(5, 8)),
         not set(f.special_points().points) <= set(f2.special_points().points),
     ]
-    if all(checks):
-        result.passes += 1
-    else:
-        result.fail(f, f"pinned double-shift reproduction failed: {checks}")
+    with result.case():
+        if not all(checks):
+            result.fail(f, "pinned double-shift reproduction failed: "
+                        f"{checks}")
 
 
 @suite_property("code_invariants", 120)
@@ -837,48 +785,40 @@ def _prop_codes(cfg, count, result):
     corpus = list(_corpus(cfg, "codes", count, max_pieces=3)) \
         + [pinned_maps()[k] for k in ("hat", "shift")]
     for f in corpus:
-        try:
-            Certifier.of(f)  # the map's certifier must build within budget
-        except NOT_APPLICABLE:
-            result.skips += 1
+        # the map's certifier must build within budget
+        if result.call(Certifier.of, f) is None:
             continue
-        ok = True
         samples = [_rational(rng, cfg.denominator_bound) for _ in range(6)]
-        for x in samples:
-            good = avoids_special_forever(f, x, 2000)
-            if good.value == YES:
-                try:
-                    cs = codes(f, x, 2000)
-                except CodeUndefinedError:
-                    result.fail(f, "good point had no code", x=x)
-                    ok = False
-                    continue
-                if len(cs) != 1:
-                    result.fail(f, "good point code not unique", x=x,
-                                count=len(cs))
-                    ok = False
-            elif good.value == NO:
-                probe = walk(f, x, 200, points=dict.fromkeys(
-                    f.special_points().points, True))
-                depth = len(probe.pairs)
-                # materializing the skeleton is exponential in depth, so the
-                # independent cross-check only runs for shallow hits
-                if probe.reason == "stop" and depth <= 8 and \
-                        x not in set(f.special_preimage_set(depth + 1)):
-                    result.fail(f, "special-hitting point outside the "
-                                "preimage skeleton", x=x, depth=depth)
-                    ok = False
-        jumps = set(f.special_points().discontinuities)
-        for w in f.special_points().points:
-            cert = regularity_certificate(f, w, 2000)
-            if isinstance(cert, RegularityCertificate):
-                witnesses = [Germ(w, cert.side)] if w in jumps \
-                    else germs_of(f, w)
-                for g in witnesses:
-                    go = germ_orbit(f, g, cap=500)
-                    if not go.truncated and go.preperiod == 0:
-                        result.fail(f, "regular point has a periodic germ",
-                                    w=w, side=g.side)
-                        ok = False
-        if ok:
-            result.passes += 1
+        with result.case():
+            for x in samples:
+                good = avoids_special_forever(f, x, 2000)
+                if good.value == YES:
+                    try:
+                        cs = codes(f, x, 2000)
+                    except CodeUndefinedError:
+                        result.fail(f, "good point had no code", x=x)
+                        continue
+                    if len(cs) != 1:
+                        result.fail(f, "good point code not unique", x=x,
+                                    count=len(cs))
+                elif good.value == NO:
+                    probe = walk(f, x, 200, points=dict.fromkeys(
+                        f.special_points().points, True))
+                    depth = len(probe.pairs)
+                    # materializing the skeleton is exponential in depth, so
+                    # the independent cross-check only runs for shallow hits
+                    if probe.reason == "stop" and depth <= 8 and \
+                            x not in set(f.special_preimage_set(depth + 1)):
+                        result.fail(f, "special-hitting point outside the "
+                                    "preimage skeleton", x=x, depth=depth)
+            jumps = set(f.special_points().discontinuities)
+            for w in f.special_points().points:
+                cert = regularity_certificate(f, w, 2000)
+                if isinstance(cert, RegularityCertificate):
+                    witnesses = [Germ(w, cert.side)] if w in jumps \
+                        else germs_of(f, w)
+                    for g in witnesses:
+                        go = germ_orbit(f, g, cap=500)
+                        if not go.truncated and go.preperiod == 0:
+                            result.fail(f, "regular point has a periodic "
+                                        "germ", w=w, side=g.side)

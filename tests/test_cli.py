@@ -144,6 +144,16 @@ def test_suite_json_and_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_suite_rejects_a_count_below_one(capsys, count):
+    # 0 used to run the default corpus sizes, and -3 to run nothing and
+    # report ok
+    code, out, err = run(capsys, "suite", "--which", "pinned_double_shift",
+                         "--count", count)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--count" in err
+
+
 def test_compose_command(capsys, shift_path):
     code, out, _ = run(capsys, "compose", shift_path, shift_path,
                        "--emit-map")

@@ -1,12 +1,16 @@
 import hashlib
+import zlib
 
 import pytest
 
 from pwdyn import harness
 from pwdyn.harness import (Bundle, GeneratorConfig, PREDICATES, random_map,
                            run_suite, shrink)
-from pwdyn.maps import parse_map
-from pwdyn.taxonomy import TaxonomyViolation
+from pwdyn.maps import (PieceLimitError, PiecewiseMap, PowerLimitError,
+                        parse_map)
+from pwdyn.orbits import VariantLimitError
+from pwdyn.stability import CycleBudgetError
+from pwdyn.taxonomy import PreconditionError, TaxonomyViolation
 
 
 def test_generation_deterministic():
@@ -128,3 +132,123 @@ def test_fixed_setting_properties_keep_their_canonical_report():
     report = run_suite(GeneratorConfig(seed=7), set(counts), counts=counts)
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest[:16] == "825e0a7a8a7bb0e4"
+
+
+def test_uncovered_properties_keep_their_canonical_report():
+    # the properties no other digest covers, at a fixed seed and size
+    counts = {"preimage_finite_exact": 200, "composition_sandwich": 200,
+              "power_special_inclusion": 60, "compose_associativity": 60,
+              "eval_lateral_coherence": 60, "taxonomy_rules": 60,
+              "pinned_double_shift": 1}
+    report = run_suite(GeneratorConfig(seed=7), set(counts), counts=counts)
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest[:16] == "50b54cc365994928"
+
+
+# Each property with a skip site, the calls its skips guard, and its
+# (passes, fails, skips) at seed 7 and count 12 when each of those calls
+# raises a NOT_APPLICABLE error on about every other map.
+GUARDED = {
+    "composition_sandwich": (("compose",), (4, 0, 8)),
+    "power_special_inclusion": (("power",), (5, 0, 7)),
+    "compose_associativity": (("compose",), (0, 0, 12)),
+    "orbit_invariants": (("periodic_points",), (5, 0, 7)),
+    "stability_oracle_agreement": (("classify_point", "oracle_classify"),
+                                   (21, 0, 41)),
+    "propagation_table": (("stability_propagation_report",), (12, 0, 10)),
+    "cycle_rules": (("cycle_stability_report",), (12, 0, 14)),
+    "subsample_stability": (("periodic_points",
+                             "subsampled_stability_report"), (6, 0, 14)),
+    "taxonomy_rules": (("periodic_points",), (7, 0, 5)),
+    "exceptional_exclusivity": (("periodic_points",), (7, 0, 5)),
+    "basin_witnesses": (("periodic_points", "basin_adjacent_special"),
+                        (1, 0, 17)),
+    "orbit_count_bound": (("count_bound",), (1, 0, 11)),
+    "attractor_duality": (("Certifier.of", "regular_attractor",
+                           "periodic_points", "attractor_regular_source"),
+                          (5, 0, 13)),
+    "code_invariants": (("Certifier.of",), (7, 0, 7)),
+}
+
+# The NOT_APPLICABLE error planted in each call: compose and power get
+# PieceLimitError, the one such error they can raise, and
+# attractor_regular_source none that its no-skip catch passes over.
+PLANTED = {"compose": PieceLimitError, "power": PieceLimitError,
+           "periodic_points": VariantLimitError,
+           "classify_point": CycleBudgetError,
+           "oracle_classify": CycleBudgetError,
+           "stability_propagation_report": CycleBudgetError,
+           "cycle_stability_report": CycleBudgetError,
+           "subsampled_stability_report": PowerLimitError,
+           "basin_adjacent_special": PreconditionError,
+           "count_bound": PreconditionError,
+           "Certifier.of": PowerLimitError,
+           "regular_attractor": PreconditionError,
+           "attractor_regular_source": PowerLimitError}
+
+
+def _plant(monkeypatch, name, raises):
+    """Make the harness's `name` raise the error `raises(f)` gives for the
+    map f it is called on, or None to call through."""
+    if name == "power":
+        owner, attr, real = PiecewiseMap, "power", PiecewiseMap.power
+    elif name == "Certifier.of":
+        owner, attr, real = harness, "Certifier", harness.Certifier.of
+    else:
+        owner, attr = harness, name
+        real = getattr(harness, name)
+
+    def planted(f, *args, **kwargs):
+        error = raises(f)
+        if error is not None:
+            raise error("planted")
+        return real(f, *args, **kwargs)
+
+    if name == "Certifier.of":
+        planted = type("Certifier", (), {"of": staticmethod(planted)})
+    monkeypatch.setattr(owner, attr, planted)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_planted_skips_keep_their_counts(monkeypatch, name):
+    # each call fails on every other map, by the parity of the crc32 of the
+    # call's name and the map's text: the planted skips fall on the same
+    # maps whatever order the calls come in, and a call guarded inside a
+    # case fails on maps whose earlier calls did not.  Planting by call
+    # parity would leave orbit_invariants' own skip unfired, as
+    # closed_structures takes every second periodic_points call.
+    calls, expected = GUARDED[name]
+    for call in calls:
+        _plant(monkeypatch, call, lambda f, call=call: PLANTED[call]
+               if zlib.crc32((call + f.to_text()).encode()) % 2 else None)
+    r = run_suite(GeneratorConfig(seed=7), {name},
+                  counts={name: 12}).results[name]
+    assert (r.passes, r.fails, r.skips) == expected
+
+
+@pytest.mark.parametrize("name, call", sorted(
+    (name, call) for name, (calls, _) in GUARDED.items() for call in calls))
+def test_planted_violations_are_not_skips(monkeypatch, name, call):
+    # a TaxonomyViolation in a skip-guarded call stops the suite; only
+    # exceptional_exclusivity, whose check is the violation itself, records
+    # it as a failure of every map
+    _plant(monkeypatch, call, lambda f: TaxonomyViolation)
+    cfg, counts = GeneratorConfig(seed=7), {name: 12}
+    if name == "exceptional_exclusivity":
+        r = run_suite(cfg, {name}, counts=counts).results[name]
+        assert (r.passes, r.fails, r.skips) == (0, 12, 0)
+        return
+    with pytest.raises(TaxonomyViolation, match="planted"):
+        run_suite(cfg, {name}, counts=counts)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("orbit_invariants", "variants"), ("taxonomy_rules", "classify_point"),
+    ("basin_witnesses", "attracted"), ("attractor_duality", "is_regular"),
+    ("code_invariants", "avoids_special_forever")])
+def test_unguarded_calls_are_not_skips(monkeypatch, name, call):
+    # a NOT_APPLICABLE error from a call no skip guards stops the suite, so
+    # a case that skips on its first call does not skip on its later ones
+    _plant(monkeypatch, call, lambda f: CycleBudgetError)
+    with pytest.raises(CycleBudgetError, match="planted"):
+        run_suite(GeneratorConfig(seed=7), {name}, counts={name: 12})

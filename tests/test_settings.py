@@ -132,23 +132,46 @@ def test_one_fixed_point_solver():
     assert found == ["orbits.py:fixed_points"]
 
 
+def _piece_kernels(tree):
+    """Functions that both pull a cut back through a segment (`_solve`)
+    and evaluate a piece (`_apply`).  That is what a piece kernel does to
+    split a segment at its cuts' preimages and compose each part with a
+    piece, whatever names it binds on the way."""
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            and {"_solve", "_apply"} <= {_word(node.func)
+                                         for node in ast.walk(func)
+                                         if isinstance(node, ast.Call)}]
+
+
 def test_one_piece_kernel():
     """Segments are pushed through a map in `maps._push_segments` alone,
     so compositions, powers, restricted powers and segment sweeps share
-    one kernel.  It matches a function that indexes a map's cuts by
-    max(j, k): the cut where adjacent pieces j and k meet, in either
-    direction, which a kernel reads to split a segment at its preimage."""
-    found = []
-    for path, tree in _sources("src/pwdyn"):
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef) and any(
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.slice, ast.Call)
-                    and _word(node.slice.func) == "max"
-                    and len(node.slice.args) == 2
-                    for node in ast.walk(func)):
-                found.append(f"{path.name}:{func.name}")
+    one kernel."""
+    found = [f"{path.name}:{name}" for path, tree in _sources("src/pwdyn")
+             for name in _piece_kernels(tree)]
     assert found == ["maps.py:_push_segments"]
+
+
+def test_piece_kernel_check_sees_a_rewritten_kernel():
+    """A kernel that binds max(k, n) to a name before it reads the cuts,
+    and a copy of it under another name, are both found."""
+    source = (PACKAGE / "maps.py").read_text()
+    old = ("                w = cuts[max(k, n)]\n"
+           "                xn, end = _solve(c, *w), values[max(k, n)]\n")
+    assert old in source
+    source = source.replace(old, "                m = max(k, n)\n"
+                                 "                w = cuts[m]\n"
+                                 "                xn, end = _solve(c, *w), "
+                                 "values[m]\n")
+    kernel = ast.get_source_segment(source, next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "_push_segments"))
+    copied = source + "\n\n" + kernel.replace("def _push_segments",
+                                               "def _push_copy")
+    assert _piece_kernels(ast.parse(copied)) == ["_push_segments",
+                                                 "_push_copy"]
 
 
 def test_only_maps_takes_rationals_apart():
