@@ -639,9 +639,9 @@ def _prop_taxonomy(cfg, count, result):
 def _prop_exceptional(cfg, count, result):
     for f in _corpus(cfg, "exceptional", count, max_pieces=3):
         with result.skipping(), result.case():
+            orbits = periodic_points(f, 4, max_power=8, guard=20000)
             try:
-                exceptional_census(f, periodic_points(f, 4, max_power=8,
-                                                      guard=20000))
+                exceptional_census(f, orbits)
             except TaxonomyViolation as exc:
                 result.fail(f, f"exclusivity violation: {exc}")
 

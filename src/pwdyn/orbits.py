@@ -27,6 +27,12 @@ checking its stop rules by cross-multiplication; and `segment_sweep`
 clips the affine segments of an iterate on a shrinking interval and
 pushes them through the one piece kernel of `maps`, for the monotone
 window, the code intervals and the restricted powers.
+
+Germs step the same integer table as (numerator, denominator, plus)
+triples, through one successor table memoized on each map, so each germ
+is stepped once per map: `germ_orbit`, `germ_step`, the landing indices
+of `stability` and the lateral powers of `taxonomy` all read it, and make
+Germs and slope magnitudes only for their results.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
 from .maps import (MAX_PIECES, MINUS, PLUS, AffinePiece, Pair, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, Segment, Side,
                    _affine, _apply, _locate, _pair, _push_segments, _solve,
-                   _Table, _table, as_fraction, opposite)
+                   _Table, _table, as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
+GERM_CAP = 10**4
 VARIANT_BIT_LIMIT = 20
 
 
@@ -459,8 +466,12 @@ def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
                 nodes.add(q)
                 nxt.append(q)
         frontier = nxt
+    # floor(x * 2**k) orders the nodes exactly: two distinct ones differ
+    # by at least 1 / (q1 * q2) > 2**-k, and it takes one division a node
+    k = 2 * max(q.bit_length() for _, q in nodes)
+    order = sorted(nodes, key=lambda p: (p[0] << k) // p[1])
     fracs = {p: Fraction(*p) for p in nodes.union(q for _, _, q in edges)}
-    return StructureGraph(x, tuple(sorted(fracs[p] for p in nodes)),
+    return StructureGraph(x, tuple(fracs[p] for p in order),
                           tuple((fracs[p], side, fracs[q])
                                 for p, side, q in edges),
                           closed=not truncated, truncated=truncated)
@@ -490,20 +501,63 @@ class GermStepResult:
     slope_magnitude: Fraction
 
 
+# (p, q, plus): the germ at p/q, on the plus side when plus is true
+GermKey = tuple[int, int, bool]
+
+
+def _germ_key(f: PiecewiseMap, g: Germ) -> GermKey:
+    """g, validated on f, as the triple the germ step runs on."""
+    g = Germ(as_fraction(g.point), g.side)
+    g.validate(f)
+    return (*_pair(g.point), g.side == PLUS)
+
+
+def _germ(key: GermKey) -> Germ:
+    p, q, plus = key
+    return Germ(Fraction(p, q), PLUS if plus else MINUS)
+
+
+def _germ_successor(t: _Table, key: GermKey) -> tuple[GermKey, int]:
+    """The one germ step: the germ after `key` under the integer step t,
+    and the index of the piece that carries it.  A plus germ takes the
+    piece to its right and a minus germ the piece to its left, so at a
+    cut the one ending there; the side flips exactly when that piece
+    decreases (alpha <= 0)."""
+    p, q, plus = key
+    cuts = t.cuts
+    i = _locate(cuts, p, q) - 1
+    if not plus and cuts[i] == (p, q):
+        i -= 1
+    piece = t.pieces[i]
+    return (*_apply(piece, p, q), plus != (piece[0] <= 0)), i
+
+
+class _Successors(dict):
+    """A map's germ successors, GermKey -> (next GermKey, piece index),
+    each stepped by `_germ_successor` on first lookup."""
+
+    def __init__(self, t: _Table):
+        super().__init__()
+        self.t = t
+
+    def __missing__(self, key: GermKey) -> tuple[GermKey, int]:
+        step = self[key] = _germ_successor(self.t, key)
+        return step
+
+
+def _successors(f: PiecewiseMap) -> _Successors:
+    """The germ successor table of f, memoized on f: every germ is
+    stepped once per map, whichever orbit, cap or caller reaches it."""
+    return f._memo(("germ_successor",), lambda: _Successors(_table(f)))
+
+
 def germ_step(f: PiecewiseMap, g: Germ) -> GermStepResult:
     """Transport a one-sided neighbourhood through its adjacent branch.
 
     The side flips exactly when the branch decreases.
     """
-    g = Germ(as_fraction(g.point), g.side)
-    g.validate(f)
-    if g.side == PLUS:
-        branch = f.piece_right_of(g.point)
-    else:
-        branch = f.piece_left_of(g.point)
-    point = branch.value_at(g.point)
-    side = g.side if branch.slope > 0 else opposite(g.side)
-    return GermStepResult(Germ(point, side), abs(branch.slope))
+    nxt, i = _successors(f)[_germ_key(f, g)]
+    return GermStepResult(_germ(nxt), abs(f.pieces[i].slope))
 
 
 @dataclass(frozen=True)
@@ -533,37 +587,49 @@ class GermOrbit:
         return prod
 
 
-def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = 10**4) -> GermOrbit:
-    """Iterate germ_step with exact (point, side) cycle detection, until
+def _germ_walk(f: PiecewiseMap, key: GermKey, cap: int
+               ) -> tuple[list[GermKey], list[int], Optional[int]]:
+    """The germs from `key` up to and including the first repeat, the
+    piece index of each step, and the index where the cycle starts: None
+    when DENOM_BIT_CAP or `cap` germs end the walk first."""
+    succ = _successors(f)
+    seen: dict[GermKey, int] = {}
+    steps: list[int] = []
+    for _ in range(cap):
+        start = seen.get(key)
+        if start is not None:
+            return [*seen, key], steps, start
+        if key[1].bit_length() > DENOM_BIT_CAP:
+            break
+        seen[key] = len(steps)
+        key, i = succ[key]
+        steps.append(i)
+    return list(seen), steps, None
+
+
+def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = GERM_CAP) -> GermOrbit:
+    """Step the germ g with exact (point, side) cycle detection, until
     the cap or the DENOM_BIT_CAP denominator budget runs out.
 
+    Each germ is checked in a fixed order: a repeat of an earlier germ
+    closes the cycle, a denominator over DENOM_BIT_CAP bits truncates the
+    orbit, and so does the cap-th germ's step.  g is validated once; the
+    walk runs on (p, q, plus) triples through the successor table
+    memoized on f, and makes Germs and slope magnitudes only at the end.
     Memoized on f per germ and cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    g = Germ(as_fraction(g.point), g.side)
-    g.validate(f)
+    key = _germ_key(f, g)
 
     def build() -> GermOrbit:
-        seen: dict[Germ, int] = {}
-        germs: list[Germ] = []
-        slopes: list[Fraction] = []
-        current = g
-        for _ in range(cap):
-            if current in seen:
-                i = seen[current]
-                germs.append(current)
-                return GermOrbit(tuple(germs), tuple(slopes), i,
-                                 len(germs) - 1 - i, False)
-            if current.point.denominator.bit_length() > DENOM_BIT_CAP:
-                break
-            seen[current] = len(germs)
-            germs.append(current)
-            step = germ_step(f, current)
-            slopes.append(step.slope_magnitude)
-            current = step.next
-        return GermOrbit(tuple(germs), tuple(slopes), len(germs), 0, True)
+        keys, steps, start = _germ_walk(f, key, cap)
+        germs = tuple(map(_germ, keys))
+        slopes = tuple(abs(f.pieces[i].slope) for i in steps)
+        if start is None:
+            return GermOrbit(germs, slopes, len(germs), 0, True)
+        return GermOrbit(germs, slopes, start, len(germs) - 1 - start, False)
 
-    return f._memo(("germ_orbit", g, cap), build)
+    return f._memo(("germ_orbit", key, cap), build)
 
 
 # -- periodic orbits ---------------------------------------------------------

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike, Side,
-                   as_fraction)
-from .orbits import (Germ, PeriodicOrbit, StructureGraph, germ_orbit,
-                     interval_walk, structure)
+from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError, RationalLike,
+                   Side, _pair, as_fraction)
+from .orbits import (GERM_CAP, Germ, PeriodicOrbit, StructureGraph,
+                     _germ_key, _germ_walk, germ_orbit, interval_walk,
+                     structure)
 
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
@@ -186,14 +187,17 @@ class Connection:
 def _landings(f: PiecewiseMap, g: Germ, z: Fraction) -> dict[Side, int]:
     """Earliest iterate count at which the germ orbit of g sits at z, per
     arrival side, within one full cycle.  The landing index of each germ
-    is memoized on f."""
-    def build() -> dict[Fraction, dict[Side, int]]:
-        idx: dict[Fraction, dict[Side, int]] = {}
-        for k, gk in enumerate(germ_orbit(f, g).germs):
-            idx.setdefault(gk.point, {}).setdefault(gk.side, k)
+    is memoized on f, keyed on (numerator, denominator) pairs; g is
+    validated when its index is built."""
+    def build() -> dict[Pair, dict[Side, int]]:
+        idx: dict[Pair, dict[Side, int]] = {}
+        for k, (p, q, plus) in enumerate(
+                _germ_walk(f, _germ_key(f, g), GERM_CAP)[0]):
+            idx.setdefault((p, q), {}).setdefault(PLUS if plus else MINUS, k)
         return idx
 
-    return f._memo(("landings", g), build).get(z, {})
+    key = (*_pair(g.point), g.side == PLUS)
+    return f._memo(("landings", key), build).get(_pair(z), {})
 
 
 def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,

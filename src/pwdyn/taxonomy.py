@@ -25,7 +25,7 @@ from typing import Optional
 from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, as_fraction)
 from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, ball_stops, germ_step,
+                     VariantLimitError, _germ_key, _successors, ball_stops,
                      periodic_points, segment_sweep, special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
@@ -530,11 +530,13 @@ def _make_witness(f, orb, w, inner, turns, n, iterates) -> BasinWitness:
 
 
 def _lateral_power(f: PiecewiseMap, w: Fraction, side: str, m: int) -> Fraction:
-    """One-sided limit of the m-th iterate at w, by germ transport."""
-    g = Germ(w, side)
+    """One-sided limit of the m-th iterate at w, by germ transport through
+    the successor table memoized on f."""
+    succ = _successors(f)
+    key = _germ_key(f, Germ(w, side))
     for _ in range(m):
-        g = germ_step(f, g).next
-    return g.point
+        key = succ[key][0]
+    return Fraction(key[0], key[1])
 
 
 # -- counting bound -----------------------------------------------------------------

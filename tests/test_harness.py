@@ -227,14 +227,15 @@ def test_planted_skips_keep_their_counts(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, call", sorted(
-    (name, call) for name, (calls, _) in GUARDED.items() for call in calls))
+    [(name, call) for name, (calls, _) in GUARDED.items() for call in calls]
+    + [("exceptional_exclusivity", "exceptional_census")]))
 def test_planted_violations_are_not_skips(monkeypatch, name, call):
     # a TaxonomyViolation in a skip-guarded call stops the suite; only
-    # exceptional_exclusivity, whose check is the violation itself, records
-    # it as a failure of every map
+    # exceptional_census, whose violation is exceptional_exclusivity's
+    # check, records it as a failure of every map
     _plant(monkeypatch, call, lambda f: TaxonomyViolation)
     cfg, counts = GeneratorConfig(seed=7), {name: 12}
-    if name == "exceptional_exclusivity":
+    if call == "exceptional_census":
         r = run_suite(cfg, {name}, counts=counts).results[name]
         assert (r.passes, r.fails, r.skips) == (0, 12, 0)
         return

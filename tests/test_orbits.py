@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import random
 from fractions import Fraction as F
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,8 @@ from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
                           periodic_points, structure, variant_step, variants,
                           walk)
 from pwdyn.pinned import PINNED_NAMES, pinned_maps, pinned_text
-from pwdyn.stability import oracle_classify
+from pwdyn.stability import (classify_point, oracle_classify,
+                             stability_propagation_report)
 from pwdyn.taxonomy import attracted, window_sweep
 
 
@@ -520,4 +523,96 @@ def test_oracle_and_structures_do_not_depend_on_call_order():
              if " power " in head or head.endswith(" compose")]
     assert any(early) and not all(early)
     assert len(lines) > 300
+    assert _digest(lines) == _digest(canonical)
+
+
+def _memo_kinds():
+    """The kind, the first item, of every `_memo` key in `src/pwdyn`, read
+    off the call or off the last tuple assigned before it, in the same
+    function, to the name it passes; "?" for a key neither way gives."""
+    kinds = set()
+    for path in sorted((Path(orbits.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_memo"):
+                continue
+            key = node.args[0]
+            if isinstance(key, ast.Name):
+                scope = max((f for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=tree)
+                assigned = max((a for a in ast.walk(scope)
+                                if isinstance(a, ast.Assign)
+                                and a.lineno < node.lineno
+                                and any(isinstance(t, ast.Name)
+                                        and t.id == key.id
+                                        for t in a.targets)),
+                               key=lambda a: a.lineno, default=None)
+                key = assigned and assigned.value
+            first = key.elts[0] if isinstance(key, ast.Tuple) else None
+            kinds.add(first.value if isinstance(first, ast.Constant)
+                      else "?")
+    return kinds
+
+
+def _every_memo_calls():
+    """(line head, call) on new (cold) maps for every memo kind: germ
+    orbits at two caps, lateral and full classes, propagation reports
+    (landing indices), periodic orbits, attraction (atlas and its balls),
+    codes (certifier), preimage sets, checked powers and the walks that
+    fill the integer table."""
+    cfg = GeneratorConfig(seed=17)
+    texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
+    texts += [(f"gen/{i}", random_map(cfg.sub("memo", i)).to_text())
+              for i in range(4)]
+    for name, text in texts:
+        f = parse_map(text)
+        yield f"{name} periodic", partial(periodic_points, f, 2)
+        yield f"{name} msets", partial(f.special_preimage_set, 3)
+        yield (f"{name} power", lambda f=f: f.power(3).to_text())
+        probe = parse_map(text)  # picks the points, leaves f cold
+        for x in sorted({F(1, 3), f.a, f.b, *f.special_points().points}):
+            head = f"{name} {x}"
+            if structure(probe, x, 200).closed:
+                yield f"{head} classify", partial(classify_point, f, x)
+            yield (f"{head} report", lambda f=f, x=x:
+                   stability_propagation_report(f, structure(f, x, 200)))
+            yield f"{head} codes", partial(codes, f, x, 50)
+            yield (f"{head} attracted", lambda f=f, x=x: [
+                attracted(f, x, orb, 50) for orb in periodic_points(f, 2)])
+            for side in (MINUS, PLUS):
+                if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
+                    for cap in (7, 60):
+                        yield (f"{head} germ {side} {cap}",
+                               partial(germ_orbit, f, Germ(x, side), cap))
+
+
+def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
+    """Each kind of memo key in `src/pwdyn`, found by the AST, is built on
+    cold maps by a seeded shuffled run of calls whose answers, put back in
+    order, equal those of the run in order: a new kind of memo fails here
+    until such a run exercises it."""
+    kinds = _memo_kinds()
+    assert {"germ_successor", "germ_orbit", "landings", "int_step"} <= kinds
+    canonical = [_answer_line(*c) for c in _every_memo_calls()]
+    built = set()
+    real = PiecewiseMap._memo
+
+    def recording(self, key, build):
+        if key not in self._cache:
+            built.add(key[0])
+        return real(self, key, build)
+
+    monkeypatch.setattr(PiecewiseMap, "_memo", recording)
+    calls = list(_every_memo_calls())
+    order = list(range(len(calls)))
+    random.Random(37).shuffle(order)
+    lines = [None] * len(calls)
+    for i in order:
+        lines[i] = _answer_line(*calls[i])
+    assert sorted(kinds - built) == []
     assert _digest(lines) == _digest(canonical)

@@ -184,3 +184,86 @@ def test_only_maps_takes_rationals_apart():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "numerator"]
     assert found == []
+
+
+def _sign_test(node):
+    """An ordering comparison with zero: a slope's sign."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+            and any(isinstance(side, ast.Constant) and side.value == 0
+                    for side in (node.left, *node.comparators)))
+
+
+def _flips_a_side(func):
+    """A side turned over by a slope's sign: `opposite(...)` or `not ...`
+    taken where the sign is tested, or a side compared or xor-ed with the
+    sign test itself."""
+    tests_sign = any(_sign_test(node) for node in ast.walk(func))
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and _word(node.func) == "opposite" \
+                or isinstance(node, ast.UnaryOp) \
+                and isinstance(node.op, ast.Not):
+            if tests_sign:
+                return True
+        operands = ()
+        if isinstance(node, ast.Compare) and isinstance(
+                node.ops[0], (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)):
+            operands = (node.left, *node.comparators)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
+            operands = (node.left, node.right)
+        if any(_sign_test(side) for side in operands):
+            return True
+    return False
+
+
+def _germ_steps(tree):
+    """Functions that locate a piece by position (`_locate`, or a map's
+    `piece_left_of` / `piece_right_of`), evaluate it (`_apply` or
+    `value_at`) and flip a side by the slope's sign: what a germ step
+    computes, whatever names it binds on the way."""
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        called = {_word(node.func) for node in ast.walk(func)
+                  if isinstance(node, ast.Call)}
+        if called & {"_locate", "piece_left_of", "piece_right_of"} \
+                and called & {"_apply", "value_at"} and _flips_a_side(func):
+            out.append(func.name)
+    return out
+
+
+def test_one_germ_step():
+    """A germ's piece is picked and its side flipped in
+    `orbits._germ_successor` alone, so germ orbits, `germ_step`, the
+    landing indices and the lateral powers share one step."""
+    found = [f"{path.name}:{name}" for path, tree in _sources("src/pwdyn")
+             for name in _germ_steps(tree)]
+    assert found == ["orbits.py:_germ_successor"]
+
+
+def test_germ_step_check_sees_a_rewritten_step():
+    """A step that flips the side with `not` under a sign test instead of
+    comparing it with one, and a renamed copy of it, are both found; so is
+    the Fraction step it replaced, which flips with `opposite`."""
+    source = (PACKAGE / "orbits.py").read_text()
+    old = "    return (*_apply(piece, p, q), plus != (piece[0] <= 0)), i\n"
+    assert old in source
+    source = source.replace(old, "    alpha = piece[0]\n"
+                                 "    if alpha < 0:\n"
+                                 "        plus = not plus\n"
+                                 "    return (*_apply(piece, p, q), plus), i\n")
+    step = ast.get_source_segment(source, next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "_germ_successor"))
+    copied = source + "\n\n" + step.replace("def _germ_successor",
+                                             "def _step_copy")
+    assert _germ_steps(ast.parse(copied)) == ["_germ_successor", "_step_copy"]
+    fraction_step = (
+        "def germ_step(f, g):\n"
+        "    branch = (f.piece_right_of(g.point) if g.side == PLUS\n"
+        "              else f.piece_left_of(g.point))\n"
+        "    side = g.side if branch.slope > 0 else opposite(g.side)\n"
+        "    return Germ(branch.value_at(g.point), side)\n")
+    assert _germ_steps(ast.parse(fraction_step)) == ["germ_step"]
