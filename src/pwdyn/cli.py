@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 when the analysis itself finds a genuine
 negative (a violated bound, a failed certification, suite failures), 2 for
-usage or parse errors, and 141 (a shell's status for SIGPIPE), with no
+usage or input errors (a map file that does not parse or breaks a map
+invariant), 3 with an `internal error:` prefix when a bug-class error
+(`TaxonomyViolation`, or `MapInvariantError` after the maps loaded) shows
+an implementation bug, and 141 (a shell's status for SIGPIPE), with no
 traceback, when stdout closes before the output is written.  Results go
 to stdout, diagnostics to stderr.  All set-valued output is sorted and
 rationals print exactly, so reports diff cleanly.
@@ -20,13 +23,14 @@ from .codes import (CertificationError, CodeUndefinedError, YES,
                     attractor_regular_source, codes, is_regular,
                     regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
-from .maps import (MapSyntaxError, MINUS, PLUS, PiecewiseMap, PwdynError,
-                   compose, parse_map, parse_rational)
+from .maps import (MapInvariantError, MapSyntaxError, MINUS, PLUS,
+                   PiecewiseMap, PwdynError, compose, parse_map,
+                   parse_rational)
 from .orbits import (HALF_POINT, INTERVAL_FAMILY, VariantSelector, orbit,
                      periodic_points, structure)
 from .plotting import emit_plot
 from .stability import classify_point, classify_side, find_connection
-from .taxonomy import (NOT_APPLICABLE, PreconditionError,
+from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
                        basin_adjacent_special, count_bound, taxonomy)
 
 
@@ -38,9 +42,17 @@ def _fmt_points(points) -> str:
     return "(" + ", ".join(str(p) for p in points) + ")"
 
 
+class _MapFileError(PwdynError):
+    """A map file that parses but breaks a map invariant: an input error."""
+
+
 def _load(path: str) -> PiecewiseMap:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_map(handle.read())
+        text = handle.read()
+    try:
+        return parse_map(text)
+    except MapInvariantError as exc:
+        raise _MapFileError(str(exc)) from exc
 
 
 def _selector_from_bits(f: PiecewiseMap, bits: Optional[str]) -> VariantSelector:
@@ -161,6 +173,9 @@ def dispatch(argv: list[str]) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
+    except (TaxonomyViolation, MapInvariantError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except PwdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -242,7 +257,12 @@ def _cmd_orbit(f, args) -> int:
 
 def _cmd_structure(f, args) -> int:
     st = structure(f, parse_rational(args.x), cap=args.cap)
-    print(f"nodes = {_fmt_set(st.nodes)}")
+    if st.truncated:
+        # the nodes are sorted; a cut-off set is summarized, not dumped
+        print(f"nodes: {len(st.nodes)} (cap {args.cap}), least "
+              f"{st.nodes[0]}, greatest {st.nodes[-1]}")
+    else:
+        print(f"nodes = {_fmt_set(st.nodes)}")
     print(f"closed = {'yes' if st.closed else 'no'}"
           + (" (truncated)" if st.truncated else ""))
     return 0

@@ -16,13 +16,17 @@ endpoint values are the inward limits.
 A map carries its integer step, memoized on it, and this module owns the
 one piece kernel, `_push_segments`, which pushes segments held as int
 tuples through that step for compositions, powers and `orbits` sweeps.
+Every map is built and checked on one private path, `PiecewiseMap._init`:
+the public constructor evaluates each piece's end values first, while a
+power or composition hands over the ones its segments carry, so their
+invariants are checked without evaluating a piece again.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union
@@ -126,8 +130,10 @@ class PiecewiseMap:
 
     Instances are immutable after construction and safe to share; the private
     attributes only cache derived data.  `_ends[i]` holds the inward limits
-    (f(left+), f(right-)) of `pieces[i]`, the one table that values at
-    breakpoints, jumps and preimages are read from.
+    (f(left+), f(right-)) of `pieces[i]` as reduced (numerator, denominator)
+    pairs, the one table that values at breakpoints, jumps and preimages are
+    read from.  The public constructor evaluates it; a power or composition
+    takes it from the end values of the piece kernel's segments.
     """
 
     __slots__ = ("a", "b", "pieces", "_lefts", "_ends", "_special", "_powers",
@@ -144,13 +150,20 @@ class PiecewiseMap:
             raise MapInvariantError(f"empty interval: {a} >= {b}")
         if not plist:
             raise MapInvariantError("map needs at least one piece")
-        plist = _merge_collinear(plist)
-        ends = _validate(a, b, plist)
+        self._init(a, b, plist, [(_pair(p.value_at(p.left)),
+                                  _pair(p.value_at(p.right))) for p in plist])
+
+    def _init(self, a: Fraction, b: Fraction, plist: list[AffinePiece],
+              ends: list[tuple[Pair, Pair]]) -> None:
+        """The one constructor path: merge, check and store the pieces with
+        their end values, evaluated or read off the kernel (`_ends`)."""
+        plist, ends = _merge_collinear(plist, ends)
+        _validate(a, b, plist, ends)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "pieces", tuple(plist))
         object.__setattr__(self, "_lefts", [p.left for p in plist])
-        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_ends", tuple(ends))
         object.__setattr__(self, "_special", None)
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_cache", {})
@@ -208,16 +221,16 @@ class PiecewiseMap:
         if x < self.a or x > self.b:
             raise ValueError(f"{x} outside [{self.a}, {self.b}]")
         if x == self.a:
-            return self._ends[0][0]
+            return Fraction(*self._ends[0][0])
         if x == self.b:
-            return self._ends[-1][1]
+            return Fraction(*self._ends[-1][1])
         i = bisect_right(self._lefts, x) - 1
         piece = self.pieces[i]
         if x > piece.left:
             return piece.value_at(x)
         # x is an interior breakpoint shared by pieces[i-1] and pieces[i].
         v_left, v_right = self._ends[i - 1][1], self._ends[i][0]
-        return v_left if v_left == v_right else None
+        return Fraction(*v_left) if v_left == v_right else None
 
     def special_points(self) -> SpecialPoints:
         """Jumps and turns, derived from lateral limits (cached)."""
@@ -241,15 +254,16 @@ class PiecewiseMap:
 
         Points where the map is undefined (jumps) are never included.
         """
-        y = as_fraction(y)
+        y = p, q = _pair(as_fraction(y))
         found = []
         last = self._ends[0][0]  # f(w-) at each left end w; f(a+) at a
-        for piece, (v0, v1) in zip(self.pieces, self._ends):
+        for piece, c, (v0, v1) in zip(self.pieces, _table(self).pieces,
+                                      self._ends):
             if v0 == y == last:
                 found.append(piece.left)
-            # a monotone piece hits y inside iff its open image contains y
-            if v0 < y < v1 or v1 < y < v0:
-                found.append(piece.solve(y))
+            # a monotone piece hits y inside iff y - v0, y - v1 differ in sign
+            if (p * v0[1] - v0[0] * q) * (p * v1[1] - v1[0] * q) < 0:
+                found.append(Fraction(*_solve(c, p, q)))
             last = v1
         if last == y:
             found.append(self.b)
@@ -273,9 +287,8 @@ class PiecewiseMap:
         for k in range(2, n + 1):
             step = self._powers.get(k)
             if step is None:
-                raw = _affine(_push_segments(_table(self), _segments(current),
-                                             guard))
-                step = (PiecewiseMap(self.a, self.b, raw), len(raw), False)
+                raw = _push_segments(_table(self), _segments(current), guard)
+                step = (_from_segments(self.a, self.b, raw), len(raw), False)
             nxt, raw_count, validated = step
             if raw_count > guard:
                 raise PieceLimitError(f"composition exceeds {guard} pieces")
@@ -327,40 +340,39 @@ class PiecewiseMap:
         return "\n".join(lines) + "\n"
 
 
-def _merge_collinear(pieces: list[AffinePiece]) -> list[AffinePiece]:
-    merged: list[AffinePiece] = []
-    for piece in pieces:
-        if (merged and merged[-1].slope == piece.slope
+def _merge_collinear(pieces: list[AffinePiece], ends: list[tuple[Pair, Pair]]):
+    merged, merged_ends = pieces[:1], ends[:1]
+    for piece, end in zip(pieces[1:], ends[1:]):
+        if (merged[-1].slope == piece.slope
                 and merged[-1].intercept == piece.intercept
                 and merged[-1].right == piece.left):
-            merged[-1] = AffinePiece(merged[-1].left, piece.right,
-                                     piece.slope, piece.intercept)
+            merged[-1] = replace(merged[-1], right=piece.right)
+            merged_ends[-1] = (merged_ends[-1][0], end[1])
         else:
             merged.append(piece)
-    return merged
+            merged_ends.append(end)
+    return merged, merged_ends
 
 
-def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece]
-              ) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Check the map invariants; return the endpoint-value table."""
+def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece],
+              ends: Sequence[tuple[Pair, Pair]]) -> None:
+    """Check the map invariants on the pieces and their end values."""
     if pieces[0].left != a or pieces[-1].right != b:
         raise MapInvariantError("pieces do not cover the interval")
-    ends = []
-    for piece in pieces:
+    (an, ad), (bn, bd) = _pair(a), _pair(b)
+    for piece, ((n0, d0), (n1, d1)) in zip(pieces, ends):
         if piece.left >= piece.right:
             raise MapInvariantError(f"empty piece ({piece.left}, {piece.right})")
         if piece.slope == 0:
             raise MapInvariantError(f"zero slope on ({piece.left}, {piece.right})")
-        v0, v1 = piece.value_at(piece.left), piece.value_at(piece.right)
-        if not (a <= v0 <= b and a <= v1 <= b):
+        if not (an * d0 <= n0 * ad and n0 * bd <= bn * d0
+                and an * d1 <= n1 * ad and n1 * bd <= bn * d1):
             raise MapInvariantError(
                 f"image of ({piece.left}, {piece.right}) escapes [{a}, {b}]")
-        ends.append((v0, v1))
     for prev, nxt in zip(pieces, pieces[1:]):
         if prev.right != nxt.left:
             raise MapInvariantError(
                 f"pieces do not abut at {prev.right} vs {nxt.left}")
-    return tuple(ends)
 
 
 # -- map file format --------------------------------------------------------
@@ -421,8 +433,8 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     """
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
-    result = PiecewiseMap(outer.a, outer.b, _affine(
-        _push_segments(_table(outer), _segments(inner), guard)))
+    result = _from_segments(outer.a, outer.b, _push_segments(
+        _table(outer), _segments(inner), guard))
     if check:
         _check_sandwich(outer, inner, result)
     return result
@@ -497,10 +509,10 @@ def _table(f: PiecewiseMap) -> _Table:
         # inward ones at a and b
         lefts = (ends[0][0], *(v1 for _, v1 in ends))
         rights = (*(v0 for v0, _ in ends), ends[-1][1])
-        return _Table(cuts, tuple(_pair(v) if v == w else None
+        return _Table(cuts, tuple(v if v == w else None
                                   for v, w in zip(lefts, rights)),
-                      {x: (_pair(v), _pair(w))
-                       for x, v, w in zip(cuts, lefts, rights) if v != w},
+                      {x: (v, w) for x, v, w in zip(cuts, lefts, rights)
+                       if v != w},
                       tuple(map(_coef, f.pieces)))
 
     return f._memo(("int_step",), build)
@@ -539,9 +551,9 @@ def _solve(c: Coef, p: int, q: int) -> Pair:
 
 
 def _segments(f: PiecewiseMap) -> list[Segment]:
-    """The pieces of f as segments, their end values read off `_ends`."""
-    return [(_pair(p.left), _pair(p.right), _pair(v0), _pair(v1), _coef(p))
-            for p, (v0, v1) in zip(f.pieces, f._ends)]
+    """The pieces of f as segments, read off its integer step and `_ends`."""
+    cuts, _, _, pieces = _table(f)
+    return list(zip(cuts, cuts[1:], *zip(*f._ends), pieces))
 
 
 def _push_segments(t: _Table, segments: Iterable[Segment], guard: int
@@ -593,3 +605,12 @@ def _affine(segments: Sequence[Segment]) -> list[AffinePiece]:
     ends.append(Fraction(*segments[-1][1]))
     return [AffinePiece(left, right, Fraction(a, d), Fraction(b, d))
             for left, right, (*_, (a, b, d)) in zip(ends, ends[1:], segments)]
+
+
+def _from_segments(a: Fraction, b: Fraction, segments: Sequence[Segment]
+                   ) -> PiecewiseMap:
+    """The map on [a, b] with the given abutting segments, through the one
+    constructor path, its end values the kernel's own."""
+    f = object.__new__(PiecewiseMap)
+    f._init(a, b, _affine(segments), [s[2:4] for s in segments])
+    return f

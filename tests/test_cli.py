@@ -8,9 +8,10 @@ import pytest
 
 from pwdyn import cli
 from pwdyn.cli import dispatch
-from pwdyn.maps import parse_map
+from pwdyn.codes import CertificationError
+from pwdyn.maps import MapInvariantError, parse_map
 from pwdyn.pinned import pinned_text
-from pwdyn.taxonomy import TaxonomyViolation
+from pwdyn.taxonomy import PreconditionError, TaxonomyViolation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +117,56 @@ def test_theorem5_surfaces_bug_class_errors(capsys, hat_path, monkeypatch):
     code, _, err = run(capsys, "theorem5", hat_path)
     assert code != 0
     assert "planted violation" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (TaxonomyViolation, 3, "internal error"),
+    (MapInvariantError, 3, "internal error"),
+    (CertificationError, 1, "certification failure"),
+    (PreconditionError, 2, "error")])
+def test_exit_status_by_error_class(capsys, hat_path, monkeypatch, error,
+                                    code, prefix):
+    """An implementation bug raised after the map loaded exits 3 with
+    `internal error:`; a failed certification keeps 1 and a precondition
+    (input) error keeps 2."""
+    def broken(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "periodic_points", broken)
+    assert run(capsys, "periodic", hat_path) == (code, "",
+                                                 f"{prefix}: planted\n")
+
+
+def test_a_map_file_that_breaks_an_invariant_is_an_input_error(
+        capsys, hat_path, tmp_path):
+    """A MapInvariantError or MapSyntaxError raised while a map file loads,
+    the outer map or compose's inner one, exits 2 with `error:`."""
+    gap = tmp_path / "gap.map"
+    gap.write_text("interval 0 1\npiece 0 1/2 : slope 1 intercept 0\n")
+    syntax = tmp_path / "syntax.map"
+    syntax.write_text("interval 0 1\npiece 0 1 : slope 1 intercept x\n")
+    cover = "error: pieces do not cover the interval\n"
+    assert run(capsys, "validate", str(gap)) == (2, "", cover)
+    assert run(capsys, "compose", hat_path, str(gap)) == (2, "", cover)
+    assert run(capsys, "validate", str(syntax)) == (
+        2, "", "error: line 2, column 31: invalid rational 'x'\n")
+
+
+def test_a_truncated_structure_is_summarized(capsys, tmp_path):
+    """A structure cut off at the denominator cap or the node cap prints
+    its size, the node cap and its least and greatest nodes, not every
+    node (5 MB on tent at 1/2)."""
+    tent = tmp_path / "tent.map"
+    tent.write_text(pinned_text("tent"))
+    code, out, err = run(capsys, "structure", str(tent), "--x", "1/2")
+    assert (code, err) == (0, "")
+    assert len(out) < 1000
+    assert out == ("nodes: 4095 (cap 10000), least 3/8, greatest 3/4\n"
+                   "closed = no (truncated)\n")
+    code, out, _ = run(capsys, "structure", str(tent), "--x", "1/2",
+                       "--cap", "3")
+    assert out == ("nodes: 3 (cap 3), least 3/8, greatest 3/4\n"
+                   "closed = no (truncated)\n")
 
 
 def test_plot_csv_and_svg(capsys, shift_path, hat_path):

@@ -218,16 +218,35 @@ def test_eval_at_plain_breakpoint():
     assert f.lateral(F(1, 2), "minus") == f.lateral(F(1, 2), "plus") == F(1, 2)
 
 
+def test_a_power_cached_unchecked_is_checked_when_asked(maps):
+    """A power built by a check=False call keeps the kernel's end values
+    unchecked against the sandwich bounds; the first check=True call runs
+    the checks, so a planted wrong power cached that way raises there."""
+    t = pinned_map("tent")
+    t.power(2, check=False)
+    wrong = maps["shift"]  # jumps at 1/2, outside tent^2's bounds
+    t._powers[2] = (wrong, len(wrong.pieces), False)
+    assert t.power(2, check=False) is wrong
+    with pytest.raises(MapInvariantError) as err:
+        t.power(2)
+    assert str(err.value) == ("special points of the composition escaped "
+                              "their exact bounds")
+
+
 @pytest.mark.parametrize("name", ["tent", "shift"])
 def test_cached_power_honours_a_smaller_guard(name):
+    """Whether the power was cached with or without the checks, and asked
+    for again with or without them."""
     fresh = pinned_map(name)
     with pytest.raises(PieceLimitError) as cold:
         fresh.power(6, guard=4, check=False)
-    warm = pinned_map(name)
-    warm.power(6, check=False)
-    with pytest.raises(PieceLimitError) as cached:
-        warm.power(6, guard=4, check=False)
-    assert str(cached.value) == str(cold.value)
+    for first in (False, True):
+        for then in (False, True):
+            warm = pinned_map(name)
+            warm.power(6, check=first)
+            with pytest.raises(PieceLimitError) as cached:
+                warm.power(6, guard=4, check=then)
+            assert str(cached.value) == str(cold.value)
 
 
 def _generated_maps(count):

@@ -1,9 +1,13 @@
-"""The one integer piece kernel against the Fraction kernel it replaced.
+"""The integer layer of `maps` against the Fraction code it replaced.
 
 `maps._push_segments` builds compositions, powers, restricted powers and
 segment sweeps.  `_push_through` below is the Fraction kernel that built
 the first three, kept as the reference: every piece list, and every
-PieceLimitError with its message, must be the same.
+PieceLimitError with its message, must be the same.  Powers and
+compositions keep the kernel's end values through the one constructor
+path, `PiecewiseMap._init`; `_ref_ends` evaluates them as that path used
+to, and `_ref_preimage` is the Fraction `preimage` the integer one
+replaced.
 """
 
 import random
@@ -13,9 +17,10 @@ from fractions import Fraction as F
 import pytest
 
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import (MAX_PIECES, AffinePiece, PieceLimitError,
-                        PiecewiseMap, PwdynError, _affine, _push_segments,
-                        _segments, _table, compose)
+from pwdyn.maps import (MAX_PIECES, AffinePiece, MapInvariantError,
+                        PieceLimitError, PiecewiseMap, PwdynError, _affine,
+                        _from_segments, _pair, _push_segments, _segments,
+                        _table, compose)
 from pwdyn.orbits import segment_sweep
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import restrict_power
@@ -68,6 +73,28 @@ def _ref_powers(f, n, guard=MAX_PIECES):
         current = PiecewiseMap(f.a, f.b, _push_through(f, current.pieces,
                                                        guard=guard))
         yield current
+
+
+def _ref_ends(f):
+    """The end values of f's pieces, evaluated with `value_at`."""
+    return tuple((p.value_at(p.left), p.value_at(p.right)) for p in f.pieces)
+
+
+def _ref_preimage(f, y, ends):
+    """All x in [a, b] with a defined value equal to y, sorted: y compared
+    with the Fraction end values of each piece (`_ref_ends(f)`), roots
+    solved in Fractions."""
+    found = []
+    last = ends[0][0]  # f(w-) at each left end w; f(a+) at a
+    for piece, (v0, v1) in zip(f.pieces, ends):
+        if v0 == y == last:
+            found.append(piece.left)
+        if v0 < y < v1 or v1 < y < v0:
+            found.append(piece.solve(y))
+        last = v1
+    if last == y:
+        found.append(f.b)
+    return tuple(found)
 
 
 # -----------------------------------------------------------------------------
@@ -219,3 +246,80 @@ def test_piece_limit_errors_at_the_same_guard():
                 assert _outcome(_cold(f).power, n, guard=guard) == power
                 assert _outcome(cached.power, n, guard=guard) == power
     assert raised > 200
+
+
+def test_kernel_end_values_are_the_evaluated_ones():
+    """Every power 2..8 and 600 seeded compositions keep the kernel's end
+    values; they equal `value_at` at each piece's ends, as reduced pairs,
+    and so does every parsed map's."""
+    maps = _corpus_maps(40)
+    rng = random.Random(11)
+    results = [f.power(n, check=False) for f in maps for n in range(2, 9)]
+    results += [compose(rng.choice(maps), rng.choice(maps))
+                for _ in range(600)]
+    for g in [*maps, *results]:
+        assert g._ends == tuple((_pair(v0), _pair(v1))
+                                for v0, v1 in _ref_ends(g)), g.to_text()
+    assert sum(len(g.pieces) for g in results) > 3000
+
+
+def test_preimage_matches_the_fraction_reference():
+    """Powers 1..8 of the pinned maps and 20 seeded maps with their
+    mirrors, queried at every special point, every piece end value, both
+    domain ends and seeded rationals inside and outside [a, b]."""
+    rng = random.Random(13)
+    checked = roots = 0
+    for f in _corpus_maps(20):
+        for n in range(1, 9):
+            g = f.power(n, check=False)
+            ends = _ref_ends(g)
+            ys = {v for e in ends for v in e}
+            ys |= {*g.special_points().points, g.a, g.b}
+            ys |= {F(rng.randint(-8, 24), rng.randint(1, 16))
+                   for _ in range(4)}
+            for y in ys:
+                want = _ref_preimage(g, y, ends)
+                assert g.preimage(y) == want, (g.to_text(), y)
+                checked += 1
+                roots += len(want)
+    assert checked > 7000 and roots > 150000
+
+
+def _both_paths(segments):
+    """The outcome of building a map on [0, 1] from the segments through
+    the kernel's path and through the public constructor."""
+    return (_outcome(_from_segments, F(0), F(1), segments),
+            _outcome(PiecewiseMap, F(0), F(1), _affine(segments)))
+
+
+@pytest.mark.parametrize("segments, message", [
+    # x -> 2x on (0, 1) reaches 2
+    ([((0, 1), (1, 1), (0, 1), (2, 1), (2, 0, 1))],
+     "image of (0, 1) escapes [0, 1]"),
+    # the identity on (1/4, 1) leaves (0, 1/4) uncovered
+    ([((1, 4), (1, 1), (1, 4), (1, 1), (1, 0, 1))],
+     "pieces do not cover the interval"),
+    # a constant piece
+    ([((0, 1), (1, 1), (1, 2), (1, 2), (0, 1, 2))],
+     "zero slope on (0, 1)"),
+    # an empty piece at 1/2 between two halves of the identity
+    ([((0, 1), (1, 2), (0, 1), (1, 2), (1, 0, 1)),
+      ((1, 2), (1, 2), (1, 4), (1, 4), (-4, 3, 4)),
+      ((1, 2), (1, 1), (1, 2), (1, 1), (1, 0, 1))],
+     "empty piece (1/2, 1/2)"),
+])
+def test_the_kernel_path_raises_what_the_constructor_raises(segments,
+                                                           message):
+    want = f"MapInvariantError: {message}"
+    assert _both_paths(segments) == (want, want)
+
+
+def test_the_kernel_path_merges_collinear_parts_with_their_ends():
+    """Two parts of the identity and a descending piece: the parts merge
+    into one piece, which keeps the outer end values of the two."""
+    segments = [((0, 1), (1, 4), (0, 1), (1, 4), (1, 0, 1)),
+                ((1, 4), (1, 2), (1, 4), (1, 2), (1, 0, 1)),
+                ((1, 2), (1, 1), (1, 1), (1, 2), (-2, 3, 2))]
+    kernel, public = _both_paths(segments)
+    assert kernel == public and len(kernel.pieces) == 2
+    assert kernel._ends == (((0, 1), (1, 2)), ((1, 1), (1, 2)))

@@ -109,14 +109,19 @@ def _word(node):
     return None
 
 
+def _innermost(tree, node):
+    """The name of the innermost function around node, or None."""
+    around = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.lineno <= node.lineno <= f.end_lineno]
+    return max(around, key=lambda f: f.lineno).name if around else None
+
+
 def test_one_fixed_point_solver():
     """The fixed-point root intercept / (1 - slope) is solved in
     `orbits.fixed_points` alone, so every enumeration of fixed points,
     of a map's powers or of a segment list, reads it from that solver."""
     found = []
     for path, tree in _sources("src/pwdyn"):
-        funcs = [node for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef)]
         for node in ast.walk(tree):
             if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                     and isinstance(node.right, ast.BinOp)
@@ -125,10 +130,7 @@ def test_one_fixed_point_solver():
                     and node.right.left.value == 1
                     and _word(node.right.right) == "slope"):
                 continue
-            inner = max((f for f in funcs
-                         if f.lineno <= node.lineno <= f.end_lineno),
-                        key=lambda f: f.lineno, default=None)
-            found.append(f"{path.name}:{inner.name if inner else None}")
+            found.append(f"{path.name}:{_innermost(tree, node)}")
     assert found == ["orbits.py:fixed_points"]
 
 
@@ -172,6 +174,16 @@ def test_piece_kernel_check_sees_a_rewritten_kernel():
                                                "def _push_copy")
     assert _piece_kernels(ast.parse(copied)) == ["_push_segments",
                                                  "_push_copy"]
+
+
+def test_one_invariant_check():
+    """A map's invariants are checked by `maps._validate`, called from
+    `PiecewiseMap._init` alone: the public constructor, powers and
+    compositions all build their maps through that one path."""
+    found = [f"{path.name}:{_innermost(tree, node)}"
+             for path, tree in _sources("src/pwdyn") for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _word(node.func) == "_validate"]
+    assert found == ["maps.py:_init"]
 
 
 def test_only_maps_takes_rationals_apart():
