@@ -26,10 +26,11 @@ from .harness import GeneratorConfig, PROPERTIES, run_suite
 from .maps import (MapInvariantError, MapSyntaxError, MINUS, PLUS,
                    PiecewiseMap, PwdynError, compose, parse_map,
                    parse_rational)
-from .orbits import (HALF_POINT, INTERVAL_FAMILY, VariantSelector, orbit,
-                     periodic_points, structure)
+from .orbits import (HALF_POINT, INTERVAL_FAMILY, POINT, VariantSelector,
+                     orbit, periodic_points, structure)
 from .plotting import emit_plot
-from .stability import classify_point, classify_side, find_connection
+from .stability import (classify_point, classify_side, find_connection,
+                        germs_of)
 from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
                        basin_adjacent_special, count_bound, taxonomy)
 
@@ -276,11 +277,7 @@ def _cmd_periodic(f, args) -> int:
 
 def _cmd_classify(f, args) -> int:
     x = parse_rational(args.x)
-    sides = []
-    if x > f.a:
-        sides.append(classify_side(f, x, MINUS))
-    if x < f.b:
-        sides.append(classify_side(f, x, PLUS))
+    sides = [classify_side(f, x, g.side) for g in germs_of(f, x)]
     print(classify_point(f, x))
     for s in sides:
         print(f"  {s.side}: {s.verdict} (cycle product {s.cycle_product})")
@@ -307,7 +304,7 @@ def _cmd_connections(f, args) -> int:
 
 def _cmd_taxonomy(f, args) -> int:
     for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
-        if not orb.continuous or orb.kind == HALF_POINT:
+        if not orb.continuous:
             continue
         try:
             tax = taxonomy(f, orb)
@@ -333,7 +330,7 @@ def _cmd_taxonomy(f, args) -> int:
 def _cmd_basin(f, args) -> int:
     shown = 0
     for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
-        if not orb.continuous or orb.kind != "point":
+        if orb.kind != POINT:
             continue
         try:
             tax = taxonomy(f, orb)
@@ -405,7 +402,7 @@ def _cmd_theorem5(f, args) -> int:
             print(f"forward {w}: CERTIFICATION FAILURE: {exc}")
             negatives += 1
     for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
-        if not orb.continuous or orb.kind != "point":
+        if orb.kind != POINT:
             continue
         try:
             w, verdict = attractor_regular_source(f, orb,

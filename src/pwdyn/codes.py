@@ -451,7 +451,7 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
     else:
         raise CertificationError("regular point is not an endpoint of its "
                                  "code interval")
-    orb = PeriodicOrbit(cycles[x_star], len(cycles[x_star]), None, True)
+    orb = PeriodicOrbit(cycles[x_star], len(cycles[x_star]), None)
     interval = _stabilized_interval(f, base, n)
     if interval is None:
         partner = orb.points[n % orb.period]

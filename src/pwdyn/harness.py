@@ -35,7 +35,7 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
                     regularity_certificate, RegularityCertificate)
 from .maps import (MapInvariantError, PiecewiseMap, PwdynError,
                    AffinePiece, _sandwich_bounds, compose, parse_map)
-from .orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, germ_orbit, orbit,
+from .orbits import (HALF_POINT, POINT, Germ, germ_orbit, orbit,
                      periodic_points, structure, variant_step, variants,
                      walk)
 from .pinned import pinned_maps
@@ -599,8 +599,7 @@ def _prop_subsample(cfg, count, result):
         if orbits is None:
             continue
         with result.case():
-            for orb in [o for o in orbits
-                        if o.continuous and o.kind != INTERVAL_FAMILY][:4]:
+            for orb in [o for o in orbits if o.kind == POINT][:4]:
                 rep = result.call(subsampled_stability_report, f, orb)
                 if rep is not None and not rep.consistent:
                     result.fail(f, "subsampled class disagrees",
@@ -616,7 +615,7 @@ def _prop_taxonomy(cfg, count, result):
             continue
         with result.case():
             for orb in orbits:
-                if not orb.continuous or orb.kind == HALF_POINT:
+                if not orb.continuous:
                     continue
                 try:
                     tax = taxonomy(f, orb)
@@ -659,7 +658,7 @@ def _prop_basins(cfg, count, result):
             continue
         found = False
         for orb in orbits:
-            if not orb.continuous or orb.kind != "point":
+            if orb.kind != POINT:
                 continue
             try:
                 tax = taxonomy(f, orb)
@@ -742,7 +741,7 @@ def _prop_duality(cfg, count, result):
             except NOT_APPLICABLE:
                 orbits = []
             for orb in orbits:
-                if not orb.continuous or orb.kind != "point":
+                if orb.kind != POINT:
                     continue
                 with result.skipping():
                     try:

@@ -648,7 +648,6 @@ class PeriodicOrbit:
     points: tuple[Fraction, ...]
     period: int
     selector: Optional[VariantSelector]
-    continuous: bool
     kind: str = POINT
     intervals: tuple[tuple[Fraction, Fraction], ...] = ()
     interval_closed: tuple[bool, bool] = (False, False)
@@ -657,6 +656,11 @@ class PeriodicOrbit:
     @property
     def representative(self) -> Fraction:
         return self.points[0]
+
+    @property
+    def continuous(self) -> bool:
+        """Only a half-point cycle passes through a jump."""
+        return self.kind != HALF_POINT
 
     def key(self):
         return (self.kind, frozenset(self.points), frozenset(self.intervals))
@@ -760,7 +764,7 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
             if cycle is None or len(cycle) != n \
                     or _inside_family(x, families, f):
                 continue
-            add(PeriodicOrbit(cycle, n, None, True, POINT))
+            add(PeriodicOrbit(cycle, n, None, POINT))
 
     for w in sorted(jumps):
         for side in (MINUS, PLUS):
@@ -819,9 +823,8 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
         canon = min(intervals)
         rep = (canon[0] + canon[1]) / 2
         closed = tuple(fixed_cycle(f, e, n) is not None for e in canon)
-        yield PeriodicOrbit(fixed_cycle(f, rep, n), n, None, True,
-                            INTERVAL_FAMILY, tuple(sorted(set(intervals))),
-                            closed)
+        yield PeriodicOrbit(fixed_cycle(f, rep, n), n, None, INTERVAL_FAMILY,
+                            tuple(sorted(set(intervals))), closed)
 
 
 def _half_point_cycle(f, w, side, max_period, jumps) -> Optional[PeriodicOrbit]:
@@ -845,4 +848,4 @@ def _half_point_cycle(f, w, side, max_period, jumps) -> Optional[PeriodicOrbit]:
         choice.setdefault(j, MINUS)
     return PeriodicOrbit(tuple(pts), go.period,
                          VariantSelector.from_dict(choice),
-                         continuous=False, kind=HALF_POINT, anchor_side=side)
+                         kind=HALF_POINT, anchor_side=side)

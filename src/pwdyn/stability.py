@@ -12,8 +12,12 @@ reason into a verdict.
 
 Connections transport classification between points of a closed structure:
 four levels, depending on whether one or both germs of the source reach one
-or both germs of the target.  The rule tables below state every implication
-the four levels support and report violations as replayable bundles.
+or both germs of the target.  All four come from one table per ordered
+node pair, `_connections`: the landing rows of the source's germs at the
+target.  `find_connection` looks a level up in it; the propagation report
+builds it once per node pair and reads every clause from it.  The rule
+tables below state every implication the four levels support and report
+violations as replayable bundles.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Optional
 from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError, RationalLike,
                    Side, _pair, as_fraction)
 from .orbits import (GERM_CAP, Germ, PeriodicOrbit, StructureGraph,
-                     _germ_key, _germ_walk, germ_orbit, interval_walk,
-                     structure)
+                     _germ_key, _germ_walk, _half_point_cycle, germ_orbit,
+                     interval_walk, structure)
 
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
@@ -82,18 +86,17 @@ def classify_side(f: PiecewiseMap, x: RationalLike, side: Side, *,
     return SideClass(side, verdict, product)
 
 
-def combine_sides(left: Optional[SideClass], right: Optional[SideClass]) -> str:
-    """Two-sided class from per-side verdicts.
+def combine_sides(verdicts: list[str]) -> str:
+    """Two-sided class from the verdicts of the sides that exist.
 
     At an endpoint only the inward side exists and decides between stable
     and unstable; a single neutral or expanding side already rules out
     stability of any neighbourhood.
     """
-    sides = [s for s in (left, right) if s is not None]
-    contracting = sum(1 for s in sides if s.verdict == CONTRACTING)
-    if contracting == len(sides):
+    contracting = verdicts.count(CONTRACTING)
+    if contracting == len(verdicts):
         return STABLE
-    if len(sides) == 2 and contracting == 1:
+    if len(verdicts) == 2 and contracting == 1:
         return SEMI_STABLE
     return UNSTABLE
 
@@ -103,9 +106,9 @@ def classify_point(f: PiecewiseMap, x: RationalLike, *,
     x = as_fraction(x)
     if require_confined and not structure(f, x).closed:
         raise NotConfinedError(f"structure of {x} is not closed")
-    left = classify_side(f, x, MINUS, require_confined=False) if x > f.a else None
-    right = classify_side(f, x, PLUS, require_confined=False) if x < f.b else None
-    return combine_sides(left, right)
+    return combine_sides([classify_side(f, x, g.side,
+                                        require_confined=False).verdict
+                          for g in germs_of(f, x)])
 
 
 # -- interval-iteration oracle ------------------------------------------------
@@ -163,14 +166,8 @@ def oracle_classify(f: PiecewiseMap, x: RationalLike, *,
                     stride: int = 1) -> str:
     """Two-sided class from the interval oracle alone."""
     x = as_fraction(x)
-    left = right = None
-    if x > f.a:
-        left = SideClass(MINUS, lateral_oracle(f, x, MINUS, stride=stride),
-                         Fraction(0))
-    if x < f.b:
-        right = SideClass(PLUS, lateral_oracle(f, x, PLUS, stride=stride),
-                          Fraction(0))
-    return combine_sides(left, right)
+    return combine_sides([lateral_oracle(f, x, g.side, stride=stride)
+                          for g in germs_of(f, x)])
 
 
 # -- connections ---------------------------------------------------------------
@@ -200,6 +197,33 @@ def _landings(f: PiecewiseMap, g: Germ, z: Fraction) -> dict[Side, int]:
     return f._memo(("landings", key), build).get(_pair(z), {})
 
 
+def _connections(f: PiecewiseMap, y: Fraction, z: Fraction
+                 ) -> tuple[dict[Side, dict[Side, int]], dict[int, Connection]]:
+    """The landing rows of y's germs at z (per germ side of y, `_landings`
+    at z), and every level 1..4 connection from y to z that they give (see
+    `find_connection`), each level with its first witness in germ and
+    arrival-side order.  Both germs of z are reached only when z is
+    interior: an endpoint is reached from inside."""
+    ygerms = germs_of(f, y)
+    rows = {g.side: _landings(f, g, z) for g in ygerms}
+    found: dict[int, Connection] = {}
+    for g in ygerms:
+        lands = rows[g.side]
+        if lands and 1 not in found:
+            side = min(lands, key=lands.get)
+            found[1] = Connection(y, z, 1, (lands[side],), (g,))
+        if MINUS in lands and PLUS in lands and 2 not in found:
+            found[2] = Connection(y, z, 2, (lands[MINUS], lands[PLUS]), (g,))
+    if len(ygerms) == 2:
+        lminus, lplus = rows[MINUS], rows[PLUS]
+        for level, s, t in ((3, MINUS, MINUS), (3, PLUS, PLUS),
+                            (4, MINUS, PLUS), (4, PLUS, MINUS)):
+            if level not in found and s in lminus and t in lplus:
+                found[level] = Connection(y, z, level, (lminus[s], lplus[t]),
+                                          tuple(ygerms))
+    return rows, found
+
+
 def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
                     z: RationalLike, level: int) -> Optional[Connection]:
     """Search germ orbits for a level 1..4 connection from y to z.
@@ -212,45 +236,11 @@ def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
     y, z = as_fraction(y), as_fraction(z)
     if y not in struct or z not in struct:
         raise ValueError("both points must be nodes of the structure")
+    if level not in (1, 2, 3, 4):
+        raise ValueError("level must be 1, 2, 3, or 4")
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    ygerms = germs_of(f, y)
-    if level == 1:
-        for g in ygerms:
-            lands = _landings(f, g, z)
-            if lands:
-                side = min(lands, key=lambda s: lands[s])
-                return Connection(y, z, 1, (lands[side],), (g,))
-        return None
-    if level == 2:
-        if not f.a < z < f.b:
-            return None
-        for g in ygerms:
-            lands = _landings(f, g, z)
-            if MINUS in lands and PLUS in lands:
-                return Connection(y, z, 2, (lands[MINUS], lands[PLUS]), (g,))
-        return None
-    if len(ygerms) < 2:
-        return None
-    lminus = _landings(f, ygerms[0], z)
-    lplus = _landings(f, ygerms[1], z)
-    if level == 3:
-        for side in (MINUS, PLUS):
-            if side in lminus and side in lplus:
-                return Connection(y, z, 3, (lminus[side], lplus[side]),
-                                  tuple(ygerms))
-        return None
-    if level == 4:
-        if not f.a < z < f.b:
-            return None
-        if MINUS in lminus and PLUS in lplus:
-            return Connection(y, z, 4, (lminus[MINUS], lplus[PLUS]),
-                              tuple(ygerms))
-        if PLUS in lminus and MINUS in lplus:
-            return Connection(y, z, 4, (lminus[PLUS], lplus[MINUS]),
-                              tuple(ygerms))
-        return None
-    raise ValueError("level must be 1, 2, 3, or 4")
+    return _connections(f, y, z)[1].get(level)
 
 
 # -- rule tables ----------------------------------------------------------------
@@ -286,9 +276,8 @@ def _successors(struct: StructureGraph) -> dict[Fraction, list[Fraction]]:
     return succ
 
 
-def _reachable(struct: StructureGraph, x: Fraction,
-               succ: Optional[dict] = None) -> set[Fraction]:
-    succ = succ if succ is not None else _successors(struct)
+def _reachable(x: Fraction, succ: dict[Fraction, list[Fraction]]
+               ) -> set[Fraction]:
     seen = {x}
     frontier = [x]
     while frontier:
@@ -305,25 +294,17 @@ def _reachable(struct: StructureGraph, x: Fraction,
 def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
                                  ) -> PropagationReport:
     """Check every connection-based stability implication on a closed
-    structure: fourteen clauses over all ordered node pairs."""
+    structure: fourteen clauses over all ordered node pairs, each read off
+    the pair's `_connections`, built once per ordered pair."""
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    side_classes: dict[tuple[Fraction, Side], SideClass] = {}
-    for p in struct.nodes:
-        for g in germs_of(f, p):
-            side_classes[(p, g.side)] = classify_side(
-                f, p, g.side, require_confined=False)
-    verdicts = {
-        p: combine_sides(side_classes.get((p, MINUS)),
-                         side_classes.get((p, PLUS)))
-        for p in struct.nodes}
-    conn: dict[tuple[Fraction, Fraction, int], Optional[Connection]] = {}
-
-    def has(y, z, level):
-        key = (y, z, level)
-        if key not in conn:
-            conn[key] = find_connection(f, struct, y, z, level)
-        return conn[key] is not None
+    nodes = struct.nodes
+    sides = [{g.side: classify_side(f, p, g.side,
+                                    require_confined=False).verdict
+              for g in germs_of(f, p)} for p in nodes]
+    verdicts = {p: combine_sides(list(s.values()))
+                for p, s in zip(nodes, sides)}
+    table = [[_connections(f, y, z) for z in nodes] for y in nodes]
 
     report = PropagationReport(struct.root, verdicts, 0)
 
@@ -331,18 +312,18 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
         report.violations.append(RuleViolation(rule, x, y, detail))
 
     succ = _successors(struct)
-    for x in struct.nodes:
+    for i, x in enumerate(nodes):
         cx = verdicts[x]
-        inside = _reachable(struct, x, succ)
-        for y in struct.nodes:
+        inside = _reachable(x, succ)
+        for j, y in enumerate(nodes):
             if y not in inside:
                 continue
             report.checked += 1
             cy = verdicts[y]
-            strong = (has(y, x, 4) or has(y, x, 3) or has(x, y, 4)
-                      or has(x, y, 2))
-            weak = (has(y, x, 2) or has(y, x, 1) or has(x, y, 3)
-                    or has(x, y, 1))
+            # rows and levels from x to y, and from y to x
+            xy, yx = table[i][j], table[j][i]
+            strong = 4 in yx[1] or 3 in yx[1] or 4 in xy[1] or 2 in xy[1]
+            weak = 2 in yx[1] or 1 in yx[1] or 3 in xy[1] or 1 in xy[1]
             if cx == STABLE:
                 if strong and cy != STABLE:
                     flag("stable_strong", x, y, f"expected stable, got {cy}")
@@ -354,49 +335,48 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
                 if weak and cy == STABLE:
                     flag("unstable_weak", x, y, "expected not stable")
             else:
-                sides = {s: side_classes[(x, s)] for s in (MINUS, PLUS)
-                         if (x, s) in side_classes}
-                _check_semi_clauses(f, x, y, cy, sides, has, flag)
-    for (y, z, level), c in conn.items():
-        if level == 4 and c is not None:
+                _check_semi_clauses(x, y, cy, sides[i], xy, yx, flag)
+    for rows, levels in (c for row in table for c in row):
+        if 4 in levels and not all(rows.values()):
             # a full-neighbourhood witness implies a lateral one per germ
-            if any(not _landings(f, g, z) for g in germs_of(f, y)):
-                flag("level_monotonicity", y, z,
-                     "level 4 connection without level 1 from each germ")
+            flag("level_monotonicity", levels[4].source, levels[4].target,
+                 "level 4 connection without level 1 from each germ")
     return report
 
 
-def _check_semi_clauses(f, x, y, cy, sides, has, flag) -> None:
-    if has(x, y, 4) and cy != SEMI_STABLE:
+def _check_semi_clauses(x, y, cy, sides, xy, yx, flag) -> None:
+    """The clauses for a semi-stable x and a node y it reaches: `sides`
+    maps x's sides to their verdicts, `xy` and `yx` are the landing rows
+    and connection levels of (x, y) and (y, x)."""
+    (xrows, xlevels), (yrows, ylevels) = xy, yx
+    if 4 in xlevels and cy != SEMI_STABLE:
         flag("semi_x4y", x, y, f"expected semi_stable, got {cy}")
-    if has(y, x, 4) and cy != SEMI_STABLE:
+    if 4 in ylevels and cy != SEMI_STABLE:
         flag("semi_y4x", x, y, f"expected semi_stable, got {cy}")
-    if has(y, x, 3) and cy == SEMI_STABLE:
+    if 3 in ylevels and cy == SEMI_STABLE:
         flag("semi_y3x", x, y, "expected not semi_stable")
-    if has(x, y, 2) and cy == SEMI_STABLE:
+    if 2 in xlevels and cy == SEMI_STABLE:
         flag("semi_x2y", x, y, "expected not semi_stable")
-    if has(x, y, 3):
+    if 3 in xlevels:
         flag("semi_x3y_impossible", x, y, "level 3 from a semi-stable point")
-    if has(y, x, 2):
+    if 2 in ylevels:
         flag("semi_y2x_impossible", x, y, "level 2 onto a semi-stable point")
-    stable_sides = [s for s, c in sides.items() if c.verdict == CONTRACTING]
-    unstable_sides = [s for s, c in sides.items() if c.verdict != CONTRACTING]
-    for s in stable_sides:
-        if _landings(f, Germ(x, s), y) and cy == UNSTABLE:
+    # a stable side flags only an unstable y and an unstable side only a
+    # stable one, so one pass over the sides keeps the flags' order
+    for s, verdict in sides.items():
+        if xrows[s] and verdict == CONTRACTING and cy == UNSTABLE:
             flag("semi_stable_side_forward", x, y,
                  "stable lateral neighbourhood reaches an unstable point")
-    for s in unstable_sides:
-        if _landings(f, Germ(x, s), y) and cy == STABLE:
+        if xrows[s] and verdict != CONTRACTING and cy == STABLE:
             flag("semi_unstable_side_forward", x, y,
                  "unstable lateral neighbourhood reaches a stable point")
-    for g in germs_of(f, y):
-        lands = _landings(f, g, x)
-        for s, cls in sides.items():
+    for lands in yrows.values():
+        for s, verdict in sides.items():
             if s in lands:
-                if cls.verdict == CONTRACTING and cy == UNSTABLE:
+                if verdict == CONTRACTING and cy == UNSTABLE:
                     flag("semi_stable_side_backward", x, y,
                          "a lateral neighbourhood of y lands on the stable side")
-                if cls.verdict != CONTRACTING and cy == STABLE:
+                if verdict != CONTRACTING and cy == STABLE:
                     flag("semi_unstable_side_backward", x, y,
                          "a lateral neighbourhood of y lands on the unstable side")
 
@@ -559,7 +539,6 @@ def _check_single_jump_cycle(f, cyc, jumps, turns, verdicts, report, flag):
 
 
 def _check_twin_half_cycles(f, w, struct, verdicts, report, flag):
-    from .orbits import _half_point_cycle  # shared detection logic
     jumps = set(f.special_points().discontinuities)
     plus_cyc = _half_point_cycle(f, w, PLUS, len(struct.nodes) + 2, jumps)
     minus_cyc = _half_point_cycle(f, w, MINUS, len(struct.nodes) + 2, jumps)

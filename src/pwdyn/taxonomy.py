@@ -24,7 +24,7 @@ from typing import Optional
 
 from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, as_fraction)
-from .orbits import (Germ, HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
+from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, _germ_key, _successors, ball_stops,
                      periodic_points, segment_sweep, special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
@@ -186,8 +186,6 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
     """
     if not orb.continuous:
         raise PreconditionError("trapped is defined for continuous orbits")
-    if orb.kind == HALF_POINT:
-        raise PreconditionError("trapped is defined for point orbits")
     turns = set(f.special_points().turning)
     if any(p in turns for p in orb.points):
         raise PreconditionError("trapped is defined for non-critical orbits")
@@ -329,7 +327,7 @@ def exceptional_census(f: PiecewiseMap, orbits: list[PeriodicOrbit]
     enforced: at most one orbit per type, and type c rules out a and b."""
     census: dict[str, list[PeriodicOrbit]] = {"a": [], "b": [], "c": []}
     for orb in orbits:
-        if not orb.continuous or orb.kind == HALF_POINT:
+        if not orb.continuous:
             continue
         tax = taxonomy(f, orb)
         if not tax.free:
@@ -380,7 +378,7 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
     atlas: dict[PeriodicOrbit, list[AttractionBall]] = {}
     turns = set(f.special_points().turning)
     for orb in orbits:
-        if not orb.continuous or orb.kind == HALF_POINT:
+        if not orb.continuous:
             continue
         if any(p in turns for p in orb.points):
             continue
@@ -574,7 +572,7 @@ def count_bound(f: PiecewiseMap, horizon: int = 8) -> BoundReport:
     turns = set(special.turning)
     counted = []
     for orb in orbits:
-        if not orb.continuous or orb.kind == HALF_POINT:
+        if not orb.continuous:
             continue
         cls = classify_point(f, orb.representative, require_confined=False)
         if cls not in (STABLE, SEMI_STABLE):

@@ -81,7 +81,7 @@ def _ref_collect_families(f, n, left, right, add):
         chain = stepwise(f, rep, n)
         closed = (_ref_endpoint_fixed(f, canon[0], n),
                   _ref_endpoint_fixed(f, canon[1], n))
-        add(PeriodicOrbit(tuple(chain[:n]), n, None, True, INTERVAL_FAMILY,
+        add(PeriodicOrbit(tuple(chain[:n]), n, None, INTERVAL_FAMILY,
                           tuple(sorted(set(intervals))), closed))
 
 
@@ -115,8 +115,9 @@ def _ref_periodic_points(f, max_period, limit):
             if _inside_family(x, n_families, f):
                 continue
             cycle = tuple(stepwise(f, x, n)[:n])
-            continuous = not any(p in jumps for p in cycle)
-            add(PeriodicOrbit(cycle, n, None, continuous, POINT))
+            # a point cycle is continuous: `stepwise` stops at a jump
+            assert not any(p in jumps for p in cycle), (f.to_text(), cycle)
+            add(PeriodicOrbit(cycle, n, None, POINT))
 
     for w in sorted(jumps):
         for side in (MINUS, PLUS):
@@ -191,7 +192,7 @@ def _ref_regular_attractor(f, w):
         raise CertificationError("attracting orbit hit a jump")
     period = next(d for d in range(1, 2 * n + 1)
                   if chain[d] == x_star and (2 * n) % d == 0)
-    orb = PeriodicOrbit(tuple(chain[:period]), period, None, True)
+    orb = PeriodicOrbit(tuple(chain[:period]), period, None)
     interval = _stabilized_interval(f, base, n)
     if interval is None:
         partner = chain[n]

@@ -186,6 +186,19 @@ def test_one_invariant_check():
     assert found == ["maps.py:_init"]
 
 
+def test_one_connection_table():
+    """The connection levels of a node pair are read off its landing rows
+    in `stability._connections` alone: it is the one caller of `_landings`
+    and the one place a `Connection` is built, so `find_connection` and
+    every clause of the propagation report read the same table."""
+    found = {f"{path.name}:{_word(node.func)}:{_innermost(tree, node)}"
+             for path, tree in _sources("src/pwdyn") for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and _word(node.func) in ("_landings", "Connection")}
+    assert found == {"stability.py:_landings:_connections",
+                     "stability.py:Connection:_connections"}
+
+
 def test_only_maps_takes_rationals_apart():
     """The (numerator, denominator) pairs of the integer step, the piece
     kernel and the walk's stop-test data are all made in `maps`: no other

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -5,18 +7,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from pwdyn.harness import GeneratorConfig, closed_structures, random_map
+from pwdyn import stability
+from pwdyn.harness import (GeneratorConfig, _corpus, closed_structures,
+                           random_map)
 from pwdyn.maps import MINUS, PLUS, AffinePiece, PiecewiseMap, parse_map
-from pwdyn.orbits import interval_walk, periodic_points, structure
-from pwdyn.pinned import pinned_map
+from pwdyn.orbits import (Germ, germ_orbit, interval_walk, periodic_points,
+                          structure)
+from pwdyn.pinned import pinned_map, pinned_maps
 from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL, ORACLE_MAX_STEPS,
-                             ORACLE_WIDTH, NotConfinedError, SEMI_STABLE,
-                             STABLE, UNSTABLE, _gap_to_specials,
+                             ORACLE_WIDTH, Connection, NotConfinedError,
+                             PropagationReport, RuleViolation, SEMI_STABLE,
+                             STABLE, SideClass, UNSTABLE, _gap_to_specials,
                              classify_point, classify_side,
                              cycle_stability_report, find_connection,
-                             lateral_oracle, oracle_classify,
+                             germs_of, lateral_oracle, oracle_classify,
                              stability_propagation_report,
                              subsampled_stability_report)
+from test_piece_kernel import _cold
 
 
 def test_classify_side_examples(maps):
@@ -389,3 +396,245 @@ def test_interval_walk_stop_reasons():
     with pytest.raises(ValueError, match="is not an interval in"):
         interval_walk(flip, F(1, 2), F(1, 2), steps=1, stride=1,
                       thresh=F(1), floor=F(1), restart=False)
+
+
+# -- connections and the propagation report on Fraction landings, the
+# reference for `_connections` and the report that reads it --
+
+def _ref_landings(f, g, z):
+    lands = {}
+    for k, h in enumerate(germ_orbit(f, g).germs):
+        if h.point == z:
+            lands.setdefault(h.side, k)
+    return lands
+
+
+def _ref_find_connection(f, struct, y, z, level):
+    """`find_connection` as it searched each level on its own."""
+    y, z = F(y), F(z)
+    if y not in struct or z not in struct:
+        raise ValueError("both points must be nodes of the structure")
+    if not struct.closed:
+        raise NotConfinedError("structure is not closed")
+    ygerms = germs_of(f, y)
+    if level == 1:
+        for g in ygerms:
+            lands = _ref_landings(f, g, z)
+            if lands:
+                side = min(lands, key=lambda s: lands[s])
+                return Connection(y, z, 1, (lands[side],), (g,))
+        return None
+    if level == 2:
+        if not f.a < z < f.b:
+            return None
+        for g in ygerms:
+            lands = _ref_landings(f, g, z)
+            if MINUS in lands and PLUS in lands:
+                return Connection(y, z, 2, (lands[MINUS], lands[PLUS]), (g,))
+        return None
+    if len(ygerms) < 2:
+        return None
+    lminus = _ref_landings(f, ygerms[0], z)
+    lplus = _ref_landings(f, ygerms[1], z)
+    if level == 3:
+        for side in (MINUS, PLUS):
+            if side in lminus and side in lplus:
+                return Connection(y, z, 3, (lminus[side], lplus[side]),
+                                  tuple(ygerms))
+        return None
+    if level == 4:
+        if not f.a < z < f.b:
+            return None
+        if MINUS in lminus and PLUS in lplus:
+            return Connection(y, z, 4, (lminus[MINUS], lplus[PLUS]),
+                              tuple(ygerms))
+        if PLUS in lminus and MINUS in lplus:
+            return Connection(y, z, 4, (lminus[PLUS], lplus[MINUS]),
+                              tuple(ygerms))
+        return None
+    raise ValueError("level must be 1, 2, 3, or 4")
+
+
+def _ref_combine(left, right):
+    sides = [s for s in (left, right) if s is not None]
+    contracting = sum(1 for s in sides if s.verdict == CONTRACTING)
+    if contracting == len(sides):
+        return STABLE
+    if len(sides) == 2 and contracting == 1:
+        return SEMI_STABLE
+    return UNSTABLE
+
+
+def _ref_report(f, struct):
+    """`stability_propagation_report` as it asked `find_connection` for
+    each (y, z, level) it needed, memoized on Fraction triples; it reads
+    side verdicts through `stability.classify_side`, so a planted
+    classifier reaches both reports."""
+    side_classes = {}
+    for p in struct.nodes:
+        for g in germs_of(f, p):
+            side_classes[(p, g.side)] = stability.classify_side(
+                f, p, g.side, require_confined=False)
+    verdicts = {p: _ref_combine(side_classes.get((p, MINUS)),
+                                side_classes.get((p, PLUS)))
+                for p in struct.nodes}
+    conn = {}
+
+    def has(y, z, level):
+        key = (y, z, level)
+        if key not in conn:
+            conn[key] = _ref_find_connection(f, struct, y, z, level)
+        return conn[key] is not None
+
+    report = PropagationReport(struct.root, verdicts, 0)
+
+    def flag(rule, x, y, detail):
+        report.violations.append(RuleViolation(rule, x, y, detail))
+
+    for x in struct.nodes:
+        cx = verdicts[x]
+        inside = {x}
+        frontier = [x]
+        while frontier:
+            frontier = [q for src, _, q in struct.edges
+                        if src in frontier and q not in inside]
+            inside.update(frontier)
+        for y in struct.nodes:
+            if y not in inside:
+                continue
+            report.checked += 1
+            cy = verdicts[y]
+            strong = (has(y, x, 4) or has(y, x, 3) or has(x, y, 4)
+                      or has(x, y, 2))
+            weak = (has(y, x, 2) or has(y, x, 1) or has(x, y, 3)
+                    or has(x, y, 1))
+            if cx == STABLE:
+                if strong and cy != STABLE:
+                    flag("stable_strong", x, y, f"expected stable, got {cy}")
+                if weak and cy == UNSTABLE:
+                    flag("stable_weak", x, y, "expected not unstable")
+            elif cx == UNSTABLE:
+                if strong and cy != UNSTABLE:
+                    flag("unstable_strong", x, y,
+                         f"expected unstable, got {cy}")
+                if weak and cy == STABLE:
+                    flag("unstable_weak", x, y, "expected not stable")
+            else:
+                sides = {s: side_classes[(x, s)] for s in (MINUS, PLUS)
+                         if (x, s) in side_classes}
+                _ref_semi_clauses(f, x, y, cy, sides, has, flag)
+    for (y, z, level), c in conn.items():
+        if level == 4 and c is not None:
+            if any(not _ref_landings(f, g, z) for g in germs_of(f, y)):
+                flag("level_monotonicity", y, z,
+                     "level 4 connection without level 1 from each germ")
+    return report
+
+
+def _ref_semi_clauses(f, x, y, cy, sides, has, flag):
+    if has(x, y, 4) and cy != SEMI_STABLE:
+        flag("semi_x4y", x, y, f"expected semi_stable, got {cy}")
+    if has(y, x, 4) and cy != SEMI_STABLE:
+        flag("semi_y4x", x, y, f"expected semi_stable, got {cy}")
+    if has(y, x, 3) and cy == SEMI_STABLE:
+        flag("semi_y3x", x, y, "expected not semi_stable")
+    if has(x, y, 2) and cy == SEMI_STABLE:
+        flag("semi_x2y", x, y, "expected not semi_stable")
+    if has(x, y, 3):
+        flag("semi_x3y_impossible", x, y, "level 3 from a semi-stable point")
+    if has(y, x, 2):
+        flag("semi_y2x_impossible", x, y, "level 2 onto a semi-stable point")
+    stable_sides = [s for s, c in sides.items() if c.verdict == CONTRACTING]
+    unstable_sides = [s for s, c in sides.items() if c.verdict != CONTRACTING]
+    for s in stable_sides:
+        if _ref_landings(f, Germ(x, s), y) and cy == UNSTABLE:
+            flag("semi_stable_side_forward", x, y,
+                 "stable lateral neighbourhood reaches an unstable point")
+    for s in unstable_sides:
+        if _ref_landings(f, Germ(x, s), y) and cy == STABLE:
+            flag("semi_unstable_side_forward", x, y,
+                 "unstable lateral neighbourhood reaches a stable point")
+    for g in germs_of(f, y):
+        lands = _ref_landings(f, g, x)
+        for s, cls in sides.items():
+            if s in lands:
+                if cls.verdict == CONTRACTING and cy == UNSTABLE:
+                    flag("semi_stable_side_backward", x, y,
+                         "a lateral neighbourhood of y lands on the stable side")
+                if cls.verdict != CONTRACTING and cy == STABLE:
+                    flag("semi_unstable_side_backward", x, y,
+                         "a lateral neighbourhood of y lands on the unstable side")
+
+
+RULE_CLAUSES = {
+    "stable_strong", "stable_weak", "unstable_strong", "unstable_weak",
+    "semi_x4y", "semi_y4x", "semi_y3x", "semi_x2y", "semi_x3y_impossible",
+    "semi_y2x_impossible", "semi_stable_side_forward",
+    "semi_unstable_side_forward", "semi_stable_side_backward",
+    "semi_unstable_side_backward"}
+
+
+@functools.lru_cache(maxsize=None)
+def _structures():
+    """(map, closed structure) over the pinned maps and 300 seeded maps,
+    each map a cold copy so that no memo is shared with other tests."""
+    maps = [*pinned_maps().values(),
+            *_corpus(GeneratorConfig(seed=7), "connections", 300)]
+    return tuple((f, st) for f in map(_cold, maps)
+                 for st in closed_structures(f))
+
+
+def test_connections_match_the_fraction_reference():
+    """`find_connection` at every level of every ordered node pair, and
+    the propagation report of every closed structure, against the
+    per-level search and the Fraction-triple memo they replaced."""
+    pairs = Counter()
+    for f, st in _structures():
+        for y in st.nodes:
+            for z in st.nodes:
+                for level in (1, 2, 3, 4):
+                    conn = find_connection(f, st, y, z, level)
+                    assert conn == _ref_find_connection(f, st, y, z, level), \
+                        (f.to_text(), st.root, y, z, level)
+                    pairs[level] += conn is not None
+        assert stability_propagation_report(f, st) == _ref_report(f, st), \
+            (f.to_text(), st.root)
+    assert len(_structures()) > 500
+    assert min(pairs.values()) > 50, pairs
+
+
+def _planted_side(f, x, side, *, require_confined=True):
+    """A side verdict drawn from a hash of (map, point, side)."""
+    digest = hashlib.sha256(f"{f.to_text()}|{x}|{side}".encode()).digest()
+    verdict = (CONTRACTING, CONTRACTING, NEUTRAL, EXPANDING)[digest[0] % 4]
+    return SideClass(side, verdict, F(digest[1] + 1, 128))
+
+
+def test_planted_verdicts_give_the_reference_violations(monkeypatch):
+    """With side verdicts planted, every clause of the report fires, and
+    each structure's violations equal the reference's in order and
+    multiplicity."""
+    monkeypatch.setattr(stability, "classify_side", _planted_side)
+    fired = Counter()
+    for f, st in _structures():
+        report = stability_propagation_report(f, st)
+        assert report == _ref_report(f, st), (f.to_text(), st.root)
+        fired.update(v.rule for v in report.violations)
+    assert set(fired) == RULE_CLAUSES, fired
+
+
+def test_find_connection_rejects_a_bad_level(maps, monkeypatch):
+    """A level outside 1..4 raises for a source with one germ and for one
+    with two, before any landing is read."""
+    tent, shift = maps["tent"], maps["shift"]
+    at_end, inside = structure(tent, F(0)), structure(shift, F(1, 2))
+    assert at_end.nodes == (F(0),) and F(3, 8) in inside.nodes
+
+    def unread(*args):
+        raise AssertionError("a landing was read")
+
+    monkeypatch.setattr(stability, "_landings", unread)
+    for f, st, y in ((tent, at_end, F(0)), (shift, inside, F(3, 8))):
+        for level in (0, 5):
+            with pytest.raises(ValueError, match="level must be 1, 2, 3, or 4"):
+                find_connection(f, st, y, y, level)
