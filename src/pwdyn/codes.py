@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                   RationalLike, Side, as_fraction)
+from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike,
+                   Segment, Side, as_fraction)
 from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, ball_stops,
                      fixed_cycle, fixed_points, image_chain, periodic_points,
                      segment_sweep, walk)
@@ -349,10 +349,10 @@ class RegularAttractorResult:
 
 
 def _constraint_interval(f: PiecewiseMap, code: Code
-                         ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
+                         ) -> tuple[Fraction, Fraction, list[Segment]]:
     """Closed interval of points satisfying the code constraints over two
     periods (which keeps the doubled power inside monotone territory), and
-    the doubled power's segments on it, built in one forward segment sweep."""
+    the doubled power's int segments on it, from one forward sweep."""
     part = PartitionIntervals.of(f)
     sigma = code.cycle
     n = len(sigma)

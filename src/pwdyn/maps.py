@@ -19,14 +19,16 @@ tuples through that step for compositions, powers and `orbits` sweeps.
 Every map is built and checked on one private path, `PiecewiseMap._init`:
 the public constructor evaluates each piece's end values first, while a
 power or composition hands over the ones its segments carry, so their
-invariants are checked without evaluating a piece again.
+invariants are checked without evaluating a piece again.  The power cache
+keeps each power's merged segments, and makes its map only when `power`
+is asked for it; `orbits.periodic_points` reads the segments.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union
@@ -112,9 +114,6 @@ class AffinePiece:
     def value_at(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
 
-    def solve(self, y: Fraction) -> Fraction:
-        return (y - self.intercept) / self.slope
-
 
 @dataclass(frozen=True)
 class SpecialPoints:
@@ -143,21 +142,24 @@ class PiecewiseMap:
                  pieces: Iterable[AffinePiece]):
         a = as_fraction(a)
         b = as_fraction(b)
-        plist = [AffinePiece(as_fraction(p.left), as_fraction(p.right),
-                             as_fraction(p.slope), as_fraction(p.intercept))
-                 for p in pieces]
+        segs = []
+        for p in pieces:
+            x0, x1, s, c = map(as_fraction, (p.left, p.right, p.slope,
+                                             p.intercept))
+            segs.append((x0, x1, _pair(s * x0 + c), _pair(s * x1 + c), (s, c)))
         if a >= b:
             raise MapInvariantError(f"empty interval: {a} >= {b}")
-        if not plist:
+        if not segs:
             raise MapInvariantError("map needs at least one piece")
-        self._init(a, b, plist, [(_pair(p.value_at(p.left)),
-                                  _pair(p.value_at(p.right))) for p in plist])
+        segs = _merge_collinear(segs)
+        self._init(a, b, [AffinePiece(x0, x1, *line)
+                          for x0, x1, _, _, line in segs],
+                   [s[2:4] for s in segs])
 
     def _init(self, a: Fraction, b: Fraction, plist: list[AffinePiece],
               ends: list[tuple[Pair, Pair]]) -> None:
-        """The one constructor path: merge, check and store the pieces with
+        """The one constructor path: check and store the merged pieces with
         their end values, evaluated or read off the kernel (`_ends`)."""
-        plist, ends = _merge_collinear(plist, ends)
         _validate(a, b, plist, ends)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -273,25 +275,20 @@ class PiecewiseMap:
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
         """Exact n-th iterate, built by repeated composition (cached).
 
-        Each cached step keeps its piece count before merging, so a cached
-        power raises the same PieceLimitError for a smaller `guard` as a
-        fresh build does.  A power cached by a check=False call is validated
-        on the first check=True request."""
+        The cache keeps each power's merged segments (its map once asked
+        for) and piece count before merging, so a cached power raises the
+        same PieceLimitError for a smaller `guard` as a fresh build does.
+        A power cached by a check=False call is validated on the first
+        check=True request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
         if n > max_power:
             raise PowerLimitError(f"power {n} exceeds limit {max_power}")
-        if n == 1:
-            return self
         current = self
         for k in range(2, n + 1):
-            step = self._powers.get(k)
-            if step is None:
-                raw = _push_segments(_table(self), _segments(current), guard)
-                step = (_from_segments(self.a, self.b, raw), len(raw), False)
-            nxt, raw_count, validated = step
-            if raw_count > guard:
-                raise PieceLimitError(f"composition exceeds {guard} pieces")
+            nxt, raw_count, validated = self._power_step(k, guard)
+            if isinstance(nxt, list) and (check or k == n):
+                nxt = _from_segments(self.a, self.b, nxt)
             if check and not validated:
                 _check_sandwich(self, current, nxt)
                 allowed = set(self.special_preimage_set(k))
@@ -304,6 +301,24 @@ class PiecewiseMap:
             self._powers[k] = (nxt, raw_count, validated)
             current = nxt
         return current
+
+    def _power_step(self, k: int, guard: int):
+        """The power cache entry (merged segments or map, raw piece count,
+        validated) of the k-th power, k >= 2, pushed from the segments of
+        the power before on first use; PieceLimitError past `guard`."""
+        if k not in self._powers:
+            raw = _push_segments(_table(self),
+                                 self._power_segments(k - 1, guard), guard)
+            self._powers[k] = (_merge_collinear(raw), len(raw), False)
+        if self._powers[k][1] > guard:
+            raise PieceLimitError(f"composition exceeds {guard} pieces")
+        return self._powers[k]
+
+    def _power_segments(self, n: int, guard: int) -> list[Segment]:
+        """The merged segments of the n-th power, read off the power cache
+        without building its map."""
+        power = self._power_step(n, guard)[0] if n > 1 else self
+        return power if isinstance(power, list) else _segments(power)
 
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
         """Points whose first n-1 iterates (or the point itself) hit a
@@ -340,18 +355,17 @@ class PiecewiseMap:
         return "\n".join(lines) + "\n"
 
 
-def _merge_collinear(pieces: list[AffinePiece], ends: list[tuple[Pair, Pair]]):
-    merged, merged_ends = pieces[:1], ends[:1]
-    for piece, end in zip(pieces[1:], ends[1:]):
-        if (merged[-1].slope == piece.slope
-                and merged[-1].intercept == piece.intercept
-                and merged[-1].right == piece.left):
-            merged[-1] = replace(merged[-1], right=piece.right)
-            merged_ends[-1] = (merged_ends[-1][0], end[1])
+def _merge_collinear(segments: list[tuple]) -> list[tuple]:
+    """Abutting neighbours on one line merged, keeping the outer end values:
+    segments, or pieces as (left, right, y0, y1, (slope, intercept))."""
+    out = segments[:1]
+    for s in segments[1:]:
+        last = out[-1]
+        if last[4] == s[4] and last[1] == s[0]:
+            out[-1] = (last[0], s[1], last[2], s[3], s[4])
         else:
-            merged.append(piece)
-            merged_ends.append(end)
-    return merged, merged_ends
+            out.append(s)
+    return out
 
 
 def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece],
@@ -433,8 +447,8 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     """
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
-    result = _from_segments(outer.a, outer.b, _push_segments(
-        _table(outer), _segments(inner), guard))
+    result = _from_segments(outer.a, outer.b, _merge_collinear(_push_segments(
+        _table(outer), _segments(inner), guard)))
     if check:
         _check_sandwich(outer, inner, result)
     return result
@@ -543,11 +557,12 @@ def _apply(piece: Coef, p: int, q: int) -> Pair:
 
 
 def _solve(c: Coef, p: int, q: int) -> Pair:
-    """The x where the segment (A, B, D) takes the value p/q, as a pair
-    neither reduced nor with a positive denominator: segment ends are
-    never compared, and become Fractions only in the result."""
+    """The x where the segment (A, B, D) takes the value p/q (q > 0), as a
+    reduced pair."""
     a, b, d = c
-    return d * p - b * q, a * q
+    num, den = d * p - b * q, a * q
+    g = gcd(num, den) if a > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _segments(f: PiecewiseMap) -> list[Segment]:
@@ -609,8 +624,8 @@ def _affine(segments: Sequence[Segment]) -> list[AffinePiece]:
 
 def _from_segments(a: Fraction, b: Fraction, segments: Sequence[Segment]
                    ) -> PiecewiseMap:
-    """The map on [a, b] with the given abutting segments, through the one
-    constructor path, its end values the kernel's own."""
+    """The map on [a, b] with the given abutting merged segments, through
+    the one constructor path, its end values the kernel's own."""
     f = object.__new__(PiecewiseMap)
     f._init(a, b, _affine(segments), [s[2:4] for s in segments])
     return f

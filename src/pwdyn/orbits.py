@@ -18,7 +18,8 @@ appear only at the API boundary: callers pass them in and read them back
 from `Walk.trail`.  The periodic-orbit enumeration and the
 code-conformance test of `codes` check a candidate with one such walk,
 `fixed_cycle`, and take their candidates from one solver, `fixed_points`,
-which reads the fixed points off a piece list.
+which reads them off int segments by cross-multiplication: the powers'
+segments in the power cache of `maps`, and a code interval's sweep.
 
 The same step drives the other exact iterations: `structure` expands all
 variant orbits breadth-first on pairs; `interval_walk` steps a union of
@@ -44,10 +45,10 @@ from fractions import Fraction
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from .maps import (MAX_PIECES, MINUS, PLUS, AffinePiece, Pair, PiecewiseMap,
+from .maps import (MAX_PIECES, MINUS, PLUS, Pair, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, Segment, Side,
-                   _affine, _apply, _locate, _pair, _push_segments, _solve,
-                   _Table, _table, as_fraction)
+                   _apply, _locate, _pair, _push_segments, _solve, _Table,
+                   _table, as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -322,7 +323,7 @@ def _narrow(segs: list[Segment], rising: bool, t_lo: Pair, t_hi: Pair
 
 def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
                   clips: Sequence[Optional[tuple[Fraction, Fraction]]]
-                  ) -> tuple[Fraction, Fraction, list[AffinePiece]]:
+                  ) -> tuple[Fraction, Fraction, list[Segment]]:
     """Clip and push the identity on [lo, hi] through f: the iterate m =
     len(clips) - 1 on the points whose iterates keep inside the clips,
     as (u, v, segments) with u, v the ends of that interval.
@@ -335,12 +336,12 @@ def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
     strictly monotone where it is clipped and pushed, as it is when the
     clips stay between special points.
 
-    The segments are held as int tuples, each (x0, x1, y0, y1, (A, B, D))
-    with its ends and end values as (numerator, denominator) pairs and its
-    value (A*p + B*q) / (D*q) at p/q, and pushed by the one piece kernel,
-    `maps._push_segments`, through the integer table memoized on f, so
-    Fractions appear only in the result.  Without clips this is the m-th
-    iterate on [lo, hi], `taxonomy.restrict_power`, on any piece list.
+    The segments are int tuples, each (x0, x1, y0, y1, (A, B, D)) with its
+    ends and end values as reduced (numerator, denominator) pairs and its
+    value (A*p + B*q) / (D*q) at p/q, pushed by the one piece kernel,
+    `maps._push_segments`, through the integer table memoized on f, and
+    returned as they are: only u and v are Fractions.  Without clips this
+    is the m-th iterate on [lo, hi], `taxonomy.restrict_power`.
     """
     t = _table(f)
     lo, hi = _pair(lo), _pair(hi)
@@ -363,8 +364,7 @@ def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
                 segs = _narrow(segs, rising, t_lo, t_hi)
         if step < last:
             segs = _push_segments(t, segs, MAX_PIECES)
-    pieces = _affine(segs)
-    return pieces[0].left, pieces[-1].right, pieces
+    return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
 
 
 def special_gaps(f: PiecewiseMap, x: Fraction, n: int
@@ -680,31 +680,35 @@ def fixed_cycle(f: PiecewiseMap, x: Fraction, n: int
     return tuple(w.trail)
 
 
-def fixed_points(pieces: Sequence[AffinePiece]
+def fixed_points(segments: Sequence[Segment]
                  ) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """The fixed points of an ordered run of abutting affine pieces: the
-    roots strictly inside pieces of slope other than 1 and each piece end
-    that every piece meeting it fixes, sorted, and the identity pieces as
-    (left, right)."""
-    points = set()
-    identities = []
-    fixes_end = True  # the pieces before this one fix its left end
-    for piece in pieces:
-        if piece.slope != 1:
-            x = piece.intercept / (1 - piece.slope)
-            if piece.left < x < piece.right:
-                points.add(x)
-            fixed = (x,)
-        else:
-            fixed = (piece.left, piece.right) if piece.intercept == 0 else ()
-            if fixed:
-                identities.append(fixed)
-        if fixes_end and piece.left in fixed:
-            points.add(piece.left)
-        fixes_end = piece.right in fixed
+    """The fixed points of an ordered run of abutting segments with reduced
+    ends: the root strictly inside each segment of slope other than 1,
+    where (D - A) p = B q, each end that every segment meeting it fixes
+    (its end value there is the end), and each run of identity segments as
+    one (left, right), all in increasing order and made Fractions."""
+    points: list[Pair] = []
+    identities: list[tuple[Pair, Pair]] = []
+    fixes_end = True  # the segments before this one fix its left end
+    run = False  # the segment before this one is the identity
+    for x0, x1, y0, y1, (a, b, d) in segments:
+        identity = a == d and b == 0
+        if identity and run:
+            identities[-1] = (identities[-1][0], x1)
+            continue
+        if fixes_end and y0 == x0:
+            points.append(x0)
+        if a != d:
+            rn, rd = (b, d - a) if d > a else (-b, a - d)
+            if x0[0] * rd < rn * x0[1] and rn * x1[1] < x1[0] * rd:
+                points.append((rn, rd))
+        elif identity:
+            identities.append((x0, x1))
+        fixes_end, run = y1 == x1, identity
     if fixes_end:
-        points.add(pieces[-1].right)
-    return sorted(points), identities
+        points.append(x1)
+    return ([Fraction(*x) for x in points],
+            [(Fraction(*lo), Fraction(*hi)) for lo, hi in identities])
 
 
 def image_chain(f: PiecewiseMap, lo: Fraction, hi: Fraction, steps: int
@@ -726,13 +730,14 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
                     guard: int = 10**6) -> list[PeriodicOrbit]:
     """All periodic orbits of period <= max_period.
 
-    Reads the fixed points of each exact power off its pieces with
-    `fixed_points`: isolated points, kept when `fixed_cycle` finds them at
-    minimal period n, and whole fixed intervals where a piece of the power
-    is the identity (split at points whose orbits hit a jump).  Half-point
-    cycles at jumps are found through germ orbits.  Each orbit is reported
-    once, at its minimal period, with its continuity flag.  The orbits are
-    memoized on f per argument set; each call gets a new list.
+    Reads the fixed points of each exact power off its merged int segments
+    in the power cache with `fixed_points`, without building the power as
+    a map: isolated points, kept when `fixed_cycle` finds them at minimal
+    period n, and whole fixed intervals where a piece of the power is the
+    identity (split at points whose orbits hit a jump).  Half-point cycles
+    at jumps are found through germ orbits.  Each orbit is reported once,
+    at its minimal period.  The orbits are memoized on f per argument set;
+    each call gets a new list.
     """
     limit = max_power if max_power is not None else 12
     if not 1 <= max_period <= limit // 2:
@@ -753,8 +758,7 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
         found.setdefault(orb.key(), orb)
 
     for n in range(1, max_period + 1):
-        fn = f.power(n, max_power=limit, guard=guard, check=False)
-        points, identities = fixed_points(fn.pieces)
+        points, identities = fixed_points(f._power_segments(n, guard))
         families = [orb for piece in identities
                     for orb in _collect_families(f, n, *piece)]
         for orb in families:
@@ -783,13 +787,8 @@ def _inside_family(x: Fraction, families: list[PeriodicOrbit],
     inside one of its intervals, or a domain endpoint closing one.  An
     interior family boundary stays a separate orbit because its stability
     can differ from the family's."""
-    for fam in families:
-        for lo, hi in fam.intervals:
-            if lo < x < hi:
-                return True
-            if x in (lo, hi) and x in (f.a, f.b):
-                return True
-    return False
+    return any(lo < x < hi or x in (lo, hi) and x in (f.a, f.b)
+               for fam in families for lo, hi in fam.intervals)
 
 
 def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
@@ -807,7 +806,7 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
     for d in range(1, n):
         if n % d != 0:
             continue
-        points, identities = fixed_points(f.power(d, check=False).pieces)
+        points, identities = fixed_points(f._power_segments(d, MAX_PIECES))
         cuts.update(x for x in points if left < x < right)
         blocked += [(max(left, lo), min(right, hi)) for lo, hi in identities
                     if lo < right and hi > left]

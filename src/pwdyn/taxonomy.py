@@ -10,23 +10,25 @@ the gap between the special points around the point's own iterate, pulls
 each clip back by one affine solve, and pushes the segments once through
 the map, so no global high power is ever materialized.  The segments are
 int tuples stepped through the per-map integer table, and become Fractions
-only in the result: the power restricted to the window, a short list of
-affine segments.  Trapped / free / basin questions then reduce to exact
-sign analysis of those segments against the diagonal.
+only where `window_sweep` and `restrict_power` return them.  Trapped /
+free / basin questions reduce to the sign of f^m(t) - t on the segments,
+read off their coefficients by cross-multiplication; where it changes
+sign, the root is the segment's fixed point from `orbits.fixed_points`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .maps import (MINUS, PLUS, AffinePiece, PieceLimitError, PiecewiseMap,
-                   PowerLimitError, PwdynError, RationalLike, as_fraction)
+from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
+                   PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
+                   Segment, _affine, _pair, _segments, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, _germ_key, _successors, ball_stops,
-                     periodic_points, segment_sweep, special_gaps, walk)
+                     fixed_points, periodic_points, segment_sweep,
+                     special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
@@ -66,7 +68,7 @@ def monotone_window(f: PiecewiseMap, x: RationalLike, depth: int
     whose orbit reaches the special set within `depth` steps) or the domain
     endpoints.  This is the window of `window_sweep`, without its segments.
     """
-    return window_sweep(f, x, depth)[:2]
+    return _window(f, as_fraction(x), depth)[:2]
 
 
 def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
@@ -80,7 +82,13 @@ def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
     [a, b], and DegenerateWindowError when an iterate before the
     `depth`-th lands on a special point.
     """
-    x = as_fraction(x)
+    u, v, segs = _window(f, as_fraction(x), depth)
+    return u, v, _affine(segs)
+
+
+def _window(f: PiecewiseMap, x: Fraction, depth: int
+            ) -> tuple[Fraction, Fraction, list[Segment]]:
+    """`window_sweep` with the sweep's int segments."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not f.a <= x <= f.b:
@@ -103,66 +111,61 @@ def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
     """
     if not f.a <= lo < hi <= f.b:
         raise ValueError(f"[{lo}, {hi}] is not an interval in [{f.a}, {f.b}]")
-    return segment_sweep(f, lo, hi, [None] * (m + 1))[2]
+    return _affine(segment_sweep(f, lo, hi, [None] * (m + 1))[2])
 
 
-def _diagonal_gap(seg: AffinePiece) -> tuple[Fraction, Fraction]:
-    """Coefficients (s, c) of value(t) - t = s*t + c on the segment."""
-    return seg.slope - 1, seg.intercept
+def _diagonal_gap(seg: Segment, t: Pair) -> int:
+    """An int with the sign of value(t) - t on the segment's line at t =
+    p/q: ((A - D) p + B q) / (D q), where D and q are positive."""
+    a, b, d = seg[4]
+    return (a - d) * t[0] + b * t[1]
 
 
-def _segment_solution(seg: AffinePiece, lo: Fraction, hi: Fraction,
-                      want_le: bool) -> Optional[tuple[Fraction, Fraction]]:
-    """Closure of {t in (lo, hi) : gap(t) <= 0} (or >= 0), clipped to the
-    segment, or None when empty."""
-    p, q = max(seg.left, lo), min(seg.right, hi)
-    if p >= q:
-        return None
-    s, c = _diagonal_gap(seg)
-    if s == 0:
-        ok = (c <= 0) if want_le else (c >= 0)
-        return (p, q) if ok else None
-    root = -c / s
-    rising = s > 0
-    if want_le:
-        sol = (p, min(q, root)) if rising else (max(p, root), q)
-    else:
-        sol = (max(p, root), q) if rising else (p, min(q, root))
-    lo2, hi2 = max(sol[0], p), min(sol[1], q)
-    if lo2 > hi2:
-        return None
-    return (lo2, hi2)
+def _clip(seg: Segment, lo: Pair, hi: Pair) -> Optional[tuple[Pair, Pair]]:
+    """The segment cut to [lo, hi] as (p, q), or None unless p < q."""
+    (n0, d0), (n1, d1) = seg[0], seg[1]
+    p = seg[0] if n0 * lo[1] > lo[0] * d0 else lo
+    q = seg[1] if n1 * hi[1] < hi[0] * d1 else hi
+    return (p, q) if p[0] * q[1] < q[0] * p[1] else None
 
 
-def _gap_at(segs: list[AffinePiece], t: Fraction) -> Fraction:
-    for seg in segs:
-        if seg.left <= t <= seg.right:
-            return seg.value_at(t) - t
-    raise PwdynError(f"{t} outside the restricted window")
-
-
-def _pick_witness(segs, lo, hi, want_le, preferred) -> Optional[Fraction]:
+def _pick_witness(segs: list[Segment], lo: Fraction, hi: Fraction,
+                  want_le: bool, preferred: list[Fraction]
+                  ) -> Optional[Fraction]:
     """A point of the open interval (lo, hi) where the diagonal gap has the
-    requested sign (equality allowed); preferred candidates are tried first
-    so witnesses are reproducible."""
+    requested sign (equality allowed): the first preferred candidate that
+    has it, else the point nearest the centre among the middle and ends of
+    each segment's part of (lo, hi) where the gap has that sign."""
+    (ln, ld), (hn, hd) = lo_hi = _pair(lo), _pair(hi)
+    sign = 1 if want_le else -1
+
     def ok(t):
-        if not lo < t < hi:
+        p, q = t = _pair(t)
+        if not (ln * q < p * ld and p * hd < hn * q):
             return False
-        g = _gap_at(segs, t)
-        return g <= 0 if want_le else g >= 0
+        # the gap on the first segment ending at or past t, which holds it
+        seg = next(s for s in segs if p * s[1][1] <= s[1][0] * q)
+        return sign * _diagonal_gap(seg, t) <= 0
 
     for cand in preferred:
         if ok(cand):
             return cand
     best = None
+    centre = (lo + hi) / 2
     for seg in segs:
-        sol = _segment_solution(seg, lo, hi, want_le)
-        if sol is None:
+        clip = _clip(seg, *lo_hi)
+        if clip is None:
             continue
-        a, b = sol
-        mid = (a + b) / 2
-        for t in (mid, a, b):
-            if ok(t) and (best is None or abs(t - (lo + hi) / 2) < abs(best - (lo + hi) / 2)):
+        p, q = clip
+        gp, gq = sign * _diagonal_gap(seg, p), sign * _diagonal_gap(seg, q)
+        if gp > 0 and gq > 0:
+            continue
+        # the gap is affine: where its signs at the two ends differ, the
+        # part ends at the segment's fixed point
+        a = fixed_points([seg])[0][0] if gp > 0 else Fraction(*p)
+        b = fixed_points([seg])[0][0] if gq > 0 else Fraction(*q)
+        for t in ((a + b) / 2, a, b):
+            if ok(t) and (best is None or abs(t - centre) < abs(best - centre)):
                 best = t
                 break
     return best
@@ -192,16 +195,14 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
     x = as_fraction(at_point) if at_point is not None else orb.representative
-    n = orb.period
-    u, v, segs = window_sweep(f, x, 2 * n)
+    u, v, segs = _window(f, x, 2 * orb.period)
     y = _pick_witness(segs, u, x, True, [(u + 3 * x) / 4])
     if y is None:
         return TrapResult(False)
     z = _pick_witness(segs, x, v, False, [2 * x - y, (v + 3 * x) / 4])
     if z is None:
         return TrapResult(False)
-    delta = min(y - u, v - z) / 2
-    return TrapResult(True, (y, z, delta))
+    return TrapResult(True, (y, z, min(y - u, v - z) / 2))
 
 
 @dataclass(frozen=True)
@@ -256,42 +257,28 @@ def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
 def _monotone_on(f: PiecewiseMap, lo: Fraction, hi: Fraction,
                  increasing: bool) -> bool:
     """Continuous and strictly monotone on [lo, hi] in the given sense."""
-    if lo >= hi:
-        return True
     if any(lo < s < hi for s in f.special_points().points):
         return False
-    i0 = max(bisect_right(f._lefts, lo) - 1, 0)
-    for piece in f.pieces[i0:]:
-        if piece.left >= hi:
-            break
-        if piece.right <= lo:
-            continue
-        if (piece.slope > 0) != increasing:
-            return False
-    return True
+    return all((p.slope > 0) == increasing for p in f.pieces
+               if p.left < hi and p.right > lo)
 
 
-def _strict_gap_on(segs: list[AffinePiece], lo: Fraction, hi: Fraction,
+def _strict_gap_on(segs: list[Segment], lo: Fraction, hi: Fraction,
                    negative: bool) -> bool:
-    """gap(t) < 0 (or > 0) for every t in the open interval (lo, hi)."""
-    nodes = sorted({s.left for s in segs} | {s.right for s in segs})
-    for t in nodes:
-        if lo < t < hi:
-            g = _gap_at(segs, t)
-            if not (g < 0 if negative else g > 0):
-                return False
+    """gap(t) < 0 (or > 0) for every t in the open interval (lo, hi), which
+    the abutting segments cover, read at the two ends of each segment's
+    part of it: a part may touch the diagonal at one end, where that end is
+    lo, hi or the far side of a jump."""
+    lo, hi = _pair(lo), _pair(hi)
+    sign = -1 if negative else 1
     for seg in segs:
-        p, q = max(seg.left, lo), min(seg.right, hi)
-        if p >= q:
+        clip = _clip(seg, lo, hi)
+        if clip is None:
             continue
-        s, c = _diagonal_gap(seg)
-        gp, gq = s * p + c, s * q + c
-        if negative:
-            if gp > 0 or gq > 0 or (gp == 0 and gq == 0):
-                return False
-        else:
-            if gp < 0 or gq < 0 or (gp == 0 and gq == 0):
-                return False
+        p, q = clip
+        gp, gq = sign * _diagonal_gap(seg, p), sign * _diagonal_gap(seg, q)
+        if gp < 0 or gq < 0 or gp == gq == 0 or gq == 0 and q != hi:
+            return False
     return True
 
 
@@ -305,19 +292,17 @@ def exceptional_types(f: PiecewiseMap, orb: PeriodicOrbit) -> frozenset[str]:
         x = orb.points[0]
         if f.a < x < f.b:
             if (_monotone_on(f, x, f.b, True)
-                    and _strict_gap_on(f.pieces, x, f.b, True)):
+                    and _strict_gap_on(_segments(f), x, f.b, True)):
                 out.add("a")
             if (_monotone_on(f, f.a, x, True)
-                    and _strict_gap_on(f.pieces, f.a, x, False)):
+                    and _strict_gap_on(_segments(f), f.a, x, False)):
                 out.add("b")
     if orb.period == 2:
-        x = min(orb.points)
-        fx = max(orb.points)
+        x, fx = min(orb.points), max(orb.points)
         if (f.a < x and fx < f.b and _monotone_on(f, f.a, x, False)
-                and _monotone_on(f, fx, f.b, False)):
-            segs2 = restrict_power(f, f.a, x, 2)
-            if _strict_gap_on(segs2, f.a, x, False):
-                out.add("c")
+                and _monotone_on(f, fx, f.b, False) and _strict_gap_on(
+                    segment_sweep(f, f.a, x, [None] * 3)[2], f.a, x, False)):
+            out.add("c")
     return frozenset(out)
 
 
@@ -471,7 +456,7 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
     turns = set(f.special_points().turning)
     witnesses = []
     for xk in orb.points:
-        u, v, segs = window_sweep(f, xk, 2 * n)
+        u, v, segs = _window(f, xk, 2 * n)
         if u != f.a and _strict_gap_on(segs, u, xk, False):
             wit = _push_edge(f, orb, xk, u, side_right=False, turns=turns, n=n)
             if wit:

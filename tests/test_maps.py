@@ -8,7 +8,9 @@ from pwdyn.harness import GeneratorConfig, random_map
 from pwdyn.maps import (MINUS, PLUS, MapInvariantError, MapSyntaxError,
                         PieceLimitError, PowerLimitError, compose, parse_map,
                         parse_rational)
+from pwdyn.orbits import periodic_points
 from pwdyn.pinned import PINNED_NAMES, pinned_map, pinned_text
+from test_piece_kernel import solve_piece
 
 
 def test_parse_rational():
@@ -218,19 +220,75 @@ def test_eval_at_plain_breakpoint():
     assert f.lateral(F(1, 2), "minus") == f.lateral(F(1, 2), "plus") == F(1, 2)
 
 
-def test_a_power_cached_unchecked_is_checked_when_asked(maps):
-    """A power built by a check=False call keeps the kernel's end values
-    unchecked against the sandwich bounds; the first check=True call runs
-    the checks, so a planted wrong power cached that way raises there."""
+def _plant_and_check(planted):
+    """Cache `planted`, the map of `shift` (which jumps at 1/2, outside
+    tent^2's bounds) or its segments, as the unchecked tent^2, and return
+    what check=False hands back and the checked request's error."""
     t = pinned_map("tent")
     t.power(2, check=False)
-    wrong = maps["shift"]  # jumps at 1/2, outside tent^2's bounds
-    t._powers[2] = (wrong, len(wrong.pieces), False)
-    assert t.power(2, check=False) is wrong
+    wrong = pinned_map("shift")
+    t._powers[2] = (planted(wrong), len(wrong.pieces), False)
+    unchecked = t.power(2, check=False)
     with pytest.raises(MapInvariantError) as err:
         t.power(2)
     assert str(err.value) == ("special points of the composition escaped "
                               "their exact bounds")
+    return wrong, unchecked
+
+
+def test_a_power_cached_unchecked_is_checked_when_asked():
+    """A power built by a check=False call keeps the kernel's end values
+    unchecked against the sandwich bounds; the first check=True call runs
+    the checks, so a planted wrong power cached that way raises there."""
+    wrong, unchecked = _plant_and_check(lambda g: g)
+    assert unchecked is wrong
+
+
+def test_a_power_cached_as_segments_is_checked_when_asked():
+    """The same for a power that `periodic_points` left in the cache as
+    segments alone: the map built from them is checked on the first
+    check=True request."""
+    wrong, unchecked = _plant_and_check(maps_module._segments)
+    assert unchecked == wrong
+
+
+def _warm(name):
+    """A pinned map whose power cache `periodic_points` filled: with the
+    segments of powers 2 and 3 and no map."""
+    f = pinned_map(name)
+    periodic_points(f, 3, max_power=6)
+    assert all(isinstance(step[0], list) for step in f._powers.values())
+    return f
+
+
+@pytest.mark.parametrize("name", PINNED_NAMES)
+def test_powers_cached_by_periodic_points_act_as_fresh_ones(name,
+                                                            monkeypatch):
+    """Each power asked for after `periodic_points` raises a fresh map's
+    PieceLimitError at every guard below its raw piece count, validates
+    every power up to it once, equals a fresh map's power, and is the
+    same object when asked for again."""
+    calls = []
+    real = maps_module._check_sandwich
+    monkeypatch.setattr(maps_module, "_check_sandwich",
+                        lambda *a: calls.append(a) or real(*a))
+    for k in range(2, 7):
+        fresh = pinned_map(name)
+        want = fresh.power(k)
+        raw = max(count for _, count, _ in fresh._powers.values())
+        for guard in range(1, raw):
+            with pytest.raises(PieceLimitError) as cold:
+                pinned_map(name).power(k, guard=guard)
+            with pytest.raises(PieceLimitError) as cached:
+                _warm(name).power(k, guard=guard)
+            assert str(cached.value) == str(cold.value)
+        warm = _warm(name)
+        calls.clear()
+        got = warm.power(k)
+        assert len(calls) == k - 1
+        assert got == want
+        assert warm.power(k) is got and warm.power(k, check=False) is got
+        assert len(calls) == k - 1
 
 
 @pytest.mark.parametrize("name", ["tent", "shift"])
@@ -257,7 +315,7 @@ def _generated_maps(count):
 def _oracle_preimage(f, y):
     """Brute force: solve in every piece, then test the value at a, b and
     every breakpoint, evaluated from the pieces' lateral limits."""
-    found = {x for p in f.pieces for x in [p.solve(y)] if p.left < x < p.right}
+    found = {x for p in f.pieces for x in [solve_piece(p, y)] if p.left < x < p.right}
     found |= {w for w in (f.a, f.b, *f.breakpoints)
               if (w == f.b or f.lateral(w, PLUS) == y)
               and (w == f.a or f.lateral(w, MINUS) == y)}

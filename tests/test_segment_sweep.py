@@ -17,12 +17,13 @@ from pwdyn.codes import (CertificationError, Code, PartitionIntervals,
                          _geometric_limit, _stabilized_interval,
                          regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import AffinePiece
+from pwdyn.maps import AffinePiece, _affine
 from pwdyn.orbits import ClipError, periodic_points, segment_sweep
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import DegenerateWindowError, window_sweep
 from test_orbits import _mirror
-from test_piece_kernel import _outcome, _push_through, _ref_restrict_power
+from test_piece_kernel import (_outcome, _push_through, _ref_restrict_power,
+                               solve_piece)
 
 # -- the Fraction sweeps, the reference ---------------------------------------
 
@@ -40,7 +41,7 @@ def _ref_narrow(segs, t_lo, t_hi):
         t_lo, t_hi = t_hi, t_lo
     ends = [sign * s.value_at(s.right) for s in segs]
     i, j = bisect_right(ends, sign * t_lo), bisect_left(ends, sign * t_hi)
-    lo, hi = segs[i].solve(t_lo), segs[j].solve(t_hi)
+    lo, hi = solve_piece(segs[i], t_lo), solve_piece(segs[j], t_hi)
     out = segs[i:j + 1]
     out[0] = AffinePiece(lo, out[0].right, out[0].slope, out[0].intercept)
     out[-1] = AffinePiece(out[-1].left, hi, out[-1].slope, out[-1].intercept)
@@ -193,8 +194,10 @@ def test_code_intervals_match_the_fraction_reference():
     for f in _duality_corpus():
         for code in _codes(f):
             want = _outcome(_ref_constraint_interval, f, code)
-            assert _outcome(_constraint_interval, f, code) == want, \
-                (f.to_text(), code)
+            got = _outcome(_constraint_interval, f, code)
+            if not isinstance(got, str):
+                got = (*got[:2], _affine(got[2]))
+            assert got == want, (f.to_text(), code)
             if isinstance(want, str):
                 seen["point" if "single" in want else "empty"] += 1
                 continue
@@ -216,6 +219,7 @@ def test_clip_errors_name_the_step():
     assert (exc.value.step, exc.value.point) == (1, False)
     with pytest.raises(ClipError, match="clip 1 leaves a single point"):
         segment_sweep(hat, F(0), F(1, 4), [None, (F(1, 2), F(1)), None])
-    assert segment_sweep(hat, F(0), F(1, 4), [None, (F(7, 16), F(1)), None]) \
-        == (F(1, 8), F(1, 4), [AffinePiece(F(1, 8), F(1, 4), F(1, 4),
-                                           F(9, 16))])
+    u, v, segs = segment_sweep(hat, F(0), F(1, 4),
+                               [None, (F(7, 16), F(1)), None])
+    assert (u, v, _affine(segs)) == (F(1, 8), F(1, 4), [
+        AffinePiece(F(1, 8), F(1, 4), F(1, 4), F(9, 16))])

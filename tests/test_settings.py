@@ -116,22 +116,127 @@ def _innermost(tree, node):
     return max(around, key=lambda f: f.lineno).name if around else None
 
 
-def test_one_fixed_point_solver():
-    """The fixed-point root intercept / (1 - slope) is solved in
-    `orbits.fixed_points` alone, so every enumeration of fixed points,
-    of a map's powers or of a segment list, reads it from that solver."""
+def _coef_names(func):
+    """(A, D) name pairs of every three-name tuple a function unpacks, as
+    it unpacks a segment's (A, B, D) coefficients."""
+    return {(t.elts[0].id, t.elts[2].id) for t in ast.walk(func)
+            if isinstance(t, ast.Tuple) and isinstance(t.ctx, ast.Store)
+            and len(t.elts) == 3
+            and all(isinstance(e, ast.Name) for e in t.elts)}
+
+
+def _slope_minus_one(node, coefs, names):
+    """A slope minus one, in either order: `slope - 1`, `D - A` of a
+    segment's coefficients, or a name bound to one."""
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    pair = (node.left, node.right)
+    if any(isinstance(e, ast.Constant) and e.value == 1 for e in pair):
+        return any(_word(e) == "slope" for e in pair)
+    words = tuple(_word(e) for e in pair)
+    return any(words in (ad, ad[::-1]) for ad in coefs)
+
+
+def _unpacked(assign, value):
+    """(name, value) for each name an assignment binds, through tuples."""
+    target = assign.targets[0]
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        for t, v in zip(target.elts, value.elts):
+            if isinstance(t, ast.Name):
+                yield t.id, v
+
+
+def _fixed_point_roots(tree):
+    """Functions that divide by a slope minus one (or its negation), or
+    make one the denominator of a pair or a Fraction: what a fixed-point
+    root x = intercept / (1 - slope) computes, whatever names it binds on
+    the way.  A name unpacked from a call of a function of the module
+    that returns such a difference counts as one."""
+    funcs = {f.name: f for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef)}
+    returned = {name: node.value for name, f in funcs.items()
+                for node in ast.walk(f) if isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Tuple)}
     found = []
-    for path, tree in _sources("src/pwdyn"):
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
-                    and isinstance(node.right, ast.BinOp)
-                    and isinstance(node.right.op, ast.Sub)
-                    and isinstance(node.right.left, ast.Constant)
-                    and node.right.left.value == 1
-                    and _word(node.right.right) == "slope"):
+    for func in funcs.values():
+        coefs = _coef_names(func)
+        names = set()
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Assign):
                 continue
-            found.append(f"{path.name}:{_innermost(tree, node)}")
+            value, scope = node.value, coefs
+            callee = (_word(value.func) if isinstance(value, ast.Call)
+                      else None)
+            if callee in returned:
+                value, scope = returned[callee], _coef_names(funcs[callee])
+            names |= {name for name, v in _unpacked(node, value)
+                      if _slope_minus_one(v, scope, names)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                denominator = node.right
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                denominator = node.elts[1]
+            elif (isinstance(node, ast.Call) and _word(node.func) == "Fraction"
+                  and len(node.args) == 2):
+                denominator = node.args[1]
+            else:
+                continue
+            if _slope_minus_one(denominator, coefs, names):
+                found.append(func.name)
+                break
+    return found
+
+
+def test_one_fixed_point_solver():
+    """A fixed point's root, intercept / (1 - slope) in any spelling, is
+    solved in `orbits.fixed_points` alone, so every enumeration of fixed
+    points, of a map's powers or of a segment list, and every diagonal
+    crossing of `taxonomy`, reads it from that solver."""
+    found = [f"{path.name}:{name}" for path, tree in _sources("src/pwdyn")
+             for name in _fixed_point_roots(tree)]
     assert found == ["orbits.py:fixed_points"]
+
+
+def test_fixed_point_check_sees_every_spelling():
+    """The Fraction root `taxonomy._segment_solution` solved before it read
+    the root off `fixed_points`, through the gap coefficients another
+    function returns, is found; so are the Fraction solver's own root and
+    the integer pair, in either order and negated."""
+    parent = (
+        "def _diagonal_gap(seg):\n"
+        "    return seg.slope - 1, seg.intercept\n"
+        "def _segment_solution(seg, lo, hi, want_le):\n"
+        "    s, c = _diagonal_gap(seg)\n"
+        "    if s == 0:\n"
+        "        return None\n"
+        "    root = -c / s\n"
+        "    return root\n")
+    assert _fixed_point_roots(ast.parse(parent)) == ["_segment_solution"]
+    spellings = {
+        "fraction": "def f(piece):\n"
+                    "    return piece.intercept / (1 - piece.slope)\n",
+        "negated": "def f(piece):\n"
+                   "    return -piece.intercept / -(piece.slope - 1)\n",
+        "pair": "def f(seg):\n"
+                "    *_, (a, b, d) = seg\n"
+                "    return (b, d - a) if d > a else (-b, a - d)\n",
+        "bound": "def f(seg):\n"
+                 "    a, b, d = seg[4]\n"
+                 "    s = a - d\n"
+                 "    return Fraction(-b, s)\n",
+    }
+    for name, source in spellings.items():
+        assert _fixed_point_roots(ast.parse(source)) == ["f"], name
+    sign = ("def f(seg, t):\n"
+            "    a, b, d = seg[4]\n"
+            "    return (a - d) * t[0] + b * t[1]\n")
+    assert _fixed_point_roots(ast.parse(sign)) == []
 
 
 def _piece_kernels(tree):
@@ -184,6 +289,19 @@ def test_one_invariant_check():
              for path, tree in _sources("src/pwdyn") for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _word(node.func) == "_validate"]
     assert found == ["maps.py:_init"]
+
+
+def test_segments_become_fractions_at_the_edge():
+    """Int segments become AffinePieces (`maps._affine`) only where a map
+    is built from them (`_from_segments`) and where a public caller gets
+    them back (`window_sweep`, `restrict_power`): fixed points, trapping
+    signs and code intervals read the segments as ints."""
+    found = sorted({f"{path.name}:{_innermost(tree, node)}"
+                    for path, tree in _sources("src/pwdyn")
+                    for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and _word(node.func) == "_affine"})
+    assert found == ["maps.py:_from_segments", "taxonomy.py:restrict_power",
+                     "taxonomy.py:window_sweep"]
 
 
 def test_one_connection_table():
