@@ -17,13 +17,12 @@ of that correspondence are constructed and certified here.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike,
-                   Segment, Side, as_fraction)
+                   Segment, Side, _locate, _pair, as_fraction)
 from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, ball_stops,
                      fixed_cycle, fixed_points, image_chain, periodic_points,
                      segment_sweep, walk)
@@ -72,14 +71,13 @@ class PartitionIntervals:
 
     def indices_of(self, x: Fraction) -> tuple[int, ...]:
         """Indices of the closed cut intervals containing x (one or two)."""
-        if x == self.cuts[0]:
-            return (0,)
-        if x == self.cuts[-1]:
-            return (self.count - 1,)
-        i = bisect_left(self.cuts, x)
-        if self.cuts[i] == x:
-            return (i - 1, i)
-        return (i - 1,)
+        cuts, at = tuple(map(_pair, self.cuts)), _pair(x)
+        i = _locate(cuts, *at)
+        on = i > 0 and cuts[i - 1] == at
+        if i == 0 or i == len(cuts) and not on:
+            raise ValueError(f"{x} outside [{self.cuts[0]}, {self.cuts[-1]}]")
+        return tuple(k for k in ((i - 2, i - 1) if on else (i - 1,))
+                     if 0 <= k < self.count)
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
         return self.cuts[k], self.cuts[k + 1]

@@ -16,6 +16,10 @@ endpoint values are the inward limits.
 A map carries its integer step, memoized on it, and this module owns the
 one piece kernel, `_push_segments`, which pushes segments held as int
 tuples through that step for compositions, powers and `orbits` sweeps.
+Every point lookup reads the same step and finds its piece with the one
+binary search, `_locate`: `value` and `orbits.variant_step` take the image
+from `_image`, and the side pieces (so `lateral` and the germ step) take
+their piece from `_branch`.
 Every map is built and checked on one private path, `PiecewiseMap._init`:
 the public constructor evaluates each piece's end values first, while a
 power or composition hands over the ones its segments carry, so their
@@ -27,7 +31,6 @@ is asked for it; `orbits.periodic_points` reads the segments.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -130,13 +133,13 @@ class PiecewiseMap:
     Instances are immutable after construction and safe to share; the private
     attributes only cache derived data.  `_ends[i]` holds the inward limits
     (f(left+), f(right-)) of `pieces[i]` as reduced (numerator, denominator)
-    pairs, the one table that values at breakpoints, jumps and preimages are
-    read from.  The public constructor evaluates it; a power or composition
-    takes it from the end values of the piece kernel's segments.
+    pairs, the one table that the integer step (`_table`), and so every
+    value at a breakpoint or jump, and `preimage` are read from.  The
+    public constructor evaluates it; a power or composition takes it from
+    the end values of the piece kernel's segments.
     """
 
-    __slots__ = ("a", "b", "pieces", "_lefts", "_ends", "_special", "_powers",
-                 "_cache")
+    __slots__ = ("a", "b", "pieces", "_ends", "_special", "_powers", "_cache")
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  pieces: Iterable[AffinePiece]):
@@ -164,7 +167,6 @@ class PiecewiseMap:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "pieces", tuple(plist))
-        object.__setattr__(self, "_lefts", [p.left for p in plist])
         object.__setattr__(self, "_ends", tuple(ends))
         object.__setattr__(self, "_special", None)
         object.__setattr__(self, "_powers", {})
@@ -195,13 +197,13 @@ class PiecewiseMap:
         """The piece covering (p, p + eps).  Requires p < b."""
         if not self.a <= p < self.b:
             raise ValueError(f"no right-hand branch at {p}")
-        return self.pieces[bisect_right(self._lefts, p) - 1]
+        return self.pieces[_branch(_table(self), *_pair(p), True)]
 
     def piece_left_of(self, p: Fraction) -> AffinePiece:
         """The piece covering (p - eps, p).  Requires p > a."""
         if not self.a < p <= self.b:
             raise ValueError(f"no left-hand branch at {p}")
-        return self.pieces[bisect_left(self._lefts, p) - 1]
+        return self.pieces[_branch(_table(self), *_pair(p), False)]
 
     # -- core operations ----------------------------------------------------
 
@@ -219,20 +221,8 @@ class PiecewiseMap:
         break) the common limit is returned; the endpoints take the inward
         limits.
         """
-        x = as_fraction(x)
-        if x < self.a or x > self.b:
-            raise ValueError(f"{x} outside [{self.a}, {self.b}]")
-        if x == self.a:
-            return Fraction(*self._ends[0][0])
-        if x == self.b:
-            return Fraction(*self._ends[-1][1])
-        i = bisect_right(self._lefts, x) - 1
-        piece = self.pieces[i]
-        if x > piece.left:
-            return piece.value_at(x)
-        # x is an interior breakpoint shared by pieces[i-1] and pieces[i].
-        v_left, v_right = self._ends[i - 1][1], self._ends[i][0]
-        return Fraction(*v_left) if v_left == v_right else None
+        v = _image(_table(self), *_pair(as_fraction(x)), None)
+        return None if v is None else Fraction(*v)
 
     def special_points(self) -> SpecialPoints:
         """Jumps and turns, derived from lateral limits (cached)."""
@@ -554,6 +544,33 @@ def _apply(piece: Coef, p: int, q: int) -> Pair:
     m = delta * gcd(alpha, q % alpha)
     g = gcd(m, num % m)
     return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _image(t: _Table, p: int, q: int, sel) -> Optional[Pair]:
+    """f(p/q) as a reduced pair, f given by its integer step t: at a jump
+    the side that `sel` (an `orbits.VariantSelector`, or anything with its
+    `side_at`) picks there, or None without one."""
+    cuts = t.cuts
+    lo = _locate(cuts, p, q)
+    if lo and cuts[lo - 1] == (p, q):
+        v = t.values[lo - 1]
+        if v is None and sel is not None:
+            v = t.sides[p, q][sel.side_at(Fraction(p, q)) == PLUS]
+        return v
+    if lo == 0 or lo == len(cuts):
+        raise ValueError(f"{Fraction(p, q)} outside "
+                         f"[{Fraction(*cuts[0])}, {Fraction(*cuts[-1])}]")
+    return _apply(t.pieces[lo - 1], p, q)
+
+
+def _branch(t: _Table, p: int, q: int, plus: bool) -> int:
+    """The index of the piece to the right of p/q, or with plus false the
+    one to its left, so at a cut the piece ending there."""
+    cuts = t.cuts
+    i = _locate(cuts, p, q) - 1
+    if not plus and cuts[i] == (p, q):
+        i -= 1
+    return i
 
 
 def _solve(c: Coef, p: int, q: int) -> Pair:

@@ -11,9 +11,10 @@ itself has no value there.
 
 Every point-orbit walk goes through `walk`, which runs on (numerator,
 denominator) int pairs from start to stop, stepped by the integer step
-that `maps` memoizes on each map.  Its stop tests are data checked in the
-same arithmetic: labelled points, such as the special points, and
-labelled balls, open intervals that also hold their centre.  Fractions
+that `maps` memoizes on each map and evaluates with `maps._image`, as
+`variant_step` and `PiecewiseMap.value` do.  Its stop tests are data
+checked in the same arithmetic: labelled points, such as the special
+points, and labelled balls, open intervals that also hold their centre.  Fractions
 appear only at the API boundary: callers pass them in and read them back
 from `Walk.trail`.  The periodic-orbit enumeration and the
 code-conformance test of `codes` check a candidate with one such walk,
@@ -30,7 +31,8 @@ pushes them through the one piece kernel of `maps`, for the monotone
 window, the code intervals and the restricted powers.
 
 Germs step the same integer table as (numerator, denominator, plus)
-triples, through one successor table memoized on each map, so each germ
+triples, their piece found by `maps._branch` as the side pieces of a map
+are, through one successor table memoized on each map, so each germ
 is stepped once per map: `germ_orbit`, `germ_step`, the landing indices
 of `stability` and the lateral powers of `taxonomy` all read it, and make
 Germs and slope magnitudes only for their results.
@@ -47,8 +49,8 @@ from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
 
 from .maps import (MAX_PIECES, MINUS, PLUS, Pair, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, Segment, Side,
-                   _apply, _locate, _pair, _push_segments, _solve, _Table,
-                   _table, as_fraction)
+                   _apply, _branch, _image, _locate, _pair, _push_segments,
+                   _solve, _Table, _table, as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -94,27 +96,8 @@ def variants(f: PiecewiseMap, *, bit_limit: int = VARIANT_BIT_LIMIT
 
 
 def variant_step(f: PiecewiseMap, x: Fraction, sel: VariantSelector) -> Fraction:
-    v = f.value(x)
-    if v is not None:
-        return v
-    return f.lateral(x, sel.side_at(x))
-
-
-def _image(t: _Table, p: int, q: int, sel: Optional[VariantSelector]
-           ) -> Optional[Pair]:
-    """f(p/q) as a reduced pair: `f.value` by cross-multiplication, with a
-    jump resolved by `sel` as in `variant_step`, or None without one."""
-    cuts = t.cuts
-    lo = _locate(cuts, p, q)
-    if lo and cuts[lo - 1] == (p, q):
-        v = t.values[lo - 1]
-        if v is None and sel is not None:
-            v = t.sides[p, q][sel.side_at(Fraction(p, q)) == PLUS]
-        return v
-    if lo == 0 or lo == len(cuts):
-        raise ValueError(f"{Fraction(p, q)} outside "
-                         f"[{Fraction(*cuts[0])}, {Fraction(*cuts[-1])}]")
-    return _apply(t.pieces[lo - 1], p, q)
+    """f(x), or at a jump the lateral limit on the side `sel` picks."""
+    return Fraction(*_image(_table(f), *_pair(as_fraction(x)), sel))
 
 
 Ball = tuple[int, int, int, int, int, int, object]
@@ -519,15 +502,11 @@ def _germ(key: GermKey) -> Germ:
 
 def _germ_successor(t: _Table, key: GermKey) -> tuple[GermKey, int]:
     """The one germ step: the germ after `key` under the integer step t,
-    and the index of the piece that carries it.  A plus germ takes the
-    piece to its right and a minus germ the piece to its left, so at a
-    cut the one ending there; the side flips exactly when that piece
+    and the index of the piece that carries it, the one on the germ's
+    side (`maps._branch`); the side flips exactly when that piece
     decreases (alpha <= 0)."""
     p, q, plus = key
-    cuts = t.cuts
-    i = _locate(cuts, p, q) - 1
-    if not plus and cuts[i] == (p, q):
-        i -= 1
+    i = _branch(t, p, q, plus)
     piece = t.pieces[i]
     return (*_apply(piece, p, q), plus != (piece[0] <= 0)), i
 

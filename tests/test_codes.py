@@ -23,6 +23,9 @@ def test_partition(maps):
     assert part.indices_of(F(1, 2)) == (0, 1)
     assert part.indices_of(F(0)) == (0,)
     assert part.indices_of(F(1)) == (1,)
+    for x in (F(-1), F(2)):
+        with pytest.raises(ValueError, match=fr"^{x} outside \[0, 1\]$"):
+            part.indices_of(x)
 
 
 def test_code_shift(maps):

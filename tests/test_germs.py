@@ -19,6 +19,7 @@ from pwdyn.orbits import (DENOM_BIT_CAP, Germ, GermOrbit, GermStepResult,
 from pwdyn.stability import (classify_point, find_connection,
                              stability_propagation_report)
 from pwdyn.taxonomy import _lateral_power
+from test_orbits import _ref_piece_left_of, _ref_piece_right_of
 from test_piece_kernel import _cold, _corpus_maps, _outcome
 
 # -- the Fraction germ step, the reference ------------------------------------
@@ -28,9 +29,9 @@ def _ref_germ_step(f, g):
     g = Germ(as_fraction(g.point), g.side)
     g.validate(f)
     if g.side == PLUS:
-        branch = f.piece_right_of(g.point)
+        branch = _ref_piece_right_of(f, g.point)
     else:
-        branch = f.piece_left_of(g.point)
+        branch = _ref_piece_left_of(f, g.point)
     point = branch.value_at(g.point)
     side = g.side if branch.slope > 0 else opposite(g.side)
     return GermStepResult(Germ(point, side), abs(branch.slope))

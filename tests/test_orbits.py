@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from functools import partial
 from pathlib import Path
@@ -12,7 +13,7 @@ from pwdyn.codes import UNKNOWN, Code, Trivalent, avoids_special_forever, codes
 from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
                            _corpus, random_map)
 from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
-                        compose, parse_map)
+                        _image, _table, compose, parse_map)
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
                           StructureGraph, VariantLimitError, VariantSelector,
                           ball_stops, germ_orbit, germ_step, orbit,
@@ -343,11 +344,63 @@ def _pair(x):
     return None if x is None else (x.numerator, x.denominator)
 
 
+def _outcome(call, *args, **kwargs):
+    """The call's result, or its error as "Type: message"."""
+    try:
+        return call(*args, **kwargs)
+    except (PwdynError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# -- the Fraction lookups the integer step replaced, the reference -------------
+
+
+def _ref_piece_right_of(f, p):
+    if not f.a <= p < f.b:
+        raise ValueError(f"no right-hand branch at {p}")
+    return f.pieces[bisect_right([piece.left for piece in f.pieces], p) - 1]
+
+
+def _ref_piece_left_of(f, p):
+    if not f.a < p <= f.b:
+        raise ValueError(f"no left-hand branch at {p}")
+    return f.pieces[bisect_left([piece.left for piece in f.pieces], p) - 1]
+
+
+def _ref_lateral(f, p, side):
+    ref = _ref_piece_right_of if side == PLUS else _ref_piece_left_of
+    return ref(f, p).value_at(p)
+
+
+def _ref_value(f, x):
+    """f(x), None at a jump; each breakpoint value is evaluated on the
+    pieces, not read off the map's end-value table."""
+    if x < f.a or x > f.b:
+        raise ValueError(f"{x} outside [{f.a}, {f.b}]")
+    if x == f.a:
+        return f.pieces[0].value_at(x)
+    if x == f.b:
+        return f.pieces[-1].value_at(x)
+    i = bisect_right([piece.left for piece in f.pieces], x) - 1
+    piece = f.pieces[i]
+    if x > piece.left:
+        return piece.value_at(x)
+    v_left, v_right = f.pieces[i - 1].value_at(x), piece.value_at(x)
+    return v_left if v_left == v_right else None
+
+
+def _ref_variant_step(f, x, sel):
+    v = _ref_value(f, x)
+    return v if v is not None else _ref_lateral(f, x, sel.side_at(x))
+
+
 def test_integer_step_matches_value(maps):
-    """The walk's integer step against `f.value` and `variant_step`, the
-    reference: at a, b and every breakpoint, on both sides of each cut, at
-    random rationals and at denominators over 1000 bits, on the pinned and
-    generated maps, their mirrors and their 2nd powers."""
+    """The integer step `_image` and the side locator `_branch`, through
+    `value`, `variant_step`, `piece_right_of`, `piece_left_of` and
+    `lateral`, against the Fraction references above, errors included: at
+    a, b and every breakpoint, on both sides of each cut, at random
+    rationals and at denominators over 1000 bits, outside the domain, on
+    the pinned and generated maps, their mirrors and their 2nd powers."""
     rng = random.Random(29)
     cfg = GeneratorConfig(seed=5)
     bases = [*maps.values(), *(random_map(cfg.sub("step", i))
@@ -355,7 +408,7 @@ def test_integer_step_matches_value(maps):
     checked = jumps_checked = 0
     for base in bases:
         for f in (base, _mirror(base), base.power(2), _mirror(base).power(2)):
-            table = orbits._table(f)
+            table = _table(f)
             bounds = (f.a, *f.breakpoints, f.b)
             points = set(bounds)
             for lo, hi in zip(bounds, bounds[1:]):
@@ -372,19 +425,31 @@ def test_integer_step_matches_value(maps):
                                         for w in jumps))
             for x in sorted(points):
                 p, q = _pair(x)
-                assert orbits._image(table, p, q, None) == _pair(f.value(x))
-                assert orbits._image(table, p, q, sel) == \
-                    _pair(variant_step(f, x, sel))
+                want = _ref_value(f, x)
+                assert _image(table, p, q, None) == _pair(want)
+                assert f.value(x) == want
+                want = _ref_variant_step(f, x, sel)
+                assert _image(table, p, q, sel) == _pair(want)
+                assert variant_step(f, x, sel) == want
                 checked += 1
             for w in jumps:
-                assert orbits._image(table, *_pair(w), None) is None
+                assert _image(table, *_pair(w), None) is None
                 jumps_checked += 1
-            for x in (f.a - 1, f.b + F(1, 3)):
-                with pytest.raises(ValueError) as want:
-                    f.value(x)
-                with pytest.raises(ValueError) as got:
-                    orbits._image(table, *_pair(x), None)
-                assert str(got.value) == str(want.value)
+            outside = (f.a - 1, f.b + F(1, 3))
+            for x in outside:
+                want = _outcome(_ref_value, f, x)
+                assert want.startswith("ValueError")
+                assert _outcome(_image, table, *_pair(x), None) == want
+                assert _outcome(f.value, x) == want
+                assert _outcome(variant_step, f, x, sel) == want
+            for x in (*sorted(points), *outside):
+                assert _outcome(f.piece_right_of, x) == \
+                    _outcome(_ref_piece_right_of, f, x)
+                assert _outcome(f.piece_left_of, x) == \
+                    _outcome(_ref_piece_left_of, f, x)
+                for side in (MINUS, PLUS):
+                    assert _outcome(f.lateral, x, side) == \
+                        _outcome(_ref_lateral, f, x, side)
     assert checked > 10000 and jumps_checked > 100
 
 

@@ -18,13 +18,13 @@ import pytest
 
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import (MAX_PIECES, AffinePiece, MapInvariantError,
-                        PieceLimitError, PiecewiseMap, PwdynError, _affine,
+                        PieceLimitError, PiecewiseMap, _affine,
                         _from_segments, _merge_collinear, _pair,
                         _push_segments, _segments, _table, compose)
 from pwdyn.orbits import segment_sweep
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import restrict_power
-from test_orbits import _mirror
+from test_orbits import _mirror, _outcome
 
 # -- the Fraction kernel, the reference ---------------------------------------
 
@@ -38,7 +38,8 @@ def _push_through(f, pieces, *, guard=MAX_PIECES):
     """The ordered affine pieces of f after the given ordered pieces: each
     is split at the preimages of f's cuts inside its image, and each part is
     composed with the piece of f covering it.  Empty pieces vanish."""
-    lefts, fpieces = f._lefts, f.pieces
+    fpieces = f.pieces
+    lefts = [p.left for p in fpieces]
     out = []
     for piece in pieces:
         left, right = piece.left, piece.right
@@ -117,14 +118,6 @@ def _corpus_maps(count):
     maps += list(_corpus(GeneratorConfig(seed=7, max_pieces=3), "kernel",
                          count))
     return maps + [_mirror(f) for f in maps]
-
-
-def _outcome(call, *args, **kwargs):
-    """The call's result, or its error as "Type: message"."""
-    try:
-        return call(*args, **kwargs)
-    except (PwdynError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def test_compose_matches_the_fraction_kernel():

@@ -360,17 +360,17 @@ def _flips_a_side(func):
 
 
 def _germ_steps(tree):
-    """Functions that locate a piece by position (`_locate`, or a map's
-    `piece_left_of` / `piece_right_of`), evaluate it (`_apply` or
-    `value_at`) and flip a side by the slope's sign: what a germ step
-    computes, whatever names it binds on the way."""
+    """Functions that locate a piece by position (`_locate`, the side
+    locator `_branch`, or a map's `piece_left_of` / `piece_right_of`),
+    evaluate it (`_apply` or `value_at`) and flip a side by the slope's
+    sign: what a germ step computes, whatever names it binds on the way."""
     out = []
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
         called = {_word(node.func) for node in ast.walk(func)
                   if isinstance(node, ast.Call)}
-        if called & {"_locate", "piece_left_of", "piece_right_of"} \
+        if called & {"_locate", "_branch", "piece_left_of", "piece_right_of"} \
                 and called & {"_apply", "value_at"} and _flips_a_side(func):
             out.append(func.name)
     return out
@@ -410,3 +410,39 @@ def test_germ_step_check_sees_a_rewritten_step():
         "    side = g.side if branch.slope > 0 else opposite(g.side)\n"
         "    return Germ(branch.value_at(g.point), side)\n")
     assert _germ_steps(ast.parse(fraction_step)) == ["germ_step"]
+
+
+def _halves(node):
+    """A sum halved, `(lo + hi) // 2` or `(lo + hi) >> 1`: a bisection's
+    midpoint."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add)
+            and isinstance(node.right, ast.Constant)
+            and (isinstance(node.op, ast.FloorDiv) and node.right.value == 2
+                 or isinstance(node.op, ast.RShift) and node.right.value == 1))
+
+
+def test_one_bisection():
+    """Every point lookup (a value, a side piece, a variant's step, a
+    code index) locates its piece with `maps._locate` on int pairs: no
+    module imports `bisect`, and no other function halves a range."""
+    imports = [f"{path.name}:{node.lineno}"
+               for path, tree in _sources("src/pwdyn") for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               and any(a.name == "bisect" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "bisect"]
+    assert imports == []
+    found = [f"{path.name}:{_innermost(tree, node)}"
+             for path, tree in _sources("src/pwdyn")
+             for node in ast.walk(tree) if _halves(node)]
+    assert found == ["maps.py:_locate"]
+
+
+def test_bisection_check_sees_a_midpoint():
+    """A shifted midpoint in another function is found."""
+    tree = ast.parse("def find(xs, x):\n"
+                     "    lo, hi = 0, len(xs)\n"
+                     "    mid = (lo + hi) >> 1\n"
+                     "    return mid\n")
+    assert [_innermost(tree, node) for node in ast.walk(tree)
+            if _halves(node)] == ["find"]

@@ -232,12 +232,13 @@ def _ref_merge(parts):
 
 def _ref_step(f, parts):
     cuts = list(f.breakpoints)
+    lefts = [piece.left for piece in f.pieces]
     out = []
     for lo, hi in parts:
         inner = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
         bounds = [lo] + inner + [hi]
         for p, q in zip(bounds, bounds[1:]):
-            piece = f.pieces[bisect_right(f._lefts, (p + q) / 2) - 1]
+            piece = f.pieces[bisect_right(lefts, (p + q) / 2) - 1]
             v1, v2 = piece.value_at(p), piece.value_at(q)
             out.append((v1, v2) if v1 <= v2 else (v2, v1))
     return _ref_merge(out)
