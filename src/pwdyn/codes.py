@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .maps import (MINUS, PLUS, PiecewiseMap, PwdynError, RationalLike,
-                   Segment, Side, _locate, _pair, as_fraction)
+from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError,
+                   RationalLike, Segment, Side, _locate, _pair, as_fraction)
 from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, ball_stops,
                      fixed_cycle, fixed_points, image_chain, periodic_points,
                      segment_sweep, walk)
@@ -69,9 +70,13 @@ class PartitionIntervals:
     def count(self) -> int:
         return len(self.cuts) - 1
 
+    @cached_property
+    def _pairs(self) -> tuple[Pair, ...]:
+        return tuple(map(_pair, self.cuts))
+
     def indices_of(self, x: Fraction) -> tuple[int, ...]:
         """Indices of the closed cut intervals containing x (one or two)."""
-        cuts, at = tuple(map(_pair, self.cuts)), _pair(x)
+        cuts, at = self._pairs, _pair(x)
         i = _locate(cuts, *at)
         on = i > 0 and cuts[i - 1] == at
         if i == 0 or i == len(cuts) and not on:
@@ -143,8 +148,7 @@ class Certifier:
 
     def __init__(self, f: PiecewiseMap):
         sset = set(f.special_points().points)
-        boundaries = sorted({f.a, f.b, *(p.left for p in f.pieces),
-                             *(p.right for p in f.pieces), *sset})
+        boundaries = sorted({f.a, f.b, *f.breakpoints})  # sset among them
         locks = []
         for orb, balls in _map_atlas(f).items():
             if any(p in sset for p in orb.points):
@@ -215,9 +219,7 @@ def _expand(choices: list[tuple[int, ...]], limit: int
             ) -> list[tuple[int, ...]]:
     outs: list[tuple[int, ...]] = [()]
     for options in choices:
-        outs = [prev + (o,) for prev in outs for o in options]
-        if len(outs) > limit:
-            outs = outs[:limit]
+        outs = [prev + (o,) for prev in outs for o in options][:limit]
     return outs
 
 

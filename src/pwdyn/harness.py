@@ -34,7 +34,7 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
                     avoids_special_forever, is_regular, regular_attractor,
                     regularity_certificate, RegularityCertificate)
 from .maps import (MapInvariantError, PiecewiseMap, PwdynError,
-                   AffinePiece, _sandwich_bounds, compose, parse_map)
+                   AffinePiece, _pair, _sandwich_bounds, compose, parse_map)
 from .orbits import (HALF_POINT, POINT, Germ, germ_orbit, orbit,
                      periodic_points, structure, variant_step, variants,
                      walk)
@@ -184,14 +184,9 @@ def predicate(name):
 
 
 def _simpler_fractions(x: Fraction) -> list[Fraction]:
-    out = []
-    for q in (1, 2, 4, 8):
-        if q < x.denominator:
-            for num in (int(x * q), int(x * q) + 1):
-                cand = Fraction(num, q)
-                if cand != x:
-                    out.append(cand)
-    return out
+    cands = [Fraction(num, q) for q in (1, 2, 4, 8) if q < x.denominator
+             for num in (int(x * q), int(x * q) + 1)]
+    return [cand for cand in cands if cand != x]
 
 
 def _reductions(f: PiecewiseMap) -> list[PiecewiseMap]:
@@ -199,22 +194,15 @@ def _reductions(f: PiecewiseMap) -> list[PiecewiseMap]:
     out = []
     pieces = list(f.pieces)
     for i in range(len(pieces) - 1):
-        merged = pieces[:i] + [AffinePiece(pieces[i].left, pieces[i + 1].right,
-                                           pieces[i].slope,
-                                           pieces[i].intercept)] + pieces[i + 2:]
-        out.append(merged)
-        merged_r = pieces[:i] + [AffinePiece(pieces[i].left,
-                                             pieces[i + 1].right,
-                                             pieces[i + 1].slope,
-                                             pieces[i + 1].intercept)] + pieces[i + 2:]
-        out.append(merged_r)
+        # two neighbours merged, on the left one's line, then the right's
+        for line in pieces[i:i + 2]:
+            out.append(pieces[:i] + [replace(line, left=pieces[i].left,
+                                             right=pieces[i + 1].right)]
+                       + pieces[i + 2:])
     for i, piece in enumerate(pieces):
         for field_name in ("slope", "intercept"):
             for cand in _simpler_fractions(getattr(piece, field_name)):
-                alt = AffinePiece(piece.left, piece.right,
-                                  cand if field_name == "slope" else piece.slope,
-                                  cand if field_name == "intercept"
-                                  else piece.intercept)
+                alt = replace(piece, **{field_name: cand})
                 out.append(pieces[:i] + [alt] + pieces[i + 1:])
     built = []
     for cand_pieces in out:
@@ -422,7 +410,7 @@ def _sandwich_fails(f: PiecewiseMap, context: dict) -> bool:
     except PwdynError:
         return False
     lower, upper = _sandwich_bounds(f, g)
-    return not lower <= set(h.special_points().points) <= upper
+    return not lower <= set(map(_pair, h.special_points().points)) <= upper
 
 
 @suite_property("composition_sandwich", 1000)
@@ -437,7 +425,7 @@ def _prop_sandwich(cfg, count, result):
         if h is None:
             continue
         lower, upper = _sandwich_bounds(f, g)
-        got = set(h.special_points().points)
+        got = set(map(_pair, h.special_points().points))
         with result.case():
             if not lower <= got <= upper:
                 result.fail(f, "sandwich inclusion failed",

@@ -19,7 +19,10 @@ tuples through that step for compositions, powers and `orbits` sweeps.
 Every point lookup reads the same step and finds its piece with the one
 binary search, `_locate`: `value` and `orbits.variant_step` take the image
 from `_image`, and the side pieces (so `lateral` and the germ step) take
-their piece from `_branch`.
+their piece from `_branch`.  The one root finder, `PiecewiseMap._roots`,
+reads preimages off the step as reduced pairs: `preimage` makes a Fraction
+per root, while the preimage levels and their union, the composition
+sandwich and the power check stay on pairs.
 Every map is built and checked on one private path, `PiecewiseMap._init`:
 the public constructor evaluates each piece's end values first, while a
 power or composition hands over the ones its segments carry, so their
@@ -143,8 +146,7 @@ class PiecewiseMap:
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  pieces: Iterable[AffinePiece]):
-        a = as_fraction(a)
-        b = as_fraction(b)
+        a, b = as_fraction(a), as_fraction(b)
         segs = []
         for p in pieces:
             x0, x1, s, c = map(as_fraction, (p.left, p.right, p.slope,
@@ -227,17 +229,14 @@ class PiecewiseMap:
     def special_points(self) -> SpecialPoints:
         """Jumps and turns, derived from lateral limits (cached)."""
         if self._special is None:
-            turning = []
-            jumps = []
+            points, turning, jumps = [], [], []
             for prev, nxt, (_, v_left), (v_right, _) in zip(
                     self.pieces, self.pieces[1:], self._ends, self._ends[1:]):
-                w = prev.right
-                if v_left != v_right:
-                    jumps.append(w)
-                elif (prev.slope > 0) != (nxt.slope > 0):
-                    turning.append(w)
-            special = SpecialPoints(tuple(sorted(turning + jumps)),
-                                    tuple(turning), tuple(jumps))
+                jump = v_left != v_right  # breakpoints come in order
+                if jump or (prev.slope > 0) != (nxt.slope > 0):
+                    points.append(prev.right)
+                    (jumps if jump else turning).append(prev.right)
+            special = SpecialPoints(*map(tuple, (points, turning, jumps)))
             object.__setattr__(self, "_special", special)
         return self._special
 
@@ -246,20 +245,20 @@ class PiecewiseMap:
 
         Points where the map is undefined (jumps) are never included.
         """
-        y = p, q = _pair(as_fraction(y))
-        found = []
-        last = self._ends[0][0]  # f(w-) at each left end w; f(a+) at a
-        for piece, c, (v0, v1) in zip(self.pieces, _table(self).pieces,
-                                      self._ends):
-            if v0 == y == last:
-                found.append(piece.left)
-            # a monotone piece hits y inside iff y - v0, y - v1 differ in sign
+        return tuple(Fraction(*x) for x in self._roots(*_pair(as_fraction(y))))
+
+    def _roots(self, p: int, q: int) -> list[Pair]:
+        """`preimage` of p/q (q > 0) as reduced pairs: the bounds where the
+        map takes that value, and a root in each piece straddling it."""
+        t, found = _table(self), []
+        for w, v, c, (v0, v1) in zip(t.cuts, t.values, t.pieces, self._ends):
+            if v == (p, q):
+                found.append(w)
             if (p * v0[1] - v0[0] * q) * (p * v1[1] - v1[0] * q) < 0:
-                found.append(Fraction(*_solve(c, p, q)))
-            last = v1
-        if last == y:
-            found.append(self.b)
-        return tuple(found)
+                found.append(_solve(c, p, q))
+        if t.values[-1] == (p, q):
+            found.append(t.cuts[-1])
+        return found
 
     def power(self, n: int, *, max_power: int = MAX_POWER,
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
@@ -281,9 +280,8 @@ class PiecewiseMap:
                 nxt = _from_segments(self.a, self.b, nxt)
             if check and not validated:
                 _check_sandwich(self, current, nxt)
-                allowed = set(self.special_preimage_set(k))
-                got = set(nxt.special_points().points)
-                if not got <= allowed:
+                if not set(map(_pair, nxt.special_points().points)) \
+                        <= self._special_union(k).keys():
                     raise MapInvariantError(
                         "special points of a power escaped the iterated "
                         f"preimage set at n={k}")
@@ -313,16 +311,24 @@ class PiecewiseMap:
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
         """Points whose first n-1 iterates (or the point itself) hit a
         special point: the union of iterated preimages of the special set."""
+        return tuple(self._special_union(n).values())
+
+    def _special_union(self, n: int) -> dict[Pair, Fraction]:
+        """`special_preimage_set(n)` keyed by reduced pairs, in order."""
         if n < 1:
             raise ValueError("requires n >= 1")
-        # step k keeps level k, the points whose (k-1)-th iterate is
-        # special, and the union of levels 1..k; `step` builds it from the
-        # level and union of step k-1
-        level = union = self.special_points().points
+        # step k keeps level k, the pairs whose (k-1)-th iterate is
+        # special, and the union of levels 1..k, each point's Fraction made
+        # once per map, sorted on p * m // q: distinct points differ by >= 1/m
+        union = {_pair(x): x for x in self.special_points().points}
+        level = frozenset(union)
 
         def step():
-            pulled = frozenset(x for y in level for x in self.preimage(y))
-            return pulled, tuple(sorted(pulled.union(union)))
+            pulled = frozenset(x for y in level for x in self._roots(*y))
+            pts = pulled.union(union)
+            m = max((q for _, q in pts), default=1) ** 2
+            return pulled, {x: union[x] if x in union else Fraction(*x)
+                            for x in sorted(pts, key=lambda x: x[0] * m // x[1])}
 
         for k in range(2, n + 1):
             level, union = self._memo(("msets", k), step)
@@ -365,16 +371,18 @@ def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece],
         raise MapInvariantError("pieces do not cover the interval")
     (an, ad), (bn, bd) = _pair(a), _pair(b)
     for piece, ((n0, d0), (n1, d1)) in zip(pieces, ends):
-        if piece.left >= piece.right:
+        (ln, ld), (rn, rd) = _pair(piece.left), _pair(piece.right)
+        if ln * rd >= rn * ld:
             raise MapInvariantError(f"empty piece ({piece.left}, {piece.right})")
-        if piece.slope == 0:
+        if piece.slope.numerator == 0:
             raise MapInvariantError(f"zero slope on ({piece.left}, {piece.right})")
         if not (an * d0 <= n0 * ad and n0 * bd <= bn * d0
                 and an * d1 <= n1 * ad and n1 * bd <= bn * d1):
             raise MapInvariantError(
                 f"image of ({piece.left}, {piece.right}) escapes [{a}, {b}]")
     for prev, nxt in zip(pieces, pieces[1:]):
-        if prev.right != nxt.left:
+        (pn, pd), (nn, nd) = _pair(prev.right), _pair(nxt.left)
+        if pn * nd != nn * pd:
             raise MapInvariantError(
                 f"pieces do not abut at {prev.right} vs {nxt.left}")
 
@@ -445,8 +453,8 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
 
 
 def _sandwich_bounds(outer: PiecewiseMap, inner: PiecewiseMap
-                     ) -> tuple[set[Fraction], set[Fraction]]:
-    """Exact bounds (lower, upper) on the special points of the composition
+                     ) -> tuple[set[Pair], set[Pair]]:
+    """Exact bounds (lower, upper) on the pairs of the special points of
     outer(inner(x)): the turns of the inner map plus pullbacks of the outer
     special set below, the full inner special set plus pullbacks above.
 
@@ -455,12 +463,11 @@ def _sandwich_bounds(outer: PiecewiseMap, inner: PiecewiseMap
     turning point (special points are interior by definition).
     """
     pulled = {x for w in outer.special_points().points
-              for x in inner.preimage(w)}
-    inner_special = inner.special_points()
-    upper = set(inner_special.points) | pulled
-    lower = {x for x in set(inner_special.turning) | pulled
-             if inner.a < x < inner.b}
-    return lower, upper
+              for x in inner._roots(*_pair(w))}
+    special = inner.special_points()
+    return (pulled.union(map(_pair, special.turning))
+            - {_pair(inner.a), _pair(inner.b)},
+            pulled.union(map(_pair, special.points)))
 
 
 def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,
@@ -468,7 +475,7 @@ def _check_sandwich(outer: PiecewiseMap, inner: PiecewiseMap,
     """Internal consistency: the special points of a composition lie
     between their exact `_sandwich_bounds`."""
     lower, upper = _sandwich_bounds(outer, inner)
-    if not lower <= set(result.special_points().points) <= upper:
+    if not lower <= set(map(_pair, result.special_points().points)) <= upper:
         raise MapInvariantError(
             "special points of the composition escaped their exact bounds")
 

@@ -28,6 +28,22 @@ def test_partition(maps):
             part.indices_of(x)
 
 
+def test_partition_makes_its_cut_pairs_once(maps, monkeypatch):
+    """`indices_of` reads the cut pairs made on its first call; the cached
+    pairs change neither equality, hash nor repr of the partition."""
+    calls = []
+    real = codes_module._pair
+    monkeypatch.setattr(codes_module, "_pair",
+                        lambda x: calls.append(x) or real(x))
+    part = PartitionIntervals.of(maps["tent"])
+    before = (hash(part), repr(part))
+    for x in (F(1, 4), F(1, 2), F(1)):
+        part.indices_of(x)
+    assert len(calls) == len(part.cuts) + 3
+    assert part == PartitionIntervals.of(maps["tent"])
+    assert (hash(part), repr(part)) == before
+
+
 def test_code_shift(maps):
     f = maps["shift"]
     out = codes(f, F(1, 3))

@@ -44,6 +44,39 @@ def test_parse_errors():
         parse_map("interval 1 0\npiece 1 0 : slope 1 intercept 0\n")
 
 
+def _invariant_error(*pieces):
+    with pytest.raises(MapInvariantError) as err:
+        parse_map("interval 0 1\n" + "".join(
+            f"piece {x0} {x1} : slope {s} intercept {c}\n"
+            for x0, x1, s, c in pieces))
+    return str(err.value)
+
+
+def test_invariant_checks_keep_their_order_and_messages():
+    """`_validate` compares piece ends as pairs: a zero-length or reversed
+    piece is empty, pieces that leave a gap or overlap do not abut, and
+    the per-piece checks (empty, zero slope, image) run, piece by piece,
+    before the abutment check."""
+    assert _invariant_error(("0", "1/2", "1", "0"), ("1/2", "1/2", "2", "-1/2"),
+                            ("1/2", "1", "1/2", "1/4")) \
+        == "empty piece (1/2, 1/2)"
+    assert _invariant_error(("0", "1/2", "1", "0"), ("1/2", "1/3", "2", "-1/2"),
+                            ("1/3", "1", "1/2", "1/4")) \
+        == "empty piece (1/2, 1/3)"
+    assert _invariant_error(("0", "1/2", "1", "0"), ("1/3", "1", "1", "0")) \
+        == "pieces do not abut at 1/2 vs 1/3"
+    assert _invariant_error(("0", "1/2", "1", "0"), ("2/3", "1", "1", "0")) \
+        == "pieces do not abut at 1/2 vs 2/3"
+    assert _invariant_error(("0", "1/2", "1", "0"), ("1/3", "2/3", "0", "0"),
+                            ("2/3", "1", "1", "0")) \
+        == "zero slope on (1/3, 2/3)"
+    assert _invariant_error(("0", "1/2", "1", "0"), ("1/3", "2/3", "1", "0"),
+                            ("2/3", "1", "2", "0")) \
+        == "image of (2/3, 1) escapes [0, 1]"
+    assert _invariant_error(("1/2", "1", "1", "0"),) \
+        == "pieces do not cover the interval"
+
+
 def test_parse_error_column_is_the_token_offset():
     # "1/" is a substring of the earlier "1/2"; the column must still point
     # at the bad token itself

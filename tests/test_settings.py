@@ -281,6 +281,51 @@ def test_piece_kernel_check_sees_a_rewritten_kernel():
                                                  "_push_copy"]
 
 
+def _root_solvers(tree):
+    """The innermost function around each call of `_solve`: every place
+    that pulls a value back through a piece."""
+    return [_innermost(tree, node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _word(node.func) == "_solve"]
+
+
+def test_one_root_finder():
+    """A value is pulled back through a piece (`_solve`) by the piece
+    kernel `maps._push_segments`, by `orbits._narrow`, which cuts a sweep
+    down to its targets, and otherwise only by the root finder
+    `PiecewiseMap._roots`: `preimage`, the preimage levels, the sandwich
+    bounds and the power check all read its pairs."""
+    found = sorted({f"{path.name}:{name}"
+                    for path, tree in _sources("src/pwdyn")
+                    for name in _root_solvers(tree)})
+    assert found == ["maps.py:_push_segments", "maps.py:_roots",
+                     "orbits.py:_narrow"]
+
+
+def test_root_finder_check_sees_a_second_inline_root():
+    """The Fraction `preimage`, which solved its roots inline, put back
+    beside the root finder is found."""
+    source = (PACKAGE / "maps.py").read_text()
+    old = ("        return tuple(Fraction(*x) "
+           "for x in self._roots(*_pair(as_fraction(y))))\n")
+    assert old in source
+    source = source.replace(old, (
+        "        y = p, q = _pair(as_fraction(y))\n"
+        "        found = []\n"
+        "        last = self._ends[0][0]\n"
+        "        for piece, c, (v0, v1) in zip(self.pieces, _table(self).pieces,\n"
+        "                                      self._ends):\n"
+        "            if v0 == y == last:\n"
+        "                found.append(piece.left)\n"
+        "            if (p * v0[1] - v0[0] * q) * (p * v1[1] - v1[0] * q) < 0:\n"
+        "                found.append(Fraction(*_solve(c, p, q)))\n"
+        "            last = v1\n"
+        "        if last == y:\n"
+        "            found.append(self.b)\n"
+        "        return tuple(found)\n"))
+    assert sorted(set(_root_solvers(ast.parse(source)))) == [
+        "_push_segments", "_roots", "preimage"]
+
+
 def test_one_invariant_check():
     """A map's invariants are checked by `maps._validate`, called from
     `PiecewiseMap._init` alone: the public constructor, powers and
