@@ -2,8 +2,8 @@
 
 from .maps import (AffinePiece, MapInvariantError, MapSyntaxError, MINUS,
                    PLUS, PieceLimitError, PiecewiseMap, PowerLimitError,
-                   PwdynError, SpecialPoints, compose, format_rational,
-                   parse_map, parse_rational)
+                   PwdynError, SpecialPoints, compose, parse_map,
+                   parse_rational)
 from .orbits import (Germ, GermOrbit, GermStepResult, OrbitResult,
                      PeriodicOrbit, StructureGraph, VariantSelector,
                      germ_orbit, germ_step, orbit, periodic_points, structure,

@@ -17,11 +17,11 @@ import argparse
 import os
 import re
 import sys
+from fractions import Fraction
 from typing import Optional
 
-from .codes import (CertificationError, CodeUndefinedError, YES,
-                    attractor_regular_source, codes, is_regular,
-                    regular_attractor)
+from .codes import (CertificationError, YES, attractor_regular_source,
+                    codes, is_regular, regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
 from .maps import (MapInvariantError, MapSyntaxError, MINUS, PLUS,
                    PiecewiseMap, PwdynError, compose, parse_map,
@@ -81,6 +81,14 @@ def _orbit_label(orb) -> str:
     return " ".join(bits)
 
 
+def rational(token: str) -> Fraction:
+    """A point option's value; argparse names the option in its error."""
+    try:
+        return parse_rational(token)
+    except MapSyntaxError as exc:
+        raise ValueError(token) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     """Takes a word that starts like a negative number, such as -1/3, for
     a value, not an option.  argparse's own test here accepts only plain
@@ -105,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd("validate", help="parse a map file and report its shape")
     p = cmd("eval", help="exact value at a point")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=rational, required=True)
     p.add_argument("--side", choices=("minus", "plus"), default=None,
                    help="report the one-sided limit instead of the value")
     cmd("special", help="special points: S, T, D")
@@ -116,18 +124,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--emit-map", action="store_true")
     p = cmd("orbit", help="forward orbit of one variant")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=rational, required=True)
     p.add_argument("--selector", default=None)
     p.add_argument("--cap", type=int, default=10**4)
     p = cmd("structure", help="branching forward-orbit set")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=rational, required=True)
     p.add_argument("--cap", type=int, default=10**4)
     p = cmd("periodic", help="periodic orbits up to a period horizon")
     p.add_argument("--horizon", type=int, default=4)
     p = cmd("classify", help="stability class of a confined point")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=rational, required=True)
     p = cmd("connections", help="lateral connections inside a structure")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=rational, required=True)
     p = cmd("taxonomy", help="critical / trapped / free / exceptional flags")
     p.add_argument("--horizon", type=int, default=4)
     p = cmd("basin", help="one-sided basin witnesses at special points")
@@ -135,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("bound", help="orbit count against N_T + 2 N_D + 2")
     p.add_argument("--horizon", type=int, default=8)
     p = cmd("code", help="itinerary codes of a point")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=rational, required=True)
     p.add_argument("--cap", type=int, default=10**4)
     p = cmd("regular", help="regularity of every special point")
     p.add_argument("--cap", type=int, default=10**4)
@@ -152,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p = cmd("plot", help="graph or cobweb plot document")
     p.add_argument("--mode", choices=("graph", "cobweb"), default="graph")
-    p.add_argument("--x0", default=None)
+    p.add_argument("--x0", type=rational, default=None)
     p.add_argument("-n", type=int, default=20)
     p.add_argument("--selector", default=None)
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
@@ -167,17 +175,13 @@ def dispatch(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         return _run(args)
-    except (MapSyntaxError, FileNotFoundError, CodeUndefinedError,
-            PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
     except (TaxonomyViolation, MapInvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except PwdynError as exc:
+    except (PwdynError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -207,7 +211,7 @@ def _cmd_validate(f, args) -> int:
 
 
 def _cmd_eval(f, args) -> int:
-    x = parse_rational(args.x)
+    x = args.x
     if args.side is not None:
         print(f.lateral(x, args.side))
         return 0
@@ -247,7 +251,7 @@ def _cmd_iterate(f, args) -> int:
 
 def _cmd_orbit(f, args) -> int:
     sel = _selector_from_bits(f, args.selector)
-    res = orbit(f, parse_rational(args.x), sel, cap=args.cap)
+    res = orbit(f, args.x, sel, cap=args.cap)
     print(f"prefix = {_fmt_points(res.prefix)}")
     if res.cycle is not None:
         print(f"cycle = {_fmt_points(res.cycle)} (period {len(res.cycle)})")
@@ -257,7 +261,7 @@ def _cmd_orbit(f, args) -> int:
 
 
 def _cmd_structure(f, args) -> int:
-    st = structure(f, parse_rational(args.x), cap=args.cap)
+    st = structure(f, args.x, cap=args.cap)
     if st.truncated:
         # the nodes are sorted; a cut-off set is summarized, not dumped
         print(f"nodes: {len(st.nodes)} (cap {args.cap}), least "
@@ -276,7 +280,7 @@ def _cmd_periodic(f, args) -> int:
 
 
 def _cmd_classify(f, args) -> int:
-    x = parse_rational(args.x)
+    x = args.x
     sides = [classify_side(f, x, g.side) for g in germs_of(f, x)]
     print(classify_point(f, x))
     for s in sides:
@@ -285,7 +289,7 @@ def _cmd_classify(f, args) -> int:
 
 
 def _cmd_connections(f, args) -> int:
-    st = structure(f, parse_rational(args.x))
+    st = structure(f, args.x)
     if not st.closed:
         print("structure not closed", file=sys.stderr)
         return 2
@@ -359,8 +363,7 @@ def _cmd_bound(f, args) -> int:
 
 
 def _cmd_code(f, args) -> int:
-    x = parse_rational(args.x)
-    for code in codes(f, x, args.cap):
+    for code in codes(f, args.x, args.cap):
         prefix = ",".join(str(i) for i in code.prefix)
         if code.cycle is None:
             print(f"({prefix}, ...) truncated")
@@ -440,9 +443,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_plot(f, args) -> int:
-    x0 = parse_rational(args.x0) if args.x0 else None
     sel = _selector_from_bits(f, args.selector) if args.selector else None
-    sys.stdout.write(emit_plot(f, args.mode, x0=x0, steps=args.n,
+    sys.stdout.write(emit_plot(f, args.mode, x0=args.x0, steps=args.n,
                                fmt=args.format, sel=sel))
     return 0
 

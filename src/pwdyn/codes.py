@@ -64,7 +64,9 @@ class PartitionIntervals:
 
     @classmethod
     def of(cls, f: PiecewiseMap) -> "PartitionIntervals":
-        return cls((f.a, *f.special_points().points, f.b))
+        """The partition of f, built once and memoized on f."""
+        return f._memo(("partition",), lambda: cls(
+            (f.a, *f.special_points().points, f.b)))
 
     @property
     def count(self) -> int:

@@ -208,7 +208,7 @@ def _reductions(f: PiecewiseMap) -> list[PiecewiseMap]:
     for cand_pieces in out:
         try:
             built.append(PiecewiseMap(f.a, f.b, cand_pieces))
-        except (MapInvariantError, PwdynError):
+        except PwdynError:
             continue
     return built
 

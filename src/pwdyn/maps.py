@@ -1,21 +1,24 @@
 """Exact piecewise-affine self-maps of a rational interval.
 
-Every coordinate, slope, and intercept is a `fractions.Fraction`, so
-evaluation, lateral limits, preimages, composition, and powers are all exact.
-A map is stored as an ordered list of open affine pieces abutting at interior
-breakpoints.  Special points (jumps and turns) are computed semantically from
-lateral limits and monotone directions, never read off the stored breakpoint
-list: a breakpoint whose sides agree in value and direction is representation
-noise.  Collinear neighbours are merged on construction, so two maps that
-agree as functions have identical piece lists.
+Every answer is an exact `fractions.Fraction`, so evaluation, lateral
+limits, preimages, composition, and powers are all exact.  Special points
+(jumps and turns) are computed semantically from lateral limits and
+monotone directions, never read off the stored breakpoint list: a
+breakpoint whose sides agree in value and direction is representation
+noise.
 
 The map value at a jump is left undefined (`value` returns None there); at a
 turn or a removable breakpoint it is the common lateral limit, and the
 endpoint values are the inward limits.
 
-A map carries its integer step, memoized on it, and this module owns the
-one piece kernel, `_push_segments`, which pushes segments held as int
-tuples through that step for compositions, powers and `orbits` sweeps.
+A map stores one form, its segments: per open piece, in order, an int
+tuple (x0, x1, y0, y1, (A, B, D)) of its ends and inward limits as
+reduced (numerator, denominator) pairs and its value (A*p + B*q) / (D*q)
+at p/q, reduced with D > 0.  Collinear neighbours are merged, so maps that
+agree as functions have equal segments; the Fraction `pieces` are made
+only on request.  Its integer step, memoized on it, reads the segments,
+and the one piece kernel, `_push_segments`, pushes segments through a
+step for compositions, powers and `orbits` sweeps.
 Every point lookup reads the same step and finds its piece with the one
 binary search, `_locate`: `value` and `orbits.variant_step` take the image
 from `_image`, and the side pieces (so `lateral` and the germ step) take
@@ -23,12 +26,10 @@ their piece from `_branch`.  The one root finder, `PiecewiseMap._roots`,
 reads preimages off the step as reduced pairs: `preimage` makes a Fraction
 per root, while the preimage levels and their union, the composition
 sandwich and the power check stay on pairs.
-Every map is built and checked on one private path, `PiecewiseMap._init`:
-the public constructor evaluates each piece's end values first, while a
-power or composition hands over the ones its segments carry, so their
-invariants are checked without evaluating a piece again.  The power cache
-keeps each power's merged segments, and makes its map only when `power`
-is asked for it; `orbits.periodic_points` reads the segments.
+Every map is merged and checked on one private path, `PiecewiseMap._init`:
+the public constructor turns each piece into a segment, and a power or
+composition hands over the kernel's.  The power cache keeps each power's
+map; `orbits.periodic_points` reads its segments.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
 Side = Literal["minus", "plus"]
@@ -90,10 +91,6 @@ def parse_rational(token: str, *, line: int = 0, column: int = 0) -> Fraction:
     return Fraction(int(token))
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -134,15 +131,15 @@ class PiecewiseMap:
     """An exact piecewise-affine self-map of [a, b].
 
     Instances are immutable after construction and safe to share; the private
-    attributes only cache derived data.  `_ends[i]` holds the inward limits
-    (f(left+), f(right-)) of `pieces[i]` as reduced (numerator, denominator)
-    pairs, the one table that the integer step (`_table`), and so every
-    value at a breakpoint or jump, and `preimage` are read from.  The
-    public constructor evaluates it; a power or composition takes it from
-    the end values of the piece kernel's segments.
+    attributes only cache derived data.  The one stored form is `_segs`,
+    the merged int segments (see the module docstring), from which the
+    integer step (`_table`), and so every value at a breakpoint or jump,
+    and `preimage` are read.  The public constructor evaluates each
+    piece's end values; a power or composition takes the kernel's.  The
+    Fraction `pieces` are made on first use.
     """
 
-    __slots__ = ("a", "b", "pieces", "_ends", "_special", "_powers", "_cache")
+    __slots__ = ("a", "b", "_segs", "_pieces", "_special", "_powers", "_cache")
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  pieces: Iterable[AffinePiece]):
@@ -151,25 +148,23 @@ class PiecewiseMap:
         for p in pieces:
             x0, x1, s, c = map(as_fraction, (p.left, p.right, p.slope,
                                              p.intercept))
-            segs.append((x0, x1, _pair(s * x0 + c), _pair(s * x1 + c), (s, c)))
+            segs.append((_pair(x0), _pair(x1), _pair(s * x0 + c),
+                         _pair(s * x1 + c), _coef(s, c)))
         if a >= b:
             raise MapInvariantError(f"empty interval: {a} >= {b}")
         if not segs:
             raise MapInvariantError("map needs at least one piece")
-        segs = _merge_collinear(segs)
-        self._init(a, b, [AffinePiece(x0, x1, *line)
-                          for x0, x1, _, _, line in segs],
-                   [s[2:4] for s in segs])
+        self._init(a, b, segs)
 
-    def _init(self, a: Fraction, b: Fraction, plist: list[AffinePiece],
-              ends: list[tuple[Pair, Pair]]) -> None:
-        """The one constructor path: check and store the merged pieces with
-        their end values, evaluated or read off the kernel (`_ends`)."""
-        _validate(a, b, plist, ends)
+    def _init(self, a: Fraction, b: Fraction, segs: list[Segment]) -> None:
+        """The one constructor path: merge, check and store the segments,
+        their end values evaluated or read off the kernel."""
+        segs = _merge_collinear(segs)
+        _validate(a, b, segs)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "pieces", tuple(plist))
-        object.__setattr__(self, "_ends", tuple(ends))
+        object.__setattr__(self, "_segs", tuple(segs))
+        object.__setattr__(self, "_pieces", None)
         object.__setattr__(self, "_special", None)
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_cache", {})
@@ -180,18 +175,25 @@ class PiecewiseMap:
     def __eq__(self, other):
         return (isinstance(other, PiecewiseMap)
                 and self.a == other.a and self.b == other.b
-                and self.pieces == other.pieces)
+                and self._segs == other._segs)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.pieces))
+        return hash((self.a, self.b, self._segs))
 
     def __repr__(self):
-        return f"PiecewiseMap([{self.a}, {self.b}], {len(self.pieces)} pieces)"
+        return f"PiecewiseMap([{self.a}, {self.b}], {len(self._segs)} pieces)"
+
+    @property
+    def pieces(self) -> tuple[AffinePiece, ...]:
+        """The open affine pieces, left to right, made on first use."""
+        if self._pieces is None:
+            object.__setattr__(self, "_pieces", tuple(_affine(self._segs)))
+        return self._pieces
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior representation breakpoints, in increasing order."""
-        return tuple(p.left for p in self.pieces[1:])
+        return tuple(Fraction(*s[0]) for s in self._segs[1:])
 
     # -- lookup ------------------------------------------------------------
 
@@ -230,12 +232,11 @@ class PiecewiseMap:
         """Jumps and turns, derived from lateral limits (cached)."""
         if self._special is None:
             points, turning, jumps = [], [], []
-            for prev, nxt, (_, v_left), (v_right, _) in zip(
-                    self.pieces, self.pieces[1:], self._ends, self._ends[1:]):
-                jump = v_left != v_right  # breakpoints come in order
-                if jump or (prev.slope > 0) != (nxt.slope > 0):
-                    points.append(prev.right)
-                    (jumps if jump else turning).append(prev.right)
+            for prev, nxt in zip(self._segs, self._segs[1:]):
+                jump = prev[3] != nxt[2]  # breakpoints come in order
+                if jump or (prev[4][0] > 0) != (nxt[4][0] > 0):
+                    points.append(w := Fraction(*prev[1]))
+                    (jumps if jump else turning).append(w)
             special = SpecialPoints(*map(tuple, (points, turning, jumps)))
             object.__setattr__(self, "_special", special)
         return self._special
@@ -251,7 +252,7 @@ class PiecewiseMap:
         """`preimage` of p/q (q > 0) as reduced pairs: the bounds where the
         map takes that value, and a root in each piece straddling it."""
         t, found = _table(self), []
-        for w, v, c, (v0, v1) in zip(t.cuts, t.values, t.pieces, self._ends):
+        for v, (w, _, v0, v1, c) in zip(t.values, self._segs):
             if v == (p, q):
                 found.append(w)
             if (p * v0[1] - v0[0] * q) * (p * v1[1] - v1[0] * q) < 0:
@@ -264,10 +265,11 @@ class PiecewiseMap:
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
         """Exact n-th iterate, built by repeated composition (cached).
 
-        The cache keeps each power's merged segments (its map once asked
-        for) and piece count before merging, so a cached power raises the
+        The cache keeps each power's map, built from its merged segments,
+        and its piece count before merging, so a cached power raises the
         same PieceLimitError for a smaller `guard` as a fresh build does.
-        A power cached by a check=False call is validated on the first
+        A power cached without the special-point check (by a check=False
+        call, or by `orbits.periodic_points`) gets it on the first
         check=True request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
@@ -276,8 +278,6 @@ class PiecewiseMap:
         current = self
         for k in range(2, n + 1):
             nxt, raw_count, validated = self._power_step(k, guard)
-            if isinstance(nxt, list) and (check or k == n):
-                nxt = _from_segments(self.a, self.b, nxt)
             if check and not validated:
                 _check_sandwich(self, current, nxt)
                 if not set(map(_pair, nxt.special_points().points)) \
@@ -285,28 +285,26 @@ class PiecewiseMap:
                     raise MapInvariantError(
                         "special points of a power escaped the iterated "
                         f"preimage set at n={k}")
-                validated = True
-            self._powers[k] = (nxt, raw_count, validated)
+                self._powers[k] = (nxt, raw_count, True)
             current = nxt
         return current
 
     def _power_step(self, k: int, guard: int):
-        """The power cache entry (merged segments or map, raw piece count,
-        validated) of the k-th power, k >= 2, pushed from the segments of
-        the power before on first use; PieceLimitError past `guard`."""
+        """The power cache entry (map, raw piece count, checked) of the
+        k-th power, k >= 2, pushed from the segments of the power before on
+        first use; PieceLimitError past `guard`."""
         if k not in self._powers:
             raw = _push_segments(_table(self),
                                  self._power_segments(k - 1, guard), guard)
-            self._powers[k] = (_merge_collinear(raw), len(raw), False)
+            self._powers[k] = (_from_segments(self.a, self.b, raw), len(raw),
+                               False)
         if self._powers[k][1] > guard:
             raise PieceLimitError(f"composition exceeds {guard} pieces")
         return self._powers[k]
 
-    def _power_segments(self, n: int, guard: int) -> list[Segment]:
-        """The merged segments of the n-th power, read off the power cache
-        without building its map."""
-        power = self._power_step(n, guard)[0] if n > 1 else self
-        return power if isinstance(power, list) else _segments(power)
+    def _power_segments(self, n: int, guard: int) -> Sequence[Segment]:
+        """The segments of the n-th power, read off the power cache."""
+        return (self._power_step(n, guard)[0] if n > 1 else self)._segs
 
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
         """Points whose first n-1 iterates (or the point itself) hit a
@@ -351,9 +349,9 @@ class PiecewiseMap:
         return "\n".join(lines) + "\n"
 
 
-def _merge_collinear(segments: list[tuple]) -> list[tuple]:
-    """Abutting neighbours on one line merged, keeping the outer end values:
-    segments, or pieces as (left, right, y0, y1, (slope, intercept))."""
+def _merge_collinear(segments: list[Segment]) -> list[Segment]:
+    """Abutting neighbours on one line merged, keeping the outer end
+    values."""
     out = segments[:1]
     for s in segments[1:]:
         last = out[-1]
@@ -364,27 +362,28 @@ def _merge_collinear(segments: list[tuple]) -> list[tuple]:
     return out
 
 
-def _validate(a: Fraction, b: Fraction, pieces: Sequence[AffinePiece],
-              ends: Sequence[tuple[Pair, Pair]]) -> None:
-    """Check the map invariants on the pieces and their end values."""
-    if pieces[0].left != a or pieces[-1].right != b:
+def _validate(a: Fraction, b: Fraction, segs: Sequence[Segment]) -> None:
+    """Check the map invariants on its int segments."""
+    if segs[0][0] != _pair(a) or segs[-1][1] != _pair(b):
         raise MapInvariantError("pieces do not cover the interval")
     (an, ad), (bn, bd) = _pair(a), _pair(b)
-    for piece, ((n0, d0), (n1, d1)) in zip(pieces, ends):
-        (ln, ld), (rn, rd) = _pair(piece.left), _pair(piece.right)
+
+    def piece(s):  # a message's Fractions are made only when it is raised
+        return f"({Fraction(*s[0])}, {Fraction(*s[1])})"
+
+    for s in segs:
+        (ln, ld), (rn, rd), (n0, d0), (n1, d1), c = s
         if ln * rd >= rn * ld:
-            raise MapInvariantError(f"empty piece ({piece.left}, {piece.right})")
-        if piece.slope.numerator == 0:
-            raise MapInvariantError(f"zero slope on ({piece.left}, {piece.right})")
+            raise MapInvariantError(f"empty piece {piece(s)}")
+        if c[0] == 0:
+            raise MapInvariantError(f"zero slope on {piece(s)}")
         if not (an * d0 <= n0 * ad and n0 * bd <= bn * d0
                 and an * d1 <= n1 * ad and n1 * bd <= bn * d1):
+            raise MapInvariantError(f"image of {piece(s)} escapes [{a}, {b}]")
+    for (_, x, *_), (w, *_) in zip(segs, segs[1:]):
+        if x != w:
             raise MapInvariantError(
-                f"image of ({piece.left}, {piece.right}) escapes [{a}, {b}]")
-    for prev, nxt in zip(pieces, pieces[1:]):
-        (pn, pd), (nn, nd) = _pair(prev.right), _pair(nxt.left)
-        if pn * nd != nn * pd:
-            raise MapInvariantError(
-                f"pieces do not abut at {prev.right} vs {nxt.left}")
+                f"pieces do not abut at {Fraction(*x)} vs {Fraction(*w)}")
 
 
 # -- map file format --------------------------------------------------------
@@ -445,8 +444,8 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     """
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
-    result = _from_segments(outer.a, outer.b, _merge_collinear(_push_segments(
-        _table(outer), _segments(inner), guard)))
+    result = _from_segments(outer.a, outer.b, _push_segments(
+        _table(outer), inner._segs, guard))
     if check:
         _check_sandwich(outer, inner, result)
     return result
@@ -493,10 +492,12 @@ def _pair(x: Fraction) -> Pair:
     return x.numerator, x.denominator
 
 
-def _coef(piece: AffinePiece) -> Coef:
-    s, c = piece.slope, piece.intercept
-    return (s.numerator * c.denominator, c.numerator * s.denominator,
-            s.denominator * c.denominator)
+def _coef(s: Fraction, c: Fraction) -> Coef:
+    """The reduced (A, B, D), D > 0, of s*x + c: D is the least common
+    denominator, so no prime divides all three."""
+    d = lcm(s.denominator, c.denominator)
+    return (s.numerator * (d // s.denominator),
+            c.numerator * (d // c.denominator), d)
 
 
 class _Table(NamedTuple):
@@ -510,21 +511,21 @@ class _Table(NamedTuple):
 
 
 def _table(f: PiecewiseMap) -> _Table:
-    """The integer step of f, read off its endpoint-value table on first
-    use and memoized on f."""
+    """The integer step of f, read off its segments on first use and
+    memoized on f."""
 
     def build() -> _Table:
-        ends = f._ends
-        cuts = tuple(map(_pair, (f.a, *f.breakpoints, f.b)))
+        segs = f._segs
+        cuts = (*(s[0] for s in segs), segs[-1][1])
         # the limits from the left and from the right at each bound, the
         # inward ones at a and b
-        lefts = (ends[0][0], *(v1 for _, v1 in ends))
-        rights = (*(v0 for v0, _ in ends), ends[-1][1])
+        lefts = (segs[0][2], *(s[3] for s in segs))
+        rights = (*(s[2] for s in segs), segs[-1][3])
         return _Table(cuts, tuple(v if v == w else None
                                   for v, w in zip(lefts, rights)),
                       {x: (v, w) for x, v, w in zip(cuts, lefts, rights)
                        if v != w},
-                      tuple(map(_coef, f.pieces)))
+                      tuple(s[4] for s in segs))
 
     return f._memo(("int_step",), build)
 
@@ -589,12 +590,6 @@ def _solve(c: Coef, p: int, q: int) -> Pair:
     return num // g, den // g
 
 
-def _segments(f: PiecewiseMap) -> list[Segment]:
-    """The pieces of f as segments, read off its integer step and `_ends`."""
-    cuts, _, _, pieces = _table(f)
-    return list(zip(cuts, cuts[1:], *zip(*f._ends), pieces))
-
-
 def _push_segments(t: _Table, segments: Iterable[Segment], guard: int
                    ) -> list[Segment]:
     """The one piece kernel: the segments of f, given by its integer step
@@ -646,10 +641,10 @@ def _affine(segments: Sequence[Segment]) -> list[AffinePiece]:
             for left, right, (*_, (a, b, d)) in zip(ends, ends[1:], segments)]
 
 
-def _from_segments(a: Fraction, b: Fraction, segments: Sequence[Segment]
+def _from_segments(a: Fraction, b: Fraction, segments: list[Segment]
                    ) -> PiecewiseMap:
-    """The map on [a, b] with the given abutting merged segments, through
-    the one constructor path, its end values the kernel's own."""
+    """The map on [a, b] with the given abutting segments, merged through
+    the one constructor path, their end values the kernel's own."""
     f = object.__new__(PiecewiseMap)
-    f._init(a, b, _affine(segments), [s[2:4] for s in segments])
+    f._init(a, b, segments)
     return f

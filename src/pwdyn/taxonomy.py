@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _affine, _pair, _segments, as_fraction)
+                   Segment, _affine, _pair, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, _germ_key, _successors, ball_stops,
                      fixed_points, periodic_points, segment_sweep,
@@ -263,7 +263,7 @@ def _monotone_on(f: PiecewiseMap, lo: Fraction, hi: Fraction,
                if p.left < hi and p.right > lo)
 
 
-def _strict_gap_on(segs: list[Segment], lo: Fraction, hi: Fraction,
+def _strict_gap_on(segs: Sequence[Segment], lo: Fraction, hi: Fraction,
                    negative: bool) -> bool:
     """gap(t) < 0 (or > 0) for every t in the open interval (lo, hi), which
     the abutting segments cover, read at the two ends of each segment's
@@ -292,10 +292,10 @@ def exceptional_types(f: PiecewiseMap, orb: PeriodicOrbit) -> frozenset[str]:
         x = orb.points[0]
         if f.a < x < f.b:
             if (_monotone_on(f, x, f.b, True)
-                    and _strict_gap_on(_segments(f), x, f.b, True)):
+                    and _strict_gap_on(f._segs, x, f.b, True)):
                 out.add("a")
             if (_monotone_on(f, f.a, x, True)
-                    and _strict_gap_on(_segments(f), f.a, x, False)):
+                    and _strict_gap_on(f._segs, f.a, x, False)):
                 out.add("b")
     if orb.period == 2:
         x, fx = min(orb.points), max(orb.points)

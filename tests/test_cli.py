@@ -230,6 +230,24 @@ def test_negative_point_after_an_option(capsys, hat_path, tmp_path):
     assert run(capsys, "eval", str(wide), "--x", "-1/3")[1] == "-1/6\n"
 
 
+@pytest.mark.parametrize("command, option, bad", [
+    (("eval",), "--x", "1/0"), (("orbit",), "--x", "abc"),
+    (("structure",), "--x", "1.5"), (("classify",), "--x", "2/0"),
+    (("connections",), "--x", "x"), (("code",), "--x", "1/-3"),
+    (("plot", "--mode", "cobweb"), "--x0", "1/0")])
+def test_a_bad_point_option_names_itself(capsys, hat_path, command, option,
+                                         bad):
+    """A --x or --x0 value that is not a rational is a usage error (exit
+    2) that names the option and the value, not a line and column of a
+    map file."""
+    code, out, err = run(capsys, command[0], hat_path, *command[1:], option,
+                         bad)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {option}: invalid rational "
+                        f"value: '{bad}'\n")
+    assert "line" not in err
+
+
 def test_closed_stdout_ends_quietly():
     """A reader gone before the output is written, as with `| head -0`,
     ends the command with the SIGPIPE status 141 and nothing on stderr."""

@@ -28,20 +28,39 @@ def test_partition(maps):
             part.indices_of(x)
 
 
-def test_partition_makes_its_cut_pairs_once(maps, monkeypatch):
+def test_partition_makes_its_cut_pairs_once(monkeypatch):
     """`indices_of` reads the cut pairs made on its first call; the cached
-    pairs change neither equality, hash nor repr of the partition."""
+    pairs change neither equality, hash nor repr of the partition.  The
+    map is new, since its partition is memoized on it."""
     calls = []
     real = codes_module._pair
     monkeypatch.setattr(codes_module, "_pair",
                         lambda x: calls.append(x) or real(x))
-    part = PartitionIntervals.of(maps["tent"])
+    part = PartitionIntervals.of(pinned_map("tent"))
     before = (hash(part), repr(part))
     for x in (F(1, 4), F(1, 2), F(1)):
         part.indices_of(x)
     assert len(calls) == len(part.cuts) + 3
-    assert part == PartitionIntervals.of(maps["tent"])
+    assert part == PartitionIntervals.of(pinned_map("tent"))
     assert (hash(part), repr(part)) == before
+
+
+def test_a_map_builds_its_partition_once(monkeypatch):
+    """`PartitionIntervals.of` is memoized on the map: every `codes`,
+    `side_codes`, constraint interval and `regular_attractor` call on one
+    map reads the same partition, so its cut pairs are made once."""
+    f = pinned_map("hat")
+    built = []
+    real = PartitionIntervals.__init__
+    monkeypatch.setattr(PartitionIntervals, "__init__",
+                        lambda self, *a: built.append(a) or real(self, *a))
+    part = PartitionIntervals.of(f)
+    assert PartitionIntervals.of(f) is part
+    codes(f, F(1, 3))
+    side_codes(f, F(1, 2), None)
+    regular_attractor(f, F(1, 2))
+    assert len(built) == 1
+    assert PartitionIntervals.of(pinned_map("hat")) is not part
 
 
 def test_code_shift(maps):

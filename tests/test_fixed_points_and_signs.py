@@ -17,8 +17,7 @@ from fractions import Fraction as F
 
 from pwdyn.codes import RegularAttractorResult, regular_attractor
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import (MINUS, PLUS, PiecewiseMap, PwdynError, _affine,
-                        _segments)
+from pwdyn.maps import MINUS, PLUS, PiecewiseMap, PwdynError, _affine
 from pwdyn.orbits import (INTERVAL_FAMILY, POINT, PeriodicOrbit,
                           _half_point_cycle, _inside_family, fixed_cycle,
                           fixed_points, image_chain, periodic_points)
@@ -302,7 +301,7 @@ def test_fixed_points_match_the_fraction_solver():
             want = _ref_fixed_points(f.power(n, check=False).pieces)
             assert fixed_points(g._power_segments(n, 10**6)) == want, \
                 (f.to_text(), n)
-            assert fixed_points(_segments(f.power(n))) == want
+            assert fixed_points(f.power(n)._segs) == want
             families += len(want[1])
             roots += len(want[0])
     assert families > 50 and roots > 1000, (families, roots)
@@ -335,7 +334,7 @@ def test_signs_match_the_fraction_reference_on_every_clip():
     preferred candidate, so every witness comes from the segments."""
     seen = dict.fromkeys(["witness", "none", "strict", "not strict"], 0)
     for f in _corpus_maps()[::2]:
-        cases = [(_segments(f), f.a, f.b)]
+        cases = [(f._segs, f.a, f.b)]
         for orb in periodic_points(f, 4, max_power=8):
             if orb.continuous:
                 for p in orb.points:

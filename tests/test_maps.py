@@ -253,14 +253,15 @@ def test_eval_at_plain_breakpoint():
     assert f.lateral(F(1, 2), "minus") == f.lateral(F(1, 2), "plus") == F(1, 2)
 
 
-def _plant_and_check(planted):
-    """Cache `planted`, the map of `shift` (which jumps at 1/2, outside
-    tent^2's bounds) or its segments, as the unchecked tent^2, and return
-    what check=False hands back and the checked request's error."""
+def _plant_and_check(fill):
+    """Cache the map of `shift` (which jumps at 1/2, outside tent^2's
+    bounds) as the unchecked tent^2, in place of the one `fill` left
+    there, and return it and what check=False hands back."""
     t = pinned_map("tent")
-    t.power(2, check=False)
+    fill(t)
+    assert t._powers[2][2] is False
     wrong = pinned_map("shift")
-    t._powers[2] = (planted(wrong), len(wrong.pieces), False)
+    t._powers[2] = (wrong, len(wrong.pieces), False)
     unchecked = t.power(2, check=False)
     with pytest.raises(MapInvariantError) as err:
         t.power(2)
@@ -273,24 +274,27 @@ def test_a_power_cached_unchecked_is_checked_when_asked():
     """A power built by a check=False call keeps the kernel's end values
     unchecked against the sandwich bounds; the first check=True call runs
     the checks, so a planted wrong power cached that way raises there."""
-    wrong, unchecked = _plant_and_check(lambda g: g)
+    wrong, unchecked = _plant_and_check(lambda t: t.power(2, check=False))
     assert unchecked is wrong
 
 
 def test_a_power_cached_as_segments_is_checked_when_asked():
-    """The same for a power that `periodic_points` left in the cache as
-    segments alone: the map built from them is checked on the first
-    check=True request."""
-    wrong, unchecked = _plant_and_check(maps_module._segments)
-    assert unchecked == wrong
+    """The same for a power that `periodic_points` left in the cache, a
+    map built from the kernel's segments and read as segments there: it is
+    checked on the first check=True request."""
+    wrong, unchecked = _plant_and_check(lambda t: periodic_points(t, 2))
+    assert unchecked is wrong
 
 
 def _warm(name):
-    """A pinned map whose power cache `periodic_points` filled: with the
-    segments of powers 2 and 3 and no map."""
+    """A pinned map whose power cache `periodic_points` filled: powers 2
+    and 3 as maps that hold their segments alone, no Fraction piece made,
+    and are not yet checked."""
     f = pinned_map(name)
     periodic_points(f, 3, max_power=6)
-    assert all(isinstance(step[0], list) for step in f._powers.values())
+    assert sorted(f._powers) == [2, 3]
+    assert all(power._pieces is None and not checked
+               for power, _, checked in f._powers.values())
     return f
 
 
@@ -338,6 +342,52 @@ def test_cached_power_honours_a_smaller_guard(name):
             with pytest.raises(PieceLimitError) as cached:
                 warm.power(6, guard=4, check=then)
             assert str(cached.value) == str(cold.value)
+
+
+def test_checked_powers_and_compositions_make_no_fraction_piece(
+        monkeypatch):
+    """A map holds its int segments alone: the checked powers 2..8 and
+    the checked compositions of the pinned maps are built, validated and
+    checked without one `_affine` call, and a map's Fraction pieces are
+    made once, when `pieces` or `to_text` first reads them."""
+    calls = []
+    real = maps_module._affine
+    monkeypatch.setattr(maps_module, "_affine",
+                        lambda segs: calls.append(segs) or real(segs))
+    pinned = [pinned_map(name) for name in PINNED_NAMES]
+    built = [f.power(8) for f in pinned]
+    built += [compose(f, g) for f in pinned for g in pinned]
+    assert calls == []
+    assert all(h._pieces is None for h in built)
+    text = built[0].to_text()
+    pieces = built[-1].pieces
+    assert len(calls) == 2
+    assert built[0].to_text() == text and built[-1].pieces is pieces
+    assert len(calls) == 2
+
+
+def test_one_form_per_function():
+    """A map's stored segments are canonical: the map read back from the
+    text of every pinned composition and of every pinned power 1..8 has
+    the same segments, compares equal and hashes the same, and two of
+    these maps compare equal exactly when their texts are equal.  So do a
+    parsed slope 1/2, intercept 1/2 and the composition that builds it,
+    whose coefficients reduce to (1, 1, 2), not the (2, 2, 4) of the
+    products of their numerators and denominators."""
+    pinned = [pinned_map(name) for name in PINNED_NAMES]
+    built = [compose(f, g) for f in pinned for g in pinned]
+    built += [f.power(n) for f in pinned for n in range(1, 9)]
+    texts = [h.to_text() for h in built]
+    for h, text in zip(built, texts):
+        back = parse_map(text)
+        assert back._segs == h._segs and back == h, text
+        assert hash(back) == hash(h)
+        assert [h == g for g in built] == [text == t for t in texts]
+    half = parse_map("interval 0 1\npiece 0 1 : slope 1/2 intercept 1/2\n")
+    made = compose(half, pinned_map("identity"))
+    assert half._segs == made._segs == (((0, 1), (1, 1), (1, 2), (1, 1),
+                                         (1, 1, 2)),)
+    assert half == made and hash(half) == hash(made)
 
 
 def _generated_maps(count):

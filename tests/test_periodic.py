@@ -19,7 +19,7 @@ from pwdyn.codes import (CertificationError, NO, PartitionIntervals,
                          regular_attractor, regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import (MINUS, PLUS, PowerLimitError, PwdynError, _affine,
-                        _segments, parse_map)
+                        parse_map)
 from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, POINT, PeriodicOrbit,
                           _half_point_cycle, _inside_family, fixed_cycle,
                           fixed_points, image_chain, periodic_points)
@@ -306,7 +306,7 @@ def test_fixed_cycle_past_the_denominator_budget_raises():
     f = parse_map("interval 0 1\n"
                   f"piece 0 1 : slope 1/2 intercept 1/{2**4100}\n")
     x = F(2, 2**4100)
-    assert fixed_points(_segments(f)) == ([x], [])
+    assert fixed_points(f._segs) == ([x], [])
     with pytest.raises(PowerLimitError, match="over 4096 denominator bits"):
         fixed_cycle(f, x, 1)
     with pytest.raises(PowerLimitError):
@@ -322,7 +322,7 @@ def test_fixed_points_of_pieces():
                   "piece 1/4 1/2 : slope 2 intercept -1/4\n"
                   "piece 1/2 3/4 : slope -1 intercept 1\n"
                   "piece 3/4 1 : slope 2 intercept -1\n")
-    assert fixed_points(_segments(f)) == ([F(0), F(1, 4), F(1)],
+    assert fixed_points(f._segs) == ([F(0), F(1, 4), F(1)],
                                       [(F(0), F(1, 4))])
     hat = pinned_maps()["hat"]
-    assert fixed_points(_segments(hat)) == ([F(7, 12)], [])
+    assert fixed_points(hat._segs) == ([F(7, 12)], [])

@@ -20,7 +20,7 @@ from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import (MAX_PIECES, AffinePiece, MapInvariantError,
                         PieceLimitError, PiecewiseMap, _affine,
                         _from_segments, _merge_collinear, _pair,
-                        _push_segments, _segments, _table, compose)
+                        _push_segments, _table, compose)
 from pwdyn.orbits import segment_sweep
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import restrict_power
@@ -131,7 +131,7 @@ def test_compose_matches_the_fraction_kernel():
     jumps = 0
     for f, g in pairs:
         ref = _push_through(f, g.pieces)
-        assert _affine(_push_segments(_table(f), _segments(g),
+        assert _affine(_push_segments(_table(f), g._segs,
                                       MAX_PIECES)) == ref
         got = compose(f, g)
         assert got.pieces == PiecewiseMap(f.a, f.b, ref).pieces
@@ -232,7 +232,7 @@ def test_piece_limit_errors_at_the_same_guard():
                 want = _outcome(_push_through, f, inner.pieces, guard=guard)
                 refs = _Counted(inner.pieces)
                 _outcome(_push_through, f, refs, guard=guard)
-                segs = _Counted(_segments(inner))
+                segs = _Counted(inner._segs)
                 _outcome(_push_segments, _table(f), segs, guard)
                 assert segs.taken == refs.taken
                 if isinstance(want, list):
@@ -256,8 +256,8 @@ def test_kernel_end_values_are_the_evaluated_ones():
     results += [compose(rng.choice(maps), rng.choice(maps))
                 for _ in range(600)]
     for g in [*maps, *results]:
-        assert g._ends == tuple((_pair(v0), _pair(v1))
-                                for v0, v1 in _ref_ends(g)), g.to_text()
+        assert tuple(s[2:4] for s in g._segs) == tuple(
+            (_pair(v0), _pair(v1)) for v0, v1 in _ref_ends(g)), g.to_text()
     assert sum(len(g.pieces) for g in results) > 3000
 
 
@@ -320,4 +320,5 @@ def test_the_kernel_path_merges_collinear_parts_with_their_ends():
                 ((1, 2), (1, 1), (1, 1), (1, 2), (-2, 3, 2))]
     kernel, public = _both_paths(segments)
     assert kernel == public and len(kernel.pieces) == 2
-    assert kernel._ends == (((0, 1), (1, 2)), ((1, 1), (1, 2)))
+    assert tuple(s[2:4] for s in kernel._segs) == (((0, 1), (1, 2)),
+                                                   ((1, 1), (1, 2)))

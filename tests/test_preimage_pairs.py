@@ -19,7 +19,7 @@ import pytest
 from pwdyn import maps as maps_module
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import (MapInvariantError, _pair, _sandwich_bounds, _solve,
-                        _table, compose, parse_map)
+                        compose, parse_map)
 from pwdyn.pinned import PINNED_NAMES, pinned_map, pinned_maps
 from test_piece_kernel import _cold
 
@@ -31,8 +31,8 @@ def _ref_preimage(f, y):
     cross-multiplication, each root made a Fraction."""
     y = p, q = _pair(F(y))
     found = []
-    last = f._ends[0][0]  # f(w-) at each left end w; f(a+) at a
-    for piece, c, (v0, v1) in zip(f.pieces, _table(f).pieces, f._ends):
+    last = f._segs[0][2]  # f(w-) at each left end w; f(a+) at a
+    for piece, (_, _, v0, v1, c) in zip(f.pieces, f._segs):
         if v0 == y == last:
             found.append(piece.left)
         # a monotone piece hits y inside iff y - v0, y - v1 differ in sign

@@ -337,15 +337,17 @@ def test_one_invariant_check():
 
 
 def test_segments_become_fractions_at_the_edge():
-    """Int segments become AffinePieces (`maps._affine`) only where a map
-    is built from them (`_from_segments`) and where a public caller gets
-    them back (`window_sweep`, `restrict_power`): fixed points, trapping
-    signs and code intervals read the segments as ints."""
+    """Int segments become AffinePieces (`maps._affine`) only where a
+    caller asks for a map's pieces (`PiecewiseMap.pieces`) and where a
+    public caller gets a sweep's segments back (`window_sweep`,
+    `restrict_power`): maps, powers and compositions hold their segments
+    as ints, and fixed points, trapping signs and code intervals read
+    them so."""
     found = sorted({f"{path.name}:{_innermost(tree, node)}"
                     for path, tree in _sources("src/pwdyn")
                     for node in ast.walk(tree) if isinstance(node, ast.Call)
                     and _word(node.func) == "_affine"})
-    assert found == ["maps.py:_from_segments", "taxonomy.py:restrict_power",
+    assert found == ["maps.py:pieces", "taxonomy.py:restrict_power",
                      "taxonomy.py:window_sweep"]
 
 
