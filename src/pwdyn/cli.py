@@ -23,9 +23,8 @@ from typing import Optional
 from .codes import (CertificationError, YES, attractor_regular_source,
                     codes, is_regular, regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
-from .maps import (MapInvariantError, MapSyntaxError, MINUS, PLUS,
-                   PiecewiseMap, PwdynError, compose, parse_map,
-                   parse_rational)
+from .maps import (MapInvariantError, MINUS, PLUS, PiecewiseMap,
+                   PwdynError, as_fraction, compose, parse_map)
 from .orbits import (HALF_POINT, INTERVAL_FAMILY, POINT, VariantSelector,
                      orbit, periodic_points, structure)
 from .plotting import emit_plot
@@ -83,10 +82,7 @@ def _orbit_label(orb) -> str:
 
 def rational(token: str) -> Fraction:
     """A point option's value; argparse names the option in its error."""
-    try:
-        return parse_rational(token)
-    except MapSyntaxError as exc:
-        raise ValueError(token) from exc
+    return as_fraction(token)
 
 
 class _Parser(argparse.ArgumentParser):

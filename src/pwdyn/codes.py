@@ -23,7 +23,8 @@ from functools import cached_property
 from typing import Optional
 
 from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError,
-                   RationalLike, Segment, Side, _locate, _pair, as_fraction)
+                   RationalLike, Segment, Side, _locate, _magnitude, _pair,
+                   as_fraction)
 from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, ball_stops,
                      fixed_cycle, fixed_points, image_chain, periodic_points,
                      segment_sweep, walk)
@@ -159,12 +160,9 @@ class Certifier:
                             for p in orb.points)
             stretch = worst = Fraction(1)
             for p in orb.points * 2:
-                sides = []
-                if p > f.a:
-                    sides.append(abs(f.piece_left_of(p).slope))
-                if p < f.b:
-                    sides.append(abs(f.piece_right_of(p).slope))
-                stretch *= max(sides)
+                stretch *= max(_magnitude(f._segs[f._side(p, plus)][4])
+                               for plus, room in ((False, p > f.a),
+                                                  (True, p < f.b)) if room)
                 worst = max(worst, stretch)
             threshold = clearance / worst
             locks += [(*b.span(min(b.radius, threshold)), b.center,

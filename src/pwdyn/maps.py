@@ -16,13 +16,15 @@ tuple (x0, x1, y0, y1, (A, B, D)) of its ends and inward limits as
 reduced (numerator, denominator) pairs and its value (A*p + B*q) / (D*q)
 at p/q, reduced with D > 0.  Collinear neighbours are merged, so maps that
 agree as functions have equal segments; the Fraction `pieces` are made
-only on request.  Its integer step, memoized on it, reads the segments,
-and the one piece kernel, `_push_segments`, pushes segments through a
-step for compositions, powers and `orbits` sweeps.
-Every point lookup reads the same step and finds its piece with the one
-binary search, `_locate`: `value` and `orbits.variant_step` take the image
-from `_image`, and the side pieces (so `lateral` and the germ step) take
-their piece from `_branch`.  The one root finder, `PiecewiseMap._roots`,
+only for the API edge (`to_text`, the public side pieces, plots).  Its
+integer step, memoized on it, reads the segments, and the one piece
+kernel, `_push_segments`, pushes segments through a step for
+compositions, powers and `orbits` sweeps.  Every point lookup finds its
+piece with the one binary search, `_locate`: `value` and
+`orbits.variant_step` take the image from `_image`; the germ step and the
+one side locator, `PiecewiseMap._side` (so `lateral` and every slope or
+direction read), take the segment on a side from `_branch`.  The one
+root finder, `PiecewiseMap._roots`,
 reads preimages off the step as reduced pairs: `preimage` makes a Fraction
 per root, while the preimage levels and their union, the composition
 sandwich and the power check stay on pairs.
@@ -97,7 +99,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except MapSyntaxError:
+            raise ValueError(f"invalid rational {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -199,24 +204,27 @@ class PiecewiseMap:
 
     def piece_right_of(self, p: Fraction) -> AffinePiece:
         """The piece covering (p, p + eps).  Requires p < b."""
-        if not self.a <= p < self.b:
-            raise ValueError(f"no right-hand branch at {p}")
-        return self.pieces[_branch(_table(self), *_pair(p), True)]
+        return self.pieces[self._side(p, True)]
 
     def piece_left_of(self, p: Fraction) -> AffinePiece:
         """The piece covering (p - eps, p).  Requires p > a."""
-        if not self.a < p <= self.b:
-            raise ValueError(f"no left-hand branch at {p}")
-        return self.pieces[_branch(_table(self), *_pair(p), False)]
+        return self.pieces[self._side(p, False)]
+
+    def _side(self, p: Fraction, plus: bool) -> int:
+        """The one side locator: the index in `_segs` of the piece covering
+        (p, p + eps), or with plus false (p - eps, p)."""
+        if not (self.a <= p < self.b if plus else self.a < p <= self.b):
+            raise ValueError(f"no {'right' if plus else 'left'}-hand branch "
+                             f"at {p}")
+        return _branch(_table(self), *_pair(p), plus)
 
     # -- core operations ----------------------------------------------------
 
     def lateral(self, p: RationalLike, side: Side) -> Fraction:
         """Exact one-sided limit at p from the given side."""
         p = as_fraction(p)
-        if side == PLUS:
-            return self.piece_right_of(p).value_at(p)
-        return self.piece_left_of(p).value_at(p)
+        c = self._segs[self._side(p, side == PLUS)][4]
+        return Fraction(*_apply(c, *_pair(p)))
 
     def value(self, x: RationalLike) -> Optional[Fraction]:
         """Map value at x, or None at a discontinuity point.
@@ -507,7 +515,7 @@ class _Table(NamedTuple):
     cuts: tuple[Pair, ...]             # a, the breakpoints, b
     values: tuple[Optional[Pair], ...]  # f at each bound, None at a jump
     sides: dict[Pair, tuple[Pair, Pair]]  # (f(w-), f(w+)) at each jump w
-    pieces: tuple[Coef, ...]           # (alpha, beta, delta)
+    coefs: tuple[Coef, ...]            # (alpha, beta, delta) per piece
 
 
 def _table(f: PiecewiseMap) -> _Table:
@@ -568,7 +576,7 @@ def _image(t: _Table, p: int, q: int, sel) -> Optional[Pair]:
     if lo == 0 or lo == len(cuts):
         raise ValueError(f"{Fraction(p, q)} outside "
                          f"[{Fraction(*cuts[0])}, {Fraction(*cuts[-1])}]")
-    return _apply(t.pieces[lo - 1], p, q)
+    return _apply(t.coefs[lo - 1], p, q)
 
 
 def _branch(t: _Table, p: int, q: int, plus: bool) -> int:
@@ -579,6 +587,11 @@ def _branch(t: _Table, p: int, q: int, plus: bool) -> int:
     if not plus and cuts[i] == (p, q):
         i -= 1
     return i
+
+
+def _magnitude(c: Coef) -> Fraction:
+    """The slope magnitude |A| / D of the segment (A, B, D)."""
+    return Fraction(abs(c[0]), c[2])
 
 
 def _solve(c: Coef, p: int, q: int) -> Pair:

@@ -35,7 +35,8 @@ triples, their piece found by `maps._branch` as the side pieces of a map
 are, through one successor table memoized on each map, so each germ
 is stepped once per map: `germ_orbit`, `germ_step`, the landing indices
 of `stability` and the lateral powers of `taxonomy` all read it, and make
-Germs and slope magnitudes only for their results.
+Germs and slope magnitudes only for their results, each magnitude |A|/D
+read off the integer table once per distinct piece of an orbit.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
 
 from .maps import (MAX_PIECES, MINUS, PLUS, Pair, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, Segment, Side,
-                   _apply, _branch, _image, _locate, _pair, _push_segments,
-                   _solve, _Table, _table, as_fraction)
+                   _apply, _branch, _image, _locate, _magnitude, _pair,
+                   _push_segments, _solve, _Table, _table, as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -189,7 +190,7 @@ def _interval_step(t: _Table, state: tuple[Quad, ...]) -> tuple[Quad, ...]:
     [ln/ld, hn/hd], as sorted disjoint intervals: each is split at the
     cuts inside it, each part goes through its piece, and the images are
     ordered and merged where they overlap or touch."""
-    cuts, pieces = t.cuts, t.pieces
+    cuts, pieces = t.cuts, t.coefs
     parts = []
     for ln, ld, hn, hd in state:
         # pieces i-1 .. j-1 meet the interval: i bounds lie at or below
@@ -507,7 +508,7 @@ def _germ_successor(t: _Table, key: GermKey) -> tuple[GermKey, int]:
     decreases (alpha <= 0)."""
     p, q, plus = key
     i = _branch(t, p, q, plus)
-    piece = t.pieces[i]
+    piece = t.coefs[i]
     return (*_apply(piece, p, q), plus != (piece[0] <= 0)), i
 
 
@@ -536,7 +537,7 @@ def germ_step(f: PiecewiseMap, g: Germ) -> GermStepResult:
     The side flips exactly when the branch decreases.
     """
     nxt, i = _successors(f)[_germ_key(f, g)]
-    return GermStepResult(_germ(nxt), abs(f.pieces[i].slope))
+    return GermStepResult(_germ(nxt), _magnitude(_table(f).coefs[i]))
 
 
 @dataclass(frozen=True)
@@ -603,7 +604,9 @@ def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = GERM_CAP) -> GermOrbit:
     def build() -> GermOrbit:
         keys, steps, start = _germ_walk(f, key, cap)
         germs = tuple(map(_germ, keys))
-        slopes = tuple(abs(f.pieces[i].slope) for i in steps)
+        coefs = _table(f).coefs
+        magnitudes = {i: _magnitude(coefs[i]) for i in set(steps)}
+        slopes = tuple(magnitudes[i] for i in steps)
         if start is None:
             return GermOrbit(germs, slopes, len(germs), 0, True)
         return GermOrbit(germs, slopes, start, len(germs) - 1 - start, False)
@@ -715,20 +718,19 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
     period n, and whole fixed intervals where a piece of the power is the
     identity (split at points whose orbits hit a jump).  Half-point cycles
     at jumps are found through germ orbits.  Each orbit is reported once,
-    at its minimal period.  The orbits are memoized on f per argument set;
-    each call gets a new list.
+    at its minimal period.  Memoized on f per (max_period, guard), since
+    `max_power` only bounds max_period; each call gets a new list.
     """
     limit = max_power if max_power is not None else 12
     if not 1 <= max_period <= limit // 2:
         raise ValueError(
             f"max_period must lie in [1, {limit // 2}] (configured power limit)")
-    key = ("periodic_points", max_period, limit, guard)
-    return list(f._memo(key, lambda: _periodic_orbits(
-        f, max_period, limit, guard)))
+    key = ("periodic_points", max_period, guard)
+    return list(f._memo(key, lambda: _periodic_orbits(f, max_period, guard)))
 
 
-def _periodic_orbits(f: PiecewiseMap, max_period: int, limit: int,
-                     guard: int) -> tuple[PeriodicOrbit, ...]:
+def _periodic_orbits(f: PiecewiseMap, max_period: int, guard: int
+                     ) -> tuple[PeriodicOrbit, ...]:
     """The sorted orbits behind `periodic_points`."""
     jumps = set(f.special_points().discontinuities)
     found: dict = {}

@@ -35,6 +35,9 @@ from .orbits import (GERM_CAP, Germ, PeriodicOrbit, StructureGraph,
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
 UNSTABLE = "unstable"
+# each stable clause of the rule tables, read with this table, is also
+# its unstable mirror: the rule name and message name the class
+_MIRROR = {STABLE: UNSTABLE, UNSTABLE: STABLE}
 
 CONTRACTING = "contracting"
 NEUTRAL = "neutral"
@@ -324,16 +327,11 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
             xy, yx = table[i][j], table[j][i]
             strong = 4 in yx[1] or 3 in yx[1] or 4 in xy[1] or 2 in xy[1]
             weak = 2 in yx[1] or 1 in yx[1] or 3 in xy[1] or 1 in xy[1]
-            if cx == STABLE:
-                if strong and cy != STABLE:
-                    flag("stable_strong", x, y, f"expected stable, got {cy}")
-                if weak and cy == UNSTABLE:
-                    flag("stable_weak", x, y, "expected not unstable")
-            elif cx == UNSTABLE:
-                if strong and cy != UNSTABLE:
-                    flag("unstable_strong", x, y, f"expected unstable, got {cy}")
-                if weak and cy == STABLE:
-                    flag("unstable_weak", x, y, "expected not stable")
+            if cx in _MIRROR:
+                if strong and cy != cx:
+                    flag(f"{cx}_strong", x, y, f"expected {cx}, got {cy}")
+                if weak and cy == _MIRROR[cx]:
+                    flag(f"{cx}_weak", x, y, f"expected not {_MIRROR[cx]}")
             else:
                 _check_semi_clauses(x, y, cy, sides[i], xy, yx, flag)
     for rows, levels in (c for row in table for c in row):
@@ -481,11 +479,8 @@ def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
         report.applied.append("core")
         for z in core:
             cz = verdicts[z]
-            if cz == STABLE and any(verdicts[p] != STABLE for p in struct.nodes):
-                flag("core_stable", z, z, "stable core with non-stable node")
-            if cz == UNSTABLE and any(verdicts[p] != UNSTABLE
-                                      for p in struct.nodes):
-                flag("core_unstable", z, z, "unstable core with non-unstable node")
+            if cz in _MIRROR and any(verdicts[p] != cz for p in struct.nodes):
+                flag(f"core_{cz}", z, z, f"{cz} core with non-{cz} node")
             if cz == SEMI_STABLE and any(verdicts[p] != SEMI_STABLE
                                          for p in core):
                 flag("core_semi", z, z, "semi-stable core not uniform")
@@ -512,24 +507,16 @@ def _check_single_jump_cycle(f, cyc, jumps, turns, verdicts, report, flag):
         bs = [cyc[(wi + j) % n] for j in range(1, off)]
         as_ = [cyc[(wi + off + j) % n] for j in range(1, n - off)]
         cx = verdicts[x]
-        if cx == STABLE:
+        if cx in _MIRROR:
+            other = _MIRROR[cx]
             for b in bs:
-                if verdicts[b] != STABLE:
-                    flag("single_jump_stable_b", x, b, "expected stable")
+                if verdicts[b] != cx:
+                    flag(f"single_jump_{cx}_b", x, b, f"expected {cx}")
             for a in as_:
-                if verdicts[a] == UNSTABLE:
-                    flag("single_jump_stable_a", x, a, "expected not unstable")
-            if verdicts[w] == UNSTABLE:
-                flag("single_jump_stable_w", x, w, "expected not unstable")
-        elif cx == UNSTABLE:
-            for b in bs:
-                if verdicts[b] != UNSTABLE:
-                    flag("single_jump_unstable_b", x, b, "expected unstable")
-            for a in as_:
-                if verdicts[a] == STABLE:
-                    flag("single_jump_unstable_a", x, a, "expected not stable")
-            if verdicts[w] == STABLE:
-                flag("single_jump_unstable_w", x, w, "expected not stable")
+                if verdicts[a] == other:
+                    flag(f"single_jump_{cx}_a", x, a, f"expected not {other}")
+            if verdicts[w] == other:
+                flag(f"single_jump_{cx}_w", x, w, f"expected not {other}")
         else:
             for a in as_:
                 if verdicts[a] != SEMI_STABLE:
@@ -549,10 +536,8 @@ def _check_twin_half_cycles(f, w, struct, verdicts, report, flag):
     nodes = struct.nodes
     for z in sorted(inter):
         cz = verdicts.get(z)
-        if cz == STABLE and any(verdicts[p] != STABLE for p in nodes):
-            flag("twin_stable", z, w, "stable intersection, non-stable node")
-        if cz == UNSTABLE and any(verdicts[p] != UNSTABLE for p in nodes):
-            flag("twin_unstable", z, w, "unstable intersection, non-unstable node")
+        if cz in _MIRROR and any(verdicts[p] != cz for p in nodes):
+            flag(f"twin_{cz}", z, w, f"{cz} intersection, non-{cz} node")
         if cz == SEMI_STABLE:
             for y in sorted(inter):
                 if verdicts[y] != SEMI_STABLE:

@@ -14,6 +14,8 @@ only where `window_sweep` and `restrict_power` return them.  Trapped /
 free / basin questions reduce to the sign of f^m(t) - t on the segments,
 read off their coefficients by cross-multiplication; where it changes
 sign, the root is the segment's fixed point from `orbits.fixed_points`.
+The attraction atlas, the direction tests and the basin fold clip read
+int segments too, a map's side piece through `PiecewiseMap._side`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _affine, _pair, as_fraction)
+                   Segment, _affine, _locate, _magnitude, _pair, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, _germ_key, _successors, ball_stops,
                      fixed_points, periodic_points, segment_sweep,
@@ -259,8 +261,8 @@ def _monotone_on(f: PiecewiseMap, lo: Fraction, hi: Fraction,
     """Continuous and strictly monotone on [lo, hi] in the given sense."""
     if any(lo < s < hi for s in f.special_points().points):
         return False
-    return all((p.slope > 0) == increasing for p in f.pieces
-               if p.left < hi and p.right > lo)
+    # no turn inside, so the piece right of lo sets the direction
+    return (f._segs[f._side(lo, True)][4][0] > 0) == increasing
 
 
 def _strict_gap_on(segs: Sequence[Segment], lo: Fraction, hi: Fraction,
@@ -370,24 +372,28 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
         balls = []
         for p in orb.points:
             try:
-                u, v, segs = window_sweep(f, p, 2 * orb.period)
+                u, v, segs = _window(f, p, 2 * orb.period)
             except DegenerateWindowError:
                 continue
-            home = [s for s in segs if s.left < p < s.right]
-            if home:
-                seg = home[0]
-                if abs(seg.slope) < 1 and seg.value_at(p) == p:
-                    r = min(p - seg.left, seg.right - p)
-                    balls.append(AttractionBall(p, r, orb.period, seg.slope))
+            t = _pair(p)
+            cuts = (*(s[0] for s in segs), segs[-1][1])
+            i = _locate(cuts, *t)  # segment i - 1 holds p or ends there
+            if cuts[i - 1] != t:
+                (x0, x1, *_, (a, _, d)) = seg = segs[i - 1]
+                if abs(a) < d and _diagonal_gap(seg, t) == 0:
+                    r = min(p - Fraction(*x0), Fraction(*x1) - p)
+                    balls.append(AttractionBall(p, r, orb.period,
+                                                Fraction(a, d)))
                 continue
-            left = [s for s in segs if s.right == p]
-            right = [s for s in segs if s.left == p]
-            if left and 0 < left[0].slope < 1 and left[0].value_at(p) == p:
-                balls.append(AttractionBall(p, p - left[0].left, orb.period,
-                                            left[0].slope, MINUS))
-            if right and 0 < right[0].slope < 1 and right[0].value_at(p) == p:
-                balls.append(AttractionBall(p, right[0].right - p, orb.period,
-                                            right[0].slope, PLUS))
+            for k, side in ((i - 2, MINUS), (i - 1, PLUS)):
+                if not 0 <= k < len(segs):
+                    continue
+                (x0, x1, *_, (a, _, d)) = seg = segs[k]
+                if 0 < a < d and _diagonal_gap(seg, t) == 0:
+                    r = (p - Fraction(*x0) if side == MINUS
+                         else Fraction(*x1) - p)
+                    balls.append(AttractionBall(p, r, orb.period,
+                                                Fraction(a, d), side))
         if balls:
             atlas[orb] = balls
     return atlas
@@ -501,13 +507,11 @@ def _make_witness(f, orb, w, inner, turns, n, iterates) -> BasinWitness:
         # the far side folds onto the constructed side; its image must nest
         # inside the constructed basin interval, and the fold formula only
         # holds within the branch adjacent to w, so clip to that branch
-        if side == PLUS:
-            here, far = f.piece_right_of(w), f.piece_left_of(w)
-            far_room = w - far.left
-        else:
-            here, far = f.piece_left_of(w), f.piece_right_of(w)
-            far_room = far.right - w
-        delta = min(delta, delta * abs(here.slope) / abs(far.slope), far_room)
+        plus = side == PLUS
+        here, far = (f._segs[f._side(w, s)] for s in (plus, not plus))
+        far_room = abs(w - Fraction(*far[0 if plus else 1]))
+        delta = min(delta, delta * _magnitude(here[4]) / _magnitude(far[4]),
+                    far_room)
         return BasinWitness(w, "both", delta, orb, w_attr, iterates)
     return BasinWitness(w, side, delta, orb, w_attr, iterates)
 

@@ -9,11 +9,12 @@ from pwdyn.codes import (CertificationError, Certifier, CodeUndefinedError,
                          _stabilized_interval, attractor_regular_source, avoids_special_forever,
                          codes, is_regular, regular_attractor,
                          regularity_certificate, side_codes)
+from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import parse_map
-from pwdyn.orbits import Germ, germ_orbit, periodic_points
-from pwdyn.pinned import pinned_map
+from pwdyn.orbits import Germ, ball_stops, germ_orbit, periodic_points
+from pwdyn.pinned import pinned_map, pinned_maps
 from pwdyn.stability import STABLE
-from pwdyn.taxonomy import PreconditionError, is_trapped
+from pwdyn.taxonomy import PreconditionError, _map_atlas, is_trapped
 
 
 def test_partition(maps):
@@ -255,3 +256,44 @@ def test_regular_attractor_rejects_an_image_past_the_upper_end(monkeypatch):
     with pytest.raises(CertificationError,
                        match="code interval is not forward invariant"):
         regular_attractor(pinned_map("hat"), F(1, 2))
+
+
+def _ref_certifier_balls(f):
+    """The certifier's stop-test data as it was built when the stretch
+    read each side's slope off the Fraction pieces; the reference.  Also
+    the number of balls the threshold cut."""
+    sset = set(f.special_points().points)
+    boundaries = sorted({f.a, f.b, *f.breakpoints})
+    locks, cut = [], 0
+    for orb, balls in _map_atlas(f).items():
+        if any(p in sset for p in orb.points):
+            continue
+        clearance = min(min(abs(c - p) for c in boundaries if c != p)
+                        for p in orb.points)
+        stretch = worst = F(1)
+        for p in orb.points * 2:
+            sides = []
+            if p > f.a:
+                sides.append(abs(f.piece_left_of(p).slope))
+            if p < f.b:
+                sides.append(abs(f.piece_right_of(p).slope))
+            stretch *= max(sides)
+            worst = max(worst, stretch)
+        threshold = clearance / worst
+        cut += sum(b.radius > threshold for b in balls)
+        locks += [(*b.span(min(b.radius, threshold)), b.center,
+                   (orb, b.center)) for b in balls]
+    return ball_stops(locks), cut
+
+
+def test_certifier_matches_the_fraction_reference():
+    """The certifier's balls, their radii cut by a stretch read off the
+    int segments, equal the ones the Fraction side pieces gave, over the
+    pinned maps and 300 seeded ones, where the cut binds."""
+    cut = 0
+    for f in [*pinned_maps().values(),
+              *_corpus(GeneratorConfig(seed=7), "certifier", 300)]:
+        balls, n = _ref_certifier_balls(f)
+        assert Certifier(f).balls == balls, f.to_text()
+        cut += n
+    assert cut > 20, cut

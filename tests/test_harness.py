@@ -253,3 +253,12 @@ def test_unguarded_calls_are_not_skips(monkeypatch, name, call):
     _plant(monkeypatch, call, lambda f: CycleBudgetError)
     with pytest.raises(CycleBudgetError, match="planted"):
         run_suite(GeneratorConfig(seed=7), {name}, counts={name: 12})
+
+
+@pytest.mark.parametrize("seed, digest", [(7, "2339bff4bb0312fb"),
+                                          (21057, "8b72f4caccd69b7f")])
+def test_canonical_suite_hashes(seed, digest):
+    """The canonical suite JSON, as `pwdyn suite --seed S --format json`
+    prints it, keeps its sha256 prefix at both pinned seeds."""
+    text = run_suite(GeneratorConfig(seed=seed)).canonical_json() + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

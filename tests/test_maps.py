@@ -1,15 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from pwdyn import maps as maps_module
+from pwdyn import taxonomy as taxonomy_module
+from pwdyn.codes import (Certifier, CodeUndefinedError, codes,
+                         regular_attractor)
 from pwdyn.harness import GeneratorConfig, random_map
 from pwdyn.maps import (MINUS, PLUS, MapInvariantError, MapSyntaxError,
                         PieceLimitError, PowerLimitError, compose, parse_map,
                         parse_rational)
 from pwdyn.orbits import periodic_points
 from pwdyn.pinned import PINNED_NAMES, pinned_map, pinned_text
+from pwdyn.stability import NotConfinedError, classify_point
+from pwdyn.taxonomy import (NOT_APPLICABLE, PreconditionError,
+                            attraction_atlas, basin_adjacent_special,
+                            count_bound, taxonomy)
 from test_piece_kernel import solve_piece
 
 
@@ -21,6 +29,21 @@ def test_parse_rational():
         parse_rational("1.5")
     with pytest.raises(MapSyntaxError):
         parse_rational("1/0")
+
+
+def test_a_bad_rational_string_names_itself():
+    """A string argument that is not a rational is a ValueError naming
+    the string, not a map-file syntax error at line 0, column 0; a good
+    string reads as its Fraction."""
+    f = pinned_map("shift")
+    calls = (f.value, f.preimage, lambda x: f.lateral(x, PLUS))
+    for bad in ("1/0", "x", "1.5", "1/-3"):
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(bad)
+            assert str(err.value) == f"invalid rational {bad!r}"
+    for call in calls:
+        assert call("1/4") == call(F(1, 4))
 
 
 def test_parse_map_shift(maps):
@@ -364,6 +387,58 @@ def test_checked_powers_and_compositions_make_no_fraction_piece(
     assert len(calls) == 2
     assert built[0].to_text() == text and built[-1].pieces is pieces
     assert len(calls) == 2
+
+
+def test_analysis_reads_no_fraction_piece(monkeypatch):
+    """Side pieces, slopes and piece directions are read off the int
+    segments through the map's one side locator: stability verdicts,
+    periodic orbits, taxonomy, the count bound, the attraction atlas,
+    basin witnesses, the certifier, codes, regular attractors and lateral
+    limits of every pinned map make no `_affine` call."""
+    calls = []
+    real = maps_module._affine
+    spy = lambda segs: calls.append(segs) or real(segs)  # noqa: E731
+    monkeypatch.setattr(maps_module, "_affine", spy)
+    monkeypatch.setattr(taxonomy_module, "_affine", spy)
+    done = Counter()
+    for name in PINNED_NAMES:
+        f = pinned_map(name)
+        special = f.special_points().points
+        for x in (f.a, *special, f.b):
+            try:
+                classify_point(f, x, require_confined=False)
+                done["classify"] += 1
+            except NotConfinedError:
+                pass
+        for w in f.breakpoints:
+            done["lateral"] += f.lateral(w, MINUS) != f.lateral(w, PLUS)
+        orbits = periodic_points(f, 8, max_power=16)
+        for orb in orbits:
+            try:
+                tax = taxonomy(f, orb)
+            except NOT_APPLICABLE:
+                continue
+            done["taxonomy"] += 1
+            if tax.free and not tax.exceptional and special:
+                wits = basin_adjacent_special(f, orb)
+                done["basin"] += len(wits)
+                done["fold"] += sum(wit.side == "both" for wit in wits)
+        done["balls"] += sum(map(len, attraction_atlas(f, orbits).values()))
+        done["locks"] += len(Certifier.of(f).balls)
+        if special:
+            done["bound"] += count_bound(f).count_found
+        for w in special:
+            try:
+                done["codes"] += len(codes(f, w))
+            except CodeUndefinedError:
+                pass
+            try:
+                regular_attractor(f, w)
+                done["regular"] += 1
+            except PreconditionError:
+                pass
+    assert calls == []
+    assert min(done.values()) > 0 and len(done) == 10, done
 
 
 def test_one_form_per_function():

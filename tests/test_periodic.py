@@ -13,13 +13,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwdyn import orbits
 from pwdyn.codes import (CertificationError, NO, PartitionIntervals,
                          RegularAttractorResult, RegularityCertificate,
                          _constraint_interval, _stabilized_interval,
                          regular_attractor, regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import (MINUS, PLUS, PowerLimitError, PwdynError, _affine,
-                        parse_map)
+from pwdyn.maps import (MINUS, PLUS, PieceLimitError, PowerLimitError,
+                        PwdynError, _affine, parse_map)
 from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, POINT, PeriodicOrbit,
                           _half_point_cycle, _inside_family, fixed_cycle,
                           fixed_points, image_chain, periodic_points)
@@ -326,3 +327,25 @@ def test_fixed_points_of_pieces():
                                       [(F(0), F(1, 4))])
     hat = pinned_maps()["hat"]
     assert fixed_points(hat._segs) == ([F(7, 12)], [])
+
+
+def test_periodic_orbits_are_memoized_whatever_the_power_limit(monkeypatch):
+    """`max_power` only bounds `max_period`: a second call with another
+    power limit builds nothing new and returns equal orbits, and a period
+    past the limit is still rejected.  The piece guard stays in the key:
+    a guard the powers exceed raises after the orbits were cached."""
+    built = []
+    real = orbits._periodic_orbits
+    monkeypatch.setattr(orbits, "_periodic_orbits",
+                        lambda *args: built.append(args) or real(*args))
+    for f in pinned_maps().values():
+        first = periodic_points(f, 4, max_power=8)
+        assert periodic_points(f, 4, max_power=16) == first
+        assert periodic_points(f, 4) == first
+        with pytest.raises(ValueError, match=r"\[1, 3\]"):
+            periodic_points(f, 4, max_power=6)
+    assert len(built) == len(pinned_maps())
+    tent = pinned_maps()["tent"]
+    periodic_points(tent, 4)
+    with pytest.raises(PieceLimitError):
+        periodic_points(tent, 4, guard=3)

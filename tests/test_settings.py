@@ -493,3 +493,42 @@ def test_bisection_check_sees_a_midpoint():
                      "    return mid\n")
     assert [_innermost(tree, node) for node in ast.walk(tree)
             if _halves(node)] == ["find"]
+
+
+# the modules that hand Fraction pieces to their readers: the plots and
+# the property suite's map builders and pinned checks
+PIECE_EDGE_MODULES = ("harness.py", "plotting.py")
+
+
+def _piece_readers(name, tree):
+    """`file:function` of every read of a map's Fraction pieces: `pieces`,
+    `piece_right_of`, `piece_left_of` or an AffinePiece's `value_at`."""
+    return {f"{name}:{_innermost(tree, node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "pieces", "piece_right_of", "piece_left_of", "value_at")}
+
+
+def test_fraction_pieces_only_at_the_edge():
+    """A side piece, a slope or a piece's direction is read off the int
+    segments through `PiecewiseMap._side`: outside the plots and the
+    harness, only `to_text`, the two public side-piece lookups and the
+    CLI's piece counts read Fraction pieces."""
+    found = set().union(*(_piece_readers(path.name, tree)
+                          for path, tree in _sources("src/pwdyn")
+                          if path.name not in PIECE_EDGE_MODULES))
+    assert found == {"maps.py:to_text", "maps.py:piece_right_of",
+                     "maps.py:piece_left_of", "cli.py:_cmd_validate",
+                     "cli.py:_print_map"}
+
+
+def test_piece_reader_check_sees_the_old_direction_test():
+    """The direction test that read every piece of the map, put back in
+    `taxonomy._monotone_on`, is found."""
+    source = (PACKAGE / "taxonomy.py").read_text()
+    old = "    return (f._segs[f._side(lo, True)][4][0] > 0) == increasing\n"
+    assert old in source
+    source = source.replace(old, (
+        "    return all((p.slope > 0) == increasing for p in f.pieces\n"
+        "               if p.left < hi and p.right > lo)\n"))
+    assert _piece_readers("taxonomy.py", ast.parse(source)) == {
+        "taxonomy.py:_monotone_on"}

@@ -11,8 +11,8 @@ from pwdyn import stability
 from pwdyn.harness import (GeneratorConfig, _corpus, closed_structures,
                            random_map)
 from pwdyn.maps import MINUS, PLUS, AffinePiece, PiecewiseMap, parse_map
-from pwdyn.orbits import (Germ, germ_orbit, interval_walk, periodic_points,
-                          structure)
+from pwdyn.orbits import (Germ, _half_point_cycle, germ_orbit, interval_walk,
+                          periodic_points, structure)
 from pwdyn.pinned import pinned_map, pinned_maps
 from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL, ORACLE_MAX_STEPS,
                              ORACLE_WIDTH, Connection, NotConfinedError,
@@ -622,6 +622,179 @@ def test_planted_verdicts_give_the_reference_violations(monkeypatch):
         assert report == _ref_report(f, st), (f.to_text(), st.root)
         fired.update(v.rule for v in report.violations)
     assert set(fired) == RULE_CLAUSES, fired
+
+
+# -- the cycle-level clauses as each stable / unstable pair was written out,
+# the reference ------------------------------------------------------------
+
+
+def _ref_cycle_report(f, struct, classify):
+    """`cycle_stability_report` with each stable clause and its unstable
+    mirror written out, point verdicts from `classify`."""
+    if len(struct.nodes) > stability.CYCLE_NODE_BUDGET:
+        return "budget"
+    verdicts = {p: classify(f, p) for p in struct.nodes}
+    cycles = stability._graph_cycles(struct)
+    on_cycle = {p for cyc in cycles for p in cyc}
+    completely_periodic = set(struct.nodes) <= on_cycle
+    core, choice_matters = (), False
+    if completely_periodic and cycles:
+        inter = set(cycles[0])
+        for cyc in cycles[1:]:
+            inter &= set(cyc)
+        core = tuple(sorted(inter))
+        counts = {p: sum(p in cyc for cyc in cycles) for p in struct.nodes}
+        choice_matters = any(c > 1 for c in counts.values())
+    report = stability.CycleRuleReport(struct.root, verdicts, cycles,
+                                       completely_periodic, core,
+                                       choice_matters)
+    jumps = set(f.special_points().discontinuities) & set(struct.nodes)
+    turns = set(f.special_points().turning)
+
+    def flag(rule, x, y, detail):
+        report.violations.append(RuleViolation(rule, x, y, detail))
+
+    for cyc in cycles:
+        _ref_single_jump_cycle(cyc, jumps, verdicts, report, flag)
+        if not any(p in jumps for p in cyc):
+            report.applied.append("continuous_cycle")
+            classes = {verdicts[p] for p in cyc}
+            if len(classes) > 1:
+                flag("continuous_cycle_uniform", cyc[0], cyc[0],
+                     f"mixed classes {sorted(classes)} along a continuous "
+                     "cycle")
+    if len(jumps) == 1:
+        _ref_twin_half_cycles(f, next(iter(jumps)), struct, verdicts, report,
+                              flag)
+    if completely_periodic and core:
+        report.applied.append("core")
+        for z in core:
+            cz = verdicts[z]
+            if cz == STABLE and any(verdicts[p] != STABLE
+                                    for p in struct.nodes):
+                flag("core_stable", z, z, "stable core with non-stable node")
+            if cz == UNSTABLE and any(verdicts[p] != UNSTABLE
+                                      for p in struct.nodes):
+                flag("core_unstable", z, z,
+                     "unstable core with non-unstable node")
+            if cz == SEMI_STABLE and any(verdicts[p] != SEMI_STABLE
+                                         for p in core):
+                flag("core_semi", z, z, "semi-stable core not uniform")
+    if not any(p in turns for p in struct.nodes):
+        report.applied.append("no_turns_uniform")
+        classes = {verdicts[p] for p in struct.nodes}
+        if len(classes) > 1:
+            flag("no_turns_uniform", struct.root, struct.root,
+                 f"mixed classes {sorted(classes)} without turning points")
+    return report
+
+
+def _ref_single_jump_cycle(cyc, jumps, verdicts, report, flag):
+    in_cycle_jumps = [p for p in cyc if p in jumps]
+    if len(in_cycle_jumps) != 1:
+        return
+    report.applied.append("single_jump_cycle")
+    w = in_cycle_jumps[0]
+    wi = cyc.index(w)
+    n = len(cyc)
+    for off in range(1, n):
+        x = cyc[(wi + off) % n]
+        bs = [cyc[(wi + j) % n] for j in range(1, off)]
+        as_ = [cyc[(wi + off + j) % n] for j in range(1, n - off)]
+        cx = verdicts[x]
+        if cx == STABLE:
+            for b in bs:
+                if verdicts[b] != STABLE:
+                    flag("single_jump_stable_b", x, b, "expected stable")
+            for a in as_:
+                if verdicts[a] == UNSTABLE:
+                    flag("single_jump_stable_a", x, a, "expected not unstable")
+            if verdicts[w] == UNSTABLE:
+                flag("single_jump_stable_w", x, w, "expected not unstable")
+        elif cx == UNSTABLE:
+            for b in bs:
+                if verdicts[b] != UNSTABLE:
+                    flag("single_jump_unstable_b", x, b, "expected unstable")
+            for a in as_:
+                if verdicts[a] == STABLE:
+                    flag("single_jump_unstable_a", x, a, "expected not stable")
+            if verdicts[w] == STABLE:
+                flag("single_jump_unstable_w", x, w, "expected not stable")
+        else:
+            for a in as_:
+                if verdicts[a] != SEMI_STABLE:
+                    flag("single_jump_semi_a", x, a, "expected semi_stable")
+            if verdicts[w] != SEMI_STABLE:
+                flag("single_jump_semi_w", x, w, "expected semi_stable")
+
+
+def _ref_twin_half_cycles(f, w, struct, verdicts, report, flag):
+    jumps = set(f.special_points().discontinuities)
+    plus_cyc = _half_point_cycle(f, w, PLUS, len(struct.nodes) + 2, jumps)
+    minus_cyc = _half_point_cycle(f, w, MINUS, len(struct.nodes) + 2, jumps)
+    if plus_cyc is None or minus_cyc is None:
+        return
+    report.applied.append("twin_half_cycles")
+    inter = set(plus_cyc.points) & set(minus_cyc.points)
+    nodes = struct.nodes
+    for z in sorted(inter):
+        cz = verdicts.get(z)
+        if cz == STABLE and any(verdicts[p] != STABLE for p in nodes):
+            flag("twin_stable", z, w, "stable intersection, non-stable node")
+        if cz == UNSTABLE and any(verdicts[p] != UNSTABLE for p in nodes):
+            flag("twin_unstable", z, w,
+                 "unstable intersection, non-unstable node")
+        if cz == SEMI_STABLE:
+            for y in sorted(inter):
+                if verdicts[y] != SEMI_STABLE:
+                    flag("twin_semi_intersection", z, y,
+                         "expected semi_stable")
+            sides = {s: classify_side(f, w, s, require_confined=False).verdict
+                     for s in (MINUS, PLUS)}
+            stable_side = MINUS if sides[MINUS] == CONTRACTING else PLUS
+            stable_cycle = minus_cyc if stable_side == MINUS else plus_cyc
+            other_cycle = plus_cyc if stable_side == MINUS else minus_cyc
+            ok_a = all(verdicts[p] != UNSTABLE for p in stable_cycle.points)
+            ok_b = all(verdicts[p] != STABLE for p in other_cycle.points)
+            if not (ok_a and ok_b):
+                flag("twin_semi_split", z, w,
+                     "side cycles not split into non-unstable / non-stable")
+
+
+CYCLE_CLAUSES = {
+    "single_jump_stable_b", "single_jump_stable_a", "single_jump_stable_w",
+    "single_jump_unstable_b", "single_jump_unstable_a",
+    "single_jump_unstable_w", "single_jump_semi_a", "single_jump_semi_w",
+    "continuous_cycle_uniform", "core_stable", "core_unstable", "core_semi",
+    "twin_stable", "twin_unstable", "twin_semi_intersection",
+    "twin_semi_split", "no_turns_uniform"}
+# no planted verdicts at seed 7 make these fire
+CYCLE_CLAUSES_UNFIRED = {"single_jump_stable_a", "twin_stable",
+                         "twin_semi_intersection"}
+
+
+def _planted_point(f, x, *, require_confined=True):
+    """A point verdict drawn from a hash of (map, point)."""
+    digest = hashlib.sha256(f"{f.to_text()}|{x}".encode()).digest()
+    return (STABLE, SEMI_STABLE, UNSTABLE)[digest[0] % 3]
+
+
+def test_planted_verdicts_give_the_reference_cycle_violations(monkeypatch):
+    """With point verdicts planted, each structure's cycle report equals
+    the reference's, violations in order and multiplicity, and every
+    cycle clause but the three named ones fires."""
+    monkeypatch.setattr(stability, "classify_point", _planted_point)
+    fired = Counter()
+    for f, st in _structures():
+        try:
+            report = cycle_stability_report(f, st)
+        except stability.CycleBudgetError:
+            report = "budget"
+        assert report == _ref_cycle_report(f, st, _planted_point), \
+            (f.to_text(), st.root)
+        if report != "budget":
+            fired.update(v.rule for v in report.violations)
+    assert set(fired) == CYCLE_CLAUSES - CYCLE_CLAUSES_UNFIRED, fired
 
 
 def test_find_connection_rejects_a_bad_level(maps, monkeypatch):

@@ -4,10 +4,12 @@ from functools import partial
 
 import pytest
 
+from pwdyn import taxonomy as taxonomy_module
 from pwdyn.codes import regular_attractor
-from pwdyn.harness import GeneratorConfig, random_map
-from pwdyn.maps import parse_map
-from pwdyn.orbits import HALF_POINT, INTERVAL_FAMILY, periodic_points
+from pwdyn.harness import GeneratorConfig, _corpus, random_map
+from pwdyn.maps import MINUS, PLUS, parse_map
+from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
+                          periodic_points)
 from pwdyn.pinned import PINNED_NAMES, pinned_text
 from pwdyn.taxonomy import (BOUNDARY_FIXED, DegenerateWindowError,
                             PreconditionError, _map_atlas, attraction_atlas,
@@ -234,3 +236,49 @@ def test_taxonomy_answers_do_not_depend_on_call_order():
     assert sum("TrapResult(trapped=True" in line for line in lines) > 5
     assert sum("BasinWitness" in line for line in lines) > 2
     assert _digest(lines) == _digest(canonical)
+
+
+def _ref_make_witness(f, orb, w, inner, turns, n, iterates):
+    """`taxonomy._make_witness` as it was when the fold clip read the two
+    side pieces at w as Fraction pieces; the reference."""
+    side = MINUS if inner < w else PLUS
+    delta = abs(w - inner)
+    w_attr = taxonomy_module._lateral_power(f, w, side, 2 * n) != w
+    if w in turns:
+        if side == PLUS:
+            here, far = f.piece_right_of(w), f.piece_left_of(w)
+            far_room = w - far.left
+        else:
+            here, far = f.piece_left_of(w), f.piece_right_of(w)
+            far_room = far.right - w
+        delta = min(delta, delta * abs(here.slope) / abs(far.slope), far_room)
+        return taxonomy_module.BasinWitness(w, "both", delta, orb, w_attr,
+                                            iterates)
+    return taxonomy_module.BasinWitness(w, side, delta, orb, w_attr,
+                                        iterates)
+
+
+def test_fold_clip_matches_the_fraction_reference():
+    """A basin witness at a turn, its width clipped by the two side
+    pieces read off the int segments, equals the one the Fraction side
+    pieces gave, on both sides of every turn of 200 seeded maps; both
+    clips, the slope ratio and the far branch's room, bind."""
+    binds = {"ratio": 0, "room": 0}
+    for f in _corpus(GeneratorConfig(seed=7), "fold", 200):
+        turns = set(f.special_points().turning)
+        for w in turns:
+            orb = PeriodicOrbit((w,), 1, None)
+            for d in (F(1, 50), F(1, 7), F(1, 3)):
+                for inner in (w - d, w + d):
+                    if not f.a <= inner <= f.b:
+                        continue
+                    want = _ref_make_witness(f, orb, w, inner, turns, 1, 0)
+                    got = taxonomy_module._make_witness(f, orb, w, inner,
+                                                        turns, 1, 0)
+                    assert got == want, (f.to_text(), w, inner)
+                    plus = inner > w
+                    room = (w - f.piece_left_of(w).left if plus
+                            else f.piece_right_of(w).right - w)
+                    if got.delta < d:
+                        binds["room" if got.delta == room else "ratio"] += 1
+    assert min(binds.values()) > 20, binds
