@@ -32,11 +32,11 @@ window, the code intervals and the restricted powers.
 
 Germs step the same integer table as (numerator, denominator, plus)
 triples, their piece found by `maps._branch` as the side pieces of a map
-are, through one successor table memoized on each map, so each germ
-is stepped once per map: `germ_orbit`, `germ_step`, the landing indices
-of `stability` and the lateral powers of `taxonomy` all read it, and make
-Germs and slope magnitudes only for their results, each magnitude |A|/D
-read off the integer table once per distinct piece of an orbit.
+are, through one successor table memoized on each map, so each germ is
+stepped once per map.  A germ's walk to its first repeat is one int
+record per (germ, cap), `_germ_walk`, that `germ_orbit`, the half-point
+cycles and the side verdicts and landings of `stability` read; Germs and
+slopes are made only for their results.
 """
 
 from __future__ import annotations
@@ -568,23 +568,28 @@ class GermOrbit:
 
 
 def _germ_walk(f: PiecewiseMap, key: GermKey, cap: int
-               ) -> tuple[list[GermKey], list[int], Optional[int]]:
-    """The germs from `key` up to and including the first repeat, the
+               ) -> tuple[dict[GermKey, int], tuple[int, ...], Optional[int]]:
+    """The one germ record, ints memoized on f per (key, cap): each germ
+    from `key` up to the first repeat with the step that reached it, the
     piece index of each step, and the index where the cycle starts: None
     when DENOM_BIT_CAP or `cap` germs end the walk first."""
-    succ = _successors(f)
-    seen: dict[GermKey, int] = {}
-    steps: list[int] = []
-    for _ in range(cap):
-        start = seen.get(key)
-        if start is not None:
-            return [*seen, key], steps, start
-        if key[1].bit_length() > DENOM_BIT_CAP:
-            break
-        seen[key] = len(steps)
-        key, i = succ[key]
-        steps.append(i)
-    return list(seen), steps, None
+    def build():
+        succ = _successors(f)
+        k = key
+        seen: dict[GermKey, int] = {}
+        steps: list[int] = []
+        for _ in range(cap):
+            start = seen.get(k)
+            if start is not None:
+                return seen, tuple(steps), start
+            if k[1].bit_length() > DENOM_BIT_CAP:
+                break
+            seen[k] = len(steps)
+            k, i = succ[k]
+            steps.append(i)
+        return seen, tuple(steps), None
+
+    return f._memo(("germ_walk", key, cap), build)
 
 
 def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = GERM_CAP) -> GermOrbit:
@@ -594,24 +599,18 @@ def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = GERM_CAP) -> GermOrbit:
     Each germ is checked in a fixed order: a repeat of an earlier germ
     closes the cycle, a denominator over DENOM_BIT_CAP bits truncates the
     orbit, and so does the cap-th germ's step.  g is validated once; the
-    walk runs on (p, q, plus) triples through the successor table
-    memoized on f, and makes Germs and slope magnitudes only at the end.
-    Memoized on f per germ and cap."""
+    orbit is read off the germ's `_germ_walk` record, and its Germs and
+    slope magnitudes are made anew on each call."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    key = _germ_key(f, g)
-
-    def build() -> GermOrbit:
-        keys, steps, start = _germ_walk(f, key, cap)
-        germs = tuple(map(_germ, keys))
-        coefs = _table(f).coefs
-        magnitudes = {i: _magnitude(coefs[i]) for i in set(steps)}
-        slopes = tuple(magnitudes[i] for i in steps)
-        if start is None:
-            return GermOrbit(germs, slopes, len(germs), 0, True)
-        return GermOrbit(germs, slopes, start, len(germs) - 1 - start, False)
-
-    return f._memo(("germ_orbit", key, cap), build)
+    index, steps, start = _germ_walk(f, _germ_key(f, g), cap)
+    germs = tuple(map(_germ, index))
+    magnitudes = {i: _magnitude(_table(f).coefs[i]) for i in set(steps)}
+    slopes = tuple(magnitudes[i] for i in steps)
+    if start is None:
+        return GermOrbit(germs, slopes, len(germs), 0, True)
+    return GermOrbit(germs + germs[start:start + 1], slopes, start,
+                     len(germs) - start, False)
 
 
 # -- periodic orbits ---------------------------------------------------------
@@ -810,22 +809,20 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
 def _half_point_cycle(f, w, side, max_period, jumps) -> Optional[PeriodicOrbit]:
     """Half-point cycle at a jump: the germ orbit must return to the same
     germ with no preperiod, without revisiting the anchor point on the
-    opposite side (which would not be a single-variant orbit)."""
-    go = germ_orbit(f, Germ(w, side), cap=4 * max_period + 8)
-    if go.truncated or go.preperiod != 0 or go.period > max_period:
+    opposite side (which would not be a single-variant orbit).  It reads
+    the germ's `_germ_walk` and makes Germs only for an accepted cycle."""
+    index, steps, start = _germ_walk(f, _germ_key(f, Germ(w, side)),
+                                     4 * max_period + 8)
+    if start != 0 or len(steps) > max_period:
         return None
-    cycle = go.cycle
-    pts = [g.point for g in cycle]
-    if pts.count(w) != 1:
+    marks = set(map(_pair, jumps))
+    if [(p, q) for p, q, _ in index].count(_pair(w)) != 1 or any(
+            (p, q, not plus) in index for p, q, plus in index
+            if (p, q) in marks):
         return None
-    choice: dict[Fraction, Side] = {}
-    for g in cycle:
-        if g.point in jumps:
-            if g.point in choice and choice[g.point] != g.side:
-                return None
-            choice[g.point] = g.side
-    for j in sorted(jumps):
-        choice.setdefault(j, MINUS)
-    return PeriodicOrbit(tuple(pts), go.period,
-                         VariantSelector.from_dict(choice),
+    cycle = [_germ(key) for key in index]
+    sides = dict.fromkeys(jumps, MINUS)
+    sides.update((g.point, g.side) for g in cycle if g.point in jumps)
+    return PeriodicOrbit(tuple(g.point for g in cycle), len(cycle),
+                         VariantSelector.from_dict(sides),
                          kind=HALF_POINT, anchor_side=side)

@@ -14,23 +14,25 @@ Connections transport classification between points of a closed structure:
 four levels, depending on whether one or both germs of the source reach one
 or both germs of the target.  All four come from one table per ordered
 node pair, `_connections`: the landing rows of the source's germs at the
-target.  `find_connection` looks a level up in it; the propagation report
-builds it once per node pair and reads every clause from it.  The rule
-tables below state every implication the four levels support and report
-violations as replayable bundles.
+target, read off each germ's walk record (`orbits._germ_walk`).
+`find_connection` looks a level up in it; the propagation report reads
+each node's germ records and pair once, builds the table per node pair
+and reads every clause from it.  The rule tables below state every
+implication of the four levels and report violations as replayable bundles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError, RationalLike,
-                   Side, _pair, as_fraction)
-from .orbits import (GERM_CAP, Germ, PeriodicOrbit, StructureGraph,
-                     _germ_key, _germ_walk, _half_point_cycle, germ_orbit,
-                     interval_walk, structure)
+                   Side, _pair, _table, as_fraction)
+from .orbits import (GERM_CAP, Germ, GermKey, PeriodicOrbit, StructureGraph,
+                     _germ_key, _germ_walk, _half_point_cycle, interval_walk,
+                     structure)
 
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
@@ -72,21 +74,18 @@ def germs_of(f: PiecewiseMap, x: Fraction) -> list[Germ]:
 def classify_side(f: PiecewiseMap, x: RationalLike, side: Side, *,
                   require_confined: bool = True) -> SideClass:
     """Verdict for one lateral neighbourhood from its germ cycle product,
-    read off the germ orbit at its default caps."""
+    |A1 ... Ak| against D1 ... Dk on the ints of the germ's walk record."""
     x = as_fraction(x)
     if require_confined and not structure(f, x).closed:
         raise NotConfinedError(f"structure of {x} is not closed")
-    go = germ_orbit(f, Germ(x, side))
-    if go.truncated:
+    _, steps, start = _germ_walk(f, _germ_key(f, Germ(x, side)), GERM_CAP)
+    if start is None:
         raise NotConfinedError(f"germ orbit of ({x}, {side}) found no cycle")
-    product = go.cycle_product
-    if product < 1:
-        verdict = CONTRACTING
-    elif product == 1:
-        verdict = NEUTRAL
-    else:
-        verdict = EXPANDING
-    return SideClass(side, verdict, product)
+    cycle = [_table(f).coefs[i] for i in steps[start:]]
+    num, den = prod(abs(c[0]) for c in cycle), prod(c[2] for c in cycle)
+    verdict = (CONTRACTING if num < den else NEUTRAL if num == den
+               else EXPANDING)
+    return SideClass(side, verdict, Fraction(num, den))
 
 
 def combine_sides(verdicts: list[str]) -> str:
@@ -184,46 +183,45 @@ class Connection:
     germs: tuple[Germ, ...]
 
 
-def _landings(f: PiecewiseMap, g: Germ, z: Fraction) -> dict[Side, int]:
-    """Earliest iterate count at which the germ orbit of g sits at z, per
-    arrival side, within one full cycle.  The landing index of each germ
-    is memoized on f, keyed on (numerator, denominator) pairs; g is
-    validated when its index is built."""
-    def build() -> dict[Pair, dict[Side, int]]:
-        idx: dict[Pair, dict[Side, int]] = {}
-        for k, (p, q, plus) in enumerate(
-                _germ_walk(f, _germ_key(f, g), GERM_CAP)[0]):
-            idx.setdefault((p, q), {}).setdefault(PLUS if plus else MINUS, k)
-        return idx
-
-    key = (*_pair(g.point), g.side == PLUS)
-    return f._memo(("landings", key), build).get(_pair(z), {})
+def _walks(f: PiecewiseMap, x: Fraction
+           ) -> list[tuple[Germ, dict[GermKey, int]]]:
+    """x's germs, each with the landing index of its walk record: the
+    step at which the walk first reaches each germ."""
+    return [(g, _germ_walk(f, _germ_key(f, g), GERM_CAP)[0])
+            for g in germs_of(f, x)]
 
 
-def _connections(f: PiecewiseMap, y: Fraction, z: Fraction
+def _landings(index: dict[GermKey, int], z: Pair) -> dict[Side, int]:
+    """Earliest iterate count at which a germ orbit sits at z, per arrival
+    side, within one full cycle, looked up in its landing index."""
+    return {side: index[(*z, side == PLUS)] for side in (MINUS, PLUS)
+            if (*z, side == PLUS) in index}
+
+
+def _connections(y: Fraction, z: Fraction,
+                 walks: list[tuple[Germ, dict[GermKey, int]]], zkey: Pair
                  ) -> tuple[dict[Side, dict[Side, int]], dict[int, Connection]]:
     """The landing rows of y's germs at z (per germ side of y, `_landings`
-    at z), and every level 1..4 connection from y to z that they give (see
-    `find_connection`), each level with its first witness in germ and
-    arrival-side order.  Both germs of z are reached only when z is
-    interior: an endpoint is reached from inside."""
-    ygerms = germs_of(f, y)
-    rows = {g.side: _landings(f, g, z) for g in ygerms}
+    of its walk at z's pair `zkey`), and every level 1..4 connection from
+    y to z that they give (see `find_connection`), each level with its
+    first witness in germ and arrival-side order.  Both germs of z are
+    reached only when z is interior: an endpoint is reached from inside."""
+    rows = {g.side: _landings(index, zkey) for g, index in walks}
     found: dict[int, Connection] = {}
-    for g in ygerms:
+    for g, _ in walks:
         lands = rows[g.side]
         if lands and 1 not in found:
             side = min(lands, key=lands.get)
             found[1] = Connection(y, z, 1, (lands[side],), (g,))
         if MINUS in lands and PLUS in lands and 2 not in found:
             found[2] = Connection(y, z, 2, (lands[MINUS], lands[PLUS]), (g,))
-    if len(ygerms) == 2:
+    if len(walks) == 2:
         lminus, lplus = rows[MINUS], rows[PLUS]
         for level, s, t in ((3, MINUS, MINUS), (3, PLUS, PLUS),
                             (4, MINUS, PLUS), (4, PLUS, MINUS)):
             if level not in found and s in lminus and t in lplus:
                 found[level] = Connection(y, z, level, (lminus[s], lplus[t]),
-                                          tuple(ygerms))
+                                          tuple(g for g, _ in walks))
     return rows, found
 
 
@@ -233,8 +231,8 @@ def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
 
     Level 1: some germ of y reaches some germ of z.  Level 2: one germ of y
     reaches both germs of z.  Level 3: both germs of y reach the same germ
-    of z.  Level 4: both germs of y reach opposite germs of z.  Germ orbits
-    and their landing indices come from the map's memo.
+    of z.  Level 4: both germs of y reach opposite germs of z.  The landing
+    indices are those of the germs' walk records, memoized on the map.
     """
     y, z = as_fraction(y), as_fraction(z)
     if y not in struct or z not in struct:
@@ -243,7 +241,7 @@ def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
         raise ValueError("level must be 1, 2, 3, or 4")
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    return _connections(f, y, z)[1].get(level)
+    return _connections(y, z, _walks(f, y), _pair(z))[1].get(level)
 
 
 # -- rule tables ----------------------------------------------------------------
@@ -298,16 +296,19 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
                                  ) -> PropagationReport:
     """Check every connection-based stability implication on a closed
     structure: fourteen clauses over all ordered node pairs, each read off
-    the pair's `_connections`, built once per ordered pair."""
+    the pair's `_connections`, over germ walks read once per node."""
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
     nodes = struct.nodes
+    walks = [_walks(f, p) for p in nodes]
     sides = [{g.side: classify_side(f, p, g.side,
                                     require_confined=False).verdict
-              for g in germs_of(f, p)} for p in nodes]
+              for g, _ in w} for p, w in zip(nodes, walks)]
     verdicts = {p: combine_sides(list(s.values()))
                 for p, s in zip(nodes, sides)}
-    table = [[_connections(f, y, z) for z in nodes] for y in nodes]
+    keys = [_pair(p) for p in nodes]
+    table = [[_connections(y, z, w, k) for z, k in zip(nodes, keys)]
+             for y, w in zip(nodes, walks)]
 
     report = PropagationReport(struct.root, verdicts, 0)
 

@@ -9,14 +9,18 @@ and error message must be the same.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 from pwdyn import orbits
 from pwdyn.harness import GeneratorConfig, _corpus, closed_structures
-from pwdyn.maps import MINUS, PLUS, as_fraction, opposite
-from pwdyn.orbits import (DENOM_BIT_CAP, Germ, GermOrbit, GermStepResult,
+from pwdyn.maps import MINUS, PLUS, as_fraction, opposite, parse_map
+from pwdyn.orbits import (DENOM_BIT_CAP, HALF_POINT, Germ, GermOrbit,
+                          GermStepResult, PeriodicOrbit, VariantSelector,
                           germ_orbit, germ_step, periodic_points)
-from pwdyn.stability import (classify_point, find_connection,
+from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL,
+                             NotConfinedError, SideClass, classify_point,
+                             classify_side, find_connection, germs_of,
                              stability_propagation_report)
 from pwdyn.taxonomy import _lateral_power
 from test_orbits import _ref_piece_left_of, _ref_piece_right_of
@@ -160,3 +164,157 @@ def test_each_germ_is_stepped_once_per_map(monkeypatch):
     assert connections > 100
     assert len(steps) > 1000
     assert len(steps) / len(set(steps)) == 1.0
+
+
+# -- side verdicts and half-point cycles on the Fraction orbit, the
+# reference for the int walk record they read --------------------------------
+
+
+def _ref_classify_side(f, x, side):
+    """`classify_side` without the structure check, as it read the cycle
+    product of the Fraction germ orbit."""
+    go = _ref_germ_orbit(f, Germ(x, side), 10**4)
+    if go.truncated:
+        raise NotConfinedError(f"germ orbit of ({x}, {side}) found no cycle")
+    product = F(1)
+    for s in go.slopes[go.preperiod:]:
+        product *= s
+    verdict = (CONTRACTING if product < 1 else NEUTRAL if product == 1
+               else EXPANDING)
+    return SideClass(side, verdict, product)
+
+
+def _ref_half_point_cycle(f, w, side, max_period, jumps):
+    """`orbits._half_point_cycle` as it read the Fraction germ orbit."""
+    go = _ref_germ_orbit(f, Germ(w, side), 4 * max_period + 8)
+    if go.truncated or go.preperiod != 0 or go.period > max_period:
+        return None
+    cycle = go.germs[:go.period]
+    pts = [g.point for g in cycle]
+    if pts.count(w) != 1:
+        return None
+    choice = {}
+    for g in cycle:
+        if g.point in jumps:
+            if g.point in choice and choice[g.point] != g.side:
+                return None
+            choice[g.point] = g.side
+    for j in sorted(jumps):
+        choice.setdefault(j, MINUS)
+    return PeriodicOrbit(tuple(pts), go.period,
+                         VariantSelector.from_dict(choice), kind=HALF_POINT,
+                         anchor_side=side)
+
+
+# germ cycles that close at once but come back to a jump on its other side:
+# (1/2, plus) -> (1/8, plus) -> (1/2, minus) -> (7/8, minus) -> (1/2, plus)
+TWO_SIDED = """interval 0 1
+piece 0 1/8 : slope 1 intercept 0
+piece 1/8 1/4 : slope -1 intercept 5/8
+piece 1/4 1/2 : slope 1 intercept 3/8
+piece 1/2 3/4 : slope 1 intercept -3/8
+piece 3/4 1 : slope -1 intercept 11/8
+"""
+
+
+def test_side_verdicts_and_half_point_cycles_match_the_fraction_orbit(
+        monkeypatch):
+    """On the pinned and 30 generated maps with their mirrors and
+    TWO_SIDED, each map cold: `classify_side` at both sides of every node
+    of every closed structure, and `_half_point_cycle` at both sides of
+    every jump for periods 1 to 4, against the reference on
+    `_ref_germ_orbit`; some cycles are accepted, and some close at once
+    but are rejected, for visiting the anchor twice or another jump on
+    both sides.  Then, on new cold maps with the denominator bit cap
+    lowered to 64 bits on both sides so that a truncated walk stays
+    short, `classify_side` at (a + 2b)/3, where some walks find no cycle
+    and so raise NotConfinedError."""
+    seen = Counter()
+    maps = [*_corpus_maps(30), parse_map(TWO_SIDED)]
+    for f in map(_cold, maps):
+        jumps = set(f.special_points().discontinuities)
+        nodes = {x for st in closed_structures(f) for x in st.nodes}
+        for x in sorted(nodes):
+            for g in germs_of(f, x):
+                want = _ref_classify_side(f, x, g.side)
+                assert classify_side(f, x, g.side,
+                                     require_confined=False) == want, \
+                    (f.to_text(), x, g.side)
+                seen[want.verdict] += 1
+        for w in sorted(jumps):
+            for side in (MINUS, PLUS):
+                for period in (1, 2, 3, 4):
+                    want = _ref_half_point_cycle(f, w, side, period, jumps)
+                    assert orbits._half_point_cycle(
+                        f, w, side, period, jumps) == want, \
+                        (f.to_text(), w, side, period)
+                    seen["accepted" if want else "rejected"] += 1
+                    walk = _ref_germ_orbit(f, Germ(w, side), 4 * period + 8)
+                    if want is None and not walk.truncated \
+                            and walk.preperiod == 0 \
+                            and walk.period <= period:
+                        pts = [g.point for g in walk.germs]
+                        seen["anchor twice" if pts.count(w) > 2
+                             else "jump on both sides"] += 1
+    monkeypatch.setattr(orbits, "DENOM_BIT_CAP", 64)
+    monkeypatch.setitem(globals(), "DENOM_BIT_CAP", 64)
+    for f in map(_cold, maps):
+        x = (f.a + 2 * f.b) / 3
+        for side in (MINUS, PLUS):
+            want = _outcome(_ref_classify_side, f, x, side)
+            assert _outcome(classify_side, f, x, side,
+                            require_confined=False) == want, \
+                (f.to_text(), side)
+            if isinstance(want, str):
+                assert want.startswith("NotConfinedError: ")
+                seen["truncated"] += 1
+    assert {CONTRACTING, NEUTRAL, EXPANDING, "accepted", "rejected",
+            "anchor twice", "jump on both sides", "truncated"} <= set(seen), \
+        seen
+
+
+def test_germs_are_made_only_for_results(monkeypatch):
+    """`orbits._germ`, which makes a Germ of a walk's triple, runs on no
+    triple under `classify_point`, `stability_propagation_report` and
+    `find_connection` on cold maps; under `periodic_points` it runs only
+    inside `_half_point_cycle` calls that accept a cycle, once per germ of
+    that cycle."""
+    made = []
+    real_germ, real_half = orbits._germ, orbits._half_point_cycle
+    calls = []  # (orbit or None, Germs made) per half-point cycle call
+
+    def germ(key):
+        made.append(key)
+        return real_germ(key)
+
+    def half_point_cycle(*args):
+        before = len(made)
+        orb = real_half(*args)
+        calls.append((orb, len(made) - before))
+        return orb
+
+    monkeypatch.setattr(orbits, "_germ", germ)
+    monkeypatch.setattr(orbits, "_half_point_cycle", half_point_cycle)
+    checked = 0
+    seen = Counter()
+    for f in _corpus(GeneratorConfig(seed=11), "germ-count", 20):
+        structures = closed_structures(_cold(f))
+        f = _cold(f)
+        made.clear()
+        for st in structures:
+            for x in st.nodes:
+                classify_point(f, x, require_confined=False)
+            stability_propagation_report(f, st)
+            for y in st.nodes:
+                for z in st.nodes:
+                    checked += find_connection(f, st, y, z, 1) is not None
+        assert made == [], f.to_text()
+        made.clear()
+        calls.clear()
+        periodic_points(_cold(f), 4)
+        assert len(made) == sum(n for _, n in calls)
+        assert all(n == (0 if orb is None else orb.period)
+                   for orb, n in calls), f.to_text()
+        seen.update("accepted" if orb else "rejected" for orb, _ in calls)
+    assert checked > 100
+    assert {"accepted", "rejected"} <= set(seen), seen
