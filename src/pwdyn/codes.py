@@ -323,14 +323,11 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
     good = avoids_special_forever(f, start, cap)
     if good.value != YES:
         return good
-    try:
-        all_codes = side_codes(f, w, side, cap)
-    except CodeUndefinedError:
-        return Trivalent(NO)
-    periodic = [c for c in all_codes if c.strictly_periodic]
+    # the yes walk met no special point and ended on a repeat or in a
+    # certified ball; the codes walk from `start` only relabels special
+    # points, so it ends the same way: never on a jump, never truncated
+    periodic = [c for c in side_codes(f, w, side, cap) if c.strictly_periodic]
     if not periodic:
-        if any(c.truncated for c in all_codes):
-            return Trivalent(UNKNOWN, cap)
         return Trivalent(NO)
     return RegularityCertificate(w, side, periodic[0], good)
 

@@ -17,8 +17,11 @@ node pair, `_connections`: the landing rows of the source's germs at the
 target, read off each germ's walk record (`orbits._germ_walk`).
 `find_connection` looks a level up in it; the propagation report reads
 each node's germ records and pair once, builds the table per node pair
-and reads every clause from it.  The rule tables below state every
-implication of the four levels and report violations as replayable bundles.
+and reads every clause from it.  Both reports read a structure by node
+position: reachability, node classes and cycles run on ints, and a node
+germ is validated once, in `classify_side`.  The rule tables below state
+every implication of the four levels and report violations as replayable
+bundles.
 """
 
 from __future__ import annotations
@@ -186,8 +189,9 @@ class Connection:
 def _walks(f: PiecewiseMap, x: Fraction
            ) -> list[tuple[Germ, dict[GermKey, int]]]:
     """x's germs, each with the landing index of its walk record: the
-    step at which the walk first reaches each germ."""
-    return [(g, _germ_walk(f, _germ_key(f, g), GERM_CAP)[0])
+    step at which the walk first reaches each germ.  x is a node, in
+    [a, b], so `germs_of` gives germs that need no `Germ.validate`."""
+    return [(g, _germ_walk(f, (*_pair(x), g.side == PLUS), GERM_CAP)[0])
             for g in germs_of(f, x)]
 
 
@@ -270,25 +274,23 @@ class PropagationReport:
         return not self.violations
 
 
-def _successors(struct: StructureGraph) -> dict[Fraction, list[Fraction]]:
-    succ: dict[Fraction, list[Fraction]] = {}
+def _successors(struct: StructureGraph) -> list[list[int]]:
+    """Each node position's edge targets, as positions, in edge order."""
+    at = {p: i for i, p in enumerate(struct.nodes)}
+    succ: list[list[int]] = [[] for _ in struct.nodes]
     for src, _, dst in struct.edges:
-        succ.setdefault(src, []).append(dst)
+        succ[at[src]].append(at[dst])
     return succ
 
 
-def _reachable(x: Fraction, succ: dict[Fraction, list[Fraction]]
-               ) -> set[Fraction]:
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in succ.get(p, []):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+def _reachable(i: int, succ: list[list[int]]) -> set[int]:
+    seen = {i}
+    stack = [i]
+    while stack:
+        for q in succ[stack.pop()]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
     return seen
 
 
@@ -304,26 +306,25 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
     sides = [{g.side: classify_side(f, p, g.side,
                                     require_confined=False).verdict
               for g, _ in w} for p, w in zip(nodes, walks)]
-    verdicts = {p: combine_sides(list(s.values()))
-                for p, s in zip(nodes, sides)}
+    classes = [combine_sides(list(s.values())) for s in sides]
     keys = [_pair(p) for p in nodes]
     table = [[_connections(y, z, w, k) for z, k in zip(nodes, keys)]
              for y, w in zip(nodes, walks)]
 
-    report = PropagationReport(struct.root, verdicts, 0)
+    report = PropagationReport(struct.root, {}, 0)
 
     def flag(rule, x, y, detail):
         report.violations.append(RuleViolation(rule, x, y, detail))
 
     succ = _successors(struct)
     for i, x in enumerate(nodes):
-        cx = verdicts[x]
-        inside = _reachable(x, succ)
+        cx = classes[i]
+        inside = _reachable(i, succ)
         for j, y in enumerate(nodes):
-            if y not in inside:
+            if j not in inside:
                 continue
             report.checked += 1
-            cy = verdicts[y]
+            cy = classes[j]
             # rows and levels from x to y, and from y to x
             xy, yx = table[i][j], table[j][i]
             strong = 4 in yx[1] or 3 in yx[1] or 4 in xy[1] or 2 in xy[1]
@@ -340,6 +341,7 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
             # a full-neighbourhood witness implies a lateral one per germ
             flag("level_monotonicity", levels[4].source, levels[4].target,
                  "level 4 connection without level 1 from each germ")
+    report.verdicts = dict(zip(nodes, classes))
     return report
 
 
@@ -407,27 +409,28 @@ def _graph_cycles(struct: StructureGraph) -> list[tuple[Fraction, ...]]:
 
     Simple cycles can be exponentially many on branching structures, so the
     enumeration aborts past CYCLE_LIMIT cycles or 8 * CYCLE_LIMIT search
-    steps instead of hanging.
+    steps instead of hanging.  It runs on node positions, which ascend
+    with the nodes, so cycles start and sort as their points would.
     """
     succ = _successors(struct)
     cycles = set()
     steps = [0]
 
-    def dfs(path: list[Fraction], seen: set[Fraction]):
+    def dfs(path: list[int], seen: set[int]):
         steps[0] += 1
         if steps[0] > CYCLE_LIMIT * 8 or len(cycles) > CYCLE_LIMIT:
             raise CycleBudgetError(f"more than {CYCLE_LIMIT} simple cycles "
                                    f"or {CYCLE_LIMIT * 8} steps")
-        for q in succ.get(path[-1], []):
+        for q in succ[path[-1]]:
             if q == path[0]:
                 i = path.index(min(path))
                 cycles.add(tuple(path[i:] + path[:i]))
             elif q not in seen:
                 dfs(path + [q], seen | {q})
 
-    for start in struct.nodes:
+    for start in range(len(succ)):
         dfs([start], {start})
-    return sorted(cycles)
+    return [tuple(struct.nodes[i] for i in cyc) for cyc in sorted(cycles)]
 
 
 def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pwdyn import cli
 from pwdyn.cli import dispatch
 from pwdyn.codes import CertificationError
 from pwdyn.maps import MapInvariantError, parse_map
-from pwdyn.pinned import pinned_text
+from pwdyn.orbits import structure
+from pwdyn.pinned import PINNED_NAMES, pinned_text
 from pwdyn.taxonomy import PreconditionError, TaxonomyViolation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -264,3 +266,46 @@ def test_closed_stdout_ends_quietly():
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# sha256 prefix of each pinned map's CLI transcript in
+# `test_cli_golden_digests`
+CLI_DIGESTS = {
+    "shift": "a250503bc525b980", "tent": "d6c46f4ea1d75fbe",
+    "hat": "b0fe9d8069db2929", "contraction": "135e21e201ff8628",
+    "semistable": "188eb8e668d355c8", "fourcycle": "29019634aa6a5073",
+    "decreasing2": "5c657ca7f31a4675", "twocycle": "bdeb16db2e8687f1",
+    "identity": "5f45d17fabc6de91"}
+
+
+def _golden_points(f):
+    """a, b, (a + 2b)/3 and the special points of f whose structures close
+    within 200 nodes; the others run to the 10^4-node cap."""
+    points = dict.fromkeys((f.a, f.b, (f.a + 2 * f.b) / 3,
+                            *f.special_points().points))
+    return [p for p in points if structure(f, p, 200).closed]
+
+
+def test_cli_golden_digests(capsys, tmp_path):
+    """The analysis commands on each pinned map, run in-process, keep the
+    sha256 of every run's exit status, stdout and stderr: the orbit,
+    taxonomy, basin, bound and duality reports, and classify, connections
+    and structure at each closing point."""
+    got = {}
+    for name in PINNED_NAMES:
+        path = tmp_path / f"{name}.map"
+        path.write_text(pinned_text(name))
+        f = parse_map(pinned_text(name))
+        runs = [(cmd,) for cmd in ("periodic", "taxonomy", "basin", "bound",
+                                   "theorem5")]
+        runs += [(cmd, "--x", str(p)) for p in _golden_points(f)
+                 for cmd in ("classify", "connections", "structure")]
+        runs.append(("structure", "--x", str((f.a + 2 * f.b) / 3), "--cap",
+                     "200"))
+        digest = hashlib.sha256()
+        for cmd, *options in runs:
+            code, out, err = run(capsys, cmd, str(path), *options)
+            digest.update(f"{cmd} {options}\n{code}\n{out}\0{err}\0"
+                          .encode())
+        got[name] = digest.hexdigest()[:16]
+    assert got == CLI_DIGESTS

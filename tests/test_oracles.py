@@ -10,12 +10,14 @@ from fractions import Fraction as F
 import pytest
 
 from pwdyn.harness import GeneratorConfig, GenerationError, random_map
-from pwdyn.maps import MINUS, PLUS, PwdynError, compose
+from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
+                        compose)
 from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, germ_step,
                           periodic_points)
 from pwdyn.pinned import pinned_maps
-from pwdyn.taxonomy import (DegenerateWindowError, monotone_window,
-                            restrict_power, window_sweep)
+from pwdyn.taxonomy import (NOT_APPLICABLE, DegenerateWindowError,
+                            attraction_atlas, monotone_window, restrict_power,
+                            taxonomy, window_sweep)
 from pwdyn.codes import Certifier, CodeUndefinedError, PartitionIntervals, codes
 
 
@@ -253,3 +255,87 @@ def test_compose_agrees_with_nested_values():
                 continue
             assert h.value(t) == outer.value(mid), (outer.to_text(),
                                                     inner.to_text(), t)
+
+
+# -- trapping and attraction balls, by pointwise steps ------------------------
+
+
+def mirror(f):
+    """The conjugate x -> a + b - f(a + b - x)."""
+    m = f.a + f.b
+    return PiecewiseMap(f.a, f.b, [
+        AffinePiece(m - p.right, m - p.left, p.slope,
+                    m * (1 - p.slope) - p.intercept)
+        for p in reversed(f.pieces)])
+
+
+def clear_iterates(f, lo, hi, steps):
+    """Whether none of the first `steps` iterates of [lo, hi] has a special
+    point strictly inside.  f is then continuous and monotone on each, so
+    the next iterate is read off the one-sided limits at its ends."""
+    special = f.special_points().points
+    for _ in range(steps):
+        if any(lo < s < hi for s in special):
+            return False
+        lo, hi = sorted((f.lateral(lo, PLUS), f.lateral(hi, MINUS)))
+    return True
+
+
+def test_trapping_and_atlas_balls_by_pointwise_steps():
+    """Census-style maps and their mirrors, orbits to period 4: every trap
+    witness (y, z) brackets the orbit point, f^2n(y) <= y and f^2n(z) >= z
+    by 2n steps, and no iterate of [y, z] before the 2n-th has a special
+    point strictly inside.  A free orbit has, on one side of each orbit
+    point, no sample of its window's 64-point grid where the witness
+    inequality holds.  Every sampled point of an atlas ball comes strictly
+    closer to the centre after 2n steps, from its own side."""
+    base = corpus("trap", 120, max_pieces=3)
+    seen = {"trapped": 0, "free": 0, "balls": 0}
+    for f in base + [mirror(g) for g in base]:
+        try:
+            orbits = periodic_points(f, 4, max_power=8, guard=20000)
+        except PwdynError:
+            continue
+        for orb in orbits:
+            if not orb.continuous:
+                continue
+            try:
+                tax = taxonomy(f, orb)
+            except NOT_APPLICABLE:
+                continue
+            m = 2 * orb.period
+            if tax.trapped:
+                y, z, _ = tax.trap_witness
+                x = orb.points[0]
+                assert y < x < z, (f.to_text(), x, y, z)
+                assert stepwise(f, y, m)[-1] <= y, (f.to_text(), x, y)
+                assert stepwise(f, z, m)[-1] >= z, (f.to_text(), x, z)
+                assert clear_iterates(f, y, z, m), (f.to_text(), x, y, z)
+                seen["trapped"] += 1
+            if tax.free:
+                for x in orb.points:
+                    u, v = monotone_window(f, x, m)
+                    left = [x + (u - x) * k / 65 for k in range(1, 65)]
+                    right = [x + (v - x) * k / 65 for k in range(1, 65)]
+                    assert clear_iterates(f, left[-1], right[-1], m), \
+                        (f.to_text(), x, u, v)
+                    assert (all(stepwise(f, t, m)[-1] > t for t in left)
+                            or all(stepwise(f, t, m)[-1] < t for t in right)), \
+                        (f.to_text(), x)
+                seen["free"] += 1
+        for balls in attraction_atlas(f, orbits).values():
+            for ball in balls:
+                c = ball.center
+                lo, hi = ball.span(ball.radius)
+                for k in range(1, 8):
+                    t = lo + (hi - lo) * k / 8
+                    if t == c:
+                        continue
+                    image = stepwise(f, t, 2 * ball.period)[-1]
+                    assert abs(image - c) < abs(t - c), \
+                        (f.to_text(), c, ball.side, t)
+                    if ball.side is not None:
+                        assert (image - c) * (t - c) > 0, \
+                            (f.to_text(), c, ball.side, t)
+                seen["balls"] += 1
+    assert min(seen.values()) > 20, seen

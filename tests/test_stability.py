@@ -624,6 +624,45 @@ def test_planted_verdicts_give_the_reference_violations(monkeypatch):
     assert set(fired) == RULE_CLAUSES, fired
 
 
+def test_reports_read_nodes_by_position(monkeypatch):
+    """On cold maps, one propagation report validates each node germ once,
+    in `classify_side`, and a report and the cycle search hash at most two
+    Fractions per node and edge: reachable sets, node classes and cycles
+    run on node positions, not on Fraction nodes per node pair."""
+    hashes, validated = [0], []
+    real_hash, real_validate = F.__hash__, Germ.validate
+
+    def counted_hash(self):
+        hashes[0] += 1
+        return real_hash(self)
+
+    def counted_validate(g, f):
+        validated.append((g.point, g.side))
+        real_validate(g, f)
+
+    largest = 0
+    for f in _corpus(GeneratorConfig(seed=13), "positions", 150):
+        f = _cold(f)
+        for st in closed_structures(f):
+            size = len(st.nodes) + len(st.edges)
+            largest = max(largest, len(st.nodes))
+            validated.clear()
+            with monkeypatch.context() as m:
+                m.setattr(F, "__hash__", counted_hash)
+                m.setattr(Germ, "validate", counted_validate)
+                hashes[0] = 0
+                stability_propagation_report(f, st)
+                in_report, hashes[0] = hashes[0], 0
+                if len(st.nodes) <= stability.CYCLE_NODE_BUDGET:
+                    stability._graph_cycles(st)
+                in_cycles = hashes[0]
+            germs = [(p, g.side) for p in st.nodes for g in germs_of(f, p)]
+            assert sorted(validated) == sorted(germs), (f.to_text(), st.root)
+            assert max(in_report, in_cycles) <= 2 * size, \
+                (f.to_text(), st.root, in_report, in_cycles, size)
+    assert largest > 64
+
+
 # -- the cycle-level clauses as each stable / unstable pair was written out,
 # the reference ------------------------------------------------------------
 
