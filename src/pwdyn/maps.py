@@ -518,24 +518,23 @@ class _Table(NamedTuple):
     coefs: tuple[Coef, ...]            # (alpha, beta, delta) per piece
 
 
+def _table_of(segs: Sequence[Segment]) -> _Table:
+    """The integer step of a run of abutting segments on their span."""
+    cuts = (*(s[0] for s in segs), segs[-1][1])
+    # the left and right limits at each bound, the inward ones at the ends
+    lefts = (segs[0][2], *(s[3] for s in segs))
+    rights = (*(s[2] for s in segs), segs[-1][3])
+    return _Table(cuts, tuple(v if v == w else None
+                              for v, w in zip(lefts, rights)),
+                  {x: (v, w) for x, v, w in zip(cuts, lefts, rights)
+                   if v != w},
+                  tuple(s[4] for s in segs))
+
+
 def _table(f: PiecewiseMap) -> _Table:
     """The integer step of f, read off its segments on first use and
     memoized on f."""
-
-    def build() -> _Table:
-        segs = f._segs
-        cuts = (*(s[0] for s in segs), segs[-1][1])
-        # the limits from the left and from the right at each bound, the
-        # inward ones at a and b
-        lefts = (segs[0][2], *(s[3] for s in segs))
-        rights = (*(s[2] for s in segs), segs[-1][3])
-        return _Table(cuts, tuple(v if v == w else None
-                                  for v, w in zip(lefts, rights)),
-                      {x: (v, w) for x, v, w in zip(cuts, lefts, rights)
-                       if v != w},
-                      tuple(s[4] for s in segs))
-
-    return f._memo(("int_step",), build)
+    return f._memo(("int_step",), lambda: _table_of(f._segs))
 
 
 def _locate(cuts: tuple[Pair, ...], p: int, q: int) -> int:

@@ -25,10 +25,10 @@ segments in the power cache of `maps`, and a code interval's sweep.
 The same step drives the other exact iterations: `structure` expands all
 variant orbits breadth-first on pairs; `interval_walk` steps a union of
 closed intervals held as int quadruples for the stability oracle,
-checking its stop rules by cross-multiplication; and `segment_sweep`
-clips the affine segments of an iterate on a shrinking interval and
-pushes them through the one piece kernel of `maps`, for the monotone
-window, the code intervals and the restricted powers.
+checking its stop rules by cross-multiplication; and `_sweep` clips the
+affine segments of an iterate on a shrinking interval and pushes them
+through the one piece kernel of `maps`, for the monotone window, and
+through `segment_sweep` for the code intervals and restricted powers.
 
 Germs step the same integer table as (numerator, denominator, plus)
 triples, their piece found by `maps._branch` as the side pieces of a map
@@ -327,16 +327,22 @@ def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
     returned as they are: only u and v are Fractions.  Without clips this
     is the m-th iterate on [lo, hi], `taxonomy.restrict_power`.
     """
-    t = _table(f)
     lo, hi = _pair(lo), _pair(hi)
-    segs = [(lo, hi, lo, hi, (1, 0, 1))]
+    segs = _sweep(_table(f), [(lo, hi, lo, hi, (1, 0, 1))],
+                  [c and (_pair(c[0]), _pair(c[1])) for c in clips])
+    return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
+
+
+def _sweep(t: _Table, segs: list[Segment],
+           clips: Sequence[Optional[tuple[Pair, Pair]]]) -> list[Segment]:
+    """`segment_sweep` from a monotone run, through step t, on pair clips."""
     last = len(clips) - 1
     for step, clip in enumerate(clips):
         if clip is not None:
             first, end = segs[0][2], segs[-1][3]
             rising = first[0] * end[1] < end[0] * first[1]
             low, high = (first, end) if rising else (end, first)
-            c_lo, c_hi = _pair(clip[0]), _pair(clip[1])
+            c_lo, c_hi = clip
             cut_lo = c_lo[0] * low[1] > low[0] * c_lo[1]
             cut_hi = c_hi[0] * high[1] < high[0] * c_hi[1]
             if cut_lo or cut_hi:
@@ -348,24 +354,26 @@ def segment_sweep(f: PiecewiseMap, lo: Fraction, hi: Fraction,
                 segs = _narrow(segs, rising, t_lo, t_hi)
         if step < last:
             segs = _push_segments(t, segs, MAX_PIECES)
-    return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
+    return segs
 
 
 def special_gaps(f: PiecewiseMap, x: Fraction, n: int
-                 ) -> list[tuple[Fraction, Fraction]]:
+                 ) -> list[tuple[Pair, Pair]]:
     """The closed gap between the special points, or the domain ends,
-    around each of the first n iterates of x; the list stops before the
-    first iterate that is a special point.  The iterates are stepped as
-    pairs through the integer table memoized on f."""
+    around each of the first n iterates of x, as two int pairs; the list
+    stops before the first iterate that is a special point.  The iterates
+    are stepped as pairs through the integer table memoized on f, and once
+    one is x again, the gaps found so far repeat."""
     t = _table(f)
-    special = f.special_points().points
-    bounds = (f.a, *special, f.b)
-    keys = tuple(map(_pair, special))
-    p, q = _pair(x)
+    keys = tuple(map(_pair, f.special_points().points))
+    bounds = (_pair(f.a), *keys, _pair(f.b))
+    p, q = start = _pair(x)
     out = []
     for j in range(n):
         if j:
             p, q = _image(t, p, q, None)
+            if (p, q) == start:
+                return [out[i % j] for i in range(n)]
         k = _locate(keys, p, q)
         if k and keys[k - 1] == (p, q):
             break

@@ -405,14 +405,18 @@ class CycleBudgetError(PwdynError):
 
 
 def _graph_cycles(struct: StructureGraph) -> list[tuple[Fraction, ...]]:
-    """All simple directed cycles, each rotated to start at its least point.
+    """The `_cycles` of the structure's node positions, as points."""
+    nodes = struct.nodes
+    return [tuple(nodes[i] for i in c) for c in _cycles(_successors(struct))]
 
-    Simple cycles can be exponentially many on branching structures, so the
-    enumeration aborts past CYCLE_LIMIT cycles or 8 * CYCLE_LIMIT search
-    steps instead of hanging.  It runs on node positions, which ascend
-    with the nodes, so cycles start and sort as their points would.
-    """
-    succ = _successors(struct)
+
+def _cycles(succ: list[list[int]]) -> list[tuple[int, ...]]:
+    """All simple directed cycles on positions, in order, each rotated to
+    start at its least position.  Simple cycles can be exponentially many
+    on branching structures, so the enumeration aborts past CYCLE_LIMIT
+    cycles or 8 * CYCLE_LIMIT search steps instead of hanging.  Node
+    positions ascend with the nodes, so cycles start and sort as their
+    points would."""
     cycles = set()
     steps = [0]
 
@@ -430,7 +434,7 @@ def _graph_cycles(struct: StructureGraph) -> list[tuple[Fraction, ...]]:
 
     for start in range(len(succ)):
         dfs([start], {start})
-    return [tuple(struct.nodes[i] for i in cyc) for cyc in sorted(cycles)]
+    return sorted(cycles)
 
 
 def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
@@ -441,91 +445,87 @@ def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
     Structures over CYCLE_NODE_BUDGET nodes raise CycleBudgetError."""
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    if len(struct.nodes) > CYCLE_NODE_BUDGET:
+    nodes = struct.nodes
+    if len(nodes) > CYCLE_NODE_BUDGET:
         raise CycleBudgetError(
-            f"structure has {len(struct.nodes)} nodes, over the "
+            f"structure has {len(nodes)} nodes, over the "
             f"{CYCLE_NODE_BUDGET}-node cycle analysis budget")
-    verdicts = {p: classify_point(f, p, require_confined=False)
-                for p in struct.nodes}
-    cycles = _graph_cycles(struct)
-    on_cycle = {p for cyc in cycles for p in cyc}
-    completely_periodic = set(struct.nodes) <= on_cycle
+    classes = [classify_point(f, p, require_confined=False) for p in nodes]
+    at_cycles = _cycles(_successors(struct))
+    cycles = [tuple(nodes[i] for i in cyc) for cyc in at_cycles]
+    completely_periodic = len({i for c in at_cycles for i in c}) == len(nodes)
     core: tuple[Fraction, ...] = ()
     choice_matters = False
-    if completely_periodic and cycles:
-        inter = set(cycles[0])
-        for cyc in cycles[1:]:
-            inter &= set(cyc)
-        core = tuple(sorted(inter))
-        counts = {p: sum(p in cyc for cyc in cycles) for p in struct.nodes}
-        choice_matters = any(c > 1 for c in counts.values())
-    report = CycleRuleReport(struct.root, verdicts, cycles,
-                             completely_periodic, core, choice_matters)
-    jumps = set(f.special_points().discontinuities) & set(struct.nodes)
-    turns = set(f.special_points().turning)
+    if completely_periodic and at_cycles:
+        inter = set(at_cycles[0]).intersection(*at_cycles[1:])
+        core = tuple(nodes[i] for i in sorted(inter))
+        # every node is on a cycle, so one is on two iff the lengths sum past n
+        choice_matters = sum(map(len, at_cycles)) > len(nodes)
+    report = CycleRuleReport(struct.root, {}, cycles, completely_periodic,
+                             core, choice_matters)
+    special = f.special_points()
+    jumps = [i for i, p in enumerate(nodes) if p in special.discontinuities]
 
     def flag(rule, x, y, detail):
         report.violations.append(RuleViolation(rule, x, y, detail))
 
-    for cyc in cycles:
-        _check_single_jump_cycle(f, cyc, jumps, turns, verdicts, report, flag)
-        if not any(p in jumps for p in cyc):
+    for at, cyc in zip(at_cycles, cycles):
+        cls = [classes[i] for i in at]
+        js = [k for k, i in enumerate(at) if i in jumps]
+        _check_single_jump_cycle(cyc, cls, js, report, flag)
+        if not js:
             report.applied.append("continuous_cycle")
-            classes = {verdicts[p] for p in cyc}
-            if len(classes) > 1:
-                flag("continuous_cycle_uniform", cyc[0], cyc[0],
-                     f"mixed classes {sorted(classes)} along a continuous cycle")
-
+            if len(set(cls)) > 1:
+                flag("continuous_cycle_uniform", cyc[0], cyc[0], "mixed classes "
+                     f"{sorted(set(cls))} along a continuous cycle")
+    report.verdicts = dict(zip(nodes, classes))
     if len(jumps) == 1:
-        _check_twin_half_cycles(f, next(iter(jumps)), struct, verdicts,
+        _check_twin_half_cycles(f, nodes[jumps[0]], struct, report.verdicts,
                                 report, flag)
     if completely_periodic and core:
         report.applied.append("core")
-        for z in core:
-            cz = verdicts[z]
-            if cz in _MIRROR and any(verdicts[p] != cz for p in struct.nodes):
+        for z, cz in ((nodes[i], classes[i]) for i in sorted(inter)):
+            if cz in _MIRROR and any(c != cz for c in classes):
                 flag(f"core_{cz}", z, z, f"{cz} core with non-{cz} node")
-            if cz == SEMI_STABLE and any(verdicts[p] != SEMI_STABLE
-                                         for p in core):
+            if cz == SEMI_STABLE and any(classes[i] != SEMI_STABLE
+                                         for i in inter):
                 flag("core_semi", z, z, "semi-stable core not uniform")
-    if not any(p in turns for p in struct.nodes):
+    if not any(p in special.turning for p in nodes):
         report.applied.append("no_turns_uniform")
-        classes = {verdicts[p] for p in struct.nodes}
-        if len(classes) > 1:
+        if len(set(classes)) > 1:
             flag("no_turns_uniform", struct.root, struct.root,
-                 f"mixed classes {sorted(classes)} without turning points")
+                 f"mixed classes {sorted(set(classes))} without turning points")
     return report
 
 
-def _check_single_jump_cycle(f, cyc, jumps, turns, verdicts, report, flag):
-    in_cycle_jumps = [p for p in cyc if p in jumps]
-    if len(in_cycle_jumps) != 1:
+def _check_single_jump_cycle(cyc, cls, js, report, flag):
+    if len(js) != 1:
         return
     report.applied.append("single_jump_cycle")
-    w = in_cycle_jumps[0]
-    wi = cyc.index(w)
-    n = len(cyc)
+    wi, n = js[0], len(cyc)
+    w, cw = cyc[wi], cls[wi]
     for off in range(1, n):
-        x = cyc[(wi + off) % n]
+        xi = (wi + off) % n
+        x, cx = cyc[xi], cls[xi]
         # points strictly after w up to x are the b's, after x the a's
-        bs = [cyc[(wi + j) % n] for j in range(1, off)]
-        as_ = [cyc[(wi + off + j) % n] for j in range(1, n - off)]
-        cx = verdicts[x]
+        bs = [(wi + j) % n for j in range(1, off)]
+        as_ = [(xi + j) % n for j in range(1, n - off)]
         if cx in _MIRROR:
             other = _MIRROR[cx]
             for b in bs:
-                if verdicts[b] != cx:
-                    flag(f"single_jump_{cx}_b", x, b, f"expected {cx}")
+                if cls[b] != cx:
+                    flag(f"single_jump_{cx}_b", x, cyc[b], f"expected {cx}")
             for a in as_:
-                if verdicts[a] == other:
-                    flag(f"single_jump_{cx}_a", x, a, f"expected not {other}")
-            if verdicts[w] == other:
+                if cls[a] == other:
+                    flag(f"single_jump_{cx}_a", x, cyc[a],
+                         f"expected not {other}")
+            if cw == other:
                 flag(f"single_jump_{cx}_w", x, w, f"expected not {other}")
         else:
             for a in as_:
-                if verdicts[a] != SEMI_STABLE:
-                    flag("single_jump_semi_a", x, a, "expected semi_stable")
-            if verdicts[w] != SEMI_STABLE:
+                if cls[a] != SEMI_STABLE:
+                    flag("single_jump_semi_a", x, cyc[a], "expected semi_stable")
+            if cw != SEMI_STABLE:
                 flag("single_jump_semi_w", x, w, "expected semi_stable")
 
 
@@ -537,10 +537,9 @@ def _check_twin_half_cycles(f, w, struct, verdicts, report, flag):
         return
     report.applied.append("twin_half_cycles")
     inter = set(plus_cyc.points) & set(minus_cyc.points)
-    nodes = struct.nodes
     for z in sorted(inter):
         cz = verdicts.get(z)
-        if cz in _MIRROR and any(verdicts[p] != cz for p in nodes):
+        if cz in _MIRROR and any(c != cz for c in verdicts.values()):
             flag(f"twin_{cz}", z, w, f"{cz} intersection, non-{cz} node")
         if cz == SEMI_STABLE:
             for y in sorted(inter):

@@ -3,17 +3,19 @@ exceptional; basins near special points; and the orbit-count bound.
 
 The workhorse is the monotone window of a point: the largest interval around
 it on which every iterate up to a given depth stays continuous and monotone.
-It is computed locally, in one forward sweep (`orbits.segment_sweep`) that
-carries the affine segments of the current iterate on the current window:
-each step reads the iterate's image off its two end segments, clips it to
-the gap between the special points around the point's own iterate, pulls
-each clip back by one affine solve, and pushes the segments once through
-the map, so no global high power is ever materialized.  The segments are
-int tuples stepped through the per-map integer table, and become Fractions
-only where `window_sweep` and `restrict_power` return them.  Trapped /
-free / basin questions reduce to the sign of f^m(t) - t on the segments,
-read off their coefficients by cross-multiplication; where it changes
-sign, the root is the segment's fixed point from `orbits.fixed_points`.
+It is computed locally, in one forward sweep (`orbits._sweep`) that carries
+the affine segments of the current iterate on the current window: each step
+reads the iterate's image off its two end segments, clips it to the gap
+between the special points around the point's own iterate, pulls each clip
+back by one affine solve, and pushes the segments once through the map, so
+no global high power is ever materialized; where the gaps repeat from
+halfway, as at depth 2n at a point of period n, the half sweep is squared
+through its own integer table.  Segments are int tuples, gaps int pairs,
+and they become Fractions only where `window_sweep` and `restrict_power`
+return them.  Trapped / free / basin questions reduce to the sign of
+f^m(t) - t on the segments, read off their coefficients by
+cross-multiplication; where it changes sign, the root is the segment's
+fixed point from `orbits.fixed_points`.
 The attraction atlas, the direction tests and the basin fold clip read
 int segments too, a map's side piece through `PiecewiseMap._side`.
 """
@@ -26,11 +28,12 @@ from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _affine, _locate, _magnitude, _pair, as_fraction)
+                   Segment, _affine, _locate, _magnitude, _pair, _table,
+                   _table_of, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, _germ_key, _successors, ball_stops,
-                     fixed_points, periodic_points, segment_sweep,
-                     special_gaps, walk)
+                     VariantLimitError, _germ_key, _successors, _sweep,
+                     ball_stops, fixed_points, periodic_points,
+                     segment_sweep, special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
@@ -78,11 +81,11 @@ def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
     """The monotone window [u, v] of x together with the affine segments of
     the `depth`-th iterate on it, equal to `restrict_power(f, u, v, depth)`.
 
-    One `orbits.segment_sweep` from [a, b]: the image of the j-th iterate
-    is clipped to the gap between the special points around the j-th
-    iterate of x.  Raises ValueError for a depth below 1 or an x outside
-    [a, b], and DegenerateWindowError when an iterate before the
-    `depth`-th lands on a special point.
+    One sweep from [a, b], the image of the j-th iterate clipped to the
+    gap between the special points around the j-th iterate of x, squared
+    from halfway where those gaps repeat.  Raises ValueError for a depth
+    below 1 or an x outside [a, b], and DegenerateWindowError when an
+    iterate before the `depth`-th lands on a special point.
     """
     u, v, segs = _window(f, as_fraction(x), depth)
     return u, v, _affine(segs)
@@ -90,7 +93,9 @@ def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
 
 def _window(f: PiecewiseMap, x: Fraction, depth: int
             ) -> tuple[Fraction, Fraction, list[Segment]]:
-    """`window_sweep` with the sweep's int segments."""
+    """`window_sweep` with the sweep's int segments.  When gaps[h:] ==
+    gaps[:h], h = depth // 2, the window is the y in the depth-h window W
+    with f^h(y) in W, and its segments R after R, R those of f^h on W."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not f.a <= x <= f.b:
@@ -99,7 +104,13 @@ def _window(f: PiecewiseMap, x: Fraction, depth: int
     if len(gaps) < depth:
         raise DegenerateWindowError(
             f"iterate {len(gaps)} of {x} lands on a special point")
-    return segment_sweep(f, f.a, f.b, [*gaps, None])
+    t, h, ab = _table(f), depth // 2, (_pair(f.a), _pair(f.b))
+    run = _sweep(t, [(*ab, *ab, (1, 0, 1))], [*gaps[:h], None])
+    if gaps[h:] == gaps[:h]:  # R's table splits where f's would
+        segs = _sweep(_table_of(run), run, [(run[0][0], run[-1][1]), None])
+    else:
+        segs = _sweep(t, run, [*gaps[h:], None])
+    return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
 
 
 def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
@@ -197,7 +208,12 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
     x = as_fraction(at_point) if at_point is not None else orb.representative
-    u, v, segs = _window(f, x, 2 * orb.period)
+    return _trap(f, x, orb.period)
+
+
+def _trap(f: PiecewiseMap, x: Fraction, n: int) -> TrapResult:
+    """`is_trapped` at x, on a period-n orbit the caller has checked."""
+    u, v, segs = _window(f, x, 2 * n)
     y = _pick_witness(segs, u, x, True, [(u + 3 * x) / 4])
     if y is None:
         return TrapResult(False)
@@ -243,7 +259,7 @@ def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
     trapped = False
     witness = None
     if not critical and not boundary:
-        results = [is_trapped(f, orb, at_point=p) for p in orb.points]
+        results = [_trap(f, p, orb.period) for p in orb.points]
         flags = {r.trapped for r in results}
         if len(flags) != 1:
             raise TaxonomyViolation(
@@ -566,13 +582,11 @@ def count_bound(f: PiecewiseMap, horizon: int = 8) -> BoundReport:
         cls = classify_point(f, orb.representative, require_confined=False)
         if cls not in (STABLE, SEMI_STABLE):
             continue
-        critical = any(p in turns for p in orb.points)
-        boundary = any(p in (f.a, f.b) for p in orb.points)
-        if not critical and not boundary and orb.kind != INTERVAL_FAMILY:
-            if is_trapped(f, orb).trapped:
-                continue
         if orb.kind == INTERVAL_FAMILY:
             continue
+        if not any(p in turns or p in (f.a, f.b) for p in orb.points):
+            if _trap(f, orb.representative, orb.period).trapped:
+                continue
         counted.append(orb)
     n_t, n_d = len(special.turning), len(special.discontinuities)
     bound = n_t + 2 * n_d + 2

@@ -663,6 +663,48 @@ def test_reports_read_nodes_by_position(monkeypatch):
     assert largest > 64
 
 
+def test_cycle_reports_read_nodes_by_position(monkeypatch):
+    """On cold maps whose node classes the propagation report has found, a
+    cycle report hashes at most two Fractions per node and edge outside the
+    twin half-cycle check, which looks the half-point cycles' points up by
+    value: node classes, cycles, the core and the jump and turning nodes
+    are read by node position, not per cycle position."""
+    hashes, paused = [0], [False]
+    real_hash, real_twin = F.__hash__, stability._check_twin_half_cycles
+
+    def counted_hash(self):
+        hashes[0] += not paused[0]
+        return real_hash(self)
+
+    def uncounted_twin(*args):
+        paused[0] = True
+        try:
+            real_twin(*args)
+        finally:
+            paused[0] = False
+
+    applied, largest = Counter(), 0
+    maps = [f for seed in (17, 19, 31)
+            for f in _corpus(GeneratorConfig(seed=seed), "positions", 150)]
+    for f in map(_cold, maps):
+        for st in closed_structures(f):
+            if len(st.nodes) > stability.CYCLE_NODE_BUDGET:
+                continue
+            stability_propagation_report(f, st)
+            with monkeypatch.context() as m:
+                m.setattr(F, "__hash__", counted_hash)
+                m.setattr(stability, "_check_twin_half_cycles",
+                          uncounted_twin)
+                hashes[0] = 0
+                report = cycle_stability_report(f, st)
+            size = len(st.nodes) + len(st.edges)
+            assert hashes[0] <= 2 * size, \
+                (f.to_text(), st.root, hashes[0], size)
+            applied.update(set(report.applied))
+            largest = max(largest, len(st.nodes))
+    assert largest > 50 and min(applied.values()) > 1, (largest, applied)
+
+
 # -- the cycle-level clauses as each stable / unstable pair was written out,
 # the reference ------------------------------------------------------------
 

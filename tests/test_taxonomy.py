@@ -86,6 +86,28 @@ def test_trapped_shift_family_equalities(maps):
     assert gap[y] == 0 and gap[z] == 0  # equality witnesses
 
 
+def test_trapped_at_each_orbit_point():
+    """`is_trapped` at every point of every non-critical interior
+    continuous orbit of a seeded corpus: the flags agree along the orbit,
+    and the first point's witness is the one `taxonomy` reports."""
+    seen = {True: 0, False: 0}
+    for f in _corpus(GeneratorConfig(seed=89, max_pieces=3), "points", 120):
+        turns = set(f.special_points().turning)
+        for orb in periodic_points(f, 4, max_power=8):
+            if (not orb.continuous or turns & set(orb.points)
+                    or {f.a, f.b} & set(orb.points)):
+                continue
+            results = [is_trapped(f, orb, at_point=p) for p in orb.points]
+            assert len({r.trapped for r in results}) == 1, \
+                (f.to_text(), orb.points)
+            tax = taxonomy(f, orb)
+            assert (tax.trapped, tax.trap_witness) == \
+                (results[0].trapped, results[0].witness), \
+                (f.to_text(), orb.points)
+            seen[tax.trapped] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_taxonomy_pinned(maps):
     tent_tax = taxonomy(maps["tent"], orbit_at(maps["tent"], F(3, 5), 1))
     assert (tent_tax.critical, tent_tax.trapped, tent_tax.free) == \
