@@ -20,7 +20,8 @@ from `Walk.trail`.  The periodic-orbit enumeration and the
 code-conformance test of `codes` check a candidate with one such walk,
 `fixed_cycle`, and take their candidates from one solver, `fixed_points`,
 which reads them off int segments by cross-multiplication: the powers'
-segments in the power cache of `maps`, and a code interval's sweep.
+segments in the power cache of `maps`, and a code interval's sweep; the
+enumeration skips a candidate on a point orbit it has already added.
 
 The same step drives the other exact iterations: `structure` expands all
 variant orbits breadth-first on pairs; `interval_walk` steps a union of
@@ -723,9 +724,10 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
     in the power cache with `fixed_points`, without building the power as
     a map: isolated points, kept when `fixed_cycle` finds them at minimal
     period n, and whole fixed intervals where a piece of the power is the
-    identity (split at points whose orbits hit a jump).  Half-point cycles
-    at jumps are found through germ orbits.  Each orbit is reported once,
-    at its minimal period.  Memoized on f per (max_period, guard), since
+    identity (split at points whose orbits hit a jump); a point of an
+    orbit already added is not walked again.  Half-point cycles at jumps
+    are found through germ orbits.  Each orbit is reported once, at its
+    minimal period.  Memoized on f per (max_period, guard), since
     `max_power` only bounds max_period; each call gets a new list.
     """
     limit = max_power if max_power is not None else 12
@@ -741,6 +743,7 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, guard: int
     """The sorted orbits behind `periodic_points`."""
     jumps = set(f.special_points().discontinuities)
     found: dict = {}
+    on_orbit: set[Fraction] = set()  # points of the point orbits added
 
     def add(orb: PeriodicOrbit) -> None:
         found.setdefault(orb.key(), orb)
@@ -752,11 +755,12 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, guard: int
         for orb in families:
             add(orb)
         for x in points:
-            cycle = fixed_cycle(f, x, n)
+            cycle = None if x in on_orbit else fixed_cycle(f, x, n)
             if cycle is None or len(cycle) != n \
                     or _inside_family(x, families, f):
                 continue
             add(PeriodicOrbit(cycle, n, None, POINT))
+            on_orbit.update(cycle)
 
     for w in sorted(jumps):
         for side in (MINUS, PLUS):

@@ -10,12 +10,13 @@ between the special points around the point's own iterate, pulls each clip
 back by one affine solve, and pushes the segments once through the map, so
 no global high power is ever materialized; where the gaps repeat from
 halfway, as at depth 2n at a point of period n, the half sweep is squared
-through its own integer table.  Segments are int tuples, gaps int pairs,
-and they become Fractions only where `window_sweep` and `restrict_power`
-return them.  Trapped / free / basin questions reduce to the sign of
-f^m(t) - t on the segments, read off their coefficients by
-cross-multiplication; where it changes sign, the root is the segment's
-fixed point from `orbits.fixed_points`.
+through its own integer table.  An orbit's gaps are stepped once and
+rotated from point to point (`_orbit_gaps`).  Segments are int tuples,
+gaps int pairs, and they become Fractions only where `window_sweep`,
+`restrict_power` and the trap witnesses return them.  Trapped / free /
+basin questions reduce to the sign of f^m(t) - t on the segments, read
+off their coefficients by cross-multiplication; where it changes sign,
+the root is the segment's fixed point from `orbits.fixed_points`.
 The attraction atlas, the direction tests and the basin fold clip read
 int segments too, a map's side piece through `PiecewiseMap._side`.
 """
@@ -28,8 +29,8 @@ from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _affine, _locate, _magnitude, _pair, _table,
-                   _table_of, as_fraction)
+                   Segment, _affine, _image, _locate, _magnitude, _pair,
+                   _table, _table_of, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, _germ_key, _successors, _sweep,
                      ball_stops, fixed_points, periodic_points,
@@ -93,14 +94,19 @@ def window_sweep(f: PiecewiseMap, x: RationalLike, depth: int
 
 def _window(f: PiecewiseMap, x: Fraction, depth: int
             ) -> tuple[Fraction, Fraction, list[Segment]]:
-    """`window_sweep` with the sweep's int segments.  When gaps[h:] ==
-    gaps[:h], h = depth // 2, the window is the y in the depth-h window W
-    with f^h(y) in W, and its segments R after R, R those of f^h on W."""
+    """`window_sweep` with int segments: `_window_on` at x's special gaps."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not f.a <= x <= f.b:
         raise ValueError(f"{x} outside [{f.a}, {f.b}]")
-    gaps = special_gaps(f, x, depth)
+    return _window_on(f, x, special_gaps(f, x, depth), depth)
+
+
+def _window_on(f: PiecewiseMap, x: Fraction, gaps: list[tuple[Pair, Pair]],
+               depth: int) -> tuple[Fraction, Fraction, list[Segment]]:
+    """`_window` from x's gaps.  When gaps[h:] == gaps[:h], h = depth // 2,
+    the window is the y in the depth-h window W with f^h(y) in W, and its
+    segments R after R, R those of f^h on W."""
     if len(gaps) < depth:
         raise DegenerateWindowError(
             f"iterate {len(gaps)} of {x} lands on a special point")
@@ -111,6 +117,18 @@ def _window(f: PiecewiseMap, x: Fraction, depth: int
     else:
         segs = _sweep(t, run, [*gaps[h:], None])
     return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
+
+
+def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit
+                ) -> list[list[tuple[Pair, Pair]]]:
+    """`special_gaps(f, p, 2n)` at each listed point p of a period-n orbit:
+    the first point's whole gaps, rotated, where f takes each to the next."""
+    n, t, keys = orb.period, _table(f), [_pair(p) for p in orb.points]
+    gaps = special_gaps(f, orb.points[0], 2 * n)
+    if len(gaps) == 2 * len(keys) == 2 * n and keys[1:] + keys[:1] == [
+            _image(t, *k, None) for k in keys]:
+        return [gaps[k:] + gaps[:k] for k in range(n)]
+    return [gaps, *(special_gaps(f, p, 2 * n) for p in orb.points[1:])]
 
 
 def restrict_power(f: PiecewiseMap, lo: Fraction, hi: Fraction, m: int
@@ -143,17 +161,17 @@ def _clip(seg: Segment, lo: Pair, hi: Pair) -> Optional[tuple[Pair, Pair]]:
 
 
 def _pick_witness(segs: list[Segment], lo: Fraction, hi: Fraction,
-                  want_le: bool, preferred: list[Fraction]
+                  want_le: bool, preferred: list[Pair]
                   ) -> Optional[Fraction]:
     """A point of the open interval (lo, hi) where the diagonal gap has the
-    requested sign (equality allowed): the first preferred candidate that
-    has it, else the point nearest the centre among the middle and ends of
-    each segment's part of (lo, hi) where the gap has that sign."""
+    requested sign (equality allowed): the first preferred candidate (an
+    int pair) that has it, else the point nearest the centre among the
+    middle and ends of each segment's part of (lo, hi) with that sign."""
     (ln, ld), (hn, hd) = lo_hi = _pair(lo), _pair(hi)
     sign = 1 if want_le else -1
 
     def ok(t):
-        p, q = t = _pair(t)
+        p, q = t
         if not (ln * q < p * ld and p * hd < hn * q):
             return False
         # the gap on the first segment ending at or past t, which holds it
@@ -162,9 +180,9 @@ def _pick_witness(segs: list[Segment], lo: Fraction, hi: Fraction,
 
     for cand in preferred:
         if ok(cand):
-            return cand
+            return Fraction(*cand)
     best = None
-    centre = (lo + hi) / 2
+    c = (lo + hi) / 2  # the centre
     for seg in segs:
         clip = _clip(seg, *lo_hi)
         if clip is None:
@@ -178,7 +196,7 @@ def _pick_witness(segs: list[Segment], lo: Fraction, hi: Fraction,
         a = fixed_points([seg])[0][0] if gp > 0 else Fraction(*p)
         b = fixed_points([seg])[0][0] if gq > 0 else Fraction(*q)
         for t in ((a + b) / 2, a, b):
-            if ok(t) and (best is None or abs(t - centre) < abs(best - centre)):
+            if ok(_pair(t)) and (best is None or abs(t - c) < abs(best - c)):
                 best = t
                 break
     return best
@@ -208,19 +226,29 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
     x = as_fraction(at_point) if at_point is not None else orb.representative
-    return _trap(f, x, orb.period)
+    return _trap(f, x, orb.period, special_gaps(f, x, 2 * orb.period))
 
 
-def _trap(f: PiecewiseMap, x: Fraction, n: int) -> TrapResult:
-    """`is_trapped` at x, on a period-n orbit the caller has checked."""
-    u, v, segs = _window(f, x, 2 * n)
-    y = _pick_witness(segs, u, x, True, [(u + 3 * x) / 4])
+def _trap(f: PiecewiseMap, x: Fraction, n: int,
+          gaps: list[tuple[Pair, Pair]]) -> TrapResult:
+    """`is_trapped` at x, on a period-n orbit the caller has checked, from
+    x's 2n gaps; the candidates (u + 3x)/4, 2x - y, (v + 3x)/4 and the
+    margin min(y - u, v - z)/2 are int pairs until a result is made."""
+    u, v, segs = _window_on(f, x, gaps, 2 * n)
+    (un, ud), (vn, vd), (xn, xd) = _pair(u), _pair(v), _pair(x)
+    y = _pick_witness(segs, u, x, True,
+                      [(un * xd + 3 * xn * ud, 4 * ud * xd)])
     if y is None:
         return TrapResult(False)
-    z = _pick_witness(segs, x, v, False, [2 * x - y, (v + 3 * x) / 4])
+    yn, yd = _pair(y)
+    z = _pick_witness(segs, x, v, False,
+                      [(2 * xn * yd - yn * xd, xd * yd),
+                       (vn * xd + 3 * xn * vd, 4 * vd * xd)])
     if z is None:
         return TrapResult(False)
-    return TrapResult(True, (y, z, min(y - u, v - z) / 2))
+    zn, zd = _pair(z)
+    m = min((yn * ud - un * yd) * vd * zd, (vn * zd - zn * vd) * yd * ud)
+    return TrapResult(True, (y, z, Fraction(m, 2 * yd * ud * vd * zd)))
 
 
 @dataclass(frozen=True)
@@ -259,7 +287,8 @@ def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
     trapped = False
     witness = None
     if not critical and not boundary:
-        results = [_trap(f, p, orb.period) for p in orb.points]
+        results = [_trap(f, p, orb.period, gaps)
+                   for p, gaps in zip(orb.points, _orbit_gaps(f, orb))]
         flags = {r.trapped for r in results}
         if len(flags) != 1:
             raise TaxonomyViolation(
@@ -381,14 +410,12 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
     atlas: dict[PeriodicOrbit, list[AttractionBall]] = {}
     turns = set(f.special_points().turning)
     for orb in orbits:
-        if not orb.continuous:
-            continue
-        if any(p in turns for p in orb.points):
+        if not orb.continuous or any(p in turns for p in orb.points):
             continue
         balls = []
-        for p in orb.points:
+        for p, gaps in zip(orb.points, _orbit_gaps(f, orb)):
             try:
-                u, v, segs = _window(f, p, 2 * orb.period)
+                u, v, segs = _window_on(f, p, gaps, 2 * orb.period)
             except DegenerateWindowError:
                 continue
             t = _pair(p)
@@ -477,8 +504,8 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
     n = orb.period
     turns = set(f.special_points().turning)
     witnesses = []
-    for xk in orb.points:
-        u, v, segs = _window(f, xk, 2 * n)
+    for xk, gaps in zip(orb.points, _orbit_gaps(f, orb)):
+        u, v, segs = _window_on(f, xk, gaps, 2 * n)
         if u != f.a and _strict_gap_on(segs, u, xk, False):
             wit = _push_edge(f, orb, xk, u, side_right=False, turns=turns, n=n)
             if wit:
@@ -580,12 +607,11 @@ def count_bound(f: PiecewiseMap, horizon: int = 8) -> BoundReport:
         if not orb.continuous:
             continue
         cls = classify_point(f, orb.representative, require_confined=False)
-        if cls not in (STABLE, SEMI_STABLE):
-            continue
-        if orb.kind == INTERVAL_FAMILY:
+        if cls not in (STABLE, SEMI_STABLE) or orb.kind == INTERVAL_FAMILY:
             continue
         if not any(p in turns or p in (f.a, f.b) for p in orb.points):
-            if _trap(f, orb.representative, orb.period).trapped:
+            x, n = orb.representative, orb.period
+            if _trap(f, x, n, special_gaps(f, x, 2 * n)).trapped:
                 continue
         counted.append(orb)
     n_t, n_d = len(special.turning), len(special.discontinuities)
