@@ -306,10 +306,7 @@ def _cmd_taxonomy(f, args) -> int:
     for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
         if not orb.continuous:
             continue
-        try:
-            tax = taxonomy(f, orb)
-        except PreconditionError:
-            continue
+        tax = taxonomy(f, orb)
         flags = []
         if tax.critical:
             flags.append("critical")
@@ -332,10 +329,7 @@ def _cmd_basin(f, args) -> int:
     for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
         if orb.kind != POINT:
             continue
-        try:
-            tax = taxonomy(f, orb)
-        except PreconditionError:
-            continue
+        tax = taxonomy(f, orb)
         if not tax.free or tax.exceptional:
             continue
         for wit in basin_adjacent_special(f, orb):

@@ -150,12 +150,9 @@ class Certifier:
     """
 
     def __init__(self, f: PiecewiseMap):
-        sset = set(f.special_points().points)
-        boundaries = sorted({f.a, f.b, *f.breakpoints})  # sset among them
+        boundaries = sorted({f.a, f.b, *f.breakpoints})  # specials among them
         locks = []
         for orb, balls in _map_atlas(f).items():
-            if any(p in sset for p in orb.points):
-                continue
             clearance = min(min(abs(c - p) for c in boundaries if c != p)
                             for p in orb.points)
             stretch = worst = Fraction(1)
@@ -204,22 +201,20 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
         cycle = orb.points[k:] + orb.points[:k]
     prefix_choices = [part.indices_of(p) for p in prefix]
     if cycle is None:
-        out = {Code(head, None, True) for head in
-               _expand(prefix_choices, limit=MAX_CODES)}
+        out = {Code(head, None, True) for head in _expand(prefix_choices)}
         return tuple(sorted(out, key=lambda c: c.prefix))
     cycle_choices = [part.indices_of(p) for p in cycle]
     out = set()
-    for pre in _expand(prefix_choices, limit=MAX_CODES):
-        for cyc in _expand(cycle_choices, limit=MAX_CODES):
+    for pre in _expand(prefix_choices):
+        for cyc in _expand(cycle_choices):
             out.add(_finish_code(pre, cyc))
     return tuple(sorted(out, key=lambda c: (c.prefix, c.cycle)))
 
 
-def _expand(choices: list[tuple[int, ...]], limit: int
-            ) -> list[tuple[int, ...]]:
+def _expand(choices: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     outs: list[tuple[int, ...]] = [()]
     for options in choices:
-        outs = [prev + (o,) for prev in outs for o in options][:limit]
+        outs = [prev + (o,) for prev in outs for o in options][:MAX_CODES]
     return outs
 
 

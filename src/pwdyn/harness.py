@@ -9,11 +9,15 @@ magnitude-one branches: the neutral regime is where the edge cases live.
 
 Each property counts its cases on one `PropertyResult`.  A case passes
 exactly when it records no failure (`case()`).  A NOT_APPLICABLE error
-becomes a skip in one place, `skipping()`, around a whole case or, through
-`call()`, around one call.  A case skipped that way neither passes nor
-fails; when only one part of it (a structure, orbit or point) is skipped,
-the case still passes or fails on the rest.  Every other error propagates:
-a bug-class `TaxonomyViolation` is a failure where a property checks for it
+becomes a skip in `skipping()`, around a whole case or, through `call()`,
+around one call.  A case skipped that way neither passes nor fails; when
+only one part of it (a structure, orbit or point) is skipped, the case
+still passes or fails on the rest.  Two NOT_APPLICABLE catches skip with
+no count: where `periodic_points` does not apply, `closed_structures`
+leaves out the periodic roots and `attractor_duality` the orbits; and
+`attractor_duality` passes over the orbits `attractor_regular_source`
+rejects with a PreconditionError.  Every other error propagates: a
+bug-class `TaxonomyViolation` is a failure where a property checks for it
 and stops the suite elsewhere.  `basin_witnesses` alone passes a map only
 when some witness holds, and skips it otherwise.
 """
@@ -43,9 +47,8 @@ from .stability import (UNSTABLE, classify_point, cycle_stability_report,
                         germs_of, oracle_classify,
                         stability_propagation_report,
                         subsampled_stability_report)
-from .taxonomy import (NOT_APPLICABLE, DegenerateWindowError,
-                       PreconditionError, TaxonomyViolation, attracted,
-                       basin_adjacent_special, count_bound,
+from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
+                       attracted, basin_adjacent_special, count_bound,
                        exceptional_census, taxonomy)
 
 
@@ -607,8 +610,6 @@ def _prop_taxonomy(cfg, count, result):
                     continue
                 try:
                     tax = taxonomy(f, orb)
-                except PreconditionError:
-                    continue
                 except TaxonomyViolation as exc:
                     result.fail(f, f"taxonomy violation: {exc}",
                                 points=orb.points)
@@ -648,10 +649,7 @@ def _prop_basins(cfg, count, result):
         for orb in orbits:
             if orb.kind != POINT:
                 continue
-            try:
-                tax = taxonomy(f, orb)
-            except (PreconditionError, DegenerateWindowError):
-                continue
+            tax = taxonomy(f, orb)
             if not tax.free or tax.exceptional:
                 continue
             witnesses = result.call(basin_adjacent_special, f, orb)
@@ -735,7 +733,7 @@ def _prop_duality(cfg, count, result):
                     try:
                         w, verdict = attractor_regular_source(f, orb,
                                                               horizon=4)
-                    except (PreconditionError, DegenerateWindowError):
+                    except PreconditionError:
                         continue
                     except CertificationError as exc:
                         result.fail(f, f"reverse construction failed: {exc}",

@@ -110,6 +110,12 @@ def opposite(side: Side) -> Side:
     return MINUS if side == PLUS else PLUS
 
 
+def _plus(side: Side) -> bool:
+    if side not in (MINUS, PLUS):
+        raise ValueError(f"side must be {MINUS!r} or {PLUS!r}, not {side!r}")
+    return side == PLUS
+
+
 @dataclass(frozen=True)
 class AffinePiece:
     """One open affine branch (left, right) -> slope*x + intercept."""
@@ -223,7 +229,7 @@ class PiecewiseMap:
     def lateral(self, p: RationalLike, side: Side) -> Fraction:
         """Exact one-sided limit at p from the given side."""
         p = as_fraction(p)
-        c = self._segs[self._side(p, side == PLUS)][4]
+        c = self._segs[self._side(p, _plus(side))][4]
         return Fraction(*_apply(c, *_pair(p)))
 
     def value(self, x: RationalLike) -> Optional[Fraction]:

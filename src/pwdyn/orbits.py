@@ -52,7 +52,7 @@ from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
 from .maps import (MAX_PIECES, MINUS, PLUS, Pair, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, Segment, Side,
                    _apply, _branch, _image, _locate, _magnitude, _pair,
-                   _push_segments, _solve, _Table, _table, as_fraction)
+                   _plus, _push_segments, _solve, _Table, _table, as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -480,11 +480,12 @@ class Germ:
     side: Side
 
     def validate(self, f: PiecewiseMap) -> None:
+        plus = _plus(self.side)
         if not f.a <= self.point <= f.b:
             raise ValueError(f"{self.point} outside [{f.a}, {f.b}]")
-        if self.point == f.a and self.side == MINUS:
+        if self.point == f.a and not plus:
             raise ValueError("no left-hand germ at the left endpoint")
-        if self.point == f.b and self.side == PLUS:
+        if self.point == f.b and plus:
             raise ValueError("no right-hand germ at the right endpoint")
 
 
@@ -788,25 +789,21 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
 
     The piece is cut at points whose stepwise orbits hit a special point
     (inside an identity piece that is always a jump: an orbit meeting a turn
-    first makes the power two-to-one there) and at every fixed point of a
-    proper divisor power (isolated ones become cut points, identity pieces
-    of the divisor become blocked sub-intervals), so every reported family
-    has uniform minimal period n.
+    first makes the power two-to-one there) and at the fixed points that
+    `fixed_points` lists for each proper divisor power f^d, so every family
+    has uniform minimal period n.  An identity run of f^d is not blocked:
+    its ends are such points or special points of f^d, and the cycle of a
+    mid inside it has a length dividing d, which the period test rejects.
     """
     cuts = {x for x in f.special_preimage_set(n) if left < x < right}
-    blocked: list[tuple[Fraction, Fraction]] = []
     for d in range(1, n):
         if n % d != 0:
             continue
-        points, identities = fixed_points(f._power_segments(d, MAX_PIECES))
+        points, _ = fixed_points(f._power_segments(d, MAX_PIECES))
         cuts.update(x for x in points if left < x < right)
-        blocked += [(max(left, lo), min(right, hi)) for lo, hi in identities
-                    if lo < right and hi > left]
-    bounds = sorted({left, right, *cuts, *itertools.chain(*blocked)})
+    bounds = sorted({left, right, *cuts})
     for lo, hi in zip(bounds, bounds[1:]):
         mid = (lo + hi) / 2
-        if any(blo <= mid <= bhi for blo, bhi in blocked):
-            continue
         cycle = fixed_cycle(f, mid, n)
         if cycle is None or len(cycle) != n:
             continue

@@ -119,10 +119,8 @@ def classify_point(f: PiecewiseMap, x: RationalLike, *,
 # -- interval-iteration oracle ------------------------------------------------
 
 def _gap_to_specials(f: PiecewiseMap, x: Fraction) -> Fraction:
-    others = [p for p in (*f.special_points().points, f.a, f.b) if p != x]
-    if not others:
-        return f.b - f.a
-    return min(abs(p - x) for p in others)
+    return min(abs(p - x) for p in (*f.special_points().points, f.a, f.b)
+               if p != x)  # a < b: one end differs from x
 
 
 def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,
@@ -136,8 +134,8 @@ def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,
     falls below 2^-20 * delta, expanding once it exceeds 2^10 * delta,
     neutral on exact state repetition.  With stride > 1 the thresholds are
     only consulted every stride steps, which is the subsampled stability
-    criterion.  A side that does not exist at x, or an x outside the
-    domain, raises ValueError as `Germ.validate` does.
+    criterion.  A side that does not exist at x or is not minus or plus,
+    or an x outside the domain, raises ValueError as `Germ.validate` does.
     """
     x = as_fraction(x)
     Germ(x, side).validate(f)

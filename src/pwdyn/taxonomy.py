@@ -226,6 +226,8 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
     x = as_fraction(at_point) if at_point is not None else orb.representative
+    if f.a <= x <= f.b and x not in orb.points:  # off [a, b]: ValueError
+        raise PreconditionError(f"{x} is not a point of the orbit")
     return _trap(f, x, orb.period, special_gaps(f, x, 2 * orb.period))
 
 
@@ -414,10 +416,7 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
             continue
         balls = []
         for p, gaps in zip(orb.points, _orbit_gaps(f, orb)):
-            try:
-                u, v, segs = _window_on(f, p, gaps, 2 * orb.period)
-            except DegenerateWindowError:
-                continue
+            u, v, segs = _window_on(f, p, gaps, 2 * orb.period)
             t = _pair(p)
             cuts = (*(s[0] for s in segs), segs[-1][1])
             i = _locate(cuts, *t)  # segment i - 1 holds p or ends there
@@ -506,32 +505,25 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
     witnesses = []
     for xk, gaps in zip(orb.points, _orbit_gaps(f, orb)):
         u, v, segs = _window_on(f, xk, gaps, 2 * n)
-        if u != f.a and _strict_gap_on(segs, u, xk, False):
-            wit = _push_edge(f, orb, xk, u, side_right=False, turns=turns, n=n)
-            if wit:
-                witnesses.append(wit)
-        if v != f.b and _strict_gap_on(segs, xk, v, True):
-            wit = _push_edge(f, orb, xk, v, side_right=True, turns=turns, n=n)
-            if wit:
-                witnesses.append(wit)
+        if u != f.a and _strict_gap_on(segs, u, xk, False) and (
+                wit := _push_edge(f, orb, xk, u, turns=turns, n=n)):
+            witnesses.append(wit)
+        if v != f.b and _strict_gap_on(segs, xk, v, True) and (
+                wit := _push_edge(f, orb, xk, v, turns=turns, n=n)):
+            witnesses.append(wit)
     if not witnesses:
         raise TaxonomyViolation(
             f"no one-sided basin edge found for free orbit {orb.points}")
     return witnesses
 
 
-def _push_edge(f, orb, xk, edge, side_right, turns, n) -> Optional[BasinWitness]:
+def _push_edge(f, orb, inner, current, turns, n) -> Optional[BasinWitness]:
     specials = set(f.special_points().points)
-    current = edge
-    inner = xk
     for j in range(2 * n + 1):
         if current in specials:
             return _make_witness(f, orb, current, inner, turns, n, j)
-        nxt = f.value(current)
-        if nxt is None:
-            return None
-        current = nxt
-        inner = f.value(inner)
+        # current is not special, so no jump: its value is defined
+        current, inner = f.value(current), f.value(inner)
         lo, hi = (inner, current) if inner <= current else (current, inner)
         hit = [s for s in specials if lo < s < hi]
         if hit:

@@ -250,13 +250,11 @@ def _ref_basin(f, orb, free, exceptional):
     for xk in orb.points:
         u, v, segs = window_sweep(f, xk, 2 * n)
         if u != f.a and _ref_strict_gap_on(segs, u, xk, False):
-            wit = _push_edge(f, orb, xk, u, side_right=False, turns=turns,
-                             n=n)
+            wit = _push_edge(f, orb, xk, u, turns=turns, n=n)
             if wit:
                 witnesses.append(wit)
         if v != f.b and _ref_strict_gap_on(segs, xk, v, True):
-            wit = _push_edge(f, orb, xk, v, side_right=True, turns=turns,
-                             n=n)
+            wit = _push_edge(f, orb, xk, v, turns=turns, n=n)
             if wit:
                 witnesses.append(wit)
     if not witnesses:

@@ -12,6 +12,8 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
 from pwdyn import orbits
 from pwdyn.harness import GeneratorConfig, _corpus, closed_structures
 from pwdyn.maps import MINUS, PLUS, as_fraction, opposite, parse_map
@@ -21,7 +23,7 @@ from pwdyn.orbits import (DENOM_BIT_CAP, HALF_POINT, Germ, GermOrbit,
 from pwdyn.stability import (CONTRACTING, EXPANDING, NEUTRAL,
                              NotConfinedError, SideClass, classify_point,
                              classify_side, find_connection, germs_of,
-                             stability_propagation_report)
+                             lateral_oracle, stability_propagation_report)
 from pwdyn.taxonomy import _lateral_power
 from test_orbits import _ref_piece_left_of, _ref_piece_right_of
 from test_piece_kernel import _cold, _corpus_maps, _outcome
@@ -318,3 +320,21 @@ def test_germs_are_made_only_for_results(monkeypatch):
         seen.update("accepted" if orb else "rejected" for orb, _ in calls)
     assert checked > 100
     assert {"accepted", "rejected"} <= set(seen), seen
+
+
+def test_a_side_other_than_minus_or_plus_is_an_error(maps):
+    """A germ or a lateral limit on a side other than "minus" or "plus"
+    raises ValueError naming the side, at an endpoint and inside, where
+    the side was once read as minus."""
+    hat = maps["hat"]
+    for x, side in ((F(0), "up"), (F(1, 3), "left"), (F(1, 2), "right"),
+                    (F(1), "plus ")):
+        calls = (lambda: germ_orbit(hat, Germ(x, side)),
+                 lambda: classify_side(hat, x, side,
+                                       require_confined=False),
+                 lambda: lateral_oracle(hat, x, side),
+                 lambda: hat.lateral(x, side))
+        for call in calls:
+            with pytest.raises(ValueError, match=repr(side)):
+                call()
+    assert hat.lateral(F(1, 2), MINUS) == hat.lateral(F(1, 2), PLUS) == F(5, 8)

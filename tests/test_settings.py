@@ -11,6 +11,8 @@ call of its `__init__`, and a method's positional slots start after `self`.
 import ast
 from pathlib import Path
 
+from pwdyn.taxonomy import NOT_APPLICABLE
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pwdyn"
 CALLER_DIRS = ("src", "tests", "perfbench")
@@ -532,3 +534,55 @@ def test_piece_reader_check_sees_the_old_direction_test():
         "               if p.left < hi and p.right > lo)\n"))
     assert _piece_readers("taxonomy.py", ast.parse(source)) == {
         "taxonomy.py:_monotone_on"}
+
+
+def _not_applicable_catches(name, tree):
+    """`file:function` of every `except` that names NOT_APPLICABLE or one
+    of its members, alone or in a tuple."""
+    members = {"NOT_APPLICABLE", *(e.__name__ for e in NOT_APPLICABLE)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                  else [node.type])
+        if members & {_word(e) for e in caught}:
+            found.append(f"{name}:{_innermost(tree, node)}")
+    return found
+
+
+def test_not_applicable_catches_are_pinned():
+    """A NOT_APPLICABLE error is caught only where a suite case is skipped
+    (`PropertyResult.skipping`), where a sweep leaves out what does not
+    apply (`closed_structures`, `_prop_duality`'s orbit listing and its
+    orbits that `attractor_regular_source` rejects), and in the CLI's
+    reverse duality check.  The taxonomy of a continuous orbit, its
+    monotone windows and the atlas raise none, so no caller catches one
+    from them."""
+    found = sorted(catch for path, tree in _sources("src/pwdyn")
+                   for catch in _not_applicable_catches(path.name, tree))
+    assert found == ["cli.py:_cmd_theorem5", "harness.py:_prop_duality",
+                     "harness.py:_prop_duality",
+                     "harness.py:closed_structures", "harness.py:skipping"]
+
+
+def test_catch_check_sees_an_added_skip():
+    """A silent `except PreconditionError: continue` around the CLI's
+    taxonomy, and a tuple naming DegenerateWindowError around a window,
+    are both found."""
+    source = (PACKAGE / "cli.py").read_text()
+    old = "        tax = taxonomy(f, orb)\n        flags = []\n"
+    assert old in source
+    source = source.replace(old, "        try:\n"
+                                 "            tax = taxonomy(f, orb)\n"
+                                 "        except PreconditionError:\n"
+                                 "            continue\n"
+                                 "        flags = []\n")
+    assert _not_applicable_catches("cli.py", ast.parse(source)) == [
+        "cli.py:_cmd_taxonomy", "cli.py:_cmd_theorem5"]
+    window = ("def atlas(f, p, gaps, n):\n"
+              "    try:\n"
+              "        return _window_on(f, p, gaps, 2 * n)\n"
+              "    except (ValueError, taxonomy.DegenerateWindowError):\n"
+              "        return None\n")
+    assert _not_applicable_catches("t.py", ast.parse(window)) == ["t.py:atlas"]

@@ -68,6 +68,19 @@ def test_trapped_tent(maps):
     assert delta > 0
 
 
+def test_trapping_off_the_orbit_names_the_point(maps):
+    """A point of the domain that is not on the orbit is a precondition
+    error naming it; a point off the domain keeps its ValueError."""
+    tent = maps["tent"]
+    orb = orbit_at(tent, F(3, 5), 1)
+    for q in (F(1, 7), F(0), F(1), F(2, 5)):
+        with pytest.raises(PreconditionError, match=f"^{q} is not a point"):
+            is_trapped(tent, orb, at_point=q)
+    with pytest.raises(ValueError, match=r"^2 outside \[0, 1\]$"):
+        is_trapped(tent, orb, at_point=F(2))
+    assert is_trapped(tent, orb, at_point=F(3, 5)).trapped
+
+
 def test_trapped_contraction(maps):
     assert not is_trapped(maps["contraction"],
                           orbit_at(maps["contraction"], F(1, 2), 1)).trapped
