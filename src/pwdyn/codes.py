@@ -116,11 +116,9 @@ class Code:
 
 
 def _rotation_period(cycle: tuple[int, ...]) -> int:
-    n = len(cycle)
-    for r in range(1, n + 1):
-        if n % r == 0 and all(cycle[i] == cycle[(i + r) % n] for i in range(n)):
-            return r
-    return n
+    # the least rotation that fixes the cycle divides its length
+    return next(r for r in range(1, len(cycle) + 1)
+                if cycle[r:] + cycle[:r] == cycle)
 
 
 def _finish_code(prefix: tuple[int, ...], cycle: tuple[int, ...]) -> Code:
@@ -145,8 +143,9 @@ class Certifier:
     of the matching orbit point at every future step.  The balls are those
     of the map's horizon-8 attraction atlas, shared with `attracted`, cut
     to that distance once, here: `balls` is the walk's stop-test data,
-    each ball labelled (orbit, centre).  A certifier holds no reference to
-    its map, so memoizing it on the map makes no reference cycle.
+    each ball labelled (orbit, centre); the centres keep the cycle lock of
+    `walk` off the atlas cycles.  A certifier holds no reference to its
+    map, so memoizing it on the map makes no reference cycle.
     """
 
     def __init__(self, f: PiecewiseMap):
@@ -180,21 +179,21 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
     """All codes of x, expanded per orbit position with a two-sided index.
 
     Raises CodeUndefinedError when the orbit hits a jump; returns truncated
-    codes when neither an exact repetition nor a certified limit cycle of
-    the map's `Certifier.of(f)` appears within `cap` steps and the
-    DENOM_BIT_CAP denominator budget.
+    codes when no exact repetition, certified ball of `Certifier.of(f)` or
+    cycle lock (its cycle phased at y after the trail before y) ends the
+    walk within `cap` steps and the DENOM_BIT_CAP denominator budget.
     """
     x = as_fraction(x)
     part = PartitionIntervals.of(f)
     # a special point is never locked: its None label walks on past it
     w = walk(f, x, cap, points=dict.fromkeys(f.special_points().points),
-             balls=Certifier.of(f).balls)
+             balls=Certifier.of(f).balls, lock=True)
     if w.reason == "jump":
         raise CodeUndefinedError(
             f"iterate {len(w.pairs) - 1} of {x} is a jump point")
     prefix, cycle = w.trail, None
-    if w.reason == "repeat":
-        prefix, cycle = prefix[:w.start], prefix[w.start:]
+    if w.reason in ("repeat", "lock"):  # a lock found its cycle
+        prefix, cycle = prefix[:w.start], w.found or prefix[w.start:]
     elif w.reason == "stop":
         orb, center = w.found
         k = orb.points.index(center)
@@ -222,17 +221,17 @@ def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
                            cap: int = DEFAULT_CAP) -> Trivalent:
     """Whether the whole forward orbit of x provably misses the special set.
 
-    Yes through an exact cycle off the special set or through entry into a
-    certified ball of a clear orbit (from the map's `Certifier.of(f)`); no
-    as soon as an iterate is special; unknown when `cap` or the
+    Yes through an exact cycle off the special set, a certified ball of a
+    clear orbit (from the map's `Certifier.of(f)`) or a cycle lock; no as
+    soon as an iterate is special; unknown when `cap` or the
     DENOM_BIT_CAP denominator budget gives out first.
     """
     x = as_fraction(x)
     w = walk(f, x, cap, points=dict.fromkeys(f.special_points().points, NO),
-             balls=Certifier.of(f).balls)
+             balls=Certifier.of(f).balls, lock=True)
     if w.reason == "stop":
         return Trivalent(NO if w.found == NO else YES)
-    if w.reason == "repeat":
+    if w.reason in ("repeat", "lock"):
         return Trivalent(YES)
     return Trivalent(UNKNOWN, DENOM_BIT_CAP if w.reason == "bit_cap" else cap)
 
@@ -318,9 +317,9 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
     good = avoids_special_forever(f, start, cap)
     if good.value != YES:
         return good
-    # the yes walk met no special point and ended on a repeat or in a
-    # certified ball; the codes walk from `start` only relabels special
-    # points, so it ends the same way: never on a jump, never truncated
+    # the yes walk met no special point and ended on a repeat, in a
+    # certified ball or on a lock; the codes walk from `start` only relabels
+    # special points, so it ends the same way: never on a jump or truncated
     periodic = [c for c in side_codes(f, w, side, cap) if c.strictly_periodic]
     if not periodic:
         return Trivalent(NO)

@@ -571,8 +571,12 @@ def _image(t: _Table, p: int, q: int, sel) -> Optional[Pair]:
     """f(p/q) as a reduced pair, f given by its integer step t: at a jump
     the side that `sel` (an `orbits.VariantSelector`, or anything with its
     `side_at`) picks there, or None without one."""
+    return _image_at(t, _locate(t.cuts, p, q), p, q, sel)
+
+
+def _image_at(t: _Table, lo: int, p: int, q: int, sel) -> Optional[Pair]:
+    """`_image` given lo = _locate(t.cuts, p, q), which `walk` keeps."""
     cuts = t.cuts
-    lo = _locate(cuts, p, q)
     if lo and cuts[lo - 1] == (p, q):
         v = t.values[lo - 1]
         if v is None and sel is not None:

@@ -11,12 +11,12 @@ itself has no value there.
 
 Every point-orbit walk goes through `walk`, which runs on (numerator,
 denominator) int pairs from start to stop, stepped by the integer step
-that `maps` memoizes on each map and evaluates with `maps._image`, as
-`variant_step` and `PiecewiseMap.value` do.  Its stop tests are data
-checked in the same arithmetic: labelled points, such as the special
-points, and labelled balls, open intervals that also hold their centre.  Fractions
-appear only at the API boundary: callers pass them in and read them back
-from `Walk.trail`.  The periodic-orbit enumeration and the
+that `maps` memoizes on each map and evaluates with `maps._image_at`.
+Its stop tests are checked in the same arithmetic: labelled points, such
+as the special points, labelled balls, open intervals that also hold
+their centre, and the cycle lock, which certifies a contracting cycle.
+Fractions appear only at the API boundary: callers pass them in and read
+them back from `Walk.trail`.  The periodic-orbit enumeration and the
 code-conformance test of `codes` check a candidate with one such walk,
 `fixed_cycle`, and take their candidates from one solver, `fixed_points`,
 which reads them off int segments by cross-multiplication: the powers'
@@ -46,16 +46,19 @@ import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
+from math import prod
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
 from .maps import (MAX_PIECES, MINUS, PLUS, Pair, PiecewiseMap,
                    PowerLimitError, PwdynError, RationalLike, Segment, Side,
-                   _apply, _branch, _image, _locate, _magnitude, _pair,
-                   _plus, _push_segments, _solve, _Table, _table, as_fraction)
+                   _apply, _branch, _image, _image_at, _locate, _magnitude,
+                   _pair, _plus, _push_segments, _solve, _Table, _table,
+                   as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
+LOCK_WINDOW = 768
 GERM_CAP = 10**4
 VARIANT_BIT_LIMIT = 20
 
@@ -79,9 +82,6 @@ class VariantSelector:
             if point == w:
                 return side
         raise KeyError(f"{w} is not a jump point of this selector")
-
-    def bits(self) -> str:
-        return "".join("1" if side == PLUS else "0" for _, side in self.choice)
 
 
 def variants(f: PiecewiseMap, *, bit_limit: int = VARIANT_BIT_LIMIT
@@ -132,7 +132,7 @@ class Walk(NamedTuple):
 
 def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
          points: Optional[Mapping[Fraction, object]] = None,
-         balls: tuple[Ball, ...] = (),
+         balls: tuple[Ball, ...] = (), lock: bool = False,
          sel: Optional[VariantSelector] = None) -> Walk:
     """Step x under f until the first literal repetition: the one
     point-orbit walk.
@@ -143,9 +143,13 @@ def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
     the walk with its label ("stop") if the label is truthy and goes on if
     it is falsy; any other point is tested against `balls` (from
     `ball_stops`), and the first ball that holds it decides in the same
-    way.  A point that passes joins the trail; a jump of f that `sel` does
-    not resolve ends the walk there ("jump"), and `cap` points end it
-    ("cap").  A start outside the domain raises ValueError when stepped.
+    way.  A point that passes joins the trail.  With `lock`, the cycle
+    lock `_lock` runs at trail lengths 64, 128, 256, ...; once it proves
+    that the orbit converges to a cycle through no ball centre, never
+    meeting a cut, it ends the walk ("lock"), `start` the index of the y
+    it starts from and `found` the cycle, phased at y.  An unresolved
+    jump ends the walk ("jump"), and `cap` points end it ("cap").  A
+    start outside the domain raises ValueError when stepped.
 
     The walk runs on (numerator, denominator) pairs throughout, through
     the integer step memoized on f; Fractions appear only in `Walk.trail`.
@@ -157,7 +161,8 @@ def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
         _pair(p): label for p, label in points.items()}
     seen: dict[Pair, int] = {}
     pairs: list[Pair] = []
-    key = _pair(x)
+    at: list[int] = []  # the bounds at or below each point: its piece
+    key, check = _pair(x), 64 if lock else 0  # the next lock's length
     for _ in range(cap):
         start = seen.get(key)
         if start is not None:
@@ -177,10 +182,49 @@ def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
             return Walk(pairs, None, "stop", label)
         seen[key] = len(pairs)
         pairs.append(key)
-        key = _image(t, p, q, sel)
+        at.append(_locate(t.cuts, p, q))
+        if len(pairs) == check:
+            check *= 2
+            cycle = _lock(t, pairs[-LOCK_WINDOW:], at[-LOCK_WINDOW:], balls)
+            if cycle:
+                return Walk(pairs, len(pairs) - 1 - len(cycle), "lock", cycle)
+        key = _image_at(t, at[-1], p, q, sel)
         if key is None:
             return Walk(pairs, None, "jump")
     return Walk(pairs, None, "cap")
+
+
+def _lock(t: _Table, tail: list[Pair], at: list[int],
+          balls: tuple[Ball, ...]) -> Optional[tuple[Fraction, ...]]:
+    """The cycle c, f(c), ... the orbit through `tail` converges to, or
+    None: the pieces (`at` - 1) are p-periodic, p <= len/2; from y, p
+    points back, they compose to F(t) = alpha*t + beta, |alpha| < 1, fixing
+    c; J = [c - r, c + r], r = |y - c|, and its images stay in them."""
+    cuts, coefs = t.cuts, t.coefs
+    word, n = "".join(map(chr, at)), len(at) // 2  # slices compare in C
+    # any period p <= n repeats the first half at p, and the first repeat
+    p = word.find(word[:-n], 1)  # of the first half is then the least one
+    run = (list(zip(tail[-1 - p:-1], at[-1 - p:-1]))
+           if 0 < p <= n and word[p:] == word[:-p] else [])
+    an, ad = (prod(coefs[i - 1][k] for _, i in run) for k in (0, 2))
+    if abs(an) >= ad or any(cuts[i - 1] == pt for pt, i in run):
+        return None  # not contracting, or J would hold a cut
+    (yn, yd), (zn, zd) = tail[-1 - p], tail[-1]
+    lo, hi = cuts[run[0][1] - 1], cuts[run[0][1]]  # y's piece
+    F = (an * yd * zd, zn * ad * yd - an * yn * zd, ad * yd * zd)  # F(y) = z
+    root = fixed_points([(lo, hi, _apply(F, *lo), _apply(F, *hi), F)])[0]
+    if not root:
+        return None
+    cn, cd = c = _pair(root[0])
+    e = _pair(Fraction(2 * cn * yd - yn * cd, cd * yd))  # J's end 2c - y
+    cycle, centres = [], {b[4:6] for b in balls}
+    for _, i in run:
+        (ln, ld), (hn, hd), (en, ed) = cuts[i - 1], cuts[i], e
+        if ln * ed >= en * ld or en * hd >= hn * ed or c in centres:
+            return None
+        cycle.append(c)
+        e, c = _apply(coefs[i - 1], *e), _apply(coefs[i - 1], *c)
+    return tuple(Fraction(*c) for c in cycle)
 
 
 Quad = tuple[int, int, int, int]

@@ -119,8 +119,11 @@ def classify_point(f: PiecewiseMap, x: RationalLike, *,
 # -- interval-iteration oracle ------------------------------------------------
 
 def _gap_to_specials(f: PiecewiseMap, x: Fraction) -> Fraction:
-    return min(abs(p - x) for p in (*f.special_points().points, f.a, f.b)
-               if p != x)  # a < b: one end differs from x
+    (xn, xd), best = _pair(x), (1, 0)  # |n/d - x| = g / (d * xd); 1/0
+    for n, d in map(_pair, (*f.special_points().points, f.a, f.b)):
+        if (g := abs(n * xd - xn * d)) and g * best[1] < best[0] * d:
+            best = g, d
+    return Fraction(best[0], best[1] * xd)  # a < b: one end differs from x
 
 
 def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,

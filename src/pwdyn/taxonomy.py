@@ -454,21 +454,21 @@ def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
     """Whether the orbit of y converges to the given periodic orbit.
 
     Yes once the orbit enters a certified contraction ball of the target (or
-    lands exactly on it) in the map's horizon-8 atlas; no when it hits a
-    jump, lands exactly on a different cycle, or enters a certified ball of
-    a different orbit; unknown when `cap` steps or the DENOM_BIT_CAP
-    denominator budget run out first.
+    lands exactly on it) in the map's horizon-8 atlas, or the cycle lock
+    of `walk` settles on it; no when it hits a jump, lands exactly on, or
+    enters a certified ball of or locks onto, a different orbit; unknown
+    when `cap` steps or the DENOM_BIT_CAP denominator budget run out first.
     """
     y = as_fraction(y)
-    target_points = set(orb.points)
+    target = set(orb.points)
     balls = f._memo(("atlas_balls", ATLAS_HORIZON), lambda: ball_stops(
         (*ball.span(ball.radius), ball.center, other)
         for other, ring in _map_atlas(f).items() for ball in ring))
-    w = walk(f, y, cap, balls=balls)
-    if w.reason == "repeat":
-        return "yes" if set(w.trail[w.start:]) == target_points else "no"
+    w = walk(f, y, cap, balls=balls, lock=True)
+    if w.reason in ("repeat", "lock"):  # a lock found its cycle
+        return "yes" if set(w.found or w.trail[w.start:]) == target else "no"
     if w.reason == "stop":
-        return "yes" if set(w.found.points) == target_points else "no"
+        return "yes" if set(w.found.points) == target else "no"
     return "no" if w.reason == "jump" else "unknown"
 
 

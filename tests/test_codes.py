@@ -126,8 +126,17 @@ def test_jump_with_two_unknown_sides_is_unknown():
         assert regularity_certificate(f, w, 20, side=side).value == "unknown"
     assert regularity_certificate(f, w, 20) == Trivalent("unknown", 20)
     assert is_regular(f, w, 20) == Trivalent("unknown", 20)
+    # at the default cap both sides lock onto a period-9 cycle, beyond the
+    # horizon-8 atlas, and the minus side certifies it as the attractor
+    assert is_regular(f, w) == Trivalent("yes")
+    res = regular_attractor(f, w)
+    assert res.orbit.points == tuple(F(n, 6144) for n in (
+        551, 3191, 2861, 2531, 2201, 1871, 1541, 1211, 881))
+    assert (res.side, res.code.cycle) == ("minus", (0, 1, 1, 1, 1, 1, 1, 1, 1))
+    assert (res.stability, res.attracted_verdict) == (STABLE, "yes")
+    # the slope-3/2 tent settles at no cycle: its turning point stays unknown
     with pytest.raises(PreconditionError, match="verdict unknown"):
-        regular_attractor(f, w)
+        regular_attractor(pinned_map("tent"), F(1, 2))
 
 
 def test_regular_not_periodic(maps):
