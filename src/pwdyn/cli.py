@@ -43,15 +43,15 @@ def _fmt_points(points) -> str:
 
 
 class _MapFileError(PwdynError):
-    """A map file that parses but breaks a map invariant: an input error."""
+    """A map file that cannot be read, or parses but breaks a map
+    invariant: an input error."""
 
 
 def _load(path: str) -> PiecewiseMap:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return parse_map(text)
-    except MapInvariantError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_map(handle.read())
+    except (OSError, MapInvariantError) as exc:
         raise _MapFileError(str(exc)) from exc
 
 
@@ -177,7 +177,7 @@ def dispatch(argv: list[str]) -> int:
     except (TaxonomyViolation, MapInvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (PwdynError, FileNotFoundError, ValueError) as exc:
+    except (PwdynError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

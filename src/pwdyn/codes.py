@@ -185,9 +185,7 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
     """
     x = as_fraction(x)
     part = PartitionIntervals.of(f)
-    # a special point is never locked: its None label walks on past it
-    w = walk(f, x, cap, points=dict.fromkeys(f.special_points().points),
-             balls=Certifier.of(f).balls, lock=True)
+    w = walk(f, x, cap, balls=Certifier.of(f).balls, lock=True)
     if w.reason == "jump":
         raise CodeUndefinedError(
             f"iterate {len(w.pairs) - 1} of {x} is a jump point")

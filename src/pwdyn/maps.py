@@ -30,8 +30,10 @@ per root, while the preimage levels and their union, the composition
 sandwich and the power check stay on pairs.
 Every map is merged and checked on one private path, `PiecewiseMap._init`:
 the public constructor turns each piece into a segment, and a power or
-composition hands over the kernel's.  The power cache keeps each power's
-map; `orbits.periodic_points` reads its segments.
+composition hands over the kernel's.  A map caches all its derived data
+(Fraction pieces, special points, the integer step, each power, whose
+segments `orbits.periodic_points` reads, and each power's check) in one
+memo, `PiecewiseMap._memo`.
 """
 
 from __future__ import annotations
@@ -141,16 +143,16 @@ class SpecialPoints:
 class PiecewiseMap:
     """An exact piecewise-affine self-map of [a, b].
 
-    Instances are immutable after construction and safe to share; the private
-    attributes only cache derived data.  The one stored form is `_segs`,
-    the merged int segments (see the module docstring), from which the
-    integer step (`_table`), and so every value at a breakpoint or jump,
-    and `preimage` are read.  The public constructor evaluates each
+    Instances are immutable after construction and safe to share; `_cache`
+    holds only derived data, through `_memo`.  The one stored form is
+    `_segs`, the merged int segments (see the module docstring), from which
+    the integer step (`_table`), and so every value at a breakpoint or
+    jump, and `preimage` are read.  The public constructor evaluates each
     piece's end values; a power or composition takes the kernel's.  The
     Fraction `pieces` are made on first use.
     """
 
-    __slots__ = ("a", "b", "_segs", "_pieces", "_special", "_powers", "_cache")
+    __slots__ = ("a", "b", "_segs", "_cache")
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  pieces: Iterable[AffinePiece]):
@@ -175,9 +177,6 @@ class PiecewiseMap:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_segs", tuple(segs))
-        object.__setattr__(self, "_pieces", None)
-        object.__setattr__(self, "_special", None)
-        object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -197,9 +196,7 @@ class PiecewiseMap:
     @property
     def pieces(self) -> tuple[AffinePiece, ...]:
         """The open affine pieces, left to right, made on first use."""
-        if self._pieces is None:
-            object.__setattr__(self, "_pieces", tuple(_affine(self._segs)))
-        return self._pieces
+        return self._memo(("pieces",), lambda: tuple(_affine(self._segs)))
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -243,17 +240,17 @@ class PiecewiseMap:
         return None if v is None else Fraction(*v)
 
     def special_points(self) -> SpecialPoints:
-        """Jumps and turns, derived from lateral limits (cached)."""
-        if self._special is None:
+        """Jumps and turns, derived from lateral limits (memoized)."""
+        def build():
             points, turning, jumps = [], [], []
             for prev, nxt in zip(self._segs, self._segs[1:]):
                 jump = prev[3] != nxt[2]  # breakpoints come in order
                 if jump or (prev[4][0] > 0) != (nxt[4][0] > 0):
                     points.append(w := Fraction(*prev[1]))
                     (jumps if jump else turning).append(w)
-            special = SpecialPoints(*map(tuple, (points, turning, jumps)))
-            object.__setattr__(self, "_special", special)
-        return self._special
+            return SpecialPoints(*map(tuple, (points, turning, jumps)))
+
+        return self._memo(("special",), build)
 
     def preimage(self, y: RationalLike) -> tuple[Fraction, ...]:
         """All x in [a, b] with a defined value equal to y, sorted.
@@ -277,48 +274,51 @@ class PiecewiseMap:
 
     def power(self, n: int, *, max_power: int = MAX_POWER,
               guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
-        """Exact n-th iterate, built by repeated composition (cached).
+        """Exact n-th iterate, built by repeated composition (memoized).
 
-        The cache keeps each power's map, built from its merged segments,
-        and its piece count before merging, so a cached power raises the
-        same PieceLimitError for a smaller `guard` as a fresh build does.
-        A power cached without the special-point check (by a check=False
-        call, or by `orbits.periodic_points`) gets it on the first
-        check=True request."""
+        Each power k is memoized with its piece count before merging, so a
+        memoized power raises the same PieceLimitError for a smaller
+        `guard` as a fresh build does.  Its special-point check is a memo
+        entry of its own, built on the first check=True request however the
+        power was made (a check=False call, `orbits.periodic_points`); a
+        failed check caches nothing, so it raises on every later request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
         if n > max_power:
             raise PowerLimitError(f"power {n} exceeds limit {max_power}")
+
+        def checked(k, before, power):
+            _check_sandwich(self, before, power)
+            if not set(map(_pair, power.special_points().points)) \
+                    <= self._special_union(k).keys():
+                raise MapInvariantError("special points of a power escaped "
+                                        f"the iterated preimage set at n={k}")
+
         current = self
         for k in range(2, n + 1):
-            nxt, raw_count, validated = self._power_step(k, guard)
-            if check and not validated:
-                _check_sandwich(self, current, nxt)
-                if not set(map(_pair, nxt.special_points().points)) \
-                        <= self._special_union(k).keys():
-                    raise MapInvariantError(
-                        "special points of a power escaped the iterated "
-                        f"preimage set at n={k}")
-                self._powers[k] = (nxt, raw_count, True)
+            nxt = self._power_step(k, guard)
+            if check:
+                self._memo(("power_check", k),
+                           lambda: checked(k, current, nxt))
             current = nxt
         return current
 
-    def _power_step(self, k: int, guard: int):
-        """The power cache entry (map, raw piece count, checked) of the
-        k-th power, k >= 2, pushed from the segments of the power before on
-        first use; PieceLimitError past `guard`."""
-        if k not in self._powers:
+    def _power_step(self, k: int, guard: int) -> "PiecewiseMap":
+        """The k-th power, k >= 2, pushed from the segments of the power
+        before on first use; PieceLimitError past `guard`."""
+        def build():
             raw = _push_segments(_table(self),
                                  self._power_segments(k - 1, guard), guard)
-            self._powers[k] = (_from_segments(self.a, self.b, raw), len(raw),
-                               False)
-        if self._powers[k][1] > guard:
+            return _from_segments(self.a, self.b, raw), len(raw)
+
+        power, raw_count = self._memo(("power", k), build)
+        if raw_count > guard:
             raise PieceLimitError(f"composition exceeds {guard} pieces")
-        return self._powers[k]
+        return power
 
     def _power_segments(self, n: int, guard: int) -> Sequence[Segment]:
-        """The segments of the n-th power, read off the power cache."""
-        return (self._power_step(n, guard)[0] if n > 1 else self)._segs
+        """The segments of the n-th power, read off its memo entry."""
+        return (self._power_step(n, guard) if n > 1 else self)._segs
 
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
         """Points whose first n-1 iterates (or the point itself) hit a
@@ -350,7 +350,10 @@ class PiecewiseMap:
         """Derived data of this map, built by `build()` on first use and
         shared by every later caller.  The key names the kind of data and
         every argument, caps and guards included, that can change it, so no
-        answer depends on call order; a build that raises caches nothing."""
+        answer depends on call order; a build that raises caches nothing.
+        A power's key ("power", k) leaves out its `guard`: the guard only
+        decides whether the build raises, and the entry keeps the raw piece
+        count, against which each later guard is checked."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]

@@ -13,8 +13,9 @@ Every point-orbit walk goes through `walk`, which runs on (numerator,
 denominator) int pairs from start to stop, stepped by the integer step
 that `maps` memoizes on each map and evaluates with `maps._image_at`.
 Its stop tests are checked in the same arithmetic: labelled points, such
-as the special points, labelled balls, open intervals that also hold
-their centre, and the cycle lock, which certifies a contracting cycle.
+as the special points, and labelled balls, open intervals that also hold
+their centre, each ending the walk with its label whatever it is, and the
+cycle lock, which certifies a contracting cycle.
 Fractions appear only at the API boundary: callers pass them in and read
 them back from `Walk.trail`.  The periodic-orbit enumeration and the
 code-conformance test of `codes` check a candidate with one such walk,
@@ -140,16 +141,16 @@ def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
     Each point is checked in a fixed order: a repeat of an earlier point
     (reason "repeat"), a denominator over DENOM_BIT_CAP bits ("bit_cap"),
     then the stop tests, which are data.  A point listed in `points` ends
-    the walk with its label ("stop") if the label is truthy and goes on if
-    it is falsy; any other point is tested against `balls` (from
-    `ball_stops`), and the first ball that holds it decides in the same
-    way.  A point that passes joins the trail.  With `lock`, the cycle
-    lock `_lock` runs at trail lengths 64, 128, 256, ...; once it proves
-    that the orbit converges to a cycle through no ball centre, never
-    meeting a cut, it ends the walk ("lock"), `start` the index of the y
-    it starts from and `found` the cycle, phased at y.  An unresolved
-    jump ends the walk ("jump"), and `cap` points end it ("cap").  A
-    start outside the domain raises ValueError when stepped.
+    the walk with its label ("stop"), whatever the label; any other point
+    is tested against `balls` (from `ball_stops`), and the first ball that
+    holds it ends the walk with that ball's label.  A point that passes
+    joins the trail.  With `lock`, the cycle lock `_lock` runs at trail
+    lengths 64, 128, 256, ...; once it proves that the orbit converges to
+    a cycle through no ball centre, never meeting a cut, it ends the walk
+    ("lock"), `start` the index of the y it starts from and `found` the
+    cycle, phased at y.  An unresolved jump ends the walk ("jump"), and
+    `cap` points end it ("cap").  A start outside the domain raises
+    ValueError when stepped.
 
     The walk runs on (numerator, denominator) pairs throughout, through
     the integer step memoized on f; Fractions appear only in `Walk.trail`.
@@ -171,15 +172,10 @@ def walk(f: PiecewiseMap, x: Fraction, cap: int, *,
         if q.bit_length() > DENOM_BIT_CAP:
             return Walk(pairs, None, "bit_cap")
         if key in marks:
-            label = marks[key]
-        else:
-            for ln, ld, hn, hd, cn, cd, label in balls:
-                if ln * q < p * ld and p * hd < hn * q or p == cn and q == cd:
-                    break
-            else:
-                label = None
-        if label:
-            return Walk(pairs, None, "stop", label)
+            return Walk(pairs, None, "stop", marks[key])
+        for ln, ld, hn, hd, cn, cd, label in balls:
+            if ln * q < p * ld and p * hd < hn * q or p == cn and q == cd:
+                return Walk(pairs, None, "stop", label)
         seen[key] = len(pairs)
         pairs.append(key)
         at.append(_locate(t.cuts, p, q))

@@ -76,6 +76,20 @@ def test_usage_errors(capsys, shift_path, tmp_path):
     assert code == 2
 
 
+def test_an_unreadable_map_path_is_an_input_error(capsys, shift_path,
+                                                  tmp_path):
+    """A directory or a missing file, given as the map or as `compose`'s
+    inner map, is reported as `error: ...` with the input-error exit 2,
+    not a traceback or the negative-answer exit 1."""
+    missing = str(tmp_path / "missing.map")
+    for argv in (("validate", str(tmp_path)),
+                 ("compose", shift_path, str(tmp_path)),
+                 ("validate", missing), ("compose", shift_path, missing)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: [Errno"), \
+            argv
+
+
 def test_orbit_selector(capsys, shift_path):
     code, out, _ = run(capsys, "orbit", shift_path, "--x", "1/2",
                        "--selector", "1")

@@ -15,6 +15,7 @@ from pwdyn.orbits import Germ, ball_stops, germ_orbit, periodic_points
 from pwdyn.pinned import pinned_map, pinned_maps
 from pwdyn.stability import STABLE
 from pwdyn.taxonomy import PreconditionError, _map_atlas, is_trapped
+from test_orbits import _mirror
 
 
 def test_partition(maps):
@@ -306,3 +307,28 @@ def test_certifier_matches_the_fraction_reference():
         assert Certifier(f).balls == balls, f.to_text()
         cut += n
     assert cut > 20, cut
+
+
+def test_no_certifier_ball_holds_a_special_point():
+    """`codes` lists no special point for its walk, and needs none: an
+    atlas ball lies in one segment of its centre's monotone window, inside
+    the gap between the special points around the centre, and the
+    certifier cuts it further to the orbit's clearance from every cut; the
+    centre is a point of an orbit that meets no jump or turn.  So no
+    special point lies strictly inside a ball's span or on its centre.
+    Seeded mixed and contracting-rich maps and their mirrors."""
+    maps = []
+    for palette in ("mixed", "contracting-rich"):
+        maps += _corpus(GeneratorConfig(seed=27, max_pieces=3,
+                                        slope_palette=palette),
+                        "clear", 400)
+    maps += [_mirror(f) for f in maps]
+    balls = 0
+    for f in maps:
+        for ln, ld, hn, hd, cn, cd, _ in Certifier.of(f).balls:
+            balls += 1
+            for w in f.special_points().points:
+                p, q = w.numerator, w.denominator
+                assert not (ln * q < p * ld and p * hd < hn * q), f.to_text()
+                assert (p, q) != (cn, cd), f.to_text()
+    assert balls >= 1500

@@ -72,8 +72,9 @@ def _starts(f):
 
 
 def _centres(f):
-    """Stop data that stops no walk: each atlas point as a ball of radius
-    0 labelled None, whose centre keeps the lock off its cycle."""
+    """Each atlas point as a ball of radius 0, which holds only its centre
+    and keeps the lock off its cycle: a walk that lands on it stops there,
+    where it would end in a repeat anyway."""
     return ball_stops((p, p, p, None) for orb in _map_atlas(f)
                       for p in orb.points)
 
@@ -81,8 +82,8 @@ def _centres(f):
 def _locks(f):
     """(start, walk) for every walk from `_starts(f)` that ends on a lock:
     the walk of `avoids_special_forever`, to 2100 points, and a walk of
-    130 points that tries the lock at 64 and 128 with no ball to stop it
-    and no special point to end it."""
+    130 points that tries the lock at 64 and 128, with no special point to
+    end it and no ball but the atlas points."""
     balls = Certifier.of(f).balls
     marks = dict.fromkeys(f.special_points().points, "special")
     for x in _starts(f):

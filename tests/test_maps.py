@@ -276,20 +276,35 @@ def test_eval_at_plain_breakpoint():
     assert f.lateral(F(1, 2), "minus") == f.lateral(F(1, 2), "plus") == F(1, 2)
 
 
+def _powers(f):
+    """The power memo entries of f: {k: (map, piece count before
+    merging)}."""
+    return {key[1]: entry for key, entry in f._cache.items()
+            if key[0] == "power"}
+
+
+def _checked(f):
+    """The powers of f whose special-point check is memoized."""
+    return {key[1] for key in f._cache if key[0] == "power_check"}
+
+
 def _plant_and_check(fill):
-    """Cache the map of `shift` (which jumps at 1/2, outside tent^2's
+    """Memoize the map of `shift` (which jumps at 1/2, outside tent^2's
     bounds) as the unchecked tent^2, in place of the one `fill` left
-    there, and return it and what check=False hands back."""
+    there, and return it and what check=False hands back.  The failed
+    check caches nothing, so it raises again on a later request."""
     t = pinned_map("tent")
     fill(t)
-    assert t._powers[2][2] is False
+    assert 2 in _powers(t) and 2 not in _checked(t)
     wrong = pinned_map("shift")
-    t._powers[2] = (wrong, len(wrong.pieces), False)
+    t._cache["power", 2] = (wrong, len(wrong.pieces))
     unchecked = t.power(2, check=False)
-    with pytest.raises(MapInvariantError) as err:
-        t.power(2)
-    assert str(err.value) == ("special points of the composition escaped "
-                              "their exact bounds")
+    for _ in range(2):
+        with pytest.raises(MapInvariantError) as err:
+            t.power(2)
+        assert str(err.value) == ("special points of the composition "
+                                  "escaped their exact bounds")
+        assert 2 not in _checked(t)
     return wrong, unchecked
 
 
@@ -310,14 +325,14 @@ def test_a_power_cached_as_segments_is_checked_when_asked():
 
 
 def _warm(name):
-    """A pinned map whose power cache `periodic_points` filled: powers 2
+    """A pinned map whose power memo `periodic_points` filled: powers 2
     and 3 as maps that hold their segments alone, no Fraction piece made,
     and are not yet checked."""
     f = pinned_map(name)
     periodic_points(f, 3, max_power=6)
-    assert sorted(f._powers) == [2, 3]
-    assert all(power._pieces is None and not checked
-               for power, _, checked in f._powers.values())
+    assert sorted(_powers(f)) == [2, 3] and _checked(f) == set()
+    assert all(("pieces",) not in power._cache
+               for power, _ in _powers(f).values())
     return f
 
 
@@ -335,7 +350,7 @@ def test_powers_cached_by_periodic_points_act_as_fresh_ones(name,
     for k in range(2, 7):
         fresh = pinned_map(name)
         want = fresh.power(k)
-        raw = max(count for _, count, _ in fresh._powers.values())
+        raw = max(count for _, count in _powers(fresh).values())
         for guard in range(1, raw):
             with pytest.raises(PieceLimitError) as cold:
                 pinned_map(name).power(k, guard=guard)
@@ -349,6 +364,7 @@ def test_powers_cached_by_periodic_points_act_as_fresh_ones(name,
         assert got == want
         assert warm.power(k) is got and warm.power(k, check=False) is got
         assert len(calls) == k - 1
+        assert _checked(warm) == set(range(2, k + 1))
 
 
 @pytest.mark.parametrize("name", ["tent", "shift"])
@@ -381,7 +397,7 @@ def test_checked_powers_and_compositions_make_no_fraction_piece(
     built = [f.power(8) for f in pinned]
     built += [compose(f, g) for f in pinned for g in pinned]
     assert calls == []
-    assert all(h._pieces is None for h in built)
+    assert all(("pieces",) not in h._cache for h in built)
     text = built[0].to_text()
     pieces = built[-1].pieces
     assert len(calls) == 2

@@ -288,47 +288,48 @@ def test_walk_stop_reasons():
     huge = F(1, 2**(DENOM_BIT_CAP + 1))
     w = walk(flip, huge, 10)
     assert (w.trail, w.reason) == ([], "bit_cap")
-    # the checks run in order: repeat, bit cap, then the stop test, whose
-    # labels here record each test and turn truthy on the third
-    visits = []
+    # a listed point ends the walk with its label, whatever the label
+    for label in ("hit", False, None, 0):
+        w = walk(flip, F(1, 3), 10, points={F(2, 3): label})
+        assert (w.trail, w.reason, w.found) == ([F(1, 3)], "stop", label)
+    # the checks run in order: repeat, bit cap, listed points, then balls;
+    # the probe ball holds no point and records each point tested on it
+    tested = []
 
-    class Visit:
-        def __init__(self, p):
-            self.p = p
+    class Probe(int):
+        def __eq__(self, p):
+            tested.append(p)
+            return False
 
-        def __bool__(self):
-            visits.append(self.p)
-            return len(visits) > 2
-
-    w = walk(flip, F(1, 3), 10,
-             points={p: Visit(p) for p in (F(1, 3), F(2, 3))})
-    assert w.reason == "repeat" and visits == [F(1, 3), F(2, 3)]
-    assert walk(flip, huge, 10, points={huge: True}).reason == "bit_cap"
-    # only a truthy stop result ends the walk
-    for label in (False, None):
-        w = walk(flip, F(1, 3), 10,
-                 points=dict.fromkeys((F(1, 3), F(2, 3)), label))
-        assert (w.trail, w.reason) == ([F(1, 3), F(2, 3)], "repeat")
+    probe = (1, 1, 0, 1, Probe(-1), 1, "probe")  # an empty interval
+    assert walk(flip, F(1, 3), 10, balls=(probe,)).reason == "repeat"
+    assert tested == [1, 2]  # 1/3 and 2/3, but not 1/3 again
+    tested.clear()
+    assert walk(flip, huge, 10, points={huge: "hit"},
+                balls=(probe,)).reason == "bit_cap"
+    assert tested == []
+    w = walk(flip, F(1, 3), 10, points={F(2, 3): None}, balls=(probe,))
+    assert (w.reason, tested) == ("stop", [1])
     with pytest.raises(ValueError, match="cap must be >= 1"):
         walk(flip, F(1, 3), 0)
 
 
 def test_walk_ball_stops():
     """A ball holds its open interval and its centre; the first ball that
-    holds a point decides, and a listed point is never tested on balls."""
+    holds a point ends the walk with its label, whatever the label, and a
+    listed point is never tested on balls."""
     flip = parse_map("interval 0 1\npiece 0 1 : slope -1 intercept 1\n")
     right = ball_stops([(F(1, 2), F(3, 4), F(3, 4), "right")])
-    for balls, found in ((right, "right"),
-                         (ball_stops([(F(1, 2), F(1), F(3, 4), None)]) + right,
-                          None),
-                         (ball_stops([(F(1, 3), F(2, 3), F(1, 2), "x")]),
-                          None),
-                         (ball_stops([(F(0), F(1, 3), F(1, 3), "c")]), "c")):
+    for balls, reason, found in (
+            (right, "stop", "right"),
+            (ball_stops([(F(1, 2), F(1), F(3, 4), None)]) + right, "stop",
+             None),
+            (ball_stops([(F(1, 3), F(2, 3), F(1, 2), "x")]), "repeat", None),
+            (ball_stops([(F(0), F(1, 3), F(1, 3), "c")]), "stop", "c")):
         w = walk(flip, F(1, 3), 10, balls=balls)
-        assert w.found == found
-        assert w.reason == ("stop" if found else "repeat")
+        assert (w.reason, w.found) == (reason, found)
     w = walk(flip, F(1, 3), 10, points={F(2, 3): None}, balls=right)
-    assert w.reason == "repeat"
+    assert (w.trail, w.reason, w.found) == ([F(1, 3)], "stop", None)
 
 
 def _mirror(f):
@@ -660,11 +661,14 @@ def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
     """Each kind of memo key in `src/pwdyn`, found by the AST, is built on
     cold maps by a seeded shuffled run of calls whose answers, put back in
     order, equal those of the run in order: a new kind of memo fails here
-    until such a run exercises it.  The power cache is read both ways: on
-    some maps `periodic_points` leaves powers as segments before the
-    checked power is asked for, on others it reads the built maps."""
+    until such a run exercises it.  The map's own caches are memo kinds
+    too: its Fraction pieces, its special points, each power and each
+    power's check.  The power memo is read both ways: on some maps
+    `periodic_points` leaves powers as segments before the checked power
+    is asked for, on others it reads the built maps."""
     kinds = _memo_kinds()
-    assert {"germ_successor", "germ_walk", "int_step"} <= kinds
+    assert {"germ_successor", "germ_walk", "int_step", "pieces", "special",
+            "power", "power_check"} <= kinds
     canonical = [_answer_line(*c) for c in _every_memo_calls()]
     built = set()
     real = PiecewiseMap._memo

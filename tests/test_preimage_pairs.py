@@ -144,12 +144,14 @@ def test_sandwich_bounds_match_the_fraction_reference():
 
 
 def _tent_power_planted(monkeypatch, planted):
-    """tent^2 replaced in its cache by `planted`, with the sandwich check
-    switched off, so only the check against the preimage union is left."""
+    """tent^2 replaced in its memo entry by `planted`, with the sandwich
+    check switched off, so only the check against the preimage union is
+    left."""
     monkeypatch.setattr(maps_module, "_check_sandwich", lambda *a: None)
     t = pinned_map("tent")
     t.power(2, check=False)
-    t._powers[2] = (planted, len(planted.pieces), False)
+    assert ("power_check", 2) not in t._cache
+    t._cache["power", 2] = (planted, len(planted.pieces))
     return t
 
 

@@ -586,3 +586,88 @@ def test_catch_check_sees_an_added_skip():
               "    except (ValueError, taxonomy.DegenerateWindowError):\n"
               "        return None\n")
     assert _not_applicable_catches("t.py", ast.parse(window)) == ["t.py:atlas"]
+
+
+def _setattr_sites(name, tree):
+    """`file:function` of every `object.__setattr__` call."""
+    return [f"{name}:{_innermost(tree, node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and _word(node.func.value) == "object"]
+
+
+def test_a_map_caches_only_through_its_memo():
+    """A map stores its ends, its segments and one memo dict: its
+    `__slots__` name nothing else, and a map's attributes are set only in
+    `_init`, once each, so all its derived data goes through `_memo`.  The
+    one other `object.__setattr__` caches a structure's node set."""
+    tree = ast.parse((PACKAGE / "maps.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "PiecewiseMap")
+    slots = [ast.literal_eval(item.value) for item in cls.body
+             if isinstance(item, ast.Assign)
+             and [_word(t) for t in item.targets] == ["__slots__"]]
+    assert slots == [("a", "b", "_segs", "_cache")]
+    found = sorted(site for path, tree in _sources("src/pwdyn")
+                   for site in _setattr_sites(path.name, tree))
+    assert found == ["maps.py:_init"] * 4 + ["orbits.py:node_set"]
+
+
+def test_memo_check_sees_a_slot_cache():
+    """The old Fraction-piece cache, a slot set on first use, is found."""
+    source = (PACKAGE / "maps.py").read_text()
+    old = ('        return self._memo(("pieces",), '
+           'lambda: tuple(_affine(self._segs)))\n')
+    assert old in source
+    source = source.replace(old, (
+        '        if self._pieces is None:\n'
+        '            object.__setattr__(self, "_pieces", '
+        'tuple(_affine(self._segs)))\n'
+        '        return self._pieces\n'))
+    assert "maps.py:pieces" in _setattr_sites("maps.py", ast.parse(source))
+
+
+def _label_truth_tests(tree):
+    """The source of every test in `walk` that reads a stop label: each
+    `if`, `while`, conditional, `assert`, `not`, `and`/`or` operand or
+    `bool()` argument that names `label` or subscripts `marks`."""
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "walk")
+    tested = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.comprehension):
+            tested += node.ifs
+        elif isinstance(node, ast.BoolOp):
+            tested += node.values
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+        elif isinstance(node, ast.Call) and _word(node.func) == "bool":
+            tested += node.args
+    return sorted({ast.unparse(t) for t in tested for n in ast.walk(t)
+                   if isinstance(n, ast.Name) and n.id == "label"
+                   or isinstance(n, ast.Subscript)
+                   and _word(n.value) == "marks"})
+
+
+def test_walk_has_one_stop_rule():
+    """A listed point or a ball that holds the point ends the walk with
+    its label: `walk` tests no label for truth."""
+    source = (PACKAGE / "orbits.py").read_text()
+    assert _label_truth_tests(ast.parse(source)) == []
+
+
+def test_stop_rule_check_sees_a_label_test():
+    """The old rule, a falsy label that goes on, is found whether it is
+    put back on the listed points or on the balls."""
+    source = (PACKAGE / "orbits.py").read_text()
+    listed = "        if key in marks:\n"
+    ball = "                return Walk(pairs, None, \"stop\", label)\n"
+    assert listed in source and ball in source
+    assert _label_truth_tests(ast.parse(source.replace(
+        listed, "        if key in marks and marks[key]:\n"))) == [
+            "key in marks and marks[key]", "marks[key]"]
+    assert _label_truth_tests(ast.parse(source.replace(
+        ball, "                if label:\n    " + ball))) == ["label"]
