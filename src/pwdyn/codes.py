@@ -295,9 +295,15 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
     """The strictly periodic code behind a yes verdict, or the Trivalent
     no / unknown explaining its absence.  At a jump with no side given the
     first certified side answers; failing that, unknown on either side
-    makes the verdict unknown."""
+    makes the verdict unknown.  w must be special, and a side is given
+    only at a jump."""
     w = as_fraction(w)
-    jumps = set(f.special_points().discontinuities)
+    special = f.special_points()
+    if w not in special.points:
+        raise PreconditionError(f"{w} is not a special point")
+    jumps = set(special.discontinuities)
+    if side is not None and w not in jumps:
+        raise PreconditionError(f"{w} is not a jump point, so it has no side")
     if w in jumps:
         if side is None:
             verdicts = []

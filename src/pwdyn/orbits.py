@@ -34,18 +34,17 @@ through `segment_sweep` for the code intervals and restricted powers.
 
 Germs step the same integer table as (numerator, denominator, plus)
 triples, their piece found by `maps._branch` as the side pieces of a map
-are, through one successor table memoized on each map, so each germ is
-stepped once per map.  A germ's walk to its first repeat is one int
-record per (germ, cap), `_germ_walk`, that `germ_orbit`, the half-point
-cycles and the side verdicts and landings of `stability` read; Germs and
-slopes are made only for their results.
+are, each step by the one germ step `_germ_successor`.  A germ's walk to
+its first repeat is one int record per (germ, cap), `_germ_walk`, that
+`germ_orbit`, the half-point cycles and the side verdicts and landings
+of `stability` read; Germs and slopes are made only for their results.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from math import prod
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
@@ -452,15 +451,12 @@ class StructureGraph:
     closed: bool
     truncated: bool
 
+    @cached_property
     def node_set(self) -> frozenset:
-        cached = getattr(self, "_node_set", None)
-        if cached is None:
-            cached = frozenset(self.nodes)
-            object.__setattr__(self, "_node_set", cached)
-        return cached
+        return frozenset(self.nodes)
 
     def __contains__(self, x) -> bool:
-        return as_fraction(x) in self.node_set()
+        return as_fraction(x) in self.node_set
 
 
 def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
@@ -562,31 +558,13 @@ def _germ_successor(t: _Table, key: GermKey) -> tuple[GermKey, int]:
     return (*_apply(piece, p, q), plus != (piece[0] <= 0)), i
 
 
-class _Successors(dict):
-    """A map's germ successors, GermKey -> (next GermKey, piece index),
-    each stepped by `_germ_successor` on first lookup."""
-
-    def __init__(self, t: _Table):
-        super().__init__()
-        self.t = t
-
-    def __missing__(self, key: GermKey) -> tuple[GermKey, int]:
-        step = self[key] = _germ_successor(self.t, key)
-        return step
-
-
-def _successors(f: PiecewiseMap) -> _Successors:
-    """The germ successor table of f, memoized on f: every germ is
-    stepped once per map, whichever orbit, cap or caller reaches it."""
-    return f._memo(("germ_successor",), lambda: _Successors(_table(f)))
-
-
 def germ_step(f: PiecewiseMap, g: Germ) -> GermStepResult:
-    """Transport a one-sided neighbourhood through its adjacent branch.
+    """Transport a one-sided neighbourhood through its adjacent branch,
+    by one `_germ_successor` step on f's integer table.
 
     The side flips exactly when the branch decreases.
     """
-    nxt, i = _successors(f)[_germ_key(f, g)]
+    nxt, i = _germ_successor(_table(f), _germ_key(f, g))
     return GermStepResult(_germ(nxt), _magnitude(_table(f).coefs[i]))
 
 
@@ -622,9 +600,11 @@ def _germ_walk(f: PiecewiseMap, key: GermKey, cap: int
     """The one germ record, ints memoized on f per (key, cap): each germ
     from `key` up to the first repeat with the step that reached it, the
     piece index of each step, and the index where the cycle starts: None
-    when DENOM_BIT_CAP or `cap` germs end the walk first."""
+    when DENOM_BIT_CAP or `cap` germs end the walk first.  Each germ is
+    stepped by `_germ_successor` on f's integer table; only the record
+    is memoized, not the steps."""
     def build():
-        succ = _successors(f)
+        t = _table(f)
         k = key
         seen: dict[GermKey, int] = {}
         steps: list[int] = []
@@ -635,7 +615,7 @@ def _germ_walk(f: PiecewiseMap, key: GermKey, cap: int
             if k[1].bit_length() > DENOM_BIT_CAP:
                 break
             seen[k] = len(steps)
-            k, i = succ[k]
+            k, i = _germ_successor(t, k)
             steps.append(i)
         return seen, tuple(steps), None
 

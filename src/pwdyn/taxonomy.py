@@ -32,8 +32,8 @@ from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    Segment, _affine, _image, _locate, _magnitude, _pair,
                    _table, _table_of, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, _germ_key, _successors, _sweep,
-                     ball_stops, fixed_points, periodic_points,
+                     VariantLimitError, _germ_key, _germ_successor,
+                     _sweep, ball_stops, fixed_points, periodic_points,
                      segment_sweep, special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
 
@@ -553,11 +553,11 @@ def _make_witness(f, orb, w, inner, turns, n, iterates) -> BasinWitness:
 
 def _lateral_power(f: PiecewiseMap, w: Fraction, side: str, m: int) -> Fraction:
     """One-sided limit of the m-th iterate at w, by germ transport through
-    the successor table memoized on f."""
-    succ = _successors(f)
+    the one germ step on f's integer table."""
+    t = _table(f)
     key = _germ_key(f, Germ(w, side))
     for _ in range(m):
-        key = succ[key][0]
+        key = _germ_successor(t, key)[0]
     return Fraction(key[0], key[1])
 
 

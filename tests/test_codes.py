@@ -117,6 +117,33 @@ def test_is_regular(maps):
         is_regular(maps["hat"], F(1, 3))
 
 
+def test_regularity_checks_its_point_and_side_before_walking(maps,
+                                                             monkeypatch):
+    """A point that is not special raises before any walk, also where its
+    image is special (hat: f(1/4) = 1/2), and so does a side given at a
+    point that is not a jump (the hat's turning point 1/2)."""
+    def no_walk(*args):
+        raise AssertionError("walked before checking the input")
+
+    monkeypatch.setattr(codes_module, "avoids_special_forever", no_walk)
+    hat = maps["hat"]
+    for w in (F(1, 4), F(1, 3)):
+        for ask in (is_regular, regularity_certificate, regular_attractor):
+            with pytest.raises(PreconditionError,
+                               match=f"^{w} is not a special point$"):
+                ask(hat, w)
+    for side in ("minus", "plus"):
+        for ask in (is_regular, regularity_certificate):
+            with pytest.raises(PreconditionError,
+                               match="^1/2 is not a jump point"):
+                ask(hat, F(1, 2), side=side)
+    monkeypatch.undo()
+    cert = regularity_certificate(hat, F(1, 2))
+    assert isinstance(cert, RegularityCertificate) and cert.side is None
+    assert regularity_certificate(maps["shift"], F(1, 2),
+                                  side="plus").value == "no"
+
+
 def test_jump_with_two_unknown_sides_is_unknown():
     # neither side of the jump at 1/8 settles within 20 steps
     f = parse_map("interval 0 1\n"

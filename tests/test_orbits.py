@@ -658,17 +658,19 @@ def _every_memo_calls():
 
 
 def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
-    """Each kind of memo key in `src/pwdyn`, found by the AST, is built on
-    cold maps by a seeded shuffled run of calls whose answers, put back in
-    order, equal those of the run in order: a new kind of memo fails here
-    until such a run exercises it.  The map's own caches are memo kinds
-    too: its Fraction pieces, its special points, each power and each
-    power's check.  The power memo is read both ways: on some maps
+    """Each kind of memo key in `src/pwdyn`, found by the AST, is one of
+    the twelve named here and is built on cold maps by a seeded shuffled
+    run of calls whose answers, put back in order, equal those of the run
+    in order: a new kind of memo fails here until it is named and such a
+    run exercises it.  The map's own caches are memo kinds too: its
+    Fraction pieces, its special points, each power and each power's
+    check.  The power memo is read both ways: on some maps
     `periodic_points` leaves powers as segments before the checked power
     is asked for, on others it reads the built maps."""
     kinds = _memo_kinds()
-    assert {"germ_successor", "germ_walk", "int_step", "pieces", "special",
-            "power", "power_check"} <= kinds
+    assert kinds == {"atlas", "atlas_balls", "certifier", "germ_walk",
+                     "int_step", "msets", "partition", "periodic_points",
+                     "pieces", "power", "power_check", "special"}
     canonical = [_answer_line(*c) for c in _every_memo_calls()]
     built = set()
     real = PiecewiseMap._memo

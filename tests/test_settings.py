@@ -600,8 +600,8 @@ def _setattr_sites(name, tree):
 def test_a_map_caches_only_through_its_memo():
     """A map stores its ends, its segments and one memo dict: its
     `__slots__` name nothing else, and a map's attributes are set only in
-    `_init`, once each, so all its derived data goes through `_memo`.  The
-    one other `object.__setattr__` caches a structure's node set."""
+    `_init`, once each, so all its derived data goes through `_memo`.  No
+    other `object.__setattr__` exists in the package."""
     tree = ast.parse((PACKAGE / "maps.py").read_text())
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
                and node.name == "PiecewiseMap")
@@ -611,7 +611,7 @@ def test_a_map_caches_only_through_its_memo():
     assert slots == [("a", "b", "_segs", "_cache")]
     found = sorted(site for path, tree in _sources("src/pwdyn")
                    for site in _setattr_sites(path.name, tree))
-    assert found == ["maps.py:_init"] * 4 + ["orbits.py:node_set"]
+    assert found == ["maps.py:_init"] * 4
 
 
 def test_memo_check_sees_a_slot_cache():
