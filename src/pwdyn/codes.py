@@ -10,9 +10,11 @@ orbits are closed out through certified contraction balls whose images
 provably keep a fixed itinerary; each map has one such `Certifier`, built on
 first use and memoized on the map, so no function here takes one.  A special
 point is regular when its image orbit avoids the special set forever and one
-of its codes repeats from position zero; such points sit on the boundary of
-the basin of a stable or semi-stable non-trapped orbit, and both directions
-of that correspondence are constructed and certified here.
+of its codes repeats from position zero; its orbit starts by one rule,
+`_side_start`, and a certificate reads its codes off the walk that proved
+that orbit good.  Such points sit on the boundary of the basin of a stable
+or semi-stable non-trapped orbit, and both directions of that
+correspondence are constructed and certified here.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Optional
 from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError,
                    RationalLike, Segment, Side, _locate, _magnitude, _pair,
                    as_fraction)
-from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, ball_stops,
-                     fixed_cycle, fixed_points, image_chain, periodic_points,
-                     segment_sweep, walk)
+from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, Walk,
+                     ball_stops, fixed_cycle, fixed_points, image_chain,
+                     periodic_points, segment_sweep, walk)
 from .stability import SEMI_STABLE, STABLE, classify_point
 from .taxonomy import (PreconditionError, _map_atlas, attracted,
                        basin_adjacent_special, taxonomy)
@@ -183,12 +185,22 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
     cycle lock (its cycle phased at y after the trail before y) ends the
     walk within `cap` steps and the DENOM_BIT_CAP denominator budget.
     """
-    x = as_fraction(x)
-    part = PartitionIntervals.of(f)
-    w = walk(f, x, cap, balls=Certifier.of(f).balls, lock=True)
+    return _walk_codes(f, _codes_walk(f, as_fraction(x), cap), None)
+
+
+def _codes_walk(f: PiecewiseMap, x: Fraction, cap: int) -> Walk:
+    return walk(f, x, cap, balls=Certifier.of(f).balls, lock=True)
+
+
+def _walk_codes(f: PiecewiseMap, w: Walk,
+                firsts: Optional[tuple[int, ...]]) -> tuple[Code, ...]:
+    """The codes of a codes or good-set walk, each put behind every index
+    in `firsts` (a special point's own) unless that is None; the two walks
+    end alike wherever the good-set walk meets no special point."""
     if w.reason == "jump":
         raise CodeUndefinedError(
-            f"iterate {len(w.pairs) - 1} of {x} is a jump point")
+            f"iterate {len(w.pairs) - 1} of {w.trail[0]} is a jump point")
+    part = PartitionIntervals.of(f)
     prefix, cycle = w.trail, None
     if w.reason in ("repeat", "lock"):  # a lock found its cycle
         prefix, cycle = prefix[:w.start], w.found or prefix[w.start:]
@@ -199,13 +211,15 @@ def codes(f: PiecewiseMap, x: RationalLike, cap: int = DEFAULT_CAP
     prefix_choices = [part.indices_of(p) for p in prefix]
     if cycle is None:
         out = {Code(head, None, True) for head in _expand(prefix_choices)}
-        return tuple(sorted(out, key=lambda c: c.prefix))
-    cycle_choices = [part.indices_of(p) for p in cycle]
-    out = set()
-    for pre in _expand(prefix_choices):
-        for cyc in _expand(cycle_choices):
-            out.add(_finish_code(pre, cyc))
-    return tuple(sorted(out, key=lambda c: (c.prefix, c.cycle)))
+    else:
+        cycle_choices = [part.indices_of(p) for p in cycle]
+        out = {_finish_code(pre, cyc) for pre in _expand(prefix_choices)
+               for cyc in _expand(cycle_choices)}
+    if firsts is not None:  # tail codes first, then each first index
+        out = {Code((k, *t.prefix), None, True) if t.cycle is None
+               else _finish_code((k, *t.prefix), t.cycle)
+               for k in firsts for t in out}
+    return tuple(sorted(out, key=lambda c: (c.prefix, c.cycle or ())))
 
 
 def _expand(choices: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -222,16 +236,23 @@ def avoids_special_forever(f: PiecewiseMap, x: RationalLike,
     Yes through an exact cycle off the special set, a certified ball of a
     clear orbit (from the map's `Certifier.of(f)`) or a cycle lock; no as
     soon as an iterate is special; unknown when `cap` or the
-    DENOM_BIT_CAP denominator budget gives out first.
+    DENOM_BIT_CAP denominator budget gives out first: the codes walk with
+    every special point as a stop.
     """
-    x = as_fraction(x)
+    return _good_walk(f, as_fraction(x), cap)[0]
+
+
+def _good_walk(f: PiecewiseMap, x: Fraction, cap: int
+               ) -> tuple[Trivalent, Walk]:
+    """`avoids_special_forever` with the walk behind its verdict."""
     w = walk(f, x, cap, points=dict.fromkeys(f.special_points().points, NO),
              balls=Certifier.of(f).balls, lock=True)
     if w.reason == "stop":
-        return Trivalent(NO if w.found == NO else YES)
+        return Trivalent(NO if w.found == NO else YES), w
     if w.reason in ("repeat", "lock"):
-        return Trivalent(YES)
-    return Trivalent(UNKNOWN, DENOM_BIT_CAP if w.reason == "bit_cap" else cap)
+        return Trivalent(YES), w
+    return Trivalent(UNKNOWN, DENOM_BIT_CAP if w.reason == "bit_cap"
+                     else cap), w
 
 
 # -- regular special points -----------------------------------------------------
@@ -244,38 +265,32 @@ class RegularityCertificate:
     image_in_good_set: Trivalent
 
 
+def _side_start(f: PiecewiseMap, w: Fraction, side: Optional[Side]
+                ) -> tuple[Fraction, tuple[int, ...]]:
+    """Where a special point's orbit starts, and its first indices: a
+    turning point's value and both neighbouring indices, or a jump side's
+    one-sided limit and that side's own index, as nearby points have."""
+    special = f.special_points()
+    if w not in special.points:
+        raise PreconditionError(f"{w} is not a special point")
+    k = PartitionIntervals.of(f).indices_of(w)
+    if w not in special.discontinuities:
+        if side is not None:
+            raise PreconditionError(
+                f"{w} is not a jump point, so it has no side")
+        return f.value(w), k
+    if side is None:
+        raise PreconditionError("jump points need a side")
+    return f.lateral(w, side), (k[0],) if side == MINUS else (k[-1],)
+
+
 def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side],
                cap: int = DEFAULT_CAP) -> tuple[Code, ...]:
-    """Codes of a special point.
-
-    A turning point has a defined orbit and admits both neighbouring first
-    indices.  A jump point has no orbit of its own; its side code follows
-    the one-sided limit and must start with that side's own interval index,
-    since it stands for the codes of nearby points on that side.
-    """
-    w = as_fraction(w)
-    part = PartitionIntervals.of(f)
-    if w not in set(f.special_points().points):
-        raise PreconditionError(f"{w} is not a special point")
-    jumps = set(f.special_points().discontinuities)
-    if w in jumps:
-        if side is None:
-            raise PreconditionError("jump points need a side")
-        start = f.lateral(w, side)
-        k = part.indices_of(w)
-        firsts = (k[0],) if side == MINUS else (k[-1],)
-    else:
-        start = f.value(w)
-        firsts = part.indices_of(w)
-    tail = codes(f, start, cap)
-    out = set()
-    for first in firsts:
-        for t in tail:
-            if t.cycle is None:
-                out.add(Code((first, *t.prefix), None, True))
-            else:
-                out.add(_finish_code((first, *t.prefix), t.cycle))
-    return tuple(sorted(out, key=lambda c: (c.prefix, c.cycle or ())))
+    """Codes of a special point: the codes of its `_side_start`, each put
+    behind every first index it admits.  A side is given exactly at a
+    jump, which has no orbit of its own."""
+    start, firsts = _side_start(f, as_fraction(w), side)
+    return _walk_codes(f, _codes_walk(f, start, cap), firsts)
 
 
 def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,
@@ -294,40 +309,23 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
                            side: Optional[Side] = None):
     """The strictly periodic code behind a yes verdict, or the Trivalent
     no / unknown explaining its absence.  At a jump with no side given the
-    first certified side answers; failing that, unknown on either side
-    makes the verdict unknown.  w must be special, and a side is given
-    only at a jump."""
+    first certified side answers, else the first unknown side, else no.
+    w must be special, and a side is given only at a jump.  Each side
+    walks once: its codes are read off its good-set walk, which on a yes
+    met no special point and so stops as the codes walk would."""
     w = as_fraction(w)
-    special = f.special_points()
-    if w not in special.points:
-        raise PreconditionError(f"{w} is not a special point")
-    jumps = set(special.discontinuities)
-    if side is not None and w not in jumps:
-        raise PreconditionError(f"{w} is not a jump point, so it has no side")
-    if w in jumps:
-        if side is None:
-            verdicts = []
-            for s in (MINUS, PLUS):
-                got = regularity_certificate(f, w, cap, side=s)
-                if isinstance(got, RegularityCertificate):
-                    return got
-                verdicts.append(got.value)
-            if UNKNOWN in verdicts:
-                return Trivalent(UNKNOWN, cap)
-            return Trivalent(NO)
-        start = f.lateral(w, side)
-    else:
-        start = f.value(w)
-    good = avoids_special_forever(f, start, cap)
-    if good.value != YES:
-        return good
-    # the yes walk met no special point and ended on a repeat, in a
-    # certified ball or on a lock; the codes walk from `start` only relabels
-    # special points, so it ends the same way: never on a jump or truncated
-    periodic = [c for c in side_codes(f, w, side, cap) if c.strictly_periodic]
-    if not periodic:
-        return Trivalent(NO)
-    return RegularityCertificate(w, side, periodic[0], good)
+    at_jump = w in f.special_points().discontinuities
+    verdicts = []
+    for s in (MINUS, PLUS) if side is None and at_jump else (side,):
+        start, firsts = _side_start(f, w, s)
+        good, path = _good_walk(f, start, cap)
+        if good.value == YES:
+            periodic = [c for c in _walk_codes(f, path, firsts)
+                        if c.strictly_periodic]
+            if periodic:
+                return RegularityCertificate(w, s, periodic[0], good)
+        verdicts.append(good)
+    return next((v for v in verdicts if v.value == UNKNOWN), Trivalent(NO))
 
 
 # -- the regular point / attractor correspondence --------------------------------
@@ -461,9 +459,7 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
     tax = taxonomy(f, orb)
     if tax.trapped:
         raise CertificationError("attracting orbit is trapped")
-    start = f.value(w)
-    if start is None:
-        start = f.lateral(w, cert.side)
+    start, _ = _side_start(f, w, cert.side)
     verdict = attracted(f, start, orb)
     if verdict == NO:
         raise CertificationError("regular point not attracted to the orbit")

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .maps import MINUS, PLUS, PiecewiseMap
-from .orbits import VariantSelector, variant_step, variants
+from .orbits import VariantSelector, variant_step
 
 PRECISION = 12
 SVG_SIZE = 480  # width and height, in pixels
@@ -37,8 +37,9 @@ def cobweb_segments(f: PiecewiseMap, x0: Fraction, steps: int,
                     ) -> list[tuple[str, Fraction, Fraction, Fraction, Fraction]]:
     """Staircase of the exact orbit: vertical to the graph, horizontal to
     the diagonal."""
-    if sel is None:
-        sel = variants(f)[0]
+    if sel is None:  # all minus, built alone: `variants` stops at 20 jumps
+        sel = VariantSelector(tuple(
+            (w, MINUS) for w in f.special_points().discontinuities))
     seq = [x0]
     for _ in range(steps):
         seq.append(variant_step(f, seq[-1], sel))

@@ -405,12 +405,6 @@ class CycleBudgetError(PwdynError):
     """Cycle enumeration on a structure exceeded its budget."""
 
 
-def _graph_cycles(struct: StructureGraph) -> list[tuple[Fraction, ...]]:
-    """The `_cycles` of the structure's node positions, as points."""
-    nodes = struct.nodes
-    return [tuple(nodes[i] for i in c) for c in _cycles(_successors(struct))]
-
-
 def _cycles(succ: list[list[int]]) -> list[tuple[int, ...]]:
     """All simple directed cycles on positions, in order, each rotated to
     start at its least position.  Simple cycles can be exponentially many

@@ -601,10 +601,9 @@ def count_bound(f: PiecewiseMap, horizon: int = 8) -> BoundReport:
         cls = classify_point(f, orb.representative, require_confined=False)
         if cls not in (STABLE, SEMI_STABLE) or orb.kind == INTERVAL_FAMILY:
             continue
-        if not any(p in turns or p in (f.a, f.b) for p in orb.points):
-            x, n = orb.representative, orb.period
-            if _trap(f, x, n, special_gaps(f, x, 2 * n)).trapped:
-                continue
+        if not any(p in turns or p in (f.a, f.b) for p in orb.points) \
+                and is_trapped(f, orb).trapped:
+            continue
         counted.append(orb)
     n_t, n_d = len(special.turning), len(special.discontinuities)
     bound = n_t + 2 * n_d + 2

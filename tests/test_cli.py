@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from pwdyn import cli
 from pwdyn.cli import dispatch
 from pwdyn.codes import CertificationError
 from pwdyn.maps import MapInvariantError, parse_map
-from pwdyn.orbits import structure
+from pwdyn.orbits import structure, variants
 from pwdyn.pinned import PINNED_NAMES, pinned_text
+from pwdyn.plotting import emit_plot
 from pwdyn.taxonomy import PreconditionError, TaxonomyViolation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -199,6 +201,35 @@ def test_plot_csv_and_svg(capsys, shift_path, hat_path):
     assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
     code, _, err = run(capsys, "plot", hat_path, "--mode", "cobweb")
     assert code == 2  # cobweb needs a start
+
+
+def test_cobweb_past_twenty_jumps(capsys, tmp_path):
+    """A cobweb with no selector follows the all-minus selector, built
+    alone rather than as the first of every selector: on a map with 21
+    jumps, past the 20-bit limit of `variants`, it plots where the orbit
+    command already answers.  With at most 20 jumps the default is still
+    the first of `variants`."""
+    lines = ["interval 0 1"] + [
+        f"piece {Fraction(i, 22)} {Fraction(i + 1, 22)} : slope 1/2 "
+        f"intercept {Fraction(i % 2, 2)}" for i in range(22)]
+    path = tmp_path / "jumps.map"
+    path.write_text("\n".join(lines) + "\n")
+    f = parse_map(path.read_text())
+    assert len(f.special_points().discontinuities) == 21
+    assert run(capsys, "orbit", str(path), "--x", "1/3")[0] == 0
+    code, out, err = run(capsys, "plot", str(path), "--mode", "cobweb",
+                         "--x0", "1/3", "-n", "6")
+    assert (code, err) == (0, "")
+    assert out == emit_plot(f, "cobweb", x0=Fraction(1, 3), steps=6) \
+        == emit_plot(f, "cobweb", x0=Fraction(1, 3), steps=6,
+                     sel=cli._selector_from_bits(f, None))
+    assert len(out.splitlines()) == 3 + 2 * 6
+    for name in PINNED_NAMES:
+        g = parse_map(pinned_text(name))
+        for fmt in ("csv", "svg"):
+            assert emit_plot(g, "cobweb", x0=Fraction(5, 8), fmt=fmt) == \
+                emit_plot(g, "cobweb", x0=Fraction(5, 8), fmt=fmt,
+                          sel=variants(g)[0])
 
 
 def test_suite_json_and_exit(capsys):

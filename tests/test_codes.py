@@ -1,17 +1,19 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import pwdyn.codes as codes_module
-from pwdyn.codes import (CertificationError, Certifier, CodeUndefinedError,
-                         PartitionIntervals,
+from pwdyn.codes import (CertificationError, Certifier, Code,
+                         CodeUndefinedError, PartitionIntervals,
                          RegularityCertificate, Trivalent,
                          _stabilized_interval, attractor_regular_source, avoids_special_forever,
                          codes, is_regular, regular_attractor,
                          regularity_certificate, side_codes)
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import parse_map
-from pwdyn.orbits import Germ, ball_stops, germ_orbit, periodic_points
+from pwdyn.orbits import (DENOM_BIT_CAP, Germ, ball_stops, germ_orbit,
+                          periodic_points)
 from pwdyn.pinned import pinned_map, pinned_maps
 from pwdyn.stability import STABLE
 from pwdyn.taxonomy import PreconditionError, _map_atlas, is_trapped
@@ -122,10 +124,10 @@ def test_regularity_checks_its_point_and_side_before_walking(maps,
     """A point that is not special raises before any walk, also where its
     image is special (hat: f(1/4) = 1/2), and so does a side given at a
     point that is not a jump (the hat's turning point 1/2)."""
-    def no_walk(*args):
+    def no_walk(*args, **kwargs):
         raise AssertionError("walked before checking the input")
 
-    monkeypatch.setattr(codes_module, "avoids_special_forever", no_walk)
+    monkeypatch.setattr(codes_module, "walk", no_walk)
     hat = maps["hat"]
     for w in (F(1, 4), F(1, 3)):
         for ask in (is_regular, regularity_certificate, regular_attractor):
@@ -165,6 +167,76 @@ def test_jump_with_two_unknown_sides_is_unknown():
     # the slope-3/2 tent settles at no cycle: its turning point stays unknown
     with pytest.raises(PreconditionError, match="verdict unknown"):
         regular_attractor(pinned_map("tent"), F(1, 2))
+
+
+def test_a_jump_keeps_its_unknown_sides_cap_used():
+    """With no side given, a jump whose sides are both unknown answers the
+    first unknown side's own verdict: on this expanding map both sides of
+    1/2 run out of the denominator budget, not of the step cap."""
+    f = parse_map("interval 0 1\n"
+                  "piece 0 1/2 : slope 3/2 intercept 0\n"
+                  "piece 1/2 1 : slope 3/2 intercept -1/2\n")
+    w, budget = F(1, 2), Trivalent("unknown", DENOM_BIT_CAP)
+    for side in ("minus", "plus"):
+        assert regularity_certificate(f, w, side=side) == budget
+    assert regularity_certificate(f, w) == budget
+    assert is_regular(f, w) == budget
+
+
+def test_side_codes_check_the_point_and_side(maps):
+    """`side_codes` reads its start as `regularity_certificate` does: a
+    side at a point that is not a jump raises, as does a jump without one
+    or a point that is not special."""
+    for side in ("minus", "plus"):
+        with pytest.raises(PreconditionError,
+                           match="^1/2 is not a jump point, so it has no "
+                                 "side$"):
+            side_codes(maps["hat"], F(1, 2), side)
+    with pytest.raises(PreconditionError, match="^jump points need a side$"):
+        side_codes(maps["shift"], F(1, 2), None)
+    with pytest.raises(PreconditionError,
+                       match="^1/3 is not a special point$"):
+        side_codes(maps["hat"], F(1, 3), None)
+
+
+def test_side_codes_truncate_at_their_cap(maps):
+    """Past `cap` steps the side codes of the tent's turning point are
+    truncated: the cap's trail of f(1/2) = 3/4, behind each first index."""
+    out = side_codes(maps["tent"], F(1, 2), None, cap=5)
+    tail, = codes(maps["tent"], F(3, 4), 5)
+    assert tail.truncated and len(tail.prefix) == 5
+    assert out == tuple(Code((k, *tail.prefix), None, True) for k in (0, 1))
+
+
+def test_a_certificate_walks_once_per_side(monkeypatch):
+    """A certified side reads its codes off its good-set walk, so
+    `regularity_certificate` walks once per side it tries: once at a
+    turning point or at a jump with a side, and at a jump without one
+    once when the minus side is certified, else twice.  Cold pinned and
+    seeded maps, each certifier built before the walks are counted."""
+    walks = []
+    real = codes_module.walk
+    monkeypatch.setattr(codes_module, "walk",
+                        lambda *a, **k: walks.append(a) or real(*a, **k))
+    jump = parse_map("interval 0 1\n"
+                     "piece 0 1/8 : slope -1/2 intercept 2311/4096\n"
+                     "piece 1/8 1 : slope 1 intercept -55/1024\n")
+    certified = Counter()
+    for f in [*pinned_maps().values(), jump,
+              *_corpus(GeneratorConfig(seed=29), "walks", 40)]:
+        Certifier.of(f)
+        special = f.special_points()
+        for w in special.points:
+            at_jump = w in special.discontinuities
+            for side in (None, "minus", "plus") if at_jump else (None,):
+                walks.clear()
+                cert = regularity_certificate(f, w, side=side)
+                found = isinstance(cert, RegularityCertificate)
+                tried = 2 if at_jump and side is None and not (
+                    found and cert.side == "minus") else 1
+                assert len(walks) == tried, (f.to_text(), w, side)
+                certified[at_jump, side is None] += found
+    assert min(certified.values()) >= 2, certified
 
 
 def test_regular_not_periodic(maps):

@@ -461,6 +461,45 @@ def test_germ_step_check_sees_a_rewritten_step():
     assert _germ_steps(ast.parse(fraction_step)) == ["germ_step"]
 
 
+def _starts_and_walks(tree):
+    """The functions that call a map's `value` or `lateral`, and those
+    that call `walk`, each sorted."""
+    calls = [(_word(node.func), _innermost(tree, node))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return (sorted({func for word, func in calls
+                    if word in ("value", "lateral")}),
+            sorted({func for word, func in calls if word == "walk"}))
+
+
+def test_one_special_start_and_two_walks():
+    """In `codes`, a special point's start is read in `_side_start` alone,
+    and the only walks are the codes walk and the good-set walk, so a
+    certificate reads a side's codes off its good-set walk instead of
+    walking its start again."""
+    tree = ast.parse((PACKAGE / "codes.py").read_text())
+    assert _starts_and_walks(tree) == (["_side_start"],
+                                       ["_codes_walk", "_good_walk"])
+
+
+def test_start_and_walk_check_sees_a_second_copy():
+    """A start read again from `f.value` / `f.lateral`, as
+    `regular_attractor` once did, and a second codes walk in
+    `side_codes` are both found."""
+    source = (PACKAGE / "codes.py").read_text()
+    edits = [("    start, _ = _side_start(f, w, cert.side)\n",
+              "    start = f.value(w)\n"
+              "    if start is None:\n"
+              "        start = f.lateral(w, cert.side)\n"),
+             ("_codes_walk(f, start, cap), firsts)",
+              "walk(f, start, cap, lock=True), firsts)")]
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    assert _starts_and_walks(ast.parse(source)) == (
+        ["_side_start", "regular_attractor"],
+        ["_codes_walk", "_good_walk", "side_codes"])
+
+
 def _halves(node):
     """A sum halved, `(lo + hi) // 2` or `(lo + hi) >> 1`: a bisection's
     midpoint."""

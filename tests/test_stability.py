@@ -654,7 +654,7 @@ def test_reports_read_nodes_by_position(monkeypatch):
                 stability_propagation_report(f, st)
                 in_report, hashes[0] = hashes[0], 0
                 if len(st.nodes) <= stability.CYCLE_NODE_BUDGET:
-                    stability._graph_cycles(st)
+                    stability._cycles(stability._successors(st))
                 in_cycles = hashes[0]
             germs = [(p, g.side) for p in st.nodes for g in germs_of(f, p)]
             assert sorted(validated) == sorted(germs), (f.to_text(), st.root)
@@ -715,7 +715,8 @@ def _ref_cycle_report(f, struct, classify):
     if len(struct.nodes) > stability.CYCLE_NODE_BUDGET:
         return "budget"
     verdicts = {p: classify(f, p) for p in struct.nodes}
-    cycles = stability._graph_cycles(struct)
+    cycles = [tuple(struct.nodes[i] for i in c) for c in
+              stability._cycles(stability._successors(struct))]
     on_cycle = {p for cyc in cycles for p in cyc}
     completely_periodic = set(struct.nodes) <= on_cycle
     core, choice_matters = (), False
