@@ -85,6 +85,13 @@ def rational(token: str) -> Fraction:
     return as_fraction(token)
 
 
+def horizon(token: str) -> int:
+    """A `--horizon` value, at least 1; argparse names the option."""
+    if int(token) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {token}")
+    return int(token)
+
+
 class _Parser(argparse.ArgumentParser):
     """Takes a word that starts like a negative number, such as -1/3, for
     a value, not an option.  argparse's own test here accepts only plain
@@ -127,17 +134,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--cap", type=int, default=10**4)
     p = cmd("periodic", help="periodic orbits up to a period horizon")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=horizon, default=4)
     p = cmd("classify", help="stability class of a confined point")
     p.add_argument("--x", type=rational, required=True)
     p = cmd("connections", help="lateral connections inside a structure")
     p.add_argument("--x", type=rational, required=True)
     p = cmd("taxonomy", help="critical / trapped / free / exceptional flags")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=horizon, default=4)
     p = cmd("basin", help="one-sided basin witnesses at special points")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=horizon, default=4)
     p = cmd("bound", help="orbit count against N_T + 2 N_D + 2")
-    p.add_argument("--horizon", type=int, default=8)
+    p.add_argument("--horizon", type=horizon, default=8)
     p = cmd("code", help="itinerary codes of a point")
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--cap", type=int, default=10**4)
@@ -146,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("minus", "plus"), default=None,
                    help="restrict jump points to one side")
     p = cmd("theorem5", help="regular points vs attracting orbits, both ways")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=horizon, default=4)
     p = cmd("suite", map_arg=False, help="run the property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--which", default=None,
@@ -270,16 +277,15 @@ def _cmd_structure(f, args) -> int:
 
 
 def _cmd_periodic(f, args) -> int:
-    for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
+    for orb in periodic_points(f, args.horizon):
         print(_orbit_label(orb))
     return 0
 
 
 def _cmd_classify(f, args) -> int:
     x = args.x
-    sides = [classify_side(f, x, g.side) for g in germs_of(f, x)]
-    print(classify_point(f, x))
-    for s in sides:
+    print(classify_point(f, x))  # checks once that x is confined
+    for s in (classify_side(f, x, g.side) for g in germs_of(f, x)):
         print(f"  {s.side}: {s.verdict} (cycle product {s.cycle_product})")
     return 0
 
@@ -303,7 +309,7 @@ def _cmd_connections(f, args) -> int:
 
 
 def _cmd_taxonomy(f, args) -> int:
-    for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
+    for orb in periodic_points(f, args.horizon):
         if not orb.continuous:
             continue
         tax = taxonomy(f, orb)
@@ -326,7 +332,7 @@ def _cmd_taxonomy(f, args) -> int:
 
 def _cmd_basin(f, args) -> int:
     shown = 0
-    for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
+    for orb in periodic_points(f, args.horizon):
         if orb.kind != POINT:
             continue
         tax = taxonomy(f, orb)
@@ -394,7 +400,7 @@ def _cmd_theorem5(f, args) -> int:
         except CertificationError as exc:
             print(f"forward {w}: CERTIFICATION FAILURE: {exc}")
             negatives += 1
-    for orb in periodic_points(f, args.horizon, max_power=2 * args.horizon):
+    for orb in periodic_points(f, args.horizon):
         if orb.kind != POINT:
             continue
         try:

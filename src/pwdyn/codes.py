@@ -284,13 +284,13 @@ def _side_start(f: PiecewiseMap, w: Fraction, side: Optional[Side]
     return f.lateral(w, side), (k[0],) if side == MINUS else (k[-1],)
 
 
-def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side],
-               cap: int = DEFAULT_CAP) -> tuple[Code, ...]:
-    """Codes of a special point: the codes of its `_side_start`, each put
-    behind every first index it admits.  A side is given exactly at a
-    jump, which has no orbit of its own."""
+def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side]
+               ) -> tuple[Code, ...]:
+    """Codes of a special point: the codes of its `_side_start` within
+    DEFAULT_CAP steps, each put behind every first index it admits.  A
+    side is given exactly at a jump, which has no orbit of its own."""
     start, firsts = _side_start(f, as_fraction(w), side)
-    return _walk_codes(f, _codes_walk(f, start, cap), firsts)
+    return _walk_codes(f, _codes_walk(f, start, DEFAULT_CAP), firsts)
 
 
 def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,
@@ -299,9 +299,7 @@ def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,
     set forever and some code of it repeats from position zero.  For a jump
     the verdict is per side; with no side given, the best side answers."""
     cert = regularity_certificate(f, w, cap, side=side)
-    if isinstance(cert, Trivalent):
-        return cert
-    return Trivalent(YES)
+    return cert if isinstance(cert, Trivalent) else Trivalent(YES)
 
 
 def regularity_certificate(f: PiecewiseMap, w: RationalLike,
@@ -312,20 +310,26 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
     first certified side answers, else the first unknown side, else no.
     w must be special, and a side is given only at a jump.  Each side
     walks once: its codes are read off its good-set walk, which on a yes
-    met no special point and so stops as the codes walk would."""
+    met no special point and so stops as the codes walk would.  Memoized
+    on f per (w, side, cap); a rejected point or side caches nothing."""
     w = as_fraction(w)
-    at_jump = w in f.special_points().discontinuities
-    verdicts = []
-    for s in (MINUS, PLUS) if side is None and at_jump else (side,):
-        start, firsts = _side_start(f, w, s)
-        good, path = _good_walk(f, start, cap)
-        if good.value == YES:
-            periodic = [c for c in _walk_codes(f, path, firsts)
-                        if c.strictly_periodic]
-            if periodic:
-                return RegularityCertificate(w, s, periodic[0], good)
-        verdicts.append(good)
-    return next((v for v in verdicts if v.value == UNKNOWN), Trivalent(NO))
+
+    def build():
+        at_jump = w in f.special_points().discontinuities
+        verdicts = []
+        for s in (MINUS, PLUS) if side is None and at_jump else (side,):
+            start, firsts = _side_start(f, w, s)
+            good, path = _good_walk(f, start, cap)
+            if good.value == YES:
+                periodic = [c for c in _walk_codes(f, path, firsts)
+                            if c.strictly_periodic]
+                if periodic:
+                    return RegularityCertificate(w, s, periodic[0], good)
+            verdicts.append(good)
+        return next((v for v in verdicts if v.value == UNKNOWN),
+                    Trivalent(NO))
+
+    return f._memo(("certificate", w, side, cap), build)
 
 
 # -- the regular point / attractor correspondence --------------------------------
@@ -491,7 +495,7 @@ def attractor_regular_source(f: PiecewiseMap, orb: PeriodicOrbit, *,
     if cls not in (STABLE, SEMI_STABLE):
         raise PreconditionError("orbit is unstable")
     turns = set(f.special_points().turning)
-    for other in periodic_points(f, horizon, max_power=2 * horizon):
+    for other in periodic_points(f, horizon):
         if not other.continuous or not any(p in turns for p in other.points):
             continue
         if classify_point(f, other.representative,

@@ -287,14 +287,11 @@ class PropertyResult:
         if self.fails == fails:
             self.passes += 1
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {"name": self.name, "passes": self.passes, "fails": self.fails,
-               "skips": self.skips,
-               "bundles": [b.to_dict() for b in self.bundles],
-               "extra": self.extra}
-        if include_timing:
-            out["seconds"] = round(self.seconds, 3)
-        return out
+    def to_dict(self) -> dict:  # no timing: `summary` prints it
+        return {"name": self.name, "passes": self.passes, "fails": self.fails,
+                "skips": self.skips,
+                "bundles": [b.to_dict() for b in self.bundles],
+                "extra": self.extra}
 
 
 @dataclass
@@ -306,13 +303,13 @@ class SuiteReport:
     def total_fails(self) -> int:
         return sum(r.fails for r in self.results.values())
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {"seed": self.seed,
-                "properties": {name: r.to_dict(include_timing)
+                "properties": {name: r.to_dict()
                                for name, r in sorted(self.results.items())}}
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(include_timing=False), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self) -> str:
         lines = []
@@ -375,7 +372,7 @@ def closed_structures(f: PiecewiseMap):
     """
     roots = list(f.special_points().discontinuities)
     try:
-        for orb in periodic_points(f, 3, max_power=6, guard=20000):
+        for orb in periodic_points(f, 3, guard=20000):
             roots.append(orb.representative)
     except NOT_APPLICABLE:
         pass
@@ -496,7 +493,7 @@ def _prop_orbits(cfg, count, result):
     intersecting = 0
     for f in _corpus(cfg, "orbits", count, slope_palette="neutral-rich",
                      discontinuity_bias=0.8, denominator_bound=12):
-        orbits = result.call(periodic_points, f, 4, max_power=8, guard=20000)
+        orbits = result.call(periodic_points, f, 4, guard=20000)
         if orbits is None:
             continue
         with result.case():
@@ -586,7 +583,7 @@ def _prop_subsample(cfg, count, result):
     corpus = list(_corpus(cfg, "subsample", count)) + \
         [pinned_maps()[k] for k in ("contraction", "tent", "twocycle")]
     for f in corpus:
-        orbits = result.call(periodic_points, f, 3, max_power=6, guard=20000)
+        orbits = result.call(periodic_points, f, 3, guard=20000)
         if orbits is None:
             continue
         with result.case():
@@ -601,7 +598,7 @@ def _prop_subsample(cfg, count, result):
 @suite_property("taxonomy_rules", 300)
 def _prop_taxonomy(cfg, count, result):
     for f in _corpus(cfg, "taxonomy", count, max_pieces=3):
-        orbits = result.call(periodic_points, f, 8, max_power=16, guard=30000)
+        orbits = result.call(periodic_points, f, 8, guard=30000)
         if orbits is None:
             continue
         with result.case():
@@ -627,7 +624,7 @@ def _prop_taxonomy(cfg, count, result):
 def _prop_exceptional(cfg, count, result):
     for f in _corpus(cfg, "exceptional", count, max_pieces=3):
         with result.skipping(), result.case():
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
+            orbits = periodic_points(f, 4, guard=20000)
             try:
                 exceptional_census(f, orbits)
             except TaxonomyViolation as exc:
@@ -642,7 +639,7 @@ def _prop_basins(cfg, count, result):
         if not f.special_points().points:
             result.skip()
             continue
-        orbits = result.call(periodic_points, f, 4, max_power=8, guard=20000)
+        orbits = result.call(periodic_points, f, 4, guard=20000)
         if orbits is None:
             continue
         found = False
@@ -723,7 +720,7 @@ def _prop_duality(cfg, count, result):
                         result.fail(f, f"forward construction failed: {exc}",
                                     w=w)
             try:
-                orbits = periodic_points(f, 4, max_power=8, guard=20000)
+                orbits = periodic_points(f, 4, guard=20000)
             except NOT_APPLICABLE:
                 orbits = []
             for orb in orbits:

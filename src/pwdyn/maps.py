@@ -50,7 +50,7 @@ PLUS: Side = "plus"
 
 RationalLike = Union[Fraction, int, str]
 
-# Default guards; callers may override per operation.
+# Fixed budgets: compose's piece guard (power's default one), power's limit.
 MAX_PIECES = 10**6
 MAX_POWER = 12
 
@@ -272,9 +272,9 @@ class PiecewiseMap:
             found.append(t.cuts[-1])
         return found
 
-    def power(self, n: int, *, max_power: int = MAX_POWER,
-              guard: int = MAX_PIECES, check: bool = True) -> "PiecewiseMap":
-        """Exact n-th iterate, built by repeated composition (memoized).
+    def power(self, n: int, *, guard: int = MAX_PIECES,
+              check: bool = True) -> "PiecewiseMap":
+        """Exact n-th iterate, n <= MAX_POWER, by composition (memoized).
 
         Each power k is memoized with its piece count before merging, so a
         memoized power raises the same PieceLimitError for a smaller
@@ -284,8 +284,8 @@ class PiecewiseMap:
         failed check caches nothing, so it raises on every later request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
-        if n > max_power:
-            raise PowerLimitError(f"power {n} exceeds limit {max_power}")
+        if n > MAX_POWER:
+            raise PowerLimitError(f"power {n} exceeds limit {MAX_POWER}")
 
         def checked(k, before, power):
             _check_sandwich(self, before, power)
@@ -451,8 +451,8 @@ def parse_map(text: str) -> PiecewiseMap:
 
 
 def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
-            guard: int = MAX_PIECES, check: bool = True) -> PiecewiseMap:
-    """Exact composition outer(inner(x)) as a normalized piecewise map.
+            check: bool = True) -> PiecewiseMap:
+    """Exact outer(inner(x)), normalized, of at most MAX_PIECES pieces.
 
     A point where `inner` jumps, or lands on a jump of `outer`, stays
     undefined in the result only if the result's own lateral limits differ
@@ -462,7 +462,7 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
     result = _from_segments(outer.a, outer.b, _push_segments(
-        _table(outer), inner._segs, guard))
+        _table(outer), inner._segs, MAX_PIECES))
     if check:
         _check_sandwich(outer, inner, result)
     return result

@@ -84,13 +84,13 @@ class VariantSelector:
         raise KeyError(f"{w} is not a jump point of this selector")
 
 
-def variants(f: PiecewiseMap, *, bit_limit: int = VARIANT_BIT_LIMIT
-             ) -> list[VariantSelector]:
-    """All side selectors, ordered lexicographically in (point, side)."""
+def variants(f: PiecewiseMap) -> list[VariantSelector]:
+    """All side selectors, ordered lexicographically in (point, side);
+    VariantLimitError past VARIANT_BIT_LIMIT jump points."""
     jumps = f.special_points().discontinuities
-    if len(jumps) > bit_limit:
-        raise VariantLimitError(
-            f"{len(jumps)} jump points exceed the {bit_limit}-bit limit")
+    if len(jumps) > VARIANT_BIT_LIMIT:
+        raise VariantLimitError(f"{len(jumps)} jump points exceed the "
+                                f"{VARIANT_BIT_LIMIT}-bit limit")
     out = []
     for sides in itertools.product((MINUS, PLUS), repeat=len(jumps)):
         out.append(VariantSelector(tuple(zip(jumps, sides))))
@@ -748,13 +748,14 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
     identity (split at points whose orbits hit a jump); a point of an
     orbit already added is not walked again.  Half-point cycles at jumps
     are found through germ orbits.  Each orbit is reported once, at its
-    minimal period.  Memoized on f per (max_period, guard), since
-    `max_power` only bounds max_period; each call gets a new list.
+    minimal period.  Memoized on f per (max_period, guard): `max_power`,
+    if given, only bounds max_period; each call gets a new list.
     """
-    limit = max_power if max_power is not None else 12
-    if not 1 <= max_period <= limit // 2:
-        raise ValueError(
-            f"max_period must lie in [1, {limit // 2}] (configured power limit)")
+    if max_period < 1:
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
+    if max_power is not None and max_period > max_power // 2:
+        raise ValueError(f"max_period must lie in [1, {max_power // 2}] "
+                         "(configured power limit)")
     key = ("periodic_points", max_period, guard)
     return list(f._memo(key, lambda: _periodic_orbits(f, max_period, guard)))
 

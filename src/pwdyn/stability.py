@@ -74,13 +74,11 @@ def germs_of(f: PiecewiseMap, x: Fraction) -> list[Germ]:
     return out
 
 
-def classify_side(f: PiecewiseMap, x: RationalLike, side: Side, *,
-                  require_confined: bool = True) -> SideClass:
-    """Verdict for one lateral neighbourhood from its germ cycle product,
-    |A1 ... Ak| against D1 ... Dk on the ints of the germ's walk record."""
+def classify_side(f: PiecewiseMap, x: RationalLike, side: Side) -> SideClass:
+    """Verdict for one lateral neighbourhood, unchecked for confinement,
+    from its germ cycle product, |A1 ... Ak| against D1 ... Dk on the ints
+    of the germ's walk record; `classify_point` checks confinement."""
     x = as_fraction(x)
-    if require_confined and not structure(f, x).closed:
-        raise NotConfinedError(f"structure of {x} is not closed")
     _, steps, start = _germ_walk(f, _germ_key(f, Germ(x, side)), GERM_CAP)
     if start is None:
         raise NotConfinedError(f"germ orbit of ({x}, {side}) found no cycle")
@@ -111,8 +109,7 @@ def classify_point(f: PiecewiseMap, x: RationalLike, *,
     x = as_fraction(x)
     if require_confined and not structure(f, x).closed:
         raise NotConfinedError(f"structure of {x} is not closed")
-    return combine_sides([classify_side(f, x, g.side,
-                                        require_confined=False).verdict
+    return combine_sides([classify_side(f, x, g.side).verdict
                           for g in germs_of(f, x)])
 
 
@@ -304,9 +301,8 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
         raise NotConfinedError("structure is not closed")
     nodes = struct.nodes
     walks = [_walks(f, p) for p in nodes]
-    sides = [{g.side: classify_side(f, p, g.side,
-                                    require_confined=False).verdict
-              for g, _ in w} for p, w in zip(nodes, walks)]
+    sides = [{g.side: classify_side(f, p, g.side).verdict for g, _ in w}
+             for p, w in zip(nodes, walks)]
     classes = [combine_sides(list(s.values())) for s in sides]
     keys = [_pair(p) for p in nodes]
     table = [[_connections(y, z, w, k) for z, k in zip(nodes, keys)]
@@ -540,8 +536,7 @@ def _check_twin_half_cycles(f, w, struct, verdicts, report, flag):
             for y in sorted(inter):
                 if verdicts[y] != SEMI_STABLE:
                     flag("twin_semi_intersection", z, y, "expected semi_stable")
-            sides = {s: classify_side(f, w, s, require_confined=False).verdict
-                     for s in (MINUS, PLUS)}
+            sides = {s: classify_side(f, w, s).verdict for s in (MINUS, PLUS)}
             stable_side = MINUS if sides[MINUS] == CONTRACTING else PLUS
             stable_cycle = minus_cyc if stable_side == MINUS else plus_cyc
             other_cycle = plus_cyc if stable_side == MINUS else minus_cyc

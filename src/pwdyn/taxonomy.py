@@ -208,10 +208,9 @@ class TrapResult:
     witness: Optional[tuple[Fraction, Fraction, Fraction]] = None
 
 
-def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
-               at_point: Optional[Fraction] = None) -> TrapResult:
-    """Decide trappedness by exact sign analysis of the 2n-th iterate
-    against the diagonal inside the monotone window.
+def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
+    """Decide trappedness at the orbit's representative by exact sign
+    analysis of the 2n-th iterate against the diagonal in its window.
 
     A trapped orbit is bracketed by y < x < z strictly inside the window
     with the 2n-th iterate at most y at y and at least z at z (equalities
@@ -225,9 +224,7 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit, *,
         raise PreconditionError("trapped is defined for non-critical orbits")
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
-    x = as_fraction(at_point) if at_point is not None else orb.representative
-    if f.a <= x <= f.b and x not in orb.points:  # off [a, b]: ValueError
-        raise PreconditionError(f"{x} is not a point of the orbit")
+    x = orb.representative
     return _trap(f, x, orb.period, special_gaps(f, x, 2 * orb.period))
 
 
@@ -446,25 +443,24 @@ def _map_atlas(f: PiecewiseMap) -> dict[PeriodicOrbit, list[AttractionBall]]:
     memoized on f: the one atlas behind `attracted` and code certification.
     """
     return f._memo(("atlas", ATLAS_HORIZON), lambda: attraction_atlas(
-        f, periodic_points(f, ATLAS_HORIZON, max_power=2 * ATLAS_HORIZON)))
+        f, periodic_points(f, ATLAS_HORIZON)))
 
 
-def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit,
-              cap: int = 10**4) -> str:
+def attracted(f: PiecewiseMap, y: RationalLike, orb: PeriodicOrbit) -> str:
     """Whether the orbit of y converges to the given periodic orbit.
 
     Yes once the orbit enters a certified contraction ball of the target (or
     lands exactly on it) in the map's horizon-8 atlas, or the cycle lock
     of `walk` settles on it; no when it hits a jump, lands exactly on, or
     enters a certified ball of or locks onto, a different orbit; unknown
-    when `cap` steps or the DENOM_BIT_CAP denominator budget run out first.
+    when 10**4 steps or the DENOM_BIT_CAP denominator budget run out first.
     """
     y = as_fraction(y)
     target = set(orb.points)
     balls = f._memo(("atlas_balls", ATLAS_HORIZON), lambda: ball_stops(
         (*ball.span(ball.radius), ball.center, other)
         for other, ring in _map_atlas(f).items() for ball in ring))
-    w = walk(f, y, cap, balls=balls, lock=True)
+    w = walk(f, y, 10**4, balls=balls, lock=True)
     if w.reason in ("repeat", "lock"):  # a lock found its cycle
         return "yes" if set(w.found or w.trail[w.start:]) == target else "no"
     if w.reason == "stop":
@@ -584,15 +580,14 @@ def count_bound(f: PiecewiseMap, horizon: int = 8) -> BoundReport:
     """Count continuous periodic orbits that are stable or semi-stable and
     not trapped, up to the period horizon, against N_T + 2 N_D + 2.
 
-    The orbits are `periodic_points(f, horizon, max_power=2 * horizon)`,
-    shared with every other caller through the map's memo.  The search
-    horizon can only under-count, so a violated bound is a genuine
-    counterexample.
+    The orbits are `periodic_points(f, horizon)`, shared with every other
+    caller through the map's memo.  The search horizon can only
+    under-count, so a violated bound is a genuine counterexample.
     """
     special = f.special_points()
     if not special.points:
         raise PreconditionError("bound needs a nonempty special set")
-    orbits = periodic_points(f, horizon, max_power=2 * horizon)
+    orbits = periodic_points(f, horizon)
     turns = set(special.turning)
     counted = []
     for orb in orbits:

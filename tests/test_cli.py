@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pwdyn import cli
+from pwdyn import cli, stability
 from pwdyn.cli import dispatch
 from pwdyn.codes import CertificationError
 from pwdyn.maps import MapInvariantError, parse_map
@@ -109,6 +109,38 @@ def test_structure_and_classify(capsys, shift_path):
     assert "closed = yes" in out
     code, out, _ = run(capsys, "classify", shift_path, "--x", "1/2")
     assert code == 0 and out.splitlines()[0] == "unstable"
+
+
+def test_classify_checks_confinement_once(capsys, shift_path, hat_path,
+                                         monkeypatch):
+    """`classify` builds its point's structure once, in `classify_point`,
+    and reads the sides unchecked; a point that is not confined exits 2
+    before any output."""
+    built = []
+    real = stability.structure
+    monkeypatch.setattr(stability, "structure",
+                        lambda *a: built.append(a) or real(*a))
+    code, out, _ = run(capsys, "classify", shift_path, "--x", "1/2")
+    assert (code, len(built)) == (0, 1)
+    assert out == ("unstable\n  minus: neutral (cycle product 1)\n"
+                   "  plus: neutral (cycle product 1)\n")
+    code, out, err = run(capsys, "classify", hat_path, "--x", "1/2")
+    assert (code, out, err) == (2, "", "error: structure of 1/2 is not "
+                                "closed\n")
+
+
+@pytest.mark.parametrize("command",
+                         ["periodic", "taxonomy", "basin", "bound",
+                          "theorem5"])
+def test_horizon_below_one_is_a_usage_error(capsys, hat_path, command):
+    """A `--horizon` below 1 exits 2 before any output, with an argparse
+    error naming the option; `theorem5` once printed its forward lines
+    first, and every command named the power limit instead."""
+    for value in ("0", "-2"):
+        code, out, err = run(capsys, command, hat_path, "--horizon", value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --horizon: must be >= 1, "
+                            f"got {value}\n"), err
 
 
 def test_theorem5_and_regular(capsys, hat_path):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import pwdyn.codes as codes_module
-from pwdyn.codes import (CertificationError, Certifier, Code,
+from pwdyn.codes import (CertificationError, Certifier,
                          CodeUndefinedError, PartitionIntervals,
                          RegularityCertificate, Trivalent,
                          _stabilized_interval, attractor_regular_source, avoids_special_forever,
@@ -199,15 +199,6 @@ def test_side_codes_check_the_point_and_side(maps):
         side_codes(maps["hat"], F(1, 3), None)
 
 
-def test_side_codes_truncate_at_their_cap(maps):
-    """Past `cap` steps the side codes of the tent's turning point are
-    truncated: the cap's trail of f(1/2) = 3/4, behind each first index."""
-    out = side_codes(maps["tent"], F(1, 2), None, cap=5)
-    tail, = codes(maps["tent"], F(3, 4), 5)
-    assert tail.truncated and len(tail.prefix) == 5
-    assert out == tuple(Code((k, *tail.prefix), None, True) for k in (0, 1))
-
-
 def test_a_certificate_walks_once_per_side(monkeypatch):
     """A certified side reads its codes off its good-set walk, so
     `regularity_certificate` walks once per side it tries: once at a
@@ -237,6 +228,43 @@ def test_a_certificate_walks_once_per_side(monkeypatch):
                 assert len(walks) == tried, (f.to_text(), w, side)
                 certified[at_jump, side is None] += found
     assert min(certified.values()) >= 2, certified
+
+
+def test_an_attractor_after_its_verdict_walks_no_side_again(monkeypatch):
+    """`regular_attractor(f, w)` after `is_regular(f, w)` reads the
+    memoized certificate, so it walks no side again, where each side was
+    once walked a second time; a rejected point caches nothing and
+    raises again.  Cold pinned and seeded maps, and the period-9 jump."""
+    walks = []
+    real = codes_module.walk
+    monkeypatch.setattr(codes_module, "walk",
+                        lambda *a, **k: walks.append(a) or real(*a, **k))
+    jump = parse_map("interval 0 1\n"
+                     "piece 0 1/8 : slope -1/2 intercept 2311/4096\n"
+                     "piece 1/8 1 : slope 1 intercept -55/1024\n")
+    seen = Counter()
+    for f in [*pinned_maps().values(), jump,
+              *_corpus(GeneratorConfig(seed=29), "walks", 40)]:
+        for w in f.special_points().points:
+            walks.clear()
+            verdict = is_regular(f, w)
+            seen["walked"] += len(walks)
+            if verdict.value != "yes":
+                continue
+            walks.clear()
+            try:
+                regular_attractor(f, w)
+            except CertificationError:
+                pass
+            assert walks == [], (f.to_text(), w)
+            seen["attractors"] += 1
+    assert seen["attractors"] > 20 and seen["walked"] > seen["attractors"]
+    hat = pinned_map("hat")
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="^1/3 is not a special"):
+            regularity_certificate(hat, F(1, 3))
+    assert not any(key[0] == "certificate" and key[1] == F(1, 3)
+                   for key in hat._cache)
 
 
 def test_regular_not_periodic(maps):

@@ -20,19 +20,18 @@ from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import MINUS, PLUS, PiecewiseMap, PwdynError, _affine
 from pwdyn.orbits import (INTERVAL_FAMILY, POINT, PeriodicOrbit,
                           _half_point_cycle, _inside_family, fixed_cycle,
-                          fixed_points, image_chain, periodic_points)
+                          fixed_points, image_chain, periodic_points,
+                          special_gaps)
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import (PreconditionError, TaxonomyViolation, TrapResult,
                             _monotone_on, _pick_witness, _push_edge,
-                            _strict_gap_on, _window, basin_adjacent_special,
-                            exceptional_types, is_trapped, restrict_power,
-                            window_sweep)
+                            _strict_gap_on, _trap, _window,
+                            basin_adjacent_special, exceptional_types,
+                            is_trapped, restrict_power, window_sweep)
 from test_periodic import _ref_regular_attractor
 
-# The (max_period, max_power, guard) keys `pwdyn suite` asks
-# `periodic_points` for.
-SUITE_KEYS = [(3, 6, 20000), (4, 8, 20000), (4, 8, 10**6), (8, 16, 30000),
-              (8, 16, 10**6)]
+# The (max_period, guard) keys `pwdyn suite` asks `periodic_points` for.
+SUITE_KEYS = [(3, 20000), (4, 20000), (4, 10**6), (8, 30000), (8, 10**6)]
 
 # -- the Fraction fixed points, the reference ---------------------------------
 
@@ -86,11 +85,11 @@ def _ref_collect_families(f, n, left, right):
                             tuple(sorted(set(intervals))), closed)
 
 
-def _ref_periodic_points(f, max_period, limit, guard):
+def _ref_periodic_points(f, max_period, guard):
     jumps = set(f.special_points().discontinuities)
     found = {}
     for n in range(1, max_period + 1):
-        fn = f.power(n, max_power=limit, guard=guard, check=False)
+        fn = f.power(n, guard=guard, check=False)
         points, identities = _ref_fixed_points(fn.pieces)
         families = [orb for piece in identities
                     for orb in _ref_collect_families(f, n, *piece)]
@@ -191,6 +190,15 @@ def _ref_strict_gap_on(segs, lo, hi, negative):
             if gp < 0 or gq < 0 or (gp == 0 and gq == 0):
                 return False
     return True
+
+
+def _trap_at(f, orb, p):
+    """The trap verdict at a point p of a continuous orbit: the error
+    `is_trapped` raises on a critical or end orbit, else the `_trap` call
+    `taxonomy` makes at p."""
+    if {f.a, f.b, *f.special_points().turning} & set(orb.points):
+        return is_trapped(f, orb)
+    return _trap(f, p, orb.period, special_gaps(f, p, 2 * orb.period))
 
 
 def _ref_is_trapped(f, orb, at_point):
@@ -361,22 +369,20 @@ def test_signs_match_the_fraction_reference_on_every_clip():
 
 def test_orbits_and_trapping_match_the_fraction_reference():
     """On the corpus: `periodic_points` at every suite key, on a cold map
-    beside a cold copy for the reference; `is_trapped` at every point of every continuous orbit, witnesses
-    and errors included; `exceptional_types` of every free orbit and
-    `basin_adjacent_special` of every continuous one; and
-    `regular_attractor` at every special point."""
+    beside a cold copy for the reference; trapping at every point of every
+    continuous orbit, witnesses and errors included; `exceptional_types`
+    of every free orbit and `basin_adjacent_special` of every continuous
+    one; and `regular_attractor` at every special point."""
     seen = dict.fromkeys(["orbits", "points", "trapped", "free",
                           "exceptional", "basin", "regular"], 0)
     maps = _corpus_maps()
     assert len(maps) >= 309
     for f in maps:
         ref = _cold(f)
-        for max_period, limit, guard in SUITE_KEYS:
-            want = _outcome(_ref_periodic_points, ref, max_period, limit,
-                            guard)
-            got = _outcome(periodic_points, f, max_period, max_power=limit,
-                           guard=guard)
-            assert got == want, (f.to_text(), max_period, limit, guard)
+        for max_period, guard in SUITE_KEYS:
+            want = _outcome(_ref_periodic_points, ref, max_period, guard)
+            got = _outcome(periodic_points, f, max_period, guard=guard)
+            assert got == want, (f.to_text(), max_period, guard)
             seen["orbits"] += len(want) if isinstance(want, list) else 0
         for orb in periodic_points(f, 8, max_power=16):
             if not orb.continuous:
@@ -384,7 +390,7 @@ def test_orbits_and_trapping_match_the_fraction_reference():
             results = [_outcome(_ref_is_trapped, f, orb, p)
                        for p in orb.points]
             for p, want in zip(orb.points, results):
-                assert _outcome(is_trapped, f, orb, at_point=p) == want, \
+                assert _outcome(_trap_at, f, orb, p) == want, \
                     (f.to_text(), orb, p)
             flags = {getattr(r, "trapped", None) for r in results}
             seen["points"] += None not in flags and len(results)

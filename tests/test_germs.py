@@ -144,7 +144,7 @@ def test_germ_step_matches_the_fraction_reference():
 
 
 def _ref_classify_side(f, x, side):
-    """`classify_side` without the structure check, as it read the cycle
+    """`classify_side`, which checks no structure, as it read the cycle
     product of the Fraction germ orbit."""
     go = _ref_germ_orbit(f, Germ(x, side), 10**4)
     if go.truncated:
@@ -210,8 +210,7 @@ def test_side_verdicts_and_half_point_cycles_match_the_fraction_orbit(
         for x in sorted(nodes):
             for g in germs_of(f, x):
                 want = _ref_classify_side(f, x, g.side)
-                assert classify_side(f, x, g.side,
-                                     require_confined=False) == want, \
+                assert classify_side(f, x, g.side) == want, \
                     (f.to_text(), x, g.side)
                 seen[want.verdict] += 1
         for w in sorted(jumps):
@@ -235,8 +234,7 @@ def test_side_verdicts_and_half_point_cycles_match_the_fraction_orbit(
         x = (f.a + 2 * f.b) / 3
         for side in (MINUS, PLUS):
             want = _outcome(_ref_classify_side, f, x, side)
-            assert _outcome(classify_side, f, x, side,
-                            require_confined=False) == want, \
+            assert _outcome(classify_side, f, x, side) == want, \
                 (f.to_text(), side)
             if isinstance(want, str):
                 assert want.startswith("NotConfinedError: ")
@@ -301,8 +299,7 @@ def test_a_side_other_than_minus_or_plus_is_an_error(maps):
     for x, side in ((F(0), "up"), (F(1, 3), "left"), (F(1, 2), "right"),
                     (F(1), "plus ")):
         calls = (lambda: germ_orbit(hat, Germ(x, side)),
-                 lambda: classify_side(hat, x, side,
-                                       require_confined=False),
+                 lambda: classify_side(hat, x, side),
                  lambda: lateral_oracle(hat, x, side),
                  lambda: hat.lateral(x, side))
         for call in calls:

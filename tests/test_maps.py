@@ -212,7 +212,7 @@ def test_compose_interval_mismatch(maps):
 
 def test_piece_guard(maps):
     with pytest.raises(PieceLimitError):
-        compose(maps["tent"], maps["tent"], guard=2)
+        maps["tent"].power(2, guard=2)
 
 
 def test_iterate(maps):

@@ -21,7 +21,7 @@ from pwdyn import orbits, taxonomy as taxonomy_module
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.orbits import POINT, periodic_points, special_gaps
 from pwdyn.pinned import pinned_maps
-from pwdyn.taxonomy import (_orbit_gaps, attraction_atlas,
+from pwdyn.taxonomy import (_orbit_gaps, _trap, attraction_atlas,
                             basin_adjacent_special, count_bound, is_trapped,
                             monotone_window, taxonomy)
 from test_orbits import _outcome
@@ -47,7 +47,7 @@ def test_each_orbit_is_walked_once(monkeypatch):
     for f in _parity_corpus():
         walks.clear()
         got = _outcome(periodic_points, f, 8, max_power=16)
-        assert got == _outcome(_ref_periodic_points, f, 8, 16), f.to_text()
+        assert got == _outcome(_ref_periodic_points, f, 8), f.to_text()
         if isinstance(got, str):
             counted["errors"] += 1
             continue
@@ -123,7 +123,7 @@ def test_orbit_gaps_are_exact_in_any_listing_order(monkeypatch):
                 if not isinstance(tax, str) and not tax.critical \
                         and tax.boundary_case == "none":
                     for p in points:
-                        trap = is_trapped(f, listed, at_point=p)
+                        trap = _trap(f, p, n, special_gaps(f, p, 2 * n))
                         assert trap.trapped == tax.trapped, (f.to_text(), p)
                         if p == points[0]:
                             assert trap.witness == tax.trap_witness
@@ -186,9 +186,9 @@ def test_trap_does_no_fraction_arithmetic(monkeypatch):
 
 
 def test_trapping_off_the_domain_names_the_point():
-    """`is_trapped` steps its point's gaps without `_window`'s checks; a
-    point off the domain still raises the ValueError `monotone_window`
-    raises, naming that point."""
+    """`_trap` steps its point's gaps without `_window`'s checks; a point
+    off the domain still raises, from the gaps `taxonomy` hands it, the
+    ValueError `monotone_window` raises, naming that point."""
     checked = 0
     for f in pinned_maps().values():
         for orb in periodic_points(f, 4, max_power=8):
@@ -197,6 +197,7 @@ def test_trapping_off_the_domain_names_the_point():
             for p in (f.a - 1, f.b + Fraction(1, 3)):
                 want = f"ValueError: {p} outside [{f.a}, {f.b}]"
                 assert _outcome(monotone_window, f, p, 2) == want
-                assert _outcome(is_trapped, f, orb, at_point=p) == want
+                assert _outcome(lambda: _trap(f, p, orb.period, special_gaps(
+                    f, p, 2 * orb.period))) == want
                 checked += 1
     assert checked > 10, checked

@@ -246,7 +246,7 @@ def test_compose_agrees_with_nested_values():
     grid = [F(i, 60) for i in range(61)]
     for outer, inner in zip(fs, fs[1:] + fs[:1]):
         try:
-            h = compose(outer, inner, guard=20000)
+            h = compose(outer, inner)
         except PwdynError:
             continue
         for t in grid + [p.left + (p.right - p.left) / 3 for p in h.pieces]:

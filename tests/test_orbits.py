@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from pwdyn import orbits
-from pwdyn.codes import UNKNOWN, Code, Trivalent, avoids_special_forever, codes
+from pwdyn import orbits, taxonomy
+from pwdyn.codes import (UNKNOWN, Code, Trivalent, avoids_special_forever,
+                         codes, regularity_certificate)
 from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
                            _corpus, random_map)
 from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
@@ -185,9 +186,15 @@ def test_minimal_period_filter(maps):
     assert [o.points for o in orbs] == [(F(7, 12),)]
 
 
-def test_variant_bit_limit(maps):
-    with pytest.raises(VariantLimitError):
-        variants(maps["shift"], bit_limit=0)
+def test_variant_bit_limit():
+    """The 21-jump map of `test_cli.py::test_cobweb_past_twenty_jumps` is
+    past the 20-bit limit."""
+    f = parse_map("interval 0 1\n" + "".join(
+        f"piece {F(i, 22)} {F(i + 1, 22)} : slope 1/2 "
+        f"intercept {F(i % 2, 2)}\n" for i in range(22)))
+    with pytest.raises(VariantLimitError,
+                       match="^21 jump points exceed the 20-bit limit$"):
+        variants(f)
 
 
 def test_structure_cap_truncation(maps):
@@ -478,6 +485,16 @@ def test_walkers_reject_points_outside_the_domain(maps):
 WALKER_DIGEST = "303fef4bc5a7fc19"
 
 
+def _attracted(f, x, orb, cap):
+    """`attracted` with its one walk cut at `cap` steps instead of 10**4."""
+    real = taxonomy.walk
+    taxonomy.walk = lambda f, y, _, **stops: real(f, y, cap, **stops)
+    try:
+        return attracted(f, x, orb)
+    finally:
+        taxonomy.walk = real
+
+
 def _walker_calls():
     """(line head, call) for each answer of the four public point walkers,
     on new (cold) pinned maps and a few generated ones, at a long and a
@@ -494,7 +511,7 @@ def _walker_calls():
                 calls = [partial(orbit, f, x, sel, cap),
                          partial(avoids_special_forever, f, x, cap),
                          partial(codes, f, x, cap)]
-                calls += [partial(attracted, f, x, orb, cap)
+                calls += [partial(_attracted, f, x, orb, cap)
                           for orb in targets]
                 for call in calls:
                     yield f"{name} {x} {cap}", call
@@ -629,8 +646,8 @@ def _every_memo_calls():
     """(line head, call) on new (cold) maps for every memo kind: germ
     orbits at two caps, lateral and full classes, propagation reports
     (landing indices), periodic orbits, attraction (atlas and its balls),
-    codes (certifier), preimage sets, checked powers and the walks that
-    fill the integer table."""
+    codes (certifier) and regularity certificates, preimage sets, checked
+    powers and the walks that fill the integer table."""
     cfg = GeneratorConfig(seed=17)
     texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
     texts += [(f"gen/{i}", random_map(cfg.sub("memo", i)).to_text())
@@ -648,8 +665,11 @@ def _every_memo_calls():
             yield (f"{head} report", lambda f=f, x=x:
                    stability_propagation_report(f, structure(f, x, 200)))
             yield f"{head} codes", partial(codes, f, x, 50)
+            if x in probe.special_points().points:
+                yield (f"{head} certificate",
+                       partial(regularity_certificate, f, x, 50))
             yield (f"{head} attracted", lambda f=f, x=x: [
-                attracted(f, x, orb, 50) for orb in periodic_points(f, 2)])
+                _attracted(f, x, orb, 50) for orb in periodic_points(f, 2)])
             for side in (MINUS, PLUS):
                 if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
                     for cap in (7, 60):
@@ -659,7 +679,7 @@ def _every_memo_calls():
 
 def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
     """Each kind of memo key in `src/pwdyn`, found by the AST, is one of
-    the twelve named here and is built on cold maps by a seeded shuffled
+    the thirteen named here and is built on cold maps by a seeded shuffled
     run of calls whose answers, put back in order, equal those of the run
     in order: a new kind of memo fails here until it is named and such a
     run exercises it.  The map's own caches are memo kinds too: its
@@ -668,9 +688,10 @@ def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
     `periodic_points` leaves powers as segments before the checked power
     is asked for, on others it reads the built maps."""
     kinds = _memo_kinds()
-    assert kinds == {"atlas", "atlas_balls", "certifier", "germ_walk",
-                     "int_step", "msets", "partition", "periodic_points",
-                     "pieces", "power", "power_check", "special"}
+    assert kinds == {"atlas", "atlas_balls", "certificate", "certifier",
+                     "germ_walk", "int_step", "msets", "partition",
+                     "periodic_points", "pieces", "power", "power_check",
+                     "special"}
     canonical = [_answer_line(*c) for c in _every_memo_calls()]
     built = set()
     real = PiecewiseMap._memo

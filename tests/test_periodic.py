@@ -87,7 +87,7 @@ def _ref_collect_families(f, n, left, right, add):
                           tuple(sorted(set(intervals))), closed))
 
 
-def _ref_periodic_points(f, max_period, limit):
+def _ref_periodic_points(f, max_period):
     jumps = set(f.special_points().discontinuities)
     found = {}
 
@@ -95,7 +95,7 @@ def _ref_periodic_points(f, max_period, limit):
         found.setdefault(orb.key(), orb)
 
     for n in range(1, max_period + 1):
-        fn = f.power(n, max_power=limit, guard=10**6, check=False)
+        fn = f.power(n, check=False)
         n_families = []
         collect = lambda orb: (n_families.append(orb), add(orb))  # noqa: E731
         candidates = set()
@@ -249,7 +249,7 @@ def test_periodic_points_match_the_fraction_reference(max_period, limit,
     maps = list(pinned_maps().values()) + _census_corpus(count)
     kinds = {POINT: 0, INTERVAL_FAMILY: 0, HALF_POINT: 0, "closed": 0}
     for f in maps:
-        want = _outcome(_ref_periodic_points, f, max_period, limit)
+        want = _outcome(_ref_periodic_points, f, max_period)
         got = _outcome(periodic_points, f, max_period, max_power=limit)
         assert got == want, f.to_text()
         for orb in () if isinstance(want, str) else want:

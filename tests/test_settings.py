@@ -3,7 +3,8 @@
 A default that no call ever overrides is a constant in disguise: it adds a
 configuration that nothing exercises.  This check collects each parameter
 with a default from every `def` under `src/pwdyn` and looks for a call in
-`src/`, `tests/` or `perfbench/` that sets it, by keyword or by position.
+`src/` or `perfbench/` that sets it, by keyword or by position.  Calls in
+`tests/` do not count, so a test alone cannot keep a setting alive.
 Calls are matched by callee name only; a call of a class name counts as a
 call of its `__init__`, and a method's positional slots start after `self`.
 """
@@ -15,7 +16,7 @@ from pwdyn.taxonomy import NOT_APPLICABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pwdyn"
-CALLER_DIRS = ("src", "tests", "perfbench")
+CALLER_DIRS = ("src", "perfbench")
 
 
 def _sources(*dirs):
@@ -74,10 +75,14 @@ def _settings(trees):
     return seen
 
 
-def unset_defaults() -> list[str]:
-    calls = _settings(tree for _, tree in _sources(*CALLER_DIRS))
+def _unset(package, sources) -> list[str]:
+    """`file:function(param=)` for each parameter with a default in the
+    (path, tree) package files that no call in a source under one of the
+    CALLER_DIRS sets; the other sources, such as tests, are passed over."""
+    calls = _settings(tree for path, tree in sources
+                      if path.relative_to(ROOT).parts[0] in CALLER_DIRS)
     out = []
-    for path, tree in _sources("src/pwdyn"):
+    for path, tree in package:
         for func, param, slot, method in _defaulted(tree):
             keywords, count = calls.get(func, (set(), 0))
             if param in keywords:
@@ -88,8 +93,33 @@ def unset_defaults() -> list[str]:
     return sorted(set(out))
 
 
+def unset_defaults() -> list[str]:
+    return _unset(_sources("src/pwdyn"), _sources("src", "tests", "perfbench"))
+
+
 def test_every_default_has_a_caller():
     assert unset_defaults() == []
+
+
+def test_caller_check_passes_over_tests():
+    """`side_codes(cap=)` given back its default and set by one call, as
+    a deleted test once set it alone: the call is counted from a file in
+    `src/` or `perfbench/`, and from a file in `tests/` it is not."""
+    source = (PACKAGE / "codes.py").read_text()
+    old = "side: Optional[Side]\n               ) -> tuple[Code, ...]:"
+    assert source.count(old) == 1
+    package = [(PACKAGE / "codes.py", ast.parse(source.replace(
+        old, "side: Optional[Side],\n               cap: int = DEFAULT_CAP"
+             ") -> tuple[Code, ...]:")))]
+    sources = list(_sources("src", "tests", "perfbench"))
+    assert _unset(package, sources) == ["codes.py:side_codes(cap=)"]
+    call = ast.parse("side_codes(f, w, None, cap=5)\n")
+    for where, counted in (("tests/test_codes.py", False),
+                           ("src/pwdyn/cli.py", True),
+                           ("perfbench/workloads.py", True)):
+        found = _unset(package, [*sources, (ROOT / where, call)])
+        assert found == ([] if counted else ["codes.py:side_codes(cap=)"]), \
+            where
 
 
 def test_only_orbits_measures_denominators():
@@ -490,8 +520,8 @@ def test_start_and_walk_check_sees_a_second_copy():
               "    start = f.value(w)\n"
               "    if start is None:\n"
               "        start = f.lateral(w, cert.side)\n"),
-             ("_codes_walk(f, start, cap), firsts)",
-              "walk(f, start, cap, lock=True), firsts)")]
+             ("_codes_walk(f, start, DEFAULT_CAP), firsts)",
+              "walk(f, start, DEFAULT_CAP, lock=True), firsts)")]
     for old, new in edits:
         assert source.count(old) == 1
         source = source.replace(old, new)

@@ -475,7 +475,7 @@ def _ref_report(f, struct):
     for p in struct.nodes:
         for g in germs_of(f, p):
             side_classes[(p, g.side)] = stability.classify_side(
-                f, p, g.side, require_confined=False)
+                f, p, g.side)
     verdicts = {p: _ref_combine(side_classes.get((p, MINUS)),
                                 side_classes.get((p, PLUS)))
                 for p in struct.nodes}
@@ -604,7 +604,7 @@ def test_connections_match_the_fraction_reference():
     assert min(pairs.values()) > 50, pairs
 
 
-def _planted_side(f, x, side, *, require_confined=True):
+def _planted_side(f, x, side):
     """A side verdict drawn from a hash of (map, point, side)."""
     digest = hashlib.sha256(f"{f.to_text()}|{x}|{side}".encode()).digest()
     verdict = (CONTRACTING, CONTRACTING, NEUTRAL, EXPANDING)[digest[0] % 4]
@@ -831,8 +831,7 @@ def _ref_twin_half_cycles(f, w, struct, verdicts, report, flag):
                 if verdicts[y] != SEMI_STABLE:
                     flag("twin_semi_intersection", z, y,
                          "expected semi_stable")
-            sides = {s: classify_side(f, w, s, require_confined=False).verdict
-                     for s in (MINUS, PLUS)}
+            sides = {s: classify_side(f, w, s).verdict for s in (MINUS, PLUS)}
             stable_side = MINUS if sides[MINUS] == CONTRACTING else PLUS
             stable_cycle = minus_cyc if stable_side == MINUS else plus_cyc
             other_cycle = plus_cyc if stable_side == MINUS else minus_cyc

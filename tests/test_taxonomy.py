@@ -9,11 +9,12 @@ from pwdyn.codes import regular_attractor
 from pwdyn.harness import GeneratorConfig, _corpus, random_map
 from pwdyn.maps import MINUS, PLUS, parse_map
 from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
-                          periodic_points)
+                          periodic_points, special_gaps)
 from pwdyn.pinned import PINNED_NAMES, pinned_text
 from pwdyn.taxonomy import (BOUNDARY_FIXED, DegenerateWindowError,
-                            PreconditionError, _map_atlas, attraction_atlas,
-                            attracted, basin_adjacent_special, count_bound,
+                            PreconditionError, _map_atlas, _trap,
+                            attraction_atlas, attracted,
+                            basin_adjacent_special, count_bound,
                             exceptional_census, is_trapped, monotone_window,
                             restrict_power, taxonomy, window_sweep)
 from test_orbits import _answer_line, _digest
@@ -68,19 +69,6 @@ def test_trapped_tent(maps):
     assert delta > 0
 
 
-def test_trapping_off_the_orbit_names_the_point(maps):
-    """A point of the domain that is not on the orbit is a precondition
-    error naming it; a point off the domain keeps its ValueError."""
-    tent = maps["tent"]
-    orb = orbit_at(tent, F(3, 5), 1)
-    for q in (F(1, 7), F(0), F(1), F(2, 5)):
-        with pytest.raises(PreconditionError, match=f"^{q} is not a point"):
-            is_trapped(tent, orb, at_point=q)
-    with pytest.raises(ValueError, match=r"^2 outside \[0, 1\]$"):
-        is_trapped(tent, orb, at_point=F(2))
-    assert is_trapped(tent, orb, at_point=F(3, 5)).trapped
-
-
 def test_trapped_contraction(maps):
     assert not is_trapped(maps["contraction"],
                           orbit_at(maps["contraction"], F(1, 2), 1)).trapped
@@ -100,9 +88,10 @@ def test_trapped_shift_family_equalities(maps):
 
 
 def test_trapped_at_each_orbit_point():
-    """`is_trapped` at every point of every non-critical interior
-    continuous orbit of a seeded corpus: the flags agree along the orbit,
-    and the first point's witness is the one `taxonomy` reports."""
+    """`_trap` at every point of every non-critical interior continuous
+    orbit of a seeded corpus, as `taxonomy` calls it: the flags agree
+    along the orbit, and the first point's witness is the one `taxonomy`
+    reports."""
     seen = {True: 0, False: 0}
     for f in _corpus(GeneratorConfig(seed=89, max_pieces=3), "points", 120):
         turns = set(f.special_points().turning)
@@ -110,7 +99,9 @@ def test_trapped_at_each_orbit_point():
             if (not orb.continuous or turns & set(orb.points)
                     or {f.a, f.b} & set(orb.points)):
                 continue
-            results = [is_trapped(f, orb, at_point=p) for p in orb.points]
+            results = [_trap(f, p, orb.period,
+                             special_gaps(f, p, 2 * orb.period))
+                       for p in orb.points]
             assert len({r.trapped for r in results}) == 1, \
                 (f.to_text(), orb.points)
             tax = taxonomy(f, orb)
@@ -184,15 +175,11 @@ def test_attracted(maps):
 
 
 def test_attracted_unknown_budget(maps):
+    """The slope-3/2 tent expands everywhere, so the orbit of 1/7 settles
+    nowhere: it runs out of the denominator budget first."""
     t = maps["tent"]
     orb = orbit_at(t, F(3, 5), 1)
-    assert attracted(t, F(1, 7), orb, cap=3) == "unknown"
-
-
-def test_attracted_rejects_cap_below_one(maps):
-    t = maps["tent"]
-    with pytest.raises(ValueError, match="cap must be >= 1"):
-        attracted(t, F(1, 7), orbit_at(t, F(3, 5), 1), cap=0)
+    assert attracted(t, F(1, 7), orb) == "unknown"
 
 
 def test_count_bound_pinned(maps):
@@ -244,8 +231,8 @@ def _taxonomy_calls():
             yield f"{head} taxonomy", partial(taxonomy, f, orb)
             yield f"{head} basin", partial(basin_adjacent_special, f, orb)
             for p in orb.points:
-                yield f"{head} trapped {p}", partial(is_trapped, f, orb,
-                                                     at_point=p)
+                yield (f"{head} trapped {p}", lambda f=f, p=p, n=orb.period:
+                       _trap(f, p, n, special_gaps(f, p, 2 * n)))
 
 
 def test_taxonomy_answers_do_not_depend_on_call_order():
