@@ -279,18 +279,7 @@ def _side_start(f: PiecewiseMap, w: Fraction, side: Optional[Side]
             raise PreconditionError(
                 f"{w} is not a jump point, so it has no side")
         return f.value(w), k
-    if side is None:
-        raise PreconditionError("jump points need a side")
     return f.lateral(w, side), (k[0],) if side == MINUS else (k[-1],)
-
-
-def side_codes(f: PiecewiseMap, w: RationalLike, side: Optional[Side]
-               ) -> tuple[Code, ...]:
-    """Codes of a special point: the codes of its `_side_start` within
-    DEFAULT_CAP steps, each put behind every first index it admits.  A
-    side is given exactly at a jump, which has no orbit of its own."""
-    start, firsts = _side_start(f, as_fraction(w), side)
-    return _walk_codes(f, _codes_walk(f, start, DEFAULT_CAP), firsts)
 
 
 def is_regular(f: PiecewiseMap, w: RationalLike, cap: int = DEFAULT_CAP, *,

@@ -40,15 +40,15 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
 from .maps import (MapInvariantError, PiecewiseMap, PwdynError,
                    AffinePiece, _pair, _sandwich_bounds, compose, parse_map)
 from .orbits import (HALF_POINT, POINT, Germ, germ_orbit, orbit,
-                     periodic_points, structure, variant_step, variants,
-                     walk)
+                     periodic_points, special_gaps, structure,
+                     variant_step, variants, walk)
 from .pinned import pinned_maps
 from .stability import (UNSTABLE, classify_point, cycle_stability_report,
                         germs_of, oracle_classify,
                         stability_propagation_report,
                         subsampled_stability_report)
 from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
-                       attracted, basin_adjacent_special, count_bound,
+                       _trap, attracted, basin_adjacent_special, count_bound,
                        exceptional_census, taxonomy)
 
 
@@ -613,6 +613,11 @@ def _prop_taxonomy(cfg, count, result):
                     continue
                 interior = not any(p in (f.a, f.b) for p in orb.points)
                 if interior and not tax.critical:
+                    n = orb.period  # a window at every point, unlike taxonomy
+                    if any(_trap(f, p, n, special_gaps(f, p, 2 * n)).trapped
+                           != tax.trapped for p in orb.points):
+                        result.fail(f, "trapped flag not uniform",
+                                    points=orb.points)
                     cls = classify_point(f, orb.representative,
                                          require_confined=False)
                     if cls == UNSTABLE and not tax.trapped:

@@ -11,14 +11,16 @@ back by one affine solve, and pushes the segments once through the map, so
 no global high power is ever materialized; where the gaps repeat from
 halfway, as at depth 2n at a point of period n, the half sweep is squared
 through its own integer table.  An orbit's gaps are stepped once and
-rotated from point to point (`_orbit_gaps`).  Segments are int tuples,
-gaps int pairs, and they become Fractions only where `window_sweep`,
-`restrict_power` and the trap witnesses return them.  Trapped / free /
-basin questions reduce to the sign of f^m(t) - t on the segments, read
-off their coefficients by cross-multiplication; where it changes sign,
-the root is the segment's fixed point from `orbits.fixed_points`.
-The attraction atlas, the direction tests and the basin fold clip read
-int segments too, a map's side piece through `PiecewiseMap._side`.
+rotated from point to point (`_orbit_gaps`); a trapped orbit whose first
+point has both one-sided slopes of f^{2n} at least 1 needs no other window
+(`_orbit_trap`).  Segments are int tuples, gaps int pairs, and they become
+Fractions only where `window_sweep`, `restrict_power` and the trap
+witnesses return them.  Trapped / free / basin questions reduce to the
+sign of f^m(t) - t on the segments, read off their coefficients by
+cross-multiplication; where it changes sign, the root is the segment's
+fixed point from `orbits.fixed_points`.  The attraction atlas, the
+direction tests and the basin fold clip read int segments too, a map's
+side piece through `PiecewiseMap._side`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _affine, _image, _locate, _magnitude, _pair,
-                   _table, _table_of, as_fraction)
+                   Segment, _Table, _affine, _image, _locate, _magnitude,
+                   _pair, _table, _table_of, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
                      VariantLimitError, _germ_key, _germ_successor,
                      _sweep, ball_stops, fixed_points, periodic_points,
@@ -224,8 +226,13 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
         raise PreconditionError("trapped is defined for non-critical orbits")
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
-    x = orb.representative
-    return _trap(f, x, orb.period, special_gaps(f, x, 2 * orb.period))
+    return _first_trap(f, orb.representative, orb.period)
+
+
+def _first_trap(f: PiecewiseMap, x: Fraction, n: int) -> TrapResult:
+    """`_trap` at an orbit's representative x, memoized on f per (x, n)."""
+    return f._memo(("trap", x, n),
+                   lambda: _trap(f, x, n, special_gaps(f, x, 2 * n)))
 
 
 def _trap(f: PiecewiseMap, x: Fraction, n: int,
@@ -250,6 +257,42 @@ def _trap(f: PiecewiseMap, x: Fraction, n: int,
     return TrapResult(True, (y, z, Fraction(m, 2 * yd * ud * vd * zd)))
 
 
+def _orbit_trap(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
+    """The trap decision at every point of an orbit `taxonomy` checked.
+    f^k takes x_0 to x_k and is continuous and monotone on x_0's window, so
+    it conjugates f^{2n} near x_0 to f^{2n} near x_k, with the one-sided
+    slopes swapped where f^k decreases: if x_0 is trapped with both slopes
+    at least 1, so is each x_k, checked by its own slopes, not a window."""
+    n, x, t = orb.period, orb.representative, _table(f)
+    first = _first_trap(f, x, n)
+    if first.trapped and _expanding(t, x, n):
+        for p in orb.points[1:]:
+            if not _expanding(t, p, n):
+                raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
+        return first
+    if any(_trap(f, p, n, gaps).trapped != first.trapped
+           for p, gaps in zip(orb.points[1:], _orbit_gaps(f, orb)[1:])):
+        raise TaxonomyViolation(
+            f"trapped flag not uniform along orbit {orb.points}")
+    return first
+
+
+def _expanding(t: _Table, x: Fraction, n: int) -> bool:
+    """Both one-sided slopes of f^{2n} at the period-n point x are at least
+    1: |A| against D, multiplied over 2n germ steps on f's table t from
+    each side of x, which must come back to that side."""
+    out = True
+    for start in ((*_pair(x), False), (*_pair(x), True)):
+        key, num, den = start, 1, 1
+        for _ in range(2 * n):
+            key, i = _germ_successor(t, key)
+            num, den = num * abs(t.coefs[i][0]), den * t.coefs[i][2]
+        if key != start:
+            raise TaxonomyViolation(f"germ at {x} not back in {2 * n} steps")
+        out = out and num >= den
+    return out
+
+
 @dataclass(frozen=True)
 class OrbitTaxonomy:
     orbit: PeriodicOrbit
@@ -264,9 +307,10 @@ class OrbitTaxonomy:
 def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
     """Full classification of a continuous periodic orbit.
 
-    Trapped / free is evaluated at every orbit point and must agree; a
-    disagreement, or a periodic endpoint that is neither fixed, critical,
-    nor half of the endpoint swap, raises TaxonomyViolation.
+    Trapped / free must agree at every orbit point (`_orbit_trap`); a
+    point that fails its slope check, a disagreement, or a periodic
+    endpoint that is neither fixed, critical, nor half of the endpoint
+    swap, raises TaxonomyViolation.
     """
     if not orb.continuous:
         raise PreconditionError("taxonomy is defined for continuous orbits")
@@ -283,21 +327,11 @@ def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
             raise TaxonomyViolation(
                 f"periodic endpoint orbit {orb.points} is neither fixed, "
                 "critical, nor the endpoint swap")
-    trapped = False
-    witness = None
-    if not critical and not boundary:
-        results = [_trap(f, p, orb.period, gaps)
-                   for p, gaps in zip(orb.points, _orbit_gaps(f, orb))]
-        flags = {r.trapped for r in results}
-        if len(flags) != 1:
-            raise TaxonomyViolation(
-                f"trapped flag not uniform along orbit {orb.points}")
-        trapped = flags.pop()
-        witness = results[0].witness
-    free = not critical and not trapped and not boundary
+    trap = TrapResult(False) if critical or boundary else _orbit_trap(f, orb)
+    free = not critical and not trap.trapped and not boundary
     exceptional = exceptional_types(f, orb) if free else frozenset()
-    return OrbitTaxonomy(orb, critical, trapped, free, exceptional,
-                         boundary_case, witness)
+    return OrbitTaxonomy(orb, critical, trap.trapped, free, exceptional,
+                         boundary_case, trap.witness)
 
 
 def _monotone_on(f: PiecewiseMap, lo: Fraction, hi: Fraction,
@@ -358,13 +392,9 @@ def exceptional_census(f: PiecewiseMap, orbits: list[PeriodicOrbit]
     enforced: at most one orbit per type, and type c rules out a and b."""
     census: dict[str, list[PeriodicOrbit]] = {"a": [], "b": [], "c": []}
     for orb in orbits:
-        if not orb.continuous:
-            continue
-        tax = taxonomy(f, orb)
-        if not tax.free:
-            continue
-        for t in tax.exceptional:
-            census[t].append(orb)
+        if orb.continuous:  # only a free orbit has exceptional types
+            for t in taxonomy(f, orb).exceptional:
+                census[t].append(orb)
     for t, lst in census.items():
         if len(lst) > 1:
             raise TaxonomyViolation(f"two orbits of exceptional type {t}")

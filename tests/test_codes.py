@@ -9,7 +9,7 @@ from pwdyn.codes import (CertificationError, Certifier,
                          RegularityCertificate, Trivalent,
                          _stabilized_interval, attractor_regular_source, avoids_special_forever,
                          codes, is_regular, regular_attractor,
-                         regularity_certificate, side_codes)
+                         regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import parse_map
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, ball_stops, germ_orbit,
@@ -51,8 +51,9 @@ def test_partition_makes_its_cut_pairs_once(monkeypatch):
 
 def test_a_map_builds_its_partition_once(monkeypatch):
     """`PartitionIntervals.of` is memoized on the map: every `codes`,
-    `side_codes`, constraint interval and `regular_attractor` call on one
-    map reads the same partition, so its cut pairs are made once."""
+    `regularity_certificate`, constraint interval and `regular_attractor`
+    call on one map reads the same partition, so its cut pairs are made
+    once."""
     f = pinned_map("hat")
     built = []
     real = PartitionIntervals.__init__
@@ -61,7 +62,7 @@ def test_a_map_builds_its_partition_once(monkeypatch):
     part = PartitionIntervals.of(f)
     assert PartitionIntervals.of(f) is part
     codes(f, F(1, 3))
-    side_codes(f, F(1, 2), None)
+    regularity_certificate(f, F(1, 2))
     regular_attractor(f, F(1, 2))
     assert len(built) == 1
     assert PartitionIntervals.of(pinned_map("hat")) is not part
@@ -79,14 +80,12 @@ def test_code_shift(maps):
 
 
 def test_code_hat_turning_point(maps):
-    h = maps["hat"]
-    out = side_codes(h, F(1, 2), None)
-    assert len(out) == 2
-    by_first = {c.head(1)[0]: c for c in out}
-    assert not by_first[0].strictly_periodic
-    assert by_first[0].head(4) == (0, 1, 1, 1)
-    assert by_first[1].strictly_periodic and by_first[1].period == 1
-    assert by_first[1].head(3) == (1, 1, 1)
+    """The turning point 1/2 of the hat admits both first indices; the
+    code behind its certificate is the strictly periodic one, first index
+    1 and the fixed point's index after it."""
+    code = regularity_certificate(maps["hat"], F(1, 2)).code
+    assert code.strictly_periodic and code.period == 1
+    assert code.head(3) == (1, 1, 1)
 
 
 def test_good_set(maps):
@@ -183,20 +182,23 @@ def test_a_jump_keeps_its_unknown_sides_cap_used():
     assert is_regular(f, w) == budget
 
 
-def test_side_codes_check_the_point_and_side(maps):
-    """`side_codes` reads its start as `regularity_certificate` does: a
-    side at a point that is not a jump raises, as does a jump without one
-    or a point that is not special."""
+def test_a_certificate_checks_the_point_and_side(maps):
+    """`regularity_certificate` reads each side's start through
+    `_side_start`: a side at a point that is not a jump raises, as does a
+    point that is not special.  A jump needs no side: without one, both
+    sides are tried."""
     for side in ("minus", "plus"):
         with pytest.raises(PreconditionError,
                            match="^1/2 is not a jump point, so it has no "
                                  "side$"):
-            side_codes(maps["hat"], F(1, 2), side)
-    with pytest.raises(PreconditionError, match="^jump points need a side$"):
-        side_codes(maps["shift"], F(1, 2), None)
+            regularity_certificate(maps["hat"], F(1, 2), side=side)
     with pytest.raises(PreconditionError,
                        match="^1/3 is not a special point$"):
-        side_codes(maps["hat"], F(1, 3), None)
+        regularity_certificate(maps["hat"], F(1, 3))
+    shift, w = maps["shift"], F(1, 2)
+    assert regularity_certificate(shift, w) == Trivalent("no")
+    assert [regularity_certificate(shift, w, side=s) for s in
+            ("minus", "plus")] == [Trivalent("no")] * 2
 
 
 def test_a_certificate_walks_once_per_side(monkeypatch):

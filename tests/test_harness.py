@@ -10,7 +10,7 @@ from pwdyn.maps import (PieceLimitError, PiecewiseMap, PowerLimitError,
                         parse_map)
 from pwdyn.orbits import VariantLimitError
 from pwdyn.stability import CycleBudgetError
-from pwdyn.taxonomy import PreconditionError, TaxonomyViolation
+from pwdyn.taxonomy import PreconditionError, TaxonomyViolation, TrapResult
 
 
 def test_generation_deterministic():
@@ -111,6 +111,27 @@ def test_bug_class_errors_fail_the_suite(monkeypatch):
     with pytest.raises(TaxonomyViolation, match="planted violation"):
         run_suite(GeneratorConfig(seed=7), {"orbit_count_bound"},
                   counts={"orbit_count_bound": 3})
+
+
+def test_taxonomy_rules_sweep_every_orbit_point(monkeypatch):
+    # `taxonomy` may sweep one window per orbit; the suite sweeps a window
+    # at every point, so a `_trap` planted to disagree with `taxonomy` on
+    # the orbits of period 2 and up fails each such map, and only those
+    real = harness._trap
+
+    def planted(f, x, n, gaps):
+        trap = real(f, x, n, gaps)
+        return TrapResult(not trap.trapped) if n > 1 else trap
+
+    counts = {"taxonomy_rules": 20}
+    clean = run_suite(GeneratorConfig(seed=7), {"taxonomy_rules"},
+                      counts=counts).results["taxonomy_rules"]
+    monkeypatch.setattr(harness, "_trap", planted)
+    r = run_suite(GeneratorConfig(seed=7), {"taxonomy_rules"},
+                  counts=counts).results["taxonomy_rules"]
+    assert clean.fails == 0 and r.fails > 0 and r.passes > 0
+    assert r.passes + r.fails == clean.passes
+    assert {b.message for b in r.bundles} == {"trapped flag not uniform"}
 
 
 def test_memo_properties_keep_their_canonical_report():

@@ -4,12 +4,13 @@ point.
 `periodic_points` skips a candidate that is a point of a point orbit it has
 already added, so no `fixed_cycle` walk repeats an orbit.  `taxonomy`,
 `attraction_atlas` and `basin_adjacent_special` read the special gaps of
-every listed orbit point from `taxonomy._orbit_gaps`, which steps the
-first point once and rotates its gaps, but only when f takes each listed
-point to the next; any other listing is stepped point by point, so the
-answers do not depend on the order the points are listed in.  The trap
-witnesses are formed on int pairs, so `taxonomy._trap` itself does no
-`Fraction` arithmetic.
+each listed orbit point they sweep from `taxonomy._orbit_gaps`, which
+steps the first point once and rotates its gaps, but only when f takes
+each listed point to the next; any other listing is stepped point by
+point, so the answers do not depend on the order the points are listed
+in.  The trap witnesses are formed on int pairs, so `taxonomy._trap`
+itself does no `Fraction` arithmetic, and neither does the slope check
+`taxonomy._expanding` that stands in for the later points' sweeps.
 """
 
 import dataclasses
@@ -147,42 +148,48 @@ _OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 def test_trap_does_no_fraction_arithmetic(monkeypatch):
     """Over the taxonomy and count bound of 100 census-style maps, no
-    `Fraction` operator is called from `_trap`'s own frame; the spy sees
-    the ones `_pick_witness` still calls, so it is live."""
+    `Fraction` operator is called from `_trap`'s own frame or from the
+    slope check `_expanding`; the spy sees the ones `_pick_witness` still
+    calls, so it is live, and both frames run."""
     maps = list(_corpus(GeneratorConfig(seed=97, max_pieces=3), "trap", 100))
     for f in maps:  # warm the orbits, so the spy sees the taxonomy only
         periodic_points(f, 8, max_power=16)
     calls = Counter()
-    trap_code = taxonomy_module._trap.__code__
+    frames = {taxonomy_module._trap.__code__: "_trap",
+              taxonomy_module._expanding.__code__: "_expanding"}
 
     def spied(name):
         real = getattr(Fraction, name)
 
         def operator(*args):
             caller = sys._getframe(1).f_code
-            calls["_trap" if caller is trap_code else caller.co_name] += 1
+            calls[frames.get(caller, caller.co_name)] += 1
             return real(*args)
         return operator
 
-    traps = [0]
-    real_trap = taxonomy_module._trap
+    runs = Counter()
 
-    def counted_trap(*args):
-        traps[0] += 1
-        return real_trap(*args)
+    def counted(name):
+        real = getattr(taxonomy_module, name)
+
+        def call(*args):
+            runs[name] += 1
+            return real(*args)
+        return call
 
     with monkeypatch.context() as m:
         for name in _OPERATORS:
             m.setattr(Fraction, name, spied(name))
-        m.setattr(taxonomy_module, "_trap", counted_trap)
+        for name in frames.values():
+            m.setattr(taxonomy_module, name, counted(name))
         for f in maps:
             for orb in periodic_points(f, 8, max_power=16):
                 if orb.continuous:
                     _outcome(taxonomy, f, orb)
             _outcome(count_bound, f)
-    assert traps[0] > 200, traps
+    assert runs["_trap"] > 200 and runs["_expanding"] > 200, runs
     assert calls["_pick_witness"] > 0, calls
-    assert calls["_trap"] == 0, calls
+    assert calls["_trap"] == calls["_expanding"] == 0, calls
 
 
 def test_trapping_off_the_domain_names_the_point():

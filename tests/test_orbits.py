@@ -645,9 +645,10 @@ def _memo_kinds():
 def _every_memo_calls():
     """(line head, call) on new (cold) maps for every memo kind: germ
     orbits at two caps, lateral and full classes, propagation reports
-    (landing indices), periodic orbits, attraction (atlas and its balls),
-    codes (certifier) and regularity certificates, preimage sets, checked
-    powers and the walks that fill the integer table."""
+    (landing indices), periodic orbits, trap decisions by `is_trapped` and
+    `taxonomy`, attraction (atlas and its balls), codes (certifier) and
+    regularity certificates, preimage sets, checked powers and the walks
+    that fill the integer table."""
     cfg = GeneratorConfig(seed=17)
     texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
     texts += [(f"gen/{i}", random_map(cfg.sub("memo", i)).to_text())
@@ -658,6 +659,10 @@ def _every_memo_calls():
         yield f"{name} msets", partial(f.special_preimage_set, 3)
         yield (f"{name} power", lambda f=f: f.power(3).to_text())
         probe = parse_map(text)  # picks the points, leaves f cold
+        for orb in periodic_points(probe, 2):
+            for ask in (taxonomy.is_trapped, taxonomy.taxonomy):
+                yield (f"{name} {orb.points} {ask.__name__}",
+                       partial(ask, f, orb))
         for x in sorted({F(1, 3), f.a, f.b, *f.special_points().points}):
             head = f"{name} {x}"
             if structure(probe, x, 200).closed:
@@ -679,7 +684,7 @@ def _every_memo_calls():
 
 def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
     """Each kind of memo key in `src/pwdyn`, found by the AST, is one of
-    the thirteen named here and is built on cold maps by a seeded shuffled
+    the fourteen named here and is built on cold maps by a seeded shuffled
     run of calls whose answers, put back in order, equal those of the run
     in order: a new kind of memo fails here until it is named and such a
     run exercises it.  The map's own caches are memo kinds too: its
@@ -691,7 +696,7 @@ def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
     assert kinds == {"atlas", "atlas_balls", "certificate", "certifier",
                      "germ_walk", "int_step", "msets", "partition",
                      "periodic_points", "pieces", "power", "power_check",
-                     "special"}
+                     "special", "trap"}
     canonical = [_answer_line(*c) for c in _every_memo_calls()]
     built = set()
     real = PiecewiseMap._memo

@@ -102,23 +102,24 @@ def test_every_default_has_a_caller():
 
 
 def test_caller_check_passes_over_tests():
-    """`side_codes(cap=)` given back its default and set by one call, as
-    a deleted test once set it alone: the call is counted from a file in
-    `src/` or `perfbench/`, and from a file in `tests/` it is not."""
+    """`_side_start` given a `cap=` default that no caller sets, and then
+    set by one call, as a deleted test once set a cap alone: the call is
+    counted from a file in `src/` or `perfbench/`, and from a file in
+    `tests/` it is not."""
     source = (PACKAGE / "codes.py").read_text()
-    old = "side: Optional[Side]\n               ) -> tuple[Code, ...]:"
+    old = "side: Optional[Side]\n                ) -> tuple[Fraction,"
     assert source.count(old) == 1
     package = [(PACKAGE / "codes.py", ast.parse(source.replace(
-        old, "side: Optional[Side],\n               cap: int = DEFAULT_CAP"
-             ") -> tuple[Code, ...]:")))]
+        old, "side: Optional[Side],\n                cap: int = DEFAULT_CAP"
+             ") -> tuple[Fraction,")))]
     sources = list(_sources("src", "tests", "perfbench"))
-    assert _unset(package, sources) == ["codes.py:side_codes(cap=)"]
-    call = ast.parse("side_codes(f, w, None, cap=5)\n")
+    assert _unset(package, sources) == ["codes.py:_side_start(cap=)"]
+    call = ast.parse("_side_start(f, w, None, cap=5)\n")
     for where, counted in (("tests/test_codes.py", False),
                            ("src/pwdyn/cli.py", True),
                            ("perfbench/workloads.py", True)):
         found = _unset(package, [*sources, (ROOT / where, call)])
-        assert found == ([] if counted else ["codes.py:side_codes(cap=)"]), \
+        assert found == ([] if counted else ["codes.py:_side_start(cap=)"]), \
             where
 
 
@@ -513,21 +514,21 @@ def test_one_special_start_and_two_walks():
 
 def test_start_and_walk_check_sees_a_second_copy():
     """A start read again from `f.value` / `f.lateral`, as
-    `regular_attractor` once did, and a second codes walk in
-    `side_codes` are both found."""
+    `regular_attractor` once did, and a second codes walk in `codes`
+    are both found."""
     source = (PACKAGE / "codes.py").read_text()
     edits = [("    start, _ = _side_start(f, w, cert.side)\n",
               "    start = f.value(w)\n"
               "    if start is None:\n"
               "        start = f.lateral(w, cert.side)\n"),
-             ("_codes_walk(f, start, DEFAULT_CAP), firsts)",
-              "walk(f, start, DEFAULT_CAP, lock=True), firsts)")]
+             ("_codes_walk(f, as_fraction(x), cap), None)",
+              "walk(f, as_fraction(x), cap, lock=True), None)")]
     for old, new in edits:
         assert source.count(old) == 1
         source = source.replace(old, new)
     assert _starts_and_walks(ast.parse(source)) == (
         ["_side_start", "regular_attractor"],
-        ["_codes_walk", "_good_walk", "side_codes"])
+        ["_codes_walk", "_good_walk", "codes"])
 
 
 def _halves(node):

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
 
@@ -7,17 +10,18 @@ import pytest
 from pwdyn import taxonomy as taxonomy_module
 from pwdyn.codes import regular_attractor
 from pwdyn.harness import GeneratorConfig, _corpus, random_map
-from pwdyn.maps import MINUS, PLUS, parse_map
-from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, PeriodicOrbit,
-                          periodic_points, special_gaps)
-from pwdyn.pinned import PINNED_NAMES, pinned_text
+from pwdyn.maps import MINUS, PLUS, _table, parse_map
+from pwdyn.orbits import (HALF_POINT, INTERVAL_FAMILY, Germ, PeriodicOrbit,
+                          germ_step, periodic_points, special_gaps)
+from pwdyn.pinned import PINNED_NAMES, pinned_maps, pinned_text
 from pwdyn.taxonomy import (BOUNDARY_FIXED, DegenerateWindowError,
-                            PreconditionError, _map_atlas, _trap,
+                            PreconditionError, TaxonomyViolation,
+                            _map_atlas, _trap,
                             attraction_atlas, attracted,
                             basin_adjacent_special, count_bound,
                             exceptional_census, is_trapped, monotone_window,
                             restrict_power, taxonomy, window_sweep)
-from test_orbits import _answer_line, _digest
+from test_orbits import _answer_line, _digest, _mirror, _outcome
 
 
 def orbit_at(f, point, horizon=2):
@@ -110,6 +114,191 @@ def test_trapped_at_each_orbit_point():
                 (f.to_text(), orb.points)
             seen[tax.trapped] += 1
     assert min(seen.values()) > 50, seen
+
+
+def _one_sided_slopes(f, x, m):
+    """The slope magnitude of f^m just left and just right of x, each with
+    the side its germ ends on, by public germ steps in Fractions."""
+    out = []
+    for side in (MINUS, PLUS):
+        g, s = Germ(x, side), F(1)
+        for _ in range(m):
+            step = germ_step(f, g)
+            g, s = step.next, s * step.slope_magnitude
+        out.append((s, g.side))
+    return out
+
+
+# Trapped with a contracting side: f^2 has slope 1/4 left of the fixed
+# point 1/2 of the first map, yet crosses the diagonal at 5/16 in its
+# window; the second map's f^2 is the first on [0, 1/2], scaled, so its
+# orbit {1/4, 3/4} is the same case at period 2, through a plain
+# breakpoint at 3/4.
+_CONTRACTING_SIDE = (
+    "interval 0 1\n"
+    "piece 0 1/4 : slope -1/2 intercept 5/16\n"
+    "piece 1/4 3/8 : slope 2 intercept -5/16\n"
+    "piece 3/8 1/2 : slope 1/2 intercept 1/4\n"
+    "piece 1/2 5/8 : slope 2 intercept -1/2\n"
+    "piece 5/8 1 : slope -1 intercept 11/8\n",
+    "interval 0 1\n"
+    "piece 0 1/2 : slope 1 intercept 1/2\n"
+    "piece 1/2 5/8 : slope -1/2 intercept 13/32\n"
+    "piece 5/8 11/16 : slope 2 intercept -37/32\n"
+    "piece 11/16 3/4 : slope 1/2 intercept -1/8\n"
+    "piece 3/4 13/16 : slope 2 intercept -5/4\n"
+    "piece 13/16 1 : slope -1 intercept 19/16\n")
+
+
+def _shortcut_corpus():
+    """The pinned maps, 100 census-style maps, six continuous maps with an
+    orbit of period 2 or 4 through a plain breakpoint (no turn, no jump),
+    four of them trapped, and the two maps above, with their mirrors."""
+    plain = GeneratorConfig(seed=89, max_pieces=4, discontinuity_bias=0.0)
+    maps = list(pinned_maps().values())
+    maps += _corpus(GeneratorConfig(seed=89, max_pieces=3), "shortcut", 100)
+    maps += [random_map(plain.sub("plain", i))
+             for i in (1, 8, 388, 435, 1143, 1228)]
+    maps += map(parse_map, _CONTRACTING_SIDE)
+    return maps + [_mirror(f) for f in maps]
+
+
+def test_one_window_per_trapped_orbit(monkeypatch):
+    """`taxonomy` against `_trap` at every point, the reference, on every
+    non-critical interior continuous orbit to period 8, listed in each
+    rotation: the flags agree and the first point's witness is reported.
+    The later points are swept (`_orbit_gaps`) exactly when the first is
+    not trapped with both one-sided slopes of f^{2n} at least 1, read off
+    public germ steps.  Both paths run, the sweeps on trapped orbits too,
+    and the shortcut runs on orbits through plain breakpoints, orbits that
+    f^n reverses and orbits with an identity-slope side."""
+    swept = []
+    real = taxonomy_module._orbit_gaps
+    monkeypatch.setattr(taxonomy_module, "_orbit_gaps",
+                        lambda f, orb: swept.append(orb) or real(f, orb))
+    seen = Counter()
+    for f in _shortcut_corpus():
+        turns = set(f.special_points().turning)
+        plain = set(f.breakpoints) - set(f.special_points().points)
+        for orb in periodic_points(f, 8, max_power=16):
+            if (not orb.continuous or turns & set(orb.points)
+                    or {f.a, f.b} & set(orb.points)):
+                continue
+            n = orb.period
+            results = [_outcome(_trap, f, p, n, special_gaps(f, p, 2 * n))
+                       for p in orb.points]
+            for k in range(n):
+                points = orb.points[k:] + orb.points[:k]
+                listed = dataclasses.replace(orb, points=points)
+                swept.clear()
+                tax = _outcome(taxonomy, f, listed)
+                first = results[k]
+                if isinstance(first, str):
+                    assert tax == first, (f.to_text(), points)
+                    seen["errors"] += 1
+                    continue
+                assert {r.trapped for r in results} == {tax.trapped}, \
+                    (f.to_text(), points)
+                assert tax.trap_witness == first.witness, (f.to_text(), points)
+                (left, _), (right, _) = _one_sided_slopes(f, points[0], 2 * n)
+                shortcut = first.trapped and left >= 1 and right >= 1
+                assert swept == ([] if shortcut else [listed]), \
+                    (f.to_text(), points)
+                seen["shortcut" if shortcut else "fallback"] += 1
+                seen["trapped fallback"] += first.trapped and not shortcut
+                if shortcut and n > 1:
+                    seen["plain"] += bool(plain & set(points))
+                    seen["reversing"] += _one_sided_slopes(
+                        f, points[0], n)[0][1] == PLUS
+                    seen["identity"] += 1 in (left, right)
+    assert seen["shortcut"] > 50 and seen["fallback"] > 50, seen
+    assert seen["trapped fallback"] >= 6, seen
+    assert min(seen[k] for k in ("plain", "reversing", "identity")) > 5, \
+        seen
+
+
+def _shortcut_orbit():
+    """The first census-style map with a contracting piece and an orbit of
+    period 2 or more that `taxonomy` decides by the slope check."""
+    for f in _corpus(GeneratorConfig(seed=89, max_pieces=3), "shortcut", 100):
+        if all(abs(p.slope) >= 1 for p in f.pieces):
+            continue
+        for orb in periodic_points(f, 8, max_power=16):
+            if orb.period > 1 and orb.continuous and not isinstance(
+                    _outcome(taxonomy, f, orb), str):
+                (left, _), (right, _) = _one_sided_slopes(
+                    f, orb.representative, 2 * orb.period)
+                if is_trapped(f, orb).trapped and min(left, right) >= 1:
+                    return f, orb
+    raise AssertionError("no orbit takes the slope check")
+
+
+def test_a_later_point_is_checked_from_its_own_germs(monkeypatch):
+    """Past the first point's 4n germ steps, a planted step that reads a
+    contracting piece, or that flips its germ's side once, makes
+    `taxonomy` raise TaxonomyViolation naming the second listed point:
+    each later point's slopes are read off its own germ steps."""
+    f, orb = _shortcut_orbit()
+    n, x1 = orb.period, orb.points[1]
+    t = _table(f)
+    contracting = next(i for i, (a, _, d) in enumerate(t.coefs)
+                       if abs(a) < d)
+    real = taxonomy_module._germ_successor
+    plants = [(lambda key, i, k: (key, contracting),
+               f"f^{2 * n} contracts at {x1}"),
+              (lambda key, i, k: ((*key[:2], not key[2]) if k == 0 else key,
+                                  i),
+               f"germ at {x1} not back in {2 * n} steps")]
+    for plant, message in plants:
+        steps = [0]
+
+        def planted(table, key):
+            k = steps[0] - 4 * n
+            steps[0] += 1
+            nxt, i = real(table, key)
+            return (nxt, i) if k < 0 else plant(nxt, i, k)
+
+        with monkeypatch.context() as m:
+            m.setattr(taxonomy_module, "_germ_successor", planted)
+            with pytest.raises(TaxonomyViolation, match=re.escape(message)):
+                taxonomy(f, orb)
+    assert taxonomy(f, orb).trapped
+
+
+def test_count_bound_reads_the_trap_taxonomy_made(monkeypatch):
+    """The representative's trap is memoized on the map per (x, n) and
+    shared by `taxonomy` and `is_trapped`: on the pinned maps and 100
+    census-style maps, `count_bound` before or after `taxonomy` gives the
+    same report and classes, and after `taxonomy` it sweeps no window."""
+    windows = []
+    real = taxonomy_module._window_on
+    monkeypatch.setattr(taxonomy_module, "_window_on",
+                        lambda *args: windows.append(args) or real(*args))
+    texts = [pinned_text(name) for name in PINNED_NAMES]
+    texts += [f.to_text() for f in _corpus(
+        GeneratorConfig(seed=89, max_pieces=3), "bound", 100)]
+    seen = Counter()
+    for text in texts:
+        answers = []
+        for bound_first in (False, True):
+            f = parse_map(text)
+            found = [o for o in periodic_points(f, 8, max_power=16)
+                     if o.continuous and o.kind != HALF_POINT]
+            windows.clear()
+            bound = _outcome(count_bound, f) if bound_first else None
+            seen["cold windows"] += len(windows)
+            classes = [_outcome(taxonomy, f, orb) for orb in found]
+            if not bound_first:
+                windows.clear()
+                bound = _outcome(count_bound, f)
+                assert windows == [], text
+            answers.append((bound, classes))
+        assert answers[0] == answers[1], text
+        seen["counted"] += getattr(answers[0][0], "count_found", 0)
+        seen["trapped"] += sum(getattr(c, "trapped", False)
+                               for c in answers[0][1])
+    assert seen["cold windows"] > 40 and seen["counted"] > 40, seen
+    assert seen["trapped"] > 200, seen
 
 
 def test_taxonomy_pinned(maps):
