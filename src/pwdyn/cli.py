@@ -439,9 +439,9 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_plot(f, args) -> int:
-    sel = _selector_from_bits(f, args.selector) if args.selector else None
-    sys.stdout.write(emit_plot(f, args.mode, x0=args.x0, steps=args.n,
-                               fmt=args.format, sel=sel))
+    sys.stdout.write(emit_plot(f, args.mode,
+                               _selector_from_bits(f, args.selector),
+                               x0=args.x0, steps=args.n, fmt=args.format))
     return 0
 
 

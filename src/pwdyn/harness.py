@@ -39,7 +39,7 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
                     regularity_certificate, RegularityCertificate)
 from .maps import (MapInvariantError, PiecewiseMap, PwdynError,
                    AffinePiece, _pair, _sandwich_bounds, compose, parse_map)
-from .orbits import (HALF_POINT, POINT, Germ, germ_orbit, orbit,
+from .orbits import (HALF_POINT, POINT, Germ, _germ_key, _germ_walk, orbit,
                      periodic_points, special_gaps, structure,
                      variant_step, variants, walk)
 from .pinned import pinned_maps
@@ -372,7 +372,7 @@ def closed_structures(f: PiecewiseMap):
     """
     roots = list(f.special_points().discontinuities)
     try:
-        for orb in periodic_points(f, 3, guard=20000):
+        for orb in periodic_points(f, 3):
             roots.append(orb.representative)
     except NOT_APPLICABLE:
         pass
@@ -442,7 +442,7 @@ def _prop_power(cfg, count, result):
             prev_special: list[set] = []
             continuous = not f.special_points().discontinuities
             for n in range(1, 7):
-                fn = f.power(n, guard=40000, check=False)
+                fn = f.power(n, check=False)
                 sn = set(fn.special_points().points)
                 mn = set(f.special_preimage_set(n))
                 if not sn <= mn:
@@ -493,7 +493,7 @@ def _prop_orbits(cfg, count, result):
     intersecting = 0
     for f in _corpus(cfg, "orbits", count, slope_palette="neutral-rich",
                      discontinuity_bias=0.8, denominator_bound=12):
-        orbits = result.call(periodic_points, f, 4, guard=20000)
+        orbits = result.call(periodic_points, f, 4)
         if orbits is None:
             continue
         with result.case():
@@ -527,10 +527,10 @@ def _prop_orbits(cfg, count, result):
                     if res.cycle is None:
                         result.fail(f, "confined orbit not eventually "
                                     "periodic", root=st.root)
+                cap = 2 * len(node_set) + 2
                 for p in st.nodes:
                     for g in germs_of(f, p):
-                        go = germ_orbit(f, g, cap=2 * len(node_set) + 2)
-                        if go.truncated:
+                        if _germ_walk(f, _germ_key(f, g), cap)[2] is None:
                             result.fail(f, "germ cycle exceeded twice the "
                                         "node count", point=p)
     result.extra["intersecting_distinct_orbits"] = intersecting
@@ -583,7 +583,7 @@ def _prop_subsample(cfg, count, result):
     corpus = list(_corpus(cfg, "subsample", count)) + \
         [pinned_maps()[k] for k in ("contraction", "tent", "twocycle")]
     for f in corpus:
-        orbits = result.call(periodic_points, f, 3, guard=20000)
+        orbits = result.call(periodic_points, f, 3)
         if orbits is None:
             continue
         with result.case():
@@ -598,7 +598,7 @@ def _prop_subsample(cfg, count, result):
 @suite_property("taxonomy_rules", 300)
 def _prop_taxonomy(cfg, count, result):
     for f in _corpus(cfg, "taxonomy", count, max_pieces=3):
-        orbits = result.call(periodic_points, f, 8, guard=30000)
+        orbits = result.call(periodic_points, f, 8)
         if orbits is None:
             continue
         with result.case():
@@ -629,7 +629,7 @@ def _prop_taxonomy(cfg, count, result):
 def _prop_exceptional(cfg, count, result):
     for f in _corpus(cfg, "exceptional", count, max_pieces=3):
         with result.skipping(), result.case():
-            orbits = periodic_points(f, 4, guard=20000)
+            orbits = periodic_points(f, 4)
             try:
                 exceptional_census(f, orbits)
             except TaxonomyViolation as exc:
@@ -644,7 +644,7 @@ def _prop_basins(cfg, count, result):
         if not f.special_points().points:
             result.skip()
             continue
-        orbits = result.call(periodic_points, f, 4, guard=20000)
+        orbits = result.call(periodic_points, f, 4)
         if orbits is None:
             continue
         found = False
@@ -725,7 +725,7 @@ def _prop_duality(cfg, count, result):
                         result.fail(f, f"forward construction failed: {exc}",
                                     w=w)
             try:
-                orbits = periodic_points(f, 4, guard=20000)
+                orbits = periodic_points(f, 4)
             except NOT_APPLICABLE:
                 orbits = []
             for orb in orbits:
@@ -805,7 +805,6 @@ def _prop_codes(cfg, count, result):
                     witnesses = [Germ(w, cert.side)] if w in jumps \
                         else germs_of(f, w)
                     for g in witnesses:
-                        go = germ_orbit(f, g, cap=500)
-                        if not go.truncated and go.preperiod == 0:
+                        if _germ_walk(f, _germ_key(f, g), 500)[2] == 0:
                             result.fail(f, "regular point has a periodic "
                                         "germ", w=w, side=g.side)

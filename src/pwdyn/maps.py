@@ -50,7 +50,8 @@ PLUS: Side = "plus"
 
 RationalLike = Union[Fraction, int, str]
 
-# Fixed budgets: compose's piece guard (power's default one), power's limit.
+# Fixed budgets: the one piece budget of every pushed segment list (read
+# by `_push_segments` alone), and power's limit.
 MAX_PIECES = 10**6
 MAX_POWER = 12
 
@@ -73,7 +74,7 @@ class MapInvariantError(PwdynError):
 
 
 class PieceLimitError(PwdynError):
-    """A composition grew past the configured piece-count guard."""
+    """A composition, power or sweep grew past MAX_PIECES pieces."""
 
 
 class PowerLimitError(PwdynError):
@@ -272,16 +273,15 @@ class PiecewiseMap:
             found.append(t.cuts[-1])
         return found
 
-    def power(self, n: int, *, guard: int = MAX_PIECES,
-              check: bool = True) -> "PiecewiseMap":
+    def power(self, n: int, *, check: bool = True) -> "PiecewiseMap":
         """Exact n-th iterate, n <= MAX_POWER, by composition (memoized).
 
-        Each power k is memoized with its piece count before merging, so a
-        memoized power raises the same PieceLimitError for a smaller
-        `guard` as a fresh build does.  Its special-point check is a memo
-        entry of its own, built on the first check=True request however the
-        power was made (a check=False call, `orbits.periodic_points`); a
-        failed check caches nothing, so it raises on every later request."""
+        Each power k is memoized as the map alone; a build past MAX_PIECES
+        raises PieceLimitError and caches nothing.  Its special-point check
+        is a memo entry of its own, built on the first check=True request
+        however the power was made (a check=False call,
+        `orbits.periodic_points`); a failed check caches nothing, so it
+        raises on every later request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
         if n > MAX_POWER:
@@ -296,29 +296,23 @@ class PiecewiseMap:
 
         current = self
         for k in range(2, n + 1):
-            nxt = self._power_step(k, guard)
+            nxt = self._power_step(k)
             if check:
                 self._memo(("power_check", k),
                            lambda: checked(k, current, nxt))
             current = nxt
         return current
 
-    def _power_step(self, k: int, guard: int) -> "PiecewiseMap":
+    def _power_step(self, k: int) -> "PiecewiseMap":
         """The k-th power, k >= 2, pushed from the segments of the power
-        before on first use; PieceLimitError past `guard`."""
-        def build():
-            raw = _push_segments(_table(self),
-                                 self._power_segments(k - 1, guard), guard)
-            return _from_segments(self.a, self.b, raw), len(raw)
+        before on first use."""
+        return self._memo(("power", k), lambda: _from_segments(
+            self.a, self.b, _push_segments(_table(self),
+                                           self._power_segments(k - 1))))
 
-        power, raw_count = self._memo(("power", k), build)
-        if raw_count > guard:
-            raise PieceLimitError(f"composition exceeds {guard} pieces")
-        return power
-
-    def _power_segments(self, n: int, guard: int) -> Sequence[Segment]:
+    def _power_segments(self, n: int) -> Sequence[Segment]:
         """The segments of the n-th power, read off its memo entry."""
-        return (self._power_step(n, guard) if n > 1 else self)._segs
+        return (self._power_step(n) if n > 1 else self)._segs
 
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
         """Points whose first n-1 iterates (or the point itself) hit a
@@ -349,11 +343,8 @@ class PiecewiseMap:
     def _memo(self, key, build):
         """Derived data of this map, built by `build()` on first use and
         shared by every later caller.  The key names the kind of data and
-        every argument, caps and guards included, that can change it, so no
-        answer depends on call order; a build that raises caches nothing.
-        A power's key ("power", k) leaves out its `guard`: the guard only
-        decides whether the build raises, and the entry keeps the raw piece
-        count, against which each later guard is checked."""
+        every argument, caps included, that can change it, so no answer
+        depends on call order; a build that raises caches nothing."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -462,7 +453,7 @@ def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
     if (outer.a, outer.b) != (inner.a, inner.b):
         raise ValueError("composition requires maps on the same interval")
     result = _from_segments(outer.a, outer.b, _push_segments(
-        _table(outer), inner._segs, MAX_PIECES))
+        _table(outer), inner._segs))
     if check:
         _check_sandwich(outer, inner, result)
     return result
@@ -615,14 +606,14 @@ def _solve(c: Coef, p: int, q: int) -> Pair:
     return num // g, den // g
 
 
-def _push_segments(t: _Table, segments: Iterable[Segment], guard: int
-                   ) -> list[Segment]:
+def _push_segments(t: _Table, segments: Iterable[Segment]) -> list[Segment]:
     """The one piece kernel: the segments of f, given by its integer step
     t, after the ordered segments given.  Each is split at the preimages of
     the cuts strictly inside its image, f's limits there read off t, and
     each part is composed with the piece of f covering it.  Each segment
     keeps its own end values, so the list may jump.  Raises PieceLimitError
-    right after the segment whose parts pass `guard` segments."""
+    right after the segment whose parts pass MAX_PIECES segments, read at
+    the call."""
     cuts, values, sides, pieces = t
     out: list[Segment] = []
     for x0, x1, y0, y1, c in segments:
@@ -653,8 +644,8 @@ def _push_segments(t: _Table, segments: Iterable[Segment], guard: int
             out.append((x, xn, y, end,
                         (e[0] // g, e[1] // g, e[2] // g) if g != 1 else e))
             x, y = xn, start
-        if len(out) > guard:
-            raise PieceLimitError(f"composition exceeds {guard} pieces")
+        if len(out) > MAX_PIECES:
+            raise PieceLimitError(f"composition exceeds {MAX_PIECES} pieces")
     return out
 
 

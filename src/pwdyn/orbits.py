@@ -50,11 +50,10 @@ from math import prod
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from .maps import (MAX_PIECES, MINUS, PLUS, Pair, PiecewiseMap,
-                   PowerLimitError, PwdynError, RationalLike, Segment, Side,
-                   _apply, _branch, _image, _image_at, _locate, _magnitude,
-                   _pair, _plus, _push_segments, _solve, _Table, _table,
-                   as_fraction)
+from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PowerLimitError,
+                   PwdynError, RationalLike, Segment, Side, _apply, _branch,
+                   _image, _image_at, _locate, _magnitude, _pair, _plus,
+                   _push_segments, _solve, _Table, _table, as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -393,7 +392,7 @@ def _sweep(t: _Table, segs: list[Segment],
                     raise ClipError(step, gap == 0)
                 segs = _narrow(segs, rising, t_lo, t_hi)
         if step < last:
-            segs = _push_segments(t, segs, MAX_PIECES)
+            segs = _push_segments(t, segs)
     return segs
 
 
@@ -622,18 +621,16 @@ def _germ_walk(f: PiecewiseMap, key: GermKey, cap: int
     return f._memo(("germ_walk", key, cap), build)
 
 
-def germ_orbit(f: PiecewiseMap, g: Germ, cap: int = GERM_CAP) -> GermOrbit:
+def germ_orbit(f: PiecewiseMap, g: Germ) -> GermOrbit:
     """Step the germ g with exact (point, side) cycle detection, until
-    the cap or the DENOM_BIT_CAP denominator budget runs out.
+    GERM_CAP germs or the DENOM_BIT_CAP denominator budget run out.
 
     Each germ is checked in a fixed order: a repeat of an earlier germ
     closes the cycle, a denominator over DENOM_BIT_CAP bits truncates the
-    orbit, and so does the cap-th germ's step.  g is validated once; the
-    orbit is read off the germ's `_germ_walk` record, and its Germs and
+    orbit, and so does the GERM_CAP-th germ's step.  g is validated once;
+    the orbit is read off the germ's `_germ_walk` record, and its Germs and
     slope magnitudes are made anew on each call."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    index, steps, start = _germ_walk(f, _germ_key(f, g), cap)
+    index, steps, start = _germ_walk(f, _germ_key(f, g), GERM_CAP)
     germs = tuple(map(_germ, index))
     magnitudes = {i: _magnitude(_table(f).coefs[i]) for i in set(steps)}
     slopes = tuple(magnitudes[i] for i in steps)
@@ -737,8 +734,7 @@ def image_chain(f: PiecewiseMap, lo: Fraction, hi: Fraction, steps: int
 
 
 def periodic_points(f: PiecewiseMap, max_period: int, *,
-                    max_power: Optional[int] = None,
-                    guard: int = 10**6) -> list[PeriodicOrbit]:
+                    max_power: Optional[int] = None) -> list[PeriodicOrbit]:
     """All periodic orbits of period <= max_period.
 
     Reads the fixed points of each exact power off its merged int segments
@@ -748,22 +744,22 @@ def periodic_points(f: PiecewiseMap, max_period: int, *,
     identity (split at points whose orbits hit a jump); a point of an
     orbit already added is not walked again.  Half-point cycles at jumps
     are found through germ orbits.  Each orbit is reported once, at its
-    minimal period.  Memoized on f per (max_period, guard): `max_power`,
-    if given, only bounds max_period; each call gets a new list.
+    minimal period.  Every power is held to the one piece budget,
+    MAX_PIECES of `maps`.  Memoized on f per max_period: `max_power`, if
+    given, only bounds max_period; each call gets a new list.
     """
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     if max_power is not None and max_period > max_power // 2:
         raise ValueError(f"max_period must lie in [1, {max_power // 2}] "
                          "(configured power limit)")
-    key = ("periodic_points", max_period, guard)
-    return list(f._memo(key, lambda: _periodic_orbits(f, max_period, guard)))
+    key = ("periodic_points", max_period)
+    return list(f._memo(key, lambda: _periodic_orbits(f, max_period)))
 
 
-def _periodic_orbits(f: PiecewiseMap, max_period: int, guard: int
+def _periodic_orbits(f: PiecewiseMap, max_period: int
                      ) -> tuple[PeriodicOrbit, ...]:
     """The sorted orbits behind `periodic_points`."""
-    jumps = set(f.special_points().discontinuities)
     found: dict = {}
     on_orbit: set[Fraction] = set()  # points of the point orbits added
 
@@ -771,7 +767,7 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, guard: int
         found.setdefault(orb.key(), orb)
 
     for n in range(1, max_period + 1):
-        points, identities = fixed_points(f._power_segments(n, guard))
+        points, identities = fixed_points(f._power_segments(n))
         families = [orb for piece in identities
                     for orb in _collect_families(f, n, *piece)]
         for orb in families:
@@ -784,9 +780,9 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int, guard: int
             add(PeriodicOrbit(cycle, n, None, POINT))
             on_orbit.update(cycle)
 
-    for w in sorted(jumps):
+    for w in f.special_points().discontinuities:
         for side in (MINUS, PLUS):
-            orb = _half_point_cycle(f, w, side, max_period, jumps)
+            orb = _half_point_cycle(f, w, side, max_period)
             if orb is not None:
                 add(orb)
 
@@ -820,7 +816,7 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
     for d in range(1, n):
         if n % d != 0:
             continue
-        points, _ = fixed_points(f._power_segments(d, MAX_PIECES))
+        points, _ = fixed_points(f._power_segments(d))
         cuts.update(x for x in points if left < x < right)
     bounds = sorted({left, right, *cuts})
     for lo, hi in zip(bounds, bounds[1:]):
@@ -836,15 +832,18 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
                             tuple(sorted(set(intervals))), closed)
 
 
-def _half_point_cycle(f, w, side, max_period, jumps) -> Optional[PeriodicOrbit]:
+def _half_point_cycle(f, w, side, max_period) -> Optional[PeriodicOrbit]:
     """Half-point cycle at a jump: the germ orbit must return to the same
-    germ with no preperiod, without revisiting the anchor point on the
-    opposite side (which would not be a single-variant orbit).  It reads
-    the germ's `_germ_walk` and makes Germs only for an accepted cycle."""
-    index, steps, start = _germ_walk(f, _germ_key(f, Germ(w, side)),
-                                     4 * max_period + 8)
-    if start != 0 or len(steps) > max_period:
+    germ with no preperiod, within max_period germs, without revisiting
+    the anchor point on the opposite side (which would not be a
+    single-variant orbit).  It reads the germ's `_germ_walk` of
+    max_period + 1 germs, which closes at germ 0 exactly when such a
+    cycle exists, and makes Germs only for an accepted cycle."""
+    index, _, start = _germ_walk(f, _germ_key(f, Germ(w, side)),
+                                 max_period + 1)
+    if start != 0:
         return None
+    jumps = f.special_points().discontinuities
     marks = set(map(_pair, jumps))
     if [(p, q) for p, q, _ in index].count(_pair(w)) != 1 or any(
             (p, q, not plus) in index for p, q, plus in index
@@ -852,7 +851,7 @@ def _half_point_cycle(f, w, side, max_period, jumps) -> Optional[PeriodicOrbit]:
         return None
     cycle = [_germ(key) for key in index]
     sides = dict.fromkeys(jumps, MINUS)
-    sides.update((g.point, g.side) for g in cycle if g.point in jumps)
+    sides.update((g.point, g.side) for g in cycle if g.point in sides)
     return PeriodicOrbit(tuple(g.point for g in cycle), len(cycle),
                          VariantSelector.from_dict(sides),
                          kind=HALF_POINT, anchor_side=side)

@@ -33,13 +33,10 @@ def graph_segments(f: PiecewiseMap) -> list[tuple[str, Fraction, Fraction,
 
 
 def cobweb_segments(f: PiecewiseMap, x0: Fraction, steps: int,
-                    sel: Optional[VariantSelector] = None
+                    sel: VariantSelector
                     ) -> list[tuple[str, Fraction, Fraction, Fraction, Fraction]]:
-    """Staircase of the exact orbit: vertical to the graph, horizontal to
-    the diagonal."""
-    if sel is None:  # all minus, built alone: `variants` stops at 20 jumps
-        sel = VariantSelector(tuple(
-            (w, MINUS) for w in f.special_points().discontinuities))
+    """Staircase of the exact orbit of the variant sel: vertical to the
+    graph, horizontal to the diagonal."""
     seq = [x0]
     for _ in range(steps):
         seq.append(variant_step(f, seq[-1], sel))
@@ -98,9 +95,9 @@ def to_svg(f: PiecewiseMap, rows, mode: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(f: PiecewiseMap, mode: str, *, x0: Optional[Fraction] = None,
-              steps: int = 20, fmt: str = "csv",
-              sel: Optional[VariantSelector] = None) -> str:
+def emit_plot(f: PiecewiseMap, mode: str, sel: VariantSelector, *,
+              x0: Optional[Fraction] = None, steps: int = 20,
+              fmt: str = "csv") -> str:
     if mode == "graph":
         rows = graph_segments(f)
     elif mode == "cobweb":

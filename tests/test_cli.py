@@ -236,11 +236,11 @@ def test_plot_csv_and_svg(capsys, shift_path, hat_path):
 
 
 def test_cobweb_past_twenty_jumps(capsys, tmp_path):
-    """A cobweb with no selector follows the all-minus selector, built
-    alone rather than as the first of every selector: on a map with 21
-    jumps, past the 20-bit limit of `variants`, it plots where the orbit
-    command already answers.  With at most 20 jumps the default is still
-    the first of `variants`."""
+    """A cobweb with no selector follows the all-minus selector of
+    `_selector_from_bits`, built alone rather than as the first of every
+    selector: on a map with 21 jumps, past the 20-bit limit of `variants`,
+    it plots where the orbit command already answers.  With at most 20
+    jumps it is the first of `variants`."""
     lines = ["interval 0 1"] + [
         f"piece {Fraction(i, 22)} {Fraction(i + 1, 22)} : slope 1/2 "
         f"intercept {Fraction(i % 2, 2)}" for i in range(22)]
@@ -252,16 +252,12 @@ def test_cobweb_past_twenty_jumps(capsys, tmp_path):
     code, out, err = run(capsys, "plot", str(path), "--mode", "cobweb",
                          "--x0", "1/3", "-n", "6")
     assert (code, err) == (0, "")
-    assert out == emit_plot(f, "cobweb", x0=Fraction(1, 3), steps=6) \
-        == emit_plot(f, "cobweb", x0=Fraction(1, 3), steps=6,
-                     sel=cli._selector_from_bits(f, None))
+    assert out == emit_plot(f, "cobweb", cli._selector_from_bits(f, None),
+                            x0=Fraction(1, 3), steps=6)
     assert len(out.splitlines()) == 3 + 2 * 6
     for name in PINNED_NAMES:
         g = parse_map(pinned_text(name))
-        for fmt in ("csv", "svg"):
-            assert emit_plot(g, "cobweb", x0=Fraction(5, 8), fmt=fmt) == \
-                emit_plot(g, "cobweb", x0=Fraction(5, 8), fmt=fmt,
-                          sel=variants(g)[0])
+        assert cli._selector_from_bits(g, None) == variants(g)[0]
 
 
 def test_suite_json_and_exit(capsys):

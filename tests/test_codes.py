@@ -11,9 +11,9 @@ from pwdyn.codes import (CertificationError, Certifier,
                          codes, is_regular, regular_attractor,
                          regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import parse_map
+from pwdyn.maps import MINUS, parse_map
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, ball_stops, germ_orbit,
-                          periodic_points)
+                          image_chain, periodic_points)
 from pwdyn.pinned import pinned_map, pinned_maps
 from pwdyn.stability import STABLE
 from pwdyn.taxonomy import PreconditionError, _map_atlas, is_trapped
@@ -274,7 +274,7 @@ def test_regular_not_periodic(maps):
     cert = regularity_certificate(h, F(1, 2))
     assert isinstance(cert, RegularityCertificate)
     for side in ("minus", "plus"):
-        go = germ_orbit(h, Germ(F(1, 2), side), cap=100)
+        go = germ_orbit(h, Germ(F(1, 2), side))
         assert go.preperiod > 0 or go.truncated
 
 
@@ -286,6 +286,50 @@ def test_forward_hat(maps):
     assert not is_trapped(h, res.orbit).trapped
     assert res.attracted_verdict == "yes"
     assert res.interval == (F(1, 2), F(3, 4))
+
+
+# f(3/10) = 3/10, and f^k(11/40) climbs to it geometrically, so the code
+# interval of the turning point 1/2 is refined before it maps into itself
+REFINED = """interval 0 1
+piece 0 1/4 : slope 1 intercept 1/2
+piece 1/4 7/20 : slope 2 intercept -3/10
+piece 7/20 1/2 : slope 1/4 intercept 5/16
+piece 1/2 1 : slope -7/8 intercept 7/8
+"""
+
+
+def test_forward_interval_refined_past_the_first_round(monkeypatch):
+    """At the turning point 1/2 the code interval [11/40, 1/2] is not
+    forward invariant: `_stabilized_interval` runs a second round, whose
+    geometric limit closes the lower end at the fixed point 3/10, and
+    J = [3/10, 1/2] maps into itself.  At the jump 1/4, from the minus
+    side, J is the code interval itself."""
+    rounds = []
+    real = codes_module._geometric_limit
+    monkeypatch.setattr(codes_module, "_geometric_limit",
+                        lambda f, los, his, n: rounds.append(len(los))
+                        or real(f, los, his, n))
+    f = parse_map(REFINED)
+    assert f.special_points().turning == (F(1, 2),)
+    assert f.special_points().discontinuities == (F(1, 4),)
+    res = regular_attractor(f, F(1, 2))
+    assert codes_module._constraint_interval(f, res.code)[:2] == \
+        (F(11, 40), F(1, 2))
+    assert rounds == [2, 3]
+    assert res.interval == (F(3, 10), F(1, 2))
+    assert f.value(F(3, 10)) == F(3, 10)
+    p, q = image_chain(f, *res.interval, 1)[-1]
+    assert F(3, 10) <= p and q <= F(1, 2)
+    assert res.orbit.points == (F(5, 12),) and res.stability == STABLE
+    assert res.attracted_verdict == "yes"
+    rounds.clear()
+    res = regular_attractor(f, F(1, 4))
+    assert res.side == MINUS and res.code.period == 2
+    assert res.interval == codes_module._constraint_interval(f, res.code)[:2] \
+        == (F(3, 14), F(1, 4))
+    assert res.orbit.points == (F(7, 30), F(11, 15))
+    assert res.stability == STABLE and res.attracted_verdict == "yes"
+    assert rounds == []
 
 
 def test_forward_code_interval_invariants(maps):

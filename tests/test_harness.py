@@ -1,9 +1,10 @@
 import hashlib
 import zlib
+from collections import Counter
 
 import pytest
 
-from pwdyn import harness
+from pwdyn import harness, orbits
 from pwdyn.harness import (Bundle, GeneratorConfig, PREDICATES, random_map,
                            run_suite, shrink)
 from pwdyn.maps import (PieceLimitError, PiecewiseMap, PowerLimitError,
@@ -132,6 +133,23 @@ def test_taxonomy_rules_sweep_every_orbit_point(monkeypatch):
     assert clean.fails == 0 and r.fails > 0 and r.passes > 0
     assert r.passes + r.fails == clean.passes
     assert {b.message for b in r.bundles} == {"trapped flag not uniform"}
+
+
+def test_attractor_duality_enumerates_each_map_once(monkeypatch):
+    # the suite's `periodic_points` calls and those of `codes` all hold the
+    # powers to the one piece budget, so one seed-7 run builds the orbits
+    # of each (map, max_period) once
+    built = []
+    real = orbits._periodic_orbits
+    monkeypatch.setattr(orbits, "_periodic_orbits",
+                        lambda f, n, *rest: built.append((f, n))
+                        or real(f, n, *rest))
+    r = run_suite(GeneratorConfig(seed=7),
+                  {"attractor_duality"}).results["attractor_duality"]
+    assert r.fails == 0
+    counts = Counter((id(f), n) for f, n in built)
+    assert len(counts) > 50 and {n for _, n in counts} == {4, 8}
+    assert max(counts.values()) == 1
 
 
 def test_memo_properties_keep_their_canonical_report():

@@ -210,9 +210,10 @@ def test_compose_interval_mismatch(maps):
         compose(maps["shift"], g)
 
 
-def test_piece_guard(maps):
+def test_piece_guard(monkeypatch):
+    monkeypatch.setattr(maps_module, "MAX_PIECES", 2)
     with pytest.raises(PieceLimitError):
-        maps["tent"].power(2, guard=2)
+        pinned_map("tent").power(2)
 
 
 def test_iterate(maps):
@@ -277,8 +278,7 @@ def test_eval_at_plain_breakpoint():
 
 
 def _powers(f):
-    """The power memo entries of f: {k: (map, piece count before
-    merging)}."""
+    """The power memo entries of f: {k: power}."""
     return {key[1]: entry for key, entry in f._cache.items()
             if key[0] == "power"}
 
@@ -297,7 +297,7 @@ def _plant_and_check(fill):
     fill(t)
     assert 2 in _powers(t) and 2 not in _checked(t)
     wrong = pinned_map("shift")
-    t._cache["power", 2] = (wrong, len(wrong.pieces))
+    t._cache["power", 2] = wrong
     unchecked = t.power(2, check=False)
     for _ in range(2):
         with pytest.raises(MapInvariantError) as err:
@@ -332,30 +332,44 @@ def _warm(name):
     periodic_points(f, 3, max_power=6)
     assert sorted(_powers(f)) == [2, 3] and _checked(f) == set()
     assert all(("pieces",) not in power._cache
-               for power, _ in _powers(f).values())
+               for power in _powers(f).values())
     return f
+
+
+def _raw_count(f, k):
+    """The most pieces any of f's powers 2..k has before merging."""
+    return max(len(maps_module._push_segments(maps_module._table(f),
+                                              f._power_segments(j - 1)))
+               for j in range(2, k + 1))
 
 
 @pytest.mark.parametrize("name", PINNED_NAMES)
 def test_powers_cached_by_periodic_points_act_as_fresh_ones(name,
                                                             monkeypatch):
-    """Each power asked for after `periodic_points` raises a fresh map's
-    PieceLimitError at every guard below its raw piece count, validates
-    every power up to it once, equals a fresh map's power, and is the
-    same object when asked for again."""
+    """Each power asked for after `periodic_points` validates every power
+    up to it once, equals a fresh map's power, and is the same object
+    when asked for again.  Below its raw piece count, a power raises a
+    fresh map's PieceLimitError, also on a map where `periodic_points` at
+    that budget cached what fit and raised."""
     calls = []
     real = maps_module._check_sandwich
     monkeypatch.setattr(maps_module, "_check_sandwich",
                         lambda *a: calls.append(a) or real(*a))
     for k in range(2, 7):
-        fresh = pinned_map(name)
-        want = fresh.power(k)
-        raw = max(count for _, count in _powers(fresh).values())
-        for guard in range(1, raw):
-            with pytest.raises(PieceLimitError) as cold:
-                pinned_map(name).power(k, guard=guard)
-            with pytest.raises(PieceLimitError) as cached:
-                _warm(name).power(k, guard=guard)
+        want = pinned_map(name).power(k)
+        raw = _raw_count(pinned_map(name), k)
+        for budget in range(1, raw):
+            with monkeypatch.context() as m:
+                m.setattr(maps_module, "MAX_PIECES", budget)
+                with pytest.raises(PieceLimitError) as cold:
+                    pinned_map(name).power(k)
+                tried = pinned_map(name)
+                try:
+                    periodic_points(tried, 3, max_power=6)
+                except PieceLimitError:
+                    pass
+                with pytest.raises(PieceLimitError) as cached:
+                    tried.power(k)
             assert str(cached.value) == str(cold.value)
         warm = _warm(name)
         calls.clear()
@@ -365,22 +379,6 @@ def test_powers_cached_by_periodic_points_act_as_fresh_ones(name,
         assert warm.power(k) is got and warm.power(k, check=False) is got
         assert len(calls) == k - 1
         assert _checked(warm) == set(range(2, k + 1))
-
-
-@pytest.mark.parametrize("name", ["tent", "shift"])
-def test_cached_power_honours_a_smaller_guard(name):
-    """Whether the power was cached with or without the checks, and asked
-    for again with or without them."""
-    fresh = pinned_map(name)
-    with pytest.raises(PieceLimitError) as cold:
-        fresh.power(6, guard=4, check=False)
-    for first in (False, True):
-        for then in (False, True):
-            warm = pinned_map(name)
-            warm.power(6, check=first)
-            with pytest.raises(PieceLimitError) as cached:
-                warm.power(6, guard=4, check=then)
-            assert str(cached.value) == str(cold.value)
 
 
 def test_checked_powers_and_compositions_make_no_fraction_piece(

@@ -49,7 +49,7 @@ def test_periodic_enumeration_complete_on_grid():
     for f in corpus("enum", 40, max_pieces=3, denominator_bound=8,
                     slope_palette="neutral-rich"):
         try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
+            orbits = periodic_points(f, 4, max_power=8)
         except PwdynError:
             continue
         isolated = {p for o in orbits if o.kind != HALF_POINT
@@ -76,7 +76,7 @@ def test_monotone_window_matches_global_powers():
         obstructions = set()
         try:
             for j in range(1, 5):
-                obstructions |= set(f.power(j, guard=20000,
+                obstructions |= set(f.power(j,
                                             check=False).special_points().points)
         except PwdynError:
             continue
@@ -105,7 +105,7 @@ def test_restrict_power_matches_global_power():
                 continue
             segs = restrict_power(f, u, v, 4)
             try:
-                f4 = f.power(4, guard=20000, check=False)
+                f4 = f.power(4, check=False)
             except PwdynError:
                 continue
             for i in range(1, 16):
@@ -150,7 +150,7 @@ def test_count_bound_membership_oracle():
         if not f.special_points().points:
             continue
         try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
+            orbits = periodic_points(f, 4, max_power=8)
             report = count_bound(f, 4)
         except PwdynError:
             continue
@@ -194,7 +194,7 @@ def sweep_corpus():
 
 def sweep_points(f):
     try:
-        orbits = periodic_points(f, 3, max_power=6, guard=20000)
+        orbits = periodic_points(f, 3, max_power=6)
     except PwdynError:
         orbits = []
     pts = {p for o in orbits if o.continuous for p in o.points}
@@ -293,7 +293,7 @@ def test_trapping_and_atlas_balls_by_pointwise_steps():
     seen = {"trapped": 0, "free": 0, "balls": 0}
     for f in base + [mirror(g) for g in base]:
         try:
-            orbits = periodic_points(f, 4, max_power=8, guard=20000)
+            orbits = periodic_points(f, 4, max_power=8)
         except PwdynError:
             continue
         for orb in orbits:

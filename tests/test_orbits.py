@@ -116,13 +116,14 @@ def test_germ_orbit(maps):
     assert go.period == 2 and go.cycle_product == F(9, 4)
 
 
-def test_germ_cycle_bound(maps):
+def test_germ_cycle_bound(maps, monkeypatch):
     # inside a closed structure the germ orbit cycles within twice the nodes
     f = maps["shift"]
     st = structure(f, F(1, 2))
+    monkeypatch.setattr(orbits, "GERM_CAP", 2 * len(st.nodes) + 2)
     for p in st.nodes:
         for side in ("minus", "plus"):
-            go = germ_orbit(f, Germ(p, side), cap=2 * len(st.nodes) + 2)
+            go = germ_orbit(f, Germ(p, side))
             assert not go.truncated
 
 
@@ -352,6 +353,12 @@ def _pair(x):
     return None if x is None else (x.numerator, x.denominator)
 
 
+def _germ_record(f, g, cap):
+    """The walk record of the germ g at a cap, which `germ_orbit` reads at
+    GERM_CAP."""
+    return orbits._germ_walk(f, orbits._germ_key(f, g), cap)
+
+
 def _outcome(call, *args, **kwargs):
     """The call's result, or its error as "Type: message"."""
     try:
@@ -574,7 +581,7 @@ def _memo_calls():
             for side in (MINUS, PLUS):
                 if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
                     yield (f"{head} germ {side}",
-                           partial(germ_orbit, f, Germ(x, side), 60))
+                           partial(_germ_record, f, Germ(x, side), 60))
         for n, check in ((2, False), (3, False), (3, True)):
             yield (f"{name} power {n} {check}",
                    lambda f=f, n=n, check=check: f.power(n, check=check)
@@ -679,7 +686,7 @@ def _every_memo_calls():
                 if (x, side) not in ((f.a, MINUS), (f.b, PLUS)):
                     for cap in (7, 60):
                         yield (f"{head} germ {side} {cap}",
-                               partial(germ_orbit, f, Germ(x, side), cap))
+                               partial(_germ_record, f, Germ(x, side), cap))
 
 
 def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):

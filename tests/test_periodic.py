@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwdyn import maps as maps_module
 from pwdyn import orbits
 from pwdyn.codes import (CertificationError, NO, PartitionIntervals,
                          RegularAttractorResult, RegularityCertificate,
@@ -123,7 +124,7 @@ def _ref_periodic_points(f, max_period):
 
     for w in sorted(jumps):
         for side in (MINUS, PLUS):
-            orb = _half_point_cycle(f, w, side, max_period, jumps)
+            orb = _half_point_cycle(f, w, side, max_period)
             if orb is not None:
                 add(orb)
     return sorted(found.values(),
@@ -332,8 +333,9 @@ def test_fixed_points_of_pieces():
 def test_periodic_orbits_are_memoized_whatever_the_power_limit(monkeypatch):
     """`max_power` only bounds `max_period`: a second call with another
     power limit builds nothing new and returns equal orbits, and a period
-    past the limit is still rejected.  The piece guard stays in the key:
-    a guard the powers exceed raises after the orbits were cached."""
+    past the limit is still rejected.  The one piece budget, MAX_PIECES,
+    holds for every call: past a lowered budget a fresh map's orbits
+    raise and cache nothing, and at the real one they are the same."""
     built = []
     real = orbits._periodic_orbits
     monkeypatch.setattr(orbits, "_periodic_orbits",
@@ -345,7 +347,11 @@ def test_periodic_orbits_are_memoized_whatever_the_power_limit(monkeypatch):
         with pytest.raises(ValueError, match=r"\[1, 3\]"):
             periodic_points(f, 4, max_power=6)
     assert len(built) == len(pinned_maps())
-    tent = pinned_maps()["tent"]
-    periodic_points(tent, 4)
-    with pytest.raises(PieceLimitError):
-        periodic_points(tent, 4, guard=3)
+    tent = parse_map(pinned_maps()["tent"].to_text())
+    with monkeypatch.context() as m:
+        m.setattr(maps_module, "MAX_PIECES", 3)
+        with pytest.raises(PieceLimitError):
+            periodic_points(tent, 4)
+    assert ("periodic_points", 4) not in tent._cache
+    assert periodic_points(tent, 4) == \
+        periodic_points(pinned_maps()["tent"], 4)

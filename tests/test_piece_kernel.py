@@ -16,8 +16,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwdyn import maps as maps_module
 from pwdyn.harness import GeneratorConfig, _corpus
-from pwdyn.maps import (MAX_PIECES, AffinePiece, MapInvariantError,
+from pwdyn.maps import (AffinePiece, MapInvariantError,
                         PieceLimitError, PiecewiseMap, _affine,
                         _from_segments, _merge_collinear, _pair,
                         _push_segments, _table, compose)
@@ -34,10 +35,12 @@ def solve_piece(piece, y):
     return (y - piece.intercept) / piece.slope
 
 
-def _push_through(f, pieces, *, guard=MAX_PIECES):
+def _push_through(f, pieces):
     """The ordered affine pieces of f after the given ordered pieces: each
     is split at the preimages of f's cuts inside its image, and each part is
-    composed with the piece of f covering it.  Empty pieces vanish."""
+    composed with the piece of f covering it.  Empty pieces vanish.  Past
+    MAX_PIECES of `maps`, read at the call, it raises PieceLimitError."""
+    limit = maps_module.MAX_PIECES
     fpieces = f.pieces
     lefts = [p.left for p in fpieces]
     out = []
@@ -59,8 +62,8 @@ def _push_through(f, pieces, *, guard=MAX_PIECES):
             t = fpieces[k]
             out.append(AffinePiece(p, q, t.slope * s,
                                    t.slope * c + t.intercept))
-        if len(out) > guard:
-            raise PieceLimitError(f"composition exceeds {guard} pieces")
+        if len(out) > limit:
+            raise PieceLimitError(f"composition exceeds {limit} pieces")
     return out
 
 
@@ -72,12 +75,11 @@ def _ref_restrict_power(f, lo, hi, m):
     return segs
 
 
-def _ref_powers(f, n, guard=MAX_PIECES):
+def _ref_powers(f, n):
     """Powers 2..n of f, each built from the one before."""
     current = f
     for _ in range(2, n + 1):
-        current = PiecewiseMap(f.a, f.b, _push_through(f, current.pieces,
-                                                       guard=guard))
+        current = PiecewiseMap(f.a, f.b, _push_through(f, current.pieces))
         yield current
 
 
@@ -131,8 +133,7 @@ def test_compose_matches_the_fraction_kernel():
     jumps = 0
     for f, g in pairs:
         ref = _push_through(f, g.pieces)
-        assert _affine(_push_segments(_table(f), g._segs,
-                                      MAX_PIECES)) == ref
+        assert _affine(_push_segments(_table(f), g._segs)) == ref
         got = compose(f, g)
         assert got.pieces == PiecewiseMap(f.a, f.b, ref).pieces
         assert compose(f, g, check=False) == got
@@ -215,37 +216,41 @@ class _Counted:
             yield item
 
 
-def test_piece_limit_errors_at_the_same_guard():
-    """At every guard up to the raw piece count, power (built fresh or
-    cached) and the kernel behind compose raise the reference's
-    PieceLimitError, and the kernel stops after the same input piece as
-    the reference: right after the one that crosses the guard."""
+def test_piece_limit_errors_at_the_same_guard(monkeypatch):
+    """At every MAX_PIECES up to the raw piece count, the kernel stops
+    after the same input piece as the reference, right after the one that
+    crosses the budget, and raises the reference's PieceLimitError; so do
+    compose, power on a fresh map, and a sweep (the restricted power on
+    the whole interval)."""
     maps = [f for f in _corpus_maps(12) if len(f.pieces) > 1]
-    raised = 0
+    raised = dict.fromkeys(["kernel", "power", "sweep"], 0)
     for f in maps:
-        cached = _cold(f)
         for n in (2, 3, 4):
             inner = f.power(n - 1, check=False)
             raw = len(_push_through(f, inner.pieces))
-            cached.power(n)
-            for guard in range(1, raw + 2):
-                want = _outcome(_push_through, f, inner.pieces, guard=guard)
-                refs = _Counted(inner.pieces)
-                _outcome(_push_through, f, refs, guard=guard)
-                segs = _Counted(inner._segs)
-                got = _outcome(_push_segments, _table(f), segs, guard)
-                assert segs.taken == refs.taken
-                if isinstance(want, list):
-                    want = PiecewiseMap(f.a, f.b, want)
-                    got = _from_segments(f.a, f.b, got)
-                    assert compose(f, inner) == want
-                else:
-                    raised += 1
-                assert got == want
-                power = _outcome(lambda: list(_ref_powers(f, n, guard))[-1])
-                assert _outcome(_cold(f).power, n, guard=guard) == power
-                assert _outcome(cached.power, n, guard=guard) == power
-    assert raised > 200
+            for budget in range(1, raw + 2):
+                with monkeypatch.context() as m:
+                    m.setattr(maps_module, "MAX_PIECES", budget)
+                    want = _outcome(_push_through, f, inner.pieces)
+                    refs = _Counted(inner.pieces)
+                    _outcome(_push_through, f, refs)
+                    segs = _Counted(inner._segs)
+                    got = _outcome(_push_segments, _table(f), segs)
+                    assert segs.taken == refs.taken
+                    composed = _outcome(compose, f, inner)
+                    if isinstance(want, list):
+                        want = PiecewiseMap(f.a, f.b, want)
+                        got = _from_segments(f.a, f.b, got)
+                    else:
+                        raised["kernel"] += 1
+                    assert got == want and composed == want
+                    power = _outcome(lambda: list(_ref_powers(f, n))[-1])
+                    assert _outcome(_cold(f).power, n) == power
+                    raised["power"] += isinstance(power, str)
+                    sweep = _outcome(_ref_restrict_power, f, f.a, f.b, n)
+                    assert _outcome(restrict_power, f, f.a, f.b, n) == sweep
+                    raised["sweep"] += isinstance(sweep, str)
+    assert min(raised.values()) > 200, raised
 
 
 def test_kernel_end_values_are_the_evaluated_ones():

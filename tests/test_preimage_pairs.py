@@ -151,7 +151,7 @@ def _tent_power_planted(monkeypatch, planted):
     t = pinned_map("tent")
     t.power(2, check=False)
     assert ("power_check", 2) not in t._cache
-    t._cache["power", 2] = (planted, len(planted.pieces))
+    t._cache["power", 2] = planted
     return t
 
 

@@ -314,6 +314,55 @@ def test_piece_kernel_check_sees_a_rewritten_kernel():
                                                  "_push_copy"]
 
 
+def _budget_reads(tree):
+    """The innermost function (or "<module>") around each read of
+    MAX_PIECES: a load of the name or of an attribute by that name, or an
+    import of it."""
+    return [_innermost(tree, node) or "<module>" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "MAX_PIECES"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "MAX_PIECES"
+            or isinstance(node, ast.ImportFrom)
+            and any(a.name == "MAX_PIECES" for a in node.names)]
+
+
+def _guard_params(tree):
+    """Every function that takes a parameter named `guard`."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(a.arg == "guard" for a in (
+                *node.args.posonlyargs, *node.args.args,
+                *node.args.kwonlyargs))]
+
+
+def test_one_piece_budget():
+    """`maps.MAX_PIECES` is the one piece budget: it is read in the piece
+    kernel `maps._push_segments` alone, at each call, so compositions,
+    powers and sweeps all stop at it, and no function takes a per-call
+    `guard` against it."""
+    package = list(_sources("src/pwdyn"))
+    assert sorted({f"{path.name}:{name}" for path, tree in package
+                   for name in _budget_reads(tree)}) == \
+        ["maps.py:_push_segments"]
+    assert [f"{path.name}:{name}" for path, tree in package
+            for name in _guard_params(tree)] == []
+
+
+def test_budget_check_sees_a_planted_guard():
+    """`power` given back its old `guard=MAX_PIECES` parameter, and
+    `orbits` its import of the budget, are both found."""
+    source = (PACKAGE / "maps.py").read_text()
+    old = "def power(self, n: int, *, check: bool = True)"
+    assert source.count(old) == 1
+    tree = ast.parse(source.replace(old, (
+        "def power(self, n: int, *, guard: int = MAX_PIECES,\n"
+        "              check: bool = True)")))
+    assert _guard_params(tree) == ["power"]
+    assert sorted(_budget_reads(tree)) == ["_push_segments", "power"]
+    orbits = ast.parse("from .maps import MAX_PIECES, MINUS\n")
+    assert _budget_reads(orbits) == ["<module>"]
+
+
 def _root_solvers(tree):
     """The innermost function around each call of `_solve`: every place
     that pulls a value back through a piece."""

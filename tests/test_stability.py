@@ -811,9 +811,8 @@ def _ref_single_jump_cycle(cyc, jumps, verdicts, report, flag):
 
 
 def _ref_twin_half_cycles(f, w, struct, verdicts, report, flag):
-    jumps = set(f.special_points().discontinuities)
-    plus_cyc = _half_point_cycle(f, w, PLUS, len(struct.nodes) + 2, jumps)
-    minus_cyc = _half_point_cycle(f, w, MINUS, len(struct.nodes) + 2, jumps)
+    plus_cyc = _half_point_cycle(f, w, PLUS, len(struct.nodes) + 2)
+    minus_cyc = _half_point_cycle(f, w, MINUS, len(struct.nodes) + 2)
     if plus_cyc is None or minus_cyc is None:
         return
     report.applied.append("twin_half_cycles")
