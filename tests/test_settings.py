@@ -358,7 +358,7 @@ def test_budget_check_sees_a_planted_guard():
         "def power(self, n: int, *, guard: int = MAX_PIECES,\n"
         "              check: bool = True)")))
     assert _guard_params(tree) == ["power"]
-    assert sorted(_budget_reads(tree)) == ["_push_segments", "power"]
+    assert sorted(set(_budget_reads(tree))) == ["_push_segments", "power"]
     orbits = ast.parse("from .maps import MAX_PIECES, MINUS\n")
     assert _budget_reads(orbits) == ["<module>"]
 
