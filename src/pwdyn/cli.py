@@ -25,8 +25,8 @@ from .codes import (CertificationError, YES, attractor_regular_source,
 from .harness import GeneratorConfig, PROPERTIES, run_suite
 from .maps import (MapInvariantError, MINUS, PLUS, PiecewiseMap,
                    PwdynError, as_fraction, compose, parse_map)
-from .orbits import (HALF_POINT, INTERVAL_FAMILY, POINT, VariantSelector,
-                     orbit, periodic_points, structure)
+from .orbits import (DENOM_BIT_CAP, HALF_POINT, INTERVAL_FAMILY, POINT,
+                     VariantSelector, orbit, periodic_points, structure)
 from .plotting import emit_plot
 from .stability import (classify_point, classify_side, find_connection,
                         germs_of)
@@ -267,7 +267,9 @@ def _cmd_structure(f, args) -> int:
     st = structure(f, args.x, cap=args.cap)
     if st.truncated:
         # the nodes are sorted; a cut-off set is summarized, not dumped
-        print(f"nodes: {len(st.nodes)} (cap {args.cap}), least "
+        cap = (f"cap {args.cap}" if len(st.nodes) >= args.cap
+               else f"bit cap {DENOM_BIT_CAP}")
+        print(f"nodes: {len(st.nodes)} ({cap}), least "
               f"{st.nodes[0]}, greatest {st.nodes[-1]}")
     else:
         print(f"nodes = {_fmt_set(st.nodes)}")

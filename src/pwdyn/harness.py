@@ -12,7 +12,7 @@ exactly when it records no failure (`case()`).  A NOT_APPLICABLE error
 becomes a skip in `skipping()`, around a whole case or, through `call()`,
 around one call.  A case skipped that way neither passes nor fails; when
 only one part of it (a structure, orbit or point) is skipped, the case
-still passes or fails on the rest.  Two NOT_APPLICABLE catches skip with
+still passes or fails on the rest.  Three NOT_APPLICABLE catches skip with
 no count: where `periodic_points` does not apply, `closed_structures`
 leaves out the periodic roots and `attractor_duality` the orbits; and
 `attractor_duality` passes over the orbits `attractor_regular_source`

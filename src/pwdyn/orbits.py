@@ -35,9 +35,9 @@ through `segment_sweep` for the code intervals and restricted powers.
 Germs step the same integer table as (numerator, denominator, plus)
 triples, their piece found by `maps._branch` as the side pieces of a map
 are, each step by the one germ step `_germ_successor`.  A germ's walk to
-its first repeat is one int record per (germ, cap), `_germ_walk`, that
-`germ_orbit`, the half-point cycles and the side verdicts and landings
-of `stability` read; Germs and slopes are made only for their results.
+its first repeat is one int record, `_germ_walk`, not memoized; only a
+walk that closes within GERM_CAP germs is kept, once per germ, as the
+germ cycle of `stability`.  Germs and slopes are made only for results.
 """
 
 from __future__ import annotations
@@ -588,37 +588,29 @@ class GermOrbit:
 
     @property
     def cycle_product(self) -> Fraction:
-        prod = Fraction(1)
-        for s in self.slopes[self.preperiod:self.preperiod + self.period]:
-            prod *= s
-        return prod
+        return prod(self.slopes[self.preperiod:self.preperiod + self.period])
 
 
 def _germ_walk(f: PiecewiseMap, key: GermKey, cap: int
                ) -> tuple[dict[GermKey, int], tuple[int, ...], Optional[int]]:
-    """The one germ record, ints memoized on f per (key, cap): each germ
-    from `key` up to the first repeat with the step that reached it, the
-    piece index of each step, and the index where the cycle starts: None
-    when DENOM_BIT_CAP or `cap` germs end the walk first.  Each germ is
-    stepped by `_germ_successor` on f's integer table; only the record
-    is memoized, not the steps."""
-    def build():
-        t = _table(f)
-        k = key
-        seen: dict[GermKey, int] = {}
-        steps: list[int] = []
-        for _ in range(cap):
-            start = seen.get(k)
-            if start is not None:
-                return seen, tuple(steps), start
-            if k[1].bit_length() > DENOM_BIT_CAP:
-                break
-            seen[k] = len(steps)
-            k, i = _germ_successor(t, k)
-            steps.append(i)
-        return seen, tuple(steps), None
-
-    return f._memo(("germ_walk", key, cap), build)
+    """The one germ walk, on ints and not memoized (`stability._germ_cycle`
+    keeps closed walks): each germ from `key` up to the first repeat with
+    the step that reached it, the piece index of each step, and the index
+    where the cycle starts: None when DENOM_BIT_CAP or `cap` germs end the
+    walk first.  Each germ is stepped by `_germ_successor` on f's table."""
+    t = _table(f)
+    seen: dict[GermKey, int] = {}
+    steps: list[int] = []
+    for _ in range(cap):
+        start = seen.get(key)
+        if start is not None:
+            return seen, tuple(steps), start
+        if key[1].bit_length() > DENOM_BIT_CAP:
+            break
+        seen[key] = len(steps)
+        key, i = _germ_successor(t, key)
+        steps.append(i)
+    return seen, tuple(steps), None
 
 
 def germ_orbit(f: PiecewiseMap, g: Germ) -> GermOrbit:
@@ -628,8 +620,8 @@ def germ_orbit(f: PiecewiseMap, g: Germ) -> GermOrbit:
     Each germ is checked in a fixed order: a repeat of an earlier germ
     closes the cycle, a denominator over DENOM_BIT_CAP bits truncates the
     orbit, and so does the GERM_CAP-th germ's step.  g is validated once;
-    the orbit is read off the germ's `_germ_walk` record, and its Germs and
-    slope magnitudes are made anew on each call."""
+    the orbit, its Germs and slope magnitudes are read off a `_germ_walk`
+    of g made anew on each call, so a truncated walk is not kept."""
     index, steps, start = _germ_walk(f, _germ_key(f, g), GERM_CAP)
     germs = tuple(map(_germ, index))
     magnitudes = {i: _magnitude(_table(f).coefs[i]) for i in set(steps)}

@@ -14,9 +14,9 @@ Connections transport classification between points of a closed structure:
 four levels, depending on whether one or both germs of the source reach one
 or both germs of the target.  All four come from one table per ordered
 node pair, `_connections`: the landing rows of the source's germs at the
-target, read off each germ's walk record (`orbits._germ_walk`).
+target, read off each germ's cycle (`_germ_cycle`).
 `find_connection` looks a level up in it; the propagation report reads
-each node's germ records and pair once, builds the table per node pair
+each node's germ cycles and pair once, builds the table per node pair
 and reads every clause from it.  Both reports read a structure by node
 position: reachability, node classes and cycles run on ints, and a node
 germ is validated once, in `classify_side`.  The rule tables below state
@@ -34,8 +34,8 @@ from typing import Optional
 from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError, RationalLike,
                    Side, _pair, _table, as_fraction)
 from .orbits import (GERM_CAP, Germ, GermKey, PeriodicOrbit, StructureGraph,
-                     _germ_key, _germ_walk, _half_point_cycle, interval_walk,
-                     structure)
+                     _germ, _germ_key, _germ_walk, _half_point_cycle,
+                     interval_walk, structure)
 
 STABLE = "stable"
 SEMI_STABLE = "semi_stable"
@@ -74,16 +74,26 @@ def germs_of(f: PiecewiseMap, x: Fraction) -> list[Germ]:
     return out
 
 
+def _germ_cycle(f: PiecewiseMap, key: GermKey) -> tuple[dict, int, int]:
+    """The one germ memo, on f per germ: the landing index of its walk to
+    GERM_CAP and its cycle's |A1 ... Ak| and D1 ... Dk.  A walk that does
+    not close raises NotConfinedError, so none is kept."""
+    def build():
+        index, steps, start = _germ_walk(f, key, GERM_CAP)
+        if start is None:
+            g = _germ(key)
+            raise NotConfinedError(
+                f"germ orbit of ({g.point}, {g.side}) found no cycle")
+        cycle = [_table(f).coefs[i] for i in steps[start:]]
+        return index, prod(abs(c[0]) for c in cycle), prod(c[2] for c in cycle)
+
+    return f._memo(("germ_cycle", key), build)
+
+
 def classify_side(f: PiecewiseMap, x: RationalLike, side: Side) -> SideClass:
-    """Verdict for one lateral neighbourhood, unchecked for confinement,
-    from its germ cycle product, |A1 ... Ak| against D1 ... Dk on the ints
-    of the germ's walk record; `classify_point` checks confinement."""
-    x = as_fraction(x)
-    _, steps, start = _germ_walk(f, _germ_key(f, Germ(x, side)), GERM_CAP)
-    if start is None:
-        raise NotConfinedError(f"germ orbit of ({x}, {side}) found no cycle")
-    cycle = [_table(f).coefs[i] for i in steps[start:]]
-    num, den = prod(abs(c[0]) for c in cycle), prod(c[2] for c in cycle)
+    """Verdict for one lateral neighbourhood from its germ cycle product
+    (`_germ_cycle`), unchecked for confinement: `classify_point` checks."""
+    _, num, den = _germ_cycle(f, _germ_key(f, Germ(x, side)))
     verdict = (CONTRACTING if num < den else NEUTRAL if num == den
                else EXPANDING)
     return SideClass(side, verdict, Fraction(num, den))
@@ -186,10 +196,9 @@ class Connection:
 
 def _walks(f: PiecewiseMap, x: Fraction
            ) -> list[tuple[Germ, dict[GermKey, int]]]:
-    """x's germs, each with the landing index of its walk record: the
-    step at which the walk first reaches each germ.  x is a node, in
-    [a, b], so `germs_of` gives germs that need no `Germ.validate`."""
-    return [(g, _germ_walk(f, (*_pair(x), g.side == PLUS), GERM_CAP)[0])
+    """x's germs, each with the landing index of its cycle; x is a node,
+    in [a, b], so `germs_of` gives germs that need no `Germ.validate`."""
+    return [(g, _germ_cycle(f, (*_pair(x), g.side == PLUS))[0])
             for g in germs_of(f, x)]
 
 
@@ -234,7 +243,7 @@ def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
     Level 1: some germ of y reaches some germ of z.  Level 2: one germ of y
     reaches both germs of z.  Level 3: both germs of y reach the same germ
     of z.  Level 4: both germs of y reach opposite germs of z.  The landing
-    indices are those of the germs' walk records, memoized on the map.
+    indices are those of the germs' cycles, memoized on the map.
     """
     y, z = as_fraction(y), as_fraction(z)
     if y not in struct or z not in struct:

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _Table, _affine, _image, _locate, _magnitude,
-                   _pair, _table, _table_of, as_fraction)
+                   Segment, _affine, _image, _locate, _magnitude, _pair,
+                   _table, _table_of, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, _germ_key, _germ_successor,
+                     VariantLimitError, _germ_key, _germ_successor, _germ_walk,
                      _sweep, ball_stops, fixed_points, periodic_points,
                      segment_sweep, special_gaps, walk)
 from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
@@ -121,12 +122,12 @@ def _window_on(f: PiecewiseMap, x: Fraction, gaps: list[tuple[Pair, Pair]],
     return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
 
 
-def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit
+def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit,
+                gaps: list[tuple[Pair, Pair]]
                 ) -> list[list[tuple[Pair, Pair]]]:
     """`special_gaps(f, p, 2n)` at each listed point p of a period-n orbit:
-    the first point's whole gaps, rotated, where f takes each to the next."""
+    the first point's, `gaps`, rotated, where f takes each to the next."""
     n, t, keys = orb.period, _table(f), [_pair(p) for p in orb.points]
-    gaps = special_gaps(f, orb.points[0], 2 * n)
     if len(gaps) == 2 * len(keys) == 2 * n and keys[1:] + keys[:1] == [
             _image(t, *k, None) for k in keys]:
         return [gaps[k:] + gaps[:k] for k in range(n)]
@@ -226,13 +227,15 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
         raise PreconditionError("trapped is defined for non-critical orbits")
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
-    return _first_trap(f, orb.representative, orb.period)
+    return _first_trap(f, orb.representative, orb.period)[0]
 
 
-def _first_trap(f: PiecewiseMap, x: Fraction, n: int) -> TrapResult:
-    """`_trap` at an orbit's representative x, memoized on f per (x, n)."""
-    return f._memo(("trap", x, n),
-                   lambda: _trap(f, x, n, special_gaps(f, x, 2 * n)))
+def _first_trap(f: PiecewiseMap, x: Fraction, n: int
+                ) -> tuple[TrapResult, list[tuple[Pair, Pair]]]:
+    """`_trap` at an orbit's representative x, and the 2n gaps of x it
+    read, memoized on f per (x, n)."""
+    return f._memo(("trap", x, n), lambda: (
+        _trap(f, x, n, gaps := special_gaps(f, x, 2 * n)), gaps))
 
 
 def _trap(f: PiecewiseMap, x: Fraction, n: int,
@@ -263,33 +266,31 @@ def _orbit_trap(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
     it conjugates f^{2n} near x_0 to f^{2n} near x_k, with the one-sided
     slopes swapped where f^k decreases: if x_0 is trapped with both slopes
     at least 1, so is each x_k, checked by its own slopes, not a window."""
-    n, x, t = orb.period, orb.representative, _table(f)
-    first = _first_trap(f, x, n)
-    if first.trapped and _expanding(t, x, n):
+    n, x = orb.period, orb.representative
+    first, gaps = _first_trap(f, x, n)
+    if first.trapped and _expanding(f, x, n):
         for p in orb.points[1:]:
-            if not _expanding(t, p, n):
+            if not _expanding(f, p, n):
                 raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
         return first
-    if any(_trap(f, p, n, gaps).trapped != first.trapped
-           for p, gaps in zip(orb.points[1:], _orbit_gaps(f, orb)[1:])):
+    rest = zip(orb.points[1:], _orbit_gaps(f, orb, gaps)[1:])
+    if any(_trap(f, p, n, g).trapped != first.trapped for p, g in rest):
         raise TaxonomyViolation(
             f"trapped flag not uniform along orbit {orb.points}")
     return first
 
 
-def _expanding(t: _Table, x: Fraction, n: int) -> bool:
+def _expanding(f: PiecewiseMap, x: Fraction, n: int) -> bool:
     """Both one-sided slopes of f^{2n} at the period-n point x are at least
-    1: |A| against D, multiplied over 2n germ steps on f's table t from
-    each side of x, which must come back to that side."""
-    out = True
-    for start in ((*_pair(x), False), (*_pair(x), True)):
-        key, num, den = start, 1, 1
-        for _ in range(2 * n):
-            key, i = _germ_successor(t, key)
-            num, den = num * abs(t.coefs[i][0]), den * t.coefs[i][2]
-        if key != start:
+    1: |A| against D over the cycle of each germ of x, whose `_germ_walk`
+    of 2n + 1 germs must close at that germ within a divisor of 2n steps."""
+    coefs, out = _table(f).coefs, True
+    for plus in (False, True):
+        _, steps, start = _germ_walk(f, (*_pair(x), plus), 2 * n + 1)
+        if start != 0 or 2 * n % len(steps):
             raise TaxonomyViolation(f"germ at {x} not back in {2 * n} steps")
-        out = out and num >= den
+        out = out and (prod(abs(coefs[i][0]) for i in steps)
+                       >= prod(coefs[i][2] for i in steps))
     return out
 
 
@@ -441,9 +442,10 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
     for orb in orbits:
         if not orb.continuous or any(p in turns for p in orb.points):
             continue
-        balls = []
-        for p, gaps in zip(orb.points, _orbit_gaps(f, orb)):
-            u, v, segs = _window_on(f, p, gaps, 2 * orb.period)
+        balls, depth = [], 2 * orb.period
+        rotated = _orbit_gaps(f, orb, special_gaps(f, orb.points[0], depth))
+        for p, gaps in zip(orb.points, rotated):
+            u, v, segs = _window_on(f, p, gaps, depth)
             t = _pair(p)
             cuts = (*(s[0] for s in segs), segs[-1][1])
             i = _locate(cuts, *t)  # segment i - 1 holds p or ends there
@@ -529,7 +531,8 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
     n = orb.period
     turns = set(f.special_points().turning)
     witnesses = []
-    for xk, gaps in zip(orb.points, _orbit_gaps(f, orb)):
+    rotated = _orbit_gaps(f, orb, special_gaps(f, orb.points[0], 2 * n))
+    for xk, gaps in zip(orb.points, rotated):
         u, v, segs = _window_on(f, xk, gaps, 2 * n)
         if u != f.a and _strict_gap_on(segs, u, xk, False) and (
                 wit := _push_edge(f, orb, xk, u, turns=turns, n=n)):

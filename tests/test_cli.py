@@ -204,19 +204,25 @@ def test_a_map_file_that_breaks_an_invariant_is_an_input_error(
 
 def test_a_truncated_structure_is_summarized(capsys, tmp_path):
     """A structure cut off at the denominator cap or the node cap prints
-    its size, the node cap and its least and greatest nodes, not every
-    node (5 MB on tent at 1/2)."""
+    its size, the cap that cut it off and its least and greatest nodes,
+    not every node (5 MB on tent at 1/2)."""
     tent = tmp_path / "tent.map"
     tent.write_text(pinned_text("tent"))
     code, out, err = run(capsys, "structure", str(tent), "--x", "1/2")
     assert (code, err) == (0, "")
     assert len(out) < 1000
-    assert out == ("nodes: 4095 (cap 10000), least 3/8, greatest 3/4\n"
+    assert out == ("nodes: 4095 (bit cap 4096), least 3/8, greatest 3/4\n"
                    "closed = no (truncated)\n")
     code, out, _ = run(capsys, "structure", str(tent), "--x", "1/2",
                        "--cap", "3")
     assert out == ("nodes: 3 (cap 3), least 3/8, greatest 3/4\n"
                    "closed = no (truncated)\n")
+    affine = tmp_path / "affine.map"
+    affine.write_text("interval 0 1\npiece 0 1 : slope 1/2 intercept 1/3\n")
+    code, out, err = run(capsys, "structure", str(affine), "--x", "1/5")
+    assert (code, err) == (0, "")
+    assert out.startswith("nodes: 4093 (bit cap 4096), least 1/5, greatest ")
+    assert out.endswith("\nclosed = no (truncated)\n")
 
 
 def test_plot_csv_and_svg(capsys, shift_path, hat_path):

@@ -12,12 +12,15 @@ be the same.
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from pwdyn import orbits
-from pwdyn.harness import GeneratorConfig, _corpus, closed_structures
-from pwdyn.maps import MINUS, PLUS, as_fraction, opposite, parse_map
+from pwdyn import harness, orbits
+from pwdyn.harness import (GeneratorConfig, _corpus, closed_structures,
+                           run_suite)
+from pwdyn.maps import (MINUS, PLUS, PiecewiseMap, as_fraction, opposite,
+                        parse_map)
 from pwdyn.orbits import (DENOM_BIT_CAP, HALF_POINT, Germ, GermOrbit,
                           GermStepResult, PeriodicOrbit, VariantSelector,
                           germ_orbit, germ_step, periodic_points)
@@ -307,3 +310,111 @@ def test_a_side_other_than_minus_or_plus_is_an_error(maps):
             with pytest.raises(ValueError, match=repr(side)):
                 call()
     assert hat.lateral(F(1, 2), MINUS) == hat.lateral(F(1, 2), PLUS) == F(5, 8)
+
+
+# the rotation by 1/10007: every germ cycle has 10007 germs, past GERM_CAP
+ROTATION = ("interval 0 1\n"
+            "piece 0 10006/10007 : slope 1 intercept 1/10007\n"
+            "piece 10006/10007 1 : slope 1 intercept -10006/10007\n")
+
+
+def _germ_entries(f):
+    """f's memo keys of every germ kind."""
+    return [key for key in f._cache if key[0].startswith("germ")]
+
+
+def _one_off_walks(f):
+    """(line head, call) for the germ walks read once: `germ_orbit` at the
+    germs of the jumps, the half-point cycles to period 8, and
+    the suite's two probes (a node's germ at twice the node count plus
+    two germs, a special point's germs at 500), each read as the probe
+    reads it."""
+    specials = f.special_points()
+    for x in specials.discontinuities:
+        for g in germs_of(f, x):
+            yield (f"orbit {g}", lambda g=g: germ_orbit(f, g))
+    for w in specials.discontinuities:
+        for side in (MINUS, PLUS):
+            yield (f"half {w} {side}", partial(orbits._half_point_cycle, f,
+                                               w, side, 8))
+    for st in closed_structures(_cold(f)):
+        cap = 2 * len(st.nodes) + 2
+        for g in (g for p in st.nodes for g in germs_of(f, p)):
+            yield (f"probe {g} {cap}", lambda g=g, cap=cap: orbits._germ_walk(
+                f, orbits._germ_key(f, g), cap)[2] is None)
+    for g in (g for w in specials.points for g in germs_of(f, w)):
+        yield (f"probe {g} 500", lambda g=g: orbits._germ_walk(
+            f, orbits._germ_key(f, g), 500)[2] == 0)
+
+
+def test_a_germ_walk_read_once_leaves_no_memo(maps, monkeypatch):
+    """Only `stability._germ_cycle` memoizes a germ walk, keyed on the germ
+    alone, and only a walk that closes within GERM_CAP germs.  On one map
+    each, `germ_orbit` at a germ that GERM_CAP truncates (the rotation by
+    1/10007) and at one that the 4096-bit cap truncates (hat at 1/3), the
+    half-point cycles and both suite probes leave no germ entry, and a
+    side verdict that finds no cycle raises and leaves none; in a run of
+    the two suite properties that probe germ walks, every germ entry is a
+    germ cycle.  `classify_side` answers are the same when the side
+    verdicts and those walks run in a shuffled order on cold maps."""
+    rot = parse_map(ROTATION)
+    assert germ_orbit(rot, Germ(F(0), PLUS)).truncated
+    assert len(germ_orbit(rot, Germ(F(0), PLUS)).germs) == orbits.GERM_CAP
+    hat = _cold(maps["hat"])
+    go = germ_orbit(hat, Germ(F(1, 3), PLUS))
+    assert go.truncated and len(go.germs) < orbits.GERM_CAP
+    for f, x in ((rot, F(0)), (hat, F(1, 3))):
+        with pytest.raises(NotConfinedError, match="found no cycle"):
+            classify_side(f, x, PLUS)
+        assert _germ_entries(f) == [], f.to_text()
+    texts = [maps[name].to_text() for name in ("shift", "fourcycle",
+                                               "twocycle", "hat")]
+    texts += [f.to_text() for f in _corpus(GeneratorConfig(seed=23),
+                                           "germ-memo", 8)]
+    seen = Counter()
+    for text in texts:
+        f = parse_map(text)
+        walks = list(_one_off_walks(f))
+        seen.update(head.split()[0] for head, _ in walks)
+        for _, call in walks:
+            call()
+        assert _germ_entries(f) == [], text
+
+    def calls(text):
+        f = parse_map(text)
+        points = set(f.special_points().points)
+        points.update(p for st in closed_structures(_cold(f))
+                      for p in st.nodes)
+        for x in sorted(points):
+            for g in germs_of(f, x):
+                yield (f"side {g}", partial(_outcome, classify_side, f, x,
+                                            g.side))
+        yield from _one_off_walks(f)
+
+    canonical = [(head, call()) for text in texts
+                 for head, call in calls(text)]
+    shuffled = [list(calls(text)) for text in texts]
+    order = [(i, j) for i, run in enumerate(shuffled)
+             for j in range(len(run))]
+    random.Random(41).shuffle(order)
+    answers = {}
+    for i, j in order:
+        head, call = shuffled[i][j]
+        answers[i, j] = (head, call())
+    assert [answers[i, j] for i, j in sorted(answers)] == canonical
+    verdicts = Counter(str(a) for head, a in canonical
+                       if head.startswith("side "))
+    assert len(verdicts) >= 4 and min(seen.values()) > 0, (verdicts, seen)
+
+    keys, probes = [], Counter()
+    real, real_walk = PiecewiseMap._memo, harness._germ_walk
+    monkeypatch.setattr(PiecewiseMap, "_memo", lambda self, key, build: (
+        keys.append(key) or real(self, key, build)))
+    monkeypatch.setattr(harness, "_germ_walk", lambda f, key, cap: (
+        probes.update([cap == 500]) or real_walk(f, key, cap)))
+    run_suite(GeneratorConfig(seed=7), {"orbit_invariants", "code_invariants"},
+              counts={"orbit_invariants": 2, "code_invariants": 2})
+    assert probes[True] and probes[False], probes
+    germ_keys = [key for key in keys if key[0].startswith("germ")]
+    assert all(key[0] == "germ_cycle" and len(key) == 2
+               for key in germ_keys), germ_keys

@@ -651,11 +651,12 @@ def _memo_kinds():
 
 def _every_memo_calls():
     """(line head, call) on new (cold) maps for every memo kind: germ
-    orbits at two caps, lateral and full classes, propagation reports
-    (landing indices), periodic orbits, trap decisions by `is_trapped` and
-    `taxonomy`, attraction (atlas and its balls), codes (certifier) and
-    regularity certificates, preimage sets, checked powers and the walks
-    that fill the integer table."""
+    cycles (lateral and full classes, propagation reports' landing
+    indices), with germ walks at two caps, which are not kept; periodic
+    orbits, trap decisions by `is_trapped` and `taxonomy`, attraction
+    (atlas and its balls), codes (certifier) and regularity certificates,
+    preimage sets, checked powers and the walks that fill the integer
+    table."""
     cfg = GeneratorConfig(seed=17)
     texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
     texts += [(f"gen/{i}", random_map(cfg.sub("memo", i)).to_text())
@@ -701,7 +702,7 @@ def test_every_memo_kind_is_built_in_a_shuffled_order(monkeypatch):
     is asked for, on others it reads the built maps."""
     kinds = _memo_kinds()
     assert kinds == {"atlas", "atlas_balls", "certificate", "certifier",
-                     "germ_walk", "int_step", "msets", "partition",
+                     "germ_cycle", "int_step", "msets", "partition",
                      "periodic_points", "pieces", "power", "power_check",
                      "special", "trap"}
     canonical = [_answer_line(*c) for c in _every_memo_calls()]

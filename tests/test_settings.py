@@ -541,6 +541,63 @@ def test_germ_step_check_sees_a_rewritten_step():
     assert _germ_steps(ast.parse(fraction_step)) == ["germ_step"]
 
 
+def _germ_memos(tree):
+    """Each top-level function that memoizes a germ walk: one whose `_memo`
+    key names a parameter annotated `GermKey`, or that calls `_memo` and
+    walks germs (`_germ_walk` or `_germ_successor`), nested functions
+    included."""
+    out = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        germ_params = {a.arg for node in ast.walk(func)
+                       if isinstance(node, ast.FunctionDef)
+                       for a in node.args.args
+                       if a.annotation is not None
+                       and _word(a.annotation) == "GermKey"}
+        memos = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                 and _word(node.func) == "_memo"]
+        called = {_word(node.func) for node in ast.walk(func)
+                  if isinstance(node, ast.Call)}
+        keyed = any(isinstance(n, ast.Name) and n.id in germ_params
+                    for memo in memos for n in ast.walk(memo.args[0]))
+        if keyed or memos and called & {"_germ_walk", "_germ_successor"}:
+            out.append(func.name)
+    return out
+
+
+def test_one_germ_memo():
+    """A germ walk is memoized in `stability._germ_cycle` alone, keyed on
+    the germ, so the plain walk `orbits._germ_walk`, the expansion check
+    of `taxonomy` and every other one-off walk keep nothing on the map."""
+    found = [f"{path.name}:{name}" for path, tree in _sources("src/pwdyn")
+             for name in _germ_memos(tree)]
+    assert found == ["stability.py:_germ_cycle"]
+    walk = next(node for node in ast.walk(ast.parse(
+        (PACKAGE / "orbits.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_germ_walk")
+    assert not any(isinstance(node, ast.Call) and _word(node.func) == "_memo"
+                   for node in ast.walk(walk))
+
+
+def test_germ_memo_check_sees_a_second_memoized_walk():
+    """The plain walk put back behind a memo under another kind name, and
+    `taxonomy._expanding` routed through the memo, are both found."""
+    source = (PACKAGE / "orbits.py").read_text()
+    assert source.count("def _germ_walk(") == 1
+    source = source.replace("def _germ_walk(", "def _walk_once(") + (
+        "\n\ndef _germ_walk(f: PiecewiseMap, key: GermKey, cap: int):\n"
+        "    return f._memo((\"walk\", key, cap),\n"
+        "                   lambda: _walk_once(f, key, cap))\n")
+    assert _germ_memos(ast.parse(source)) == ["_germ_walk"]
+    source = (PACKAGE / "taxonomy.py").read_text()
+    old = "_germ_walk(f, (*_pair(x), plus), 2 * n + 1)"
+    assert source.count(old) == 1
+    source = source.replace(old, f"f._memo((\"slopes\", x, plus, n),\n"
+                                 f"                     lambda: {old})")
+    assert _germ_memos(ast.parse(source)) == ["_expanding"]
+
+
 def _starts_and_walks(tree):
     """The functions that call a map's `value` or `lateral`, and those
     that call `walk`, each sorted."""

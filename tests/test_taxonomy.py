@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from pwdyn import taxonomy as taxonomy_module
+from pwdyn import orbits, taxonomy as taxonomy_module
 from pwdyn.codes import regular_attractor
 from pwdyn.harness import GeneratorConfig, _corpus, random_map
 from pwdyn.maps import MINUS, PLUS, _table, parse_map
@@ -175,7 +175,8 @@ def test_one_window_per_trapped_orbit(monkeypatch):
     swept = []
     real = taxonomy_module._orbit_gaps
     monkeypatch.setattr(taxonomy_module, "_orbit_gaps",
-                        lambda f, orb: swept.append(orb) or real(f, orb))
+                        lambda f, orb, gaps: swept.append(orb)
+                        or real(f, orb, gaps))
     seen = Counter()
     for f in _shortcut_corpus():
         turns = set(f.special_points().turning)
@@ -217,52 +218,67 @@ def test_one_window_per_trapped_orbit(monkeypatch):
         seen
 
 
-def _shortcut_orbit():
+def _shortcut_orbit(kept=False):
     """The first census-style map with a contracting piece and an orbit of
-    period 2 or more that `taxonomy` decides by the slope check."""
+    period 2 or more that `taxonomy` decides by the slope check; if
+    `kept`, one whose germs f^n keeps on their own side."""
     for f in _corpus(GeneratorConfig(seed=89, max_pieces=3), "shortcut", 100):
         if all(abs(p.slope) >= 1 for p in f.pieces):
             continue
         for orb in periodic_points(f, 8, max_power=16):
             if orb.period > 1 and orb.continuous and not isinstance(
                     _outcome(taxonomy, f, orb), str):
-                (left, _), (right, _) = _one_sided_slopes(
-                    f, orb.representative, 2 * orb.period)
-                if is_trapped(f, orb).trapped and min(left, right) >= 1:
+                x, n = orb.representative, orb.period
+                (left, _), (right, _) = _one_sided_slopes(f, x, 2 * n)
+                if is_trapped(f, orb).trapped and min(left, right) >= 1 \
+                        and (not kept or _one_sided_slopes(f, x, n)[0][1]
+                             == MINUS):
                     return f, orb
     raise AssertionError("no orbit takes the slope check")
 
 
 def test_a_later_point_is_checked_from_its_own_germs(monkeypatch):
-    """Past the first point's 4n germ steps, a planted step that reads a
+    """Past the first point's germ steps (one cycle of each of its two
+    germs), a planted step in `orbits._germ_successor` that reads a
     contracting piece, or that flips its germ's side once, makes
     `taxonomy` raise TaxonomyViolation naming the second listed point:
-    each later point's slopes are read off its own germ steps."""
-    f, orb = _shortcut_orbit()
-    n, x1 = orb.period, orb.points[1]
-    t = _table(f)
-    contracting = next(i for i, (a, _, d) in enumerate(t.coefs)
-                       if abs(a) < d)
-    real = taxonomy_module._germ_successor
-    plants = [(lambda key, i, k: (key, contracting),
-               f"f^{2 * n} contracts at {x1}"),
-              (lambda key, i, k: ((*key[:2], not key[2]) if k == 0 else key,
-                                  i),
-               f"germ at {x1} not back in {2 * n} steps")]
-    for plant, message in plants:
-        steps = [0]
+    each later point's slopes are read off its own germ walks.  The flip
+    is planted on an orbit whose germs f^n keeps on their side, so each
+    germ has its own cycle and the flipped walk lands on the other one.
+    Where f^n reverses the sides, both germs of a point lie on one cycle
+    of 2n germs, and a walk flipped once closes at its start in n steps,
+    as a step that is a function of its germ never does."""
+    cases = [(_shortcut_orbit(), False), (_shortcut_orbit(kept=True), True)]
+    assert cases[0][0][1] != cases[1][0][1]
+    for (f, orb), flip in cases:
+        n, (x0, x1) = orb.period, orb.points[:2]
+        contracting = next(i for i, (a, _, d) in enumerate(_table(f).coefs)
+                           if abs(a) < d)
+        first = sum(len(orbits._germ_walk(f, (x0.numerator, x0.denominator,
+                                              plus), 2 * n + 1)[1])
+                    for plus in (False, True))
+        real = orbits._germ_successor
+        plants = [(lambda key, i, k: (key, contracting),
+                   f"f^{2 * n} contracts at {x1}")]
+        if flip:
+            plants.append((lambda key, i, k: (
+                (*key[:2], not key[2]) if k == 0 else key, i),
+                f"germ at {x1} not back in {2 * n} steps"))
+        for plant, message in plants:
+            steps = [0]
 
-        def planted(table, key):
-            k = steps[0] - 4 * n
-            steps[0] += 1
-            nxt, i = real(table, key)
-            return (nxt, i) if k < 0 else plant(nxt, i, k)
+            def planted(table, key):
+                k = steps[0] - first
+                steps[0] += 1
+                nxt, i = real(table, key)
+                return (nxt, i) if k < 0 else plant(nxt, i, k)
 
-        with monkeypatch.context() as m:
-            m.setattr(taxonomy_module, "_germ_successor", planted)
-            with pytest.raises(TaxonomyViolation, match=re.escape(message)):
-                taxonomy(f, orb)
-    assert taxonomy(f, orb).trapped
+            with monkeypatch.context() as m:
+                m.setattr(orbits, "_germ_successor", planted)
+                with pytest.raises(TaxonomyViolation,
+                                   match=re.escape(message)):
+                    taxonomy(f, orb)
+        assert taxonomy(f, orb).trapped
 
 
 def test_count_bound_reads_the_trap_taxonomy_made(monkeypatch):
