@@ -24,12 +24,12 @@ from .codes import (CertificationError, YES, attractor_regular_source,
                     codes, is_regular, regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
 from .maps import (MapInvariantError, MINUS, PLUS, PiecewiseMap,
-                   PwdynError, as_fraction, compose, parse_map)
+                   PwdynError, _pair, as_fraction, compose, parse_map)
 from .orbits import (DENOM_BIT_CAP, HALF_POINT, INTERVAL_FAMILY, POINT,
                      VariantSelector, orbit, periodic_points, structure)
 from .plotting import emit_plot
-from .stability import (classify_point, classify_side, find_connection,
-                        germs_of)
+from .stability import (_connections, _walks, classify_point,
+                        classify_side, germs_of)
 from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
                        basin_adjacent_special, count_bound, taxonomy)
 
@@ -299,13 +299,13 @@ def _cmd_connections(f, args) -> int:
         return 2
     found = 0
     for y in st.nodes:
+        walks = _walks(f, y)
         for z in st.nodes:
-            for level in (1, 2, 3, 4):
-                conn = find_connection(f, st, y, z, level)
-                if conn is not None:
-                    ks = ",".join(str(k) for k in conn.iterates)
-                    print(f"{y} ~{level} {z} (k={ks})")
-                    found += 1
+            levels = _connections(y, z, walks, _pair(z))[1]
+            for level, conn in sorted(levels.items()):
+                ks = ",".join(str(k) for k in conn.iterates)
+                print(f"{y} ~{level} {z} (k={ks})")
+            found += len(levels)
     print(f"total = {found}")
     return 0
 

@@ -1,7 +1,8 @@
 """Itinerary codes over the special-point partition.
 
 The interval is cut at its special points; a code records which closed cut
-interval each iterate lands in.  Orbits that avoid the special set forever
+interval each iterate lands in, in one form per itinerary (`_finish_code`:
+least cycle, shortest prefix).  Orbits that avoid the special set forever
 have a unique code; an iterate sitting exactly on a turning point (or shared
 cut) admits both neighbouring indices, and each such orbit position is
 expanded into a separate code.  Exactness matters twice: eventual periodicity
@@ -12,9 +13,9 @@ first use and memoized on the map, so no function here takes one.  A special
 point is regular when its image orbit avoids the special set forever and one
 of its codes repeats from position zero; its orbit starts by one rule,
 `_side_start`, and a certificate reads its codes off the walk that proved
-that orbit good.  Such points sit on the boundary of the basin of a stable
-or semi-stable non-trapped orbit, and both directions of that
-correspondence are constructed and certified here.
+that orbit good.  Such points sit on the boundary of the basin of a stable or
+semi-stable non-trapped orbit, and both directions of that correspondence
+are constructed and certified here.
 """
 
 from __future__ import annotations
@@ -95,18 +96,26 @@ class PartitionIntervals:
 
 @dataclass(frozen=True)
 class Code:
-    """An itinerary: prefix indices, then a repeating cycle (or truncation).
-
-    strictly_periodic means the whole sequence repeats from position zero;
-    an eventually periodic code whose prefix does not line up is not
-    strictly periodic and its period is None.
-    """
+    """An itinerary: prefix indices, then a repeating cycle (None when
+    truncated), in the one form `_finish_code` builds, so two codes are
+    equal exactly when their index sequences are.  strictly_periodic
+    means the whole sequence repeats from position zero (no prefix);
+    period is the cycle's length then, else None."""
 
     prefix: tuple[int, ...]
     cycle: Optional[tuple[int, ...]]
-    truncated: bool = False
-    strictly_periodic: bool = False
-    period: Optional[int] = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.cycle is None
+
+    @property
+    def strictly_periodic(self) -> bool:
+        return self.cycle is not None and not self.prefix
+
+    @property
+    def period(self) -> Optional[int]:
+        return len(self.cycle) if self.strictly_periodic else None
 
     def head(self, count: int) -> tuple[int, ...]:
         out = list(self.prefix[:count])
@@ -117,21 +126,19 @@ class Code:
         return tuple(out[:count])
 
 
-def _rotation_period(cycle: tuple[int, ...]) -> int:
-    # the least rotation that fixes the cycle divides its length
-    return next(r for r in range(1, len(cycle) + 1)
-                if cycle[r:] + cycle[:r] == cycle)
-
-
-def _finish_code(prefix: tuple[int, ...], cycle: tuple[int, ...]) -> Code:
-    """Normalize: a strictly periodic code keeps only its period word,
-    phased from position zero (the stored cycle may be a rotation)."""
-    r = _rotation_period(cycle)
-    reach = list(prefix) + list(cycle) + list(cycle)
-    strict = all(reach[m] == reach[m + r] for m in range(len(prefix)))
-    if strict:
-        return Code((), tuple(reach[:r]), False, True, r)
-    return Code(prefix, cycle, False, False, None)
+def _finish_code(prefix: tuple[int, ...],
+                 cycle: Optional[tuple[int, ...]]) -> Code:
+    """The one constructor of a `Code`, in canonical form: the cycle cut
+    to its least period (the least rotation that fixes it), then the
+    prefix shortened while its last index is the cycle's last, the cycle
+    rotated back one step each time.  A truncated code keeps its prefix."""
+    if cycle is not None:
+        r = next(r for r in range(1, len(cycle) + 1)
+                 if cycle[r:] + cycle[:r] == cycle)
+        cycle = cycle[:r]
+        while prefix and prefix[-1] == cycle[-1]:
+            prefix, cycle = prefix[:-1], cycle[-1:] + cycle[:-1]
+    return Code(prefix, cycle)
 
 
 # -- certified tails: the lock test that ends the codes walks early ------------
@@ -208,16 +215,13 @@ def _walk_codes(f: PiecewiseMap, w: Walk,
         orb, center = w.found
         k = orb.points.index(center)
         cycle = orb.points[k:] + orb.points[:k]
-    prefix_choices = [part.indices_of(p) for p in prefix]
-    if cycle is None:
-        out = {Code(head, None, True) for head in _expand(prefix_choices)}
-    else:
-        cycle_choices = [part.indices_of(p) for p in cycle]
-        out = {_finish_code(pre, cyc) for pre in _expand(prefix_choices)
-               for cyc in _expand(cycle_choices)}
+    cycles = [None] if cycle is None else _expand(
+        [part.indices_of(p) for p in cycle])
+    out = {_finish_code(pre, cyc)
+           for pre in _expand([part.indices_of(p) for p in prefix])
+           for cyc in cycles}
     if firsts is not None:  # tail codes first, then each first index
-        out = {Code((k, *t.prefix), None, True) if t.cycle is None
-               else _finish_code((k, *t.prefix), t.cycle)
+        out = {_finish_code((k, *t.prefix), t.cycle)
                for k in firsts for t in out}
     return tuple(sorted(out, key=lambda c: (c.prefix, c.cycle or ())))
 

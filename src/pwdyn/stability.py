@@ -12,16 +12,16 @@ reason into a verdict.
 
 Connections transport classification between points of a closed structure:
 four levels, depending on whether one or both germs of the source reach one
-or both germs of the target.  All four come from one table per ordered
-node pair, `_connections`: the landing rows of the source's germs at the
-target, read off each germ's cycle (`_germ_cycle`).
-`find_connection` looks a level up in it; the propagation report reads
-each node's germ cycles and pair once, builds the table per node pair
-and reads every clause from it.  Both reports read a structure by node
-position: reachability, node classes and cycles run on ints, and a node
-germ is validated once, in `classify_side`.  The rule tables below state
-every implication of the four levels and report violations as replayable
-bundles.
+or both germs of the target.  All four come from one table per ordered node
+pair, `_connections`: the landing rows of the source's germs at the target,
+read off each germ's cycle (`_germ_cycle`).  `find_connection` looks a level
+up in it; `pwdyn connections` and the propagation report read each node's
+germ cycles and pair once, then one table per node pair (the report: per
+pair whose target the source reaches), and read every level or clause off
+it.  Both reports read a structure by node position: reachability, node
+classes and cycles run on ints, and a node germ is validated once, in
+`classify_side`.  The rule tables below state every implication of the four
+levels and report violations as replayable bundles.
 """
 
 from __future__ import annotations
@@ -304,8 +304,9 @@ def _reachable(i: int, succ: list[list[int]]) -> set[int]:
 def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
                                  ) -> PropagationReport:
     """Check every connection-based stability implication on a closed
-    structure: fourteen clauses over all ordered node pairs, each read off
-    the pair's `_connections`, over germ walks read once per node."""
+    structure: fourteen clauses over the ordered node pairs (x, y) with y
+    reachable from x, each read off the `_connections` of (x, y) and
+    (y, x), one per pair, over germ walks read once per node."""
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
     nodes = struct.nodes
@@ -314,25 +315,23 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
              for p, w in zip(nodes, walks)]
     classes = [combine_sides(list(s.values())) for s in sides]
     keys = [_pair(p) for p in nodes]
-    table = [[_connections(y, z, w, k) for z, k in zip(nodes, keys)]
-             for y, w in zip(nodes, walks)]
+    succ = _successors(struct)
+    reach = [_reachable(i, succ) for i in range(len(nodes))]
+    # a germ lands only on nodes its point reaches: other pairs have no rows
+    table = {(i, j): _connections(nodes[i], nodes[j], walks[i], keys[j])
+             for i in range(len(nodes)) for j in reach[i]}
 
-    report = PropagationReport(struct.root, {}, 0)
+    report = PropagationReport(struct.root, {}, len(table))
 
     def flag(rule, x, y, detail):
         report.violations.append(RuleViolation(rule, x, y, detail))
 
-    succ = _successors(struct)
     for i, x in enumerate(nodes):
         cx = classes[i]
-        inside = _reachable(i, succ)
-        for j, y in enumerate(nodes):
-            if j not in inside:
-                continue
-            report.checked += 1
-            cy = classes[j]
+        for j in sorted(reach[i]):
+            y, cy = nodes[j], classes[j]
             # rows and levels from x to y, and from y to x
-            xy, yx = table[i][j], table[j][i]
+            xy, yx = table[i, j], table.get((j, i), ({}, {}))
             strong = 4 in yx[1] or 3 in yx[1] or 4 in xy[1] or 2 in xy[1]
             weak = 2 in yx[1] or 1 in yx[1] or 3 in xy[1] or 1 in xy[1]
             if cx in _MIRROR:
@@ -342,11 +341,6 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
                     flag(f"{cx}_weak", x, y, f"expected not {_MIRROR[cx]}")
             else:
                 _check_semi_clauses(x, y, cy, sides[i], xy, yx, flag)
-    for rows, levels in (c for row in table for c in row):
-        if 4 in levels and not all(rows.values()):
-            # a full-neighbourhood witness implies a lateral one per germ
-            flag("level_monotonicity", levels[4].source, levels[4].target,
-                 "level 4 connection without level 1 from each germ")
     report.verdicts = dict(zip(nodes, classes))
     return report
 

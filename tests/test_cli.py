@@ -11,6 +11,7 @@ import pytest
 from pwdyn import cli, stability
 from pwdyn.cli import dispatch
 from pwdyn.codes import CertificationError
+from pwdyn.harness import GeneratorConfig, _corpus, closed_structures
 from pwdyn.maps import MapInvariantError, parse_map
 from pwdyn.orbits import structure, variants
 from pwdyn.pinned import PINNED_NAMES, pinned_text
@@ -388,3 +389,51 @@ def test_cli_golden_digests(capsys, tmp_path):
                           .encode())
         got[name] = digest.hexdigest()[:16]
     assert got == CLI_DIGESTS
+
+
+@pytest.mark.parametrize("pieces, x, want", [
+    (("0 11/16 : slope 1/2 intercept 651/16384",
+      "11/16 3/4 : slope -1/3 intercept 30113/49152",
+      "3/4 1 : slope 2/3 intercept -6751/49152"), "7/8", "(2|0*)\n"),
+    (("0 1/4 : slope -3/4 intercept 3961/4096",
+      "1/4 7/8 : slope -1 intercept 4217/4096",
+      "7/8 1 : slope -3/4 intercept 5073/4096"), "63/64", "(1|0*)\n")])
+def test_code_prints_the_canonical_form(capsys, tmp_path, pieces, x, want):
+    """A code is printed with its shortest prefix and its least cycle,
+    whichever stop test ended the walk: once printed as `(2,0,0,0|0*)`
+    and `(1|0,0*)`."""
+    path = tmp_path / "code.map"
+    path.write_text("interval 0 1\n"
+                    + "".join(f"piece {p}\n" for p in pieces))
+    assert run(capsys, "code", str(path), "--x", x) == (0, want, "")
+
+
+def _four_call_connections(f, x):
+    """The stdout of `pwdyn connections` as it was: one `find_connection`
+    call per level and ordered node pair."""
+    st = structure(f, x)
+    lines = []
+    for y in st.nodes:
+        for z in st.nodes:
+            for level in (1, 2, 3, 4):
+                conn = stability.find_connection(f, st, y, z, level)
+                if conn is not None:
+                    ks = ",".join(str(k) for k in conn.iterates)
+                    lines.append(f"{y} ~{level} {z} (k={ks})\n")
+    return "".join(lines) + f"total = {len(lines)}\n"
+
+
+def test_connections_read_each_pair_once(capsys, tmp_path):
+    """`pwdyn connections` at the root of every closed structure (up to 72
+    nodes) of generated maps prints what the four-call loop printed."""
+    pairs = 0
+    for i, f in enumerate(_corpus(GeneratorConfig(seed=7), "connections",
+                                  300)):
+        path = tmp_path / f"{i}.map"
+        path.write_text(f.to_text())
+        for st in closed_structures(f):
+            want = _four_call_connections(parse_map(f.to_text()), st.root)
+            got = run(capsys, "connections", str(path), f"--x={st.root}")
+            assert got == (0, want, ""), (f.to_text(), st.root)
+            pairs += len(st.nodes) ** 2
+    assert pairs > 5000, pairs

@@ -174,15 +174,15 @@ def _duality_corpus():
 
 def _codes(f):
     """Every cycle of up to three partition indices, and the code of each
-    certified regular special point."""
+    certified regular special point, each with whether it is the latter."""
     count = PartitionIntervals.of(f).count
     for n in (1, 2, 3):
         for word in itertools.product(range(count), repeat=n):
-            yield Code((), word)
+            yield Code((), word), False
     for w in f.special_points().points:
         cert = regularity_certificate(f, w)
         if isinstance(cert, RegularityCertificate):
-            yield cert.code
+            yield cert.code, True
 
 
 def test_code_intervals_match_the_fraction_reference():
@@ -192,7 +192,7 @@ def test_code_intervals_match_the_fraction_reference():
     seen = {"interval": 0, "stabilized": 0, "empty": 0, "point": 0,
             "regular": 0}
     for f in _duality_corpus():
-        for code in _codes(f):
+        for code, certified in _codes(f):
             want = _outcome(_ref_constraint_interval, f, code)
             got = _outcome(_constraint_interval, f, code)
             if not isinstance(got, str):
@@ -207,7 +207,7 @@ def test_code_intervals_match_the_fraction_reference():
             assert _outcome(_stabilized_interval, f, base, n) == stable, \
                 (f.to_text(), code)
             seen["stabilized"] += isinstance(stable, tuple)
-            seen["regular"] += code.strictly_periodic
+            seen["regular"] += certified
     assert min(seen.values()) > 0, seen
     assert seen["interval"] > 400, seen
 

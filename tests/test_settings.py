@@ -847,3 +847,46 @@ def test_stop_rule_check_sees_a_label_test():
             "key in marks and marks[key]", "marks[key]"]
     assert _label_truth_tests(ast.parse(source.replace(
         ball, "                if label:\n    " + ball))) == ["label"]
+
+
+def _code_builds(sources):
+    """`file:function` for each call of `Code` in the (path, tree)
+    sources, and the names of the fields `codes.Code` declares."""
+    builds = [f"{path.name}:{_innermost(tree, node)}"
+              for path, tree in sources for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _word(node.func) == "Code"]
+    cls = next(node for path, tree in sources if path.name == "codes.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "Code")
+    return builds, [item.target.id for item in cls.body
+                    if isinstance(item, ast.AnnAssign)]
+
+
+def test_one_code_constructor():
+    """Every `Code` is built by `codes._finish_code`, so each itinerary
+    has one canonical form, and a code stores its prefix and cycle alone:
+    `truncated`, `strictly_periodic` and `period` are read off them."""
+    assert _code_builds(list(_sources("src/pwdyn"))) == (
+        ["codes.py:_finish_code"], ["prefix", "cycle"])
+
+
+def test_code_constructor_check_sees_a_second_build():
+    """The old truncated tail code built in `_walk_codes`, and a stored
+    `truncated` flag put back on `Code`, are both found."""
+    sources = list(_sources("src/pwdyn"))
+    source = (PACKAGE / "codes.py").read_text()
+    edits = [("        out = {_finish_code((k, *t.prefix), t.cycle)\n",
+              "        out = {Code((k, *t.prefix), None, True)"
+              " if t.cycle is None\n"
+              "               else _finish_code((k, *t.prefix), t.cycle)\n"),
+             ("    cycle: Optional[tuple[int, ...]]\n",
+              "    cycle: Optional[tuple[int, ...]]\n"
+              "    truncated: bool = False\n")]
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    planted = [(path, ast.parse(source) if path.name == "codes.py" else tree)
+               for path, tree in sources]
+    assert _code_builds(planted) == (
+        ["codes.py:_finish_code", "codes.py:_walk_codes"],
+        ["prefix", "cycle", "truncated"])
