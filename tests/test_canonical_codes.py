@@ -18,6 +18,7 @@ from pwdyn.codes import (MAX_CODES, YES, Code, CodeUndefinedError,
                          _walk_codes, avoids_special_forever, codes,
                          regularity_certificate)
 from pwdyn.harness import GeneratorConfig, _corpus
+from pwdyn.maps import MINUS, PLUS
 from pwdyn.orbits import walk
 from pwdyn.pinned import pinned_maps
 from test_orbits import _mirror
@@ -43,8 +44,8 @@ def _points(f, i):
     out = [f.a + span * F(rng.randint(0, 4 * q), 4 * q)
            for q in (3, 5, 7, 16, 64, 243) for _ in range(2)]
     return out + [v for w in f.special_points().points
-                  for v in (f.value(w), f.lateral(w, "minus"),
-                            f.lateral(w, "plus")) if v is not None]
+                  for v in (f.value(w), f.lateral(w, MINUS),
+                            f.lateral(w, PLUS)) if v is not None]
 
 
 def _codes_or_none(f, x):

@@ -423,9 +423,14 @@ def _four_call_connections(f, x):
     return "".join(lines) + f"total = {len(lines)}\n"
 
 
-def test_connections_read_each_pair_once(capsys, tmp_path):
+def test_connections_read_each_pair_once(capsys, tmp_path, monkeypatch):
     """`pwdyn connections` at the root of every closed structure (up to 72
-    nodes) of generated maps prints what the four-call loop printed."""
+    nodes) of generated maps prints what the four-call loop printed, and
+    builds one `_connections` table per ordered node pair."""
+    built = []
+    real = cli._connections
+    monkeypatch.setattr(cli, "_connections",
+                        lambda *a: built.append(a[:2]) or real(*a))
     pairs = 0
     for i, f in enumerate(_corpus(GeneratorConfig(seed=7), "connections",
                                   300)):
@@ -433,7 +438,10 @@ def test_connections_read_each_pair_once(capsys, tmp_path):
         path.write_text(f.to_text())
         for st in closed_structures(f):
             want = _four_call_connections(parse_map(f.to_text()), st.root)
+            built.clear()
             got = run(capsys, "connections", str(path), f"--x={st.root}")
             assert got == (0, want, ""), (f.to_text(), st.root)
-            pairs += len(st.nodes) ** 2
+            assert sorted(built) == sorted(
+                (y, z) for y in st.nodes for z in st.nodes)
+            pairs += len(built)
     assert pairs > 5000, pairs
