@@ -24,7 +24,7 @@ from .codes import (CertificationError, YES, attractor_regular_source,
                     codes, is_regular, regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
 from .maps import (MapInvariantError, MINUS, PLUS, PiecewiseMap,
-                   PwdynError, _pair, as_fraction, compose, parse_map)
+                   PwdynError, as_fraction, compose, parse_map)
 from .orbits import (DENOM_BIT_CAP, HALF_POINT, INTERVAL_FAMILY, POINT,
                      VariantSelector, orbit, periodic_points, structure)
 from .plotting import emit_plot
@@ -108,60 +108,69 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact analysis of piecewise-affine interval maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, *, map_arg=True, help=None):
+    def cmd(name, handler, *, map_arg=True, help=None):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if map_arg:
             p.add_argument("map", help="map file")
         return p
 
-    cmd("validate", help="parse a map file and report its shape")
-    p = cmd("eval", help="exact value at a point")
+    cmd("validate", _cmd_validate,
+        help="parse a map file and report its shape")
+    p = cmd("eval", _cmd_eval, help="exact value at a point")
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--side", choices=("minus", "plus"), default=None,
                    help="report the one-sided limit instead of the value")
-    cmd("special", help="special points: S, T, D")
-    p = cmd("compose", help="exact composition of two maps (outer inner)")
+    cmd("special", _cmd_special, help="special points: S, T, D")
+    p = cmd("compose", _cmd_compose,
+            help="exact composition of two maps (outer inner)")
     p.add_argument("inner", help="inner map file")
     p.add_argument("--emit-map", action="store_true")
-    p = cmd("iterate", help="exact power of the map")
+    p = cmd("iterate", _cmd_iterate, help="exact power of the map")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--emit-map", action="store_true")
-    p = cmd("orbit", help="forward orbit of one variant")
+    p = cmd("orbit", _cmd_orbit, help="forward orbit of one variant")
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--selector", default=None)
     p.add_argument("--cap", type=int, default=10**4)
-    p = cmd("structure", help="branching forward-orbit set")
+    p = cmd("structure", _cmd_structure, help="branching forward-orbit set")
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--cap", type=int, default=10**4)
-    p = cmd("periodic", help="periodic orbits up to a period horizon")
+    p = cmd("periodic", _cmd_periodic,
+            help="periodic orbits up to a period horizon")
     p.add_argument("--horizon", type=horizon, default=4)
-    p = cmd("classify", help="stability class of a confined point")
+    p = cmd("classify", _cmd_classify,
+            help="stability class of a confined point")
     p.add_argument("--x", type=rational, required=True)
-    p = cmd("connections", help="lateral connections inside a structure")
+    p = cmd("connections", _cmd_connections,
+            help="lateral connections inside a structure")
     p.add_argument("--x", type=rational, required=True)
-    p = cmd("taxonomy", help="critical / trapped / free / exceptional flags")
+    p = cmd("taxonomy", _cmd_taxonomy,
+            help="critical / trapped / free / exceptional flags")
     p.add_argument("--horizon", type=horizon, default=4)
-    p = cmd("basin", help="one-sided basin witnesses at special points")
+    p = cmd("basin", _cmd_basin,
+            help="one-sided basin witnesses at special points")
     p.add_argument("--horizon", type=horizon, default=4)
-    p = cmd("bound", help="orbit count against N_T + 2 N_D + 2")
+    p = cmd("bound", _cmd_bound, help="orbit count against N_T + 2 N_D + 2")
     p.add_argument("--horizon", type=horizon, default=8)
-    p = cmd("code", help="itinerary codes of a point")
+    p = cmd("code", _cmd_code, help="itinerary codes of a point")
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--cap", type=int, default=10**4)
-    p = cmd("regular", help="regularity of every special point")
+    p = cmd("regular", _cmd_regular, help="regularity of every special point")
     p.add_argument("--cap", type=int, default=10**4)
     p.add_argument("--side", choices=("minus", "plus"), default=None,
                    help="restrict jump points to one side")
-    p = cmd("theorem5", help="regular points vs attracting orbits, both ways")
+    p = cmd("theorem5", _cmd_theorem5,
+            help="regular points vs attracting orbits, both ways")
     p.add_argument("--horizon", type=horizon, default=4)
-    p = cmd("suite", map_arg=False, help="run the property suite")
+    p = cmd("suite", _cmd_suite, map_arg=False, help="run the property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--which", default=None,
                    help="comma-separated property names (default: all)")
     p.add_argument("--count", type=int, default=None,
                    help="override the per-property corpus size")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p = cmd("plot", help="graph or cobweb plot document")
+    p = cmd("plot", _cmd_plot, help="graph or cobweb plot document")
     p.add_argument("--mode", choices=("graph", "cobweb"), default="graph")
     p.add_argument("--x0", type=rational, default=None)
     p.add_argument("-n", type=int, default=20)
@@ -177,7 +186,9 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _run(args)
+        if args.command == "suite":
+            return args.handler(args)
+        return args.handler(_load(args.map), args)
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
@@ -187,23 +198,6 @@ def dispatch(argv: list[str]) -> int:
     except (PwdynError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _run(args) -> int:
-    cmd = args.command
-    if cmd == "suite":
-        return _cmd_suite(args)
-    f = _load(args.map)
-    handler = {
-        "validate": _cmd_validate, "eval": _cmd_eval, "special": _cmd_special,
-        "compose": _cmd_compose, "iterate": _cmd_iterate, "orbit": _cmd_orbit,
-        "structure": _cmd_structure, "periodic": _cmd_periodic,
-        "classify": _cmd_classify, "connections": _cmd_connections,
-        "taxonomy": _cmd_taxonomy, "basin": _cmd_basin, "bound": _cmd_bound,
-        "code": _cmd_code, "regular": _cmd_regular, "theorem5": _cmd_theorem5,
-        "plot": _cmd_plot,
-    }[cmd]
-    return handler(f, args)
 
 
 def _cmd_validate(f, args) -> int:
@@ -301,7 +295,7 @@ def _cmd_connections(f, args) -> int:
     for y in st.nodes:
         walks = _walks(f, y)
         for z in st.nodes:
-            levels = _connections(y, z, walks, _pair(z))[1]
+            levels = _connections(y, z, walks)[1]
             for level, conn in sorted(levels.items()):
                 ks = ",".join(str(k) for k in conn.iterates)
                 print(f"{y} ~{level} {z} (k={ks})")

@@ -266,7 +266,6 @@ class RegularityCertificate:
     w: Fraction
     side: Optional[Side]
     code: Code
-    image_in_good_set: Trivalent
 
 
 def _side_start(f: PiecewiseMap, w: Fraction, side: Optional[Side]
@@ -317,7 +316,7 @@ def regularity_certificate(f: PiecewiseMap, w: RationalLike,
                 periodic = [c for c in _walk_codes(f, path, firsts)
                             if c.strictly_periodic]
                 if periodic:
-                    return RegularityCertificate(w, s, periodic[0], good)
+                    return RegularityCertificate(w, s, periodic[0])
             verdicts.append(good)
         return next((v for v in verdicts if v.value == UNKNOWN),
                     Trivalent(NO))

@@ -276,43 +276,39 @@ class PiecewiseMap:
     def power(self, n: int, *, check: bool = True) -> "PiecewiseMap":
         """Exact n-th iterate, n <= MAX_POWER, by composition (memoized).
 
-        Each power k is memoized as the map alone; a build past MAX_PIECES
-        raises PieceLimitError and caches nothing.  Its special-point check
-        is a memo entry of its own, built on the first check=True request
-        however the power was made (a check=False call,
-        `orbits.periodic_points`); a failed check caches nothing, so it
-        raises on every later request."""
+        Each power k is memoized as the map alone by `_power`, the one
+        power helper, which pushes it from the power before; a build past
+        MAX_PIECES raises PieceLimitError and caches nothing.  Its
+        special-point check is a memo entry of its own, built on the first
+        check=True request however the power was made (a check=False call,
+        or `orbits.periodic_points` reading `_power(n)` unchecked); a failed
+        check caches nothing, so it raises on every later request."""
         if n < 1:
             raise ValueError("power requires n >= 1")
         if n > MAX_POWER:
             raise PowerLimitError(f"power {n} exceeds limit {MAX_POWER}")
 
-        def checked(k, before, power):
-            _check_sandwich(self, before, power)
+        def checked(k):
+            power = self._power(k)
+            _check_sandwich(self, self._power(k - 1), power)
             if not set(map(_pair, power.special_points().points)) \
                     <= self._special_union(k).keys():
                 raise MapInvariantError("special points of a power escaped "
                                         f"the iterated preimage set at n={k}")
 
-        current = self
-        for k in range(2, n + 1):
-            nxt = self._power_step(k)
-            if check:
-                self._memo(("power_check", k),
-                           lambda: checked(k, current, nxt))
-            current = nxt
-        return current
+        if check:
+            for k in range(2, n + 1):
+                self._memo(("power_check", k), lambda: checked(k))
+        return self._power(n)
 
-    def _power_step(self, k: int) -> "PiecewiseMap":
-        """The k-th power, k >= 2, pushed from the segments of the power
-        before on first use."""
+    def _power(self, k: int) -> "PiecewiseMap":
+        """The k-th power, unchecked: the map itself at k = 1, else pushed
+        from the segments of the power before on first use."""
+        if k == 1:
+            return self
         return self._memo(("power", k), lambda: _from_segments(
             self.a, self.b, _push_segments(_table(self),
-                                           self._power_segments(k - 1))))
-
-    def _power_segments(self, n: int) -> Sequence[Segment]:
-        """The segments of the n-th power, read off its memo entry."""
-        return (self._power_step(n) if n > 1 else self)._segs
+                                           self._power(k - 1)._segs)))
 
     def special_preimage_set(self, n: int) -> tuple[Fraction, ...]:
         """Points whose first n-1 iterates (or the point itself) hit a

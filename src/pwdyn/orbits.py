@@ -759,7 +759,7 @@ def _periodic_orbits(f: PiecewiseMap, max_period: int
         found.setdefault(orb.key(), orb)
 
     for n in range(1, max_period + 1):
-        points, identities = fixed_points(f._power_segments(n))
+        points, identities = fixed_points(f._power(n)._segs)
         families = [orb for piece in identities
                     for orb in _collect_families(f, n, *piece)]
         for orb in families:
@@ -808,7 +808,7 @@ def _collect_families(f, n, left, right) -> Iterator[PeriodicOrbit]:
     for d in range(1, n):
         if n % d != 0:
             continue
-        points, _ = fixed_points(f._power_segments(d))
+        points, _ = fixed_points(f._power(d)._segs)
         cuts.update(x for x in points if left < x < right)
     bounds = sorted({left, right, *cuts})
     for lo, hi in zip(bounds, bounds[1:]):

@@ -14,14 +14,15 @@ Connections transport classification between points of a closed structure:
 four levels, depending on whether one or both germs of the source reach one
 or both germs of the target.  All four come from one table per ordered node
 pair, `_connections`: the landing rows of the source's germs at the target,
-read off each germ's cycle (`_germ_cycle`).  `find_connection` looks a level
-up in it; `pwdyn connections` and the propagation report read each node's
-germ cycles and pair once, then one table per node pair (the report: per
-pair whose target the source reaches), and read every level or clause off
-it.  Both reports read a structure by node position: reachability, node
-classes and cycles run on ints, and a node germ is validated once, in
-`classify_side`.  The rule tables below state every implication of the four
-levels and report violations as replayable bundles.
+read off each germ's cycle (`_germ_cycle`); the table reads its target's
+pair itself.  `find_connection` looks a level up in it; `pwdyn connections`
+and the propagation report read each node's germ cycles once, then one
+table per node pair (the report: per pair whose target the source
+reaches), and read every level or clause off it.  Both reports read a
+structure by node position: reachability, node classes and cycles run on
+ints, and a node germ is validated once, in `classify_side`.  The rule
+tables below state every implication of the four levels, and both report
+violations as replayable bundles through one core, `_RuleReport`.
 """
 
 from __future__ import annotations
@@ -142,37 +143,32 @@ def lateral_oracle(f: PiecewiseMap, x: RationalLike, side: Side, *,
     so the witness interval starts inside a single branch, for at most
     ORACLE_MAX_STEPS steps.  Contracting once the total fragment length
     falls below 2^-20 * delta, expanding once it exceeds 2^10 * delta,
-    neutral on exact state repetition.  With stride > 1 the thresholds are
-    only consulted every stride steps, which is the subsampled stability
+    neutral on exact state repetition; the first eight of nine walks
+    restart with delta / 32 when the interval splits into parts of total
+    length at most 2^10 * delta.  With stride > 1 the thresholds are only
+    consulted every stride steps, which is the subsampled stability
     criterion.  A side that does not exist at x or is not minus or plus,
     or an x outside the domain, raises ValueError as `Germ.validate` does.
     """
     x = as_fraction(x)
     Germ(x, side).validate(f)
-    eff = min((f.b - f.a) * ORACLE_WIDTH, _gap_to_specials(f, x) / 4)
-    for _ in range(8):
-        verdict = _run_oracle(f, x, side, eff, stride, final=False)
+    delta = min((f.b - f.a) * ORACLE_WIDTH, _gap_to_specials(f, x) / 4)
+    for final in (False,) * 8 + (True,):
+        lo, hi = ((x, min(x + delta, f.b)) if side == PLUS
+                  else (max(x - delta, f.a), x))
+        verdict = _VERDICTS[interval_walk(
+            f, lo, hi, steps=ORACLE_MAX_STEPS, stride=stride,
+            thresh=delta * Fraction(1, 2**20), floor=delta * 2**10,
+            restart=not final)]
         if verdict != "restart":
             return verdict
-        eff = eff / 32
-    return _run_oracle(f, x, side, eff, stride, final=True)
+        delta = delta / 32
 
 
 # the verdict behind each way `interval_walk` stops
 _VERDICTS = {"parts": EXPANDING, "restart": "restart", "short": CONTRACTING,
              "long": EXPANDING, "repeat": NEUTRAL, "halved": CONTRACTING,
              "held": NEUTRAL}
-
-
-def _run_oracle(f, x, side, delta, stride, final) -> str:
-    if side == PLUS:
-        lo, hi = x, min(x + delta, f.b)
-    else:
-        lo, hi = max(x - delta, f.a), x
-    return _VERDICTS[interval_walk(
-        f, lo, hi, steps=ORACLE_MAX_STEPS, stride=stride,
-        thresh=delta * Fraction(1, 2**20), floor=delta * 2**10,
-        restart=not final)]
 
 
 def oracle_classify(f: PiecewiseMap, x: RationalLike, *,
@@ -210,14 +206,14 @@ def _landings(index: dict[GermKey, int], z: Pair) -> dict[Side, int]:
 
 
 def _connections(y: Fraction, z: Fraction,
-                 walks: list[tuple[Germ, dict[GermKey, int]]], zkey: Pair
+                 walks: list[tuple[Germ, dict[GermKey, int]]]
                  ) -> tuple[dict[Side, dict[Side, int]], dict[int, Connection]]:
     """The landing rows of y's germs at z (per germ side of y, `_landings`
-    of its walk at z's pair `zkey`), and every level 1..4 connection from
+    of its walk at z's own pair), and every level 1..4 connection from
     y to z that they give (see `find_connection`), each level with its
     first witness in germ and arrival-side order.  Both germs of z are
     reached only when z is interior: an endpoint is reached from inside."""
-    rows = {g.side: _landings(index, zkey) for g, index in walks}
+    rows = {g.side: _landings(index, _pair(z)) for g, index in walks}
     found: dict[int, Connection] = {}
     for g, _ in walks:
         lands = rows[g.side]
@@ -252,7 +248,7 @@ def find_connection(f: PiecewiseMap, struct: StructureGraph, y: RationalLike,
         raise ValueError("level must be 1, 2, 3, or 4")
     if not struct.closed:
         raise NotConfinedError("structure is not closed")
-    return _connections(y, z, _walks(f, y), _pair(z))[1].get(level)
+    return _connections(y, z, _walks(f, y))[1].get(level)
 
 
 # -- rule tables ----------------------------------------------------------------
@@ -269,16 +265,23 @@ class RuleViolation:
                 "detail": self.detail}
 
 
-@dataclass
-class PropagationReport:
-    root: Fraction
-    verdicts: dict[Fraction, str]
-    checked: int
-    violations: list[RuleViolation] = field(default_factory=list)
+class _RuleReport:
+    """The one core of both rule reports: `flag` and `consistent`."""
 
     @property
     def consistent(self) -> bool:
         return not self.violations
+
+    def flag(self, rule: str, x: Fraction, y: Fraction, detail: str) -> None:
+        self.violations.append(RuleViolation(rule, x, y, detail))
+
+
+@dataclass
+class PropagationReport(_RuleReport):
+    root: Fraction
+    verdicts: dict[Fraction, str]
+    checked: int
+    violations: list[RuleViolation] = field(default_factory=list)
 
 
 def _successors(struct: StructureGraph) -> list[list[int]]:
@@ -314,18 +317,14 @@ def stability_propagation_report(f: PiecewiseMap, struct: StructureGraph
     sides = [{g.side: classify_side(f, p, g.side).verdict for g, _ in w}
              for p, w in zip(nodes, walks)]
     classes = [combine_sides(list(s.values())) for s in sides]
-    keys = [_pair(p) for p in nodes]
     succ = _successors(struct)
     reach = [_reachable(i, succ) for i in range(len(nodes))]
     # a germ lands only on nodes its point reaches: other pairs have no rows
-    table = {(i, j): _connections(nodes[i], nodes[j], walks[i], keys[j])
+    table = {(i, j): _connections(nodes[i], nodes[j], walks[i])
              for i in range(len(nodes)) for j in reach[i]}
 
     report = PropagationReport(struct.root, {}, len(table))
-
-    def flag(rule, x, y, detail):
-        report.violations.append(RuleViolation(rule, x, y, detail))
-
+    flag = report.flag
     for i, x in enumerate(nodes):
         cx = classes[i]
         for j in sorted(reach[i]):
@@ -385,7 +384,7 @@ def _check_semi_clauses(x, y, cy, sides, xy, yx, flag) -> None:
 # -- cycle-level rules -----------------------------------------------------------
 
 @dataclass
-class CycleRuleReport:
+class CycleRuleReport(_RuleReport):
     root: Fraction
     verdicts: dict[Fraction, str]
     cycles: list[tuple[Fraction, ...]]
@@ -394,10 +393,6 @@ class CycleRuleReport:
     core_choice_matters: bool
     violations: list[RuleViolation] = field(default_factory=list)
     applied: list[str] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
 
 
 class CycleBudgetError(PwdynError):
@@ -459,14 +454,11 @@ def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
                              core, choice_matters)
     special = f.special_points()
     jumps = [i for i, p in enumerate(nodes) if p in special.discontinuities]
-
-    def flag(rule, x, y, detail):
-        report.violations.append(RuleViolation(rule, x, y, detail))
-
+    flag = report.flag
     for at, cyc in zip(at_cycles, cycles):
         cls = [classes[i] for i in at]
         js = [k for k, i in enumerate(at) if i in jumps]
-        _check_single_jump_cycle(cyc, cls, js, report, flag)
+        _check_single_jump_cycle(cyc, cls, js, report)
         if not js:
             report.applied.append("continuous_cycle")
             if len(set(cls)) > 1:
@@ -474,8 +466,7 @@ def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
                      f"{sorted(set(cls))} along a continuous cycle")
     report.verdicts = dict(zip(nodes, classes))
     if len(jumps) == 1:
-        _check_twin_half_cycles(f, nodes[jumps[0]], struct, report.verdicts,
-                                report, flag)
+        _check_twin_half_cycles(f, nodes[jumps[0]], struct, report)
     if completely_periodic and core:
         report.applied.append("core")
         for z, cz in ((nodes[i], classes[i]) for i in sorted(inter)):
@@ -492,10 +483,11 @@ def cycle_stability_report(f: PiecewiseMap, struct: StructureGraph
     return report
 
 
-def _check_single_jump_cycle(cyc, cls, js, report, flag):
+def _check_single_jump_cycle(cyc, cls, js, report):
     if len(js) != 1:
         return
     report.applied.append("single_jump_cycle")
+    flag = report.flag
     wi, n = js[0], len(cyc)
     w, cw = cyc[wi], cls[wi]
     for off in range(1, n):
@@ -523,12 +515,13 @@ def _check_single_jump_cycle(cyc, cls, js, report, flag):
                 flag("single_jump_semi_w", x, w, "expected semi_stable")
 
 
-def _check_twin_half_cycles(f, w, struct, verdicts, report, flag):
+def _check_twin_half_cycles(f, w, struct, report):
     plus_cyc = _half_point_cycle(f, w, PLUS, len(struct.nodes) + 2)
     minus_cyc = _half_point_cycle(f, w, MINUS, len(struct.nodes) + 2)
     if plus_cyc is None or minus_cyc is None:
         return
     report.applied.append("twin_half_cycles")
+    flag, verdicts = report.flag, report.verdicts
     inter = set(plus_cyc.points) & set(minus_cyc.points)
     for z in sorted(inter):
         cz = verdicts.get(z)

@@ -528,17 +528,16 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
         raise PreconditionError("basin construction needs a free orbit")
     if tax.exceptional:
         raise PreconditionError("orbit is exceptional")
-    n = orb.period
-    turns = set(f.special_points().turning)
+    depth = 2 * orb.period
     witnesses = []
-    rotated = _orbit_gaps(f, orb, special_gaps(f, orb.points[0], 2 * n))
+    rotated = _orbit_gaps(f, orb, special_gaps(f, orb.points[0], depth))
     for xk, gaps in zip(orb.points, rotated):
-        u, v, segs = _window_on(f, xk, gaps, 2 * n)
+        u, v, segs = _window_on(f, xk, gaps, depth)
         if u != f.a and _strict_gap_on(segs, u, xk, False) and (
-                wit := _push_edge(f, orb, xk, u, turns=turns, n=n)):
+                wit := _push_edge(f, orb, xk, u)):
             witnesses.append(wit)
         if v != f.b and _strict_gap_on(segs, xk, v, True) and (
-                wit := _push_edge(f, orb, xk, v, turns=turns, n=n)):
+                wit := _push_edge(f, orb, xk, v)):
             witnesses.append(wit)
     if not witnesses:
         raise TaxonomyViolation(
@@ -546,11 +545,11 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
     return witnesses
 
 
-def _push_edge(f, orb, inner, current, turns, n) -> Optional[BasinWitness]:
+def _push_edge(f, orb, inner, current) -> Optional[BasinWitness]:
     specials = set(f.special_points().points)
-    for j in range(2 * n + 1):
+    for j in range(2 * orb.period + 1):
         if current in specials:
-            return _make_witness(f, orb, current, inner, turns, n, j)
+            return _make_witness(f, orb, current, inner, j)
         # current is not special, so no jump: its value is defined
         current, inner = f.value(current), f.value(inner)
         lo, hi = (inner, current) if inner <= current else (current, inner)
@@ -558,16 +557,15 @@ def _push_edge(f, orb, inner, current, turns, n) -> Optional[BasinWitness]:
         if hit:
             # the pushed interval already covers a special point; shrink to it
             w = min(hit, key=lambda s: abs(s - current))
-            return _make_witness(f, orb, w, inner, turns, n, j + 1)
+            return _make_witness(f, orb, w, inner, j + 1)
     return None
 
 
-def _make_witness(f, orb, w, inner, turns, n, iterates) -> BasinWitness:
+def _make_witness(f, orb, w, inner, iterates) -> BasinWitness:
     side = MINUS if inner < w else PLUS
     delta = abs(w - inner)
-    lat = _lateral_power(f, w, side, 2 * n)
-    w_attr = lat != w
-    if w in turns:
+    w_attr = _lateral_power(f, w, side, 2 * orb.period) != w
+    if w in f.special_points().turning:
         # the far side folds onto the constructed side; its image must nest
         # inside the constructed basin interval, and the fold formula only
         # holds within the branch adjacent to w, so clip to that branch

@@ -391,6 +391,63 @@ def test_cli_golden_digests(capsys, tmp_path):
     assert got == CLI_DIGESTS
 
 
+# sha256 prefix of each pinned map's transcript in
+# `test_cli_transcript_digests`, and of the usage transcript under "usage"
+TRANSCRIPT_DIGESTS = {
+    "shift": "b576d49021609a91", "tent": "78f148fd810296dd",
+    "hat": "82dab0a2e8a9b2cc", "contraction": "7b81a7a84d64d59b",
+    "semistable": "510d345b90ba3625", "fourcycle": "21de883a1795cb64",
+    "decreasing2": "2acef4ccc4be244f", "twocycle": "a5f6ed28c3ba5aea",
+    "identity": "9be4bf1508e4502b", "usage": "d62d908e175b9918"}
+
+COMMANDS = ("validate", "eval", "special", "compose", "iterate", "orbit",
+            "structure", "periodic", "classify", "connections", "taxonomy",
+            "basin", "bound", "code", "regular", "theorem5", "suite", "plot")
+
+
+def _transcript(capsys, runs):
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv}\n{code}\n{out}\0{err}\0".encode())
+    return digest.hexdigest()[:16]
+
+
+def test_cli_transcript_digests(capsys, tmp_path, monkeypatch):
+    """The commands `test_cli_golden_digests` leaves out, on each pinned
+    map: validate, special, eval at (a + 2b)/3 and at each special point,
+    plain and one-sided, iterate and compose with and without the map
+    text, orbit and code at (a + 2b)/3, regular on both sides and on one,
+    and the graph and cobweb plots as csv and svg.  Then a usage error and
+    the top-level and every subcommand's help, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # relative map paths keep argv tmp-free
+    got = {}
+    for name in PINNED_NAMES:
+        path = f"{name}.map"
+        (tmp_path / path).write_text(pinned_text(name))
+        f = parse_map(pinned_text(name))
+        mid = str((f.a + 2 * f.b) / 3)
+        specials = [str(w) for w in f.special_points().points]
+        runs = [("validate",), ("special",), ("eval", "--x", mid)]
+        runs += [("eval", "--x", w, *side) for w in specials
+                 for side in ((), ("--side", "minus"), ("--side", "plus"))]
+        runs += [(cmd, *options, *emit) for cmd, *options in
+                 (("iterate", "-n", "3"), ("compose", path))
+                 for emit in ((), ("--emit-map",))]
+        runs += [("orbit", "--x", mid), ("code", "--x", mid), ("regular",),
+                 ("regular", "--side", "plus")]
+        runs += [("plot", "--mode", mode, *x0, "--format", fmt)
+                 for mode, x0 in (("graph", ()), ("cobweb", ("--x0", mid)))
+                 for fmt in ("csv", "svg")]
+        got[name] = _transcript(
+            capsys, [(cmd, path, *options) for cmd, *options in runs])
+    got["usage"] = _transcript(capsys, [
+        ("eval", "shift.map"), ("--help",),
+        *((cmd, "--help") for cmd in COMMANDS)])
+    assert got == TRANSCRIPT_DIGESTS
+
+
 @pytest.mark.parametrize("pieces, x, want", [
     (("0 11/16 : slope 1/2 intercept 651/16384",
       "11/16 3/4 : slope -1/3 intercept 30113/49152",

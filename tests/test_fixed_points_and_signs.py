@@ -252,17 +252,15 @@ def _ref_basin(f, orb, free, exceptional):
         raise PreconditionError("basin construction needs a free orbit")
     if exceptional:
         raise PreconditionError("orbit is exceptional")
-    n = orb.period
-    turns = set(f.special_points().turning)
     witnesses = []
     for xk in orb.points:
-        u, v, segs = window_sweep(f, xk, 2 * n)
+        u, v, segs = window_sweep(f, xk, 2 * orb.period)
         if u != f.a and _ref_strict_gap_on(segs, u, xk, False):
-            wit = _push_edge(f, orb, xk, u, turns=turns, n=n)
+            wit = _push_edge(f, orb, xk, u)
             if wit:
                 witnesses.append(wit)
         if v != f.b and _ref_strict_gap_on(segs, xk, v, True):
-            wit = _push_edge(f, orb, xk, v, turns=turns, n=n)
+            wit = _push_edge(f, orb, xk, v)
             if wit:
                 witnesses.append(wit)
     if not witnesses:
@@ -297,7 +295,7 @@ def _corpus_maps():
 
 
 def test_fixed_points_match_the_fraction_solver():
-    """Powers 1..8 of the corpus, read off the power cache without a map
+    """Powers 1..8 of the corpus, read off the unchecked power memo
     and off the validated map's segments, against the solver on the
     power's Fraction pieces."""
     families = roots = 0
@@ -305,7 +303,7 @@ def test_fixed_points_match_the_fraction_solver():
         f, g = _cold(f), _cold(f)
         for n in range(1, 9):
             want = _ref_fixed_points(f.power(n, check=False).pieces)
-            assert fixed_points(g._power_segments(n)) == want, \
+            assert fixed_points(g._power(n)._segs) == want, \
                 (f.to_text(), n)
             assert fixed_points(f.power(n)._segs) == want
             families += len(want[1])

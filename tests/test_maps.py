@@ -339,7 +339,7 @@ def _warm(name):
 def _raw_count(f, k):
     """The most pieces any of f's powers 2..k has before merging."""
     return max(len(maps_module._push_segments(maps_module._table(f),
-                                              f._power_segments(j - 1)))
+                                              f._power(j - 1)._segs))
                for j in range(2, k + 1))
 
 

@@ -10,6 +10,8 @@ call of its `__init__`, and a method's positional slots start after `self`.
 """
 
 import ast
+import builtins
+import copy
 from pathlib import Path
 
 from pwdyn.taxonomy import NOT_APPLICABLE
@@ -890,3 +892,81 @@ def test_code_constructor_check_sees_a_second_build():
     assert _code_builds(planted) == (
         ["codes.py:_finish_code", "codes.py:_walk_codes"],
         ["prefix", "cycle", "truncated"])
+
+
+def _defs(node, prefix=""):
+    """(qualified name, node) for every `def` under node: functions,
+    methods and closures."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _defs(child, name + ".")
+        else:
+            yield from _defs(child, prefix)
+
+
+def _module_names(tree):
+    """The names a module binds at its top level, and the builtins."""
+    names = set(dir(builtins))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _copied_bodies(sources):
+    """Each group of two or more `def`s in the (path, tree) sources whose
+    bodies are equal, as sorted `file:qualified name` lists.  A body is
+    compared by `ast.dump`, its docstring dropped and every name the
+    module does not bind renamed by first use, so a copy that only
+    renames its locals, or the object it works on (`self` in one and a
+    captured report in the other), is equal too."""
+    groups = {}
+    for path, tree in sources:
+        kept = _module_names(tree)
+        for name, func in _defs(tree):
+            body = copy.deepcopy(func.body)
+            if ast.get_docstring(func) is not None:
+                body = body[1:]
+            local = {}
+            for node in ast.walk(ast.Module(body, [])):
+                if isinstance(node, ast.Name) and node.id not in kept:
+                    node.id = local.setdefault(node.id, f"_{len(local)}")
+            groups.setdefault(ast.dump(ast.Module(body, [])), []).append(
+                f"{path.name}:{name}")
+    return sorted(sorted(g) for g in groups.values() if len(g) > 1)
+
+
+def test_no_copied_helpers():
+    """No two function, method or closure bodies in the package are
+    equal: the rule reports share `consistent` and `flag` through
+    `stability._RuleReport`, where each report once had its own copy."""
+    assert _copied_bodies(_sources("src/pwdyn")) == []
+
+
+def test_copy_check_sees_the_old_flag_closure():
+    """The old `flag` closure put back into `cycle_stability_report` is
+    found beside `_RuleReport.flag`, whose body it copies on the captured
+    report."""
+    source = (PACKAGE / "stability.py").read_text()
+    old = "    flag = report.flag\n    for at, cyc in zip(at_cycles, cycles):\n"
+    assert source.count(old) == 1
+    source = source.replace(old, (
+        "\n    def flag(rule, x, y, detail):\n"
+        "        report.violations.append(RuleViolation(rule, x, y, detail))\n"
+        "\n    for at, cyc in zip(at_cycles, cycles):\n"))
+    planted = [(path, ast.parse(source) if path.name == "stability.py"
+                else tree) for path, tree in _sources("src/pwdyn")]
+    assert _copied_bodies(planted) == [
+        ["stability.py:_RuleReport.flag",
+         "stability.py:cycle_stability_report.flag"]]

@@ -500,8 +500,7 @@ def test_fold_clip_matches_the_fraction_reference():
                     if not f.a <= inner <= f.b:
                         continue
                     want = _ref_make_witness(f, orb, w, inner, turns, 1, 0)
-                    got = taxonomy_module._make_witness(f, orb, w, inner,
-                                                        turns, 1, 0)
+                    got = taxonomy_module._make_witness(f, orb, w, inner, 0)
                     assert got == want, (f.to_text(), w, inner)
                     plus = inner > w
                     room = (w - f.piece_left_of(w).left if plus
