@@ -12,8 +12,8 @@ no global high power is ever materialized; where the gaps repeat from
 halfway, as at depth 2n at a point of period n, the half sweep is squared
 through its own integer table.  An orbit's gaps are stepped once and
 rotated from point to point (`_orbit_gaps`); a trapped orbit whose first
-point has both one-sided slopes of f^{2n} at least 1 needs no other window
-(`_orbit_trap`).  Segments are int tuples, gaps int pairs, and they become
+point has both one-sided slopes of f^{2n} at least 1, read off the germ
+cycles that `stability` memoizes, needs no other window (`_orbit_trap`).  Segments are int tuples, gaps int pairs, and they become
 Fractions only where `window_sweep`, `restrict_power` and the trap
 witnesses return them.  Trapped / free / basin questions reduce to the
 sign of f^m(t) - t on the segments, read off their coefficients by
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Optional, Sequence
 
 from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
@@ -35,10 +34,11 @@ from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
                    Segment, _affine, _image, _locate, _magnitude, _pair,
                    _table, _table_of, as_fraction)
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, _germ_key, _germ_successor, _germ_walk,
-                     _sweep, ball_stops, fixed_points, periodic_points,
-                     segment_sweep, special_gaps, walk)
-from .stability import SEMI_STABLE, STABLE, CycleBudgetError, classify_point
+                     VariantLimitError, _germ_key, _germ_successor, _sweep,
+                     ball_stops, fixed_points, periodic_points, segment_sweep,
+                     special_gaps, walk)
+from .stability import (SEMI_STABLE, STABLE, CycleBudgetError, _germ_cycle,
+                        classify_point)
 
 # Period horizon of the attraction atlas that certifies convergence.
 ATLAS_HORIZON = 8
@@ -265,33 +265,28 @@ def _orbit_trap(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
     f^k takes x_0 to x_k and is continuous and monotone on x_0's window, so
     it conjugates f^{2n} near x_0 to f^{2n} near x_k, with the one-sided
     slopes swapped where f^k decreases: if x_0 is trapped with both slopes
-    at least 1, so is each x_k, checked by its own slopes, not a window."""
+    at least 1, so is each x_k.  The slopes are the |A| and D products of
+    the memoized cycles of x_0's two germs (`stability._germ_cycle`), each
+    back at its start within a divisor of 2n steps; a germ step is a
+    function of the germ, so each x_k is checked by both its germs lying
+    on those cycles, whose products are its own, not by a window."""
     n, x = orb.period, orb.representative
     first, gaps = _first_trap(f, x, n)
-    if first.trapped and _expanding(f, x, n):
-        for p in orb.points[1:]:
-            if not _expanding(f, p, n):
-                raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
-        return first
+    if first.trapped:
+        cycles = [_germ_cycle(f, (*_pair(x), plus)) for plus in (False, True)]
+        if any(start or 2 * n % len(index) for index, start, _, _ in cycles):
+            raise TaxonomyViolation(f"germ at {x} not back in {2 * n} steps")
+        if all(num >= den for *_, num, den in cycles):
+            on = cycles[0][0].keys() | cycles[1][0].keys()
+            for p in orb.points[1:]:
+                if not {(*_pair(p), False), (*_pair(p), True)} <= on:
+                    raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
+            return first
     rest = zip(orb.points[1:], _orbit_gaps(f, orb, gaps)[1:])
     if any(_trap(f, p, n, g).trapped != first.trapped for p, g in rest):
         raise TaxonomyViolation(
             f"trapped flag not uniform along orbit {orb.points}")
     return first
-
-
-def _expanding(f: PiecewiseMap, x: Fraction, n: int) -> bool:
-    """Both one-sided slopes of f^{2n} at the period-n point x are at least
-    1: |A| against D over the cycle of each germ of x, whose `_germ_walk`
-    of 2n + 1 germs must close at that germ within a divisor of 2n steps."""
-    coefs, out = _table(f).coefs, True
-    for plus in (False, True):
-        _, steps, start = _germ_walk(f, (*_pair(x), plus), 2 * n + 1)
-        if start != 0 or 2 * n % len(steps):
-            raise TaxonomyViolation(f"germ at {x} not back in {2 * n} steps")
-        out = out and (prod(abs(coefs[i][0]) for i in steps)
-                       >= prod(coefs[i][2] for i in steps))
-    return out
 
 
 @dataclass(frozen=True)
