@@ -304,9 +304,9 @@ def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
     """Full classification of a continuous periodic orbit.
 
     Trapped / free must agree at every orbit point (`_orbit_trap`); a
-    point that fails its slope check, a disagreement, or a periodic
-    endpoint that is neither fixed, critical, nor half of the endpoint
-    swap, raises TaxonomyViolation.
+    point whose germs are off the first point's germ cycles, a
+    disagreement, or a periodic endpoint that is neither fixed, critical,
+    nor half of the endpoint swap, raises TaxonomyViolation.
     """
     if not orb.continuous:
         raise PreconditionError("taxonomy is defined for continuous orbits")

@@ -570,8 +570,9 @@ def _germ_memos(tree):
 
 def test_one_germ_memo():
     """A germ walk is memoized in `stability._germ_cycle` alone, keyed on
-    the germ, so the plain walk `orbits._germ_walk`, the expansion check
-    of `taxonomy` and every other one-off walk keep nothing on the map."""
+    the germ, so the plain walk `orbits._germ_walk`, `germ_orbit` and
+    every other one-off walk keep nothing on the map; `taxonomy` reads
+    the germ cycles through `_germ_cycle`."""
     found = [f"{path.name}:{name}" for path, tree in _sources("src/pwdyn")
              for name in _germ_memos(tree)]
     assert found == ["stability.py:_germ_cycle"]
@@ -584,7 +585,7 @@ def test_one_germ_memo():
 
 def test_germ_memo_check_sees_a_second_memoized_walk():
     """The plain walk put back behind a memo under another kind name, and
-    `taxonomy._expanding` routed through the memo, are both found."""
+    `orbits.germ_orbit`'s walk routed through the memo, are both found."""
     source = (PACKAGE / "orbits.py").read_text()
     assert source.count("def _germ_walk(") == 1
     source = source.replace("def _germ_walk(", "def _walk_once(") + (
@@ -592,12 +593,12 @@ def test_germ_memo_check_sees_a_second_memoized_walk():
         "    return f._memo((\"walk\", key, cap),\n"
         "                   lambda: _walk_once(f, key, cap))\n")
     assert _germ_memos(ast.parse(source)) == ["_germ_walk"]
-    source = (PACKAGE / "taxonomy.py").read_text()
-    old = "_germ_walk(f, (*_pair(x), plus), 2 * n + 1)"
+    source = (PACKAGE / "orbits.py").read_text()
+    old = "_germ_walk(f, _germ_key(f, g), GERM_CAP)"
     assert source.count(old) == 1
-    source = source.replace(old, f"f._memo((\"slopes\", x, plus, n),\n"
+    source = source.replace(old, f"f._memo((\"orbit\", g),\n"
                                  f"                     lambda: {old})")
-    assert _germ_memos(ast.parse(source)) == ["_expanding"]
+    assert _germ_memos(ast.parse(source)) == ["germ_orbit"]
 
 
 def _starts_and_walks(tree):

@@ -4,10 +4,11 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 from functools import partial
+from math import prod
 
 import pytest
 
-from pwdyn import orbits, taxonomy as taxonomy_module
+from pwdyn import harness, orbits, stability, taxonomy as taxonomy_module
 from pwdyn.codes import regular_attractor
 from pwdyn.harness import GeneratorConfig, _corpus, random_map
 from pwdyn.maps import MINUS, PLUS, _table, parse_map
@@ -218,6 +219,73 @@ def test_one_window_per_trapped_orbit(monkeypatch):
         seen
 
 
+# -- the per-point germ walks the germ-cycle lookups replaced, the reference --
+
+
+def _ref_orbit_trap(f, orb):
+    """`taxonomy._orbit_trap` as it was when each listed point's slopes
+    were read off its own germ walks (`_ref_expanding`); the reference."""
+    n, x = orb.period, orb.representative
+    first, gaps = taxonomy_module._first_trap(f, x, n)
+    if first.trapped and _ref_expanding(f, x, n):
+        for p in orb.points[1:]:
+            if not _ref_expanding(f, p, n):
+                raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
+        return first
+    rest = zip(orb.points[1:], taxonomy_module._orbit_gaps(f, orb, gaps)[1:])
+    if any(_trap(f, p, n, g).trapped != first.trapped for p, g in rest):
+        raise TaxonomyViolation(
+            f"trapped flag not uniform along orbit {orb.points}")
+    return first
+
+
+def _ref_expanding(f, x, n):
+    """Both one-sided slopes of f^{2n} at the period-n point x are at least
+    1: |A| against D over the cycle of each germ of x, whose germ walk of
+    2n + 1 germs must close at that germ within a divisor of 2n steps."""
+    coefs, out = _table(f).coefs, True
+    for plus in (False, True):
+        _, steps, start = orbits._germ_walk(
+            f, (x.numerator, x.denominator, plus), 2 * n + 1)
+        if start != 0 or 2 * n % len(steps):
+            raise TaxonomyViolation(f"germ at {x} not back in {2 * n} steps")
+        out = out and (prod(abs(coefs[i][0]) for i in steps)
+                       >= prod(coefs[i][2] for i in steps))
+    return out
+
+
+def _both_taxonomies(f, orb, monkeypatch):
+    """`taxonomy` of the orbit, then the same with the reference trap, each
+    as `_outcome` gives it."""
+    got = _outcome(taxonomy, f, orb)
+    with monkeypatch.context() as m:
+        m.setattr(taxonomy_module, "_orbit_trap", _ref_orbit_trap)
+        return got, _outcome(taxonomy, f, orb)
+
+
+def test_the_germ_cycle_lookups_match_the_per_point_walks(monkeypatch):
+    """`taxonomy` against the reference, which walks both germs of every
+    listed point, on every continuous orbit to period 8 of the shortcut
+    corpus (with its mirrors and 100 census-style maps), listed in each
+    rotation: the same flags and trap witness, or the same error."""
+    seen = Counter()
+    for f in _shortcut_corpus():
+        for orb in periodic_points(f, 8, max_power=16):
+            if not orb.continuous:
+                continue
+            for k in range(orb.period):
+                listed = dataclasses.replace(
+                    orb, points=orb.points[k:] + orb.points[:k])
+                got, want = _both_taxonomies(f, listed, monkeypatch)
+                assert got == want, (f.to_text(), listed.points)
+                if isinstance(got, str):
+                    seen["errors"] += 1
+                else:
+                    seen[(got.trapped, orb.period > 1)] += 1
+    assert min(seen[trapped, cycle] for trapped in (False, True)
+               for cycle in (False, True)) > 50, seen
+
+
 def _shortcut_orbit(kept=False):
     """The first census-style map with a contracting piece and an orbit of
     period 2 or more that `taxonomy` decides by the slope check; if
@@ -237,48 +305,110 @@ def _shortcut_orbit(kept=False):
     raise AssertionError("no orbit takes the slope check")
 
 
+def _planted_walks(m, plant):
+    """Route every germ walk of `orbits` and `stability` through `plant`,
+    which takes the walk's first germ key and its record and returns the
+    record to use."""
+    real = orbits._germ_walk
+
+    def walk(f, key, cap):
+        return plant(key, real(f, key, cap))
+    m.setattr(orbits, "_germ_walk", walk)
+    m.setattr(stability, "_germ_walk", walk)
+
+
 def test_a_later_point_is_checked_from_its_own_germs(monkeypatch):
-    """Past the first point's germ steps (one cycle of each of its two
-    germs), a planted step in `orbits._germ_successor` that reads a
-    contracting piece, or that flips its germ's side once, makes
-    `taxonomy` raise TaxonomyViolation naming the second listed point:
-    each later point's slopes are read off its own germ walks.  The flip
-    is planted on an orbit whose germs f^n keeps on their side, so each
-    germ has its own cycle and the flipped walk lands on the other one.
-    Where f^n reverses the sides, both germs of a point lie on one cycle
-    of 2n germs, and a walk flipped once closes at its start in n steps,
-    as a step that is a function of its germ never does."""
-    cases = [(_shortcut_orbit(), False), (_shortcut_orbit(kept=True), True)]
-    assert cases[0][0][1] != cases[1][0][1]
-    for (f, orb), flip in cases:
+    """Each later point x_k is checked by its own two germ keys, which must
+    lie on the memoized cycles of x_0's germs, and those cycles by their
+    start and length.  Faults planted in the germ walk records, each on a
+    new copy of the map, make `taxonomy` raise TaxonomyViolation naming
+    the point: x_1's keys renamed out of x_0's landing indexes, while
+    x_1's own walks read a contracting piece, name x_1 ("contracts");
+    x_0's cycle on either side made to start at its second germ, or to
+    take one germ more, so that its length does not divide 2n, name x_0
+    ("not back in 2n steps").  The reference, which walks x_1's own
+    germs, raises the same on each plant.  One orbit is one that f^n
+    reverses, both germs of a point on one cycle of 2n germs, and one is
+    one whose germs f^n keeps on their own side, a cycle per germ."""
+    cases = [_shortcut_orbit(), _shortcut_orbit(kept=True)]
+    assert [_one_sided_slopes(f, orb.representative, orb.period)[0][1]
+            for f, orb in cases] == [PLUS, MINUS]
+    for f, orb in cases:
         n, (x0, x1) = orb.period, orb.points[:2]
+        keys0, keys1 = ([(x.numerator, x.denominator, plus)
+                         for plus in (False, True)] for x in (x0, x1))
         contracting = next(i for i, (a, _, d) in enumerate(_table(f).coefs)
                            if abs(a) < d)
-        first = sum(len(orbits._germ_walk(f, (x0.numerator, x0.denominator,
-                                              plus), 2 * n + 1)[1])
-                    for plus in (False, True))
-        real = orbits._germ_successor
-        plants = [(lambda key, i, k: (key, contracting),
-                   f"f^{2 * n} contracts at {x1}")]
-        if flip:
-            plants.append((lambda key, i, k: (
-                (*key[:2], not key[2]) if k == 0 else key, i),
-                f"germ at {x1} not back in {2 * n} steps"))
+
+        def cut_off(key, record):
+            index, steps, start = record
+            if key in keys0:  # a 4-tuple is the key of no germ
+                index = {(*k, None) if k in keys1 else k: i
+                         for k, i in index.items()}
+            elif key in keys1:
+                steps = (contracting,) * len(steps)
+            return index, steps, start
+
+        def late(side):
+            return lambda key, record: (
+                (*record[:2], 1) if key == side else record)
+
+        def longer(side):
+            return lambda key, record: (
+                ({**record[0], (*side, None): len(record[1])},
+                 record[1] + record[1][-1:], record[2])
+                if key == side else record)
+
+        back = f"germ at {x0} not back in {2 * n} steps"
+        plants = [(cut_off, f"f^{2 * n} contracts at {x1}")]
+        plants += [(plant(side), back) for side in keys0
+                   for plant in (late, longer)]
         for plant, message in plants:
-            steps = [0]
-
-            def planted(table, key):
-                k = steps[0] - first
-                steps[0] += 1
-                nxt, i = real(table, key)
-                return (nxt, i) if k < 0 else plant(nxt, i, k)
-
             with monkeypatch.context() as m:
-                m.setattr(orbits, "_germ_successor", planted)
-                with pytest.raises(TaxonomyViolation,
-                                   match=re.escape(message)):
-                    taxonomy(f, orb)
-        assert taxonomy(f, orb).trapped
+                _planted_walks(m, plant)
+                got, want = _both_taxonomies(parse_map(f.to_text()), orb,
+                                             monkeypatch)
+            assert got == want == f"TaxonomyViolation: {message}", \
+                (f.to_text(), orb.points, message)
+        assert taxonomy(parse_map(f.to_text()), orb).trapped
+
+
+def test_each_germ_is_walked_once_per_map(monkeypatch):
+    """A spy on every module's germ walk, over `taxonomy` on each
+    continuous orbit and `count_bound`, in either order, on the shortcut
+    corpus: no germ is walked twice on one map, `count_bound` reads the
+    cycles of the representatives `taxonomy` walked, and the answers of
+    both orders are the same."""
+    walks = Counter()
+    real = orbits._germ_walk
+
+    def spy(f, key, cap):
+        walks[key] += 1
+        return real(f, key, cap)
+
+    for module in (orbits, stability, harness, taxonomy_module):
+        if hasattr(module, "_germ_walk"):
+            monkeypatch.setattr(module, "_germ_walk", spy)
+    seen = Counter()
+    for text in [f.to_text() for f in _shortcut_corpus()]:
+        answers, cold = [], set()
+        for bound_first in (True, False):
+            f = parse_map(text)
+            found = [o for o in periodic_points(f, 8, max_power=16)
+                     if o.continuous and o.kind != HALF_POINT]
+            periodic_points(f, 8)  # `count_bound`'s own listing
+            walks.clear()
+            bound = _outcome(count_bound, f) if bound_first else None
+            cold = set(walks) if bound_first else cold
+            classes = [_outcome(taxonomy, f, orb) for orb in found]
+            if not bound_first:
+                seen["read"] += len(cold & set(walks))
+                bound = _outcome(count_bound, f)
+            assert max(walks.values(), default=0) <= 1, (text, walks)
+            seen["walks"] += len(walks)
+            answers.append((bound, classes))
+        assert answers[0] == answers[1], text
+    assert seen["read"] > 200 and seen["walks"] > 2000, seen
 
 
 def test_count_bound_reads_the_trap_taxonomy_made(monkeypatch):
