@@ -391,15 +391,16 @@ def test_each_germ_is_walked_once_per_map(monkeypatch):
             monkeypatch.setattr(module, "_germ_walk", spy)
     seen = Counter()
     for text in [f.to_text() for f in _shortcut_corpus()]:
-        answers, cold = [], set()
+        answers = []
         for bound_first in (True, False):
             f = parse_map(text)
             found = [o for o in periodic_points(f, 8, max_power=16)
                      if o.continuous and o.kind != HALF_POINT]
             periodic_points(f, 8)  # `count_bound`'s own listing
             walks.clear()
-            bound = _outcome(count_bound, f) if bound_first else None
-            cold = set(walks) if bound_first else cold
+            if bound_first:
+                bound = _outcome(count_bound, f)
+                cold = set(walks)
             classes = [_outcome(taxonomy, f, orb) for orb in found]
             if not bound_first:
                 seen["read"] += len(cold & set(walks))
@@ -408,7 +409,7 @@ def test_each_germ_is_walked_once_per_map(monkeypatch):
             seen["walks"] += len(walks)
             answers.append((bound, classes))
         assert answers[0] == answers[1], text
-    assert seen["read"] > 200 and seen["walks"] > 2000, seen
+    assert seen["read"] > 500 and seen["walks"] > 1500, seen
 
 
 def test_count_bound_reads_the_trap_taxonomy_made(monkeypatch):
