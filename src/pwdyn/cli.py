@@ -3,12 +3,12 @@
 Exit codes: 0 on success, 1 when the analysis itself finds a genuine
 negative (a violated bound, a failed certification, suite failures), 2 for
 usage or input errors (a map file that does not parse or breaks a map
-invariant), 3 with an `internal error:` prefix when a bug-class error
-(`TaxonomyViolation`, or `MapInvariantError` after the maps loaded) shows
-an implementation bug, and 141 (a shell's status for SIGPIPE), with no
-traceback, when stdout closes before the output is written.  Results go
-to stdout, diagnostics to stderr.  All set-valued output is sorted and
-rationals print exactly, so reports diff cleanly.
+invariant) or a spent `BudgetError`, 3 with an `internal error:` prefix
+when any other `BugError` (`TaxonomyViolation`, or `MapInvariantError`
+after the maps loaded) shows an implementation bug, and 141 (SIGPIPE's
+shell status), with no traceback, when stdout closes before the output is
+written.  Results go to stdout, diagnostics to stderr.  All set-valued
+output is sorted and rationals print exactly, so reports diff cleanly.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from typing import Optional
 from .codes import (CertificationError, YES, attractor_regular_source,
                     codes, is_regular, regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
-from .maps import (MapInvariantError, MINUS, PLUS, PiecewiseMap,
+from .maps import (BugError, MapInvariantError, MINUS, PLUS, PiecewiseMap,
                    PwdynError, as_fraction, compose, parse_map)
 from .orbits import (DENOM_BIT_CAP, HALF_POINT, INTERVAL_FAMILY, POINT,
                      VariantSelector, orbit, periodic_points, structure)
 from .plotting import emit_plot
 from .stability import (_connections, _walks, classify_point,
                         classify_side, germs_of)
-from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
+from .taxonomy import (NOT_APPLICABLE, PreconditionError,
                        basin_adjacent_special, count_bound, taxonomy)
 
 
@@ -192,7 +192,7 @@ def dispatch(argv: list[str]) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
-    except (TaxonomyViolation, MapInvariantError) as exc:
+    except BugError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (PwdynError, ValueError) as exc:
@@ -419,9 +419,7 @@ def _cmd_suite(args) -> int:
     if which is not None:
         unknown = which - set(PROPERTIES)
         if unknown:
-            print(f"error: unknown properties {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown properties {sorted(unknown)}")
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     counts = {name: args.count for name in (which or PROPERTIES)} \

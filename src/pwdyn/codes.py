@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError,
+from .maps import (MINUS, PLUS, BugError, Pair, PiecewiseMap, PwdynError,
                    RationalLike, Segment, Side, _locate, _magnitude, _pair,
                    as_fraction)
 from .orbits import (DENOM_BIT_CAP, ClipError, PeriodicOrbit, Walk,
@@ -46,7 +46,7 @@ class CodeUndefinedError(PwdynError):
     """The orbit reaches a jump point, so no code exists."""
 
 
-class CertificationError(PwdynError):
+class CertificationError(BugError):
     """An exact certification that should follow from the theory failed;
     this is surfaced loudly as a counterexample."""
 

@@ -8,16 +8,17 @@ greedy deterministic shrinker.  The slope palettes deliberately overweight
 magnitude-one branches: the neutral regime is where the edge cases live.
 
 Each property counts its cases on one `PropertyResult`.  A case passes
-exactly when it records no failure (`case()`).  A NOT_APPLICABLE error
-becomes a skip in `skipping()`, around a whole case or, through `call()`,
-around one call.  A case skipped that way neither passes nor fails; when
-only one part of it (a structure, orbit or point) is skipped, the case
-still passes or fails on the rest.  Three NOT_APPLICABLE catches skip with
-no count: where `periodic_points` does not apply, `closed_structures`
-leaves out the periodic roots and `attractor_duality` the orbits; and
-`attractor_duality` passes over the orbits `attractor_regular_source`
-rejects with a PreconditionError.  Every other error propagates: a
-bug-class `TaxonomyViolation` is a failure where a property checks for it
+exactly when it records no failure (`case()`).  A NOT_APPLICABLE error, a
+failed precondition or any `BudgetError`, becomes a skip in `skipping()`,
+around a whole case or, through `call()`, around one call; the shrinker
+passes over a candidate on one.  A case skipped that way neither passes
+nor fails; when only one part of it (a structure, orbit or point) is
+skipped, the case still passes or fails on the rest.  Three NOT_APPLICABLE
+catches skip with no count: where `periodic_points` does not apply,
+`closed_structures` leaves out the periodic roots and `attractor_duality`
+the orbits; and `attractor_duality` passes over the orbits
+`attractor_regular_source` rejects with a PreconditionError.  Every other
+error propagates: a `BugError` is a failure where a property checks for it
 and stops the suite elsewhere.  `basin_witnesses` alone passes a map only
 when some witness holds, and skips it otherwise.
 """
@@ -211,7 +212,7 @@ def _reductions(f: PiecewiseMap) -> list[PiecewiseMap]:
     for cand_pieces in out:
         try:
             built.append(PiecewiseMap(f.a, f.b, cand_pieces))
-        except PwdynError:
+        except MapInvariantError:
             continue
     return built
 
@@ -230,7 +231,7 @@ def shrink(bundle: Bundle) -> Bundle:
         for cand in _reductions(current):
             try:
                 still_failing = pred(cand, bundle.context)
-            except PwdynError:
+            except NOT_APPLICABLE:
                 continue
             if still_failing:
                 current = cand
@@ -407,7 +408,7 @@ def _sandwich_fails(f: PiecewiseMap, context: dict) -> bool:
     g = parse_map(context["second_map"])
     try:
         h = compose(f, g, check=False)
-    except PwdynError:
+    except NOT_APPLICABLE:
         return False
     lower, upper = _sandwich_bounds(f, g)
     return not lower <= set(map(_pair, h.special_points().points)) <= upper
@@ -682,7 +683,7 @@ def _bound_fails(f: PiecewiseMap, context: dict) -> bool:
         return False
     try:
         return not count_bound(f, int(context.get("horizon", 8))).holds
-    except PwdynError:
+    except NOT_APPLICABLE:
         return False
 
 

@@ -60,6 +60,14 @@ class PwdynError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BudgetError(PwdynError):
+    """A fixed budget ran out; the query has no answer within it."""
+
+
+class BugError(PwdynError):
+    """A fact the theory guarantees failed: an implementation bug."""
+
+
 class MapSyntaxError(PwdynError):
     """Malformed map text; carries the 1-based line and column."""
 
@@ -69,15 +77,15 @@ class MapSyntaxError(PwdynError):
         self.column = column
 
 
-class MapInvariantError(PwdynError):
+class MapInvariantError(BugError):
     """A structural invariant of a map (or of an exact operation) failed."""
 
 
-class PieceLimitError(PwdynError):
+class PieceLimitError(BudgetError):
     """A composition, power or sweep grew past MAX_PIECES pieces."""
 
 
-class PowerLimitError(PwdynError):
+class PowerLimitError(BudgetError):
     """A power exceeded the configured maximum."""
 
 

@@ -50,10 +50,11 @@ from math import prod
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PowerLimitError,
-                   PwdynError, RationalLike, Segment, Side, _apply, _branch,
-                   _image, _image_at, _locate, _magnitude, _pair, _plus,
-                   _push_segments, _solve, _Table, _table, as_fraction)
+from .maps import (MINUS, PLUS, BudgetError, Pair, PiecewiseMap,
+                   PowerLimitError, PwdynError, RationalLike, Segment, Side,
+                   _apply, _branch, _image, _image_at, _locate, _magnitude,
+                   _pair, _plus, _push_segments, _solve, _Table, _table,
+                   as_fraction)
 
 DENOM_BIT_CAP = 4096
 STRUCTURE_CAP = 10**4
@@ -62,7 +63,7 @@ GERM_CAP = 10**4
 VARIANT_BIT_LIMIT = 20
 
 
-class VariantLimitError(PwdynError):
+class VariantLimitError(BudgetError):
     """Too many jump points to enumerate all variants."""
 
 

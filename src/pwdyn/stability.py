@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .maps import (MINUS, PLUS, Pair, PiecewiseMap, PwdynError, RationalLike,
-                   Side, _pair, _table, as_fraction)
+from .maps import (MINUS, PLUS, BudgetError, Pair, PiecewiseMap, PwdynError,
+                   RationalLike, Side, _pair, _table, as_fraction)
 from .orbits import (GERM_CAP, Germ, GermKey, PeriodicOrbit, StructureGraph,
                      _germ, _germ_key, _germ_walk, _half_point_cycle,
                      interval_walk, structure)
@@ -397,7 +397,7 @@ class CycleRuleReport(_RuleReport):
     applied: list[str] = field(default_factory=list)
 
 
-class CycleBudgetError(PwdynError):
+class CycleBudgetError(BudgetError):
     """Cycle enumeration on a structure exceeded its budget."""
 
 

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .maps import (MINUS, PLUS, AffinePiece, Pair, PieceLimitError,
-                   PiecewiseMap, PowerLimitError, PwdynError, RationalLike,
-                   Segment, _affine, _image, _locate, _magnitude, _pair,
-                   _table, _table_of, as_fraction)
-from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit,
-                     VariantLimitError, _germ_key, _germ_successor, _sweep,
-                     ball_stops, fixed_points, periodic_points, segment_sweep,
-                     special_gaps, walk)
-from .stability import (SEMI_STABLE, STABLE, CycleBudgetError, _germ_cycle,
-                        classify_point)
+from .maps import (MINUS, PLUS, AffinePiece, BudgetError, BugError, Pair,
+                   PiecewiseMap, PwdynError, RationalLike, Segment, _affine,
+                   _image, _locate, _magnitude, _pair, _table, _table_of,
+                   as_fraction)
+from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit, _germ_key,
+                     _germ_successor, _sweep, ball_stops, fixed_points,
+                     periodic_points, segment_sweep, special_gaps, walk)
+from .stability import SEMI_STABLE, STABLE, _germ_cycle, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
 ATLAS_HORIZON = 8
@@ -56,16 +54,15 @@ class PreconditionError(PwdynError):
     """An operation was called outside its stated preconditions."""
 
 
-class TaxonomyViolation(PwdynError):
+class TaxonomyViolation(BugError):
     """A structural fact that should hold for every map failed; this always
     indicates an implementation bug and is surfaced loudly."""
 
 
 # Errors meaning only that a query does not apply to its input, or that a
-# search budget ran out; callers that sweep a corpus skip on these, and any
-# other error, a bug class above all, propagates.
-NOT_APPLICABLE = (PreconditionError, DegenerateWindowError, PieceLimitError,
-                  PowerLimitError, VariantLimitError, CycleBudgetError)
+# fixed budget ran out (any BudgetError); callers that sweep a corpus skip
+# on these, and any other error, a BugError above all, propagates.
+NOT_APPLICABLE = (PreconditionError, DegenerateWindowError, BudgetError)
 
 
 def monotone_window(f: PiecewiseMap, x: RationalLike, depth: int

@@ -12,7 +12,7 @@ from pwdyn import cli, stability
 from pwdyn.cli import dispatch
 from pwdyn.codes import CertificationError
 from pwdyn.harness import GeneratorConfig, _corpus, closed_structures
-from pwdyn.maps import MapInvariantError, parse_map
+from pwdyn.maps import MapInvariantError, PieceLimitError, parse_map
 from pwdyn.orbits import structure, variants
 from pwdyn.pinned import PINNED_NAMES, pinned_text
 from pwdyn.plotting import emit_plot
@@ -174,12 +174,15 @@ def test_theorem5_surfaces_bug_class_errors(capsys, hat_path, monkeypatch):
     (TaxonomyViolation, 3, "internal error"),
     (MapInvariantError, 3, "internal error"),
     (CertificationError, 1, "certification failure"),
-    (PreconditionError, 2, "error")])
+    (PreconditionError, 2, "error"),
+    (PieceLimitError, 2, "error"),
+    (stability.CycleBudgetError, 2, "error")])
 def test_exit_status_by_error_class(capsys, hat_path, monkeypatch, error,
                                     code, prefix):
-    """An implementation bug raised after the map loaded exits 3 with
-    `internal error:`; a failed certification keeps 1 and a precondition
-    (input) error keeps 2."""
+    """An implementation bug (a `BugError`) raised after the map loaded
+    exits 3 with `internal error:`; a failed certification keeps 1, and a
+    precondition (input) error or a spent budget (a `BudgetError`) keeps
+    2."""
     def broken(*args, **kwargs):
         raise error("planted")
 
@@ -273,8 +276,8 @@ def test_suite_json_and_exit(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["properties"]["pinned_double_shift"]["fails"] == 0
-    code, _, err = run(capsys, "suite", "--which", "no_such_property")
-    assert code == 2
+    assert run(capsys, "suite", "--which", "no_such_property") == (
+        2, "", "error: unknown properties ['no_such_property']\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -1,6 +1,7 @@
 import hashlib
 import zlib
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -112,6 +113,35 @@ def test_bug_class_errors_fail_the_suite(monkeypatch):
     with pytest.raises(TaxonomyViolation, match="planted violation"):
         run_suite(GeneratorConfig(seed=7), {"orbit_count_bound"},
                   counts={"orbit_count_bound": 3})
+
+
+@pytest.mark.parametrize("name, call", [("orbit_count_bound", "count_bound"),
+                                        ("composition_sandwich", "compose")])
+def test_bug_class_errors_stop_the_shrinker(monkeypatch, name, call):
+    # the planted call fails the bundle's map (for the sandwich, through
+    # emptied bounds) and raises a TaxonomyViolation on every shrink
+    # candidate: the bug propagates, where a skip on it would return the
+    # unshrunk map as the smallest failing one
+    tent = parse_map("interval 0 1\npiece 0 1/2 : slope 3/2 intercept 1/8\n"
+                     "piece 1/2 1 : slope -3/2 intercept 13/8\n")
+    real = getattr(harness, call)
+
+    def planted(f, *args, **kwargs):
+        if f != tent:
+            raise TaxonomyViolation("planted")
+        if call == "count_bound":
+            return SimpleNamespace(holds=False)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(harness, call, planted)
+    if call == "compose":
+        monkeypatch.setattr(harness, "_sandwich_bounds",
+                            lambda f, g: (set(), set()))
+    bundle = Bundle(name, tent.to_text(),
+                    {"horizon": "8", "second_map": tent.to_text()}, "planted")
+    assert harness._reductions(tent)
+    with pytest.raises(TaxonomyViolation, match="planted"):
+        shrink(bundle)
 
 
 def test_taxonomy_rules_sweep_every_orbit_point(monkeypatch):

@@ -715,19 +715,44 @@ def test_piece_reader_check_sees_the_old_direction_test():
         "taxonomy.py:_monotone_on"}
 
 
-def _not_applicable_catches(name, tree):
-    """`file:function` of every `except` that names NOT_APPLICABLE or one
-    of its members, alone or in a tuple."""
-    members = {"NOT_APPLICABLE", *(e.__name__ for e in NOT_APPLICABLE)}
+def _class_bases(trees):
+    """Each class defined in the trees, by name, with its bases' names."""
+    return {node.name: {_word(b) for b in node.bases}
+            for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)}
+
+
+PACKAGE_BASES = _class_bases(_sources("src/pwdyn"))
+
+
+def _family(roots, bases=PACKAGE_BASES):
+    """The names in roots and of every class derived from one of them."""
+    family = set(roots)
+    while more := {name for name, up in bases.items()
+                   if up & family} - family:
+        family |= more
+    return family
+
+
+def _catches(names, name, tree):
+    """`file:function` of every `except` that names one of names, alone or
+    in a tuple."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ExceptHandler) or node.type is None:
             continue
         caught = (node.type.elts if isinstance(node.type, ast.Tuple)
                   else [node.type])
-        if members & {_word(e) for e in caught}:
+        if names & {_word(e) for e in caught}:
             found.append(f"{name}:{_innermost(tree, node)}")
     return found
+
+
+def _not_applicable_catches(name, tree):
+    """`file:function` of every `except` that names NOT_APPLICABLE, one of
+    its members or a subclass of one."""
+    members = _family(e.__name__ for e in NOT_APPLICABLE)
+    return _catches({"NOT_APPLICABLE"} | members, name, tree)
 
 
 def test_not_applicable_catches_are_pinned():
@@ -740,15 +765,17 @@ def test_not_applicable_catches_are_pinned():
     from them."""
     found = sorted(catch for path, tree in _sources("src/pwdyn")
                    for catch in _not_applicable_catches(path.name, tree))
-    assert found == ["cli.py:_cmd_theorem5", "harness.py:_prop_duality",
-                     "harness.py:_prop_duality",
-                     "harness.py:closed_structures", "harness.py:skipping"]
+    assert found == ["cli.py:_cmd_theorem5", "harness.py:_bound_fails",
+                     "harness.py:_prop_duality", "harness.py:_prop_duality",
+                     "harness.py:_sandwich_fails",
+                     "harness.py:closed_structures", "harness.py:shrink",
+                     "harness.py:skipping"]
 
 
 def test_catch_check_sees_an_added_skip():
     """A silent `except PreconditionError: continue` around the CLI's
-    taxonomy, and a tuple naming DegenerateWindowError around a window,
-    are both found."""
+    taxonomy, a tuple naming DegenerateWindowError around a window, and a
+    catch of one budget subclass are all found."""
     source = (PACKAGE / "cli.py").read_text()
     old = "        tax = taxonomy(f, orb)\n        flags = []\n"
     assert old in source
@@ -765,6 +792,75 @@ def test_catch_check_sees_an_added_skip():
               "    except (ValueError, taxonomy.DegenerateWindowError):\n"
               "        return None\n")
     assert _not_applicable_catches("t.py", ast.parse(window)) == ["t.py:atlas"]
+    budget = ("def report(f, st):\n"
+              "    try:\n"
+              "        return cycle_stability_report(f, st)\n"
+              "    except CycleBudgetError:\n"
+              "        return None\n")
+    assert _not_applicable_catches("t.py", ast.parse(budget)) == [
+        "t.py:report"]
+
+
+# PwdynError subclasses that are neither a spent budget nor a bug: input
+# that does not parse or load, a query outside its preconditions, a walk
+# that does not close or clip, or a generator that found no map.
+NEITHER_BUDGET_NOR_BUG = {
+    "MapSyntaxError", "_MapFileError", "PreconditionError",
+    "DegenerateWindowError", "NotConfinedError", "ClipError",
+    "CodeUndefinedError", "GenerationError"}
+# The edges that may catch a bug class or PwdynError itself: the CLI's exit
+# codes and its map loader, the generator and shrinker rejecting a map
+# that breaks an invariant, the properties that record a bug as a failure,
+# and the CLI's duality check, which prints a failed certification.
+BUG_CATCHES = [
+    "cli.py:_cmd_theorem5", "cli.py:_cmd_theorem5", "cli.py:_load",
+    "cli.py:dispatch", "cli.py:dispatch", "cli.py:dispatch",
+    "harness.py:_prop_duality", "harness.py:_prop_duality",
+    "harness.py:_prop_exceptional", "harness.py:_prop_taxonomy",
+    "harness.py:_reductions", "harness.py:_try_build"]
+
+
+def _unsorted_errors(bases):
+    """PwdynError subclasses derived from neither BudgetError nor BugError
+    nor a listed class."""
+    placed = _family({"BudgetError", "BugError", *NEITHER_BUDGET_NOR_BUG},
+                     bases)
+    return sorted(_family({"PwdynError"}, bases) - placed - {"PwdynError"})
+
+
+def _bug_catches(name, tree):
+    """`file:function` of every `except` that names PwdynError, BugError
+    or a subclass of BugError."""
+    return _catches({"PwdynError"} | _family({"BugError"}), name, tree)
+
+
+def test_errors_are_budgets_bugs_or_listed():
+    """Every package error is a spent budget (`BudgetError`), a bug
+    (`BugError`) or one of the listed input and precondition classes, and
+    a bug class is caught only at a listed edge, so a bug never becomes a
+    skip."""
+    assert _unsorted_errors(PACKAGE_BASES) == []
+    assert NEITHER_BUDGET_NOR_BUG <= _family({"PwdynError"})
+    found = sorted(catch for path, tree in _sources("src/pwdyn")
+                   for catch in _bug_catches(path.name, tree))
+    assert found == BUG_CATCHES
+
+
+def test_error_check_sees_a_swallowed_bug_and_a_loose_class():
+    """`_bound_fails`' old `except PwdynError`, which let a bug raised on a
+    shrink candidate pass as a passing map, is found, and so is a new
+    budget class that derives from PwdynError alone."""
+    source = (PACKAGE / "harness.py").read_text()
+    old = ('        return not count_bound(f, int(context.get("horizon", 8)))'
+           '.holds\n    except NOT_APPLICABLE:\n')
+    assert old in source
+    source = source.replace(old, old.replace("NOT_APPLICABLE",
+                                             "PwdynError"))
+    assert "harness.py:_bound_fails" in _bug_catches("harness.py",
+                                                     ast.parse(source))
+    loose = ast.parse("class NodeBudgetError(PwdynError):\n    pass\n")
+    assert _unsorted_errors({**PACKAGE_BASES, **_class_bases(
+        [(None, loose)])}) == ["NodeBudgetError"]
 
 
 def _setattr_sites(name, tree):
