@@ -202,7 +202,7 @@ def dispatch(argv: list[str]) -> int:
 
 def _cmd_validate(f, args) -> int:
     sp = f.special_points()
-    print(f"OK: {len(f.pieces)} pieces on [{f.a}, {f.b}], "
+    print(f"OK: {len(f._segs)} pieces on [{f.a}, {f.b}], "
           f"{len(sp.turning)} turns, {len(sp.discontinuities)} jumps")
     return 0
 
@@ -234,7 +234,7 @@ def _print_map(h: PiecewiseMap, args) -> int:
     if args.emit_map:
         sys.stdout.write(h.to_text())
     else:
-        print(f"{len(h.pieces)} pieces, S = {_fmt_set(h.special_points().points)}")
+        print(f"{len(h._segs)} pieces, S = {_fmt_set(h.special_points().points)}")
     return 0
 
 

@@ -39,7 +39,8 @@ from .codes import (NO, UNKNOWN, YES, Certifier, CertificationError,
                     avoids_special_forever, is_regular, regular_attractor,
                     regularity_certificate, RegularityCertificate)
 from .maps import (MapInvariantError, PiecewiseMap, PwdynError,
-                   AffinePiece, _pair, _sandwich_bounds, compose, parse_map)
+                   _from_segments, _pair, _reduced, _sandwich_bounds,
+                   _segment, compose, parse_map)
 from .orbits import (HALF_POINT, POINT, Germ, _germ_key, _germ_walk, orbit,
                      periodic_points, special_gaps, structure,
                      variant_step, variants, walk)
@@ -93,9 +94,10 @@ class GeneratorConfig:
 
 
 def random_map(cfg: GeneratorConfig) -> PiecewiseMap:
-    """Deterministic rejection-sampled well-behaved map on [0, 1]."""
+    """Deterministic rejection-sampled well-behaved map on [0, 1], each
+    draw made in integers straight into its segments (`_try_build`)."""
     rng = random.Random(cfg.seed)
-    palette = PALETTES[cfg.slope_palette]
+    palette = [_pair(s) for s in PALETTES[cfg.slope_palette]]
     for _ in range(GENERATION_ATTEMPTS):
         f = _try_build(rng, cfg, palette)
         if f is not None:
@@ -105,25 +107,25 @@ def random_map(cfg: GeneratorConfig) -> PiecewiseMap:
 
 
 def _try_build(rng, cfg, palette) -> Optional[PiecewiseMap]:
+    """One draw, or None, in ints: slope denominators divide 12, cuts are
+    over qb and values over m, and the rng calls are the Fraction draw's."""
     qb = cfg.denominator_bound
     npieces = rng.randint(1, max(1, cfg.max_pieces))
     npieces = min(npieces, qb - 1) or 1
-    grid = [Fraction(i, qb) for i in range(1, qb)]
-    cuts = sorted(rng.sample(grid, npieces - 1)) if npieces > 1 else []
-    bounds = [Fraction(0)] + cuts + [Fraction(1)]
+    cuts = sorted(rng.sample(range(1, qb), npieces - 1)) if npieces > 1 else []
+    bounds = [0] + cuts + [qb]
     fine = 2 * qb * qb
-    pieces = []
-    prev_value = None
-    prev_slope = None
+    unit = 12 * 8 * fine  # m / qb; 12 is the slope denominators' lcm
+    m = qb * unit
+    segs = []
+    prev_value = prev_slope = None
     for left, right in zip(bounds, bounds[1:]):
-        piece = None
         for _ in range(16):
             slope = rng.choice(palette)
-            span = abs(slope) * (right - left)
-            if span > 1:
+            rise = slope[0] * (right - left) * (unit // slope[1])
+            if abs(rise) > m:
                 continue
-            lo = max(Fraction(0), -slope * (right - left))
-            hi = min(Fraction(1), 1 - slope * (right - left))
+            lo, hi = max(0, -rise), min(m, m - rise)
             if lo > hi:
                 continue
             jump = (prev_value is not None
@@ -135,23 +137,23 @@ def _try_build(rng, cfg, palette) -> Optional[PiecewiseMap]:
                 if not lo <= v_left <= hi:
                     continue
             else:
-                v_left = lo + (hi - lo) * Fraction(rng.randint(0, fine), fine)
+                v_left = lo + (hi - lo) * rng.randint(0, fine) // fine
                 if jump and v_left == prev_value:
-                    shifted = [lo + (hi - lo) * Fraction(k, 8)
-                               for k in range(9)]
+                    shifted = [lo + (hi - lo) * k // 8 for k in range(9)]
                     alts = [v for v in shifted if v != prev_value]
                     if not alts:
                         continue
                     v_left = rng.choice(alts)
-            piece = AffinePiece(left, right, slope, v_left - slope * left)
             break
-        if piece is None:
+        else:
             return None
-        pieces.append(piece)
-        prev_value = piece.value_at(right)
-        prev_slope = piece.slope
+        intercept = v_left - slope[0] * left * (unit // slope[1])
+        segs.append(_segment(_reduced(left, qb), _reduced(right, qb), slope,
+                             _reduced(intercept, m)))
+        prev_value = v_left + rise
+        prev_slope = slope
     try:
-        return PiecewiseMap(Fraction(0), Fraction(1), pieces)
+        return _from_segments(Fraction(0), Fraction(1), segs)
     except MapInvariantError:
         return None
 

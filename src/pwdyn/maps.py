@@ -15,9 +15,9 @@ A map stores one form, its segments: per open piece, in order, an int
 tuple (x0, x1, y0, y1, (A, B, D)) of its ends and inward limits as
 reduced (numerator, denominator) pairs and its value (A*p + B*q) / (D*q)
 at p/q, reduced with D > 0.  Collinear neighbours are merged, so maps that
-agree as functions have equal segments; the Fraction `pieces` are made
-only for the API edge (`to_text`, the public side pieces, plots).  Its
-integer step, memoized on it, reads the segments, and the one piece
+agree as functions have equal segments; `to_text` formats them, and the
+Fraction `pieces` are made only for the public side pieces and plots.
+Its integer step, memoized on it, reads the segments, and the one piece
 kernel, `_push_segments`, pushes segments through a step for
 compositions, powers and `orbits` sweeps.  Every point lookup finds its
 piece with the one binary search, `_locate`: `value` and
@@ -29,7 +29,8 @@ reads preimages off the step as reduced pairs: `preimage` makes a Fraction
 per root, while the preimage levels and their union, the composition
 sandwich and the power check stay on pairs.
 Every map is merged and checked on one private path, `PiecewiseMap._init`:
-the public constructor turns each piece into a segment, and a power or
+the public constructor, `parse_map` and the random generator make each
+piece's segment from reduced pairs with `_segment`, and a power or
 composition hands over the kernel's.  A map caches all its derived data
 (Fraction pieces, special points, the integer step, each power, whose
 segments `orbits.periodic_points` reads, and each power's check) in one
@@ -92,16 +93,19 @@ class PowerLimitError(BudgetError):
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def parse_rational(token: str, *, line: int = 0, column: int = 0) -> Fraction:
-    """Parse `p`, `-p`, or `p/q` (q > 0) into an exact Fraction."""
+def _parse_pair(token: str, line: int, column: int) -> Pair:
+    """`parse_rational`'s reduced pair; an error names line and column."""
     if not _RATIONAL_RE.fullmatch(token):
         raise MapSyntaxError(f"invalid rational {token!r}", line, column)
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise MapSyntaxError("zero denominator", line, column)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    if den and not int(den):
+        raise MapSyntaxError("zero denominator", line, column)
+    return _reduced(int(num), int(den or 1))
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse `p`, `-p`, or `p/q` (q > 0) into an exact Fraction."""
+    return Fraction(*_parse_pair(token, 0, 0))
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -156,31 +160,22 @@ class PiecewiseMap:
     holds only derived data, through `_memo`.  The one stored form is
     `_segs`, the merged int segments (see the module docstring), from which
     the integer step (`_table`), and so every value at a breakpoint or
-    jump, and `preimage` are read.  The public constructor evaluates each
-    piece's end values; a power or composition takes the kernel's.  The
-    Fraction `pieces` are made on first use.
+    jump, and `preimage` are read.  The public constructor makes each
+    piece's segment with `_segment`; a power or composition takes the
+    kernel's.  The Fraction `pieces` are made on first use.
     """
 
     __slots__ = ("a", "b", "_segs", "_cache")
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  pieces: Iterable[AffinePiece]):
-        a, b = as_fraction(a), as_fraction(b)
-        segs = []
-        for p in pieces:
-            x0, x1, s, c = map(as_fraction, (p.left, p.right, p.slope,
-                                             p.intercept))
-            segs.append((_pair(x0), _pair(x1), _pair(s * x0 + c),
-                         _pair(s * x1 + c), _coef(s, c)))
-        if a >= b:
-            raise MapInvariantError(f"empty interval: {a} >= {b}")
-        if not segs:
-            raise MapInvariantError("map needs at least one piece")
-        self._init(a, b, segs)
+        self._init(as_fraction(a), as_fraction(b), [
+            _segment(*(_pair(as_fraction(v)) for v in (
+                p.left, p.right, p.slope, p.intercept))) for p in pieces])
 
     def _init(self, a: Fraction, b: Fraction, segs: list[Segment]) -> None:
         """The one constructor path: merge, check and store the segments,
-        their end values evaluated or read off the kernel."""
+        each made by `_segment` or read off the kernel."""
         segs = _merge_collinear(segs)
         _validate(a, b, segs)
         object.__setattr__(self, "a", a)
@@ -354,11 +349,13 @@ class PiecewiseMap:
         return self._cache[key]
 
     def to_text(self) -> str:
-        lines = [f"interval {self.a} {self.b}"]
-        for p in self.pieces:
-            lines.append(f"piece {p.left} {p.right} : "
-                         f"slope {p.slope} intercept {p.intercept}")
-        return "\n".join(lines) + "\n"
+        def text(n, d):  # n/d (d > 0) as its Fraction's `str` writes it
+            n, d = _reduced(n, d)
+            return str(n) if d == 1 else f"{n}/{d}"
+
+        return "".join([f"interval {self.a} {self.b}\n"] + [
+            f"piece {text(*x0)} {text(*x1)} : slope {text(a, d)} intercept "
+            f"{text(b, d)}\n" for x0, x1, _, _, (a, b, d) in self._segs])
 
 
 def _merge_collinear(segments: list[Segment]) -> list[Segment]:
@@ -376,9 +373,13 @@ def _merge_collinear(segments: list[Segment]) -> list[Segment]:
 
 def _validate(a: Fraction, b: Fraction, segs: Sequence[Segment]) -> None:
     """Check the map invariants on its int segments."""
-    if segs[0][0] != _pair(a) or segs[-1][1] != _pair(b):
-        raise MapInvariantError("pieces do not cover the interval")
     (an, ad), (bn, bd) = _pair(a), _pair(b)
+    if an * bd >= bn * ad:
+        raise MapInvariantError(f"empty interval: {a} >= {b}")
+    if not segs:
+        raise MapInvariantError("map needs at least one piece")
+    if segs[0][0] != (an, ad) or segs[-1][1] != (bn, bd):
+        raise MapInvariantError("pieces do not cover the interval")
 
     def piece(s):  # a message's Fractions are made only when it is raised
         return f"({Fraction(*s[0])}, {Fraction(*s[1])})"
@@ -407,8 +408,8 @@ def parse_map(text: str) -> PiecewiseMap:
     `piece <rat> <rat> : slope <rat> intercept <rat>` line per piece, listed
     left to right.
     """
-    header: Optional[tuple[Fraction, Fraction]] = None
-    pieces: list[AffinePiece] = []
+    header: Optional[tuple[Pair, Pair]] = None
+    segs: list[Segment] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -424,8 +425,8 @@ def parse_map(text: str) -> PiecewiseMap:
                                      col[0])
             if len(tokens) != 3:
                 raise MapSyntaxError("header needs two rationals", lineno, 1)
-            header = (parse_rational(tokens[1], line=lineno, column=col[1]),
-                      parse_rational(tokens[2], line=lineno, column=col[2]))
+            header = (_parse_pair(tokens[1], lineno, col[1]),
+                      _parse_pair(tokens[2], lineno, col[2]))
             continue
         if tokens[0] != "piece":
             raise MapSyntaxError(f"expected 'piece', got {tokens[0]!r}",
@@ -435,14 +436,13 @@ def parse_map(text: str) -> PiecewiseMap:
             raise MapSyntaxError(
                 "expected 'piece <rat> <rat> : slope <rat> intercept <rat>'",
                 lineno, 1)
-        vals = [parse_rational(tokens[i], line=lineno, column=col[i])
-                for i in (1, 2, 5, 7)]
-        pieces.append(AffinePiece(vals[0], vals[1], vals[2], vals[3]))
+        segs.append(_segment(*(_parse_pair(tokens[i], lineno, col[i])
+                               for i in (1, 2, 5, 7))))
     if header is None:
         raise MapSyntaxError("missing 'interval' header", 1, 1)
-    if not pieces:
+    if not segs:
         raise MapSyntaxError("no pieces", 1, 1)
-    return PiecewiseMap(header[0], header[1], pieces)
+    return _from_segments(Fraction(*header[0]), Fraction(*header[1]), segs)
 
 
 def compose(outer: PiecewiseMap, inner: PiecewiseMap, *,
@@ -504,12 +504,20 @@ def _pair(x: Fraction) -> Pair:
     return x.numerator, x.denominator
 
 
-def _coef(s: Fraction, c: Fraction) -> Coef:
-    """The reduced (A, B, D), D > 0, of s*x + c: D is the least common
-    denominator, so no prime divides all three."""
-    d = lcm(s.denominator, c.denominator)
-    return (s.numerator * (d // s.denominator),
-            c.numerator * (d // c.denominator), d)
+def _reduced(n: int, d: int) -> Pair:
+    """n/d (d > 0) as a reduced pair."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _segment(x0: Pair, x1: Pair, s: Pair, c: Pair) -> Segment:
+    """The segment of s*x + c on (x0, x1), all reduced pairs: its (A, B, D)
+    over the least common D > 0, and its end values, c at a zero slope."""
+    d = lcm(s[1], c[1])
+    coef = (s[0] * (d // s[1]), c[0] * (d // c[1]), d)
+    if not s[0]:
+        return x0, x1, c, c, coef
+    return x0, x1, _apply(coef, *x0), _apply(coef, *x1), coef
 
 
 class _Table(NamedTuple):

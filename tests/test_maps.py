@@ -385,8 +385,9 @@ def test_checked_powers_and_compositions_make_no_fraction_piece(
         monkeypatch):
     """A map holds its int segments alone: the checked powers 2..8 and
     the checked compositions of the pinned maps are built, validated and
-    checked without one `_affine` call, and a map's Fraction pieces are
-    made once, when `pieces` or `to_text` first reads them."""
+    checked without one `_affine` call, `to_text` formats the segments
+    without one, and a map's Fraction pieces are made once, when `pieces`
+    first reads them."""
     calls = []
     real = maps_module._affine
     monkeypatch.setattr(maps_module, "_affine",
@@ -397,10 +398,11 @@ def test_checked_powers_and_compositions_make_no_fraction_piece(
     assert calls == []
     assert all(("pieces",) not in h._cache for h in built)
     text = built[0].to_text()
+    assert calls == []
     pieces = built[-1].pieces
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert built[0].to_text() == text and built[-1].pieces is pieces
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_analysis_reads_no_fraction_piece(monkeypatch):

@@ -655,8 +655,8 @@ def _every_memo_calls():
     indices), with germ walks at two caps, which are not kept; periodic
     orbits, trap decisions by `is_trapped` and `taxonomy`, attraction
     (atlas and its balls), codes (certifier) and regularity certificates,
-    preimage sets, checked powers and the walks that fill the integer
-    table."""
+    preimage sets, checked powers with their Fraction pieces, which
+    `to_text` does not build, and the walks that fill the integer table."""
     cfg = GeneratorConfig(seed=17)
     texts = [(name, pinned_text(name)) for name in PINNED_NAMES]
     texts += [(f"gen/{i}", random_map(cfg.sub("memo", i)).to_text())
@@ -666,6 +666,7 @@ def _every_memo_calls():
         yield f"{name} periodic", partial(periodic_points, f, 2)
         yield f"{name} msets", partial(f.special_preimage_set, 3)
         yield (f"{name} power", lambda f=f: f.power(3).to_text())
+        yield (f"{name} pieces", lambda f=f: f.power(3).pieces)
         probe = parse_map(text)  # picks the points, leaves f cold
         for orb in periodic_points(probe, 2):
             for ask in (taxonomy.is_trapped, taxonomy.taxonomy):

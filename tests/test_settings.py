@@ -692,14 +692,12 @@ def _piece_readers(name, tree):
 def test_fraction_pieces_only_at_the_edge():
     """A side piece, a slope or a piece's direction is read off the int
     segments through `PiecewiseMap._side`: outside the plots and the
-    harness, only `to_text`, the two public side-piece lookups and the
-    CLI's piece counts read Fraction pieces."""
+    harness, only the two public side-piece lookups read Fraction pieces;
+    `to_text` formats the segments and the CLI counts them."""
     found = set().union(*(_piece_readers(path.name, tree)
                           for path, tree in _sources("src/pwdyn")
                           if path.name not in PIECE_EDGE_MODULES))
-    assert found == {"maps.py:to_text", "maps.py:piece_right_of",
-                     "maps.py:piece_left_of", "cli.py:_cmd_validate",
-                     "cli.py:_print_map"}
+    assert found == {"maps.py:piece_right_of", "maps.py:piece_left_of"}
 
 
 def test_piece_reader_check_sees_the_old_direction_test():
