@@ -94,8 +94,8 @@ class GeneratorConfig:
 
 
 def random_map(cfg: GeneratorConfig) -> PiecewiseMap:
-    """Deterministic rejection-sampled well-behaved map on [0, 1], each
-    draw made in integers straight into its segments (`_try_build`)."""
+    """Deterministic rejection-sampled well-behaved map on [0, 1]: each
+    draw is made in ints, on the same stream as in Fractions (`_try_build`)."""
     rng = random.Random(cfg.seed)
     palette = [_pair(s) for s in PALETTES[cfg.slope_palette]]
     for _ in range(GENERATION_ATTEMPTS):
@@ -108,7 +108,7 @@ def random_map(cfg: GeneratorConfig) -> PiecewiseMap:
 
 def _try_build(rng, cfg, palette) -> Optional[PiecewiseMap]:
     """One draw, or None, in ints: slope denominators divide 12, cuts are
-    over qb and values over m, and the rng calls are the Fraction draw's."""
+    over qb and values over m, so each span, bound and intercept is exact."""
     qb = cfg.denominator_bound
     npieces = rng.randint(1, max(1, cfg.max_pieces))
     npieces = min(npieces, qb - 1) or 1

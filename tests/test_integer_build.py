@@ -162,7 +162,7 @@ def _ref_try_build(rng, cfg, palette):
         return None
 
 
-# -- the generator -------------------------------------------------------------
+# -- the generator ------------------------------------------------------------
 
 def _configs():
     for palette in PALETTES:
@@ -171,9 +171,9 @@ def _configs():
                 for bias in (0, 0.5, 1):
                     for seed in range(4):
                         yield GeneratorConfig(
-                            seed=seed * 101 + max_pieces, max_pieces=max_pieces,
-                            denominator_bound=bound, discontinuity_bias=bias,
-                            slope_palette=palette)
+                            seed=seed * 101 + max_pieces,
+                            max_pieces=max_pieces, denominator_bound=bound,
+                            discontinuity_bias=bias, slope_palette=palette)
 
 
 def test_the_integer_draw_equals_the_fraction_draw():
@@ -245,7 +245,7 @@ def test_the_generator_makes_no_fraction_but_the_interval_ends(monkeypatch):
     assert made["ref"] > 10 * made["new"] > 0, made
 
 
-# -- the parser and the constructor --------------------------------------------
+# -- the parser and the constructor -------------------------------------------
 
 def _mirror_text(f):
     m = f.a + f.b
