@@ -419,32 +419,26 @@ def regular_attractor(f: PiecewiseMap, w: RationalLike
     code = cert.code
     n = code.period
     lo, hi, segs = _constraint_interval(f, code)
-    base = (lo, hi)
-    if not base[0] <= w <= base[1]:
+    if not lo <= w <= hi:
         raise CertificationError("regular point left its own code interval")
     part = PartitionIntervals.of(f)
     cycles = {t: fixed_cycle(f, t, 2 * n) for t in fixed_points(segs)[0]}
     fixed = [t for t, cycle in cycles.items() if _conforms(cycle, code, part)]
-    if w == base[1]:
-        below = [t for t in fixed if t < w]
-        if not below:
-            raise CertificationError("no fixed point of the doubled power "
-                                     "below the regular point")
-        x_star = max(below)
-    elif w == base[0]:
-        above = [t for t in fixed if t > w]
-        if not above:
-            raise CertificationError("no fixed point of the doubled power "
-                                     "above the regular point")
-        x_star = min(above)
-    else:
+    if w not in (lo, hi):
         raise CertificationError("regular point is not an endpoint of its "
                                  "code interval")
+    upper = w == hi  # the fixed points past w are below it
+    past = [t for t in fixed if (t < w if upper else t > w)]
+    if not past:
+        raise CertificationError("no fixed point of the doubled power "
+                                 f"{'below' if upper else 'above'} the "
+                                 "regular point")
+    x_star = (max if upper else min)(past)
     orb = PeriodicOrbit(cycles[x_star], len(cycles[x_star]), None)
-    interval = _stabilized_interval(f, base, n)
+    interval = _stabilized_interval(f, (lo, hi), n)
     if interval is None:
         partner = orb.points[n % orb.period]
-        interval = (min(x_star, partner), w) if w == base[1] \
+        interval = (min(x_star, partner), w) if upper \
             else (w, max(x_star, partner))
     p, q = image_chain(f, *interval, n)[-1]
     if not (interval[0] <= p and q <= interval[1]):

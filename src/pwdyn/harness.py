@@ -55,9 +55,8 @@ from .taxonomy import (NOT_APPLICABLE, PreconditionError, TaxonomyViolation,
 
 
 GENERATION_ATTEMPTS = 400  # rejection-sampling draws per generated map
-# Structure caps of the corpus sweeps: nodes, and denominator bits.
+# Structure node cap of the corpus sweeps.
 SWEEP_NODE_CAP = 72
-SWEEP_BIT_CAP = 512
 
 
 class GenerationError(PwdynError):
@@ -367,7 +366,7 @@ def closed_structures(f: PiecewiseMap):
     """Closed structures rooted at jump points and small periodic orbits.
 
     Each structure is expanded to at most 72 nodes (SWEEP_NODE_CAP) with
-    denominators of at most 512 bits (SWEEP_BIT_CAP).  The node cap bounds
+    denominators of at most DENOM_BIT_CAP bits.  The node cap bounds
     the quadratic pair analysis downstream; structures past either cap
     report as not closed and are left out of the corpus sweeps without a
     skip count, as are the periodic roots when `periodic_points` is not
@@ -385,7 +384,7 @@ def closed_structures(f: PiecewiseMap):
         if root in seen:
             continue
         seen.add(root)
-        st = structure(f, root, cap=SWEEP_NODE_CAP, bit_cap=SWEEP_BIT_CAP)
+        st = structure(f, root, cap=SWEEP_NODE_CAP)
         if st.closed:
             out.append(st)
     return out

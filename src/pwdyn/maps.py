@@ -121,10 +121,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def opposite(side: Side) -> Side:
-    return MINUS if side == PLUS else PLUS
-
-
 def _plus(side: Side) -> bool:
     if side not in (MINUS, PLUS):
         raise ValueError(f"side must be {MINUS!r} or {PLUS!r}, not {side!r}")

@@ -459,16 +459,16 @@ class StructureGraph:
         return as_fraction(x) in self.node_set
 
 
-def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
-              bit_cap: int = DENOM_BIT_CAP) -> StructureGraph:
+def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP
+              ) -> StructureGraph:
     """Breadth-first expansion of all variant orbits from x.
 
     Closed means the expansion terminated with a finite node set; hitting
-    the node cap or the denominator bit cap reports closed=False with the
-    truncated flag set.  The expansion runs on (numerator, denominator)
-    pairs through the integer table memoized on f, a jump's two successors
-    read off its one-sided limits there; nodes and edges become Fractions
-    once, at the end.
+    the node cap or a denominator over DENOM_BIT_CAP bits reports
+    closed=False with the truncated flag set.  The expansion runs on
+    (numerator, denominator) pairs through the integer table memoized on
+    f, a jump's two successors read off its one-sided limits there; nodes
+    and edges become Fractions once, at the end.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -489,7 +489,7 @@ def structure(f: PiecewiseMap, x: RationalLike, cap: int = STRUCTURE_CAP, *,
                 edges.append((p, side, q))
                 if q in nodes:
                     continue
-                if len(nodes) >= cap or q[1].bit_length() > bit_cap:
+                if len(nodes) >= cap or q[1].bit_length() > DENOM_BIT_CAP:
                     truncated = True
                     continue
                 nodes.add(q)

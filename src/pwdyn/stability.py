@@ -533,10 +533,9 @@ def _check_twin_half_cycles(f, w, struct, report):
             for y in sorted(inter):
                 if verdicts[y] != SEMI_STABLE:
                     flag("twin_semi_intersection", z, y, "expected semi_stable")
-            sides = {s: classify_side(f, w, s).verdict for s in (MINUS, PLUS)}
-            stable_side = MINUS if sides[MINUS] == CONTRACTING else PLUS
-            stable_cycle = minus_cyc if stable_side == MINUS else plus_cyc
-            other_cycle = plus_cyc if stable_side == MINUS else minus_cyc
+            minus = classify_side(f, w, MINUS).verdict == CONTRACTING
+            stable_cycle, other_cycle = ((minus_cyc, plus_cyc) if minus
+                                         else (plus_cyc, minus_cyc))
             ok_a = all(verdicts[p] != UNSTABLE for p in stable_cycle.points)
             ok_b = all(verdicts[p] != STABLE for p in other_cycle.points)
             if not (ok_a and ok_b):

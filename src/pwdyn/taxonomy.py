@@ -11,9 +11,11 @@ back by one affine solve, and pushes the segments once through the map, so
 no global high power is ever materialized; where the gaps repeat from
 halfway, as at depth 2n at a point of period n, the half sweep is squared
 through its own integer table.  An orbit's gaps are stepped once and
-rotated from point to point (`_orbit_gaps`); a trapped orbit whose first
-point has both one-sided slopes of f^{2n} at least 1, read off the germ
-cycles that `stability` memoizes, needs no other window (`_orbit_trap`).  Segments are int tuples, gaps int pairs, and they become
+rotated from point to point (`_orbit_gaps`), and the trap memo keeps only
+the decision at its representative; a trapped orbit whose first point has
+both one-sided slopes of f^{2n} at least 1, read off the germ cycles that
+`stability` memoizes, needs no other window (`_orbit_trap`).  Segments are
+int tuples, gaps int pairs, and they become
 Fractions only where `window_sweep`, `restrict_power` and the trap
 witnesses return them.  Trapped / free / basin questions reduce to the
 sign of f^m(t) - t on the segments, read off their coefficients by
@@ -119,12 +121,13 @@ def _window_on(f: PiecewiseMap, x: Fraction, gaps: list[tuple[Pair, Pair]],
     return Fraction(*segs[0][0]), Fraction(*segs[-1][1]), segs
 
 
-def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit,
-                gaps: list[tuple[Pair, Pair]]
+def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit
                 ) -> list[list[tuple[Pair, Pair]]]:
     """`special_gaps(f, p, 2n)` at each listed point p of a period-n orbit:
-    the first point's, `gaps`, rotated, where f takes each to the next."""
+    the first point's, stepped once and rotated, where f takes each to the
+    next."""
     n, t, keys = orb.period, _table(f), [_pair(p) for p in orb.points]
+    gaps = special_gaps(f, orb.points[0], 2 * n)
     if len(gaps) == 2 * len(keys) == 2 * n and keys[1:] + keys[:1] == [
             _image(t, *k, None) for k in keys]:
         return [gaps[k:] + gaps[:k] for k in range(n)]
@@ -224,15 +227,13 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
         raise PreconditionError("trapped is defined for non-critical orbits")
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
-    return _first_trap(f, orb.representative, orb.period)[0]
+    return _first_trap(f, orb.representative, orb.period)
 
 
-def _first_trap(f: PiecewiseMap, x: Fraction, n: int
-                ) -> tuple[TrapResult, list[tuple[Pair, Pair]]]:
-    """`_trap` at an orbit's representative x, and the 2n gaps of x it
-    read, memoized on f per (x, n)."""
-    return f._memo(("trap", x, n), lambda: (
-        _trap(f, x, n, gaps := special_gaps(f, x, 2 * n)), gaps))
+def _first_trap(f: PiecewiseMap, x: Fraction, n: int) -> TrapResult:
+    """`_trap` at an orbit's representative x, memoized on f per (x, n)."""
+    return f._memo(("trap", x, n),
+                   lambda: _trap(f, x, n, special_gaps(f, x, 2 * n)))
 
 
 def _trap(f: PiecewiseMap, x: Fraction, n: int,
@@ -268,7 +269,7 @@ def _orbit_trap(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
     function of the germ, so each x_k is checked by both its germs lying
     on those cycles, whose products are its own, not by a window."""
     n, x = orb.period, orb.representative
-    first, gaps = _first_trap(f, x, n)
+    first = _first_trap(f, x, n)
     if first.trapped:
         cycles = [_germ_cycle(f, (*_pair(x), plus)) for plus in (False, True)]
         if any(start or 2 * n % len(index) for index, start, _, _ in cycles):
@@ -279,7 +280,7 @@ def _orbit_trap(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
                 if not {(*_pair(p), False), (*_pair(p), True)} <= on:
                     raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
             return first
-    rest = zip(orb.points[1:], _orbit_gaps(f, orb, gaps)[1:])
+    rest = zip(orb.points[1:], _orbit_gaps(f, orb)[1:])
     if any(_trap(f, p, n, g).trapped != first.trapped for p, g in rest):
         raise TaxonomyViolation(
             f"trapped flag not uniform along orbit {orb.points}")
@@ -361,21 +362,17 @@ def exceptional_types(f: PiecewiseMap, orb: PeriodicOrbit) -> frozenset[str]:
     mirror at the left endpoint (b), or the decreasing two-cycle hugging
     both endpoints (c)."""
     out = set()
-    if orb.period == 1:
-        x = orb.points[0]
-        if f.a < x < f.b:
-            if (_monotone_on(f, x, f.b, True)
-                    and _strict_gap_on(f._segs, x, f.b, True)):
-                out.add("a")
-            if (_monotone_on(f, f.a, x, True)
-                    and _strict_gap_on(f._segs, f.a, x, False)):
-                out.add("b")
-    if orb.period == 2:
-        x, fx = min(orb.points), max(orb.points)
-        if (f.a < x and fx < f.b and _monotone_on(f, f.a, x, False)
-                and _monotone_on(f, fx, f.b, False) and _strict_gap_on(
-                    segment_sweep(f, f.a, x, [None] * 3)[2], f.a, x, False)):
-            out.add("c")
+    x, fx = min(orb.points), max(orb.points)
+    if orb.period == 1 and f.a < x < f.b:
+        for t, lo, hi, negative in (("a", x, f.b, True), ("b", f.a, x, False)):
+            if (_monotone_on(f, lo, hi, True)
+                    and _strict_gap_on(f._segs, lo, hi, negative)):
+                out.add(t)
+    if (orb.period == 2 and f.a < x and fx < f.b
+            and _monotone_on(f, f.a, x, False)
+            and _monotone_on(f, fx, f.b, False) and _strict_gap_on(
+                segment_sweep(f, f.a, x, [None] * 3)[2], f.a, x, False)):
+        out.add("c")
     return frozenset(out)
 
 
@@ -419,11 +416,8 @@ class AttractionBall:
         """The open interval of the ball cut to radius r; the ball is that
         interval and its centre."""
         c = self.center
-        if self.side == MINUS:
-            return c - r, c
-        if self.side == PLUS:
-            return c, c + r
-        return c - r, c + r
+        return (c if self.side == PLUS else c - r,
+                c if self.side == MINUS else c + r)
 
 
 def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
@@ -435,8 +429,7 @@ def attraction_atlas(f: PiecewiseMap, orbits: list[PeriodicOrbit]
         if not orb.continuous or any(p in turns for p in orb.points):
             continue
         balls, depth = [], 2 * orb.period
-        rotated = _orbit_gaps(f, orb, special_gaps(f, orb.points[0], depth))
-        for p, gaps in zip(orb.points, rotated):
+        for p, gaps in zip(orb.points, _orbit_gaps(f, orb)):
             u, v, segs = _window_on(f, p, gaps, depth)
             t = _pair(p)
             cuts = (*(s[0] for s in segs), segs[-1][1])
@@ -522,15 +515,13 @@ def basin_adjacent_special(f: PiecewiseMap, orb: PeriodicOrbit
         raise PreconditionError("orbit is exceptional")
     depth = 2 * orb.period
     witnesses = []
-    rotated = _orbit_gaps(f, orb, special_gaps(f, orb.points[0], depth))
-    for xk, gaps in zip(orb.points, rotated):
+    for xk, gaps in zip(orb.points, _orbit_gaps(f, orb)):
         u, v, segs = _window_on(f, xk, gaps, depth)
-        if u != f.a and _strict_gap_on(segs, u, xk, False) and (
-                wit := _push_edge(f, orb, xk, u)):
-            witnesses.append(wit)
-        if v != f.b and _strict_gap_on(segs, xk, v, True) and (
-                wit := _push_edge(f, orb, xk, v)):
-            witnesses.append(wit)
+        for edge, end, lo, hi, negative in ((u, f.a, u, xk, False),
+                                            (v, f.b, xk, v, True)):
+            if edge != end and _strict_gap_on(segs, lo, hi, negative) and (
+                    wit := _push_edge(f, orb, xk, edge)):
+                witnesses.append(wit)
     if not witnesses:
         raise TaxonomyViolation(
             f"no one-sided basin edge found for free orbit {orb.points}")

@@ -19,8 +19,7 @@ import pytest
 from pwdyn import harness, orbits
 from pwdyn.harness import (GeneratorConfig, _corpus, closed_structures,
                            run_suite)
-from pwdyn.maps import (MINUS, PLUS, PiecewiseMap, as_fraction, opposite,
-                        parse_map)
+from pwdyn.maps import MINUS, PLUS, PiecewiseMap, as_fraction, parse_map
 from pwdyn.orbits import (DENOM_BIT_CAP, HALF_POINT, Germ, GermOrbit,
                           GermStepResult, PeriodicOrbit, VariantSelector,
                           germ_orbit, germ_step, periodic_points)
@@ -43,7 +42,7 @@ def _ref_germ_step(f, g):
     else:
         branch = _ref_piece_left_of(f, g.point)
     point = branch.value_at(g.point)
-    side = g.side if branch.slope > 0 else opposite(g.side)
+    side = g.side if branch.slope > 0 else MINUS if g.side == PLUS else PLUS
     return GermStepResult(Germ(point, side), abs(branch.slope))
 
 

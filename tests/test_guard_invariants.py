@@ -20,7 +20,7 @@ from collections import Counter
 
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.maps import parse_map
-from pwdyn.orbits import periodic_points, special_gaps
+from pwdyn.orbits import periodic_points
 from pwdyn.pinned import pinned_maps
 from pwdyn.taxonomy import _map_atlas, _orbit_gaps, taxonomy
 from test_orbits import _mirror, _outcome
@@ -60,8 +60,7 @@ def test_continuous_orbits_meet_no_special_point():
             if any(p in turns for p in orb.points):
                 continue
             assert not special.intersection(orb.points), (f.to_text(), orb)
-            gaps = _orbit_gaps(f, orb, special_gaps(f, orb.points[0],
-                                                    2 * orb.period))
+            gaps = _orbit_gaps(f, orb)
             assert [len(g) for g in gaps] == [2 * orb.period] * orb.period, (
                 f.to_text(), orb)
             counted["orbits"] += 1

@@ -109,7 +109,7 @@ def test_orbit_gaps_are_exact_in_any_listing_order(monkeypatch):
                     m.setattr(orbits, "_image", counted_image)
                     m.setattr(taxonomy_module, "_image", counted_image)
                     steps[0] = 0
-                    _orbit_gaps(f, orb, special_gaps(f, orb.points[0], 2 * n))
+                    _orbit_gaps(f, orb)
                 assert steps[0] <= 2 * n, (f.to_text(), orb.points, steps[0])
                 seen["stepped"] += 1
             balls = _outcome(attraction_atlas, f, [orb])
@@ -118,8 +118,7 @@ def test_orbit_gaps_are_exact_in_any_listing_order(monkeypatch):
             basins = _basins(f, orb)
             for points in _listings(orb.points):
                 listed = dataclasses.replace(orb, points=points)
-                gaps = _orbit_gaps(f, listed,
-                                   special_gaps(f, points[0], 2 * n))
+                gaps = _orbit_gaps(f, listed)
                 assert gaps == [special_gaps(f, p, 2 * n) for p in points], \
                     (f.to_text(), points)
                 tax = _outcome(taxonomy, f, listed)

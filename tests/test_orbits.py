@@ -11,8 +11,7 @@ import pytest
 from pwdyn import orbits, taxonomy
 from pwdyn.codes import (UNKNOWN, Code, Trivalent, avoids_special_forever,
                          codes, regularity_certificate)
-from pwdyn.harness import (SWEEP_BIT_CAP, SWEEP_NODE_CAP, GeneratorConfig,
-                           _corpus, random_map)
+from pwdyn.harness import SWEEP_NODE_CAP, GeneratorConfig, _corpus, random_map
 from pwdyn.maps import (MINUS, PLUS, AffinePiece, PiecewiseMap, PwdynError,
                         _image, _table, compose, parse_map)
 from pwdyn.orbits import (DENOM_BIT_CAP, Germ, HALF_POINT, INTERVAL_FAMILY,
@@ -205,7 +204,7 @@ def test_structure_cap_truncation(maps):
         structure(maps["shift"], F(1, 2), cap=0)
 
 
-def _ref_structure(f, x, cap, bit_cap):
+def _ref_structure(f, x, cap):
     """The breadth-first expansion on Fractions that `structure` replaced,
     the reference for its pair arithmetic."""
     jumps = set(f.special_points().discontinuities)
@@ -224,7 +223,8 @@ def _ref_structure(f, x, cap, bit_cap):
                 edges.append((p, side, q))
                 if q in nodes:
                     continue
-                if len(nodes) >= cap or q.denominator.bit_length() > bit_cap:
+                if len(nodes) >= cap or \
+                        q.denominator.bit_length() > DENOM_BIT_CAP:
                     truncated = True
                     continue
                 nodes.add(q)
@@ -236,41 +236,42 @@ def _ref_structure(f, x, cap, bit_cap):
 
 def test_structure_matches_the_fraction_reference(maps):
     """`structure` against the Fraction expansion it replaced, from a, b,
-    every breakpoint and special point, periodic points and random
-    rationals, on the pinned and 100 generated maps: at the sweep caps,
-    at caps small enough to truncate, and at the default caps where the
-    sweep closes, plus one default-cap expansion stopped by the bit cap."""
+    every breakpoint and special point, periodic points, random rationals
+    and a point whose denominator is just under DENOM_BIT_CAP bits, on the
+    pinned and 100 generated maps: at the sweep cap, at caps small enough
+    to truncate, and at the default cap where the sweep closes; the point
+    near the bit cap is stopped by it."""
     rng = random.Random(13)
     cfg = GeneratorConfig(seed=5)
     corpus = [*maps.values(), *(random_map(cfg.sub("structure", i))
                                 for i in range(100))]
-    caps = ((SWEEP_NODE_CAP, SWEEP_BIT_CAP), (1, DENOM_BIT_CAP),
-            (2, DENOM_BIT_CAP), (5, DENOM_BIT_CAP), (40, 64))
+    caps = (SWEEP_NODE_CAP, 1, 2, 5, 40)
+    deep = F(1, 3**2580)  # 4090 denominator bits
     seen = set()
     for f in corpus:
         roots = {f.a, f.b, *f.breakpoints, *f.special_points().points,
                  *(o.representative for o in periodic_points(f, 2))}
         roots |= {f.a + (f.b - f.a) * F(rng.randrange(1, 89), 89)
                   for _ in range(3)}
+        roots.add(f.a + (f.b - f.a) * deep)
         for x in sorted(roots):
-            for cap, bit_cap in caps:
-                got = structure(f, x, cap, bit_cap=bit_cap)
-                assert got == _ref_structure(f, x, cap, bit_cap), \
-                    (f.to_text(), x, cap, bit_cap)
+            for cap in caps:
+                got = structure(f, x, cap)
+                assert got == _ref_structure(f, x, cap), (f.to_text(), x, cap)
                 seen.add("closed" if got.closed else
                          "node cap" if len(got.nodes) == cap else "bit cap")
-                if (cap, bit_cap) == caps[0] and got.closed:
+                if cap == caps[0] and got.closed:
                     assert structure(f, x) == got
         for x in (f.a - 1, f.b + F(1, 3)):
             with pytest.raises(ValueError) as want:
-                _ref_structure(f, x, 10, DENOM_BIT_CAP)
+                _ref_structure(f, x, 10)
             with pytest.raises(ValueError) as err:
                 structure(f, x)
             assert str(err.value) == str(want.value)
     assert seen == {"closed", "node cap", "bit cap"}
     tent = maps["tent"]
     assert structure(tent, F(1, 3)) == \
-        _ref_structure(tent, F(1, 3), 10**4, DENOM_BIT_CAP)
+        _ref_structure(tent, F(1, 3), 10**4)
 
 
 def test_orbit_bit_cap():
@@ -572,8 +573,7 @@ def _memo_calls():
                          *f.special_points().points}):
             head = f"{name} {x}"
             yield f"{head} structure", partial(structure, f, x, 200)
-            yield f"{head} sweep", partial(structure, f, x, SWEEP_NODE_CAP,
-                                           bit_cap=SWEEP_BIT_CAP)
+            yield f"{head} sweep", partial(structure, f, x, SWEEP_NODE_CAP)
             yield f"{head} oracle", partial(oracle_classify, f, x)
             yield f"{head} oracle/3", partial(oracle_classify, f, x, stride=3)
             yield f"{head} orbit", partial(orbit, f, x, sel, 60)

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwdyn import codes as codes_module
 from pwdyn import maps as maps_module
 from pwdyn import orbits
 from pwdyn.codes import (CertificationError, NO, PartitionIntervals,
@@ -281,6 +282,87 @@ def test_regular_attractor_matches_the_fraction_reference():
                 seen["precondition"] += want.startswith("Precondition")
     assert min(seen.values()) > 0, seen
     assert seen["result"] > 20, seen
+
+
+# Drawn duality-style maps whose regular point w has two conforming fixed
+# points of the doubled power past it in its code interval, two of a
+# 2-cycle: the pick decides which one the orbit is listed from.
+TWO_PAST = [
+    ("interval 0 1\npiece 0 1/16 : slope -3 intercept 465/1024\n"
+     "piece 1/16 5/8 : slope -1 intercept 3449/4096\n"
+     "piece 5/8 1 : slope -1/2 intercept 2169/4096\n", F(1, 16)),
+    ("interval 0 1\npiece 0 1/4 : slope 3 intercept 1/128\n"
+     "piece 1/4 3/4 : slope -1 intercept 281/256\n"
+     "piece 3/4 1 : slope -1/2 intercept 185/256\n", F(1, 4)),
+    ("interval 0 1\npiece 0 1/2 : slope -1 intercept 467/512\n"
+     "piece 1/2 3/4 : slope -3/4 intercept 403/512\n"
+     "piece 3/4 1 : slope -2/3 intercept 1289/1536\n", F(3, 4)),
+    ("interval 0 1\npiece 0 11/16 : slope -1 intercept 467/512\n"
+     "piece 11/16 7/8 : slope -1/2 intercept 291/512\n"
+     "piece 7/8 1 : slope -2 intercept 2081/1024\n", F(7, 8)),
+]
+
+
+def test_the_endpoint_pick_takes_the_fixed_point_next_to_w():
+    """Where two conforming fixed points lie past w, at the lower end of
+    its code interval and at the upper, the result is the reference's:
+    its orbit is listed from the fixed point nearest w."""
+    ends = set()
+    for text, w in TWO_PAST:
+        f = parse_map(text)
+        code = regularity_certificate(f, w).code
+        lo, hi, segs = _constraint_interval(f, code)
+        part = PartitionIntervals.of(f)
+        fixed = [t for t in _ref_fixed_points_of_segments(_affine(segs))
+                 if _ref_conforms(f, t, code, part)]
+        past = [t for t in fixed if (t < w if w == hi else t > w)]
+        assert len(past) == 2, (text, past)
+        ends.add(w == hi)
+        want = _ref_regular_attractor(f, w)
+        assert regular_attractor(f, w) == want, text
+        assert want.orbit.points[0] == (max if w == hi else min)(past)
+    assert ends == {False, True}
+
+
+def test_the_endpoint_pick_fails_as_the_reference_does(monkeypatch):
+    """`regular_attractor` against the reference where the code interval
+    is planted, its segments kept: moved past a certified w at its upper
+    end, so that w is the lower end with every fixed point below it;
+    moved the other way from a w at its lower end; and widened around w.
+    Each raises the reference's CertificationError, a branch that no
+    drawn map reaches."""
+    real = codes_module._constraint_interval
+    cfg = GeneratorConfig(seed=43, slope_palette="contracting-rich",
+                          max_pieces=3)
+    drawn = [f for f in _corpus(cfg, "duality", 40)
+             if f.special_points().points]
+    found = {}
+    for f in [*pinned_maps().values(), *drawn, *map(_mirror, drawn)]:
+        for w in f.special_points().points:
+            if isinstance(_outcome(regular_attractor, f, w),
+                          RegularAttractorResult):
+                lo, hi, _ = real(f, regularity_certificate(f, w).code)
+                found.setdefault(w == hi, (f, w, lo, hi))
+    assert set(found) == {False, True}, found
+    message = "CertificationError: no fixed point of the doubled power {} " \
+              "the regular point"
+    cases = []
+    for upper, (f, w, lo, hi) in found.items():
+        width = hi - lo
+        moved = (w, w + width) if upper else (w - width, w)
+        cases.append((f, w, moved,
+                      message.format("above" if upper else "below")))
+        cases.append((f, w, (lo - width, hi + width),
+                      "CertificationError: regular point is not an endpoint "
+                      "of its code interval"))
+    for f, w, (lo, hi), want in cases:
+        def planted(g, code, lo=lo, hi=hi):
+            return lo, hi, real(g, code)[2]
+
+        monkeypatch.setattr(codes_module, "_constraint_interval", planted)
+        monkeypatch.setitem(globals(), "_constraint_interval", planted)
+        assert _outcome(_ref_regular_attractor, f, w) == want, (f.to_text(), w)
+        assert _outcome(regular_attractor, f, w) == want, (f.to_text(), w)
 
 
 # -- the two primitives --------------------------------------------------------

@@ -640,6 +640,49 @@ def test_start_and_walk_check_sees_a_second_copy():
         ["_codes_walk", "_good_walk", "codes"])
 
 
+def _gap_steps(tree):
+    """The functions that call `special_gaps`, sorted, and the parameters
+    of `_orbit_gaps`."""
+    callers = sorted({_innermost(tree, node) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and _word(node.func) == "special_gaps"})
+    params = next([a.arg for a in node.args.args] for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_orbit_gaps")
+    return callers, params
+
+
+GAP_STEPS = ["_first_trap", "_orbit_gaps", "_window"]
+
+
+def test_each_orbit_steps_its_gaps_once():
+    """In `taxonomy`, special gaps are stepped for one point's window
+    (`_window`), for the trap decision at an orbit's representative
+    (`_first_trap`) and for an orbit's points (`_orbit_gaps`) alone.
+    `_orbit_gaps` steps the first point itself, so no caller hands it
+    gaps, and the trap memo keeps only its decision."""
+    tree = ast.parse((PACKAGE / "taxonomy.py").read_text())
+    assert _gap_steps(tree) == (GAP_STEPS, ["f", "orb"])
+
+
+def test_gap_check_sees_a_restated_first_gap():
+    """The atlas stepping the first point's gaps again and handing them to
+    `_orbit_gaps`, as it once did, and a `gaps` parameter put back on
+    `_orbit_gaps`, are each found."""
+    source = (PACKAGE / "taxonomy.py").read_text()
+    edits = [("        for p, gaps in zip(orb.points, _orbit_gaps(f, orb)):\n",
+              "        rotated = _orbit_gaps(f, orb, special_gaps(\n"
+              "            f, orb.points[0], depth))\n"
+              "        for p, gaps in zip(orb.points, rotated):\n",
+              ([*GAP_STEPS, "attraction_atlas"], ["f", "orb"])),
+             ("def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit\n",
+              "def _orbit_gaps(f: PiecewiseMap, orb: PeriodicOrbit, gaps\n",
+              (GAP_STEPS, ["f", "orb", "gaps"]))]
+    for old, new, want in edits:
+        assert source.count(old) == 1
+        assert _gap_steps(ast.parse(source.replace(old, new))) == want
+
+
 def _halves(node):
     """A sum halved, `(lo + hi) // 2` or `(lo + hi) >> 1`: a bisection's
     midpoint."""

@@ -191,6 +191,31 @@ def test_semi_stable_twin_half_cycles():
     assert stability_propagation_report(f, st).consistent
 
 
+# SEMI_TWINS with a fold at 1/4, both of whose germs land on the jump's
+# contracting minus germ: 1/4 is stable and lies on the minus half cycle.
+SPLIT_TWINS = """interval 0 1
+piece 0 1/4 : slope 1 intercept 1/4
+piece 1/4 3/8 : slope -1/2 intercept 5/8
+piece 3/8 1/2 : slope -3/2 intercept 1
+piece 1/2 5/8 : slope 2 intercept -1/2
+piece 5/8 1 : slope -1/2 intercept 17/16
+"""
+
+
+def test_semi_stable_twins_split_by_the_contracting_side():
+    """A semi-stable intersection of the twin half cycles whose minus
+    cycle holds a stable node: the minus side contracts, so that cycle is
+    the non-unstable one and the expanding plus cycle the non-stable one,
+    and the report is consistent."""
+    f = parse_map(SPLIT_TWINS)
+    st = structure(f, F(1, 2))
+    assert st.nodes == (F(1, 4), F(1, 2)) and st.closed
+    rep = cycle_stability_report(f, st)
+    assert rep.verdicts == {F(1, 4): STABLE, F(1, 2): SEMI_STABLE}
+    assert classify_side(f, F(1, 2), MINUS).verdict == CONTRACTING
+    assert rep.consistent and "twin_half_cycles" in rep.applied
+
+
 def test_connections_after_a_report_match_a_fresh_map():
     def connections(f):
         st = structure(f, F(1, 2))

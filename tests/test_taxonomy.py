@@ -176,8 +176,7 @@ def test_one_window_per_trapped_orbit(monkeypatch):
     swept = []
     real = taxonomy_module._orbit_gaps
     monkeypatch.setattr(taxonomy_module, "_orbit_gaps",
-                        lambda f, orb, gaps: swept.append(orb)
-                        or real(f, orb, gaps))
+                        lambda f, orb: swept.append(orb) or real(f, orb))
     seen = Counter()
     for f in _shortcut_corpus():
         turns = set(f.special_points().turning)
@@ -226,13 +225,13 @@ def _ref_orbit_trap(f, orb):
     """`taxonomy._orbit_trap` as it was when each listed point's slopes
     were read off its own germ walks (`_ref_expanding`); the reference."""
     n, x = orb.period, orb.representative
-    first, gaps = taxonomy_module._first_trap(f, x, n)
+    first = taxonomy_module._first_trap(f, x, n)
     if first.trapped and _ref_expanding(f, x, n):
         for p in orb.points[1:]:
             if not _ref_expanding(f, p, n):
                 raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
         return first
-    rest = zip(orb.points[1:], taxonomy_module._orbit_gaps(f, orb, gaps)[1:])
+    rest = zip(orb.points[1:], taxonomy_module._orbit_gaps(f, orb)[1:])
     if any(_trap(f, p, n, g).trapped != first.trapped for p, g in rest):
         raise TaxonomyViolation(
             f"trapped flag not uniform along orbit {orb.points}")
