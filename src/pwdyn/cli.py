@@ -20,13 +20,15 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .codes import (CertificationError, YES, attractor_regular_source,
-                    codes, is_regular, regular_attractor)
+from .codes import (DEFAULT_CAP, CertificationError, YES,
+                    attractor_regular_source, codes, is_regular,
+                    regular_attractor)
 from .harness import GeneratorConfig, PROPERTIES, run_suite
 from .maps import (BugError, MapInvariantError, MINUS, PLUS, PiecewiseMap,
                    PwdynError, as_fraction, compose, parse_map)
 from .orbits import (DENOM_BIT_CAP, HALF_POINT, INTERVAL_FAMILY, POINT,
-                     VariantSelector, orbit, periodic_points, structure)
+                     STRUCTURE_CAP, VariantSelector, orbit, periodic_points,
+                     structure)
 from .plotting import emit_plot
 from .stability import (_connections, _walks, classify_point,
                         classify_side, germs_of)
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact analysis of piecewise-affine interval maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, handler, *, map_arg=True, help=None):
+    def cmd(name, handler, help, *, map_arg=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if map_arg:
@@ -135,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10**4)
     p = cmd("structure", _cmd_structure, help="branching forward-orbit set")
     p.add_argument("--x", type=rational, required=True)
-    p.add_argument("--cap", type=int, default=10**4)
+    p.add_argument("--cap", type=int, default=STRUCTURE_CAP)
     p = cmd("periodic", _cmd_periodic,
             help="periodic orbits up to a period horizon")
     p.add_argument("--horizon", type=horizon, default=4)
@@ -155,9 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=horizon, default=8)
     p = cmd("code", _cmd_code, help="itinerary codes of a point")
     p.add_argument("--x", type=rational, required=True)
-    p.add_argument("--cap", type=int, default=10**4)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p = cmd("regular", _cmd_regular, help="regularity of every special point")
-    p.add_argument("--cap", type=int, default=10**4)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--side", choices=("minus", "plus"), default=None,
                    help="restrict jump points to one side")
     p = cmd("theorem5", _cmd_theorem5,

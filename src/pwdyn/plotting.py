@@ -96,8 +96,7 @@ def to_svg(f: PiecewiseMap, rows, mode: str) -> str:
 
 
 def emit_plot(f: PiecewiseMap, mode: str, sel: VariantSelector, *,
-              x0: Optional[Fraction] = None, steps: int = 20,
-              fmt: str = "csv") -> str:
+              x0: Optional[Fraction], steps: int, fmt: str) -> str:
     if mode == "graph":
         rows = graph_segments(f)
     elif mode == "cobweb":

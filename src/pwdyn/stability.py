@@ -75,11 +75,10 @@ def germs_of(f: PiecewiseMap, x: Fraction) -> list[Germ]:
     return out
 
 
-def _germ_cycle(f: PiecewiseMap, key: GermKey) -> tuple[dict, int, int, int]:
+def _germ_cycle(f: PiecewiseMap, key: GermKey) -> tuple[dict, int, int]:
     """The one germ memo, on f per germ: the landing index of its walk to
-    GERM_CAP, the index where its cycle starts, and the cycle's
-    |A1 ... Ak| and D1 ... Dk.  A walk that does not close raises
-    NotConfinedError, so none is kept."""
+    GERM_CAP, and the cycle's |A1 ... Ak| and D1 ... Dk.  A walk that does
+    not close raises NotConfinedError, so none is kept."""
     def build():
         index, steps, start = _germ_walk(f, key, GERM_CAP)
         if start is None:
@@ -87,7 +86,7 @@ def _germ_cycle(f: PiecewiseMap, key: GermKey) -> tuple[dict, int, int, int]:
             raise NotConfinedError(
                 f"germ orbit of ({g.point}, {g.side}) found no cycle")
         cycle = [_table(f).coefs[i] for i in steps[start:]]
-        return (index, start, prod(abs(c[0]) for c in cycle),
+        return (index, prod(abs(c[0]) for c in cycle),
                 prod(c[2] for c in cycle))
 
     return f._memo(("germ_cycle", key), build)
@@ -96,7 +95,7 @@ def _germ_cycle(f: PiecewiseMap, key: GermKey) -> tuple[dict, int, int, int]:
 def classify_side(f: PiecewiseMap, x: RationalLike, side: Side) -> SideClass:
     """Verdict for one lateral neighbourhood from its germ cycle product
     (`_germ_cycle`), unchecked for confinement: `classify_point` checks."""
-    _, _, num, den = _germ_cycle(f, _germ_key(f, Germ(x, side)))
+    _, num, den = _germ_cycle(f, _germ_key(f, Germ(x, side)))
     verdict = (CONTRACTING if num < den else NEUTRAL if num == den
                else EXPANDING)
     return SideClass(side, verdict, Fraction(num, den))

@@ -10,12 +10,12 @@ between the special points around the point's own iterate, pulls each clip
 back by one affine solve, and pushes the segments once through the map, so
 no global high power is ever materialized; where the gaps repeat from
 halfway, as at depth 2n at a point of period n, the half sweep is squared
-through its own integer table.  An orbit's gaps are stepped once and
-rotated from point to point (`_orbit_gaps`), and the trap memo keeps only
-the decision at its representative; a trapped orbit whose first point has
-both one-sided slopes of f^{2n} at least 1, read off the germ cycles that
-`stability` memoizes, needs no other window (`_orbit_trap`).  Segments are
-int tuples, gaps int pairs, and they become
+through its own integer table.  Trapped and free belong to a whole
+orbit, so the trap decision is made once, at the representative, and
+memoized on the map (`is_trapped`); the suite's `taxonomy_rules` checks
+that every other point agrees.  The atlas and the basin witnesses step an
+orbit's gaps once and rotate them from point to point (`_orbit_gaps`).
+Segments are int tuples, gaps int pairs, and they become
 Fractions only where `window_sweep`, `restrict_power` and the trap
 witnesses return them.  Trapped / free / basin questions reduce to the
 sign of f^m(t) - t on the segments, read off their coefficients by
@@ -38,7 +38,7 @@ from .maps import (MINUS, PLUS, AffinePiece, BudgetError, BugError, Pair,
 from .orbits import (Germ, INTERVAL_FAMILY, PeriodicOrbit, _germ_key,
                      _germ_successor, _sweep, ball_stops, fixed_points,
                      periodic_points, segment_sweep, special_gaps, walk)
-from .stability import SEMI_STABLE, STABLE, _germ_cycle, classify_point
+from .stability import SEMI_STABLE, STABLE, classify_point
 
 # Period horizon of the attraction atlas that certifies convergence.
 ATLAS_HORIZON = 8
@@ -218,7 +218,8 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
     A trapped orbit is bracketed by y < x < z strictly inside the window
     with the 2n-th iterate at most y at y and at least z at z (equalities
     allowed, so identity stretches count).  Returns exact witnesses and a
-    margin delta when trapped.
+    margin delta when trapped.  The decision is memoized on f per
+    (representative, period), so `taxonomy` and `count_bound` share it.
     """
     if not orb.continuous:
         raise PreconditionError("trapped is defined for continuous orbits")
@@ -227,11 +228,7 @@ def is_trapped(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
         raise PreconditionError("trapped is defined for non-critical orbits")
     if any(p in (f.a, f.b) for p in orb.points):
         raise PreconditionError("trapped needs an interior orbit")
-    return _first_trap(f, orb.representative, orb.period)
-
-
-def _first_trap(f: PiecewiseMap, x: Fraction, n: int) -> TrapResult:
-    """`_trap` at an orbit's representative x, memoized on f per (x, n)."""
+    x, n = orb.representative, orb.period
     return f._memo(("trap", x, n),
                    lambda: _trap(f, x, n, special_gaps(f, x, 2 * n)))
 
@@ -258,35 +255,6 @@ def _trap(f: PiecewiseMap, x: Fraction, n: int,
     return TrapResult(True, (y, z, Fraction(m, 2 * yd * ud * vd * zd)))
 
 
-def _orbit_trap(f: PiecewiseMap, orb: PeriodicOrbit) -> TrapResult:
-    """The trap decision at every point of an orbit `taxonomy` checked.
-    f^k takes x_0 to x_k and is continuous and monotone on x_0's window, so
-    it conjugates f^{2n} near x_0 to f^{2n} near x_k, with the one-sided
-    slopes swapped where f^k decreases: if x_0 is trapped with both slopes
-    at least 1, so is each x_k.  The slopes are the |A| and D products of
-    the memoized cycles of x_0's two germs (`stability._germ_cycle`), each
-    back at its start within a divisor of 2n steps; a germ step is a
-    function of the germ, so each x_k is checked by both its germs lying
-    on those cycles, whose products are its own, not by a window."""
-    n, x = orb.period, orb.representative
-    first = _first_trap(f, x, n)
-    if first.trapped:
-        cycles = [_germ_cycle(f, (*_pair(x), plus)) for plus in (False, True)]
-        if any(start or 2 * n % len(index) for index, start, _, _ in cycles):
-            raise TaxonomyViolation(f"germ at {x} not back in {2 * n} steps")
-        if all(num >= den for *_, num, den in cycles):
-            on = cycles[0][0].keys() | cycles[1][0].keys()
-            for p in orb.points[1:]:
-                if not {(*_pair(p), False), (*_pair(p), True)} <= on:
-                    raise TaxonomyViolation(f"f^{2 * n} contracts at {p}")
-            return first
-    rest = zip(orb.points[1:], _orbit_gaps(f, orb)[1:])
-    if any(_trap(f, p, n, g).trapped != first.trapped for p, g in rest):
-        raise TaxonomyViolation(
-            f"trapped flag not uniform along orbit {orb.points}")
-    return first
-
-
 @dataclass(frozen=True)
 class OrbitTaxonomy:
     orbit: PeriodicOrbit
@@ -301,10 +269,10 @@ class OrbitTaxonomy:
 def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
     """Full classification of a continuous periodic orbit.
 
-    Trapped / free must agree at every orbit point (`_orbit_trap`); a
-    point whose germs are off the first point's germ cycles, a
-    disagreement, or a periodic endpoint that is neither fixed, critical,
-    nor half of the endpoint swap, raises TaxonomyViolation.
+    Trapped / free is read at the representative (`is_trapped`); that it
+    agrees at every orbit point is checked by the suite's `taxonomy_rules`,
+    not here.  A periodic endpoint that is neither fixed, critical, nor
+    half of the endpoint swap raises TaxonomyViolation.
     """
     if not orb.continuous:
         raise PreconditionError("taxonomy is defined for continuous orbits")
@@ -321,7 +289,7 @@ def taxonomy(f: PiecewiseMap, orb: PeriodicOrbit) -> OrbitTaxonomy:
             raise TaxonomyViolation(
                 f"periodic endpoint orbit {orb.points} is neither fixed, "
                 "critical, nor the endpoint swap")
-    trap = TrapResult(False) if critical or boundary else _orbit_trap(f, orb)
+    trap = TrapResult(False) if critical or boundary else is_trapped(f, orb)
     free = not critical and not trap.trapped and not boundary
     exceptional = exceptional_types(f, orb) if free else frozenset()
     return OrbitTaxonomy(orb, critical, trap.trapped, free, exceptional,

@@ -263,7 +263,7 @@ def test_cobweb_past_twenty_jumps(capsys, tmp_path):
                          "--x0", "1/3", "-n", "6")
     assert (code, err) == (0, "")
     assert out == emit_plot(f, "cobweb", cli._selector_from_bits(f, None),
-                            x0=Fraction(1, 3), steps=6)
+                            x0=Fraction(1, 3), steps=6, fmt="csv")
     assert len(out.splitlines()) == 3 + 2 * 6
     for name in PINNED_NAMES:
         g = parse_map(pinned_text(name))

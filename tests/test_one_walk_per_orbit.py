@@ -8,10 +8,9 @@ each listed orbit point they sweep from `taxonomy._orbit_gaps`, which
 steps the first point once and rotates its gaps, but only when f takes
 each listed point to the next; any other listing is stepped point by
 point, so the answers do not depend on the order the points are listed
-in.  The trap witnesses are formed on int pairs, so `taxonomy._trap`
-itself does no `Fraction` arithmetic, and neither does
-`taxonomy._orbit_trap`, whose lookups in the first point's memoized germ
-cycles stand in for the later points' sweeps.
+in.  `taxonomy` reads the trap decision at the first point alone
+(`is_trapped`).  The trap witnesses are formed on int pairs, so
+`taxonomy._trap` itself does no `Fraction` arithmetic.
 """
 
 import dataclasses
@@ -19,7 +18,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from pwdyn import orbits, stability, taxonomy as taxonomy_module
+from pwdyn import orbits, taxonomy as taxonomy_module
 from pwdyn.harness import GeneratorConfig, _corpus
 from pwdyn.orbits import POINT, periodic_points, special_gaps
 from pwdyn.pinned import pinned_maps
@@ -149,16 +148,14 @@ _OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 def test_trap_does_no_fraction_arithmetic(monkeypatch):
     """Over the taxonomy and count bound of 100 census-style maps, no
-    `Fraction` operator is called from `_trap`'s own frame or from
-    `_orbit_trap`'s, which reads the germ cycles; the spy sees the ones
-    `_pick_witness` still calls, so it is live, `_trap` runs and
-    `taxonomy` builds germ cycles (`stability._germ_cycle`)."""
+    `Fraction` operator is called from `_trap`'s own frame; the spy sees
+    the ones `_pick_witness` still calls, so it is live, and `_trap`
+    runs."""
     maps = list(_corpus(GeneratorConfig(seed=97, max_pieces=3), "trap", 100))
     for f in maps:  # warm the orbits, so the spy sees the taxonomy only
         periodic_points(f, 8, max_power=16)
     calls = Counter()
-    frames = {taxonomy_module._trap.__code__: "_trap",
-              taxonomy_module._orbit_trap.__code__: "_orbit_trap"}
+    frames = {taxonomy_module._trap.__code__: "_trap"}
 
     def spied(name):
         real = getattr(Fraction, name)
@@ -169,39 +166,25 @@ def test_trap_does_no_fraction_arithmetic(monkeypatch):
             return real(*args)
         return operator
 
-    runs, inside = Counter(), [False]
-    real_trap, real_cycle = taxonomy_module._trap, taxonomy_module._germ_cycle
-    real_walk = stability._germ_walk
+    runs = Counter()
+    real_trap = taxonomy_module._trap
 
     def trap(*args):
         runs["_trap"] += 1
         return real_trap(*args)
 
-    def cycle(*args):  # the cycles `taxonomy` reads
-        inside[0] = True
-        try:
-            return real_cycle(*args)
-        finally:
-            inside[0] = False
-
-    def walk(*args):  # the builds among them
-        runs["_germ_cycle"] += inside[0]
-        return real_walk(*args)
-
     with monkeypatch.context() as m:
         for name in _OPERATORS:
             m.setattr(Fraction, name, spied(name))
         m.setattr(taxonomy_module, "_trap", trap)
-        m.setattr(taxonomy_module, "_germ_cycle", cycle)
-        m.setattr(stability, "_germ_walk", walk)
         for f in maps:
             for orb in periodic_points(f, 8, max_power=16):
                 if orb.continuous:
                     _outcome(taxonomy, f, orb)
             _outcome(count_bound, f)
-    assert runs["_trap"] > 200 and runs["_germ_cycle"] > 200, runs
+    assert runs["_trap"] > 200, runs
     assert calls["_pick_witness"] > 0, calls
-    assert calls["_trap"] == calls["_orbit_trap"] == 0, calls
+    assert calls["_trap"] == 0, calls
 
 
 def test_trapping_off_the_domain_names_the_point():

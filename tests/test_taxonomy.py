@@ -168,11 +168,12 @@ def test_one_window_per_trapped_orbit(monkeypatch):
     """`taxonomy` against `_trap` at every point, the reference, on every
     non-critical interior continuous orbit to period 8, listed in each
     rotation: the flags agree and the first point's witness is reported.
-    The later points are swept (`_orbit_gaps`) exactly when the first is
-    not trapped with both one-sided slopes of f^{2n} at least 1, read off
-    public germ steps.  Both paths run, the sweeps on trapped orbits too,
-    and the shortcut runs on orbits through plain breakpoints, orbits that
-    f^n reverses and orbits with an identity-slope side."""
+    `taxonomy` reads the decision at the first point alone, so it never
+    steps an orbit's gaps (`_orbit_gaps`).  The corpus holds trapped
+    orbits with a contracting side of f^{2n} at the first point, read off
+    public germ steps, and trapped orbits with both sides expanding
+    through plain breakpoints, that f^n reverses or with an identity-slope
+    side."""
     swept = []
     real = taxonomy_module._orbit_gaps
     monkeypatch.setattr(taxonomy_module, "_orbit_gaps",
@@ -191,7 +192,6 @@ def test_one_window_per_trapped_orbit(monkeypatch):
             for k in range(n):
                 points = orb.points[k:] + orb.points[:k]
                 listed = dataclasses.replace(orb, points=points)
-                swept.clear()
                 tax = _outcome(taxonomy, f, listed)
                 first = results[k]
                 if isinstance(first, str):
@@ -202,30 +202,31 @@ def test_one_window_per_trapped_orbit(monkeypatch):
                     (f.to_text(), points)
                 assert tax.trap_witness == first.witness, (f.to_text(), points)
                 (left, _), (right, _) = _one_sided_slopes(f, points[0], 2 * n)
-                shortcut = first.trapped and left >= 1 and right >= 1
-                assert swept == ([] if shortcut else [listed]), \
-                    (f.to_text(), points)
-                seen["shortcut" if shortcut else "fallback"] += 1
-                seen["trapped fallback"] += first.trapped and not shortcut
-                if shortcut and n > 1:
+                expanding = first.trapped and left >= 1 and right >= 1
+                seen["expanding" if expanding else "other"] += 1
+                seen["trapped, a contracting side"] += (first.trapped
+                                                        and not expanding)
+                if expanding and n > 1:
                     seen["plain"] += bool(plain & set(points))
                     seen["reversing"] += _one_sided_slopes(
                         f, points[0], n)[0][1] == PLUS
                     seen["identity"] += 1 in (left, right)
-    assert seen["shortcut"] > 50 and seen["fallback"] > 50, seen
-    assert seen["trapped fallback"] >= 6, seen
+    assert swept == []
+    assert seen["expanding"] > 50 and seen["other"] > 50, seen
+    assert seen["trapped, a contracting side"] >= 6, seen
     assert min(seen[k] for k in ("plain", "reversing", "identity")) > 5, \
         seen
 
 
-# -- the per-point germ walks the germ-cycle lookups replaced, the reference --
+# -- the per-point check `taxonomy` once made, the reference ----------------
 
 
 def _ref_orbit_trap(f, orb):
-    """`taxonomy._orbit_trap` as it was when each listed point's slopes
-    were read off its own germ walks (`_ref_expanding`); the reference."""
+    """`taxonomy`'s trap as it was when each listed point's slopes were read
+    off its own germ walks (`_ref_expanding`), and every point's window was
+    swept where they did not decide it; the reference."""
     n, x = orb.period, orb.representative
-    first = taxonomy_module._first_trap(f, x, n)
+    first = _trap(f, x, n, special_gaps(f, x, 2 * n))
     if first.trapped and _ref_expanding(f, x, n):
         for p in orb.points[1:]:
             if not _ref_expanding(f, p, n):
@@ -253,20 +254,13 @@ def _ref_expanding(f, x, n):
     return out
 
 
-def _both_taxonomies(f, orb, monkeypatch):
-    """`taxonomy` of the orbit, then the same with the reference trap, each
-    as `_outcome` gives it."""
-    got = _outcome(taxonomy, f, orb)
-    with monkeypatch.context() as m:
-        m.setattr(taxonomy_module, "_orbit_trap", _ref_orbit_trap)
-        return got, _outcome(taxonomy, f, orb)
-
-
-def test_the_germ_cycle_lookups_match_the_per_point_walks(monkeypatch):
-    """`taxonomy` against the reference, which walks both germs of every
-    listed point, on every continuous orbit to period 8 of the shortcut
+def test_the_representative_decides_as_the_per_point_walks_do(monkeypatch):
+    """`taxonomy` against itself with the reference trap, which walks both
+    germs of every listed point and sweeps every point those walks leave
+    undecided, on every continuous orbit to period 8 of the shortcut
     corpus (with its mirrors and 100 census-style maps), listed in each
-    rotation: the same flags and trap witness, or the same error."""
+    rotation: the same flags and trap witness, or the same error; the
+    reference raises nothing here, so no orbit disagrees with itself."""
     seen = Counter()
     for f in _shortcut_corpus():
         for orb in periodic_points(f, 8, max_power=16):
@@ -275,7 +269,10 @@ def test_the_germ_cycle_lookups_match_the_per_point_walks(monkeypatch):
             for k in range(orb.period):
                 listed = dataclasses.replace(
                     orb, points=orb.points[k:] + orb.points[:k])
-                got, want = _both_taxonomies(f, listed, monkeypatch)
+                got = _outcome(taxonomy, f, listed)
+                with monkeypatch.context() as m:
+                    m.setattr(taxonomy_module, "is_trapped", _ref_orbit_trap)
+                    want = _outcome(taxonomy, f, listed)
                 assert got == want, (f.to_text(), listed.points)
                 if isinstance(got, str):
                     seen["errors"] += 1
@@ -285,99 +282,11 @@ def test_the_germ_cycle_lookups_match_the_per_point_walks(monkeypatch):
                for cycle in (False, True)) > 50, seen
 
 
-def _shortcut_orbit(kept=False):
-    """The first census-style map with a contracting piece and an orbit of
-    period 2 or more that `taxonomy` decides by the slope check; if
-    `kept`, one whose germs f^n keeps on their own side."""
-    for f in _corpus(GeneratorConfig(seed=89, max_pieces=3), "shortcut", 100):
-        if all(abs(p.slope) >= 1 for p in f.pieces):
-            continue
-        for orb in periodic_points(f, 8, max_power=16):
-            if orb.period > 1 and orb.continuous and not isinstance(
-                    _outcome(taxonomy, f, orb), str):
-                x, n = orb.representative, orb.period
-                (left, _), (right, _) = _one_sided_slopes(f, x, 2 * n)
-                if is_trapped(f, orb).trapped and min(left, right) >= 1 \
-                        and (not kept or _one_sided_slopes(f, x, n)[0][1]
-                             == MINUS):
-                    return f, orb
-    raise AssertionError("no orbit takes the slope check")
-
-
-def _planted_walks(m, plant):
-    """Route every germ walk of `orbits` and `stability` through `plant`,
-    which takes the walk's first germ key and its record and returns the
-    record to use."""
-    real = orbits._germ_walk
-
-    def walk(f, key, cap):
-        return plant(key, real(f, key, cap))
-    m.setattr(orbits, "_germ_walk", walk)
-    m.setattr(stability, "_germ_walk", walk)
-
-
-def test_a_later_point_is_checked_from_its_own_germs(monkeypatch):
-    """Each later point x_k is checked by its own two germ keys, which must
-    lie on the memoized cycles of x_0's germs, and those cycles by their
-    start and length.  Faults planted in the germ walk records, each on a
-    new copy of the map, make `taxonomy` raise TaxonomyViolation naming
-    the point: x_1's keys renamed out of x_0's landing indexes, while
-    x_1's own walks read a contracting piece, name x_1 ("contracts");
-    x_0's cycle on either side made to start at its second germ, or to
-    take one germ more, so that its length does not divide 2n, name x_0
-    ("not back in 2n steps").  The reference, which walks x_1's own
-    germs, raises the same on each plant.  One orbit is one that f^n
-    reverses, both germs of a point on one cycle of 2n germs, and one is
-    one whose germs f^n keeps on their own side, a cycle per germ."""
-    cases = [_shortcut_orbit(), _shortcut_orbit(kept=True)]
-    assert [_one_sided_slopes(f, orb.representative, orb.period)[0][1]
-            for f, orb in cases] == [PLUS, MINUS]
-    for f, orb in cases:
-        n, (x0, x1) = orb.period, orb.points[:2]
-        keys0, keys1 = ([(x.numerator, x.denominator, plus)
-                         for plus in (False, True)] for x in (x0, x1))
-        contracting = next(i for i, (a, _, d) in enumerate(_table(f).coefs)
-                           if abs(a) < d)
-
-        def cut_off(key, record):
-            index, steps, start = record
-            if key in keys0:  # a 4-tuple is the key of no germ
-                index = {(*k, None) if k in keys1 else k: i
-                         for k, i in index.items()}
-            elif key in keys1:
-                steps = (contracting,) * len(steps)
-            return index, steps, start
-
-        def late(side):
-            return lambda key, record: (
-                (*record[:2], 1) if key == side else record)
-
-        def longer(side):
-            return lambda key, record: (
-                ({**record[0], (*side, None): len(record[1])},
-                 record[1] + record[1][-1:], record[2])
-                if key == side else record)
-
-        back = f"germ at {x0} not back in {2 * n} steps"
-        plants = [(cut_off, f"f^{2 * n} contracts at {x1}")]
-        plants += [(plant(side), back) for side in keys0
-                   for plant in (late, longer)]
-        for plant, message in plants:
-            with monkeypatch.context() as m:
-                _planted_walks(m, plant)
-                got, want = _both_taxonomies(parse_map(f.to_text()), orb,
-                                             monkeypatch)
-            assert got == want == f"TaxonomyViolation: {message}", \
-                (f.to_text(), orb.points, message)
-        assert taxonomy(parse_map(f.to_text()), orb).trapped
-
-
 def test_each_germ_is_walked_once_per_map(monkeypatch):
     """A spy on every module's germ walk, over `taxonomy` on each
     continuous orbit and `count_bound`, in either order, on the shortcut
-    corpus: no germ is walked twice on one map, `count_bound` reads the
-    cycles of the representatives `taxonomy` walked, and the answers of
-    both orders are the same."""
+    corpus: no germ is walked twice on one map, and the answers of both
+    orders are the same."""
     walks = Counter()
     real = orbits._germ_walk
 
@@ -399,16 +308,61 @@ def test_each_germ_is_walked_once_per_map(monkeypatch):
             walks.clear()
             if bound_first:
                 bound = _outcome(count_bound, f)
-                cold = set(walks)
             classes = [_outcome(taxonomy, f, orb) for orb in found]
             if not bound_first:
-                seen["read"] += len(cold & set(walks))
                 bound = _outcome(count_bound, f)
             assert max(walks.values(), default=0) <= 1, (text, walks)
             seen["walks"] += len(walks)
             answers.append((bound, classes))
         assert answers[0] == answers[1], text
-    assert seen["read"] > 500 and seen["walks"] > 1500, seen
+    assert seen["walks"] > 1500, seen
+
+
+def test_taxonomy_after_count_bound_sweeps_only_undecided_orbits(
+        monkeypatch):
+    """A spy on `_window_on`, over `taxonomy` on every continuous orbit of
+    `periodic_points(f, 8)` and `count_bound(f, 8)`, in either order, on
+    the shortcut corpus: `count_bound` after `taxonomy` sweeps no window;
+    `taxonomy` after `count_bound` sweeps none for an orbit whose trap
+    `count_bound` decided, and at most one for any other orbit; both
+    orders give the same answers."""
+    windows, decided = [], set()
+    real_window, real_trapped = (taxonomy_module._window_on,
+                                 taxonomy_module.is_trapped)
+
+    def trapped(f, orb):
+        decided.add(orb)
+        return real_trapped(f, orb)
+
+    monkeypatch.setattr(taxonomy_module, "_window_on",
+                        lambda *args: windows.append(args)
+                        or real_window(*args))
+    monkeypatch.setattr(taxonomy_module, "is_trapped", trapped)
+    seen = Counter()
+    for text in [f.to_text() for f in _shortcut_corpus()]:
+        answers = []
+        for bound_first in (False, True):
+            f = parse_map(text)
+            found = [o for o in periodic_points(f, 8) if o.continuous]
+            decided.clear()
+            bound = _outcome(count_bound, f, 8) if bound_first else None
+            by_bound = set(decided)
+            classes = []
+            for orb in found:
+                windows.clear()
+                classes.append(_outcome(taxonomy, f, orb))
+                if bound_first:
+                    assert len(windows) <= (orb not in by_bound), \
+                        (text, orb.points, len(windows))
+                    seen["decided" if orb in by_bound
+                         else "swept" if windows else "no window"] += 1
+            if not bound_first:
+                windows.clear()
+                bound = _outcome(count_bound, f, 8)
+                assert windows == [], text
+            answers.append((bound, classes))
+        assert answers[0] == answers[1], text
+    assert min(seen["decided"], seen["swept"]) > 50, seen
 
 
 def test_count_bound_reads_the_trap_taxonomy_made(monkeypatch):
